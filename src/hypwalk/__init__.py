@@ -36,7 +36,6 @@ from .green import (
     GreenEstimate,
     GreenTable,
     ancona_check,
-    configure_row_cache,
     first_passage,
     first_passage_set,
     green,

@@ -1,0 +1,271 @@
+"""Exact Green, first-passage and Martin-kernel values on the full group.
+
+For a nearest-neighbour walk on F_N or Z/m*Z/n the syllable boundaries of
+a reduced word are cut vertices of the Cayley graph, so
+
+    F(e, g | z) = prod of F(e, sigma | z) over the syllables sigma of g,
+    G(e, g | z) = G(e, e | z) F(e, g | z),
+    G(e, e | z) = 1 / (1 - z sum_y mu(y) F(e, y^-1 | z)),
+
+(Woess, *Random Walks on Infinite Graphs and Groups*, 2000, Ch. 9 and
+section 26; Lalley, Ann. Probab. 1993).  The one-letter values are the
+minimal fixed point of a monotone map Phi, reached by iterating up from 0:
+
+* F_N:     F_x = z mu(x) / (1 - z sum_{y != x} mu(y) F_{y^-1});
+* Z/m*Z/n: F(e, s^k) is the probability that the walk on the cycle of
+  the factor of s reaches s^k; every excursion into the other factor
+  returns with weight loop = z sum_y mu(y) F(e, y^-1) and is folded in as
+  a self-loop.  One tridiagonal solve per factor gives all k at once.
+
+Every value is an enclosure (value, lower, upper):
+
+* lower: the iteration from 0 with each step rounded down by the
+  evaluation's rounding bound, so it stays below the exact iterates;
+* upper: a vector U with Phi(U) <= U checked with the same bound, which
+  by monotonicity lies above the minimal fixed point;
+* products and quotients widen both ends by their own rounding.
+
+A rounding bound is a first-order one: the evaluation's operation count
+times 2^-52, over its smallest denominator.  Only Python floats are used,
+so every value is bitwise the same in every process.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from .errors import DivergenceError, SolverError
+from .groups import FREE, GroupElement
+from .walks import WalkSpec
+
+Bracket = tuple[float, float, float]  # (value, lower, upper)
+
+_EPS = 2.0 ** -52  # twice the unit roundoff: one rounding plus slack
+_MAX_SWEEPS = 100_000
+_MAX_DOUBLINGS = 200
+_MAX_DIRECTION = 1e12  # |(I - J)^-1 1| beyond this: Jacobian at eigenvalue 1
+
+
+class _Letters:
+    """The monotone map Phi of one walk and weight z, on the alphabet.
+
+    Letters are keyed by their one-syllable normal form (letter id,
+    exponent).  ``sweep`` returns Phi on the letters, the table of every
+    one-syllable value, and a relative rounding bound of that evaluation.
+    """
+
+    def __init__(self, spec: WalkSpec, z: float):
+        model = spec.model
+        self.model = model
+        self.free = model.kind == FREE
+        self.keys = [g.syllables[0] for g in model.generators()]
+        zmu = {k: 0.0 for k in self.keys}
+        for g, p in spec.support:
+            zmu[g.syllables[0]] += z * p
+        self.zmu = zmu
+
+    def inverse(self, key: tuple[int, int]) -> tuple[int, int]:
+        lid, exp = key
+        return (lid, -exp) if self.free else (lid, self.model.letter_order(lid) - exp)
+
+    def sweep(self, F: dict) -> tuple[list[float], dict, float]:
+        table, rounding = self._free(F) if self.free else self._product(F)
+        return [table[k] for k in self.keys], table, rounding
+
+    def _free(self, F: dict) -> tuple[dict, float]:
+        keys, zmu = self.keys, self.zmu
+        table = {}
+        den_min = 1.0
+        for x in keys:
+            den = 1.0 - sum(zmu[y] * F[self.inverse(y)] for y in keys if y != x)
+            if not den > 0.0:
+                raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
+            table[x] = zmu[x] / den
+            den_min = min(den_min, den)
+        return table, (len(keys) + 4) * _EPS / den_min
+
+    def _product(self, F: dict) -> tuple[dict, float]:
+        table = {}
+        den_min = 1.0
+        terms = len(self.keys)
+        for lid in (1, 2):
+            m = self.model.letter_order(lid)
+            rest = 1.0 - sum(self.zmu[y] * F[self.inverse(y)] for y in self.keys if y[0] != lid)
+            if not rest > 0.0:
+                raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
+            forward = self.zmu[(lid, 1)] / rest
+            backward = self.zmu[(lid, m - 1)] / rest if m > 2 else 0.0
+            hits, pivot_min = _cycle_hits(m, forward, backward)
+            for k in range(1, m):
+                table[(lid, k)] = hits[m - k - 1]
+            den_min = min(den_min, rest, pivot_min)
+            terms += 4 * m
+        return table, (terms + 8) * _EPS / den_min
+
+
+def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], float]:
+    """Hitting probabilities of 0 on the killed walk on Z/m.
+
+    Entry d - 1 is the probability of reaching 0 from d (1 <= d < m)
+    with steps +1 and -1 of weights ``forward`` and ``backward``; 0 is
+    absorbing from both sides, so this is a path of m - 1 states
+    solved by one tridiagonal elimination.  Returns the values and the
+    smallest pivot.
+    """
+    size = m - 1
+    rhs = [0.0] * size
+    rhs[0] += backward
+    rhs[-1] += forward
+    pivots = [1.0] * size
+    acc = [rhs[0]] + [0.0] * (size - 1)
+    for i in range(1, size):
+        pivots[i] = 1.0 - forward * backward / pivots[i - 1]
+        if not pivots[i] > 0.0:
+            raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
+        acc[i] = rhs[i] + backward * acc[i - 1] / pivots[i - 1]
+    hits = [0.0] * size
+    hits[-1] = acc[-1] / pivots[-1]
+    for i in range(size - 2, -1, -1):
+        hits[i] = (acc[i] + forward * hits[i + 1]) / pivots[i]
+    return hits, min(pivots)
+
+
+def _iterate(phi: _Letters, bias: bool) -> dict:
+    """Phi iterated up from 0 until no letter increases.
+
+    With ``bias`` each step is rounded down by its rounding bound, so
+    every iterate stays below the exact one and the limit is a lower
+    bound of the minimal fixed point.
+    """
+    F = {k: 0.0 for k in phi.keys}
+    for _ in range(_MAX_SWEEPS):
+        values, _, rounding = phi.sweep(F)
+        if bias:
+            values = [v * (1.0 - rounding) for v in values]
+        new = dict(zip(phi.keys, values))
+        if all(new[k] <= F[k] for k in phi.keys):
+            return F
+        F = new
+    raise SolverError(f"first-passage fixed point not reached in {_MAX_SWEEPS} sweeps")
+
+
+def _upper(phi: _Letters, F: dict) -> dict:
+    """A vector U >= F with Phi(U) <= U, certified with rounding.
+
+    U = F + t d with d = (I - J)^-1 1 for the Jacobian J of Phi at F:
+    along d, Phi(F + t d) - (F + t d) ~ Phi(F) - F - t, so t is doubled
+    from the current excess until the check passes.  d is positive
+    exactly when the fixed point is stable, that is when z < 1/rho.
+    """
+    keys = phi.keys
+    base, _, rounding = phi.sweep(F)
+    jac = []  # columns
+    for k in keys:
+        step = 1e-7 * max(F[k], 1e-7)
+        moved, _, _ = phi.sweep({**F, k: F[k] + step})
+        jac.append([(a - b) / step for a, b in zip(moved, base)])
+    d = [1.0] * len(keys)  # the Neumann series of (I - J)^-1 1
+    for _ in range(_MAX_SWEEPS):
+        new = [1.0 + sum(col[i] * dj for col, dj in zip(jac, d)) for i in range(len(keys))]
+        if all(a <= b for a, b in zip(new, d)):
+            break
+        d = new
+        if max(d) > _MAX_DIRECTION:
+            raise DivergenceError("first-passage fixed point is not stable: z is at or past 1/rho")
+    excess = max(b * (1.0 + rounding) - F[k] for k, b in zip(keys, base))
+    t = max(excess, rounding * max(F.values()), 1e-300)
+    for _ in range(_MAX_DOUBLINGS):
+        U = {k: F[k] + t * dk for k, dk in zip(keys, d)}
+        try:
+            image, _, bound = phi.sweep(U)
+        except DivergenceError:
+            image = None
+        if image is not None and all(v * (1.0 + bound) <= U[k] for k, v in zip(keys, image)):
+            return U
+        t *= 2.0
+    raise SolverError("no upper bound certified for the first-passage fixed point")
+
+
+class _Solution:
+    """One-syllable first-passage enclosures and G(e, e | z) of a walk."""
+
+    def __init__(self, spec: WalkSpec, z: float):
+        phi = _Letters(spec, z)
+        self.free = phi.free
+        point = _iterate(phi, bias=False)
+        lower = _iterate(phi, bias=True)
+        upper = _upper(phi, point)
+        # Every one-syllable value is monotone in the letter values, so one
+        # more sweep at each end encloses the whole table.
+        _, mid, _ = phi.sweep(point)
+        _, low, r_low = phi.sweep(lower)
+        _, high, r_high = phi.sweep(upper)
+        self.table = {}
+        for k, v in mid.items():
+            lo, hi = low[k] * (1.0 - r_low), high[k] * (1.0 + r_high)
+            self.table[k] = (min(max(v, lo), hi), lo, hi)
+        back = [(phi.zmu[y], self.table[phi.inverse(y)]) for y in phi.keys]
+        sums = [sum(w * f[i] for w, f in back) for i in range(3)]
+        if not sums[2] < 1.0:
+            raise DivergenceError("Green function diverges: z is past 1/rho")
+        slack = (len(back) + 4) * _EPS / (1.0 - sums[2])
+        self.base = (
+            1.0 / (1.0 - sums[0]),
+            (1.0 - slack) / (1.0 - sums[1]),
+            (1.0 + slack) / (1.0 - sums[2]),
+        )
+
+    def factors(self, g: GroupElement) -> list[tuple[int, int]]:
+        """Table keys whose values multiply to F(e, g | z)."""
+        if not self.free:
+            return list(g.syllables)
+        return [(lid, 1 if exp > 0 else -1) for lid, exp in g.syllables for _ in range(abs(exp))]
+
+    def product(self, keys: list[tuple[int, int]], first: Bracket = (1.0, 1.0, 1.0)) -> Bracket:
+        v, lo, hi = first
+        for k in keys:
+            a, b, c = self.table[k]
+            v, lo, hi = v * a, lo * b, hi * c
+        widen = (len(keys) + 1) * _EPS
+        return v, lo * (1.0 - widen), hi * (1.0 + widen)
+
+
+@lru_cache(maxsize=16)
+def _solution(spec: WalkSpec, z: float) -> _Solution:
+    return _Solution(spec, z)
+
+
+def first_passage(spec: WalkSpec, g: GroupElement, z: float = 1.0) -> Bracket:
+    """F(e, g | z): the product of one-syllable values."""
+    sol = _solution(spec, z)
+    return sol.product(sol.factors(g))
+
+
+def green(spec: WalkSpec, g: GroupElement, z: float = 1.0) -> Bracket:
+    """G(e, g | z) = G(e, e | z) F(e, g | z)."""
+    sol = _solution(spec, z)
+    return sol.product(sol.factors(g), first=sol.base)
+
+
+def kernel(spec: WalkSpec, g: GroupElement, y: GroupElement) -> Bracket:
+    """Martin kernel G(g, y) / G(e, y) = F(e, g^-1 y) / F(e, y).
+
+    Syllables shared by the ends of g^-1 y and y cancel before any
+    arithmetic, so the value is the same for every y past the point
+    where the ray leaves the geodesic to g.
+    """
+    sol = _solution(spec, 1.0)
+    num = sol.factors(g.inverse() * y)
+    den = sol.factors(y)
+    while num and den and num[-1] == den[-1]:
+        num.pop()
+        den.pop()
+    a, b = sol.product(num), sol.product(den)
+    return a[0] / b[0], a[1] / b[2] * (1.0 - _EPS), a[2] / b[1] * (1.0 + _EPS)
+
+
+def ratio(spec: WalkSpec, g: GroupElement) -> Bracket:
+    """r(g): F(e, c) for the cyclically reduced core c of g; 1 for torsion."""
+    if g.has_finite_order():
+        return 1.0, 1.0, 1.0
+    return first_passage(spec, g.cyclic_reduction()[1])

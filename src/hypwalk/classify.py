@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GreenBudgetError, ValidationError
+from .errors import ValidationError
 from .groups import GroupModel, conjugacy_representatives
 from .martin import RatioValue, ratio_invariant
-from .walks import WalkSpec, require_valid, validate_walk
+from .walks import WalkSpec, require_valid
 
 _EPS_GRID = tuple(float(x) for x in np.geomspace(1e-7, 0.2, 45))
 
@@ -150,7 +150,6 @@ class RatioSetReport:
     model: GroupModel
     maxlen: int
     values: tuple[RatioValue, ...]
-    skipped: tuple[str, ...]
     classification: str
     lattice: bool
     lam: float
@@ -164,37 +163,17 @@ class RatioSetReport:
         return self.classification
 
 
-def classify(
-    walk: WalkSpec,
-    maxlen: int,
-    tol: float = 1e-3,
-    *,
-    max_radius: int | None = None,
-    ratio_tol: float = 1e-4,
-    max_states: int = 3_000_000,
-) -> RatioSetReport:
+def classify(walk: WalkSpec, maxlen: int, tol: float = 1e-3) -> RatioSetReport:
     """Classify the boundary type from ratio values up to a length budget.
 
     ``tol`` is the relative GCD tolerance.  The type is III_lambda when
     the log-ratios form a lattice and III_1 otherwise; III_0 cannot
-    occur.  Budget-skipped representatives and the verdict agreement
-    between maxlen-1 and maxlen are reported as stability signals.
+    occur.  The verdict agreement between maxlen-1 and maxlen is
+    reported as a stability signal.
     """
     require_valid(walk)
     reps = conjugacy_representatives(walk.model, maxlen)
-    values: list[RatioValue] = []
-    skipped: list[str] = []
-    for g, finite in reps:
-        if finite:
-            continue
-        try:
-            values.append(
-                ratio_invariant(
-                    walk, g, tol=ratio_tol, max_radius=max_radius, max_states=max_states
-                )
-            )
-        except GreenBudgetError:
-            skipped.append(str(g))
+    values = [ratio_invariant(walk, g) for g, finite in reps if not finite]
     if not values:
         raise ValidationError(f"no infinite-order representatives up to length {maxlen}")
     result = lattice_test([v.value for v in values], tol)
@@ -216,7 +195,6 @@ def classify(
         model=walk.model,
         maxlen=maxlen,
         values=tuple(values),
-        skipped=tuple(skipped),
         classification=classification,
         lattice=result.lattice,
         lam=result.lam,

@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hypwalk",
         description=(
             "Compute Green/Martin kernels, harmonic measure and the boundary "
-            "type classification for finite-range walks on hyperbolic group models."
+            "type classification for nearest-neighbour walks on hyperbolic group models."
         ),
     )
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")

@@ -40,12 +40,10 @@ _BUDGET_DEFAULTS = {
     "boundary_patience": 20,
     "boundary_max_steps": 20_000,
     "gibbs_radii": [1, 2, 3, 4, 5],
-    "workers": 1,
 }
 
 _TOLERANCE_DEFAULTS = {
     "solver_rtol": 1e-12,
-    "green_tol": 1e-3,
     "kernel_dev": 1e-3,
     "gcd_eps": 1e-3,
     "invariant_tol": 1e-8,
@@ -60,7 +58,6 @@ class ExperimentConfig:
     tolerances: dict
     experiments: tuple[str, ...]
     output_dir: str
-    row_cache: str | None
     raw: dict = field(repr=False)
 
     def echo(self) -> dict:
@@ -174,7 +171,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     for name in experiments:
         _require(name in EXPERIMENTS, f"unknown experiment {name!r}; known: {list(EXPERIMENTS)}")
     output = data.get("output") or {}
-    _check_keys(output, {"dir", "row_cache"}, "output")
+    _check_keys(output, {"dir"}, "output")
     return ExperimentConfig(
         model=model,
         walk=walk,
@@ -182,7 +179,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         tolerances=tolerances,
         experiments=tuple(experiments),
         output_dir=output.get("dir", "out"),
-        row_cache=output.get("row_cache"),
         raw=data,
     )
 

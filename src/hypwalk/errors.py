@@ -18,14 +18,7 @@ class BudgetExceededError(HypwalkError, RuntimeError):
 
 
 class GreenBudgetError(BudgetExceededError):
-    """Green bracket did not reach the requested tolerance.
-
-    Carries the best estimate computed so far in ``estimate``.
-    """
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+    """A nested-ball bracket missed its tolerance, or a kernel ran out of depth."""
 
 
 class SolverError(HypwalkError, RuntimeError):

@@ -1,36 +1,30 @@
-"""Green functions on balls, extrapolated full-group values, first-passage
-and last-exit kernels, weighted Green functions, and the multiplicativity
+"""Green functions on balls and on the full group, first-passage and
+last-exit kernels, weighted Green functions, and the multiplicativity
 check along geodesics.
 
-Full-group quantities route through the base row G(e, .) plus left
-invariance, G(x, y) = G(e, x^-1 y).  Restricted values on nested balls
-increase monotonically to the true value; the reported upper bound adds a
-fitted geometric tail with a safety factor, so brackets are honest rather
-than certified.
+Full-group values (``green``, ``green_z``, ``first_passage``) are exact
+products over syllables from the cut-vertex engine in ``_exact``, each
+with a certified enclosure of relative width near float rounding.
+Restricted values on balls come from the sparse solver; they serve the
+taboo kernels, the multiplicativity check and the tests as an
+independent oracle.  Taboo first-passage values are extrapolated over
+nested balls, with an honest rather than certified upper bound.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import stats
 
+from . import _exact
 from ._solver import RestrictedSolver, taboo_first_passage
-from .errors import BudgetExceededError, GreenBudgetError, ValidationError
+from .errors import GreenBudgetError, ValidationError
 from .groups import FREE, Ball, GroupElement, ball, distance, geodesic
-from .walks import WalkSpec, n_step_distributions, require_valid, uniform_walk
-
-_TAIL_SAFETY = 3.0
-_TAIL_RATIO_CAP = 0.95
-_MIN_RUNGS = 3
-
+from .walks import WalkSpec, n_step_distributions, require_valid
 
 def default_max_radius(model) -> int:
     """Radius budget keeping ball sizes well under 10^6 states."""
@@ -43,11 +37,13 @@ def default_max_radius(model) -> int:
 
 @dataclass(frozen=True)
 class GreenEstimate:
-    """A bracketed estimate of a Green-type quantity.
+    """A bracketed value of a Green-type quantity.
 
-    ``lower`` is the largest computed restricted value (a rigorous lower
-    bound), ``upper`` adds the safety-factored geometric tail, ``value``
-    is the tail-corrected point estimate in between.
+    Full-group values are exact enclosures: ``lower <= value <= upper``
+    with a relative width near float rounding, ``radii == ()``,
+    ``tail_ratio == 0`` and ``converged`` set.  Taboo values from
+    nested balls record the radii used: ``lower`` is the largest
+    restricted value and ``upper`` adds a safety-factored geometric tail.
     """
 
     value: float
@@ -57,6 +53,11 @@ class GreenEstimate:
     tail_ratio: float
     converged: bool
 
+    @classmethod
+    def exact(cls, bracket: _exact.Bracket) -> "GreenEstimate":
+        value, lower, upper = bracket
+        return cls(value, lower, upper, radii=(), tail_ratio=0.0, converged=True)
+
     def width(self) -> float:
         return self.upper - self.lower
 
@@ -65,144 +66,9 @@ class GreenEstimate:
             raise ValueError("inconsistent bracket")
 
 
-def _extrapolate(values: Sequence[float], radii: Sequence[int], tol: float) -> GreenEstimate:
-    v = list(values)
-    last = v[-1]
-    d1 = last - v[-2]
-    d2 = v[-2] - v[-3]
-    if d1 <= 0.0:
-        return GreenEstimate(last, last, last, tuple(radii), 0.0, True)
-    q = d1 / d2 if d2 > 0 else _TAIL_RATIO_CAP
-    q = min(max(q, 0.0), _TAIL_RATIO_CAP)
-    tail = d1 * q / (1.0 - q)
-    value = last + tail
-    upper = last + _TAIL_SAFETY * tail
-    converged = (upper - last) <= tol * max(value, 1e-300)
-    return GreenEstimate(value, last, upper, tuple(radii), q, converged)
-
-
-# ---------------------------------------------------------------------------
-# cached solvers and base rows
-
-_row_cache_dir: str | None = None
-
-
-def configure_row_cache(directory: str | None) -> None:
-    """Attach (or detach) the on-disk cache of base Green rows.
-
-    The cache is an optimization only: results are identical with it
-    disabled.  Entries are keyed by measure, radius, weight and solver
-    settings.
-    """
-    global _row_cache_dir
-    _row_cache_dir = directory
-    if directory is not None:
-        os.makedirs(directory, exist_ok=True)
-
-
-_CACHE_MAGIC = b"HWGR"
-_CACHE_VERSION = 1
-
-
-def _cache_path(spec: WalkSpec, radius: int, z: float, rtol: float) -> str:
-    key = f"{spec.content_key()}|r={radius}|z={z!r}|rtol={rtol!r}|v={_CACHE_VERSION}"
-    digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-    return os.path.join(_row_cache_dir, f"{digest}.grn")
-
-
-def _cache_load(path: str, n: int) -> tuple[np.ndarray, float] | None:
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _CACHE_MAGIC:
-                return None
-            (version, header_len) = struct.unpack("<II", fh.read(8))
-            if version != _CACHE_VERSION:
-                return None
-            header = json.loads(fh.read(header_len).decode())
-            if header["n"] != n:
-                return None
-            values = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-            return values, float(header["residual"])
-    except (OSError, ValueError, KeyError):
-        return None
-
-
-def _cache_store(path: str, values: np.ndarray, residual: float) -> None:
-    header = json.dumps({"n": int(values.size), "residual": residual}).encode()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<II", _CACHE_VERSION, len(header)))
-        fh.write(header)
-        fh.write(values.astype("<f8").tobytes())
-    os.replace(tmp, path)
-
-
 @lru_cache(maxsize=8)
 def _solver(spec: WalkSpec, radius: int, z: float, rtol: float, max_states: int) -> RestrictedSolver:
     return RestrictedSolver(spec, radius, z=z, rtol=rtol, max_states=max_states)
-
-
-@lru_cache(maxsize=96)
-def _base_row(
-    spec: WalkSpec, radius: int, z: float, rtol: float, max_states: int
-) -> tuple[np.ndarray, float]:
-    """G_{B(radius)}(e, .) over the ball index, plus the solver residual."""
-    if _row_cache_dir is not None:
-        b = ball(spec.model, radius, max_states=max_states)
-        path = _cache_path(spec, radius, z, rtol)
-        hit = _cache_load(path, len(b))
-        if hit is not None:
-            values, residual = hit
-            values.setflags(write=False)
-            return values, residual
-    solver = _solver(spec, radius, z, rtol, max_states)
-    values = solver.row(0)
-    residual = solver.row_residual(0)
-    if _row_cache_dir is not None:
-        _cache_store(_cache_path(spec, radius, z, rtol), np.asarray(values), residual)
-    return values, residual
-
-
-def _rungs(target_length: int, max_radius: int) -> list[int]:
-    first = max(4, target_length + 2)
-    return list(range(first, max_radius + 1))
-
-
-def _green_word(
-    spec: WalkSpec,
-    g: GroupElement,
-    tol: float,
-    max_radius: int,
-    z: float,
-    rtol: float,
-    max_states: int,
-) -> GreenEstimate:
-    """Bracketed estimate of G(e, g | z) via nested-ball rows."""
-    length = g.word_length()
-    rungs = _rungs(length, max_radius)
-    if len(rungs) < _MIN_RUNGS:
-        raise GreenBudgetError(
-            f"|g|={length} needs at least {_MIN_RUNGS} radii above {length + 2}, "
-            f"but the radius budget is {max_radius}"
-        )
-    values: list[float] = []
-    used: list[int] = []
-    est = None
-    for r in rungs:
-        row, _ = _base_row(spec, r, z, rtol, max_states)
-        idx = ball(spec.model, r, max_states=max_states).index_of(g)
-        values.append(float(row[idx]))
-        used.append(r)
-        if len(values) >= _MIN_RUNGS:
-            est = _extrapolate(values, used, tol)
-            if est.converged:
-                return est
-    raise GreenBudgetError(
-        f"green bracket for |g|={length} did not reach tol={tol} at radius {max_radius}",
-        estimate=est,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +85,7 @@ class GreenTable:
     z: float
     rows: dict
     residuals: dict
+    solver: RestrictedSolver = field(repr=False, compare=False)
 
     def value(self, x: GroupElement, y: GroupElement) -> float:
         i = self.domain.index_of(x)
@@ -229,9 +96,8 @@ class GreenTable:
     def row(self, x: GroupElement) -> np.ndarray:
         return self.rows[self.domain.index_of(x)]
 
-    def column(self, y: GroupElement, solver: RestrictedSolver | None = None) -> np.ndarray:
-        solver = solver or _solver(self.walk, self.radius, self.z, 1e-12, 3_000_000)
-        return solver.col(self.domain.index_of(y))
+    def column(self, y: GroupElement) -> np.ndarray:
+        return self.solver.col(self.domain.index_of(y))
 
 
 def restricted_green(
@@ -260,98 +126,62 @@ def restricted_green(
         if i not in rows:
             rows[i] = solver.row(i)
             residuals[i] = solver.row_residual(i)
-    return GreenTable(domain=b, radius=radius, walk=walk, z=z, rows=rows, residuals=residuals)
+    return GreenTable(
+        domain=b, radius=radius, walk=walk, z=z, rows=rows, residuals=residuals, solver=solver
+    )
 
 
-def green(
-    walk: WalkSpec,
-    x: GroupElement,
-    y: GroupElement,
-    tol: float = 1e-3,
-    *,
-    max_radius: int | None = None,
-    rtol: float = 1e-12,
-    max_states: int = 3_000_000,
-    strict: bool = True,
-) -> GreenEstimate:
-    """Estimate G(x, y) with a bracket.
-
-    Uses G(x, y) = G(e, x^-1 y), so repeated queries share the cached base
-    rows.  With ``strict`` a bracket wider than ``tol * value`` raises
-    :class:`GreenBudgetError` (carrying the best estimate); otherwise the
-    unconverged estimate is returned.
-    """
+def green(walk: WalkSpec, x: GroupElement, y: GroupElement) -> GreenEstimate:
+    """G(x, y) = G(e, x^-1 y), exact with a float-rounding enclosure."""
     require_valid(walk, nondegenerate=False)
-    g = x.inverse() * y
-    cap = max_radius if max_radius is not None else default_max_radius(walk.model)
-    try:
-        return _green_word(walk, g, tol, cap, 1.0, rtol, max_states)
-    except GreenBudgetError as exc:
-        if strict or exc.estimate is None:
-            raise
-        return exc.estimate
+    return GreenEstimate.exact(_exact.green(walk, x.inverse() * y))
 
 
-def green_z(
-    walk: WalkSpec,
-    x: GroupElement,
-    y: GroupElement,
-    z: float,
-    tol: float = 1e-3,
-    *,
-    max_radius: int | None = None,
-    rtol: float = 1e-12,
-    max_states: int = 3_000_000,
-    strict: bool = True,
-) -> GreenEstimate:
-    """Estimate the weighted Green function G(x, y | z).
+def green_z(walk: WalkSpec, x: GroupElement, y: GroupElement, z: float) -> GreenEstimate:
+    """The weighted Green function G(x, y | z) for z in [0, 1/rho).
 
-    Valid for z in (0, 1/rho); divergence is detected through the solver
-    (residual growth or negative values).  z = 1 recovers ``green`` and
-    z = 0 the indicator of x = y.
+    z = 1 recovers ``green`` and z = 0 the indicator of x = y; z past
+    1/rho raises :class:`DivergenceError`.
     """
     if z < 0:
         raise ValueError("z must be nonnegative")
     require_valid(walk, nondegenerate=False)
-    g = x.inverse() * y
-    cap = max_radius if max_radius is not None else default_max_radius(walk.model)
-    try:
-        return _green_word(walk, g, tol, cap, float(z), rtol, max_states)
-    except GreenBudgetError as exc:
-        if strict or exc.estimate is None:
-            raise
-        return exc.estimate
+    return GreenEstimate.exact(_exact.green(walk, x.inverse() * y, float(z)))
 
 
-def _ratio_estimate(num: GreenEstimate, den: GreenEstimate, clamp_unit: bool) -> GreenEstimate:
-    value = num.value / den.value
-    lower = num.lower / den.upper
-    upper = num.upper / max(den.lower, 1e-300)
-    if clamp_unit:
-        value = min(value, 1.0)
-        lower = min(lower, 1.0)
-        upper = min(upper, 1.0)
-    return GreenEstimate(
-        value=value,
-        lower=lower,
-        upper=upper,
-        radii=num.radii,
-        tail_ratio=max(num.tail_ratio, den.tail_ratio),
-        converged=num.converged and den.converged,
-    )
-
-
-def first_passage(
-    walk: WalkSpec,
-    x: GroupElement,
-    y: GroupElement,
-    tol: float = 1e-3,
-    **kwargs,
-) -> GreenEstimate:
+def first_passage(walk: WalkSpec, x: GroupElement, y: GroupElement) -> GreenEstimate:
     """First-passage probability F(x, y) = G(x, y) / G(y, y), in [0, 1]."""
-    num = green(walk, x, y, tol, **kwargs)
-    den = green(walk, y, y, tol, **kwargs)
-    return _ratio_estimate(num, den, clamp_unit=True)
+    require_valid(walk, nondegenerate=False)
+    return GreenEstimate.exact(_exact.first_passage(walk, x.inverse() * y))
+
+
+# ---------------------------------------------------------------------------
+# taboo kernels on nested balls
+
+_TAIL_SAFETY = 3.0
+_TAIL_RATIO_CAP = 0.95
+_MIN_RUNGS = 3
+
+
+def _extrapolate(values: Sequence[float], radii: Sequence[int], tol: float) -> GreenEstimate:
+    v = list(values)
+    last = v[-1]
+    d1 = last - v[-2]
+    d2 = v[-2] - v[-3]
+    if d1 <= 0.0:
+        return GreenEstimate(last, last, last, tuple(radii), 0.0, True)
+    q = d1 / d2 if d2 > 0 else _TAIL_RATIO_CAP
+    q = min(max(q, 0.0), _TAIL_RATIO_CAP)
+    tail = d1 * q / (1.0 - q)
+    value = last + tail
+    upper = last + _TAIL_SAFETY * tail
+    converged = (upper - last) <= tol * max(value, 1e-300)
+    return GreenEstimate(value, last, upper, tuple(radii), q, converged)
+
+
+def _rungs(target_length: int, max_radius: int) -> list[int]:
+    first = max(4, target_length + 2)
+    return list(range(first, max_radius + 1))
 
 
 def first_passage_set(
@@ -366,8 +196,9 @@ def first_passage_set(
 ) -> dict[GroupElement, GreenEstimate]:
     """First-passage distribution on a taboo set: y -> F(x, y; first hit of lam).
 
-    Computed on nested balls with the set absorbing; values increase with
-    the domain, so the same tail extrapolation applies per target.
+    Computed on nested balls with the set absorbing.  Values increase
+    with the domain; each target's last three radii are extrapolated with
+    a geometric tail, and the upper bound triples that tail.
     """
     require_valid(walk, nondegenerate=False)
     lam = list(dict.fromkeys(lam))
@@ -546,39 +377,27 @@ def harnack_constant(walk: WalkSpec, k_max: int = 10) -> float:
     """Harnack constant for unit-distance comparisons of superharmonic
     functions: max over letters s of 1 / max_{k <= K} p^(k)(e, s), with K
     minimal so that every letter is reachable within K steps.
+
+    Only B(e, K) is built; K = 1 whenever the support is the alphabet.
     """
     require_valid(walk)
     gens = walk.model.generators()
-    _, dists = n_step_distributions(walk, k_max)
-    b = ball(walk.model, k_max)
-    best = {g: 0.0 for g in gens}
-    kk = None
     for k in range(1, k_max + 1):
-        vec = dists[k]
-        for g in gens:
-            best[g] = max(best[g], float(vec[b.index_of(g)]))
+        b, dists = n_step_distributions(walk, k)
+        best = {g: max(float(vec[b.index_of(g)]) for vec in dists[1:]) for g in gens}
         if all(v > 0 for v in best.values()):
-            kk = k
-            break
-    if kk is None:
-        raise ValidationError(f"some generator unreachable within {k_max} steps")
-    return max(1.0 / v for v in best.values())
+            return max(1.0 / v for v in best.values())
+    raise ValidationError(f"some generator unreachable within {k_max} steps")
 
 
 def green_decay_slope(
-    walk: WalkSpec,
-    max_len: int | None = None,
-    per_sphere: int = 24,
-    **green_kwargs,
+    walk: WalkSpec, max_len: int, per_sphere: int = 24
 ) -> tuple[float, float]:
-    """Fit log G(e, g) against |g|; returns (slope, intercept).
+    """Fit log G(e, g) against |g| for |g| <= max_len; returns (slope, intercept).
 
     Transience with exponential decay makes the slope strictly negative.
     """
     require_valid(walk)
-    green_kwargs.setdefault("strict", False)
-    cap = green_kwargs.get("max_radius") or default_max_radius(walk.model)
-    max_len = max_len if max_len is not None else cap - 4
     b = ball(walk.model, max_len)
     xs, ys = [], []
     e = walk.model.identity()
@@ -586,8 +405,7 @@ def green_decay_slope(
         idxs = list(b.sphere_indices(k))[:per_sphere]
         for i in idxs:
             g = b.element(i)
-            est = green(walk, e, g, **green_kwargs)
             xs.append(k)
-            ys.append(np.log(est.value))
+            ys.append(np.log(green(walk, e, g).value))
     slope, intercept = np.polyfit(np.array(xs, dtype=float), np.array(ys), 1)
     return float(slope), float(intercept)

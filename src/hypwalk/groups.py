@@ -310,10 +310,6 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     return a * b
 
 
-def inverse(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
 def word_length(g: GroupElement) -> int:
     return g.word_length()
 

@@ -1,9 +1,11 @@
 """Martin kernel along boundary rays, the ratio invariant r(g), kernel
 regularity probes, and the circle-valued coboundary limit.
 
-All kernel values route through cached base-row Green estimates, so the
-cocycle identity K(gh, .) = K(g, .) K(h, g^-1 .) holds exactly (to float
-rounding) at every finite evaluation depth.
+Kernel and ratio values are exact products of one-syllable first-passage
+values from the cut-vertex engine, so the cocycle identity
+K(gh, .) = K(g, .) K(h, g^-1 .) holds to float rounding at every finite
+evaluation depth, and the kernel along a ray is constant once the ray has
+left the geodesic to g.
 """
 
 from __future__ import annotations
@@ -11,18 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy import stats
 
+from . import _exact
 from .errors import GreenBudgetError, ValidationError
-from .green import GreenEstimate, _green_word, default_max_radius
+from .green import GreenEstimate
 from .groups import FREE, GroupElement, GroupModel, gromov_product
 from .walks import WalkSpec, require_valid
-
-_EQUAL_POINT_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -142,56 +142,10 @@ def limit_gromov(
 # kernel evaluation
 
 
-@lru_cache(maxsize=200_000)
-def _green_value(
-    spec: WalkSpec,
-    g: GroupElement,
-    tol: float,
-    cap: int,
-    z: float,
-    rtol: float,
-    max_states: int,
-) -> GreenEstimate:
-    try:
-        return _green_word(spec, g, tol, cap, z, rtol, max_states)
-    except GreenBudgetError as exc:
-        if exc.estimate is None:
-            raise
-        return exc.estimate
-
-
-def _usable_length(cap: int) -> int:
-    # _green_word needs three radii above |g| + 2.
-    return cap - 4
-
-
-def martin_kernel_at(
-    walk: WalkSpec,
-    g: GroupElement,
-    y: GroupElement,
-    tol: float = 1e-3,
-    *,
-    max_radius: int | None = None,
-    rtol: float = 1e-12,
-    max_states: int = 3_000_000,
-) -> GreenEstimate:
-    """Finite-stage Martin kernel G(g, y) / G(e, y) with a bracket.
-
-    Evaluated through base rows and left invariance, so the cocycle
-    identity holds exactly at any fixed y.
-    """
+def martin_kernel_at(walk: WalkSpec, g: GroupElement, y: GroupElement) -> GreenEstimate:
+    """Finite-stage Martin kernel G(g, y) / G(e, y), exact with an enclosure."""
     require_valid(walk)
-    cap = max_radius if max_radius is not None else default_max_radius(walk.model)
-    num = _green_value(walk, g.inverse() * y, tol, cap, 1.0, rtol, max_states)
-    den = _green_value(walk, y, tol, cap, 1.0, rtol, max_states)
-    return GreenEstimate(
-        value=num.value / den.value,
-        lower=num.lower / den.upper,
-        upper=num.upper / max(den.lower, 1e-300),
-        radii=num.radii,
-        tail_ratio=max(num.tail_ratio, den.tail_ratio),
-        converged=num.converged and den.converged,
-    )
+    return GreenEstimate.exact(_exact.kernel(walk, g, y))
 
 
 @dataclass(frozen=True)
@@ -228,29 +182,18 @@ def martin_kernel(
     depth: int | None = None,
     *,
     dev_threshold: float = 1e-3,
-    tol: float = 1e-3,
-    max_radius: int | None = None,
-    rtol: float = 1e-12,
-    max_states: int = 3_000_000,
 ) -> MartinEstimate:
-    """Martin kernel K(g, xi) estimated along the canonical ray.
+    """Martin kernel K(g, xi) evaluated along the canonical ray.
 
     The deviation field is the relative spread over the last three depths
     of the schedule; a non-converged estimate is returned with
     diagnostics rather than raised.
     """
     require_valid(walk)
-    cap = max_radius if max_radius is not None else default_max_radius(walk.model)
-    depth_cap = _usable_length(cap) - g.word_length()
     md = xi.max_depth()
-    if md is not None:
-        depth_cap = min(depth_cap, md)
+    depth_cap = md if md is not None else g.word_length() + 24
     ds = _depth_schedule(g.word_length(), depth, depth_cap)
-    series = []
-    for d in ds:
-        y = xi.prefix(d)
-        est = martin_kernel_at(walk, g, y, tol, max_radius=cap, rtol=rtol, max_states=max_states)
-        series.append((d, est))
+    series = [(d, martin_kernel_at(walk, g, xi.prefix(d))) for d in ds]
     last = series[-1][1]
     tail_vals = [e.value for _, e in series[-3:]]
     deviation = max(abs(v / last.value - 1.0) for v in tail_vals)
@@ -282,92 +225,26 @@ def radon_nikodym(
 
 @dataclass(frozen=True)
 class RatioValue:
-    """r(g) estimate with both estimator sequences.
+    """r(g) = lim F(e, g^(n+1)) / F(e, g^n) with its enclosure.
 
-    The headline value is the final consecutive ratio
-    F(e, g^(n+1)) / F(e, g^n); the root sequence F(e, g^n)^(1/n) is a
-    certified lower bound of the limit.
+    On these models r(g) is the product of one-syllable first-passage
+    values over the cyclically reduced core of g; finite-order elements
+    have r = 1.
     """
 
     element: GroupElement
     value: float
-    ratio_sequence: tuple[float, ...]
-    root_sequence: tuple[float, ...]
+    lower: float
+    upper: float
     finite_order: bool
-    n_used: int
-    root_bound_ok: bool
-    stable: bool
 
 
-def ratio_invariant(
-    walk: WalkSpec,
-    g: GroupElement,
-    n_max: int | None = None,
-    *,
-    tol: float = 1e-4,
-    flag_tol: float = 0.05,
-    width_cap: float = 0.02,
-    max_radius: int | None = None,
-    rtol: float = 1e-12,
-    max_states: int = 3_000_000,
-) -> RatioValue:
-    """Estimate r(g) from first-passage probabilities along powers of g.
-
-    Finite-order elements short-circuit to r = 1.  Powers are used only
-    while their Green brackets stay within ``width_cap`` relative width;
-    unbracketed long words would otherwise bias the late ratios.  Fewer
-    than two trustworthy powers is a budget error.
-    """
+def ratio_invariant(walk: WalkSpec, g: GroupElement) -> RatioValue:
+    """The ratio invariant r(g), exact with a float-rounding enclosure."""
     require_valid(walk)
-    if g.has_finite_order():
-        return RatioValue(
-            element=g, value=1.0, ratio_sequence=(), root_sequence=(),
-            finite_order=True, n_used=0, root_bound_ok=True, stable=True,
-        )
-    cap = max_radius if max_radius is not None else default_max_radius(walk.model)
-    usable = _usable_length(cap)
-    powers: list[GroupElement] = []
-    cur = walk.model.identity()
-    hard_cap = n_max if n_max is not None else 24
-    for _ in range(hard_cap):
-        cur = cur * g
-        if cur.word_length() > usable:
-            break
-        powers.append(cur)
-    if len(powers) < 2:
-        raise GreenBudgetError(
-            f"need |g^2| <= {usable} for the ratio estimate, |g|={g.word_length()}"
-        )
-    den = _green_value(walk, walk.model.identity(), tol, cap, 1.0, rtol, max_states)
-    fvals = []
-    for p in powers:
-        num = _green_value(walk, p, tol, cap, 1.0, rtol, max_states)
-        rel_width = (num.upper - num.lower) / max(num.value, 1e-300)
-        if fvals and rel_width > width_cap:
-            break
-        fvals.append(min(num.value / den.value, 1.0))
-    if len(fvals) < 2:
-        raise GreenBudgetError(
-            f"brackets for powers of {g} exceed width {width_cap} within radius {cap}"
-        )
-    ratios = tuple(fvals[i + 1] / fvals[i] for i in range(len(fvals) - 1))
-    roots = tuple(fvals[i] ** (1.0 / (i + 1)) for i in range(len(fvals)))
-    r_hat = ratios[-1]
-    root_ok = max(roots) <= r_hat * (1.0 + flag_tol)
-    if len(ratios) >= 3:
-        recent = ratios[-3:]
-        stable = (max(recent) / min(recent) - 1.0) <= flag_tol
-    else:
-        stable = abs(ratios[-1] / ratios[0] - 1.0) <= flag_tol
+    value, lower, upper = _exact.ratio(walk, g)
     return RatioValue(
-        element=g,
-        value=r_hat,
-        ratio_sequence=ratios,
-        root_sequence=roots,
-        finite_order=False,
-        n_used=len(fvals),
-        root_bound_ok=root_ok,
-        stable=stable,
+        element=g, value=value, lower=lower, upper=upper, finite_order=g.has_finite_order()
     )
 
 
@@ -495,8 +372,6 @@ def livschitz_coboundary(
         raise ValidationError(
             f"xi is too close to the repelling point: product {prod} > {far_product}"
         )
-    cap = kernel_kwargs.get("max_radius") or default_max_radius(walk.model)
-    usable = _usable_length(cap)
     thetas = []
     lengths = []
     ginv = g.inverse()
@@ -504,14 +379,11 @@ def livschitz_coboundary(
     hard_cap = n_max if n_max is not None else 24
     for _ in range(hard_cap):
         cur = cur * ginv
-        wl = cur.word_length()
-        if wl + 2 > usable:
-            break
         est = martin_kernel(walk, cur, xi, **kernel_kwargs)
         thetas.append((T * math.log(est.value)) % (2 * math.pi))
-        lengths.append(wl)
+        lengths.append(cur.word_length())
     if len(thetas) < 2:
-        raise GreenBudgetError("not enough usable powers for the coboundary limit")
+        raise ValidationError("the coboundary limit needs at least two powers")
     steps = tuple(_circle_dist(thetas[i + 1], thetas[i]) for i in range(len(thetas) - 1))
     live = [(lengths[i], math.log(s)) for i, s in enumerate(steps) if s > 1e-13]
     if len(live) >= 3:

@@ -9,7 +9,6 @@ binomial band.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,9 +22,9 @@ from .errors import (
     IndeterminateRateError,
     ValidationError,
 )
-from .green import default_max_radius, first_passage
-from .groups import FREE, GroupElement, GroupModel, gromov_product
-from .martin import BoundaryPoint, _green_value, _usable_length, limit_gromov
+from .green import first_passage
+from .groups import GroupElement, GroupModel, gromov_product
+from .martin import BoundaryPoint, limit_gromov, martin_kernel_at
 from .walks import WalkSpec, require_valid, sample_boundary_point
 
 
@@ -131,22 +130,18 @@ def boundary_sample_set(
     patience: int,
     max_steps: int,
     purpose: str,
-    workers: int = 1,
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """n stabilized prefix words, deterministic in (spec.seed, purpose).
 
     Sample i uses stream base+i; retries use a disjoint per-sample range,
-    so the result does not depend on worker count.  Returns the prefixes
-    and the total retry count.
+    so each sample is a pure function of its index.  Returns the
+    prefixes and the total retry count.
     """
     base = _stream_base(purpose)
-    def job(i: int):
-        return _draw_one(spec, margin, patience, max_steps, base + i, base + n_samples + i * _RETRY_CAP)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(n_samples)))
-    else:
-        results = [job(i) for i in range(n_samples)]
+    results = [
+        _draw_one(spec, margin, patience, max_steps, base + i, base + n_samples + i * _RETRY_CAP)
+        for i in range(n_samples)
+    ]
     prefixes = tuple(r[0] for r in results)
     retries = sum(r[1] for r in results)
     return prefixes, retries
@@ -207,15 +202,12 @@ def estimate_measure(
     patience: int = 20,
     max_steps: int = 20_000,
     purpose: str = "measure",
-    workers: int = 1,
     max_indeterminate: float = 0.01,
 ) -> MeasureEstimate:
     """Harmonic measure of a cylinder from stabilized boundary samples."""
     require_valid(walk)
     margin = max(10, cyl.radius + cyl.margin + 2)
-    prefixes, retries = boundary_sample_set(
-        walk, n_samples, margin, patience, max_steps, purpose, workers
-    )
+    prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
     return _measure_from_prefixes(
         prefixes, cyl, walk.model, purpose, walk.seed, retries, max_indeterminate
     )
@@ -255,13 +247,10 @@ def gibbs_ratio(
     radii: Sequence[int],
     n_samples: int = 100_000,
     *,
-    tol: float = 1e-3,
     patience: int = 20,
     max_steps: int = 20_000,
     purpose: str = "gibbs",
-    workers: int = 1,
     max_indeterminate: float = 0.01,
-    max_radius: int | None = None,
 ) -> GibbsReport:
     """Ratio series over R; one shared sample set serves every radius."""
     require_valid(walk)
@@ -269,9 +258,7 @@ def gibbs_ratio(
         raise ValidationError("gibbs radii must be positive")
     cm = default_cylinder_margin(walk.model)
     margin = max(10, max(radii) + cm + 2)
-    prefixes, retries = boundary_sample_set(
-        walk, n_samples, margin, patience, max_steps, purpose, workers
-    )
+    prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
     e = walk.model.identity()
     rows = []
     bad_total = 0
@@ -281,7 +268,7 @@ def gibbs_ratio(
             prefixes, cyl, walk.model, purpose, walk.seed, retries, max_indeterminate
         )
         bad_total += est.n_indeterminate
-        f = first_passage(walk, e, xi.prefix(R), tol, strict=False, max_radius=max_radius)
+        f = first_passage(walk, e, xi.prefix(R))
         lo = max(est.value - est.half_width, 0.0) / f.upper
         hi = (est.value + est.half_width) / max(f.lower, 1e-300)
         rows.append(GibbsRow(
@@ -369,32 +356,27 @@ def radon_nikodym_check(
     n_samples: int = 100_000,
     depth: int | None = None,
     *,
-    tol: float = 1e-3,
     patience: int = 20,
     max_steps: int = 20_000,
     purpose: str = "rn-check",
-    workers: int = 1,
     max_indeterminate: float = 0.01,
-    max_radius: int | None = None,
 ) -> RadonNikodymReport:
-    """Compare nu(g^-1 U) with the integral of K(g, .) over U."""
+    """Compare nu(g^-1 U) with the integral of K(g, .) over U.
+
+    The kernel is evaluated at the sample prefix of length ``depth``
+    (default: the sampling margin, past every branch point of g).
+    """
     require_valid(walk)
     model = walk.model
-    cap = max_radius if max_radius is not None else default_max_radius(model)
     margin = max(10, cyl.radius + cyl.margin + g.word_length() + 4)
-    prefixes, _ = boundary_sample_set(
-        walk, n_samples, margin, patience, max_steps, purpose, workers
-    )
+    prefixes, _ = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
     if depth is None:
-        depth = min(margin, _usable_length(cap) - g.word_length())
+        depth = margin
     if depth < 1:
-        raise ValidationError(f"no usable kernel depth for |g|={g.word_length()}")
-    ginv = g.inverse()
-    e_est = _green_value(walk, model.identity(), tol, cap, 1.0, 1e-12, 3_000_000)
+        raise ValidationError(f"kernel depth must be positive, got {depth}")
     pulled_hits = 0
     bad = 0
     kernel_vals = []
-    bracket_spread = 0.0
     for letters in prefixes:
         try:
             inside = _prefix_membership(letters, cyl, model)
@@ -404,13 +386,7 @@ def radon_nikodym_check(
             continue
         if inside:
             y = model.from_letters(letters[:depth])
-            num = _green_value(walk, ginv * y, tol, cap, 1.0, 1e-12, 3_000_000)
-            den = _green_value(walk, y, tol, cap, 1.0, 1e-12, 3_000_000)
-            kernel_vals.append(num.value / den.value)
-            bracket_spread = max(
-                bracket_spread,
-                num.upper / max(den.lower, 1e-300) - num.lower / den.upper,
-            )
+            kernel_vals.append(martin_kernel_at(walk, g, y).value)
         else:
             kernel_vals.append(0.0)
         pulled_hits += pulled_in
@@ -421,7 +397,7 @@ def radon_nikodym_check(
     pulled_half = 3.0 * float(np.sqrt(pulled * (1 - pulled) / n_eff))
     vals = np.asarray(kernel_vals)
     integral = float(vals.mean())
-    kernel_half = 3.0 * float(vals.std(ddof=1) / np.sqrt(len(vals))) + bracket_spread
+    kernel_half = 3.0 * float(vals.std(ddof=1) / np.sqrt(len(vals)))
     return RadonNikodymReport(
         pulled_mass=pulled,
         pulled_half=pulled_half,

@@ -26,15 +26,13 @@ from .config import ExperimentConfig
 from .errors import HypwalkError
 from .green import (
     ancona_check,
-    configure_row_cache,
     default_max_radius,
-    first_passage,
     green,
     green_decay_slope,
     harnack_constant,
     restricted_green,
 )
-from .groups import FREE, GroupElement, GroupModel
+from .groups import FREE, GroupElement, GroupModel, ball, conjugacy_representatives
 from .martin import (
     BoundaryPoint,
     hoelder_probe,
@@ -145,26 +143,21 @@ def _hoelder_pairs(model: GroupModel, g_len: int, count: int = 8):
 
 def _exp_green(cfg: ExperimentConfig):
     walk = cfg.walk
-    tol = cfg.tolerances["green_tol"]
     cap = cfg.budgets["max_radius"] or default_max_radius(cfg.model)
-    b = __import__("hypwalk.groups", fromlist=["ball"]).ball(cfg.model, min(4, cap - 4))
+    b = ball(cfg.model, min(4, cap - 4))
     e = cfg.model.identity()
     rows = []
     ok = True
     for i in range(len(b)):
         g = b.element(i)
-        est = green(walk, e, g, tol, max_radius=cap, strict=False,
-                    max_states=cfg.budgets["max_states"])
+        est = green(walk, e, g)
         ok = ok and est.lower <= est.value <= est.upper
         rows.append({
             "word": str(g), "length": g.word_length(),
             "value": est.value, "lower": est.lower, "upper": est.upper,
             "converged": est.converged,
         })
-    slope, intercept = green_decay_slope(
-        walk, max_len=min(5, cap - 4), per_sphere=8, tol=tol, max_radius=cap,
-        max_states=cfg.budgets["max_states"],
-    )
+    slope, intercept = green_decay_slope(walk, max_len=min(5, cap - 4), per_sphere=8)
     base = [restricted_green(walk, r, max_states=cfg.budgets["max_states"]).value(e, e)
             for r in (4, 5, 6)]
     monotone = base[0] <= base[1] <= base[2]
@@ -221,7 +214,6 @@ def _exp_simulate(cfg: ExperimentConfig):
 
 def _exp_martin(cfg: ExperimentConfig):
     walk = cfg.walk
-    cap = cfg.budgets["max_radius"] or default_max_radius(cfg.model)
     dev = cfg.tolerances["kernel_dev"]
     inv_tol = cfg.tolerances["invariant_tol"]
     probes, points = _probe_points(cfg.model)
@@ -229,8 +221,7 @@ def _exp_martin(cfg: ExperimentConfig):
     ok = True
     for g in probes:
         for xi in points:
-            est = martin_kernel(walk, g, xi, dev_threshold=dev, max_radius=cap,
-                                max_states=cfg.budgets["max_states"])
+            est = martin_kernel(walk, g, xi, dev_threshold=dev)
             rows.append({
                 "g": str(g), "xi": str(xi), "value": est.value,
                 "deviation": est.deviation, "depth": est.depth,
@@ -238,12 +229,12 @@ def _exp_martin(cfg: ExperimentConfig):
             })
             ok = ok and est.value > 0
     g1, g2 = probes[0], probes[0].inverse()
-    depth = max(1, cap - 4 - g1.word_length() - g2.word_length() - 1)
+    depth = g1.word_length() + g2.word_length() + 8
     y = points[1].prefix(depth)
-    lhs = martin_kernel_at(walk, g1 * g2, y, max_radius=cap).value
+    lhs = martin_kernel_at(walk, g1 * g2, y).value
     rhs = (
-        martin_kernel_at(walk, g1, y, max_radius=cap).value
-        * martin_kernel_at(walk, g2, g1.inverse() * y, max_radius=cap).value
+        martin_kernel_at(walk, g1, y).value
+        * martin_kernel_at(walk, g2, g1.inverse() * y).value
     )
     cocycle_residual = abs(lhs / rhs - 1.0) if rhs else float("inf")
     ok = ok and cocycle_residual <= inv_tol
@@ -252,32 +243,17 @@ def _exp_martin(cfg: ExperimentConfig):
     return result, ok, (("g", "xi", "value", "deviation", "depth"), csv_rows)
 
 
-def _exp_rg(cfg: ExperimentConfig):
-    from .groups import conjugacy_representatives
+def _ratio_row(rv) -> dict:
+    return {"rep": str(rv.element), "length": rv.element.word_length(), "r": rv.value,
+            "lower": rv.lower, "upper": rv.upper, "finite_order": rv.finite_order}
 
-    walk = cfg.walk
-    cap = cfg.budgets["max_radius"] or default_max_radius(cfg.model)
+
+def _exp_rg(cfg: ExperimentConfig):
     reps = conjugacy_representatives(cfg.model, cfg.budgets["maxlen"])
-    rows = []
-    ok = True
-    skipped = []
-    for g, finite in reps:
-        if finite:
-            rows.append({"rep": str(g), "length": g.word_length(), "r": 1.0,
-                         "n_used": 0, "finite_order": True})
-            continue
-        try:
-            rv = ratio_invariant(walk, g, max_radius=cap,
-                                 max_states=cfg.budgets["max_states"])
-        except HypwalkError:
-            skipped.append(str(g))
-            continue
-        ok = ok and rv.stable and rv.root_bound_ok and 0 < rv.value < 1
-        rows.append({"rep": str(g), "length": g.word_length(), "r": rv.value,
-                     "n_used": rv.n_used, "finite_order": False})
-    result = {"ratios": rows, "skipped": skipped}
-    csv_rows = [(r["rep"], r["length"], r["r"], r["n_used"]) for r in rows]
-    return result, ok, (("rep", "length", "r", "n_used"), csv_rows)
+    rows = [_ratio_row(ratio_invariant(cfg.walk, g)) for g, _ in reps]
+    ok = all(r["finite_order"] or 0 < r["r"] < 1 for r in rows)
+    csv_rows = [(r["rep"], r["length"], r["r"], r["lower"], r["upper"]) for r in rows]
+    return {"ratios": rows}, ok, (("rep", "length", "r", "lower", "upper"), csv_rows)
 
 
 def _exp_ancona(cfg: ExperimentConfig):
@@ -306,15 +282,13 @@ def _exp_ancona(cfg: ExperimentConfig):
 
 def _exp_hoelder(cfg: ExperimentConfig):
     walk = cfg.walk
-    cap = cfg.budgets["max_radius"] or default_max_radius(cfg.model)
     probes, _ = _probe_points(cfg.model)
     # On quasi-tree models the kernel is locally constant past the scale
     # of g, so decay is only visible for pairs splitting within it: use a
     # longer probe element there.
     g = probes[0] if cfg.model.kind == FREE else probes[0] ** 3
     pairs = _hoelder_pairs(cfg.model, g.word_length())
-    rep = hoelder_probe(walk, g, pairs, max_radius=cap,
-                        max_states=cfg.budgets["max_states"])
+    rep = hoelder_probe(walk, g, pairs)
     # Differences must vanish past the locality scale of g; below it the
     # decay slope is checked whenever enough live points exist to fit.
     threshold = g.word_length() + 2
@@ -340,11 +314,8 @@ def _exp_gibbs(cfg: ExperimentConfig):
     rep = gibbs_ratio(
         walk, points[0], [int(r) for r in cfg.budgets["gibbs_radii"]],
         n_samples=cfg.budgets["n_samples"],
-        tol=cfg.tolerances["green_tol"],
         patience=cfg.budgets["boundary_patience"],
         max_steps=cfg.budgets["boundary_max_steps"],
-        workers=cfg.budgets["workers"],
-        max_radius=cfg.budgets["max_radius"],
     )
     ok = rep.ratio_min > 0 and all(math.isfinite(r.ratio) for r in rep.rows)
     result = {
@@ -372,11 +343,8 @@ def _exp_rn_check(cfg: ExperimentConfig):
     rep = radon_nikodym_check(
         walk, g, cyl,
         n_samples=cfg.budgets["n_samples"],
-        tol=cfg.tolerances["green_tol"],
         patience=cfg.budgets["boundary_patience"],
         max_steps=cfg.budgets["boundary_max_steps"],
-        workers=cfg.budgets["workers"],
-        max_radius=cfg.budgets["max_radius"],
     )
     result = {
         "g": str(g),
@@ -391,12 +359,8 @@ def _exp_rn_check(cfg: ExperimentConfig):
 
 def _exp_classify(cfg: ExperimentConfig):
     walk = cfg.walk
-    rep = classify(
-        walk, cfg.budgets["maxlen"], cfg.tolerances["gcd_eps"],
-        max_radius=cfg.budgets["max_radius"],
-        max_states=cfg.budgets["max_states"],
-    )
-    ok = all(v.stable and v.root_bound_ok for v in rep.values)
+    rep = classify(walk, cfg.budgets["maxlen"], cfg.tolerances["gcd_eps"])
+    ok = all(0 < v.value < 1 for v in rep.values)
     result = {
         "classification": rep.classification,
         "lattice": rep.lattice,
@@ -407,12 +371,7 @@ def _exp_classify(cfg: ExperimentConfig):
         "caveat": rep.caveat,
         "stable_in_maxlen": rep.stable_in_maxlen,
         "maxlen": rep.maxlen,
-        "skipped": list(rep.skipped),
-        "ratios": [
-            {"rep": str(v.element), "length": v.element.word_length(),
-             "r": v.value, "n_used": v.n_used, "finite_order": v.finite_order}
-            for v in rep.values
-        ],
+        "ratios": [_ratio_row(v) for v in rep.values],
     }
     csv_rows = [(r["rep"], r["length"], r["r"]) for r in result["ratios"]]
     return result, ok, (("rep", "length", "r"), csv_rows)
@@ -442,51 +401,47 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportB
     """Run the selected experiments and write report.json plus CSV series."""
     out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    configure_row_cache(cfg.row_cache)
-    try:
-        validation = validate_walk(cfg.walk)
-        results = {}
-        verdicts = {}
-        files = []
-        for name in cfg.experiments:
-            result, passed, series = _EXPERIMENTS[name](cfg)
-            results[name] = _plain(result)
-            verdicts[name] = "pass" if passed else "fail"
-            if series is not None:
-                header, rows = series
-                path = os.path.join(out_dir, f"{name.replace('-', '_')}.csv")
-                with open(path, "w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(header)
-                    for row in rows:
-                        writer.writerow([_csv_cell(x) for x in row])
-                files.append(path)
-        passed = all(v == "pass" for v in verdicts.values())
-        report = {
-            "schema_version": 1,
-            "generated_at": datetime.now(timezone.utc).isoformat(),
-            "versions": {
-                "hypwalk": _pkg_version,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-            },
-            "config_echo": cfg.echo(),
-            "model": {"kind": cfg.model.kind, "name": str(cfg.model),
-                      "delta_hint": cfg.model.delta_hint},
-            "seed": cfg.walk.seed,
-            "walk_validation": validation.as_dict(),
-            "results": results,
-            "verdicts": verdicts,
-            "passed": passed,
-        }
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        files.append(path)
-        return ReportBundle(report=report, passed=passed, files=tuple(files))
-    finally:
-        configure_row_cache(None)
+    validation = validate_walk(cfg.walk)
+    results = {}
+    verdicts = {}
+    files = []
+    for name in cfg.experiments:
+        result, passed, series = _EXPERIMENTS[name](cfg)
+        results[name] = _plain(result)
+        verdicts[name] = "pass" if passed else "fail"
+        if series is not None:
+            header, rows = series
+            path = os.path.join(out_dir, f"{name.replace('-', '_')}.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([_csv_cell(x) for x in row])
+            files.append(path)
+    passed = all(v == "pass" for v in verdicts.values())
+    report = {
+        "schema_version": 1,
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "versions": {
+            "hypwalk": _pkg_version,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        "config_echo": cfg.echo(),
+        "model": {"kind": cfg.model.kind, "name": str(cfg.model),
+                  "delta_hint": cfg.model.delta_hint},
+        "seed": cfg.walk.seed,
+        "walk_validation": validation.as_dict(),
+        "results": results,
+        "verdicts": verdicts,
+        "passed": passed,
+    }
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    files.append(path)
+    return ReportBundle(report=report, passed=passed, files=tuple(files))
 
 
 def _csv_cell(x):

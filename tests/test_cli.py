@@ -1,0 +1,83 @@
+"""End-to-end runs of the command-line entry point and its exit codes."""
+
+import json
+import math
+
+import pytest
+
+from hypwalk import GroupElement, first_passage
+from hypwalk.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from hypwalk.config import parse_config
+
+ASYM_F2 = [["a", 0.35], ["A", 0.15], ["b", 0.30], ["B", 0.20]]
+
+
+def _run(tmp_path, model, experiments, support="uniform", **sections):
+    cfg = {
+        "schema_version": 1,
+        "model": model,
+        "walk": {"support": support, "seed": 1},
+        "experiments": experiments,
+        **sections,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["--config", str(path), "--out", str(out)])
+    report = out / "report.json"
+    return code, json.loads(report.read_text()) if report.exists() else None, cfg
+
+
+def test_asymmetric_f2_hoelder_passes(tmp_path):
+    # Kernel differences past the locality scale of g vanish exactly.
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 2}, ["martin", "hoelder"], ASYM_F2)
+    assert code == EXIT_OK
+    assert report["verdicts"] == {"martin": "pass", "hoelder": "pass"}
+
+
+def test_f3_green_passes(tmp_path):
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 3}, ["green"])
+    assert code == EXIT_OK
+    assert report["results"]["green"]["harnack_constant"] == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("orders", [[2, 5], [3, 3]])
+def test_classify_default_budgets(tmp_path, orders):
+    code, report, cfg = _run(tmp_path, {"kind": "free_product", "orders": orders}, ["classify"])
+    assert code == EXIT_OK
+    walk = parse_config(cfg).walk
+    model = walk.model
+    e = model.identity()
+    rows = report["results"]["classify"]["ratios"]
+    assert rows
+    for row in rows:
+        core = model.word(row["rep"]).cyclic_reduction()[1]
+        product = math.prod(
+            first_passage(walk, e, GroupElement(model, (syl,))).value for syl in core.syllables
+        )
+        assert row["r"] == pytest.approx(product, rel=1e-12)
+        assert row["lower"] < row["r"] < row["upper"]
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("output", "row_cache", "cache"),
+        ("budgets", "workers", 2),
+        ("tolerances", "green_tol", 1e-3),
+    ],
+)
+def test_removed_key_is_a_config_error(tmp_path, capsys, section, key, value):
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["classify"], **{section: {key: value}}
+    )
+    assert code == EXIT_CONFIG and report is None
+    assert key in capsys.readouterr().err
+
+
+def test_state_budget_exhaustion(tmp_path):
+    # The green experiment's restricted balls reach B(e, 6), 1457 states on F_2.
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["green"], budgets={"max_states": 1000}
+    )
+    assert code == EXIT_BUDGET and report is None

@@ -96,7 +96,7 @@ class TestEstimateMeasure:
 
     def test_monotone_in_radius(self, walk_f2, f2):
         xi = BoundaryPoint.periodic(f2.word("a"))
-        prefixes, _ = boundary_sample_set(walk_f2, 20_000, 10, 20, 20_000, "unit-mono", 1)
+        prefixes, _ = boundary_sample_set(walk_f2, 20_000, 10, 20, 20_000, "unit-mono")
         values = []
         for R in (0, 1, 2, 3):
             est = _measure_from_prefixes(
