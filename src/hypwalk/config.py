@@ -44,7 +44,6 @@ _BUDGET_DEFAULTS = {
 
 _TOLERANCE_DEFAULTS = {
     "solver_rtol": 1e-12,
-    "kernel_dev": 1e-3,
     "gcd_eps": 1e-3,
     "invariant_tol": 1e-8,
 }
@@ -76,7 +75,7 @@ def _check_keys(section: dict, allowed, where: str) -> None:
 
 def _parse_model(section: Any) -> GroupModel:
     _require(isinstance(section, dict), "model must be an object")
-    _check_keys(section, {"kind", "rank", "orders", "delta_hint"}, "model")
+    _check_keys(section, {"kind", "rank", "orders"}, "model")
     kind = section.get("kind")
     try:
         if kind == FREE:
@@ -88,11 +87,7 @@ def _parse_model(section: Any) -> GroupModel:
                 isinstance(orders, (list, tuple)) and len(orders) == 2,
                 "free_product needs orders: [m, n]",
             )
-            hint = section.get("delta_hint")
-            return GroupModel.free_product(
-                int(orders[0]), int(orders[1]),
-                delta_hint=None if hint is None else int(hint),
-            )
+            return GroupModel.free_product(int(orders[0]), int(orders[1]))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
     raise ConfigError(f"model.kind must be '{FREE}' or '{FREE_PRODUCT}'")

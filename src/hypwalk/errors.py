@@ -18,7 +18,7 @@ class BudgetExceededError(HypwalkError, RuntimeError):
 
 
 class GreenBudgetError(BudgetExceededError):
-    """A nested-ball bracket missed its tolerance, or a kernel ran out of depth."""
+    """A nested-ball bracket missed its tolerance."""
 
 
 class SolverError(HypwalkError, RuntimeError):
@@ -43,11 +43,7 @@ class BoundaryTimeout(BudgetExceededError):
 
 
 class IndeterminateMembership(HypwalkError, RuntimeError):
-    """Cylinder membership stayed within the ambiguity margin."""
-
-
-class IndeterminateRateError(HypwalkError, RuntimeError):
-    """Too many indeterminate membership decisions in one estimate."""
+    """A frozen boundary prefix is too short to decide cylinder membership."""
 
 
 class ConfigError(HypwalkError, ValueError):

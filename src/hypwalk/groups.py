@@ -36,16 +36,14 @@ class GroupModel:
     """A concrete group model with a fixed symmetric generating alphabet.
 
     ``kind`` is ``"free"`` (then ``rank`` is set) or ``"free_product"``
-    (then ``orders = (m, n)``).  ``delta_hint`` is the four-point
-    hyperbolicity constant used by downstream margins: 0 for free groups,
-    a small integer for free products (can be checked against
-    :func:`estimate_delta`).
+    (then ``orders = (m, n)``).  Both Cayley graphs are trees of cycles,
+    so the Gromov product of two canonical rays is fixed by their first
+    k + :attr:`split_span` + 1 letters, k the first differing letter.
     """
 
     kind: str
     rank: int = 0
     orders: tuple[int, int] = ()
-    delta_hint: int = 0
 
     def __post_init__(self):
         if self.kind == FREE:
@@ -69,10 +67,17 @@ class GroupModel:
         return GroupModel(FREE, rank=rank)
 
     @staticmethod
-    def free_product(m: int, n: int, delta_hint: int | None = None) -> "GroupModel":
-        if delta_hint is None:
-            delta_hint = _scan_product_delta(m, n)
-        return GroupModel(FREE_PRODUCT, orders=(m, n), delta_hint=delta_hint)
+    def free_product(m: int, n: int) -> "GroupModel":
+        return GroupModel(FREE_PRODUCT, orders=(m, n))
+
+    @property
+    def split_span(self) -> int:
+        """Letters past their first difference within which two canonical
+        rays can still share a cycle: 0 on free groups (every vertex is a
+        cut vertex), the longest canonical syllable floor(max(m, n)/2) on
+        Z/m*Z/n.
+        """
+        return 0 if self.kind == FREE else max(self.orders) // 2
 
     # -- alphabet ----------------------------------------------------------
 
@@ -142,35 +147,13 @@ class GroupModel:
         return self.from_letters(letters)
 
     def from_letters(self, letters: Iterable[int]) -> "GroupElement":
-        g = self.identity()
-        for letter in letters:
-            g = g * self.letter_element(letter)
-        return g
+        steps = [self._letter_syllable(letter) for letter in letters]
+        return GroupElement(self, _merge_syllables(self, (), steps))
 
     def __str__(self):
         if self.kind == FREE:
             return f"F_{self.rank}"
         return f"Z/{self.orders[0]}*Z/{self.orders[1]}"
-
-
-@lru_cache(maxsize=None)
-def _scan_product_delta(m: int, n: int) -> int:
-    """Default delta_hint for a free product: the four-point constant
-    measured on a small ball, rounded up to an integer.
-
-    Ball-restricted, so a heuristic; overridable per model.
-    """
-    probe = GroupModel(FREE_PRODUCT, orders=(m, n), delta_hint=0)
-    radius = 4
-    while radius < 8:
-        try:
-            if len(ball(probe, radius + 1, max_states=2500)) > 900:
-                break
-        except BudgetExceededError:
-            break
-        radius += 1
-    value = estimate_delta(probe, radius)
-    return int(-(-value.numerator // value.denominator))  # ceil
 
 
 def _same_model(a: "GroupElement", b: "GroupElement") -> None:

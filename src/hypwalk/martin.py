@@ -5,7 +5,8 @@ Kernel and ratio values are exact products of one-syllable first-passage
 values from the cut-vertex engine, so the cocycle identity
 K(gh, .) = K(g, .) K(h, g^-1 .) holds to float rounding at every finite
 evaluation depth, and the kernel along a ray is constant once the ray has
-left the geodesic to g.
+left the geodesic to g.  Limiting Gromov products of canonical rays are
+exact as well: one product evaluation just past the first differing letter.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 from scipy import stats
 
 from . import _exact
-from .errors import GreenBudgetError, ValidationError
+from .errors import ValidationError
 from .green import GreenEstimate
-from .groups import FREE, GroupElement, GroupModel, gromov_product
+from .groups import GroupElement, GroupModel, gromov_product
 from .walks import WalkSpec, require_valid
 
 
@@ -98,44 +99,47 @@ class BoundaryPoint:
         return f"{self.head}({self.cycle})^inf"
 
 
-def limit_gromov(
-    a: BoundaryPoint,
-    b: BoundaryPoint,
-    cap: int = 256,
-    window: int | None = None,
+def _prefix_product(
+    model: GroupModel, la: Sequence[int], lb: Sequence[int]
 ) -> tuple[Fraction, bool]:
-    """Limiting Gromov product of two canonical rays, with a stabilized flag.
+    """Gromov product of the rays that begin with two canonical letter
+    prefixes, and whether it is exact.
 
-    The depth-n product is nondecreasing; on tree models it is exact once
-    the rays diverge.  Returns the best computed value (a lower bound of
-    the limit) and whether it stabilized within the depth cap.
+    With k the first differing letter the rays share k letters, so the
+    product is at least k.  On F_N they then split at a cut vertex and the
+    product is k.  On Z/m*Z/n they may still run through one cycle, which
+    both leave within s = ``model.split_span`` letters; every later vertex
+    hangs off a cut vertex of that cycle, so the product is that of the
+    prefixes at depth k + s + 1.  Prefixes ending earlier give a lower
+    bound, flagged inexact.
+    """
+    n = min(len(la), len(lb))
+    k = 0
+    while k < n and la[k] == lb[k]:
+        k += 1
+    if k == n:
+        return Fraction(n), False
+    span = model.split_span
+    if not span:
+        return Fraction(k), True
+    depth = min(k + span + 1, n)
+    value = gromov_product(model.from_letters(la[:depth]), model.from_letters(lb[:depth]))
+    return value, depth == k + span + 1
+
+
+def limit_gromov(a: BoundaryPoint, b: BoundaryPoint, cap: int = 256) -> tuple[Fraction, bool]:
+    """Limiting Gromov product of two canonical rays, with an exactness flag.
+
+    One product evaluation on at most ``cap`` letters of each ray (see
+    :func:`_prefix_product`).  When the letters run out first, for a
+    frozen point or a short cap, the value is a lower bound and the flag
+    is False.
     """
     model = a.model
     if model != b.model:
         raise ValidationError("boundary points from different models")
     avail = min(x for x in (a.max_depth(), b.max_depth(), cap) if x is not None)
-    la = a.prefix_letters(avail)
-    lb = b.prefix_letters(avail)
-    k = 0
-    while k < avail and la[k] == lb[k]:
-        k += 1
-    if k >= avail:
-        # No divergence seen: the product is at least the scanned depth.
-        return Fraction(avail), False
-    if model.kind == FREE:
-        return Fraction(k), True
-    if window is None:
-        window = max(3, 4 * model.delta_hint + 2)
-    depth = min(k + 1, avail)
-    value = gromov_product(a.prefix(depth), b.prefix(depth))
-    while True:
-        nxt = min(depth + window, avail)
-        if nxt == depth:
-            return value, False
-        new = gromov_product(a.prefix(nxt), b.prefix(nxt))
-        if new == value and nxt >= value + window:
-            return new, True
-        value, depth = new, nxt
+    return _prefix_product(model, a.prefix_letters(avail), b.prefix_letters(avail))
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +154,17 @@ def martin_kernel_at(walk: WalkSpec, g: GroupElement, y: GroupElement) -> GreenE
 
 @dataclass(frozen=True)
 class MartinEstimate:
-    """Kernel estimate along a ray with a depth-stability diagnostic."""
+    """Kernel value along a ray, with its enclosure and evaluation depth.
+
+    The kernel is constant along the ray once the ray has left the
+    geodesic to g, which happens by depth |g| + s + 2 (s =
+    ``GroupModel.split_span``); one evaluation there is the limit.
+    """
 
     value: float
     depth: int
-    deviation: float
     lower: float
     upper: float
-    converged: bool
-    series: tuple[tuple[int, float], ...]
-
-
-def _depth_schedule(g_len: int, depth: int | None, depth_cap: int) -> list[int]:
-    if depth is not None:
-        ds = sorted({max(1, depth - 4), max(1, depth - 2), depth})
-    else:
-        ds = [g_len + s for s in (8, 12, 16, 24) if g_len + s <= depth_cap]
-        if len(ds) < 3:
-            ds = sorted({d for d in (depth_cap - 4, depth_cap - 2, depth_cap) if d >= 1})
-    if not ds or ds[-1] > depth_cap:
-        raise GreenBudgetError(
-            f"no usable kernel depth: cap {depth_cap} for |g|={g_len}"
-        )
-    return ds
 
 
 def martin_kernel(
@@ -180,32 +172,14 @@ def martin_kernel(
     g: GroupElement,
     xi: BoundaryPoint,
     depth: int | None = None,
-    *,
-    dev_threshold: float = 1e-3,
 ) -> MartinEstimate:
-    """Martin kernel K(g, xi) evaluated along the canonical ray.
-
-    The deviation field is the relative spread over the last three depths
-    of the schedule; a non-converged estimate is returned with
-    diagnostics rather than raised.
-    """
+    """Martin kernel K(g, xi): one exact evaluation at the ray's vertex of
+    the given depth, by default |g| + s + 2."""
     require_valid(walk)
-    md = xi.max_depth()
-    depth_cap = md if md is not None else g.word_length() + 24
-    ds = _depth_schedule(g.word_length(), depth, depth_cap)
-    series = [(d, martin_kernel_at(walk, g, xi.prefix(d))) for d in ds]
-    last = series[-1][1]
-    tail_vals = [e.value for _, e in series[-3:]]
-    deviation = max(abs(v / last.value - 1.0) for v in tail_vals)
-    return MartinEstimate(
-        value=last.value,
-        depth=series[-1][0],
-        deviation=deviation,
-        lower=last.lower,
-        upper=last.upper,
-        converged=deviation <= dev_threshold,
-        series=tuple((d, e.value) for d, e in series),
-    )
+    if depth is None:
+        depth = g.word_length() + walk.model.split_span + 2
+    est = martin_kernel_at(walk, g, xi.prefix(depth))
+    return MartinEstimate(value=est.value, depth=depth, lower=est.lower, upper=est.upper)
 
 
 def radon_nikodym(
@@ -213,10 +187,9 @@ def radon_nikodym(
     g: GroupElement,
     xi: BoundaryPoint,
     depth: int | None = None,
-    **kwargs,
 ) -> float:
     """dnu_g/dnu at xi: the Martin kernel packaged as a density value."""
-    return martin_kernel(walk, g, xi, depth, **kwargs).value
+    return martin_kernel(walk, g, xi, depth).value
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +257,12 @@ def hoelder_probe(
     g: GroupElement,
     pairs: Sequence[tuple[BoundaryPoint, BoundaryPoint]],
     depth: int | None = None,
-    **kernel_kwargs,
 ) -> HoelderReport:
     rows = []
     used_depth = 0
     for xi, eta in pairs:
-        k1 = martin_kernel(walk, g, xi, depth, **kernel_kwargs)
-        k2 = martin_kernel(walk, g, eta, depth, **kernel_kwargs)
+        k1 = martin_kernel(walk, g, xi, depth)
+        k2 = martin_kernel(walk, g, eta, depth)
         used_depth = max(used_depth, k1.depth, k2.depth)
         prod, _ = limit_gromov(xi, eta)
         diff = abs(k1.value - k2.value)
@@ -354,7 +326,6 @@ def livschitz_coboundary(
     *,
     far_product: float | None = None,
     converge_tol: float = 1e-2,
-    **kernel_kwargs,
 ) -> LivschitzReport:
     """Numerically follow b_n(xi) = angle of K(g^-n, xi)^(iT).
 
@@ -367,7 +338,7 @@ def livschitz_coboundary(
     g_minus = BoundaryPoint.periodic(g.inverse())
     prod, _ = limit_gromov(xi, g_minus)
     if far_product is None:
-        far_product = g.word_length() + 2 * walk.model.delta_hint + 4
+        far_product = g.word_length() + 2 * walk.model.split_span + 4
     if prod > far_product:
         raise ValidationError(
             f"xi is too close to the repelling point: product {prod} > {far_product}"
@@ -379,7 +350,7 @@ def livschitz_coboundary(
     hard_cap = n_max if n_max is not None else 24
     for _ in range(hard_cap):
         cur = cur * ginv
-        est = martin_kernel(walk, cur, xi, **kernel_kwargs)
+        est = martin_kernel(walk, cur, xi)
         thetas.append((T * math.log(est.value)) % (2 * math.pi))
         lengths.append(cur.word_length())
     if len(thetas) < 2:

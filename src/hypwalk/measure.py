@@ -1,9 +1,11 @@
 """Boundary cylinders, Monte Carlo harmonic measure, the measure-to-
 first-passage ratio series, and the change-of-variables check.
 
-Monte Carlo estimates are sharded over counter-based streams keyed by a
-purpose tag, aggregated in a fixed order, and always carry a 3-sigma
-binomial band.
+Cylinder membership is exact: it reads one Gromov product of two letter
+prefixes (see :func:`hypwalk.martin.limit_gromov`), and every sampled
+prefix is long enough for that product to be decided.  Monte Carlo
+estimates are sharded over counter-based streams keyed by a purpose tag,
+aggregated in a fixed order, and always carry a 3-sigma binomial band.
 """
 
 from __future__ import annotations
@@ -16,21 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BoundaryTimeout,
-    IndeterminateMembership,
-    IndeterminateRateError,
-    ValidationError,
-)
+from .errors import BoundaryTimeout, IndeterminateMembership, ValidationError
 from .green import first_passage
-from .groups import GroupElement, GroupModel, gromov_product
-from .martin import BoundaryPoint, limit_gromov, martin_kernel_at
+from .groups import GroupElement, GroupModel
+from .martin import BoundaryPoint, _prefix_product, limit_gromov, martin_kernel_at
 from .walks import WalkSpec, require_valid, sample_boundary_point
-
-
-def default_cylinder_margin(model: GroupModel) -> int:
-    """Membership margin: 1 on trees, growing with the hyperbolicity constant."""
-    return 13 * model.delta_hint + 1
 
 
 @dataclass(frozen=True)
@@ -38,64 +30,46 @@ class Cylinder:
     """The boundary cylinder U(xi, R): points whose rays have limiting
     Gromov product with xi's ray above R.
 
-    R = 0 gives the first-letter cones used by cone calculus; the
-    measure-ratio series is probed for R >= 1.
+    On F_N, R = 0 gives the first-letter cones used by cone calculus; on
+    Z/m*Z/n rays that start round one cycle in opposite directions can
+    have product above 0 (3/2 for t^2 and t^3 = T^2 on a 5-cycle), so
+    those cylinders overlap.  The measure-ratio series is probed for
+    R >= 1.  The first ``depth`` = R + s + 1 letters of a ray decide
+    membership (s = ``GroupModel.split_span``).
     """
 
     base: BoundaryPoint
     radius: int
-    margin: int
 
     def __post_init__(self):
         if self.radius < 0:
             raise ValidationError("cylinder radius must be nonnegative")
-        floor = default_cylinder_margin(self.base.model)
-        if self.margin < floor:
-            raise ValidationError(f"margin {self.margin} below model floor {floor}")
 
     @staticmethod
-    def around(base: BoundaryPoint, radius: int, margin: int | None = None) -> "Cylinder":
-        if margin is None:
-            margin = default_cylinder_margin(base.model)
-        return Cylinder(base=base, radius=radius, margin=margin)
+    def around(base: BoundaryPoint, radius: int) -> "Cylinder":
+        return Cylinder(base=base, radius=radius)
+
+    @property
+    def depth(self) -> int:
+        return self.radius + self.base.model.split_span + 1
 
 
-def cylinder_membership(
-    eta: BoundaryPoint,
-    cyl: Cylinder,
-    probe_depth: int | None = None,
-    max_depth: int | None = None,
-) -> bool:
-    """Decide eta in U(xi, R) along canonical rays.
+def _decide(value: Fraction, exact: bool, cyl: Cylinder) -> bool:
+    if value > cyl.radius:
+        return True  # the product only grows with depth
+    if exact:
+        return False
+    raise IndeterminateMembership(f"prefixes too short to decide product {value} > {cyl.radius}")
 
-    The ray product is nondecreasing, so product > R certifies
-    membership at any depth; exclusion needs the product to stabilize
-    with 2*delta of slack.  Decisions inside the slack zone deepen and,
-    if persistent, raise :class:`IndeterminateMembership` (empty zone on
-    tree-like models where delta = 0).
+
+def cylinder_membership(eta: BoundaryPoint, cyl: Cylinder) -> bool:
+    """Decide eta in U(xi, R) from the first R + s + 1 letters of both rays.
+
+    If those agree beyond R letters the product exceeds R; otherwise it is
+    exact at that depth.  Only a frozen point shorter than that can leave
+    the product undecided, which raises :class:`IndeterminateMembership`.
     """
-    model = eta.model
-    R = cyl.radius
-    delta2 = 2 * model.delta_hint
-    if probe_depth is None:
-        probe_depth = R + cyl.margin + 1
-    if max_depth is None:
-        max_depth = max(4 * probe_depth, 128)
-    value, stabilized = limit_gromov(eta, cyl.base, cap=probe_depth)
-    while True:
-        if value > R:
-            return True
-        if stabilized and value + delta2 <= R:
-            return False
-        if probe_depth >= max_depth or (
-            eta.max_depth() is not None and probe_depth >= eta.max_depth()
-        ):
-            break
-        probe_depth = min(max_depth, probe_depth * 2)
-        value, stabilized = limit_gromov(eta, cyl.base, cap=probe_depth)
-    raise IndeterminateMembership(
-        f"product {value} vs R={R} undecidable within depth {probe_depth}"
-    )
+    return _decide(*limit_gromov(eta, cyl.base, cap=cyl.depth), cyl)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +124,11 @@ def boundary_sample_set(
 def _prefix_membership(
     letters: tuple[int, ...], cyl: Cylinder, model: GroupModel
 ) -> bool:
-    eta = BoundaryPoint(head=model.from_letters(letters), cycle=model.identity())
-    return cylinder_membership(eta, cyl, probe_depth=len(letters))
+    """Decide membership of the ray whose canonical letters begin ``letters``."""
+    n = cyl.depth
+    cap = cyl.base.max_depth()
+    base = cyl.base.prefix_letters(n if cap is None else min(n, cap))
+    return _decide(*_prefix_product(model, letters[:n], base), cyl)
 
 
 @dataclass(frozen=True)
@@ -161,7 +138,6 @@ class MeasureEstimate:
     value: float
     n_samples: int
     half_width: float
-    n_indeterminate: int
     n_retries: int
     purpose: str
     seed: int
@@ -171,26 +147,15 @@ class MeasureEstimate:
 
 
 def _measure_from_prefixes(
-    prefixes, cyl: Cylinder, model: GroupModel, purpose: str, seed: int,
-    retries: int, max_indeterminate: float,
+    prefixes, cyl: Cylinder, model: GroupModel, purpose: str, seed: int, retries: int,
 ) -> MeasureEstimate:
-    hits = 0
-    bad = 0
-    for letters in prefixes:
-        try:
-            hits += _prefix_membership(letters, cyl, model)
-        except IndeterminateMembership:
-            bad += 1
-    n_eff = len(prefixes) - bad
-    if bad > max_indeterminate * len(prefixes):
-        raise IndeterminateRateError(
-            f"{bad}/{len(prefixes)} indeterminate memberships (> {max_indeterminate:.0%})"
-        )
-    nu = hits / n_eff if n_eff else 0.0
-    half = 3.0 * np.sqrt(nu * (1.0 - nu) / n_eff) if n_eff else 1.0
+    n = len(prefixes)
+    hits = sum(_prefix_membership(letters, cyl, model) for letters in prefixes)
+    nu = hits / n if n else 0.0
+    half = 3.0 * np.sqrt(nu * (1.0 - nu) / n) if n else 1.0
     return MeasureEstimate(
-        value=nu, n_samples=n_eff, half_width=float(half),
-        n_indeterminate=bad, n_retries=retries, purpose=purpose, seed=seed,
+        value=nu, n_samples=n, half_width=float(half),
+        n_retries=retries, purpose=purpose, seed=seed,
     )
 
 
@@ -202,15 +167,12 @@ def estimate_measure(
     patience: int = 20,
     max_steps: int = 20_000,
     purpose: str = "measure",
-    max_indeterminate: float = 0.01,
 ) -> MeasureEstimate:
     """Harmonic measure of a cylinder from stabilized boundary samples."""
     require_valid(walk)
-    margin = max(10, cyl.radius + cyl.margin + 2)
+    margin = max(10, cyl.depth + 2)
     prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
-    return _measure_from_prefixes(
-        prefixes, cyl, walk.model, purpose, walk.seed, retries, max_indeterminate
-    )
+    return _measure_from_prefixes(prefixes, cyl, walk.model, purpose, walk.seed, retries)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +200,6 @@ class GibbsReport:
     ratio_min: float
     ratio_max: float
     n_samples: int
-    n_indeterminate: int
 
 
 def gibbs_ratio(
@@ -250,24 +211,18 @@ def gibbs_ratio(
     patience: int = 20,
     max_steps: int = 20_000,
     purpose: str = "gibbs",
-    max_indeterminate: float = 0.01,
 ) -> GibbsReport:
     """Ratio series over R; one shared sample set serves every radius."""
     require_valid(walk)
     if not radii or min(radii) < 1:
         raise ValidationError("gibbs radii must be positive")
-    cm = default_cylinder_margin(walk.model)
-    margin = max(10, max(radii) + cm + 2)
+    margin = max(10, Cylinder.around(xi, max(radii)).depth + 2)
     prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
     e = walk.model.identity()
     rows = []
-    bad_total = 0
     for R in radii:
         cyl = Cylinder.around(xi, R)
-        est = _measure_from_prefixes(
-            prefixes, cyl, walk.model, purpose, walk.seed, retries, max_indeterminate
-        )
-        bad_total += est.n_indeterminate
+        est = _measure_from_prefixes(prefixes, cyl, walk.model, purpose, walk.seed, retries)
         f = first_passage(walk, e, xi.prefix(R))
         lo = max(est.value - est.half_width, 0.0) / f.upper
         hi = (est.value + est.half_width) / max(f.lower, 1e-300)
@@ -282,7 +237,6 @@ def gibbs_ratio(
         ratio_min=min(ratios),
         ratio_max=max(ratios),
         n_samples=n_samples,
-        n_indeterminate=bad_total,
     )
 
 
@@ -298,36 +252,15 @@ def _translated_membership(
 ) -> bool:
     """Decide g . eta in cyl for a sampled prefix of eta.
 
-    The probe sequence g * eta(n) converges to the translated point; the
-    product against the base ray stabilizes (exactly on tree-like models)
-    once both sequences pass their branch points.
+    Past |g| + s letters the last syllable of the prefix is out of reach
+    of g, so the letters of g * eta(n) begin the ray of g . eta; taking
+    n = R + s + |g| + 3 leaves at least R + s + 3 of them.
     """
-    R = cyl.radius
-    delta2 = 2 * model.delta_hint
-    window = max(3, 2 * model.delta_hint + 2)
-    start = min(len(letters), R + cyl.margin + g.word_length() + 2)
-    base_cap = cyl.base.max_depth()
-    prev = None
-    depth = start
-    while True:
-        z = g * model.from_letters(letters[:depth])
-        x_depth = depth if base_cap is None else min(depth, base_cap)
-        x = cyl.base.prefix(x_depth)
-        q = gromov_product(z, x)
-        if q > R + delta2:
-            return True
-        if prev is not None and q == prev:
-            if q > R:
-                return True
-            if q + delta2 <= R:
-                return False
-            raise IndeterminateMembership(f"translated product {q} at threshold R={R}")
-        prev = q
-        if depth >= len(letters):
-            raise IndeterminateMembership(
-                f"translated product did not stabilize within {len(letters)} letters"
-            )
-        depth = min(len(letters), depth + window)
+    depth = cyl.depth + g.word_length() + 2
+    if len(letters) < depth:
+        raise IndeterminateMembership(f"translating by {g} needs {depth} letters")
+    z = g * model.from_letters(letters[:depth])
+    return _prefix_membership(z.letters(), cyl, model)
 
 
 @dataclass(frozen=True)
@@ -345,7 +278,6 @@ class RadonNikodymReport:
     kernel_half: float
     agree: bool
     n_samples: int
-    n_indeterminate: int
     kernel_depth: int
 
 
@@ -359,7 +291,6 @@ def radon_nikodym_check(
     patience: int = 20,
     max_steps: int = 20_000,
     purpose: str = "rn-check",
-    max_indeterminate: float = 0.01,
 ) -> RadonNikodymReport:
     """Compare nu(g^-1 U) with the integral of K(g, .) over U.
 
@@ -368,33 +299,24 @@ def radon_nikodym_check(
     """
     require_valid(walk)
     model = walk.model
-    margin = max(10, cyl.radius + cyl.margin + g.word_length() + 4)
+    margin = max(10, cyl.depth + g.word_length() + 4)
     prefixes, _ = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
     if depth is None:
         depth = margin
     if depth < 1:
         raise ValidationError(f"kernel depth must be positive, got {depth}")
     pulled_hits = 0
-    bad = 0
     kernel_vals = []
     for letters in prefixes:
-        try:
-            inside = _prefix_membership(letters, cyl, model)
-            pulled_in = _translated_membership(g, letters, cyl, model)
-        except IndeterminateMembership:
-            bad += 1
-            continue
-        if inside:
+        if _prefix_membership(letters, cyl, model):
             y = model.from_letters(letters[:depth])
             kernel_vals.append(martin_kernel_at(walk, g, y).value)
         else:
             kernel_vals.append(0.0)
-        pulled_hits += pulled_in
-    n_eff = len(prefixes) - bad
-    if bad > max_indeterminate * len(prefixes):
-        raise IndeterminateRateError(f"{bad}/{len(prefixes)} indeterminate memberships")
-    pulled = pulled_hits / n_eff
-    pulled_half = 3.0 * float(np.sqrt(pulled * (1 - pulled) / n_eff))
+        pulled_hits += _translated_membership(g, letters, cyl, model)
+    n = len(prefixes)
+    pulled = pulled_hits / n
+    pulled_half = 3.0 * float(np.sqrt(pulled * (1 - pulled) / n))
     vals = np.asarray(kernel_vals)
     integral = float(vals.mean())
     kernel_half = 3.0 * float(vals.std(ddof=1) / np.sqrt(len(vals)))
@@ -404,7 +326,6 @@ def radon_nikodym_check(
         kernel_integral=integral,
         kernel_half=kernel_half,
         agree=abs(pulled - integral) <= pulled_half + kernel_half,
-        n_samples=n_eff,
-        n_indeterminate=bad,
+        n_samples=n,
         kernel_depth=depth,
     )

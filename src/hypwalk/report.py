@@ -144,7 +144,7 @@ def _hoelder_pairs(model: GroupModel, g_len: int, count: int = 8):
 def _exp_green(cfg: ExperimentConfig):
     walk = cfg.walk
     cap = cfg.budgets["max_radius"] or default_max_radius(cfg.model)
-    b = ball(cfg.model, min(4, cap - 4))
+    b = ball(cfg.model, min(4, cap))
     e = cfg.model.identity()
     rows = []
     ok = True
@@ -157,7 +157,7 @@ def _exp_green(cfg: ExperimentConfig):
             "value": est.value, "lower": est.lower, "upper": est.upper,
             "converged": est.converged,
         })
-    slope, intercept = green_decay_slope(walk, max_len=min(5, cap - 4), per_sphere=8)
+    slope, intercept = green_decay_slope(walk, max_len=min(5, cap), per_sphere=8)
     base = [restricted_green(walk, r, max_states=cfg.budgets["max_states"]).value(e, e)
             for r in (4, 5, 6)]
     monotone = base[0] <= base[1] <= base[2]
@@ -214,19 +214,14 @@ def _exp_simulate(cfg: ExperimentConfig):
 
 def _exp_martin(cfg: ExperimentConfig):
     walk = cfg.walk
-    dev = cfg.tolerances["kernel_dev"]
     inv_tol = cfg.tolerances["invariant_tol"]
     probes, points = _probe_points(cfg.model)
     rows = []
     ok = True
     for g in probes:
         for xi in points:
-            est = martin_kernel(walk, g, xi, dev_threshold=dev)
-            rows.append({
-                "g": str(g), "xi": str(xi), "value": est.value,
-                "deviation": est.deviation, "depth": est.depth,
-                "converged": est.converged,
-            })
+            est = martin_kernel(walk, g, xi)
+            rows.append({"g": str(g), "xi": str(xi), "value": est.value, "depth": est.depth})
             ok = ok and est.value > 0
     g1, g2 = probes[0], probes[0].inverse()
     depth = g1.word_length() + g2.word_length() + 8
@@ -239,8 +234,8 @@ def _exp_martin(cfg: ExperimentConfig):
     cocycle_residual = abs(lhs / rhs - 1.0) if rhs else float("inf")
     ok = ok and cocycle_residual <= inv_tol
     result = {"kernels": rows, "cocycle_residual": cocycle_residual, "cocycle_depth": depth}
-    csv_rows = [(r["g"], r["xi"], r["value"], r["deviation"], r["depth"]) for r in rows]
-    return result, ok, (("g", "xi", "value", "deviation", "depth"), csv_rows)
+    csv_rows = [(r["g"], r["xi"], r["value"], r["depth"]) for r in rows]
+    return result, ok, (("g", "xi", "value", "depth"), csv_rows)
 
 
 def _ratio_row(rv) -> dict:
@@ -325,7 +320,6 @@ def _exp_gibbs(cfg: ExperimentConfig):
         "ratio_max": rep.ratio_max,
         "envelope": rep.ratio_max / rep.ratio_min if rep.ratio_min > 0 else float("inf"),
         "n_samples": rep.n_samples,
-        "n_indeterminate": rep.n_indeterminate,
     }
     csv_rows = [
         (r.radius, r.nu, r.nu_half, r.f_value, r.ratio, r.ratio_lower, r.ratio_upper)
@@ -428,8 +422,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportB
             "scipy": scipy.__version__,
         },
         "config_echo": cfg.echo(),
-        "model": {"kind": cfg.model.kind, "name": str(cfg.model),
-                  "delta_hint": cfg.model.delta_hint},
+        "model": {"kind": cfg.model.kind, "name": str(cfg.model)},
         "seed": cfg.walk.seed,
         "walk_validation": validation.as_dict(),
         "results": results,

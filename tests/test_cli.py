@@ -59,18 +59,42 @@ def test_classify_default_budgets(tmp_path, orders):
         assert row["lower"] < row["r"] < row["upper"]
 
 
+@pytest.mark.parametrize("orders", [[2, 4], [2, 5]])
+def test_product_boundary_experiments(tmp_path, orders):
+    # Every sampled prefix is long enough for its memberships to be exact.
+    code, report, _ = _run(
+        tmp_path, {"kind": "free_product", "orders": orders}, ["gibbs", "rn-check"],
+        budgets={"n_samples": 2000},
+    )
+    assert code == EXIT_OK
+    assert report["verdicts"] == {"gibbs": "pass", "rn-check": "pass"}
+    assert report["results"]["rn-check"]["n_samples"] == 2000
+
+
+def test_green_small_radius_budget(tmp_path):
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["green"], budgets={"max_radius": 3}
+    )
+    assert code == EXIT_OK
+    assert max(row["length"] for row in report["results"]["green"]["entries"]) == 3
+
+
 @pytest.mark.parametrize(
     "section,key,value",
     [
         ("output", "row_cache", "cache"),
         ("budgets", "workers", 2),
         ("tolerances", "green_tol", 1e-3),
+        ("tolerances", "kernel_dev", 1e-3),
+        ("model", "delta_hint", 1),
     ],
 )
 def test_removed_key_is_a_config_error(tmp_path, capsys, section, key, value):
-    code, report, _ = _run(
-        tmp_path, {"kind": "free", "rank": 2}, ["classify"], **{section: {key: value}}
-    )
+    model = {"kind": "free", "rank": 2}
+    sections = {section: {key: value}}
+    if section == "model":
+        model = {**model, **sections.pop("model")}
+    code, report, _ = _run(tmp_path, model, ["classify"], **sections)
     assert code == EXIT_CONFIG and report is None
     assert key in capsys.readouterr().err
 

@@ -224,14 +224,3 @@ class TestConjugacy:
         for g, _ in reps:
             u, core = g.cyclic_reduction()
             assert u.is_identity() and core == g
-
-
-class TestDeltaHint:
-    def test_defaults(self):
-        assert F2.delta_hint == 0
-        assert Z23.delta_hint == 0
-        assert Z25.delta_hint == 1
-
-    def test_override(self):
-        m = GroupModel.free_product(2, 3, delta_hint=2)
-        assert m.delta_hint == 2

@@ -1,15 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypwalk import (
     BoundaryPoint,
+    GroupElement,
     GroupModel,
+    gromov_product,
     hoelder_probe,
     harnack_constant,
     limit_gromov,
     livschitz_coboundary,
+    make_walk,
     martin_kernel,
     martin_kernel_at,
     radon_nikodym,
@@ -53,11 +57,76 @@ class TestBoundaryPoint:
         assert stabilized and value == 2
 
 
+RAY_MODELS = [(0, 2), (0, 3), (2, 3), (2, 5), (3, 3), (4, 4), (3, 7), (2, 20)]
+
+
+def _model(spec):
+    m, n = spec
+    return GroupModel.free(n) if m == 0 else GroupModel.free_product(m, n)
+
+
+def _random_syllables(model, rng, n_letters, start=()):
+    """Normal-form syllables continuing ``start`` to at least n_letters letters."""
+    syls = list(start)
+    n_ids = model.n_letter_ids()
+    while len(GroupElement(model, tuple(syls)).letters()) < n_letters:
+        lid = int(rng.integers(1, n_ids + 1))
+        if syls and syls[-1][0] == lid:
+            continue
+        if model.kind == "free":
+            exp = int(rng.choice([-1, 1])) * int(rng.integers(1, 4))
+        else:
+            exp = int(rng.integers(1, model.letter_order(lid)))
+        syls.append((lid, exp))
+    return syls
+
+
+def _letters(model, syls, n):
+    return GroupElement(model, tuple(syls)).letters()[:n]
+
+
+class TestExactRayProduct:
+    @pytest.mark.parametrize("spec", RAY_MODELS)
+    def test_matches_long_prefix_product(self, spec):
+        # One evaluation past the first differing letter equals the
+        # product of 60-letter prefixes, also for splits inside a cycle.
+        model = _model(spec)
+        rng = np.random.default_rng(sum(spec))
+        n = 60
+        for _ in range(60):
+            syls_a = _random_syllables(model, rng, n)
+            q = int(rng.integers(0, 8))
+            syls_b = _random_syllables(model, rng, n, start=syls_a[:q])
+            la, lb = _letters(model, syls_a, n), _letters(model, syls_b, n)
+            if la == lb:
+                continue
+            a = BoundaryPoint(head=model.from_letters(la), cycle=model.identity())
+            b = BoundaryPoint(head=model.from_letters(lb), cycle=model.identity())
+            value, exact = limit_gromov(a, b)
+            assert exact
+            assert value == gromov_product(model.from_letters(la), model.from_letters(lb))
+
+    def test_in_cycle_split(self):
+        # t^2 and t^3 = T^2 leave the 5-cycle at adjacent vertices.
+        model = GroupModel.free_product(2, 5)
+        a = BoundaryPoint(head=model.word("tt"), cycle=model.word("st"))
+        b = BoundaryPoint(head=model.word("TT"), cycle=model.word("st"))
+        assert limit_gromov(a, b) == (Fraction(3, 2), True)
+        assert model.split_span == 2 and GroupModel.free(2).split_span == 0
+
+    def test_short_frozen_point_is_a_lower_bound(self):
+        model = GroupModel.free_product(2, 5)
+        a = BoundaryPoint(head=model.word("tt"), cycle=model.identity())
+        b = BoundaryPoint(head=model.word("TT"), cycle=model.word("st"))
+        value, exact = limit_gromov(a, b)
+        assert not exact and value <= Fraction(3, 2)
+
+
 class TestMartinKernel:
     def test_identity_kernel(self, walk_f2, f2):
         xi = BoundaryPoint.periodic(f2.word("b"))
         est = martin_kernel(walk_f2, f2.identity(), xi)
-        assert est.value == 1.0 and est.deviation == 0.0
+        assert est.value == 1.0
 
     def test_tree_cone_values(self, walk_f2, f2):
         # K(a, xi) is 3 on the cone at a and 1/3 elsewhere.
@@ -67,7 +136,6 @@ class TestMartinKernel:
         assert on.value == pytest.approx(3.0, rel=1e-12)
         assert off.value == pytest.approx(1 / 3, rel=1e-12)
         assert on.lower < 3.0 < on.upper and off.lower < 1 / 3 < off.upper
-        assert on.converged and off.converged
 
     def test_against_direct_row_oracle(self, walk_f2, f2):
         # Independent route: restricted rows from sources a and e directly,
@@ -106,6 +174,24 @@ class TestMartinKernel:
             est = martin_kernel(walk_f2, g, BoundaryPoint.periodic(f2.word(cyc)))
             bound = c1 ** g.word_length()
             assert 1 / bound <= est.value <= bound
+
+    @pytest.mark.parametrize("spec", [(0, 2), (2, 5), (3, 7)])
+    def test_default_depth_is_the_limit(self, spec):
+        # Past depth |g| + s + 2 the kernel along the ray is bitwise constant.
+        from hypwalk.report import _probe_points
+
+        model = _model(spec)
+        weights = [0.35, 0.15, 0.30, 0.20][: len(model.generators())]
+        walk = make_walk(
+            model, [(x, w / sum(weights)) for x, w in zip(model.generators(), weights)], 1
+        )
+        probes, points = _probe_points(model)
+        for g in probes:
+            for xi in points:
+                est = martin_kernel(walk, g, xi)
+                assert est.depth == g.word_length() + model.split_span + 2
+                deep = martin_kernel_at(walk, g, xi.prefix(g.word_length() + 24))
+                assert (est.value, est.lower, est.upper) == (deep.value, deep.lower, deep.upper)
 
     def test_radon_nikodym_alias(self, walk_f2, f2):
         xi = BoundaryPoint.periodic(f2.word("b"))

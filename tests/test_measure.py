@@ -4,6 +4,8 @@ import pytest
 from hypwalk import (
     BoundaryPoint,
     Cylinder,
+    GroupModel,
+    gromov_product,
     cylinder_membership,
     estimate_measure,
     gibbs_ratio,
@@ -11,7 +13,12 @@ from hypwalk import (
     uniform_walk,
 )
 from hypwalk.errors import ValidationError
-from hypwalk.measure import _measure_from_prefixes, boundary_sample_set
+from hypwalk.measure import (
+    _measure_from_prefixes,
+    _prefix_membership,
+    _translated_membership,
+    boundary_sample_set,
+)
 
 from oracles import binomial_band, cone_measure
 
@@ -62,10 +69,46 @@ class TestMembership:
             if cylinder_membership(zeta, Cylinder.around(xi, R)):
                 assert cylinder_membership(zeta, Cylinder.around(eta, R))
 
-    def test_margin_floor_enforced(self, z25):
-        xi = BoundaryPoint.periodic(z25.word("st"))
-        with pytest.raises(ValidationError):
-            Cylinder(base=xi, radius=1, margin=0)
+
+_AXES = {"free": ("ab", "Ba"), "free_product": ("st", "Ts")}
+
+
+class TestExactMembership:
+    def test_z25_first_letter_cylinders(self, z25):
+        # Every sampled prefix is decided against every first-letter
+        # cylinder U(xi, 0).  It lies in its own letter's cylinder, and a
+        # first syllable t^2 or t^3 = T^2 also reaches the opposite
+        # direction's: it leaves the 5-cycle next to that ray's exit.
+        walk = uniform_walk(z25, seed=1)
+        prefixes, _ = boundary_sample_set(walk, 2000, 10, 20, 20_000, "unit-z25-cones")
+        cones = {
+            letter: cone(BoundaryPoint.periodic(z25.word(word)))
+            for letter, word in ((1, "st"), (2, "ts"), (-2, "Ts"))
+        }
+        for letters in prefixes:
+            inside = {x for x, cyl in cones.items() if _prefix_membership(letters, cyl, z25)}
+            assert letters[0] in inside
+            half_way = z25.from_letters(letters).syllables[0] in ((2, 2), (2, 3))
+            assert len(inside) == (2 if half_way else 1)
+
+    @pytest.mark.parametrize("orders", [None, (2, 5), (3, 7)])
+    def test_translated_membership_brute_force(self, orders):
+        # g . eta against U(xi, R), decided from a short translated prefix,
+        # agrees with the product of the whole translated 40-letter prefix.
+        model = GroupModel.free(2) if orders is None else GroupModel.free_product(*orders)
+        walk = uniform_walk(model, seed=3)
+        prefixes, _ = boundary_sample_set(walk, 150, 40, 20, 20_000, "unit-translate")
+        gens = model.generators()
+        elems = [model.identity()] + [x * y for x in gens for y in gens] + list(gens)
+        bases = [BoundaryPoint.periodic(model.word(w)) for w in _AXES[model.kind]]
+        for i, letters in enumerate(prefixes):
+            g = elems[i % len(elems)]
+            z = g * model.from_letters(letters)
+            for base in bases:
+                for R in range(4):
+                    cyl = Cylinder.around(base, R)
+                    brute = gromov_product(z, base.prefix(z.word_length())) > R
+                    assert _translated_membership(g, letters, cyl, model) == brute
 
 
 class TestEstimateMeasure:
@@ -100,7 +143,7 @@ class TestEstimateMeasure:
         values = []
         for R in (0, 1, 2, 3):
             est = _measure_from_prefixes(
-                prefixes, Cylinder.around(xi, R), f2, "unit-mono", walk_f2.seed, 0, 0.01
+                prefixes, Cylinder.around(xi, R), f2, "unit-mono", walk_f2.seed, 0
             )
             values.append(est.value)
         assert all(a >= b for a, b in zip(values, values[1:]))
