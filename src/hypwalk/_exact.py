@@ -28,6 +28,11 @@ Every value is an enclosure (value, lower, upper):
 A rounding bound is a first-order one: the evaluation's operation count
 times 2^-52, over its smallest denominator.  Only Python floats are used,
 so every value is bitwise the same in every process.
+
+The same first-step equations, read as power series in z, give the
+return probabilities p^(n)(e, e); and since G(e, e | z) is finite exactly
+for z <= 1/rho, every z at which the fixed point is certified bounds the
+spectral radius from above: rho <= 1/z.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ from .walks import WalkSpec
 Bracket = tuple[float, float, float]  # (value, lower, upper)
 
 _EPS = 2.0 ** -52  # twice the unit roundoff: one rounding plus slack
-_MAX_SWEEPS = 100_000
+_MAX_SWEEPS = 20_000
 _MAX_DOUBLINGS = 200
 _MAX_DIRECTION = 1e12  # |(I - J)^-1 1| beyond this: Jacobian at eigenvalue 1
+_SPECTRAL_GAP = 1e-4  # relative width of the last bisection step towards 1/rho
 
 
 class _Letters:
@@ -191,7 +197,6 @@ class _Solution:
 
     def __init__(self, spec: WalkSpec, z: float):
         phi = _Letters(spec, z)
-        self.free = phi.free
         point = _iterate(phi, bias=False)
         lower = _iterate(phi, bias=True)
         upper = _upper(phi, point)
@@ -215,12 +220,6 @@ class _Solution:
             (1.0 + slack) / (1.0 - sums[2]),
         )
 
-    def factors(self, g: GroupElement) -> list[tuple[int, int]]:
-        """Table keys whose values multiply to F(e, g | z)."""
-        if not self.free:
-            return list(g.syllables)
-        return [(lid, 1 if exp > 0 else -1) for lid, exp in g.syllables for _ in range(abs(exp))]
-
     def product(self, keys: list[tuple[int, int]], first: Bracket = (1.0, 1.0, 1.0)) -> Bracket:
         v, lo, hi = first
         for k in keys:
@@ -228,6 +227,15 @@ class _Solution:
             v, lo, hi = v * a, lo * b, hi * c
         widen = (len(keys) + 1) * _EPS
         return v, lo * (1.0 - widen), hi * (1.0 + widen)
+
+
+def factors(g: GroupElement) -> list[tuple[int, int]]:
+    """Table keys whose values multiply to F(e, g | z): letters on F_N,
+    syllables on Z/m*Z/n.  Each boundary between two of them is a cut
+    vertex of the Cayley graph."""
+    if g.model.kind != FREE:
+        return list(g.syllables)
+    return [(lid, 1 if exp > 0 else -1) for lid, exp in g.syllables for _ in range(abs(exp))]
 
 
 @lru_cache(maxsize=16)
@@ -238,13 +246,13 @@ def _solution(spec: WalkSpec, z: float) -> _Solution:
 def first_passage(spec: WalkSpec, g: GroupElement, z: float = 1.0) -> Bracket:
     """F(e, g | z): the product of one-syllable values."""
     sol = _solution(spec, z)
-    return sol.product(sol.factors(g))
+    return sol.product(factors(g))
 
 
 def green(spec: WalkSpec, g: GroupElement, z: float = 1.0) -> Bracket:
     """G(e, g | z) = G(e, e | z) F(e, g | z)."""
     sol = _solution(spec, z)
-    return sol.product(sol.factors(g), first=sol.base)
+    return sol.product(factors(g), first=sol.base)
 
 
 def kernel(spec: WalkSpec, g: GroupElement, y: GroupElement) -> Bracket:
@@ -255,8 +263,8 @@ def kernel(spec: WalkSpec, g: GroupElement, y: GroupElement) -> Bracket:
     where the ray leaves the geodesic to g.
     """
     sol = _solution(spec, 1.0)
-    num = sol.factors(g.inverse() * y)
-    den = sol.factors(y)
+    num = factors(g.inverse() * y)
+    den = factors(y)
     while num and den and num[-1] == den[-1]:
         num.pop()
         den.pop()
@@ -269,3 +277,74 @@ def ratio(spec: WalkSpec, g: GroupElement) -> Bracket:
     if g.has_finite_order():
         return 1.0, 1.0, 1.0
     return first_passage(spec, g.cyclic_reduction()[1])
+
+
+def returns(spec: WalkSpec, steps: int) -> list[float]:
+    """p^(n)(e, e) for n = 0..steps, as power-series coefficients.
+
+    F_sigma = z sum_s mu(s) F(e, s^-1 sigma) over the one-syllable keys
+    sigma, with F(e, g) the product over ``factors(g)``; then
+    G = 1 + z G sum_s mu(s) F_{s^-1}.  Coefficient n of the right-hand
+    sides needs only coefficients below n.
+    """
+    model = spec.model
+    if model.kind == FREE:
+        keys = [g.syllables[0] for g in model.generators()]
+    else:
+        keys = [(lid, k) for lid in (1, 2) for k in range(1, model.letter_order(lid))]
+    steps_of = {}  # sigma -> [(mu(s), factors of s^-1 sigma)]
+    for key in keys:
+        sigma = GroupElement(model, (key,))
+        steps_of[key] = [(p, factors(s.inverse() * sigma)) for s, p in spec.support]
+    F = {k: [0.0] * (steps + 1) for k in keys}
+
+    def coeff(keys: list, n: int) -> float:
+        """Coefficient n of the product of the series of ``keys``."""
+        if not keys:
+            return 1.0 if n == 0 else 0.0
+        if len(keys) == 1:
+            return F[keys[0]][n]
+        a, b = F[keys[0]], F[keys[1]]  # nearest-neighbour: at most two factors
+        return sum(a[i] * b[n - i] for i in range(1, n))
+
+    for n in range(1, steps + 1):
+        for key in keys:
+            F[key][n] = sum(p * coeff(keys, n - 1) for p, keys in steps_of[key])
+    first_return = [0.0] + [
+        sum(p * F[factors(s.inverse())[0]][n - 1] for s, p in spec.support)
+        for n in range(1, steps + 1)
+    ]
+    G = [1.0] + [0.0] * steps
+    for n in range(1, steps + 1):
+        G[n] = sum(first_return[i] * G[n - i] for i in range(1, n + 1))
+    return G
+
+
+def _certified(spec: WalkSpec, z: float) -> bool:
+    try:
+        _Solution(spec, z)
+    except (DivergenceError, SolverError):
+        return False
+    return True
+
+
+def spectral_upper(spec: WalkSpec) -> float:
+    """A certified upper bound 1/z on the spectral radius rho.
+
+    z is the largest weight found at which ``_Solution`` certifies its
+    enclosure, so G(e, e | z) is finite and z <= 1/rho.  It is found by
+    doubling from z = 1 and then bisecting down to a relative gap of
+    ``_SPECTRAL_GAP``; a probe that diverges or runs out of sweeps counts
+    as not certified.
+    """
+    _solution(spec, 1.0)  # z = 1 must certify: its errors propagate
+    lo, hi = 1.0, 2.0
+    while _certified(spec, hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > _SPECTRAL_GAP * lo:
+        mid = 0.5 * (lo + hi)
+        if _certified(spec, mid):
+            lo = mid
+        else:
+            hi = mid
+    return (1.0 / lo) * (1.0 + _EPS)

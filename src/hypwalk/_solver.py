@@ -151,46 +151,3 @@ class RestrictedSolver:
     def row_residual(self, i: int) -> float:
         return self.residuals.get(("T", i), float("nan"))
 
-
-def taboo_first_passage(
-    solver: RestrictedSolver, lam_indices: np.ndarray, source: int
-) -> np.ndarray:
-    """First-passage probabilities F(source, y) for y in a taboo set.
-
-    The chain is absorbed on the taboo set: with Q the transition block
-    among non-taboo states and R the block into the taboo set, the
-    answer is the source row of (I - zQ)^{-1} (zR).
-    """
-    n = len(solver.ball)
-    lam_mask = np.zeros(n, dtype=bool)
-    lam_mask[lam_indices] = True
-    if lam_mask[source]:
-        out = np.zeros(len(lam_indices))
-        out[list(lam_indices).index(source)] = 1.0
-        return out
-    outside = np.nonzero(~lam_mask)[0]
-    pos = -np.ones(n, dtype=np.int64)
-    pos[outside] = np.arange(len(outside))
-    P = solver._P
-    Q = P[outside][:, outside].tocsc()
-    R = P[outside][:, lam_indices].tocsr()
-    b = np.zeros(len(outside))
-    b[pos[source]] = 1.0
-    z = solver.z
-    A = sp.identity(len(outside), format="csc") - z * Q
-    if len(outside) <= SPLU_MAX_STATES:
-        u = spla.splu(A).solve(b, trans="T")
-    else:
-        QT = Q.T.tocsr()
-        u = _series_vec(b, lambda x: QT @ x, z, solver.rtol)
-    return z * (R.T @ u)
-
-
-def _series_vec(b, op, z, rtol):
-    v = b.copy()
-    for _ in range(_SERIES_MAX_ITER):
-        nxt = b + z * op(v)
-        if float(np.max(np.abs(nxt - v))) <= rtol:
-            return nxt
-        v = nxt
-    raise SolverError("taboo series solve did not converge")

@@ -30,7 +30,7 @@ EXPERIMENTS = (
 )
 
 _BUDGET_DEFAULTS = {
-    "max_radius": None,  # per-model default when None
+    "max_radius": None,  # radius of the green word list: 4 when None
     "max_states": 3_000_000,
     "n_samples": 100_000,
     "maxlen": 3,
@@ -155,6 +155,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         _require(
             isinstance(value, int) and value > 0, f"budgets.{key} must be a positive integer"
         )
+    _require(
+        budgets["spectral_steps"] >= 4 and budgets["spectral_steps"] % 2 == 0,
+        "budgets.spectral_steps must be an even integer of at least 4",
+    )
     for key, value in tolerances.items():
         _require(
             isinstance(value, (int, float)) and value > 0, f"tolerances.{key} must be positive"

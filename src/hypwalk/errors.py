@@ -17,10 +17,6 @@ class BudgetExceededError(HypwalkError, RuntimeError):
     """A state-count, radius or step budget was exhausted."""
 
 
-class GreenBudgetError(BudgetExceededError):
-    """A nested-ball bracket missed its tolerance."""
-
-
 class SolverError(HypwalkError, RuntimeError):
     """Linear solve failed or did not converge."""
 

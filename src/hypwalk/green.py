@@ -4,11 +4,12 @@ check along geodesics.
 
 Full-group values (``green``, ``green_z``, ``first_passage``) are exact
 products over syllables from the cut-vertex engine in ``_exact``, each
-with a certified enclosure of relative width near float rounding.
-Restricted values on balls come from the sparse solver; they serve the
-taboo kernels, the multiplicativity check and the tests as an
-independent oracle.  Taboo first-passage values are extrapolated over
-nested balls, with an honest rather than certified upper bound.
+with a certified enclosure of relative width near float rounding.  Taboo
+kernels (``first_passage_set``, ``last_exit``) solve the walk absorbed on
+the taboo set over a finite cut-closed domain, with the branches beyond
+it folded in as exact self-loops, so they carry enclosures of the same
+kind.  Restricted values on balls come from the sparse solver; they serve
+the multiplicativity check and the tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -18,45 +19,29 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy import stats
 
 from . import _exact
-from ._solver import RestrictedSolver, taboo_first_passage
-from .errors import GreenBudgetError, ValidationError
-from .groups import FREE, Ball, GroupElement, ball, distance, geodesic
-from .walks import WalkSpec, n_step_distributions, require_valid
-
-def default_max_radius(model) -> int:
-    """Radius budget keeping ball sizes well under 10^6 states."""
-    if model.kind == FREE:
-        return {2: 12, 3: 8}.get(model.rank, 6)
-    # Free-product balls grow slowly; the deeper default buys bracket
-    # quality against spectral radii close to 1.
-    return 30
+from ._solver import RestrictedSolver
+from .errors import SolverError, ValidationError
+from .groups import Ball, GroupElement, ball, distance, geodesic
+from .walks import WalkSpec, n_step_distributions, require_valid, reversed_walk
 
 
 @dataclass(frozen=True)
 class GreenEstimate:
-    """A bracketed value of a Green-type quantity.
+    """A Green-type value with a certified enclosure.
 
-    Full-group values are exact enclosures: ``lower <= value <= upper``
-    with a relative width near float rounding, ``radii == ()``,
-    ``tail_ratio == 0`` and ``converged`` set.  Taboo values from
-    nested balls record the radii used: ``lower`` is the largest
-    restricted value and ``upper`` adds a safety-factored geometric tail.
+    ``lower <= value <= upper``; the relative width is near float
+    rounding, or zero where the value is exact (a taboo point the walk
+    cannot reach first, or the start point itself).
     """
 
     value: float
     lower: float
     upper: float
-    radii: tuple[int, ...]
-    tail_ratio: float
-    converged: bool
-
-    @classmethod
-    def exact(cls, bracket: _exact.Bracket) -> "GreenEstimate":
-        value, lower, upper = bracket
-        return cls(value, lower, upper, radii=(), tail_ratio=0.0, converged=True)
 
     def width(self) -> float:
         return self.upper - self.lower
@@ -134,7 +119,7 @@ def restricted_green(
 def green(walk: WalkSpec, x: GroupElement, y: GroupElement) -> GreenEstimate:
     """G(x, y) = G(e, x^-1 y), exact with a float-rounding enclosure."""
     require_valid(walk, nondegenerate=False)
-    return GreenEstimate.exact(_exact.green(walk, x.inverse() * y))
+    return GreenEstimate(*_exact.green(walk, x.inverse() * y))
 
 
 def green_z(walk: WalkSpec, x: GroupElement, y: GroupElement, z: float) -> GreenEstimate:
@@ -146,107 +131,107 @@ def green_z(walk: WalkSpec, x: GroupElement, y: GroupElement, z: float) -> Green
     if z < 0:
         raise ValueError("z must be nonnegative")
     require_valid(walk, nondegenerate=False)
-    return GreenEstimate.exact(_exact.green(walk, x.inverse() * y, float(z)))
+    return GreenEstimate(*_exact.green(walk, x.inverse() * y, float(z)))
 
 
 def first_passage(walk: WalkSpec, x: GroupElement, y: GroupElement) -> GreenEstimate:
     """First-passage probability F(x, y) = G(x, y) / G(y, y), in [0, 1]."""
     require_valid(walk, nondegenerate=False)
-    return GreenEstimate.exact(_exact.first_passage(walk, x.inverse() * y))
+    return GreenEstimate(*_exact.first_passage(walk, x.inverse() * y))
 
 
 # ---------------------------------------------------------------------------
-# taboo kernels on nested balls
-
-_TAIL_SAFETY = 3.0
-_TAIL_RATIO_CAP = 0.95
-_MIN_RUNGS = 3
-
-
-def _extrapolate(values: Sequence[float], radii: Sequence[int], tol: float) -> GreenEstimate:
-    v = list(values)
-    last = v[-1]
-    d1 = last - v[-2]
-    d2 = v[-2] - v[-3]
-    if d1 <= 0.0:
-        return GreenEstimate(last, last, last, tuple(radii), 0.0, True)
-    q = d1 / d2 if d2 > 0 else _TAIL_RATIO_CAP
-    q = min(max(q, 0.0), _TAIL_RATIO_CAP)
-    tail = d1 * q / (1.0 - q)
-    value = last + tail
-    upper = last + _TAIL_SAFETY * tail
-    converged = (upper - last) <= tol * max(value, 1e-300)
-    return GreenEstimate(value, last, upper, tuple(radii), q, converged)
-
-
-def _rungs(target_length: int, max_radius: int) -> list[int]:
-    first = max(4, target_length + 2)
-    return list(range(first, max_radius + 1))
+# taboo kernels on the cut-closed domain
 
 
 def first_passage_set(
-    walk: WalkSpec,
-    lam: Iterable[GroupElement],
-    x: GroupElement,
-    tol: float = 1e-3,
-    *,
-    max_radius: int | None = None,
-    rtol: float = 1e-12,
-    max_states: int = 3_000_000,
+    walk: WalkSpec, lam: Iterable[GroupElement], x: GroupElement
 ) -> dict[GroupElement, GreenEstimate]:
     """First-passage distribution on a taboo set: y -> F(x, y; first hit of lam).
 
-    Computed on nested balls with the set absorbing.  Values increase
-    with the domain; each target's last three radii are extrapolated with
-    a geometric tail, and the upper bound triples that tail.
+    The walk is absorbed on lam over D_k, the elements with at most k
+    cut-vertex factors (``_exact.factors``: letters on F_N, syllables on
+    Z/m*Z/n), k the largest count over lam and x.  A step v -> vs that
+    leaves D_k enters a branch attached only at v, which the walk leaves
+    through v with probability F(e, s^-1): the step becomes a self-loop
+    at v of weight mu(s) F(e, s^-1).  Only states reachable from x
+    without hitting lam enter the sparse LU solve.
+
+    The absorbed chain is monotone in its loop weights, so the lower and
+    upper ends of the F enclosure give the bracket ends.  Each is widened
+    by the residual of its solve: the error of the solution is the
+    residual weighted by hitting probabilities, which are at most 1.
     """
     require_valid(walk, nondegenerate=False)
     lam = list(dict.fromkeys(lam))
     if not lam:
         raise ValidationError("taboo set is empty")
-    cap = max_radius if max_radius is not None else default_max_radius(walk.model)
-    need = max(max(g.word_length() for g in lam), x.word_length())
-    rungs = _rungs(need, cap)
-    if len(rungs) < _MIN_RUNGS:
-        raise GreenBudgetError(f"taboo set needs {_MIN_RUNGS} radii above {need + 2}")
-    per_rung: list[np.ndarray] = []
-    used: list[int] = []
-    for r in rungs:
-        solver = _solver(walk, r, 1.0, rtol, max_states)
-        lam_idx = np.array([solver.ball.index_of(g) for g in lam], dtype=np.int64)
-        vec = taboo_first_passage(solver, lam_idx, solver.ball.index_of(x))
-        per_rung.append(vec)
-        used.append(r)
-        if len(per_rung) >= _MIN_RUNGS:
-            ests = [
-                _extrapolate([float(v[k]) for v in per_rung], used, tol)
-                for k in range(len(lam))
-            ]
-            if all(e.converged for e in ests):
-                return dict(zip(lam, ests))
-    raise GreenBudgetError(f"taboo brackets did not reach tol={tol} at radius {cap}")
+    if x in lam:
+        return {y: GreenEstimate(*[float(y == x)] * 3) for y in lam}
+    k = max(len(_exact.factors(g)) for g in [x, *lam])
+    taboo = {y: j for j, y in enumerate(lam)}
+    # per step s: mu(s) times the (value, lower, upper) ends of F(e, s^-1)
+    steps = [
+        (s, p, p * np.array(_exact.first_passage(walk, s.inverse()))) for s, p in walk.support
+    ]
+    states, index, loops = [x], {x: 0}, []
+    q_rows, q_cols, q_data, r_rows, r_cols, r_data = [], [], [], [], [], []
+    for i, v in enumerate(states):  # grows while it is walked: a BFS
+        loop = np.zeros(3)
+        for s, p, folded in steps:
+            w = v * s
+            if w in taboo:
+                r_rows.append(i)
+                r_cols.append(taboo[w])
+                r_data.append(p)
+            elif len(_exact.factors(w)) > k:
+                loop += folded
+            else:
+                if w not in index:
+                    index[w] = len(states)
+                    states.append(w)
+                q_rows.append(i)
+                q_cols.append(index[w])
+                q_data.append(-p)
+        loops.append(loop)
+    n = len(states)
+    R = sp.csr_matrix((r_data, (r_rows, r_cols)), shape=(n, len(lam)))
+    hit = np.diff(R.tocsc().indptr) > 0  # targets some reachable state steps into
+    source = np.zeros(n)
+    source[0] = 1.0
+    rounding = (len(steps) + 3) * np.finfo(float).eps  # first-order, per matrix row
+    brackets = []
+    for end, sign in ((0, 0.0), (1, -1.0), (2, 1.0)):
+        diag = [1.0 - loop[end] * (1.0 + sign * rounding) for loop in loops]
+        A = sp.csc_matrix(
+            (diag + q_data, (list(range(n)) + q_rows, list(range(n)) + q_cols)), shape=(n, n)
+        )
+        try:
+            u = spla.splu(A).solve(source, trans="T")  # expected visits from x
+        except RuntimeError as exc:
+            raise SolverError(f"taboo solve failed: {exc}") from exc
+        err = np.abs(source - A.T @ u).sum() + rounding * (abs(A).T @ np.abs(u)).sum()
+        brackets.append((R.T @ u) * (1.0 + sign * rounding) + sign * err)
+    value, lower, upper = brackets
+    out = {}
+    for j, y in enumerate(lam):
+        lo, hi = (max(float(lower[j]), 0.0), float(upper[j])) if hit[j] else (0.0, 0.0)
+        out[y] = GreenEstimate(min(max(float(value[j]), lo), hi), lo, hi)
+    return out
 
 
 def last_exit(
-    walk: WalkSpec,
-    lam: Iterable[GroupElement] | None,
-    x: GroupElement,
-    y: GroupElement,
-    tol: float = 1e-3,
-    **kwargs,
+    walk: WalkSpec, lam: Iterable[GroupElement] | None, x: GroupElement, y: GroupElement
 ) -> GreenEstimate:
     """Last-exit kernel L(x, y) relative to a taboo set containing x.
 
     Computed through the reversed walk: L(x, y) equals the reversed-walk
     first-passage probability from y to the set, at x.
     """
-    from .walks import reversed_walk
-
     lam = [x] if lam is None else list(lam)
     if x not in lam:
         raise ValidationError("last_exit needs x inside the taboo set")
-    table = first_passage_set(reversed_walk(walk), lam, y, tol, **kwargs)
-    return table[x]
+    return first_passage_set(reversed_walk(walk), lam, y)[x]
 
 
 # ---------------------------------------------------------------------------

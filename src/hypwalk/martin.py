@@ -149,7 +149,7 @@ def limit_gromov(a: BoundaryPoint, b: BoundaryPoint, cap: int = 256) -> tuple[Fr
 def martin_kernel_at(walk: WalkSpec, g: GroupElement, y: GroupElement) -> GreenEstimate:
     """Finite-stage Martin kernel G(g, y) / G(e, y), exact with an enclosure."""
     require_valid(walk)
-    return GreenEstimate.exact(_exact.kernel(walk, g, y))
+    return GreenEstimate(*_exact.kernel(walk, g, y))
 
 
 @dataclass(frozen=True)

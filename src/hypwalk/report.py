@@ -26,7 +26,6 @@ from .config import ExperimentConfig
 from .errors import HypwalkError
 from .green import (
     ancona_check,
-    default_max_radius,
     green,
     green_decay_slope,
     harnack_constant,
@@ -143,7 +142,7 @@ def _hoelder_pairs(model: GroupModel, g_len: int, count: int = 8):
 
 def _exp_green(cfg: ExperimentConfig):
     walk = cfg.walk
-    cap = cfg.budgets["max_radius"] or default_max_radius(cfg.model)
+    cap = cfg.budgets["max_radius"] or 5
     b = ball(cfg.model, min(4, cap))
     e = cfg.model.identity()
     rows = []
@@ -155,7 +154,6 @@ def _exp_green(cfg: ExperimentConfig):
         rows.append({
             "word": str(g), "length": g.word_length(),
             "value": est.value, "lower": est.lower, "upper": est.upper,
-            "converged": est.converged,
         })
     slope, intercept = green_decay_slope(walk, max_len=min(5, cap), per_sphere=8)
     base = [restricted_green(walk, r, max_states=cfg.budgets["max_states"]).value(e, e)
@@ -179,9 +177,7 @@ def _exp_simulate(cfg: ExperimentConfig):
     walk = cfg.walk
     report = validate_walk(walk)
     path = sample_path(walk, cfg.model.identity(), 64, stream=0)
-    sr = spectral_radius_estimate(
-        walk, cfg.budgets["spectral_steps"], cfg.budgets["max_states"]
-    )
+    sr = spectral_radius_estimate(walk, cfg.budgets["spectral_steps"])
     depths, steps = [], []
     failures = 0
     for i in range(64):
@@ -197,13 +193,13 @@ def _exp_simulate(cfg: ExperimentConfig):
             failures += 1
     ok = (
         report.probabilities_ok and report.nearest_neighbour and report.nondegenerate
-        and sr.lower < 1.0 and sr.fitted < 1.0 and failures == 0
+        and sr.lower <= sr.upper < 1.0 and failures == 0
     )
     result = {
         "validation": report.as_dict(),
         "first_positions": [str(x) for x in path.positions[:8]],
         "spectral_lower": sr.lower,
-        "spectral_fitted": sr.fitted,
+        "spectral_upper": sr.upper,
         "boundary_mean_steps": float(np.mean(steps)) if steps else None,
         "boundary_mean_depth": float(np.mean(depths)) if depths else None,
         "boundary_failures": failures,

@@ -1,15 +1,19 @@
-"""Step distributions, path and boundary sampling, spectral radius.
+"""Walk specs, step distributions, path and boundary sampling, and the
+spectral radius.
 
 Randomness is counter-based: every sample is a pure function of
 ``(spec.seed, stream)`` through a keyed Philox generator, so results do
-not depend on scheduling or worker count.
+not depend on the order in which samples are drawn.  The spectral radius
+is bracketed by the exact engine in ``_exact``: the lower end from exact
+return probabilities, the upper end from a certified weighted Green
+function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -368,7 +372,7 @@ def sample_boundary_point(
 
 
 # ---------------------------------------------------------------------------
-# exact n-step distributions and the spectral radius
+# exact n-step distributions (an oracle) and the spectral radius
 
 
 def n_step_distributions(spec: WalkSpec, n: int, max_states: int = 3_000_000):
@@ -399,61 +403,28 @@ def n_step_distributions(spec: WalkSpec, n: int, max_states: int = 3_000_000):
 
 @dataclass(frozen=True)
 class SpectralRadiusEstimate:
-    """Even-step return probabilities and derived spectral radius bounds."""
+    """Exact even-step return probabilities and a certified bracket of rho."""
 
     even_returns: tuple[float, ...]  # p^(0), p^(2), ..., p^(2n)
     roots: tuple[float, ...]  # p^(2k)(e,e)^(1/2k)
-    lower: float  # max root: a rigorous lower bound
-    fitted: float  # accelerated ratio estimate (heuristic point value)
-
-    @property
-    def value(self) -> float:
-        return self.fitted
+    lower: float  # max root: p^(n)(e,e) <= rho^n for every n
+    upper: float  # 1/z at the largest z where G(e,e|z) is certified finite
 
 
-def spectral_radius_estimate(
-    spec: WalkSpec, max_steps: int = 20, max_states: int = 3_000_000
-) -> SpectralRadiusEstimate:
-    """Estimate the spectral radius from exact even-step returns.
+def spectral_radius_estimate(spec: WalkSpec, max_steps: int = 20) -> SpectralRadiusEstimate:
+    """Bracket the spectral radius rho of a nearest-neighbour walk.
 
-    ``p^(2k)(e, e) = sum_y p^(k)(e, y) * reversed-p^(k)(e, y)`` needs only
-    the radius-k ball, so ``max_steps`` of 2k costs a ball of radius k.
+    The returns p^(n)(e, e), n <= ``max_steps``, are power-series
+    coefficients of the cut-vertex first-step equations; ``upper`` comes
+    from bisecting for the largest z at which the exact engine certifies
+    G(e, e | z) < infinity.  No ball is built.
     """
+    from . import _exact  # _exact imports this module
+
     if max_steps < 4 or max_steps % 2:
         raise ValueError("max_steps must be even and at least 4")
-    n = max_steps // 2
-    _, fwd = n_step_distributions(spec, n, max_states)
-    sym = validate_walk(spec).symmetric
-    if sym:
-        rev = fwd
-    else:
-        _, rev = n_step_distributions(reversed_walk(spec), n, max_states)
-    even = [float(np.dot(fwd[k], rev[k])) for k in range(n + 1)]
-    roots = tuple(even[k] ** (1.0 / (2 * k)) for k in range(1, n + 1))
-    lower = max(roots)
-    fitted = _accelerated_ratio(even)
-    return SpectralRadiusEstimate(
-        even_returns=tuple(even), roots=roots, lower=lower, fitted=fitted
-    )
-
-
-def _accelerated_ratio(even: Sequence[float]) -> float:
-    """Point estimate of rho from even returns.
-
-    Consecutive-ratio estimates with the k^(-3/2) local-limit correction,
-    Aitken-accelerated.  Heuristic; the rigorous bound is the root max.
-    """
-    n = len(even) - 1
-    seq = [
-        np.sqrt(even[k + 1] / even[k] * ((k + 1) / k) ** 1.5)
-        for k in range(1, n)
-        if even[k] > 0
-    ]
-    if len(seq) < 3:
-        return float(seq[-1]) if seq else float("nan")
-    r = np.asarray(seq)
-    d1 = r[2:] - r[1:-1]
-    d0 = r[1:-1] - r[:-2]
-    denom = d1 - d0
-    accel = r[2:] - np.divide(d1 * d1, denom, out=np.zeros_like(d1), where=denom != 0)
-    return float(accel[-1])
+    require_valid(spec, nondegenerate=False)
+    even = tuple(_exact.returns(spec, max_steps)[::2])
+    roots = tuple(even[k] ** (1.0 / (2 * k)) for k in range(1, len(even)))
+    upper = _exact.spectral_upper(spec)
+    return SpectralRadiusEstimate(even_returns=even, roots=roots, lower=max(roots), upper=upper)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's solver paths: BFS uses
 only multiplication and equality, the distance-chain Green values come
-from a dense solve of a birth-death reduction, and step distributions
-are enumerated path by path.
+from a dense solve of a birth-death reduction, step distributions are
+enumerated path by path, and taboo values come from the walk killed on
+leaving a ball, built from the ball's step tables alone.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 def bfs_distances(model, radius: int) -> dict:
@@ -89,3 +92,35 @@ def cone_measure(n_rank: int, depth: int) -> float:
 
 def binomial_band(p: float, n: int, sigmas: float = 4.0) -> float:
     return sigmas * np.sqrt(p * (1 - p) / n)
+
+
+def ball_taboo(walk, radius: int, lam, x) -> list:
+    """First-passage probabilities on ``lam`` from x for the walk absorbed
+    on lam and killed on leaving B(e, radius), in the order of lam.
+
+    With Q the transitions among the other ball states and R those into
+    lam, the answer is row x of (I - Q)^-1 R.  Values increase with the
+    radius to the full-group taboo kernel.
+    """
+    from hypwalk import ball
+
+    b = ball(walk.model, radius)
+    n = len(b)
+    rows, cols, data = [], [], []
+    for g, p in walk.support:
+        step = b.step_tables()[g.letters()[0]]
+        inside = np.nonzero(step >= 0)[0]
+        rows.append(inside)
+        cols.append(step[inside])
+        data.append(np.full(len(inside), p))
+    P = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    taboo = np.array([b.index_of(y) for y in lam])
+    free = np.setdiff1d(np.arange(n), taboo)
+    Q = P[free][:, free]
+    R = P[free][:, taboo]
+    source = np.zeros(len(free))
+    source[np.searchsorted(free, b.index_of(x))] = 1.0
+    visits = spla.spsolve((sp.identity(len(free)) - Q).T.tocsc(), source)
+    return list(R.T @ visits)

@@ -6,13 +6,13 @@ import math
 import pytest
 
 from hypwalk import GroupElement, first_passage
-from hypwalk.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from hypwalk.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION_FAILED, main
 from hypwalk.config import parse_config
 
 ASYM_F2 = [["a", 0.35], ["A", 0.15], ["b", 0.30], ["B", 0.20]]
 
 
-def _run(tmp_path, model, experiments, support="uniform", **sections):
+def _run(tmp_path, model, experiments, support="uniform", args=(), out="out", **sections):
     cfg = {
         "schema_version": 1,
         "model": model,
@@ -22,8 +22,8 @@ def _run(tmp_path, model, experiments, support="uniform", **sections):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    code = main(["--config", str(path), "--out", str(out)])
+    out = tmp_path / out
+    code = main(["--config", str(path), "--out", str(out), *args])
     report = out / "report.json"
     return code, json.loads(report.read_text()) if report.exists() else None, cfg
 
@@ -105,3 +105,59 @@ def test_state_budget_exhaustion(tmp_path):
         tmp_path, {"kind": "free", "rank": 2}, ["green"], budgets={"max_states": 1000}
     )
     assert code == EXIT_BUDGET and report is None
+
+
+@pytest.mark.parametrize("steps", [5, 2, 0])
+def test_invalid_spectral_steps_is_a_config_error(tmp_path, capsys, steps):
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["simulate"], budgets={"spectral_steps": steps}
+    )
+    assert code == EXIT_CONFIG and report is None
+    assert "spectral_steps" in capsys.readouterr().err
+
+
+def test_failed_verification_exit_code(tmp_path):
+    # Two samples cannot fill every Gibbs cylinder: the verdict fails.
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["gibbs"], budgets={"n_samples": 2}
+    )
+    assert code == EXIT_VERIFICATION_FAILED
+    assert report["verdicts"] == {"gibbs": "fail"} and report["passed"] is False
+
+
+def test_override_reaches_config_echo(tmp_path):
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["rg"], args=["--override", "budgets.maxlen=2"]
+    )
+    assert code == EXIT_OK
+    assert report["config_echo"]["budgets"]["maxlen"] == 2
+    lengths = [row["length"] for row in report["results"]["rg"]["ratios"]]
+    assert max(lengths) == 2
+
+
+def test_subcommands_select_experiments(tmp_path):
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["classify", "green"],
+        args=["--subcommands", "rg,martin"],
+    )
+    assert code == EXIT_OK
+    assert set(report["verdicts"]) == set(report["results"]) == {"rg", "martin"}
+
+
+def test_reports_identical_across_runs(tmp_path):
+    texts = []
+    for out in ("first", "second"):
+        code, _, _ = _run(
+            tmp_path, {"kind": "free", "rank": 2}, ["simulate", "rg"], ASYM_F2, out=out
+        )
+        assert code == EXIT_OK
+        lines = (tmp_path / out / "report.json").read_text().splitlines()
+        texts.append([line for line in lines if '"generated_at"' not in line])
+    assert texts[0] == texts[1]
+
+
+def test_f3_simulate_default_budgets(tmp_path):
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 3}, ["simulate"])
+    assert code == EXIT_OK
+    sim = report["results"]["simulate"]
+    assert sim["spectral_lower"] <= math.sqrt(5) / 3 <= sim["spectral_upper"]

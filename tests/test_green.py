@@ -21,7 +21,7 @@ from hypwalk.errors import DivergenceError
 from hypwalk.green import _solver
 from hypwalk.walks import n_step_distributions
 
-from oracles import distance_chain_green
+from oracles import ball_taboo, distance_chain_green
 
 
 class TestRestrictedGreen:
@@ -117,6 +117,10 @@ class TestGreenEstimates:
         assert f1 * f1 <= f2v * (1 + 1e-9)
 
 
+def _rel_width(est):
+    return (est.upper - est.lower) / est.value
+
+
 class TestTabooKernels:
     def test_point_mass_inside(self, walk_f2, f2):
         lam = [f2.word("a"), f2.word("b")]
@@ -126,32 +130,62 @@ class TestTabooKernels:
 
     def test_unit_sphere_uniform(self, walk_f2, f2):
         lam = [f2.word(w) for w in ("a", "A", "b", "B")]
-        table = first_passage_set(walk_f2, lam, f2.identity(), tol=1e-8)
+        table = first_passage_set(walk_f2, lam, f2.identity())
         for est in table.values():
-            assert est.value == pytest.approx(0.25, abs=1e-10)
+            assert est.lower <= 0.25 <= est.upper
+            assert 0 < _rel_width(est) <= 1e-12
 
     def test_separating_sphere_total_mass(self, walk_f2, f2):
         # The transient walk hits every separating sphere: masses sum to 1.
-        b = ball(f2.model if hasattr(f2, "model") else f2, 2)
+        b = ball(f2, 2)
         lam = [b.element(i) for i in b.sphere_indices(2)]
-        table = first_passage_set(walk_f2, lam, f2.identity(), tol=1e-6)
-        total = sum(est.value for est in table.values())
-        assert total == pytest.approx(1.0, abs=1e-6)
+        table = first_passage_set(walk_f2, lam, f2.identity())
+        assert sum(est.lower for est in table.values()) <= 1.0
+        assert sum(est.upper for est in table.values()) >= 1.0
+        for est in table.values():
+            assert est.lower <= 1 / 12 <= est.upper
 
     def test_last_exit_symmetric(self, walk_f2, f2):
         e, a = f2.identity(), f2.word("a")
-        le = last_exit(walk_f2, None, e, a, tol=1e-5)
-        fp = first_passage(walk_f2, a, e)
-        assert le.value == pytest.approx(fp.value, rel=1e-8)
-        assert le.value == pytest.approx(1 / 3, abs=1e-8)
+        le = last_exit(walk_f2, None, e, a)
+        assert le.value == pytest.approx(first_passage(walk_f2, a, e).value, rel=1e-12)
+        assert le.lower <= 1 / 3 <= le.upper
+        assert _rel_width(le) <= 1e-12
 
     def test_last_exit_two_routes_asymmetric(self, f2):
+        # L(e, a) for the set {e} is G(e, a) / G(e, e).
         spec = make_walk(f2, [("a", 0.4), ("A", 0.1), ("b", 0.25), ("B", 0.25)], seed=3)
         e, a = f2.identity(), f2.word("a")
-        via_reversal = last_exit(spec, None, e, a, tol=1e-6)
-        num = green(spec, e, a)
-        den = green(spec, e, e)
-        assert via_reversal.value == pytest.approx(num.value / den.value, rel=1e-6)
+        via_reversal = last_exit(spec, None, e, a)
+        ratio = green(spec, e, a).value / green(spec, e, e).value
+        assert via_reversal.lower <= ratio <= via_reversal.upper
+        assert _rel_width(via_reversal) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "model,weights,lam,start,radii",
+        [
+            (GroupModel.free(2), [("a", 0.4), ("A", 0.1), ("b", 0.25), ("B", 0.25)],
+             ["ab", "B", "e", "bb", "A"], "b", (4, 6, 8)),
+            # tt is in the 5-cycle of t; st, sT and TTs lie across a cut vertex.
+            (GroupModel.free_product(2, 5), [("s", 0.4), ("t", 0.35), ("T", 0.25)],
+             ["st", "tt", "TTs", "sT"], "t", (6, 9, 12)),
+        ],
+        ids=["f2-asym", "z25"],
+    )
+    def test_above_restricted_balls(self, model, weights, lam, start, radii):
+        walk = make_walk(model, weights, seed=1)
+        lam = [model.word(w) for w in lam]
+        table = first_passage_set(walk, lam, model.word(start))
+        oracle = [ball_taboo(walk, r, lam, model.word(start)) for r in radii]
+        for j, y in enumerate(lam):
+            est = table[y]
+            if est.value == 0.0:
+                assert est.upper == 0.0 and all(v[j] == 0.0 for v in oracle)
+                continue
+            assert 0 < _rel_width(est) <= 1e-12
+            gaps = [est.upper - v[j] for v in oracle]
+            assert 0 < gaps[2] < gaps[1] < gaps[0]
+            assert gaps[2] < 1e-3 * est.value
 
 
 class TestWeightedGreen:

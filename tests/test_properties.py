@@ -1,0 +1,61 @@
+"""Properties of the exact engine across the model family.
+
+Models are F_2 to F_4 and Z/m*Z/n with m, n <= 7; walks put random
+positive, non-symmetric weights on the nearest-neighbour alphabet.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypwalk import GroupModel, first_passage_set, make_walk, spectral_radius_estimate
+from hypwalk._exact import factors, returns
+from hypwalk.walks import n_step_distributions
+
+MODELS = [GroupModel.free(n) for n in (2, 3, 4)] + [
+    GroupModel.free_product(m, n) for m in range(2, 8) for n in range(m, 8) if (m, n) != (2, 2)
+]
+
+
+@st.composite
+def walks(draw):
+    model = draw(st.sampled_from(MODELS))
+    gens = model.generators()
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(gens), max_size=len(gens)))
+    total = sum(weights)
+    return make_walk(model, [(g, w / total) for g, w in zip(gens, weights)], seed=1)
+
+
+def _cut_sphere(model):
+    """Elements with exactly two cut-vertex factors: every path from e to
+    infinity crosses this set."""
+    one = {g**k for g in model.generators() for k in range(1, 8) if len(factors(g**k)) == 1}
+    return sorted({g * h for g in one for h in one if len(factors(g * h)) == 2}, key=str)
+
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(walks())
+def test_returns_match_convolution(walk):
+    series = returns(walk, 4)
+    b, dists = n_step_distributions(walk, 4)
+    e = b.index_of(walk.model.identity())
+    for n in range(5):
+        assert series[n] == pytest.approx(float(dists[n][e]), rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(walks())
+def test_spectral_bracket_below_one(walk):
+    est = spectral_radius_estimate(walk, max_steps=8)
+    assert est.lower <= est.upper < 1.0
+
+
+@PROPERTY_SETTINGS
+@given(walks())
+def test_cut_sphere_masses_sum_to_one(walk):
+    table = first_passage_set(walk, _cut_sphere(walk.model), walk.model.identity())
+    assert sum(est.lower for est in table.values()) <= 1.0
+    assert sum(est.upper for est in table.values()) >= 1.0

@@ -146,17 +146,25 @@ class TestExactDistributions:
 
 
 class TestSpectralRadius:
-    def test_f2_extrapolates_to_kesten_value(self, walk_f2):
-        est = spectral_radius_estimate(walk_f2, max_steps=24)
-        target = np.sqrt(3) / 2
-        assert est.lower <= target + 1e-12
-        assert abs(est.fitted - target) <= 0.01
+    def test_free_group_kesten_value(self):
+        # Simple walk on F_N: rho = sqrt(2N - 1) / N (Kesten).
+        for rank in (2, 3, 4):
+            est = spectral_radius_estimate(uniform_walk(GroupModel.free(rank), seed=1))
+            target = np.sqrt(2 * rank - 1) / rank
+            assert est.lower <= target <= est.upper
+            assert est.upper <= target * (1 + 1e-4)
+
+    def test_asymmetric_closed_form(self, f2):
+        # rho = min_t [sum_i sqrt(t^2 + 4 mu(a_i) mu(a_i^-1)) - (N - 1) t].
+        spec = make_walk(f2, [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)], seed=5)
+        rho = 0.8212410808
+        est = spectral_radius_estimate(spec)
+        assert est.lower <= rho <= est.upper <= rho * (1 + 1e-4)
 
     def test_subcritical_postcheck(self, walk_f2, walk_z23):
         for walk in (walk_f2, walk_z23):
             est = spectral_radius_estimate(walk, max_steps=24)
-            assert est.lower < 1.0
-            assert est.fitted < 1.0
+            assert est.lower <= est.upper < 1.0
 
     def test_supermultiplicative(self, walk_f2):
         est = spectral_radius_estimate(walk_f2, max_steps=20)
@@ -165,7 +173,7 @@ class TestSpectralRadius:
             for n in range(1, 6 - m):
                 assert p[m + n] >= p[m] * p[n] - 1e-15
 
-    def test_asymmetric_uses_reversed_walk(self, f2):
+    def test_reversed_walk_same_returns(self, f2):
         spec = make_walk(f2, [("a", 0.4), ("A", 0.1), ("b", 0.25), ("B", 0.25)], seed=5)
         est = spectral_radius_estimate(spec, max_steps=12)
         rev = spectral_radius_estimate(reversed_walk(spec), max_steps=12)
