@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy import stats
 
 from . import _exact
 from ._solver import RestrictedSolver
@@ -300,6 +299,8 @@ def ancona_check(
     On tree models rho is 1 up to solver tolerance; in general the report
     records the ratio envelope and the trend of per-distance maxima.
     """
+    from scipy import stats  # costly to import; only the probes fit lines
+
     from .walks import _generator
 
     require_valid(walk)

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import _exact
 from .errors import ValidationError
@@ -258,6 +257,8 @@ def hoelder_probe(
     pairs: Sequence[tuple[BoundaryPoint, BoundaryPoint]],
     depth: int | None = None,
 ) -> HoelderReport:
+    from scipy import stats  # costly to import; only the probes fit lines
+
     rows = []
     used_depth = 0
     for xi, eta in pairs:
@@ -332,6 +333,8 @@ def livschitz_coboundary(
     Requires an infinite-order g and xi bounded away from the repelling
     fixed point of g.
     """
+    from scipy import stats
+
     if g.has_finite_order():
         raise ValidationError(f"{g} has finite order: no contracting dynamics")
     require_valid(walk)

@@ -22,7 +22,7 @@ from .errors import BoundaryTimeout, IndeterminateMembership, ValidationError
 from .green import first_passage
 from .groups import GroupElement, GroupModel
 from .martin import BoundaryPoint, _prefix_product, limit_gromov, martin_kernel_at
-from .walks import WalkSpec, require_valid, sample_boundary_point
+from .walks import WalkSpec, require_valid, sample_boundary_prefixes
 
 
 @dataclass(frozen=True)
@@ -83,19 +83,6 @@ def _stream_base(purpose: str) -> int:
 _RETRY_CAP = 20
 
 
-def _draw_one(spec, margin, patience, max_steps, stream, retry_base):
-    for attempt in range(_RETRY_CAP):
-        try:
-            s = sample_boundary_point(
-                spec, margin=margin, patience=patience, max_steps=max_steps,
-                stream=stream if attempt == 0 else retry_base + attempt,
-            )
-            return s.prefix_letters, attempt
-        except BoundaryTimeout:
-            continue
-    raise BoundaryTimeout(f"sample stream {stream} failed {_RETRY_CAP} times", stream=stream)
-
-
 @lru_cache(maxsize=8)
 def boundary_sample_set(
     spec: WalkSpec,
@@ -107,28 +94,48 @@ def boundary_sample_set(
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """n stabilized prefix words, deterministic in (spec.seed, purpose).
 
-    Sample i uses stream base+i; retries use a disjoint per-sample range,
-    so each sample is a pure function of its index.  Returns the
-    prefixes and the total retry count.
+    Sample i uses stream base+i; its k-th retry uses stream
+    base + n + i * _RETRY_CAP + k, so each sample is a pure function of its
+    index.  All samples are drawn as one batch and the timed-out ones are
+    retried together.  Returns the prefixes and the total retry count.
     """
     base = _stream_base(purpose)
-    results = [
-        _draw_one(spec, margin, patience, max_steps, base + i, base + n_samples + i * _RETRY_CAP)
-        for i in range(n_samples)
-    ]
-    prefixes = tuple(r[0] for r in results)
-    retries = sum(r[1] for r in results)
-    return prefixes, retries
+    prefixes: list = [None] * n_samples
+    pending = list(range(n_samples))
+    retries = 0
+    for attempt in range(_RETRY_CAP):
+        if not pending:
+            break
+        streams = [base + i if attempt == 0 else base + n_samples + i * _RETRY_CAP + attempt
+                   for i in pending]
+        drawn = sample_boundary_prefixes(spec, streams, margin, patience, max_steps)
+        for i, (letters, _) in zip(pending, drawn):
+            if letters is not None:
+                prefixes[i] = letters
+                retries += attempt
+        pending = [i for i in pending if prefixes[i] is None]
+    if pending:
+        stream = base + pending[0]
+        raise BoundaryTimeout(f"sample stream {stream} failed {_RETRY_CAP} times", stream=stream)
+    return tuple(prefixes), retries
+
+
+def _ray_product(
+    letters: tuple[int, ...], cyl: Cylinder, model: GroupModel
+) -> tuple[Fraction, bool]:
+    """Product of a ray beginning ``letters`` with the cylinder's base ray,
+    from their first ``cyl.depth`` letters, and whether it is exact."""
+    n = cyl.depth
+    cap = cyl.base.max_depth()
+    base = cyl.base.prefix_letters(n if cap is None else min(n, cap))
+    return _prefix_product(model, letters[:n], base)
 
 
 def _prefix_membership(
     letters: tuple[int, ...], cyl: Cylinder, model: GroupModel
 ) -> bool:
     """Decide membership of the ray whose canonical letters begin ``letters``."""
-    n = cyl.depth
-    cap = cyl.base.max_depth()
-    base = cyl.base.prefix_letters(n if cap is None else min(n, cap))
-    return _decide(*_prefix_product(model, letters[:n], base), cyl)
+    return _decide(*_ray_product(letters, cyl, model), cyl)
 
 
 @dataclass(frozen=True)
@@ -149,8 +156,11 @@ class MeasureEstimate:
 def _measure_from_prefixes(
     prefixes, cyl: Cylinder, model: GroupModel, purpose: str, seed: int, retries: int,
 ) -> MeasureEstimate:
-    n = len(prefixes)
     hits = sum(_prefix_membership(letters, cyl, model) for letters in prefixes)
+    return _estimate(hits, len(prefixes), purpose, seed, retries)
+
+
+def _estimate(hits: int, n: int, purpose: str, seed: int, retries: int) -> MeasureEstimate:
     nu = hits / n if n else 0.0
     half = 3.0 * np.sqrt(nu * (1.0 - nu) / n) if n else 1.0
     return MeasureEstimate(
@@ -218,11 +228,17 @@ def gibbs_ratio(
         raise ValidationError("gibbs radii must be positive")
     margin = max(10, Cylinder.around(xi, max(radii)).depth + 2)
     prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
+    # One product per sample, at the deepest radius, decides every radius:
+    # an exact product does not change with depth, and an inexact one is
+    # at least the number of shared letters, which is past R_max.
+    deepest = Cylinder.around(xi, max(radii))
+    products = [_ray_product(letters, deepest, walk.model) for letters in prefixes]
     e = walk.model.identity()
     rows = []
     for R in radii:
         cyl = Cylinder.around(xi, R)
-        est = _measure_from_prefixes(prefixes, cyl, walk.model, purpose, walk.seed, retries)
+        hits = sum(_decide(value, exact, cyl) for value, exact in products)
+        est = _estimate(hits, len(prefixes), purpose, walk.seed, retries)
         f = first_passage(walk, e, xi.prefix(R))
         lo = max(est.value - est.half_width, 0.0) / f.upper
         hi = (est.value + est.half_width) / max(f.lower, 1e-300)

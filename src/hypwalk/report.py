@@ -41,7 +41,7 @@ from .martin import (
 )
 from .measure import Cylinder, estimate_measure, gibbs_ratio, radon_nikodym_check
 from .walks import (
-    sample_boundary_point,
+    sample_boundary_prefixes,
     sample_path,
     spectral_radius_estimate,
     validate_walk,
@@ -178,19 +178,18 @@ def _exp_simulate(cfg: ExperimentConfig):
     report = validate_walk(walk)
     path = sample_path(walk, cfg.model.identity(), 64, stream=0)
     sr = spectral_radius_estimate(walk, cfg.budgets["spectral_steps"])
-    depths, steps = [], []
-    failures = 0
-    for i in range(64):
-        try:
-            s = sample_boundary_point(
-                walk, stream=1000 + i,
-                patience=cfg.budgets["boundary_patience"],
-                max_steps=cfg.budgets["boundary_max_steps"],
-            )
-            depths.append(s.depth)
-            steps.append(s.steps_used)
-        except HypwalkError:
-            failures += 1
+    try:
+        drawn = sample_boundary_prefixes(
+            walk, range(1000, 1064),
+            patience=cfg.budgets["boundary_patience"],
+            max_steps=cfg.budgets["boundary_max_steps"],
+        )
+    except HypwalkError:  # an invalid walk fails every stream alike
+        drawn = []
+    accepted = [(letters, n) for letters, n in drawn if letters is not None]
+    depths = [len(letters) for letters, _ in accepted]
+    steps = [n for _, n in accepted]
+    failures = 64 - len(accepted)
     ok = (
         report.probabilities_ok and report.nearest_neighbour and report.nondegenerate
         and sr.lower <= sr.upper < 1.0 and failures == 0

@@ -3,10 +3,16 @@ spectral radius.
 
 Randomness is counter-based: every sample is a pure function of
 ``(spec.seed, stream)`` through a keyed Philox generator, so results do
-not depend on the order in which samples are drawn.  The spectral radius
-is bracketed by the exact engine in ``_exact``: the lower end from exact
-return probabilities, the upper end from a certified weighted Green
-function.
+not depend on the order in which samples are drawn.  Boundary samples are
+drawn in batches: the uniforms of many streams come from one array
+evaluation of the Philox cipher (bit for bit numpy's ``Philox``), and
+their walks advance together as rows of array word stacks, in slabs of
+bounded size.  Each stream's prefix and step count are the same whatever
+batch or slab it runs in, and equal to a one-walk-at-a-time run.
+
+The spectral radius is bracketed by the exact engine in ``_exact``: the
+lower end from exact return probabilities, the upper end from a
+certified weighted Green function.
 """
 
 from __future__ import annotations
@@ -149,30 +155,67 @@ def require_valid(spec: WalkSpec, nondegenerate: bool = True) -> WalkValidation:
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream & 0xFFFFFFFFFFFFFFFF)])
+    key = np.array([np.uint64(seed & _MASK64), np.uint64(stream & _MASK64)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _StepDrawer:
-    """Chunked inverse-CDF draws of support indices from one stream."""
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers:
+# as easy as 1, 2, 3", SC'11), numpy's ``Philox`` bit generator.
+_MASK64 = (1 << 64) - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
 
-    def __init__(self, spec: WalkSpec, stream: int, chunk: int = 512):
-        self._gen = _generator(spec.seed, stream)
-        cum = np.cumsum(spec.probabilities())
-        cum[-1] = 1.0
-        self._cum = cum
-        self._chunk = chunk
-        self._buf = np.empty(0, dtype=np.int64)
-        self._pos = 0
 
-    def __call__(self) -> int:
-        if self._pos >= len(self._buf):
-            u = self._gen.random(self._chunk)
-            self._buf = np.searchsorted(self._cum, u, side="right")
-            self._pos = 0
-        idx = int(self._buf[self._pos])
-        self._pos += 1
-        return idx
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _U32
+    lh = m_lo * x_hi
+    hl = m_hi * x_lo
+    mid = ((m_lo * x_lo) >> _U32) + (lh & _LO32) + (hl & _LO32)
+    hi = m_hi * x_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+    return hi, x * np.uint64(m)
+
+
+def _philox_uniforms(seed: int, streams, first_block: int, n_blocks: int) -> np.ndarray:
+    """Uniforms 4*first_block .. 4*(first_block + n_blocks) - 1 of each
+    stream (streams are integers in [0, 2^64)).
+
+    Returns shape (len(streams), 4 * n_blocks); row i equals the
+    corresponding slice of ``_generator(seed, streams[i]).random(k)`` bit
+    for bit.  Philox is counter-based: block b of a stream is the
+    ten-round cipher of counter (b + 1, 0, 0, 0) under key (seed, stream),
+    and each of its four words w gives the double (w >> 11) * 2^-53.
+    """
+    k1 = np.asarray(streams, dtype=np.uint64)[:, None]
+    k0 = seed & _MASK64
+    shape = (len(k1), n_blocks)
+    counter = np.arange(first_block + 1, first_block + n_blocks + 1, dtype=np.uint64)
+    c0 = np.broadcast_to(counter, shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    w1 = np.uint64(_PHILOX_W[1])
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = k1 + w1
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    out = np.empty((len(k1), n_blocks, 4))
+    for j, word in enumerate((c0, c1, c2, c3)):
+        out[:, :, j] = word >> np.uint64(11)
+    out *= 2.0**-53
+    return out.reshape(len(k1), 4 * n_blocks)
+
+
+def _step_cdf(spec: WalkSpec) -> np.ndarray:
+    """Cumulative step probabilities; a uniform u draws support index
+    ``searchsorted(cdf, u, side="right")``."""
+    cdf = np.cumsum(spec.probabilities())
+    cdf[-1] = 1.0
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -204,8 +247,8 @@ def sample_path(
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     require_valid(spec, nondegenerate=False)
-    draw = _StepDrawer(spec, stream)
-    idx = np.fromiter((draw() for _ in range(n_steps)), dtype=np.int64, count=n_steps)
+    u = _philox_uniforms(spec.seed, [stream & _MASK64], 0, -(-n_steps // 4))[0, :n_steps]
+    idx = np.searchsorted(_step_cdf(spec), u, side="right")
     positions = None
     if keep_positions:
         steps = spec.elements()
@@ -229,87 +272,162 @@ class BoundarySample:
     stream: int
 
 
-class _FreeStack:
-    """Mutable reduced word for a free group; tracks letter-level edits."""
-
-    __slots__ = ("word", "touch")
-
-    def __init__(self):
-        self.word: list[int] = []
-        self.touch = 0  # letter depth changed by the last push
-
-    def push(self, letter: int) -> None:
-        w = self.word
-        if w and w[-1] == -letter:
-            w.pop()
-            self.touch = len(w)
-        else:
-            self.touch = len(w)
-            w.append(letter)
-
-    def length(self) -> int:
-        return len(self.word)
-
-    def prefix(self, k: int) -> tuple[int, ...]:
-        return tuple(self.word[:k])
+# Streams advanced together; bounds the memory of one batch.
+_SLAB = 2048
+# Philox blocks (four uniforms each) drawn per refill of a slab's buffer.
+_REFILL_BLOCKS = 8
 
 
-class _ProductStack:
-    """Mutable normal form for a free product, spelled canonically."""
+def _double_width(a: np.ndarray) -> np.ndarray:
+    return np.concatenate([a, np.zeros_like(a)], axis=1)
 
-    __slots__ = ("orders", "syls", "lens", "lsum", "touch")
 
-    def __init__(self, orders: tuple[int, int]):
-        self.orders = orders
-        self.syls: list[list[int]] = []  # [letter_id, exponent]
-        self.lens: list[int] = []  # spelled length per syllable
-        self.lsum = 0
-        self.touch = 0
+class _FreeWords:
+    """Reduced words of F_N, one row per stream: letters and lengths."""
 
-    def _syl_len(self, lid: int, exp: int) -> int:
+    def __init__(self, rows: int, width: int):
+        self.word = np.zeros((rows, width), dtype=np.int8)
+        self.length = np.zeros(rows, dtype=np.int64)
+
+    def push(self, x: np.ndarray) -> np.ndarray:
+        """Right-multiply each row by its letter; returns the letter depth
+        each push edited."""
+        ar = np.arange(len(x))
+        n = self.length
+        if n.max() >= self.word.shape[1]:
+            self.word = _double_width(self.word)
+        cancel = (n > 0) & (self.word[ar, np.maximum(n - 1, 0)] == -x)
+        self.word[ar, n] = x  # past the end when the letter cancels
+        self.length = n + 1 - 2 * cancel
+        return n - cancel
+
+    def prefix(self, row: int, k: int) -> tuple[int, ...]:
+        return tuple(self.word[row, :k].tolist())
+
+    def keep(self, rows: np.ndarray) -> None:
+        self.word, self.length = self.word[rows], self.length[rows]
+
+
+class _ProductWords:
+    """Normal forms of Z/m*Z/n, one row per stream: syllables as letter id,
+    exponent and spelled length, with the syllable count and the running
+    length."""
+
+    def __init__(self, rows: int, width: int, orders: tuple[int, int]):
+        self.orders = np.array(orders, dtype=np.int16)
+        self.lid = np.zeros((rows, width), dtype=np.int8)
+        self.exp = np.zeros((rows, width), dtype=np.int16)
+        self.slen = np.zeros((rows, width), dtype=np.int16)
+        self.nsyl = np.zeros(rows, dtype=np.int64)
+        self.length = np.zeros(rows, dtype=np.int64)
+
+    def push(self, x: np.ndarray) -> np.ndarray:
+        """Right-multiply each row by its letter; returns the letter depth
+        each push edited."""
+        ar = np.arange(len(x))
+        if self.nsyl.max() >= self.lid.shape[1]:
+            self.lid, self.exp, self.slen = map(_double_width, (self.lid, self.exp, self.slen))
+        lid = np.abs(x)
         order = self.orders[lid - 1]
-        return min(exp, order - exp)
+        delta = np.sign(x).astype(np.int16)
+        top = np.maximum(self.nsyl - 1, 0)
+        same = (self.nsyl > 0) & (self.lid[ar, top] == lid)
+        exp = np.where(same, self.exp[ar, top] + delta, delta) % order
+        old = np.where(same, self.slen[ar, top], 0)
+        new = np.minimum(exp, order - exp)
+        touch = self.length - old
+        slot = np.where(same, top, self.nsyl)
+        self.lid[ar, slot] = lid
+        self.exp[ar, slot] = exp
+        self.slen[ar, slot] = new
+        self.nsyl = slot + (exp != 0)  # a syllable that reaches 0 is popped
+        self.length = touch + new
+        return touch
 
-    def push(self, letter: int) -> None:
-        lid = abs(letter)
-        order = self.orders[lid - 1]
-        delta = 1 if letter > 0 else -1
-        if self.syls and self.syls[-1][0] == lid:
-            exp = (self.syls[-1][1] + delta) % order
-            old = self.lens[-1]
-            self.touch = self.lsum - old
-            if exp == 0:
-                self.syls.pop()
-                self.lens.pop()
-                self.lsum -= old
-            else:
-                new = self._syl_len(lid, exp)
-                self.syls[-1][1] = exp
-                self.lens[-1] = new
-                self.lsum += new - old
-        else:
-            self.touch = self.lsum
-            exp = delta % order
-            self.syls.append([lid, exp])
-            self.lens.append(self._syl_len(lid, exp))
-            self.lsum += self.lens[-1]
+    def prefix(self, row: int, k: int) -> tuple[int, ...]:
+        s = self.nsyl[row]
+        lid = self.lid[row, :s].astype(np.int64)
+        exp = self.exp[row, :s]
+        sign = np.where(exp <= self.orders[lid - 1] - exp, 1, -1)
+        return tuple(np.repeat(sign * lid, self.slen[row, :s])[:k].tolist())
 
-    def length(self) -> int:
-        return self.lsum
-
-    def prefix(self, k: int) -> tuple[int, ...]:
-        out: list[int] = []
-        for (lid, exp), ln in zip(self.syls, self.lens):
-            order = self.orders[lid - 1]
-            sign = 1 if exp <= order - exp else -1
-            out.extend([sign * lid] * ln)
-            if len(out) >= k:
-                break
-        return tuple(out[:k])
+    def keep(self, rows: np.ndarray) -> None:
+        self.lid, self.exp, self.slen = self.lid[rows], self.exp[rows], self.slen[rows]
+        self.nsyl, self.length = self.nsyl[rows], self.length[rows]
 
 
-def _stack_for(model: GroupModel):
-    return _FreeStack() if model.kind == FREE else _ProductStack(model.orders)
+def sample_boundary_prefixes(
+    spec: WalkSpec,
+    streams,
+    margin: int = 10,
+    patience: int = 20,
+    max_steps: int = 20_000,
+) -> list[tuple[tuple[int, ...] | None, int]]:
+    """Run one walk per stream until a geodesic-word prefix stabilizes.
+
+    Returns, in stream order, (prefix letters, steps used); the letters
+    are None when the stream ran out of steps.  Each stream's result is a
+    pure function of (spec.seed, stream), whatever batch it runs in; see
+    :func:`sample_boundary_point` for the stopping rule.
+    """
+    if margin < 1 or patience < 1:
+        raise ValueError("margin and patience must be positive")
+    require_valid(spec, nondegenerate=True)
+    letters = []
+    for g, _ in spec.support:
+        ls = g.letters()
+        if len(ls) != 1:
+            raise ValidationError("boundary sampling needs a nearest-neighbour walk")
+        letters.append(ls[0])
+    letters = np.array(letters, dtype=np.int8)
+    keys = np.array([s & _MASK64 for s in streams], dtype=np.uint64)
+    out: list[tuple[tuple[int, ...] | None, int]] = []
+    for lo in range(0, len(keys), _SLAB):
+        out.extend(_run_slab(spec, letters, keys[lo:lo + _SLAB], margin, patience, max_steps))
+    return out
+
+
+def _run_slab(spec, letters, keys, margin, patience, max_steps):
+    """Advance the walks of one slab of streams in lockstep, under the
+    stopping rule of :func:`sample_boundary_point`; a finished row leaves
+    the arrays."""
+    rows = len(keys)
+    out = [(None, max_steps)] * rows
+    cdf = _step_cdf(spec)
+    width = 2 * margin + patience  # doubled as the words grow
+    model = spec.model
+    words = _FreeWords(rows, width) if model.kind == FREE else _ProductWords(rows, width, model.orders)
+    live = np.arange(rows)  # slab position of each row still walking
+    L = np.full(rows, margin, dtype=np.int64)
+    dirty_max = np.zeros(rows, dtype=np.int64)  # last step that edited word[:L]
+    last_touch = np.zeros((rows, width), dtype=np.int32)  # last step that edited each depth
+    per_refill = 4 * _REFILL_BLOCKS
+    for step in range(1, max_steps + 1):
+        col = (step - 1) % per_refill
+        if col == 0:
+            u = _philox_uniforms(spec.seed, keys[live], (step - 1) // 4, _REFILL_BLOCKS)
+        if words.length.max() >= last_touch.shape[1]:  # a push edits depth <= length
+            last_touch = _double_width(last_touch)
+        d = words.push(letters[np.searchsorted(cdf, u[:, col], side="right")])
+        last_touch[np.arange(len(live)), d] = step
+        dirty_max = np.where(d < L, step, dirty_max)
+        length = words.length
+        promote = np.nonzero(length >= L + margin + patience)[0]
+        if len(promote):
+            # Promote: the new prefix letter's history folds into the max.
+            dirty_max[promote] = np.maximum(dirty_max[promote], last_touch[promote, L[promote]])
+            L[promote] += 1
+        done = (length >= L + margin) & (step - dirty_max >= patience)
+        if not done.any():
+            continue
+        for r in np.nonzero(done)[0].tolist():
+            out[live[r]] = (words.prefix(r, int(L[r])), step)
+        keep = np.nonzero(~done)[0]
+        if not len(keep):
+            break
+        live, L, dirty_max, last_touch, u = live[keep], L[keep], dirty_max[keep], last_touch[keep], u[keep]
+        words.keep(keep)
+    return out
 
 
 def sample_boundary_point(
@@ -327,46 +445,18 @@ def sample_boundary_point(
     consecutive steps while the position stays at least ``margin`` past
     it.  Raises :class:`BoundaryTimeout` when the step budget runs out.
     """
-    if margin < 1 or patience < 1:
-        raise ValueError("margin and patience must be positive")
-    require_valid(spec, nondegenerate=True)
-    letters = []
-    for g, _ in spec.support:
-        ls = g.letters()
-        if len(ls) != 1:
-            raise ValidationError("boundary sampling needs a nearest-neighbour walk")
-        letters.append(ls[0])
-    draw = _StepDrawer(spec, stream)
-    stack = _stack_for(spec.model)
-    L = margin
-    last_touch: list[int] = []
-    dirty_max = 0  # last step that edited word[:L]
-    for step in range(1, max_steps + 1):
-        stack.push(letters[draw()])
-        d = stack.touch
-        while len(last_touch) <= d:
-            last_touch.append(0)
-        last_touch[d] = step
-        if d < L:
-            dirty_max = step
-        if stack.length() >= L + margin + patience:
-            # Promote: the new prefix letter's history folds into the max.
-            if L < len(last_touch):
-                dirty_max = max(dirty_max, last_touch[L])
-            L += 1
-        if stack.length() >= L + margin and step - dirty_max >= patience:
-            prefix_letters = stack.prefix(L)
-            prefix = spec.model.from_letters(prefix_letters)
-            return BoundarySample(
-                prefix=prefix,
-                prefix_letters=prefix_letters,
-                depth=L,
-                steps_used=step,
-                stream=stream,
-            )
-    raise BoundaryTimeout(
-        f"no stabilization within {max_steps} steps (stream {stream})",
-        steps=max_steps,
+    [(prefix_letters, steps)] = sample_boundary_prefixes(spec, [stream], margin, patience, max_steps)
+    if prefix_letters is None:
+        raise BoundaryTimeout(
+            f"no stabilization within {max_steps} steps (stream {stream})",
+            steps=max_steps,
+            stream=stream,
+        )
+    return BoundarySample(
+        prefix=spec.model.from_letters(prefix_letters),
+        prefix_letters=prefix_letters,
+        depth=len(prefix_letters),
+        steps_used=steps,
         stream=stream,
     )
 

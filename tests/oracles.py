@@ -90,6 +90,29 @@ def cone_measure(n_rank: int, depth: int) -> float:
     return (q - 1) / q * (q - 1) ** (-depth)
 
 
+def free_first_passage(walk, sweeps: int = 5000) -> dict:
+    """F(e, x) for each letter x of a nearest-neighbour walk on F_N.
+
+    Reaching x means stepping to x, or stepping to another letter y,
+    coming back to e (probability F(e, y^-1)) and trying again:
+    F_x = mu(x) / (1 - sum_{y != x} mu(y) F_{y^-1}), iterated up from 0.
+    """
+    mu = {g.letters()[0]: p for g, p in walk.support}
+    F = {x: 0.0 for x in mu}
+    for _ in range(sweeps):
+        F = {x: mu[x] / (1.0 - sum(mu[y] * F.get(-y, 0.0) for y in mu if y != x)) for x in mu}
+    return F
+
+
+def free_cone_mass(F: dict, letters) -> float:
+    """Harmonic measure of the cone of rays beginning with a reduced word
+    x_1 ... x_n on F_N: reach the word, then never come back through its
+    last edge, F(e, w) (1 - F(x_n^-1)) / (1 - F(x_n) F(x_n^-1))."""
+    reach = float(np.prod([F[x] for x in letters]))
+    last = letters[-1]
+    return reach * (1.0 - F[-last]) / (1.0 - F[last] * F[-last])
+
+
 def binomial_band(p: float, n: int, sigmas: float = 4.0) -> float:
     return sigmas * np.sqrt(p * (1 - p) / n)
 
@@ -124,3 +147,65 @@ def ball_taboo(walk, radius: int, lam, x) -> list:
     source[np.searchsorted(free, b.index_of(x))] = 1.0
     visits = spla.spsolve((sp.identity(len(free)) - Q).T.tocsc(), source)
     return list(R.T @ visits)
+
+
+def scalar_boundary_prefix(spec, stream: int, margin=10, patience=20, max_steps=20_000):
+    """Boundary sampling one walk at a time, with plain-list word stacks.
+
+    The stopping rule of ``hypwalk.walks.sample_boundary_point``, driven by
+    numpy's own ``Philox`` generator keyed (seed, stream).  Returns the
+    stabilized prefix letters (None on a timeout) and the steps used.
+    """
+    mask = (1 << 64) - 1
+    key = np.array([spec.seed & mask, stream & mask], dtype=np.uint64)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(max_steps)
+    cdf = np.cumsum([p for _, p in spec.support])
+    cdf[-1] = 1.0
+    letters = [g.letters()[0] for g, _ in spec.support]
+    orders = spec.model.orders if spec.model.kind == "free_product" else None
+    word = []  # F_N: the reduced word; Z/m*Z/n: [letter id, exponent] syllables
+    lens = []  # Z/m*Z/n: spelled length of each syllable
+    last_touch = []
+    L, dirty_max = margin, 0
+    for step in range(1, max_steps + 1):
+        x = letters[int(np.searchsorted(cdf, uniforms[step - 1], side="right"))]
+        if orders is None:
+            if word and word[-1] == -x:
+                word.pop()
+                d = len(word)
+            else:
+                d = len(word)
+                word.append(x)
+            length = len(word)
+        else:
+            lid, order = abs(x), orders[abs(x) - 1]
+            if word and word[-1][0] == lid:
+                exp = (word[-1][1] + (1 if x > 0 else -1)) % order
+                d = sum(lens) - lens[-1]
+                word.pop()
+                lens.pop()
+            else:
+                exp = (1 if x > 0 else -1) % order
+                d = sum(lens)
+            if exp:
+                word.append([lid, exp])
+                lens.append(min(exp, order - exp))
+            length = sum(lens)
+        while len(last_touch) <= d:
+            last_touch.append(0)
+        last_touch[d] = step
+        if d < L:
+            dirty_max = step
+        if length >= L + margin + patience:
+            if L < len(last_touch):
+                dirty_max = max(dirty_max, last_touch[L])
+            L += 1
+        if length >= L + margin and step - dirty_max >= patience:
+            if orders is None:
+                return tuple(word[:L]), step
+            spelled = []
+            for (lid, exp), n in zip(word, lens):
+                sign = 1 if exp <= orders[lid - 1] - exp else -1
+                spelled.extend([sign * lid] * n)
+            return tuple(spelled[:L]), step
+    return None, max_steps

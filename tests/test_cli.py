@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hypwalk
 from hypwalk import GroupElement, first_passage
 from hypwalk.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION_FAILED, main
 from hypwalk.config import parse_config
@@ -161,3 +165,13 @@ def test_f3_simulate_default_budgets(tmp_path):
     assert code == EXIT_OK
     sim = report["results"]["simulate"]
     assert sim["spectral_lower"] <= math.sqrt(5) / 3 <= sim["spectral_upper"]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of the import time; only the probes use it.
+    src = os.path.dirname(os.path.dirname(hypwalk.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, hypwalk.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

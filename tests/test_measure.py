@@ -9,6 +9,7 @@ from hypwalk import (
     cylinder_membership,
     estimate_measure,
     gibbs_ratio,
+    make_walk,
     radon_nikodym_check,
     uniform_walk,
 )
@@ -20,7 +21,7 @@ from hypwalk.measure import (
     boundary_sample_set,
 )
 
-from oracles import binomial_band, cone_measure
+from oracles import binomial_band, cone_measure, free_cone_mass, free_first_passage
 
 
 def cone(point, radius=0):
@@ -155,6 +156,25 @@ class TestEstimateMeasure:
         assert e1.value == e2.value
 
 
+class TestExactConeMass:
+    def test_oracle_closed_form(self, walk_f2):
+        F = free_first_passage(walk_f2)
+        assert all(v == pytest.approx(1 / 3, rel=1e-14) for v in F.values())
+        for n in (1, 2, 3):
+            assert free_cone_mass(F, (1, -2, -2)[:n]) == pytest.approx(cone_measure(2, n), rel=1e-14)
+
+    def test_asymmetric_f2(self, f2):
+        walk = make_walk(f2, [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)], seed=11)
+        F = free_first_passage(walk)
+        for w in ("a", "A", "b", "B", "ab", "Ba", "bb", "AB", "abA", "BAb", "aaa", "bAB"):
+            word = f2.word(w)
+            xi = BoundaryPoint(head=word, cycle=f2.word(w[-1]))
+            cyl = Cylinder.around(xi, len(w) - 1)
+            est = estimate_measure(walk, cyl, 20_000, purpose="unit-cone-exact")
+            target = free_cone_mass(F, word.letters())
+            assert abs(est.value - target) <= binomial_band(target, est.n_samples)
+
+
 class TestGibbs:
     def test_f2_flat_quarter(self, walk_f2, f2):
         xi = BoundaryPoint.periodic(f2.word("a"))
@@ -168,6 +188,26 @@ class TestGibbs:
         xi = BoundaryPoint.periodic(z23.word("st"))
         rep = gibbs_ratio(walk_z23, xi, [1, 2, 3], 20_000, purpose="unit-gibbs-z")
         assert np.isfinite(rep.ratio_max) and rep.ratio_min > 0
+
+    @pytest.mark.parametrize("orders, axis", [((2, 5), "tts"), ((3, 7), "tttS")])
+    def test_rows_match_membership_per_radius(self, orders, axis):
+        # One product at the deepest radius decides every radius as the
+        # per-radius membership does, also where rays split inside a cycle.
+        model = GroupModel.free_product(*orders)
+        walk = uniform_walk(model, seed=4)
+        xi = BoundaryPoint.periodic(model.word(axis))
+        radii = [1, 2, 3, 5]
+        rep = gibbs_ratio(walk, xi, radii, 3000, purpose="unit-gibbs-rows")
+        margin = max(10, Cylinder.around(xi, max(radii)).depth + 2)
+        prefixes, retries = boundary_sample_set(walk, 3000, margin, 20, 20_000, "unit-gibbs-rows")
+        values = []
+        for R, row in zip(radii, rep.rows):
+            est = _measure_from_prefixes(
+                prefixes, Cylinder.around(xi, R), model, "unit-gibbs-rows", walk.seed, retries
+            )
+            assert (row.nu, row.nu_half) == (est.value, est.half_width)
+            values.append(est.value)
+        assert values[0] > values[-1] > 0
 
     def test_radius_validation(self, walk_f2, f2):
         xi = BoundaryPoint.periodic(f2.word("a"))

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,10 +15,18 @@ from hypwalk import (
     uniform_walk,
     validate_walk,
 )
+from hypwalk import walks
 from hypwalk.errors import BoundaryTimeout, ValidationError
-from hypwalk.walks import n_step_distributions
+from hypwalk.measure import boundary_sample_set
+from hypwalk.walks import (
+    _FreeWords,
+    _philox_uniforms,
+    _ProductWords,
+    n_step_distributions,
+    sample_boundary_prefixes,
+)
 
-from oracles import binomial_band, brute_step_distribution
+from oracles import binomial_band, brute_step_distribution, scalar_boundary_prefix
 
 
 class TestValidate:
@@ -122,6 +132,158 @@ class TestBoundarySampling:
     def test_product_model(self, walk_z23, z23):
         s = sample_boundary_point(walk_z23, stream=12)
         assert z23.from_letters(s.prefix_letters).word_length() == s.depth
+
+
+def _numpy_philox(seed, stream):
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class TestPhilox:
+    STREAMS = [
+        0,
+        7,
+        zlib.crc32(b"gibbs") << 32,
+        (zlib.crc32(b"rn-check") << 32) + 20_000 + 13 * 20 + 3,
+        2**64 - 1,
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_matches_numpy_bit_for_bit(self, seed):
+        head = _philox_uniforms(seed, self.STREAMS, 0, 9)
+        tail = _philox_uniforms(seed, self.STREAMS, 5, 3)
+        assert head.shape == (len(self.STREAMS), 36) and tail.shape == (len(self.STREAMS), 12)
+        for stream, row, tail_row in zip(self.STREAMS, head, tail):
+            ref = _numpy_philox(seed, stream).random(36)
+            assert np.array_equal(row, ref)
+            assert np.array_equal(tail_row, ref[20:32])
+
+    def test_sample_path_draws(self, walk_f2, f2):
+        # 1001 steps end inside a Philox block.
+        p = sample_path(walk_f2, f2.identity(), 1001, stream=11, keep_positions=False)
+        cdf = np.cumsum(walk_f2.probabilities())
+        cdf[-1] = 1.0
+        u = _numpy_philox(walk_f2.seed, 11).random(1001)
+        assert np.array_equal(p.step_indices, np.searchsorted(cdf, u, side="right"))
+
+
+_SAMPLER_WALKS = {
+    "f2": ((), None),
+    "f2-asym": ((), [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)]),
+    "f3": ((3,), None),
+    "f3-asym": ((3,), [("a", 0.3), ("A", 0.1), ("b", 0.2), ("B", 0.15), ("c", 0.1), ("C", 0.15)]),
+    "z23": ((2, 3), None),
+    "z23-asym": ((2, 3), [("s", 0.5), ("t", 0.35), ("T", 0.15)]),
+    "z25": ((2, 5), None),
+    "z25-asym": ((2, 5), [("s", 0.4), ("t", 0.35), ("T", 0.25)]),
+    "z37": ((3, 7), None),
+    "z37-asym": ((3, 7), [("s", 0.2), ("S", 0.3), ("t", 0.3), ("T", 0.2)]),
+}
+
+
+def _sampler_walk(name, seed=20240613):
+    orders, support = _SAMPLER_WALKS[name]
+    if len(orders) == 2:
+        model = GroupModel.free_product(*orders)
+    else:
+        model = GroupModel.free(orders[0] if orders else 2)
+    if support is None:
+        return uniform_walk(model, seed)
+    return make_walk(model, support, seed)
+
+
+class TestBatchedSampler:
+    STREAMS = list(range(8)) + [(zlib.crc32(b"gibbs") << 32) + i for i in (0, 1, 20_017)]
+
+    @pytest.mark.parametrize("margin", [10, 16])
+    @pytest.mark.parametrize("name", sorted(_SAMPLER_WALKS))
+    def test_matches_scalar_oracle(self, name, margin):
+        walk = _sampler_walk(name)
+        for max_steps in (20_000, 3 * margin + 20):
+            batch = sample_boundary_prefixes(walk, self.STREAMS, margin, 20, max_steps)
+            scalar = [scalar_boundary_prefix(walk, s, margin, 20, max_steps) for s in self.STREAMS]
+            assert batch == scalar
+
+    @pytest.mark.parametrize("name", ["z25", "z37", "z37-asym"])
+    def test_promotion_matches_scalar_oracle(self, name):
+        # With a short margin a syllable can reach past L + margin while
+        # its start edits the prefix, so L gets promoted and the word
+        # arrays grow past their first width.
+        walk = _sampler_walk(name)
+        promoted = 0
+        for margin, patience in ((1, 5), (1, 2), (2, 3)):
+            batch = sample_boundary_prefixes(walk, range(100), margin, patience, 20_000)
+            assert batch == [
+                scalar_boundary_prefix(walk, s, margin, patience, 20_000) for s in range(100)
+            ]
+            promoted += sum(len(letters) > margin for letters, _ in batch)
+        assert promoted > 0
+
+    @pytest.mark.parametrize("name, max_steps", [("f2", 40), ("z23", 120)])
+    def test_timeouts_match_scalar_oracle(self, name, max_steps):
+        walk = _sampler_walk(name)
+        streams = range(60)
+        batch = sample_boundary_prefixes(walk, streams, 10, 20, max_steps)
+        assert batch == [scalar_boundary_prefix(walk, s, 10, 20, max_steps) for s in streams]
+        timeouts = sum(letters is None for letters, _ in batch)
+        assert 0 < timeouts < len(batch)
+        assert all(steps == max_steps for letters, steps in batch if letters is None)
+
+    @pytest.mark.parametrize("orders", [None, (2, 3), (3, 7)])
+    def test_word_stacks_from_width_one(self, orders):
+        # Random letters pushed into stacks one letter wide, which must
+        # grow; each row equals the group's normal form of its letters, and
+        # the reported depth is at most the first letter that changed.
+        model = GroupModel.free(2) if orders is None else GroupModel.free_product(*orders)
+        words = _FreeWords(3, 1) if orders is None else _ProductWords(3, 1, orders)
+        alphabet = np.array([g.letters()[0] for g in model.generators()], dtype=np.int8)
+        pushes = np.random.default_rng(5).choice(alphabet, size=(3, 120))
+        before = [()] * 3
+        for k in range(pushes.shape[1]):
+            depth = words.push(pushes[:, k])
+            for r in range(3):
+                after = model.from_letters(pushes[r, :k + 1].tolist()).letters()
+                assert words.length[r] == len(after)
+                assert words.prefix(r, len(after)) == after
+                same = 0
+                while same < min(len(before[r]), len(after)) and before[r][same] == after[same]:
+                    same += 1
+                assert depth[r] <= same
+                before[r] = after
+
+    @pytest.mark.parametrize("name", ["f2", "z25-asym"])
+    def test_independent_of_batch_and_slab(self, name, monkeypatch):
+        walk = _sampler_walk(name)
+        streams = [(zlib.crc32(b"unit") << 32) + i for i in range(23)]
+        whole = sample_boundary_prefixes(walk, streams)
+        assert whole == [sample_boundary_prefixes(walk, [s])[0] for s in streams]
+        assert whole == sample_boundary_prefixes(walk, streams[::-1])[::-1]
+        monkeypatch.setattr(walks, "_SLAB", 4)
+        assert whole == sample_boundary_prefixes(walk, streams)
+
+    def test_retries_use_their_own_streams(self):
+        # Sample i retries on stream base + n + 20 i + attempt until it
+        # stabilizes; the retry count is the sum of the attempts.
+        walk = _sampler_walk("f2", seed=3)
+        n, max_steps = 30, 36
+        prefixes, retries = boundary_sample_set(walk, n, 10, 20, max_steps, "unit-retry")
+        base = zlib.crc32(b"unit-retry") << 32
+        expected, total = [], 0
+        for i in range(n):
+            for attempt in range(20):
+                stream = base + i if attempt == 0 else base + n + 20 * i + attempt
+                letters, _ = scalar_boundary_prefix(walk, stream, 10, 20, max_steps)
+                if letters is not None:
+                    break
+            expected.append(letters)
+            total += attempt
+        assert prefixes == tuple(expected)
+        assert retries == total > 0
+
+    def test_exhausted_retries_name_the_first_stream(self, walk_f2):
+        with pytest.raises(BoundaryTimeout) as err:
+            boundary_sample_set(walk_f2, 3, 10, 20, 5, "unit-exhaust")
+        assert err.value.stream == zlib.crc32(b"unit-exhaust") << 32
 
 
 class TestExactDistributions:
