@@ -155,6 +155,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         _require(
             isinstance(value, int) and value > 0, f"budgets.{key} must be a positive integer"
         )
+    _require(budgets["n_samples"] >= 2, "budgets.n_samples must be at least 2")
     _require(
         budgets["spectral_steps"] >= 4 and budgets["spectral_steps"] % 2 == 0,
         "budgets.spectral_steps must be an even integer of at least 4",

@@ -11,6 +11,7 @@ aggregated in a fixed order, and always carry a 3-sigma binomial band.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -156,7 +157,8 @@ class MeasureEstimate:
 def _measure_from_prefixes(
     prefixes, cyl: Cylinder, model: GroupModel, purpose: str, seed: int, retries: int,
 ) -> MeasureEstimate:
-    hits = sum(_prefix_membership(letters, cyl, model) for letters in prefixes)
+    heads = Counter(letters[: cyl.depth] for letters in prefixes)
+    hits = sum(k for head, k in heads.items() if _prefix_membership(head, cyl, model))
     return _estimate(hits, len(prefixes), purpose, seed, retries)
 
 
@@ -178,7 +180,8 @@ def estimate_measure(
     max_steps: int = 20_000,
     purpose: str = "measure",
 ) -> MeasureEstimate:
-    """Harmonic measure of a cylinder from stabilized boundary samples."""
+    """Harmonic measure of a cylinder from stabilized boundary samples;
+    membership is decided once per distinct head of ``cyl.depth`` letters."""
     require_valid(walk)
     margin = max(10, cyl.depth + 2)
     prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
@@ -210,6 +213,8 @@ class GibbsReport:
     ratio_min: float
     ratio_max: float
     n_samples: int
+    n_retries: int
+    n_heads: int
 
 
 def gibbs_ratio(
@@ -222,22 +227,25 @@ def gibbs_ratio(
     max_steps: int = 20_000,
     purpose: str = "gibbs",
 ) -> GibbsReport:
-    """Ratio series over R; one shared sample set serves every radius."""
+    """Ratio series over R; one shared sample set serves every radius: one
+    product per distinct head of R_max + s + 1 letters decides them all."""
     require_valid(walk)
     if not radii or min(radii) < 1:
         raise ValidationError("gibbs radii must be positive")
-    margin = max(10, Cylinder.around(xi, max(radii)).depth + 2)
-    prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
-    # One product per sample, at the deepest radius, decides every radius:
-    # an exact product does not change with depth, and an inexact one is
-    # at least the number of shared letters, which is past R_max.
     deepest = Cylinder.around(xi, max(radii))
-    products = [_ray_product(letters, deepest, walk.model) for letters in prefixes]
+    margin = max(10, deepest.depth + 2)
+    prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
+    # An exact product does not change with depth, and an inexact one is
+    # at least the number of shared letters, which is past R_max.
+    heads = Counter(letters[: deepest.depth] for letters in prefixes)
+    products = Counter()
+    for head, k in heads.items():
+        products[_ray_product(head, deepest, walk.model)] += k
     e = walk.model.identity()
     rows = []
     for R in radii:
         cyl = Cylinder.around(xi, R)
-        hits = sum(_decide(value, exact, cyl) for value, exact in products)
+        hits = sum(k for (value, exact), k in products.items() if _decide(value, exact, cyl))
         est = _estimate(hits, len(prefixes), purpose, walk.seed, retries)
         f = first_passage(walk, e, xi.prefix(R))
         lo = max(est.value - est.half_width, 0.0) / f.upper
@@ -253,6 +261,8 @@ def gibbs_ratio(
         ratio_min=min(ratios),
         ratio_max=max(ratios),
         n_samples=n_samples,
+        n_retries=retries,
+        n_heads=len(heads),
     )
 
 
@@ -295,6 +305,22 @@ class RadonNikodymReport:
     agree: bool
     n_samples: int
     kernel_depth: int
+    n_retries: int
+    n_heads: int
+
+
+def _rn_samples(walk: WalkSpec, g: GroupElement, cyl: Cylinder, prefixes, depth: int):
+    """Pulled hits, per-sample kernel values (0 off U) and the head count."""
+    model = walk.model
+    n = cyl.depth + g.word_length() + 2
+    heads = Counter(letters[:n] for letters in prefixes)
+    hits = sum(k for head, k in heads.items() if _translated_membership(g, head, cyl, model))
+    kernel = {
+        head: martin_kernel_at(walk, g, model.from_letters(head[:depth])).value
+        for head in heads if _prefix_membership(head, cyl, model)
+    }
+    vals = np.array([kernel.get(letters[:n], 0.0) for letters in prefixes])
+    return hits, vals, len(heads)
 
 
 def radon_nikodym_check(
@@ -311,29 +337,25 @@ def radon_nikodym_check(
     """Compare nu(g^-1 U) with the integral of K(g, .) over U.
 
     The kernel is evaluated at the sample prefix of length ``depth``
-    (default: the sampling margin, past every branch point of g).
+    (default: the sampling margin, past every branch point of g).  A
+    sample's first cyl.depth + |g| + 2 letters decide both memberships and
+    pass |g| + s + 2, beyond which the kernel along a ray is bitwise
+    constant; so each distinct head of that length is evaluated once, the
+    kernel at its first ``depth`` letters.
     """
     require_valid(walk)
-    model = walk.model
+    if n_samples < 2:
+        raise ValidationError(f"rn-check needs at least 2 samples, got {n_samples}")
     margin = max(10, cyl.depth + g.word_length() + 4)
-    prefixes, _ = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
+    prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
     if depth is None:
         depth = margin
     if depth < 1:
         raise ValidationError(f"kernel depth must be positive, got {depth}")
-    pulled_hits = 0
-    kernel_vals = []
-    for letters in prefixes:
-        if _prefix_membership(letters, cyl, model):
-            y = model.from_letters(letters[:depth])
-            kernel_vals.append(martin_kernel_at(walk, g, y).value)
-        else:
-            kernel_vals.append(0.0)
-        pulled_hits += _translated_membership(g, letters, cyl, model)
+    pulled_hits, vals, n_heads = _rn_samples(walk, g, cyl, prefixes, depth)
     n = len(prefixes)
     pulled = pulled_hits / n
     pulled_half = 3.0 * float(np.sqrt(pulled * (1 - pulled) / n))
-    vals = np.asarray(kernel_vals)
     integral = float(vals.mean())
     kernel_half = 3.0 * float(vals.std(ddof=1) / np.sqrt(len(vals)))
     return RadonNikodymReport(
@@ -344,4 +366,6 @@ def radon_nikodym_check(
         agree=abs(pulled - integral) <= pulled_half + kernel_half,
         n_samples=n,
         kernel_depth=depth,
+        n_retries=retries,
+        n_heads=n_heads,
     )

@@ -310,11 +310,8 @@ def _exp_gibbs(cfg: ExperimentConfig):
     ok = rep.ratio_min > 0 and all(math.isfinite(r.ratio) for r in rep.rows)
     result = {
         "base_point": str(points[0]),
-        "rows": [dataclasses.asdict(r) for r in rep.rows],
-        "ratio_min": rep.ratio_min,
-        "ratio_max": rep.ratio_max,
+        **dataclasses.asdict(rep),
         "envelope": rep.ratio_max / rep.ratio_min if rep.ratio_min > 0 else float("inf"),
-        "n_samples": rep.n_samples,
     }
     csv_rows = [
         (r.radius, r.nu, r.nu_half, r.f_value, r.ratio, r.ratio_lower, r.ratio_upper)

@@ -209,3 +209,37 @@ def scalar_boundary_prefix(spec, stream: int, margin=10, patience=20, max_steps=
                 spelled.extend([sign * lid] * n)
             return tuple(spelled[:L]), step
     return None, max_steps
+
+
+def per_sample_gibbs_hits(prefixes, xi, radii, model) -> list:
+    """Hits per radius of the ``gibbs_ratio`` sample loop, one product per
+    sample at the deepest radius, decided at every radius sample by sample."""
+    from hypwalk.measure import Cylinder, _decide, _ray_product
+
+    deepest = Cylinder.around(xi, max(radii))
+    products = [_ray_product(letters, deepest, model) for letters in prefixes]
+    hits = []
+    for R in radii:
+        cyl = Cylinder.around(xi, R)
+        hits.append(sum(_decide(value, exact, cyl) for value, exact in products))
+    return hits
+
+
+def per_sample_rn_check(walk, g, cyl, prefixes, depth: int):
+    """The ``radon_nikodym_check`` sample loop: both memberships and, in U,
+    one kernel value at ``letters[:depth]`` for every sample.  Returns the
+    pulled hits and the kernel values in sample order (0 off U)."""
+    from hypwalk.martin import martin_kernel_at
+    from hypwalk.measure import _prefix_membership, _translated_membership
+
+    model = walk.model
+    pulled_hits = 0
+    kernel_vals = []
+    for letters in prefixes:
+        if _prefix_membership(letters, cyl, model):
+            y = model.from_letters(letters[:depth])
+            kernel_vals.append(martin_kernel_at(walk, g, y).value)
+        else:
+            kernel_vals.append(0.0)
+        pulled_hits += _translated_membership(g, letters, cyl, model)
+    return pulled_hits, np.asarray(kernel_vals)

@@ -120,6 +120,15 @@ def test_invalid_spectral_steps_is_a_config_error(tmp_path, capsys, steps):
     assert "spectral_steps" in capsys.readouterr().err
 
 
+def test_too_few_samples_is_a_config_error(tmp_path, capsys):
+    # One sample has no spread: the kernel band would be nan.
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["rn-check"], budgets={"n_samples": 1}
+    )
+    assert code == EXIT_CONFIG and report is None
+    assert "budgets.n_samples" in capsys.readouterr().err
+
+
 def test_failed_verification_exit_code(tmp_path):
     # Two samples cannot fill every Gibbs cylinder: the verdict fails.
     code, report, _ = _run(

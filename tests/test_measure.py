@@ -17,11 +17,19 @@ from hypwalk.errors import ValidationError
 from hypwalk.measure import (
     _measure_from_prefixes,
     _prefix_membership,
+    _rn_samples,
     _translated_membership,
     boundary_sample_set,
 )
 
-from oracles import binomial_band, cone_measure, free_cone_mass, free_first_passage
+from oracles import (
+    binomial_band,
+    cone_measure,
+    free_cone_mass,
+    free_first_passage,
+    per_sample_gibbs_hits,
+    per_sample_rn_check,
+)
 
 
 def cone(point, radius=0):
@@ -237,6 +245,12 @@ class TestRadonNikodym:
         assert abs(rep.pulled_mass - 1 / 12) <= rep.pulled_half
         assert abs(rep.kernel_integral - 1 / 12) <= rep.kernel_half
 
+    def test_too_few_samples(self, walk_f2, f2):
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            radon_nikodym_check(
+                walk_f2, f2.word("a"), cone(BoundaryPoint.periodic(f2.word("b"))), 1
+            )
+
     def test_pull_into_larger_set(self, walk_f2, f2):
         # g = a, U = cone(a): a^-1 U covers everything except cone(A...)
         # below depth 2; the kernel integral must match the pulled mass.
@@ -249,3 +263,74 @@ class TestRadonNikodym:
         # and cone(AA) at depth 2, keeping everything else.
         target = 1.0 - 3 * cone_measure(2, 2)
         assert abs(rep.pulled_mass - target) <= rep.pulled_half + 1e-3
+
+
+# Walks of the grouped-decision oracle test: model and weights (None: uniform).
+_GROUPED_WALKS = {
+    "asym-f2": (GroupModel.free(2), [0.35, 0.15, 0.30, 0.20]),
+    "f3": (GroupModel.free(3), None),
+    "asym-z23": (GroupModel.free_product(2, 3), [0.5, 0.3, 0.2]),
+    "z25": (GroupModel.free_product(2, 5), None),
+    "z37": (GroupModel.free_product(3, 7), None),
+}
+# Elements of length 1-3.  The first letter of the base ray cancels
+# against g^-1 in g^-1 y for the first, and against g in g . eta for the
+# other two.
+_GROUPED_G = {"free": ("a", "bA", "abA"), "free_product": ("s", "tS", "stS")}
+
+
+class TestGroupedDecisions:
+    """Each distinct deciding head is evaluated once; the per-sample loops
+    of ``tests/oracles.py`` must give bitwise the same answers."""
+
+    N = 300
+
+    @pytest.fixture(params=sorted(_GROUPED_WALKS))
+    def case(self, request):
+        model, weights = _GROUPED_WALKS[request.param]
+        if weights is None:
+            walk = uniform_walk(model, seed=5)
+        else:
+            walk = make_walk(model, list(zip(model.generators(), weights)), seed=5)
+        xi = BoundaryPoint.periodic(model.word(_AXES[model.kind][0]))
+        return walk, xi
+
+    def test_gibbs_and_measure_hits(self, case):
+        walk, xi = case
+        model = walk.model
+        radii = [1, 2, 3]
+        rep = gibbs_ratio(walk, xi, radii, self.N, purpose="unit-grouped-gibbs")
+        deepest = Cylinder.around(xi, 3)
+        margin = max(10, deepest.depth + 2)
+        prefixes, retries = boundary_sample_set(
+            walk, self.N, margin, 20, 20_000, "unit-grouped-gibbs"
+        )
+        hits = per_sample_gibbs_hits(prefixes, xi, radii, model)
+        assert [row.nu for row in rep.rows] == [h / self.N for h in hits]
+        assert rep.n_retries == retries
+        assert rep.n_heads == len({letters[: deepest.depth] for letters in prefixes})
+        for R in range(4):
+            est = _measure_from_prefixes(
+                prefixes, Cylinder.around(xi, R), model, "unit-grouped-gibbs", walk.seed, retries
+            )
+            assert est.value == per_sample_gibbs_hits(prefixes, xi, [R], model)[0] / self.N
+
+    def test_rn_check_per_sample(self, case):
+        walk, xi = case
+        model = walk.model
+        prefixes, _ = boundary_sample_set(walk, self.N, 16, 20, 20_000, "unit-grouped-rn")
+        grouped = False
+        for word in _GROUPED_G[model.kind]:
+            g = model.word(word)
+            assert g.word_length() == len(word)
+            reach = g.word_length() + model.split_span + 2
+            for R in range(4):
+                cyl = Cylinder.around(xi, R)
+                default = max(10, cyl.depth + g.word_length() + 4)
+                for depth in (1, 2, reach, default, default + 6):
+                    pulled, vals, n_heads = _rn_samples(walk, g, cyl, prefixes, depth)
+                    want_pulled, want_vals = per_sample_rn_check(walk, g, cyl, prefixes, depth)
+                    assert pulled == want_pulled
+                    assert vals.tobytes() == want_vals.tobytes()
+                    grouped |= n_heads < len(prefixes) and 0 < np.count_nonzero(vals)
+        assert grouped

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypwalk import GroupModel, first_passage_set, make_walk, spectral_radius_estimate
-from hypwalk._exact import factors, returns
+from hypwalk._exact import factors, kernel, returns
 from hypwalk.walks import n_step_distributions
 
 MODELS = [GroupModel.free(n) for n in (2, 3, 4)] + [
@@ -24,6 +24,19 @@ def walks(draw):
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(gens), max_size=len(gens)))
     total = sum(weights)
     return make_walk(model, [(g, w / total) for g, w in zip(gens, weights)], seed=1)
+
+
+@st.composite
+def geodesic_words(draw, start, length: int):
+    """A geodesic word of the given length, grown from the geodesic word
+    ``start`` one generator at a time."""
+    gens = start.model.generators()
+    word = start
+    while word.word_length() < length:
+        step = word * draw(st.sampled_from(gens))
+        if step.word_length() > word.word_length():
+            word = step
+    return word
 
 
 def _cut_sphere(model):
@@ -59,3 +72,20 @@ def test_cut_sphere_masses_sum_to_one(walk):
     table = first_passage_set(walk, _cut_sphere(walk.model), walk.model.identity())
     assert sum(est.lower for est in table.values()) <= 1.0
     assert sum(est.upper for est in table.values()) >= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_kernel_is_constant_past_the_reach_of_g(data):
+    # K(g, y) along a ray stops changing once the ray has left the
+    # geodesic to g, by |g| + s + 2 letters: every prefix past that
+    # gives bitwise the same enclosure.  rn-check groups samples by it.
+    # The ray begins along g for a drawn number of letters.
+    walk = data.draw(walks())
+    model = walk.model
+    g = data.draw(geodesic_words(model.identity(), data.draw(st.integers(1, 4))))
+    shared = model.from_letters(g.letters()[: data.draw(st.integers(0, g.word_length()))])
+    reach = g.word_length() + model.split_span + 2
+    ray = data.draw(geodesic_words(shared, reach + 8)).letters()
+    values = {kernel(walk, g, model.from_letters(ray[:d])) for d in range(reach, reach + 9)}
+    assert len(values) == 1
