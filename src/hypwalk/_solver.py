@@ -3,7 +3,8 @@
 The restricted transition operator is row-substochastic with spectral
 radius strictly below 1/z for admissible weights z, so both the direct
 LU route and the Neumann-series iteration are safe.  Everything here is
-single-threaded and deterministic.
+single-threaded and deterministic.  The restricted values serve ``ancona``
+and the tests; scipy.sparse is loaded by the first ball solve.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 from collections import OrderedDict
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DivergenceError, SolverError
 from .groups import Ball, ball
@@ -22,8 +21,10 @@ SPLU_MAX_STATES = 400_000
 _SERIES_MAX_ITER = 200_000
 
 
-def transition_matrix(b: Ball, spec: WalkSpec) -> sp.csr_matrix:
-    """Transition matrix of the walk killed on leaving the ball."""
+def transition_matrix(b: Ball, spec: WalkSpec):
+    """Transition matrix (scipy CSR) of the walk killed on leaving the ball."""
+    import scipy.sparse as sp  # costly to import: loaded on first use
+
     tables = b.step_tables()
     n = len(b)
     rows, cols, data = [], [], []
@@ -75,6 +76,9 @@ class RestrictedSolver:
         self.method = method
         self._lu = None
         if method == "lu":
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+
             A = sp.identity(n, format="csc") - self.z * self._P.tocsc()
             try:
                 self._lu = spla.splu(A)

@@ -7,7 +7,6 @@ Exit codes: 0 all selected verifications passed; 1 a verification failed
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 

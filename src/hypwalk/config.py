@@ -31,7 +31,7 @@ EXPERIMENTS = (
 
 _BUDGET_DEFAULTS = {
     "max_radius": None,  # radius of the green word list: 4 when None
-    "max_states": 3_000_000,
+    "max_states": 3_000_000,  # state cap of the ball that ancona solves on
     "n_samples": 100_000,
     "maxlen": 3,
     "spectral_steps": 24,

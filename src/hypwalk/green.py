@@ -9,7 +9,8 @@ kernels (``first_passage_set``, ``last_exit``) solve the walk absorbed on
 the taboo set over a finite cut-closed domain, with the branches beyond
 it folded in as exact self-loops, so they carry enclosures of the same
 kind.  Restricted values on balls come from the sparse solver; they serve
-the multiplicativity check and the tests as an independent oracle.
+``ancona`` and the tests as an independent oracle.  scipy.sparse is
+loaded by the taboo and ball solves only, on their first call.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _exact
 from ._solver import RestrictedSolver
@@ -161,6 +160,9 @@ def first_passage_set(
     by the residual of its solve: the error of the solution is the
     residual weighted by hitting probabilities, which are at most 1.
     """
+    import scipy.sparse as sp  # costly to import: loaded on first use
+    import scipy.sparse.linalg as spla
+
     require_valid(walk, nondegenerate=False)
     lam = list(dict.fromkeys(lam))
     if not lam:

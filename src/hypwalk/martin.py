@@ -65,10 +65,6 @@ class BoundaryPoint:
             cycle = model.word(cycle)
         return BoundaryPoint(head=head, cycle=cycle)
 
-    @staticmethod
-    def from_sample(sample) -> "BoundaryPoint":
-        return BoundaryPoint(head=sample.prefix, cycle=sample.prefix.model.identity())
-
     @property
     def model(self) -> GroupModel:
         return self.head.model

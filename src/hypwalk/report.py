@@ -24,13 +24,7 @@ from . import __version__ as _pkg_version
 from .classify import classify
 from .config import ExperimentConfig
 from .errors import HypwalkError
-from .green import (
-    ancona_check,
-    green,
-    green_decay_slope,
-    harnack_constant,
-    restricted_green,
-)
+from .green import ancona_check, green, green_decay_slope, harnack_constant
 from .groups import FREE, GroupElement, GroupModel, ball, conjugacy_representatives
 from .martin import (
     BoundaryPoint,
@@ -39,7 +33,7 @@ from .martin import (
     martin_kernel_at,
     ratio_invariant,
 )
-from .measure import Cylinder, estimate_measure, gibbs_ratio, radon_nikodym_check
+from .measure import Cylinder, gibbs_ratio, radon_nikodym_check
 from .walks import (
     sample_boundary_prefixes,
     sample_path,
@@ -156,17 +150,12 @@ def _exp_green(cfg: ExperimentConfig):
             "value": est.value, "lower": est.lower, "upper": est.upper,
         })
     slope, intercept = green_decay_slope(walk, max_len=min(5, cap), per_sphere=8)
-    base = [restricted_green(walk, r, max_states=cfg.budgets["max_states"]).value(e, e)
-            for r in (4, 5, 6)]
-    monotone = base[0] <= base[1] <= base[2]
     c1 = harnack_constant(walk)
-    ok = ok and slope < 0 and monotone
+    ok = ok and slope < 0
     result = {
         "entries": rows,
         "decay_slope": slope,
         "decay_intercept": intercept,
-        "restricted_base_values": base,
-        "monotone": monotone,
         "harnack_constant": c1,
     }
     csv_rows = [(r["word"], r["length"], r["value"], r["lower"], r["upper"]) for r in rows]

@@ -46,6 +46,24 @@ class TestRestrictedGreen:
             assert val >= partial[2 * r] - 1e-12
             prev = val
 
+    @pytest.mark.parametrize(
+        "model,weights",
+        [
+            (GroupModel.free(2), [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)]),
+            (GroupModel.free_product(2, 3), None),
+            (GroupModel.free_product(2, 5), None),
+        ],
+        ids=["f2-asym", "z23", "z25"],
+    )
+    def test_increasing_and_below_exact(self, model, weights):
+        # G_{B(r)}(e,e) grows strictly with the ball and stays below the
+        # upper end of the exact G(e,e) enclosure.
+        walk = make_walk(model, weights, seed=1) if weights else uniform_walk(model, seed=1)
+        e = model.identity()
+        upper = green(walk, e, e).upper
+        values = [restricted_green(walk, r).value(e, e) for r in (4, 5, 6)]
+        assert values[0] < values[1] < values[2] < upper
+
     def test_against_distance_chain_oracle(self, walk_f2, f2):
         radius = 6
         oracle = distance_chain_green(2, radius)
