@@ -69,6 +69,6 @@ from .measure import (
     gibbs_ratio,
     radon_nikodym_check,
 )
-from .classify import RatioSetReport, classify, lattice_test, real_log_gcd
+from .classify import RatioSetReport, classify
 from .config import ExperimentConfig, load_config, parse_config
 from .report import ReportBundle, run_experiment

@@ -1,206 +1,198 @@
 """Ratio-set classification of the boundary equivalence relation.
 
-The multiplicative group generated by the computed r(g) values is either
-a lattice {lambda^n} or dense in (0, inf); the verdict comes from a
-tolerant real GCD of the logarithms.  A dense verdict can only ever mean
-"no lattice was detectable at the tested tolerance", and the report says
-exactly which tolerances were tested.
+The ratio set is generated by the ratio invariants r(g) of the elements
+of infinite order, and r(g) = F(e, c) is a product over the cut vertices
+of the cyclically reduced core c of g.  So the group the r(g) generate
+has a finite generator set: on F_N the 2N letters x, r(x) = F_x; on
+Z/m*Z/n, where a core of infinite order alternates syllables, the
+s^i t^j for 1 <= i < m, 1 <= j < n, r(s^i t^j) = F(e, s^i) F(e, t^j).
+An alphabet map that preserves mu fixes every first-passage value, so
+the generators of one orbit have equal r exactly; one is evaluated.
+
+The verdict is exact arithmetic in ``fractions.Fraction``.  With
+l = -log r rounded outward and l_1 that of the least r, each other orbit
+has q_i = l_i / l_1 in an interval of width w_i, whose simplest rational
+s_i (continued fractions, a Stern-Brocot descent) has the least
+denominator in it.
+
+* III_lambda when every den(s_i) <= floor(w_i^(-1/3)): lambda =
+  exp(-l_1 c), c = gcd(1, s_2, ...), with an outward-rounded enclosure.
+  The relation is proven by symmetry with one orbit; otherwise it is one
+  of small height that the enclosures cannot tell from the truth.
+* III_1 otherwise.  Certified: were the ratio set a lattice lambda^Z,
+  k = l_1 / -log lambda would be an integer that every den(q_i) >=
+  den(s_i) divides, so lambda >= exp(-l_1 / D), D = max den(s_i).
+
+Not w^(-1/2): by Dirichlet's theorem every real q has rationals p/d with
+|q - p/d| < 1/d^2, so an interval of width w around an irrational q
+typically holds one of denominator about w^(-1/2); closer ones,
+|q - p/d| < 1/d^3, occur only finitely often for almost every q
+(Khinchin).  III_0 cannot occur, as the paper proves: every r(g) lies in
+(0, 1).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ValidationError
-from .groups import GroupModel, conjugacy_representatives
+from .groups import FREE, GroupElement, GroupModel
 from .martin import RatioValue, ratio_invariant
 from .walks import WalkSpec, require_valid
 
-_EPS_GRID = tuple(float(x) for x in np.geomspace(1e-7, 0.2, 45))
+
+def generators(model: GroupModel) -> list[GroupElement]:
+    """The finite generator set: the letters of F_N, s^i t^j on Z/m*Z/n."""
+    if model.kind == FREE:
+        return list(model.generators())
+    m, n = model.orders
+    return [GroupElement(model, ((1, i), (2, j))) for i in range(1, m) for j in range(1, n)]
 
 
-def real_log_gcd(values: Sequence[float], eps_rel: float) -> float:
-    """Tolerant GCD of positive reals; 0.0 signals collapse (no lattice).
+def _orbit_keys(walk: WalkSpec, gens: Sequence[GroupElement]) -> list[tuple]:
+    """A key per generator, equal for generators in one orbit of the
+    mu-preserving alphabet maps.  Weights are compared with ``==``: only
+    equal weights prove equal values.
 
-    Euclid with nearest-multiple remainders: a remainder below
-    ``eps_rel * b`` counts as zero, and a candidate below
-    ``eps_rel * max(values)`` counts as collapsed.  Nearest-multiple
-    rounding keeps estimator noise from masquerading as a tiny generator.
+    F_N: a signed letter permutation sending x to y preserves mu iff
+    (mu(x), mu(x^-1)) = (mu(y), mu(y^-1)), so none is enumerated.
+    Z/m*Z/n: the group of at most 8 maps that invert either factor and,
+    when m = n, swap them; r is a class function, so the image of s^i t^j
+    is read off its pair of syllables.
     """
-    vals = sorted({float(v) for v in values})
-    if not vals or vals[0] <= 0:
-        raise ValidationError("log-lattice input must be positive")
-    eps_abs = eps_rel * max(vals)
-    g = vals[0]
-    for v in vals[1:]:
-        g = _gcd2(g, v, eps_rel, eps_abs)
-        if g == 0.0:
-            return 0.0
-    return g
+    mu = dict(walk.support)
+    model = walk.model
+    if model.kind == FREE:
+        return [(mu.get(g, 0.0), mu.get(g.inverse(), 0.0)) for g in gens]
+
+    def act(f, syllables):  # f: (invert factor 1, invert factor 2, swap)
+        orders = model.orders
+        return tuple(
+            (3 - lid if f[2] else lid, orders[lid - 1] - exp if f[lid - 1] else exp)
+            for lid, exp in syllables
+        )
+
+    swaps = (False, True) if model.orders[0] == model.orders[1] else (False,)
+    maps = [
+        f for f in itertools.product((False, True), (False, True), swaps)
+        if {GroupElement(model, act(f, g.syllables)): p for g, p in mu.items()} == mu
+    ]
+    return [min(tuple(sorted(act(f, g.syllables))) for f in maps) for g in gens]
 
 
-def _gcd2(a: float, b: float, eps_rel: float, eps_abs: float) -> float:
-    a, b = max(a, b), min(a, b)
+def _simplest(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational of least denominator in [lo, hi], 0 < lo <= hi.
+
+    Continued-fraction descent: the common partial quotients of the two
+    ends, then the least integer the last step admits.
+    """
+    p0, q0, p1, q1 = 0, 1, 1, 0
     while True:
-        if b < eps_abs:
-            return 0.0
-        k = round(a / b)
-        r = abs(a - k * b)
-        if r <= eps_rel * b:
-            return b
-        a, b = b, r
+        a = math.ceil(lo)
+        if a <= hi:
+            return Fraction(a * p1 + p0, a * q1 + q0)
+        a -= 1
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        lo, hi = 1 / (hi - a), 1 / (lo - a)
 
 
-@dataclass(frozen=True)
-class LatticeResult:
-    """Outcome of the lattice test on a set of ratio values."""
-
-    lattice: bool
-    lam: float  # generator when lattice, nan otherwise
-    log_gcd: float
-    eps: float
-    stability_lo: float  # eps interval with an unchanged verdict
-    stability_hi: float
-    caveat: bool
-    multiples_ok: bool
+def _height_bound(width: Fraction | float) -> int:
+    """The largest denominator accepted in an interval of this width."""
+    return math.floor(float(width) ** (-1 / 3))
 
 
-def lattice_test(r_values: Sequence[float], eps_rel: float = 1e-3) -> LatticeResult:
-    """Decide lattice vs dense for the group generated by the r values.
-
-    Values equal to 1 carry no information and are dropped.  The verdict
-    is rechecked across a tolerance grid; a dense verdict that flips
-    within a decade of ``eps_rel`` is downgraded to the lattice verdict
-    with the caveat flag set.
-    """
-    logs = [-math.log(v) for v in r_values if 0 < v < 1.0]
-    if not logs:
-        raise ValidationError("no nontrivial ratio values to classify")
-    for v in r_values:
-        if v <= 0 or v > 1:
-            raise ValidationError(f"ratio value {v} outside (0, 1]")
-
-    def gcd_at(eps: float) -> float:
-        return real_log_gcd(logs, eps)
-
-    g0 = gcd_at(eps_rel)
-    is_lattice = g0 > 0.0
-    # Maximal contiguous tolerance interval (on the scan grid) keeping
-    # the verdict: its endpoints bracket the verdict flip points.
-    scan = sorted(set(_EPS_GRID) | {eps_rel, eps_rel / 10, eps_rel * 10})
-    agrees = {eps: (gcd_at(eps) > 0.0) == is_lattice for eps in scan}
-    i = scan.index(eps_rel)
-    lo = hi = eps_rel
-    j = i
-    while j - 1 >= 0 and agrees[scan[j - 1]]:
-        j -= 1
-        lo = scan[j]
-    j = i
-    while j + 1 < len(scan) and agrees[scan[j + 1]]:
-        j += 1
-        hi = scan[j]
-    caveat = False
-    lam = float("nan")
-    if not is_lattice:
-        near = [
-            (eps, gcd_at(eps)) for eps in scan
-            if eps_rel / 10 <= eps <= eps_rel * 10 and gcd_at(eps) > 0.0
-        ]
-        if near:
-            # Collapse is not stable across the tolerance decade: report
-            # the lattice seen at the nearest working tolerance instead.
-            _, g0 = min(near)
-            is_lattice = True
-            caveat = True
-    multiples_ok = True
-    if is_lattice:
-        lam = math.exp(-g0)
-        for x in logs:
-            k = round(x / g0)
-            if abs(x - k * g0) > max(eps_rel, 1e-9) * max(x, g0):
-                multiples_ok = False
-    return LatticeResult(
-        lattice=is_lattice,
-        lam=lam,
-        log_gcd=g0 if is_lattice else 0.0,
-        eps=eps_rel,
-        stability_lo=lo,
-        stability_hi=hi,
-        caveat=caveat,
-        multiples_ok=multiples_ok,
+def _exp_bounds(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """[exp(-hi), exp(-lo)], rounded outward."""
+    return (
+        math.nextafter(math.exp(-math.nextafter(float(hi), math.inf)), 0.0),
+        math.nextafter(math.exp(-math.nextafter(float(lo), 0.0)), math.inf),
     )
 
 
-def _rational_label(lam: float, rel_tol: float = 0.01) -> str:
-    frac = Fraction(lam).limit_denominator(64)
-    if frac.numerator >= 1 and abs(float(frac) - lam) <= rel_tol * lam:
-        return f"{frac.numerator}/{frac.denominator}"
-    return f"{lam:.6g}"
+def _log_enclosure(rv: RatioValue) -> tuple[Fraction, Fraction]:
+    """[lo, hi] holding -log r, from the enclosure of r rounded outward."""
+    if not 0.0 < rv.lower <= rv.upper < 1.0:
+        raise ValidationError(f"r({rv.element}) enclosure [{rv.lower}, {rv.upper}] outside (0, 1)")
+    lo = math.nextafter(-math.log(rv.upper), 0.0)
+    hi = math.nextafter(-math.log(rv.lower), math.inf)
+    return Fraction(lo), Fraction(hi)
 
 
 @dataclass(frozen=True)
 class RatioSetReport:
-    """Computed ratio values plus the lattice verdict and its stability."""
+    """The generator values of the ratio set and its certified type.
+
+    ``values``: r at every generator (the letters of F_N, s^i t^j on
+    Z/m*Z/n).  ``orbits``: the one value evaluated per symmetry orbit,
+    least r first.  ``quotients``: exact enclosures of log r_i / log r_1
+    for ``orbits[1:]``, and ``height`` the largest denominator of their
+    simplest rationals.  III_lambda (``lam`` set; ``relation`` "symmetry"
+    with one orbit, else "height") needs each at most width^(-1/3), not
+    width^(-1/2), which Dirichlet's theorem lets irrational ratios pass.
+    III_1 sets the certified ``lam_floor``: a lattice lambda^Z would need
+    lambda >= lam_floor.  III_0 cannot occur.
+    """
 
     model: GroupModel
-    maxlen: int
     values: tuple[RatioValue, ...]
+    orbits: tuple[RatioValue, ...]
+    quotients: tuple[tuple[Fraction, Fraction], ...]
     classification: str
-    lattice: bool
-    lam: float
     label: str
-    eps: float
-    stability: tuple[float, float]
-    caveat: bool
-    stable_in_maxlen: bool
+    height: int
+    relation: str | None = None
+    lam: float | None = None
+    lam_lower: float | None = None
+    lam_upper: float | None = None
+    lam_floor: float | None = None
 
-    def summary(self) -> str:
-        return self.classification
+    @property
+    def lattice(self) -> bool:
+        return self.lam is not None
 
 
-def classify(walk: WalkSpec, maxlen: int, tol: float = 1e-3) -> RatioSetReport:
-    """Classify the boundary type from ratio values up to a length budget.
-
-    ``tol`` is the relative GCD tolerance.  The type is III_lambda when
-    the log-ratios form a lattice and III_1 otherwise; III_0 cannot
-    occur.  The verdict agreement between maxlen-1 and maxlen is
-    reported as a stability signal.
-    """
-    require_valid(walk)
-    reps = conjugacy_representatives(walk.model, maxlen)
-    values = [ratio_invariant(walk, g) for g, finite in reps if not finite]
-    if not values:
-        raise ValidationError(f"no infinite-order representatives up to length {maxlen}")
-    result = lattice_test([v.value for v in values], tol)
-    stable = True
-    if maxlen > 1:
-        shorter = [v.value for v in values if v.element.word_length() <= maxlen - 1]
-        if shorter:
-            prev = lattice_test(shorter, tol)
-            stable = prev.lattice == result.lattice and (
-                not result.lattice or abs(prev.lam - result.lam) <= 0.05 * result.lam
-            )
-    if result.lattice:
-        label = _rational_label(result.lam)
-        classification = f"III_{label}"
-    else:
-        label = "1"
-        classification = "III_1"
-    return RatioSetReport(
-        model=walk.model,
-        maxlen=maxlen,
-        values=tuple(values),
-        classification=classification,
-        lattice=result.lattice,
-        lam=result.lam,
-        label=label,
-        eps=tol,
-        stability=(result.stability_lo, result.stability_hi),
-        caveat=result.caveat,
-        stable_in_maxlen=stable,
+def _verdict(
+    model: GroupModel, values: Sequence[RatioValue], orbits: Sequence[RatioValue]
+) -> RatioSetReport:
+    """The certified type from one enclosure of r per orbit."""
+    orbits = sorted(orbits, key=lambda rv: rv.value)
+    (l_lo, l_hi), *rest = [_log_enclosure(rv) for rv in orbits]
+    quotients = [(lo / l_hi, hi / l_lo) for lo, hi in rest]
+    simplest = [Fraction(1)] + [_simplest(lo, hi) for lo, hi in quotients]
+    height = max(s.denominator for s in simplest)
+    common = dict(
+        model=model, values=tuple(values), orbits=tuple(orbits),
+        quotients=tuple(quotients), height=height,
     )
+    if any(s.denominator > _height_bound(hi - lo) for s, (lo, hi) in zip(simplest[1:], quotients)):
+        floor = _exp_bounds(l_lo / height, l_hi / height)[0]
+        return RatioSetReport(classification="III_1", label="1", lam_floor=floor, **common)
+    c = Fraction(
+        math.gcd(*(s.numerator for s in simplest)), math.lcm(*(s.denominator for s in simplest))
+    )
+    lam = orbits[0].value ** float(c)
+    lower, upper = _exp_bounds(l_lo * c, l_hi * c)
+    nearest = _simplest(Fraction(lower), Fraction(upper))
+    label = str(nearest) if nearest.denominator <= _height_bound(upper - lower) else f"{lam:.6g}"
+    return RatioSetReport(
+        classification=f"III_{label}", label=label,
+        relation="symmetry" if len(orbits) == 1 else "height",
+        lam=lam, lam_lower=lower, lam_upper=upper, **common,
+    )
+
+
+def classify(walk: WalkSpec) -> RatioSetReport:
+    """Classify the boundary type from the generator values of the ratio set."""
+    require_valid(walk)
+    gens = generators(walk.model)
+    evaluated: dict[tuple, RatioValue] = {}
+    values = []
+    for g, key in zip(gens, _orbit_keys(walk, gens)):
+        if key not in evaluated:
+            evaluated[key] = ratio_invariant(walk, g)
+        values.append(replace(evaluated[key], element=g))
+    return _verdict(walk.model, values, list(evaluated.values()))

@@ -44,7 +44,6 @@ _BUDGET_DEFAULTS = {
 
 _TOLERANCE_DEFAULTS = {
     "solver_rtol": 1e-12,
-    "gcd_eps": 1e-3,
     "invariant_tol": 1e-8,
 }
 
@@ -66,6 +65,11 @@ class ExperimentConfig:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _is_int(value: Any) -> bool:
+    """An integer, and not a bool (``isinstance(True, int)`` holds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -98,7 +102,7 @@ def _parse_walk(section: Any, model: GroupModel) -> WalkSpec:
     _check_keys(section, {"support", "seed"}, "walk")
     _require("seed" in section, "walk.seed is required (no wall-clock default)")
     seed = section["seed"]
-    _require(isinstance(seed, int), "walk.seed must be an integer")
+    _require(_is_int(seed), "walk.seed must be an integer")
     support = section.get("support", "uniform")
     if support == "uniform":
         return uniform_walk(model, seed)
@@ -148,13 +152,11 @@ def parse_config(data: dict) -> ExperimentConfig:
             continue
         if key == "gibbs_radii":
             _require(
-                isinstance(value, list) and value and all(int(r) >= 1 for r in value),
-                "budgets.gibbs_radii must be a nonempty list of positive radii",
+                isinstance(value, list) and value and all(_is_int(r) and r >= 1 for r in value),
+                "budgets.gibbs_radii must be a nonempty list of positive integer radii",
             )
             continue
-        _require(
-            isinstance(value, int) and value > 0, f"budgets.{key} must be a positive integer"
-        )
+        _require(_is_int(value) and value > 0, f"budgets.{key} must be a positive integer")
     _require(budgets["n_samples"] >= 2, "budgets.n_samples must be at least 2")
     _require(
         budgets["spectral_steps"] >= 4 and budgets["spectral_steps"] % 2 == 0,
@@ -162,7 +164,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
     for key, value in tolerances.items():
         _require(
-            isinstance(value, (int, float)) and value > 0, f"tolerances.{key} must be positive"
+            isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
+            f"tolerances.{key} must be a positive number",
         )
     experiments = data.get("experiments", ["classify"])
     _require(

@@ -291,7 +291,7 @@ def _exp_gibbs(cfg: ExperimentConfig):
     walk = cfg.walk
     _, points = _probe_points(cfg.model)
     rep = gibbs_ratio(
-        walk, points[0], [int(r) for r in cfg.budgets["gibbs_radii"]],
+        walk, points[0], cfg.budgets["gibbs_radii"],
         n_samples=cfg.budgets["n_samples"],
         patience=cfg.budgets["boundary_patience"],
         max_steps=cfg.budgets["boundary_max_steps"],
@@ -333,19 +333,18 @@ def _exp_rn_check(cfg: ExperimentConfig):
 
 
 def _exp_classify(cfg: ExperimentConfig):
-    walk = cfg.walk
-    rep = classify(walk, cfg.budgets["maxlen"], cfg.tolerances["gcd_eps"])
+    rep = classify(cfg.walk)
     ok = all(0 < v.value < 1 for v in rep.values)
     result = {
         "classification": rep.classification,
         "lattice": rep.lattice,
-        "lambda": rep.lam if rep.lattice else None,
+        "lambda": rep.lam,
+        "lambda_lower": rep.lam_lower,
+        "lambda_upper": rep.lam_upper,
         "label": rep.label,
-        "eps": rep.eps,
-        "stability_interval": list(rep.stability),
-        "caveat": rep.caveat,
-        "stable_in_maxlen": rep.stable_in_maxlen,
-        "maxlen": rep.maxlen,
+        "relation": rep.relation,
+        "height": rep.height,
+        "lambda_floor": rep.lam_floor,
         "ratios": [_ratio_row(v) for v in rep.values],
     }
     csv_rows = [(r["rep"], r["length"], r["r"]) for r in result["ratios"]]

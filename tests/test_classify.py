@@ -1,0 +1,131 @@
+"""The certified ratio-set verdict from the finite generator set."""
+
+import math
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypwalk import (
+    GroupElement, GroupModel, RatioValue, classify, make_walk, ratio_invariant, uniform_walk,
+)
+from hypwalk.classify import _simplest, _verdict, generators
+
+ASYM_F2 = [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)]
+ASYM_Z23 = [("s", 0.5), ("t", 0.35), ("T", 0.15)]
+ASYM_Z37 = [("s", 0.3), ("S", 0.2), ("t", 0.3), ("T", 0.2)]
+
+
+@pytest.mark.parametrize(
+    "model,label",
+    [
+        (GroupModel.free(2), "1/3"),
+        (GroupModel.free(3), "1/5"),
+        (GroupModel.free(4), "1/7"),
+        (GroupModel.free_product(2, 3), "1/2"),
+        (GroupModel.free_product(3, 3), "1/4"),
+    ],
+)
+def test_uniform_walks_are_lattices_by_symmetry(model, label):
+    rep = classify(uniform_walk(model, seed=1))
+    assert rep.classification == f"III_{label}" and rep.lattice
+    assert rep.relation == "symmetry" and rep.height == 1 and len(rep.orbits) == 1
+    assert rep.lam_lower <= float(Fraction(label)) <= rep.lam_upper
+    assert rep.lam_lower <= rep.lam <= rep.lam_upper and rep.lam_floor is None
+    assert [v.element for v in rep.values] == generators(model)
+
+
+@pytest.mark.parametrize(
+    "model,support",
+    [
+        (GroupModel.free(2), ASYM_F2),
+        (GroupModel.free_product(2, 3), ASYM_Z23),
+        (GroupModel.free_product(2, 5), None),
+        (GroupModel.free_product(3, 7), None),
+        (GroupModel.free_product(7, 7), None),
+    ],
+)
+def test_asymmetric_ratios_are_iii_1(model, support):
+    walk = uniform_walk(model, 1) if support is None else make_walk(model, support, 1)
+    rep = classify(walk)
+    assert rep.classification == "III_1" and not rep.lattice
+    assert rep.lam is None and rep.relation is None
+    assert 0.0 < rep.lam_floor < 1.0
+    assert len(rep.values) == len(generators(model))
+
+
+def _enclosure(model, value):
+    return RatioValue(model.word("a"), value, value * (1 - 1e-13), value * (1 + 1e-13), False)
+
+
+def test_height_relation_on_synthetic_enclosures():
+    # l(1/2) / l(1/8) = 1/3: a relation of height 3, lambda = 1/2.
+    model = GroupModel.free(2)
+    rep = _verdict(model, (), [_enclosure(model, 0.5), _enclosure(model, 0.125)])
+    assert rep.classification == "III_1/2"
+    assert rep.relation == "height" and rep.height == 3
+    assert rep.lam_lower <= 0.5 <= rep.lam_upper
+
+
+def test_unrelated_synthetic_enclosures_are_iii_1():
+    model = GroupModel.free(2)
+    rep = _verdict(model, (), [_enclosure(model, 0.5), _enclosure(model, 0.3)])
+    assert rep.classification == "III_1"
+    assert rep.height > 1e4 and rep.lam_floor > 0.999
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.fractions(min_value=Fraction(1, 1000), max_value=10, max_denominator=1000),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000),
+)
+def test_simplest_has_the_least_denominator(lo, width):
+    hi = lo + width
+    s = _simplest(lo, hi)
+    assert lo <= s <= hi
+    assert all(math.ceil(lo * d) > hi * d for d in range(1, s.denominator))
+
+
+def _ball(model, radius):
+    ball, frontier = {model.identity()}, {model.identity()}
+    for _ in range(radius):
+        frontier = {g * s for g in frontier for s in model.generators()} - ball
+        ball |= frontier
+    return ball
+
+
+def _generator_exponents(core):
+    """Generator counts of a cyclically reduced core: its letters on F_N,
+    its consecutive syllable pairs s^i t^j on Z/m*Z/n."""
+    model = core.model
+    if model.kind == "free":
+        return Counter(model.letter_element(letter) for letter in core.letters())
+    syl = core.syllables
+    if syl[0][0] == 2:
+        syl = syl[1:] + syl[:1]
+    return Counter(GroupElement(model, syl[k : k + 2]) for k in range(0, len(syl), 2))
+
+
+@pytest.mark.parametrize(
+    "model,support",
+    [
+        (GroupModel.free(2), ASYM_F2),
+        (GroupModel.free(3), None),
+        (GroupModel.free_product(2, 3), ASYM_Z23),
+        (GroupModel.free_product(3, 7), ASYM_Z37),
+    ],
+)
+def test_ratio_is_a_product_of_generator_values(model, support):
+    walk = uniform_walk(model, 1) if support is None else make_walk(model, support, 1)
+    values = {v.element: v.value for v in classify(walk).values}
+    checked = 0
+    for g in _ball(model, 6):
+        if g.has_finite_order():
+            continue
+        exponents = _generator_exponents(g.cyclic_reduction()[1])
+        product = math.prod(values[x] ** k for x, k in exponents.items())
+        assert ratio_invariant(walk, g).value == pytest.approx(product, rel=1e-12)
+        checked += 1
+    assert checked >= 36

@@ -91,6 +91,7 @@ def test_green_small_radius_budget(tmp_path):
         ("tolerances", "green_tol", 1e-3),
         ("tolerances", "kernel_dev", 1e-3),
         ("model", "delta_hint", 1),
+        ("tolerances", "gcd_eps", 1e-3),
     ],
 )
 def test_removed_key_is_a_config_error(tmp_path, capsys, section, key, value):
@@ -101,6 +102,28 @@ def test_removed_key_is_a_config_error(tmp_path, capsys, section, key, value):
     code, report, _ = _run(tmp_path, model, ["classify"], **sections)
     assert code == EXIT_CONFIG and report is None
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii", [["x"], [3, None], [1.5, 2], [True, 2], [0, 2], [], 3])
+def test_invalid_gibbs_radii_is_a_config_error(tmp_path, capsys, radii):
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["gibbs"], budgets={"gibbs_radii": radii}
+    )
+    assert code == EXIT_CONFIG and report is None
+    assert "budgets.gibbs_radii" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key", ["walk.seed", "budgets.maxlen", "budgets.max_radius", "tolerances.invariant_tol",
+            "tolerances.gcd_eps"],
+)
+def test_boolean_for_a_number_is_a_config_error(tmp_path, capsys, key):
+    # isinstance(True, int) holds: without a check, true would run as 1.
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["rg"], args=["--override", f"{key}=true"]
+    )
+    assert code == EXIT_CONFIG and report is None
+    assert key.rpartition(".")[2] in capsys.readouterr().err
 
 
 def test_state_budget_exhaustion(tmp_path):
@@ -146,6 +169,24 @@ def test_override_reaches_config_echo(tmp_path):
     assert report["config_echo"]["budgets"]["maxlen"] == 2
     lengths = [row["length"] for row in report["results"]["rg"]["ratios"]]
     assert max(lengths) == 2
+
+
+def test_classify_reads_no_budget(tmp_path):
+    # The verdict comes from the finite generator set, not from the
+    # representatives up to maxlen that rg lists.
+    outputs = []
+    for maxlen in (2, 4):
+        code, report, _ = _run(
+            tmp_path, {"kind": "free_product", "orders": [2, 5]}, ["classify"], out=f"m{maxlen}",
+            args=["--override", f"budgets.maxlen={maxlen}"],
+        )
+        assert code == EXIT_OK
+        outputs.append((
+            json.dumps(report["results"]["classify"], sort_keys=True),
+            (tmp_path / f"m{maxlen}" / "classify.csv").read_bytes(),
+        ))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["classification"] == "III_1"
 
 
 def test_subcommands_select_experiments(tmp_path):

@@ -4,11 +4,15 @@ Models are F_2 to F_4 and Z/m*Z/n with m, n <= 7; walks put random
 positive, non-symmetric weights on the nearest-neighbour alphabet.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypwalk import GroupModel, first_passage_set, make_walk, spectral_radius_estimate
+from hypwalk import (
+    GroupElement, GroupModel, classify, first_passage_set, make_walk, spectral_radius_estimate,
+)
 from hypwalk._exact import factors, kernel, returns
 from hypwalk.walks import n_step_distributions
 
@@ -18,10 +22,10 @@ MODELS = [GroupModel.free(n) for n in (2, 3, 4)] + [
 
 
 @st.composite
-def walks(draw):
+def walks(draw, weight=st.floats(0.05, 1.0)):
     model = draw(st.sampled_from(MODELS))
     gens = model.generators()
-    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(gens), max_size=len(gens)))
+    weights = draw(st.lists(weight, min_size=len(gens), max_size=len(gens)))
     total = sum(weights)
     return make_walk(model, [(g, w / total) for g, w in zip(gens, weights)], seed=1)
 
@@ -89,3 +93,48 @@ def test_kernel_is_constant_past_the_reach_of_g(data):
     ray = data.draw(geodesic_words(shared, reach + 8)).letters()
     values = {kernel(walk, g, model.from_letters(ray[:d])) for d in range(reach, reach + 9)}
     assert len(values) == 1
+
+
+@st.composite
+def relabellings(draw, model):
+    """An alphabet automorphism on single syllables: a signed permutation
+    of the letters of F_N; on Z/m*Z/n, inverting either factor and, when
+    m = n, swapping them."""
+    if model.kind == "free":
+        perm = draw(st.permutations(range(1, model.rank + 1)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=model.rank, max_size=model.rank))
+        return lambda lid, exp: (perm[lid - 1], exp * signs[lid - 1])
+    flips = draw(st.lists(st.booleans(), min_size=2, max_size=2))
+    swap = model.orders[0] == model.orders[1] and draw(st.booleans())
+
+    def act(lid, exp):
+        if flips[lid - 1]:
+            exp = model.orders[lid - 1] - exp
+        return (3 - lid if swap else lid), exp
+
+    return act
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_classification_is_invariant_under_relabelling(data):
+    # Equal weights give symmetric walks, and with them lattice verdicts.
+    walk = data.draw(walks(weight=st.sampled_from([0.5, 1.0]) | st.floats(0.05, 1.0)))
+    model = walk.model
+    act = data.draw(relabellings(model))
+    moved = make_walk(
+        model, [(GroupElement(model, (act(*g.syllables[0]),)), p) for g, p in walk.support], 1
+    )
+    before, after = classify(walk), classify(moved)
+    assert after.classification == before.classification
+    assert after.relation == before.relation and len(after.orbits) == len(before.orbits)
+
+
+@PROPERTY_SETTINGS
+@given(walks())
+def test_quotient_intervals_hold_their_float_ratios(walk):
+    rep = classify(walk)
+    base = math.log(rep.orbits[0].value)
+    assert len(rep.quotients) == len(rep.orbits) - 1
+    for rv, (lo, hi) in zip(rep.orbits[1:], rep.quotients):
+        assert lo <= math.log(rv.value) / base <= hi
