@@ -32,7 +32,15 @@ so every value is bitwise the same in every process.
 The same first-step equations, read as power series in z, give the
 return probabilities p^(n)(e, e); and since G(e, e | z) is finite exactly
 for z <= 1/rho, every z at which the fixed point is certified bounds the
-spectral radius from above: rho <= 1/z.
+spectral radius from above: rho <= 1/z.  A probe at such a z needs only
+the upper certificate.  It finds the minimal fixed point by Newton's
+method from 0, F <- F + (I - J(F))^-1 (Phi(F) - F), whose iterates rise
+monotonically to it whenever it exists, since Phi is monotone and convex
+(Etessami and Yannakakis, J. ACM 56, 2009; Esparza, Kiefer and
+Luttenberger, SIAM J. Comput. 39, 2010); a falling step rejects z as
+past 1/rho.  The certificate's direction (I - J)^-1 1 comes from the same
+pivoted elimination, with J exact on F_N and from forward differences on
+Z/m*Z/n.
 """
 
 from __future__ import annotations
@@ -48,6 +56,12 @@ Bracket = tuple[float, float, float]  # (value, lower, upper)
 _EPS = 2.0 ** -52  # twice the unit roundoff: one rounding plus slack
 _MAX_SWEEPS = 20_000
 _MAX_DOUBLINGS = 200
+_MAX_NEWTON = 100
+# A Newton step falling by more than this, relative, finds no fixed point
+# above the iterate.  Below 1/rho the final steps only undo the forward-
+# difference Jacobian's error and fall by at most about 1e-12; past 1/rho
+# the first falling step drops by 1e-4 or more already at 1e-7 beyond it.
+_FALL = 2.0 ** -26
 _MAX_DIRECTION = 1e12  # |(I - J)^-1 1| beyond this: Jacobian at eigenvalue 1
 _SPECTRAL_GAP = 1e-4  # relative width of the last bisection step towards 1/rho
 
@@ -78,12 +92,16 @@ class _Letters:
         table, rounding = self._free(F) if self.free else self._product(F)
         return [table[k] for k in self.keys], table, rounding
 
+    def _den(self, F: dict, x: tuple[int, int]) -> float:
+        """F_N: 1 - z sum_{y != x} mu(y) F_{y^-1}, the denominator of Phi_x."""
+        return 1.0 - sum(self.zmu[y] * F[self.inverse(y)] for y in self.keys if y != x)
+
     def _free(self, F: dict) -> tuple[dict, float]:
         keys, zmu = self.keys, self.zmu
         table = {}
         den_min = 1.0
         for x in keys:
-            den = 1.0 - sum(zmu[y] * F[self.inverse(y)] for y in keys if y != x)
+            den = self._den(F, x)
             if not den > 0.0:
                 raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
             table[x] = zmu[x] / den
@@ -107,6 +125,35 @@ class _Letters:
             den_min = min(den_min, rest, pivot_min)
             terms += 4 * m
         return table, (terms + 8) * _EPS / den_min
+
+    def jacobian(self, F: dict) -> list[list[float]]:
+        """Rows of d Phi_x / d F_y, in the order of ``keys``."""
+        return self._free_jacobian(F) if self.free else self._product_jacobian(F)
+
+    def _free_jacobian(self, F: dict) -> list[list[float]]:
+        # d Phi_x / d F_{y^-1} = z mu(x) z mu(y) / den_x^2 for y != x
+        keys, zmu = self.keys, self.zmu
+        index = {k: j for j, k in enumerate(keys)}
+        rows = []
+        for x in keys:
+            den = self._den(F, x)
+            scale = zmu[x] / (den * den)
+            row = [0.0] * len(keys)
+            for y in keys:
+                if y != x:
+                    row[index[self.inverse(y)]] = scale * zmu[y]
+            rows.append(row)
+        return rows
+
+    def _product_jacobian(self, F: dict) -> list[list[float]]:
+        # Forward differences: at most four letters.
+        base, _, _ = self.sweep(F)
+        cols = []
+        for k in self.keys:
+            step = 1e-7 * max(F[k], 1e-7)
+            moved, _, _ = self.sweep({**F, k: F[k] + step})
+            cols.append([(a - b) / step for a, b in zip(moved, base)])
+        return [list(row) for row in zip(*cols)]
 
 
 def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], float]:
@@ -155,29 +202,82 @@ def _iterate(phi: _Letters, bias: bool) -> dict:
     raise SolverError(f"first-passage fixed point not reached in {_MAX_SWEEPS} sweeps")
 
 
+def _solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """x with a x = b, by Gaussian elimination with partial pivoting.
+
+    Plain Python floats, so the result is bitwise the same in every
+    process.  A zero pivot raises DivergenceError: a is singular.
+    """
+    rows = [row[:] + [v] for row, v in zip(a, b)]
+    n = len(rows)
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        if not rows[p][c] != 0.0:
+            raise DivergenceError("singular Jacobian: z is at or past 1/rho")
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / pivot[c]
+            if f:
+                rows[r][c:] = [x - f * y for x, y in zip(rows[r][c:], pivot[c:])]
+    x = [0.0] * n
+    for c in range(n - 1, -1, -1):
+        row = rows[c]
+        x[c] = (row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) / row[c]
+    return x
+
+
+def _resolvent(phi: _Letters, F: dict, b: list[float]) -> list[float]:
+    """(I - J)^-1 b for the Jacobian J of Phi at F."""
+    jac = phi.jacobian(F)
+    a = [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(jac)]
+    return _solve(a, b)
+
+
+def _newton(phi: _Letters) -> dict:
+    """The minimal fixed point of Phi by Newton's method from 0.
+
+    Each component of Phi is a power series in the letter values with
+    nonnegative coefficients, so Phi is monotone and convex, and the
+    Newton iterates F + (I - J(F))^-1 (Phi(F) - F) rise monotonically to
+    the minimal fixed point whenever one exists (Etessami and
+    Yannakakis, J. ACM 56, 2009; Esparza, Kiefer and Luttenberger, SIAM
+    J. Comput. 39, 2010).  Stops once the residual Phi(F) - F lies within
+    the sweep's rounding bound.  Below a fixed point every step is
+    nonnegative, so a step with a component falling by more than
+    ``_FALL`` relative to Phi(F) finds none above F, that is z is past
+    1/rho, and raises DivergenceError, as does a diverging sweep or a
+    singular I - J; ``_MAX_NEWTON`` steps without convergence raise
+    SolverError.
+    """
+    keys = phi.keys
+    F = dict.fromkeys(keys, 0.0)
+    for _ in range(_MAX_NEWTON):
+        values, _, rounding = phi.sweep(F)
+        residual = [v - F[k] for k, v in zip(keys, values)]
+        if all(abs(r) <= rounding * v for r, v in zip(residual, values)):
+            return F
+        step = _resolvent(phi, F, residual)
+        if not all(s >= -_FALL * v for s, v in zip(step, values)):
+            raise DivergenceError("Newton step falls: z is past 1/rho")
+        F = {k: F[k] + s for k, s in zip(keys, step)}
+    raise SolverError(f"Newton's method did not converge in {_MAX_NEWTON} steps")
+
+
 def _upper(phi: _Letters, F: dict) -> dict:
     """A vector U >= F with Phi(U) <= U, certified with rounding.
 
     U = F + t d with d = (I - J)^-1 1 for the Jacobian J of Phi at F:
     along d, Phi(F + t d) - (F + t d) ~ Phi(F) - F - t, so t is doubled
-    from the current excess until the check passes.  d is positive
-    exactly when the fixed point is stable, that is when z < 1/rho.
+    from the current excess until the check passes.  For J >= 0 a
+    positive solution d exists exactly when the spectral radius of J is
+    below 1, that is when the fixed point is stable and z < 1/rho.
     """
     keys = phi.keys
     base, _, rounding = phi.sweep(F)
-    jac = []  # columns
-    for k in keys:
-        step = 1e-7 * max(F[k], 1e-7)
-        moved, _, _ = phi.sweep({**F, k: F[k] + step})
-        jac.append([(a - b) / step for a, b in zip(moved, base)])
-    d = [1.0] * len(keys)  # the Neumann series of (I - J)^-1 1
-    for _ in range(_MAX_SWEEPS):
-        new = [1.0 + sum(col[i] * dj for col, dj in zip(jac, d)) for i in range(len(keys))]
-        if all(a <= b for a, b in zip(new, d)):
-            break
-        d = new
-        if max(d) > _MAX_DIRECTION:
-            raise DivergenceError("first-passage fixed point is not stable: z is at or past 1/rho")
+    d = _resolvent(phi, F, [1.0] * len(keys))
+    if not all(0.0 < dk <= _MAX_DIRECTION for dk in d):
+        raise DivergenceError("first-passage fixed point is not stable: z is at or past 1/rho")
     excess = max(b * (1.0 + rounding) - F[k] for k, b in zip(keys, base))
     t = max(excess, rounding * max(F.values()), 1e-300)
     for _ in range(_MAX_DOUBLINGS):
@@ -192,6 +292,20 @@ def _upper(phi: _Letters, F: dict) -> dict:
     raise SolverError("no upper bound certified for the first-passage fixed point")
 
 
+def _ceiling(phi: _Letters, U: dict) -> tuple[dict, float]:
+    """Upper ends of every one-syllable value from a supersolution U, and
+    of the return sum z sum_y mu(y) F(e, y^-1 | z).  Every one-syllable
+    value is monotone in the letter values, so one sweep at U bounds them
+    all.  Raises DivergenceError unless the sum is below 1, that is
+    unless G(e, e | z) is certified finite."""
+    _, high, r_high = phi.sweep(U)
+    high = {k: v * (1.0 + r_high) for k, v in high.items()}
+    loop = sum(phi.zmu[y] * high[phi.inverse(y)] for y in phi.keys)
+    if not loop < 1.0:
+        raise DivergenceError("Green function diverges: z is past 1/rho")
+    return high, loop
+
+
 class _Solution:
     """One-syllable first-passage enclosures and G(e, e | z) of a walk."""
 
@@ -199,25 +313,21 @@ class _Solution:
         phi = _Letters(spec, z)
         point = _iterate(phi, bias=False)
         lower = _iterate(phi, bias=True)
-        upper = _upper(phi, point)
+        high, loop = _ceiling(phi, _upper(phi, point))
         # Every one-syllable value is monotone in the letter values, so one
-        # more sweep at each end encloses the whole table.
+        # more sweep at the point and at the lower end fills the table.
         _, mid, _ = phi.sweep(point)
         _, low, r_low = phi.sweep(lower)
-        _, high, r_high = phi.sweep(upper)
         self.table = {}
         for k, v in mid.items():
-            lo, hi = low[k] * (1.0 - r_low), high[k] * (1.0 + r_high)
+            lo, hi = low[k] * (1.0 - r_low), high[k]
             self.table[k] = (min(max(v, lo), hi), lo, hi)
-        back = [(phi.zmu[y], self.table[phi.inverse(y)]) for y in phi.keys]
-        sums = [sum(w * f[i] for w, f in back) for i in range(3)]
-        if not sums[2] < 1.0:
-            raise DivergenceError("Green function diverges: z is past 1/rho")
-        slack = (len(back) + 4) * _EPS / (1.0 - sums[2])
+        sums = [sum(phi.zmu[y] * self.table[phi.inverse(y)][i] for y in phi.keys) for i in (0, 1)]
+        slack = (len(phi.keys) + 4) * _EPS / (1.0 - loop)
         self.base = (
             1.0 / (1.0 - sums[0]),
             (1.0 - slack) / (1.0 - sums[1]),
-            (1.0 + slack) / (1.0 - sums[2]),
+            (1.0 + slack) / (1.0 - loop),
         )
 
     def product(self, keys: list[tuple[int, int]], first: Bracket = (1.0, 1.0, 1.0)) -> Bracket:
@@ -321,9 +431,12 @@ def returns(spec: WalkSpec, steps: int) -> list[float]:
 
 
 def _certified(spec: WalkSpec, z: float) -> bool:
+    """Whether G(e, e | z) is certified finite: a supersolution above the
+    Newton fixed point, and a return sum below 1 under it."""
+    phi = _Letters(spec, z)
     try:
-        _Solution(spec, z)
-    except (DivergenceError, SolverError):
+        _ceiling(phi, _upper(phi, _newton(phi)))
+    except SolverError:  # DivergenceError included
         return False
     return True
 
@@ -331,11 +444,16 @@ def _certified(spec: WalkSpec, z: float) -> bool:
 def spectral_upper(spec: WalkSpec) -> float:
     """A certified upper bound 1/z on the spectral radius rho.
 
-    z is the largest weight found at which ``_Solution`` certifies its
-    enclosure, so G(e, e | z) is finite and z <= 1/rho.  It is found by
-    doubling from z = 1 and then bisecting down to a relative gap of
-    ``_SPECTRAL_GAP``; a probe that diverges or runs out of sweeps counts
-    as not certified.
+    z is the largest weight found at which G(e, e | z) is certified
+    finite, so z <= 1/rho.  It is found by doubling from z = 1 and then
+    bisecting down to a relative gap of ``_SPECTRAL_GAP``.  Each probe runs
+    Newton's method from 0 to the minimal fixed point (monotone for a
+    monotone convex Phi: Etessami and Yannakakis 2009; Esparza, Kiefer
+    and Luttenberger 2010) and certifies a supersolution above it; a
+    probe counts as not certified when a Newton step falls by more than
+    ``_FALL`` (no fixed point above the iterate), when a sweep diverges,
+    when I - J is singular or has no positive (I - J)^-1 1, or after
+    ``_MAX_NEWTON`` steps.  Only z = 1 builds the full ``_Solution``.
     """
     _solution(spec, 1.0)  # z = 1 must certify: its errors propagate
     lo, hi = 1.0, 2.0

@@ -81,20 +81,24 @@ def _parse_model(section: Any) -> GroupModel:
     _require(isinstance(section, dict), "model must be an object")
     _check_keys(section, {"kind", "rank", "orders"}, "model")
     kind = section.get("kind")
+    _require(kind in (FREE, FREE_PRODUCT), f"model.kind must be '{FREE}' or '{FREE_PRODUCT}'")
+    if kind == FREE:
+        _require("orders" not in section, "free model takes no orders")
+        rank = section.get("rank")
+        _require(_is_int(rank), f"model.rank must be an integer, not {rank!r}")
+        args = (rank,)
+    else:
+        orders = section.get("orders")
+        _require(
+            isinstance(orders, (list, tuple)) and len(orders) == 2
+            and all(_is_int(m) for m in orders),
+            f"model.orders must be a pair of integers [m, n], not {orders!r}",
+        )
+        args = tuple(orders)
     try:
-        if kind == FREE:
-            _require("orders" not in section, "free model takes no orders")
-            return GroupModel.free(int(section.get("rank", 0)))
-        if kind == FREE_PRODUCT:
-            orders = section.get("orders")
-            _require(
-                isinstance(orders, (list, tuple)) and len(orders) == 2,
-                "free_product needs orders: [m, n]",
-            )
-            return GroupModel.free_product(int(orders[0]), int(orders[1]))
-    except (ValueError, TypeError) as exc:
+        return GroupModel.free(*args) if kind == FREE else GroupModel.free_product(*args)
+    except ValueError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
-    raise ConfigError(f"model.kind must be '{FREE}' or '{FREE_PRODUCT}'")
 
 
 def _parse_walk(section: Any, model: GroupModel) -> WalkSpec:
@@ -114,6 +118,10 @@ def _parse_walk(section: Any, model: GroupModel) -> WalkSpec:
             "support entries are [word, probability] pairs",
         )
         word, prob = entry
+        _require(
+            isinstance(prob, (int, float)) and not isinstance(prob, bool),
+            f"walk.support probabilities must be numbers, not {prob!r}",
+        )
         try:
             items.append((model.word(str(word)), float(prob)))
         except ValueError as exc:

@@ -99,8 +99,22 @@ def boundary_sample_set(
     base + n + i * _RETRY_CAP + k, so each sample is a pure function of its
     index.  All samples are drawn as one batch and the timed-out ones are
     retried together.  Returns the prefixes and the total retry count.
+
+    No stream stops before step max(margin + patience, 2 margin): the
+    accepted prefix length L is at least ``margin``, the word must reach
+    length L + margin, and the step that first brings it to length L
+    edits a depth below L, after which ``patience`` quiet steps are due.
+    A smaller ``max_steps`` raises :class:`BoundaryTimeout` before any
+    drawing.
     """
     base = _stream_base(purpose)
+    least = max(margin + patience, 2 * margin)
+    if max_steps < least:
+        raise BoundaryTimeout(
+            f"budgets.boundary_max_steps {max_steps} is below {least}, the least step at which "
+            f"a boundary sample can stabilize (margin {margin}, patience {patience})",
+            steps=max_steps, stream=base,
+        )
     prefixes: list = [None] * n_samples
     pending = list(range(n_samples))
     retries = 0

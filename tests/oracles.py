@@ -243,3 +243,29 @@ def per_sample_rn_check(walk, g, cyl, prefixes, depth: int):
             kernel_vals.append(0.0)
         pulled_hits += _translated_membership(g, letters, cyl, model)
     return pulled_hits, np.asarray(kernel_vals)
+
+
+def plain_spectral_upper(spec) -> float:
+    """The bound of ``hypwalk._exact.spectral_upper`` with every probe a
+    full ``_Solution``: the plain and the biased iteration of the first-
+    passage map from 0, an upper certificate and the G(e, e | z) check,
+    at each point of the same doubling and bisection in z."""
+    from hypwalk import _exact
+
+    def certified(z):
+        try:
+            _exact._Solution(spec, z)
+        except _exact.SolverError:
+            return False
+        return True
+
+    lo, hi = 1.0, 2.0
+    while certified(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > _exact._SPECTRAL_GAP * lo:
+        mid = 0.5 * (lo + hi)
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (1.0 / lo) * (1.0 + _exact._EPS)

@@ -126,6 +126,38 @@ def test_boolean_for_a_number_is_a_config_error(tmp_path, capsys, key):
     assert key.rpartition(".")[2] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model,support,key",
+    [
+        ({"kind": "free", "rank": 2.7}, "uniform", "model.rank"),
+        ({"kind": "free", "rank": "3"}, "uniform", "model.rank"),
+        ({"kind": "free", "rank": True}, "uniform", "model.rank"),
+        ({"kind": "free_product", "orders": [2.9, 3]}, "uniform", "model.orders"),
+        ({"kind": "free_product", "orders": ["2", 3]}, "uniform", "model.orders"),
+        ({"kind": "free", "rank": 2}, [["a", "0.25"], ["A", 0.25], ["b", 0.25], ["B", 0.25]],
+         "walk.support"),
+        ({"kind": "free", "rank": 2}, [["a", True], ["A", 0.5], ["b", 0.25], ["B", 0.25]],
+         "walk.support"),
+    ],
+)
+def test_coerced_model_or_walk_number_is_a_config_error(tmp_path, capsys, model, support, key):
+    code, report, _ = _run(tmp_path, model, ["classify"], support)
+    assert code == EXIT_CONFIG and report is None
+    assert key in capsys.readouterr().err
+
+
+def test_infeasible_boundary_budget_is_refused(tmp_path, capsys):
+    # No stream can stabilize before step max(margin + patience, 2 margin)
+    # = 30 here, so the sampler is not started.
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["gibbs"],
+        budgets={"n_samples": 20000, "boundary_max_steps": 29},
+    )
+    assert code == EXIT_BUDGET and report is None
+    err = capsys.readouterr().err
+    assert "budgets.boundary_max_steps 29" in err and "below 30" in err
+
+
 def test_state_budget_exhaustion(tmp_path):
     # ancona solves on B(e, 8) by default, 13121 states on F_2.
     code, report, _ = _run(

@@ -18,13 +18,17 @@ from hypwalk import (
     restricted_green,
     uniform_walk,
 )
+from hypwalk import _exact
+
+from oracles import plain_spectral_upper
 
 F2, F3 = GroupModel.free(2), GroupModel.free(3)
 Z23, Z25, Z33 = (GroupModel.free_product(*o) for o in ((2, 3), (2, 5), (3, 3)))
+ASYM_F2 = make_walk(F2, [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)], 1)
 
 # (walk, ball radius of the restricted oracle)
 WALKS = {
-    "f2-asym": (make_walk(F2, [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)], 1), 10),
+    "f2-asym": (ASYM_F2, 10),
     "f3": (uniform_walk(F3, 1), 6),
     "z23": (uniform_walk(Z23, 1), 24),
     "z23-asym": (make_walk(Z23, [("s", 0.5), ("t", 0.35), ("T", 0.15)], 1), 20),
@@ -113,3 +117,60 @@ def test_paper_headline_ratio():
     rv = ratio_invariant(uniform_walk(Z23, 1), Z23.word("st"))
     assert rv.lower < 0.5 < rv.upper
     assert rv.value == pytest.approx(0.5, rel=1e-12)
+
+
+SPECTRAL_WALKS = {
+    **{f"f{n}": uniform_walk(GroupModel.free(n), 1) for n in (2, 3, 4, 6, 12)},
+    "f2-asym": ASYM_F2,
+    "z23": uniform_walk(Z23, 1),
+    "z23-asym": WALKS["z23-asym"][0],
+    **{
+        f"z{m}{n}": uniform_walk(GroupModel.free_product(m, n), 1)
+        for m, n in ((2, 5), (3, 3), (7, 7))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_WALKS))
+def test_spectral_upper_equals_plain_bisection(name):
+    # The Newton probe certifies exactly where the full first-passage
+    # solution does, so the bisection visits the same weights.
+    walk = SPECTRAL_WALKS[name]
+    assert _exact.spectral_upper(walk) == plain_spectral_upper(walk)
+
+
+def test_certified_brackets_inverse_spectral_radius():
+    # Asymmetric F_2: rho = 0.8212410808 from its closed form.
+    rho = 0.8212410808
+    assert _exact._certified(ASYM_F2, 0.999 / rho)
+    assert not _exact._certified(ASYM_F2, 1.001 / rho)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.6, 1.0, 1.2])
+def test_free_jacobian_matches_differences(z):
+    phi = _exact._Letters(ASYM_F2, z)
+    F = _exact._newton(phi)
+    exact = phi.jacobian(F)
+    base, _, _ = phi.sweep(F)
+    for j, k in enumerate(phi.keys):
+        step = 1e-6 * max(F[k], 1e-6)
+        moved, _, _ = phi.sweep({**F, k: F[k] + step})
+        for i, (a, b) in enumerate(zip(moved, base)):
+            assert exact[i][j] == pytest.approx((a - b) / step, rel=1e-4, abs=1e-9)
+
+
+def test_newton_reaches_the_iterated_fixed_point(case):
+    walk, _ = case
+    phi = _exact._Letters(walk, 1.0)
+    newton, plain = _exact._newton(phi), _exact._iterate(phi, bias=False)
+    for k in phi.keys:
+        assert newton[k] == pytest.approx(plain[k], rel=1e-13)
+
+
+def test_solve_with_pivoting():
+    # The first column's zero on the diagonal needs a row swap.
+    a = [[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [3.0, 0.0, 1.0]]
+    x = _exact._solve(a, [5.0, 3.0, 4.0])
+    assert x == pytest.approx([1.0, 2.0, 1.0], rel=1e-15)
+    with pytest.raises(_exact.DivergenceError):
+        _exact._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from hypwalk import (
     GroupElement, GroupModel, classify, first_passage_set, make_walk, spectral_radius_estimate,
 )
-from hypwalk._exact import factors, kernel, returns
+from hypwalk._exact import _SPECTRAL_GAP, factors, kernel, returns
 from hypwalk.walks import n_step_distributions
+
+from oracles import plain_spectral_upper
 
 MODELS = [GroupModel.free(n) for n in (2, 3, 4)] + [
     GroupModel.free_product(m, n) for m in range(2, 8) for n in range(m, 8) if (m, n) != (2, 2)
@@ -68,6 +70,10 @@ def test_returns_match_convolution(walk):
 def test_spectral_bracket_below_one(walk):
     est = spectral_radius_estimate(walk, max_steps=8)
     assert est.lower <= est.upper < 1.0
+    # The Newton probe ends where the bisection over full first-passage
+    # solutions ends, or one bisection step beyond it where the plain
+    # iteration runs out of sweeps next to 1/rho.
+    assert est.upper == pytest.approx(plain_spectral_upper(walk), rel=2 * _SPECTRAL_GAP)
 
 
 @PROPERTY_SETTINGS

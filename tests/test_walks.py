@@ -251,6 +251,48 @@ class TestBatchedSampler:
                 assert depth[r] <= same
                 before[r] = after
 
+    @pytest.mark.parametrize("name", ["f2", "f3", "z23", "z25", "z37"])
+    def test_no_stream_stops_before_the_least_step(self, name):
+        # The accepted prefix length L is at least margin, the word must
+        # reach L + margin, and patience quiet steps follow the step that
+        # first made it L long; the bound is reached on some streams.
+        walk = _sampler_walk(name)
+        reached = 0
+        for margin, patience in ((10, 20), (4, 3), (2, 3), (1, 5), (3, 1)):
+            least = max(margin + patience, 2 * margin)
+            batch = sample_boundary_prefixes(walk, range(400), margin, patience, 20_000)
+            steps = [steps for letters, steps in batch if letters is not None]
+            assert steps and min(steps) >= least
+            reached += steps.count(least)
+        assert reached > 0
+
+    def test_infeasible_budget_draws_nothing(self, walk_f2, monkeypatch):
+        def draw(*args):
+            raise AssertionError("sampled under an infeasible budget")
+
+        monkeypatch.setattr("hypwalk.measure.sample_boundary_prefixes", draw)
+        with pytest.raises(BoundaryTimeout, match="boundary_max_steps 29 is below 30"):
+            boundary_sample_set(walk_f2, 20_000, 10, 20, 29, "unit-infeasible")
+        with pytest.raises(BoundaryTimeout, match="below 24"):
+            boundary_sample_set(walk_f2, 5, 12, 3, 23, "unit-infeasible")
+
+    def test_exhausted_retries_at_the_least_budget(self, walk_f2):
+        # At 30 steps a stream stops only if it never backtracks; the error
+        # names the first sample whose 20 streams all time out.
+        n = 3
+        with pytest.raises(BoundaryTimeout) as err:
+            boundary_sample_set(walk_f2, n, 10, 20, 30, "unit-exhaust")
+        base = zlib.crc32(b"unit-exhaust") << 32
+        first = next(
+            i for i in range(n)
+            if all(
+                scalar_boundary_prefix(walk_f2, base + i if k == 0 else base + n + 20 * i + k,
+                                       10, 20, 30)[0] is None
+                for k in range(20)
+            )
+        )
+        assert err.value.stream == base + first
+
     @pytest.mark.parametrize("name", ["f2", "z25-asym"])
     def test_independent_of_batch_and_slab(self, name, monkeypatch):
         walk = _sampler_walk(name)
