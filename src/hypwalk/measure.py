@@ -92,13 +92,14 @@ def boundary_sample_set(
     patience: int,
     max_steps: int,
     purpose: str,
-) -> tuple[tuple[tuple[int, ...], ...], int]:
+) -> tuple[tuple[tuple[int, ...], ...], int, int]:
     """n stabilized prefix words, deterministic in (spec.seed, purpose).
 
     Sample i uses stream base+i; its k-th retry uses stream
     base + n + i * _RETRY_CAP + k, so each sample is a pure function of its
     index.  All samples are drawn as one batch and the timed-out ones are
-    retried together.  Returns the prefixes and the total retry count.
+    retried together.  Returns the prefixes, the total retry count and the
+    walk steps taken over every attempt, timed-out ones included.
 
     No stream stops before step max(margin + patience, 2 margin): the
     accepted prefix length L is at least ``margin``, the word must reach
@@ -117,14 +118,15 @@ def boundary_sample_set(
         )
     prefixes: list = [None] * n_samples
     pending = list(range(n_samples))
-    retries = 0
+    retries = steps = 0
     for attempt in range(_RETRY_CAP):
         if not pending:
             break
         streams = [base + i if attempt == 0 else base + n_samples + i * _RETRY_CAP + attempt
                    for i in pending]
         drawn = sample_boundary_prefixes(spec, streams, margin, patience, max_steps)
-        for i, (letters, _) in zip(pending, drawn):
+        for i, (letters, used) in zip(pending, drawn):
+            steps += used
             if letters is not None:
                 prefixes[i] = letters
                 retries += attempt
@@ -132,7 +134,7 @@ def boundary_sample_set(
     if pending:
         stream = base + pending[0]
         raise BoundaryTimeout(f"sample stream {stream} failed {_RETRY_CAP} times", stream=stream)
-    return tuple(prefixes), retries
+    return tuple(prefixes), retries, steps
 
 
 def _ray_product(
@@ -171,7 +173,8 @@ class MeasureEstimate:
 def _measure_from_prefixes(
     prefixes, cyl: Cylinder, model: GroupModel, purpose: str, seed: int, retries: int,
 ) -> MeasureEstimate:
-    heads = Counter(letters[: cyl.depth] for letters in prefixes)
+    depth = cyl.depth
+    heads = Counter(letters[:depth] for letters in prefixes)
     hits = sum(k for head, k in heads.items() if _prefix_membership(head, cyl, model))
     return _estimate(hits, len(prefixes), purpose, seed, retries)
 
@@ -198,7 +201,7 @@ def estimate_measure(
     membership is decided once per distinct head of ``cyl.depth`` letters."""
     require_valid(walk)
     margin = max(10, cyl.depth + 2)
-    prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
+    prefixes, retries, _ = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
     return _measure_from_prefixes(prefixes, cyl, walk.model, purpose, walk.seed, retries)
 
 
@@ -229,6 +232,7 @@ class GibbsReport:
     n_samples: int
     n_retries: int
     n_heads: int
+    n_steps: int
 
 
 def gibbs_ratio(
@@ -248,10 +252,13 @@ def gibbs_ratio(
         raise ValidationError("gibbs radii must be positive")
     deepest = Cylinder.around(xi, max(radii))
     margin = max(10, deepest.depth + 2)
-    prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
+    prefixes, retries, steps = boundary_sample_set(
+        walk, n_samples, margin, patience, max_steps, purpose
+    )
     # An exact product does not change with depth, and an inexact one is
     # at least the number of shared letters, which is past R_max.
-    heads = Counter(letters[: deepest.depth] for letters in prefixes)
+    depth = deepest.depth
+    heads = Counter(letters[:depth] for letters in prefixes)
     products = Counter()
     for head, k in heads.items():
         products[_ray_product(head, deepest, walk.model)] += k
@@ -277,6 +284,7 @@ def gibbs_ratio(
         n_samples=n_samples,
         n_retries=retries,
         n_heads=len(heads),
+        n_steps=steps,
     )
 
 
@@ -321,6 +329,7 @@ class RadonNikodymReport:
     kernel_depth: int
     n_retries: int
     n_heads: int
+    n_steps: int
 
 
 def _rn_samples(walk: WalkSpec, g: GroupElement, cyl: Cylinder, prefixes, depth: int):
@@ -361,7 +370,9 @@ def radon_nikodym_check(
     if n_samples < 2:
         raise ValidationError(f"rn-check needs at least 2 samples, got {n_samples}")
     margin = max(10, cyl.depth + g.word_length() + 4)
-    prefixes, retries = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
+    prefixes, retries, steps = boundary_sample_set(
+        walk, n_samples, margin, patience, max_steps, purpose
+    )
     if depth is None:
         depth = margin
     if depth < 1:
@@ -382,4 +393,5 @@ def radon_nikodym_check(
         kernel_depth=depth,
         n_retries=retries,
         n_heads=n_heads,
+        n_steps=steps,
     )

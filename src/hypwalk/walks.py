@@ -4,11 +4,14 @@ spectral radius.
 Randomness is counter-based: every sample is a pure function of
 ``(spec.seed, stream)`` through a keyed Philox generator, so results do
 not depend on the order in which samples are drawn.  Boundary samples are
-drawn in batches: the uniforms of many streams come from one array
-evaluation of the Philox cipher (bit for bit numpy's ``Philox``), and
-their walks advance together as rows of array word stacks, in slabs of
-bounded size.  Each stream's prefix and step count are the same whatever
-batch or slab it runs in, and equal to a one-walk-at-a-time run.
+drawn in batches, in slabs of bounded size.  Once per refill, one in-place
+array evaluation of the Philox cipher (bit for bit numpy's ``Philox``)
+gives the next words of every stream, and integer thresholds on those
+words give the steps, exactly as ``searchsorted`` on their uniforms
+would.  The walks then advance together as rows of depth-major word
+stacks; a row that stops is masked and leaves at the next refill.  Each
+stream's prefix and step count are the same whatever batch or slab it
+runs in, and equal to a one-walk-at-a-time run.
 
 The spectral radius is bracketed by the exact engine in ``_exact``: the
 lower end from exact return probabilities, the upper end from a
@@ -17,6 +20,7 @@ certified weighted Green function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -168,15 +172,71 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+def _mulhi(m: int, x: np.ndarray, hi: np.ndarray, x_lo, x_hi, t, mid) -> None:
+    """Write the high words of the 128-bit products m * x into ``hi``,
+    from 32-bit halves, with the four temporaries given.  The middle sum
+    (x_lo m_lo >> 32) + (x_hi m_lo & 0xFFFFFFFF) + x_lo m_hi is below
+    2^64, so a single carry word holds it."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _U32
-    lh = m_lo * x_hi
-    hl = m_hi * x_lo
-    mid = ((m_lo * x_lo) >> _U32) + (lh & _LO32) + (hl & _LO32)
-    hi = m_hi * x_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
-    return hi, x * np.uint64(m)
+    np.bitwise_and(x, _LO32, out=x_lo)
+    np.right_shift(x, _U32, out=x_hi)
+    np.multiply(x_lo, m_lo, out=mid)
+    np.right_shift(mid, _U32, out=mid)
+    np.multiply(x_hi, m_lo, out=t)
+    np.right_shift(t, _U32, out=hi)
+    np.bitwise_and(t, _LO32, out=t)
+    mid += t
+    np.multiply(x_lo, m_hi, out=t)
+    mid += t
+    np.right_shift(mid, _U32, out=mid)
+    hi += mid
+    np.multiply(x_hi, m_hi, out=t)
+    hi += t
+
+
+def _philox_words(seed: int, keys, first_block: int, n_blocks: int) -> np.ndarray:
+    """Words 4*first_block .. 4*(first_block + n_blocks) - 1 of the
+    streams keyed (seed, keys[i]), keys integers in [0, 2^64).
+
+    Returns uint64 of shape (4 * n_blocks, len(keys)), time-major: column
+    i is stream i.  Philox is counter-based: block b of a stream is the
+    ten-round cipher of counter (b + 1, 0, 0, 0) under key (seed, key).
+    Round 1 sees only the counter word, so it runs per block in Python
+    integers, and of round 2 only one product depends on the stream; the
+    other eight rounds run in place on (block, row) arrays.
+    """
+    k1 = np.array(keys, dtype=np.uint64)
+    k0 = seed & _MASK64
+    shape = (n_blocks, len(k1))
+    c0, c1, c2, c3, h0, h1, x_lo, x_hi, t, mid = (np.empty(shape, dtype=np.uint64) for _ in range(10))
+    counter = range(first_block + 1, first_block + n_blocks + 1)
+    hi = np.array([_PHILOX_M[0] * c >> 64 for c in counter], dtype=np.uint64)[:, None]
+    lo = np.array([_PHILOX_M[0] * c & _MASK64 for c in counter], dtype=np.uint64)[:, None]
+    # Round 1 leaves (k0, 0, hi ^ k1, lo), the halves of M0 * counter.
+    np.bitwise_xor(hi, k1, out=c2)
+    # Round 2: of its two products only M1 * (hi ^ k1) depends on the stream.
+    hi0, lo0 = divmod(_PHILOX_M[0] * k0, 1 << 64)
+    k0 = (k0 + _PHILOX_W[0]) & _MASK64
+    k1 += np.uint64(_PHILOX_W[1])
+    _mulhi(_PHILOX_M[1], c2, c0, x_lo, x_hi, t, mid)
+    c0 ^= np.uint64(k0)
+    np.multiply(c2, np.uint64(_PHILOX_M[1]), out=c1)
+    np.bitwise_xor(lo ^ np.uint64(hi0), k1, out=c2)
+    c3.fill(lo0)
+    for _ in range(8):
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 += np.uint64(_PHILOX_W[1])
+        _mulhi(_PHILOX_M[0], c0, h0, x_lo, x_hi, t, mid)
+        c0 *= np.uint64(_PHILOX_M[0])
+        _mulhi(_PHILOX_M[1], c2, h1, x_lo, x_hi, t, mid)
+        c2 *= np.uint64(_PHILOX_M[1])
+        h1 ^= c1
+        h1 ^= np.uint64(k0)
+        h0 ^= c3
+        h0 ^= k1
+        # The registers rotate; the two freed buffers take the next high words.
+        c0, c1, c2, c3, h0, h1 = h1, c2, h0, c0, c1, c3
+    return np.stack((c0, c1, c2, c3), axis=1).reshape(4 * n_blocks, len(k1))
 
 
 def _philox_uniforms(seed: int, streams, first_block: int, n_blocks: int) -> np.ndarray:
@@ -185,29 +245,10 @@ def _philox_uniforms(seed: int, streams, first_block: int, n_blocks: int) -> np.
 
     Returns shape (len(streams), 4 * n_blocks); row i equals the
     corresponding slice of ``_generator(seed, streams[i]).random(k)`` bit
-    for bit.  Philox is counter-based: block b of a stream is the
-    ten-round cipher of counter (b + 1, 0, 0, 0) under key (seed, stream),
-    and each of its four words w gives the double (w >> 11) * 2^-53.
+    for bit: each Philox word w gives the double (w >> 11) * 2^-53.
     """
-    k1 = np.asarray(streams, dtype=np.uint64)[:, None]
-    k0 = seed & _MASK64
-    shape = (len(k1), n_blocks)
-    counter = np.arange(first_block + 1, first_block + n_blocks + 1, dtype=np.uint64)
-    c0 = np.broadcast_to(counter, shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    w1 = np.uint64(_PHILOX_W[1])
-    for r in range(10):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = k1 + w1
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    out = np.empty((len(k1), n_blocks, 4))
-    for j, word in enumerate((c0, c1, c2, c3)):
-        out[:, :, j] = word >> np.uint64(11)
-    out *= 2.0**-53
-    return out.reshape(len(k1), 4 * n_blocks)
+    words = _philox_words(seed, streams, first_block, n_blocks)
+    return ((words >> np.uint64(11)) * 2.0**-53).T
 
 
 def _step_cdf(spec: WalkSpec) -> np.ndarray:
@@ -274,86 +315,191 @@ class BoundarySample:
 
 # Streams advanced together; bounds the memory of one batch.
 _SLAB = 2048
-# Philox blocks (four uniforms each) drawn per refill of a slab's buffer.
-_REFILL_BLOCKS = 8
+# Steps drawn per refill after the first, which covers the steps before
+# the first possible promotion.
+_REFILL_STEPS = 16
 
 
-def _double_width(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a, np.zeros_like(a)], axis=1)
+def _step_indices(cdf: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The support index each raw Philox word draws.
+
+    That is ``searchsorted(cdf, (w >> 11) * 2^-53, side="right")``,
+    computed as #{j : w >= ceil(cdf[j] * 2^53) * 2^11}: k * 2^-53 >=
+    cdf[j] exactly when k >= ceil(cdf[j] * 2^53), and w >> 11 >= T
+    exactly when w >= T * 2^11.  No uniform reaches 1, so an entry at or
+    past 1 (the last one, or one a cumsum rounds past 1) counts for none.
+    """
+    idx = np.zeros(words.shape, dtype=np.uint8)
+    for c in cdf.tolist():
+        k = math.ceil(c * 2.0**53)
+        if k < 1 << 53:
+            idx += words >= np.uint64(k << 11)
+    return idx
 
 
-class _FreeWords:
-    """Reduced words of F_N, one row per stream: letters and lengths."""
+class _Stacks:
+    """Word stacks of many rows, depth-major: entry (i, r) of a stack array
+    is row r at depth i, so flat position i * rows + r addresses it.
 
-    def __init__(self, rows: int, width: int):
-        self.word = np.zeros((rows, width), dtype=np.int8)
-        self.length = np.zeros(rows, dtype=np.int64)
+    Letter i - 1 of a word sits in slot i; depth 0 is a sentinel.  ``end``
+    is the flat position of each row's last slot, and ``touch`` holds the
+    last step that edited each slot.  The arrays are refitted once per
+    refill of draws, never per push: rows that stopped leave, and the
+    depth grows to fit the pushes to come.
+    """
 
-    def push(self, x: np.ndarray) -> np.ndarray:
-        """Right-multiply each row by its letter; returns the letter depth
-        each push edited."""
-        ar = np.arange(len(x))
-        n = self.length
-        if n.max() >= self.word.shape[1]:
-            self.word = _double_width(self.word)
-        cancel = (n > 0) & (self.word[ar, np.maximum(n - 1, 0)] == -x)
-        self.word[ar, n] = x  # past the end when the letter cancels
-        self.length = n + 1 - 2 * cancel
-        return n - cancel
+    _arrays = ("touch",)
+    _positions = ("end",)
 
-    def prefix(self, row: int, k: int) -> tuple[int, ...]:
-        return tuple(self.word[row, :k].tolist())
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.end = np.arange(rows)
+        self.touch = np.zeros((1, rows), dtype=np.int32)
+        self._reindex()
 
-    def keep(self, rows: np.ndarray) -> None:
-        self.word, self.length = self.word[rows], self.length[rows]
+    def _reindex(self) -> None:
+        """Refresh what depends on the layout: flat views, and in
+        subclasses tables in units of ``rows``."""
+        self.touch_flat = self.touch.reshape(-1)
+
+    def refit(self, keep: np.ndarray, steps: int) -> None:
+        """Keep the rows ``keep``, in that order, and make room for
+        ``steps`` more pushes: a push adds at most one letter."""
+        old = self.rows
+        depth = max(len(self.touch), int(self.end.max()) // old + steps + 1)
+        self.rows = len(keep)
+        for name in self._arrays:
+            a = getattr(self, name)
+            b = np.zeros((depth, self.rows), dtype=a.dtype)
+            b[:len(a)] = a[:, keep]
+            setattr(self, name, b)
+        for name in self._positions:
+            setattr(self, name, getattr(self, name)[keep] // old * self.rows + np.arange(self.rows))
+        self._reindex()
 
 
-class _ProductWords:
-    """Normal forms of Z/m*Z/n, one row per stream: syllables as letter id,
-    exponent and spelled length, with the syllable count and the running
-    length."""
+class _FreeWords(_Stacks):
+    """Reduced words of F_N: ``word[i, r]`` is letter i - 1 of row r, a
+    signed letter id; the zero sentinel cancels no letter."""
 
-    def __init__(self, rows: int, width: int, orders: tuple[int, int]):
-        self.orders = np.array(orders, dtype=np.int16)
-        self.lid = np.zeros((rows, width), dtype=np.int8)
-        self.exp = np.zeros((rows, width), dtype=np.int16)
-        self.slen = np.zeros((rows, width), dtype=np.int16)
-        self.nsyl = np.zeros(rows, dtype=np.int64)
-        self.length = np.zeros(rows, dtype=np.int64)
+    _arrays = ("touch", "word")
 
-    def push(self, x: np.ndarray) -> np.ndarray:
-        """Right-multiply each row by its letter; returns the letter depth
-        each push edited."""
-        ar = np.arange(len(x))
-        if self.nsyl.max() >= self.lid.shape[1]:
-            self.lid, self.exp, self.slen = map(_double_width, (self.lid, self.exp, self.slen))
-        lid = np.abs(x)
-        order = self.orders[lid - 1]
-        delta = np.sign(x).astype(np.int16)
-        top = np.maximum(self.nsyl - 1, 0)
-        same = (self.nsyl > 0) & (self.lid[ar, top] == lid)
-        exp = np.where(same, self.exp[ar, top] + delta, delta) % order
-        old = np.where(same, self.slen[ar, top], 0)
-        new = np.minimum(exp, order - exp)
-        touch = self.length - old
-        slot = np.where(same, top, self.nsyl)
-        self.lid[ar, slot] = lid
-        self.exp[ar, slot] = exp
-        self.slen[ar, slot] = new
-        self.nsyl = slot + (exp != 0)  # a syllable that reaches 0 is popped
-        self.length = touch + new
-        return touch
+    def __init__(self, letters: np.ndarray, rows: int):
+        self.letters = letters  # by support index
+        self.word = np.zeros((1, rows), dtype=np.int8)
+        super().__init__(rows)
 
-    def prefix(self, row: int, k: int) -> tuple[int, ...]:
-        s = self.nsyl[row]
-        lid = self.lid[row, :s].astype(np.int64)
-        exp = self.exp[row, :s]
-        sign = np.where(exp <= self.orders[lid - 1] - exp, 1, -1)
-        return tuple(np.repeat(sign * lid, self.slen[row, :s])[:k].tolist())
+    def _reindex(self) -> None:
+        super()._reindex()
+        self.word_flat = self.word.reshape(-1)
 
-    def keep(self, rows: np.ndarray) -> None:
-        self.lid, self.exp, self.slen = self.lid[rows], self.exp[rows], self.slen[rows]
-        self.nsyl, self.length = self.nsyl[rows], self.length[rows]
+    def load(self, idx: np.ndarray) -> None:
+        """Take the (step, row) support indices of the next pushes."""
+        self.x = self.letters[idx]
+        self.inverse = -self.x
+
+    def push(self, t: int, step: int) -> np.ndarray:
+        """Right-multiply each row by its letter of loaded step t, record
+        ``step`` in the slot the push edited and return that slot's flat
+        position: the new letter's, or the cancelled letter's."""
+        top = self.end
+        back = (self.word_flat[top] == self.inverse[t]) * self.rows
+        nxt = top + self.rows
+        self.word_flat[nxt] = self.x[t]  # past the end when the letter cancels
+        edited = nxt - back
+        self.end = edited - back
+        self.touch_flat[edited] = step
+        return edited
+
+    def prefixes(self, rows: np.ndarray, lengths: np.ndarray) -> list[tuple[int, ...]]:
+        """The first lengths[i] letters of row rows[i]."""
+        cols = self.word[1:int(lengths.max()) + 1, rows].T.tolist()
+        return [tuple(c[:k]) for c, k in zip(cols, lengths.tolist())]
+
+
+def _syllable_tables(letters: list[int], orders: tuple[int, int]):
+    """Push tables of Z/m*Z/n normal forms over support letters.
+
+    Syllable codes: 0 is the sentinel, of neither factor; then s^1 ..
+    s^(m-1), t^1 .. t^(n-1), each stored times len(letters) so that code
+    + support index is the table key.  Returns the rows (slot, code,
+    rise, first, grow), each per key: the new syllable's slot past the
+    last one (0 or 1), its stored code, the move of the last syllable
+    (-1, 0 or 1), the first edited letter's slot past the word's end
+    (1 - the old syllable's length) and the move of the end; and the
+    letters each stored code spells.
+    """
+    syllables = [(0, 0)] + [(lid, k) for lid in (1, 2) for k in range(1, orders[lid - 1])]
+    stored = {s: c * len(letters) for c, s in enumerate(syllables)}
+    spell = {}
+    for lid, k in syllables[1:]:
+        order = orders[lid - 1]
+        spell[stored[lid, k]] = ((1 if k <= order - k else -1) * lid,) * min(k, order - k)
+    rows = []
+    for lid, k in syllables:
+        for x in letters:
+            f, delta = abs(x), (1 if x > 0 else -1)
+            order = orders[f - 1]
+            same = lid == f
+            exp = (k + delta) % order if same else delta % order
+            old = min(k, order - k) if same else 0
+            rows.append((
+                not same, stored.get((f, exp), 0), (exp != 0) - same, 1 - old,
+                min(exp, order - exp) - old,
+            ))
+    return np.array(rows, dtype=np.int64).T, spell
+
+
+class _ProductWords(_Stacks):
+    """Normal forms of Z/m*Z/n: ``code[i, r]`` is syllable i - 1 of row r as
+    a code of its factor and exponent (see :func:`_syllable_tables`);
+    ``top`` is the flat position of each row's last syllable.  A push
+    reads the last syllable's code, adds the support index, and looks up
+    every move in the tables."""
+
+    _arrays = ("touch", "code")
+    _positions = ("end", "top")
+
+    def __init__(self, letters: np.ndarray, orders: tuple[int, int], rows: int):
+        self.units, self.spell = _syllable_tables(letters.tolist(), orders)
+        self.code = np.zeros((1, rows), dtype=np.int16)
+        self.top = np.arange(rows)
+        super().__init__(rows)
+
+    def _reindex(self) -> None:
+        super()._reindex()
+        self.code_flat = self.code.reshape(-1)
+        slot, self.new, rise, first, grow = self.units
+        self.slot, self.rise, self.first, self.grow = (a * self.rows for a in (slot, rise, first, grow))
+
+    def load(self, idx: np.ndarray) -> None:
+        """Take the (step, row) support indices of the next pushes."""
+        self.idx = idx
+
+    def push(self, t: int, step: int) -> np.ndarray:
+        """Right-multiply each row by its letter of loaded step t, record
+        ``step`` in the first letter slot the push edited and return that
+        slot's flat position."""
+        key = self.code_flat[self.top] + self.idx[t]
+        self.code_flat[self.top + self.slot[key]] = self.new[key]
+        self.top = self.top + self.rise[key]
+        edited = self.end + self.first[key]
+        self.end = self.end + self.grow[key]
+        self.touch_flat[edited] = step
+        return edited
+
+    def prefixes(self, rows: np.ndarray, lengths: np.ndarray) -> list[tuple[int, ...]]:
+        """The first lengths[i] letters of row rows[i]."""
+        cols = self.code[1:int(lengths.max()) + 1, rows].T.tolist()
+        out = []
+        for codes, k in zip(cols, lengths.tolist()):
+            letters: list[int] = []
+            for c in codes:
+                if len(letters) >= k:
+                    break
+                letters.extend(self.spell[c])
+            out.append(tuple(letters[:k]))
+        return out
 
 
 def sample_boundary_prefixes(
@@ -369,6 +515,11 @@ def sample_boundary_prefixes(
     are None when the stream ran out of steps.  Each stream's result is a
     pure function of (spec.seed, stream), whatever batch it runs in; see
     :func:`sample_boundary_point` for the stopping rule.
+
+    Streams run in slabs of ``_SLAB`` rows.  A refill turns the Philox
+    words of the next steps of every row into support indices by integer
+    thresholds, and the rows' words advance together in depth-major
+    stacks; rows that stop are masked and leave at the next refill.
     """
     if margin < 1 or patience < 1:
         raise ValueError("margin and patience must be positive")
@@ -380,53 +531,76 @@ def sample_boundary_prefixes(
             raise ValidationError("boundary sampling needs a nearest-neighbour walk")
         letters.append(ls[0])
     letters = np.array(letters, dtype=np.int8)
+    cdf = _step_cdf(spec)
+    model = spec.model
     keys = np.array([s & _MASK64 for s in streams], dtype=np.uint64)
     out: list[tuple[tuple[int, ...] | None, int]] = []
     for lo in range(0, len(keys), _SLAB):
-        out.extend(_run_slab(spec, letters, keys[lo:lo + _SLAB], margin, patience, max_steps))
+        slab = keys[lo:lo + _SLAB]
+        if model.kind == FREE:
+            words = _FreeWords(letters, len(slab))
+        else:
+            words = _ProductWords(letters, model.orders, len(slab))
+        out.extend(_slab_prefixes(spec.seed, words, cdf, slab, margin, patience, max_steps))
     return out
 
 
-def _run_slab(spec, letters, keys, margin, patience, max_steps):
+def _slab_prefixes(seed, words, cdf, keys, margin, patience, max_steps):
     """Advance the walks of one slab of streams in lockstep, under the
-    stopping rule of :func:`sample_boundary_point`; a finished row leaves
-    the arrays."""
-    rows = len(keys)
-    out = [(None, max_steps)] * rows
-    cdf = _step_cdf(spec)
-    width = 2 * margin + patience  # doubled as the words grow
-    model = spec.model
-    words = _FreeWords(rows, width) if model.kind == FREE else _ProductWords(rows, width, model.orders)
-    live = np.arange(rows)  # slab position of each row still walking
-    L = np.full(rows, margin, dtype=np.int64)
-    dirty_max = np.zeros(rows, dtype=np.int64)  # last step that edited word[:L]
-    last_touch = np.zeros((rows, width), dtype=np.int32)  # last step that edited each depth
-    per_refill = 4 * _REFILL_BLOCKS
-    for step in range(1, max_steps + 1):
-        col = (step - 1) % per_refill
-        if col == 0:
-            u = _philox_uniforms(spec.seed, keys[live], (step - 1) // 4, _REFILL_BLOCKS)
-        if words.length.max() >= last_touch.shape[1]:  # a push edits depth <= length
-            last_touch = _double_width(last_touch)
-        d = words.push(letters[np.searchsorted(cdf, u[:, col], side="right")])
-        last_touch[np.arange(len(live)), d] = step
-        dirty_max = np.where(d < L, step, dirty_max)
-        length = words.length
-        promote = np.nonzero(length >= L + margin + patience)[0]
-        if len(promote):
-            # Promote: the new prefix letter's history folds into the max.
-            dirty_max[promote] = np.maximum(dirty_max[promote], last_touch[promote, L[promote]])
-            L[promote] += 1
-        done = (length >= L + margin) & (step - dirty_max >= patience)
-        if not done.any():
-            continue
-        for r in np.nonzero(done)[0].tolist():
-            out[live[r]] = (words.prefix(r, int(L[r])), step)
-        keep = np.nonzero(~done)[0]
+    stopping rule of :func:`sample_boundary_point`.
+
+    The first refill covers the 2 margin + patience steps before any
+    promotion (rounded up to whole Philox blocks), later ones
+    ``_REFILL_STEPS``.  Prefix bounds are flat positions in the stacks,
+    moved by ``rows`` on a promotion.  No row promotes before its word
+    is 2 margin + patience long, nor stops before step max(margin +
+    patience, 2 margin) (see :func:`hypwalk.measure.boundary_sample_set`),
+    so neither check runs earlier.
+    """
+    n_rows = len(keys)
+    out: list[tuple[tuple[int, ...] | None, int]] = [(None, max_steps)] * n_rows
+    live = np.arange(n_rows)  # slab position of each row
+    L = np.full(n_rows, margin)
+    dirty = np.zeros(n_rows, dtype=np.int32)  # last step that edited a letter below L
+    least, reach = max(margin + patience, 2 * margin), 2 * margin + patience
+    never = np.iinfo(np.int64).max
+    keep = live
+    step = 0
+    while step < max_steps:
+        n = min(_REFILL_STEPS if step else -(-reach // 4) * 4, max_steps - step)
+        live, L, dirty = live[keep], L[keep], dirty[keep]
+        words.refit(keep, n)
+        rows = words.rows
+        at_L = L * rows + np.arange(rows)  # slot L: letters 0 .. L - 1 lie at or below it
+        stop_at = at_L + margin * rows  # the word reaches L + margin letters
+        promote_at = stop_at + patience * rows
+        stopped = np.zeros(rows, dtype=bool)
+        words.load(_step_indices(cdf, _philox_words(seed, keys[live], step // 4, -(-n // 4))))
+        for t in range(n):
+            step += 1
+            edited = words.push(t, step)
+            np.putmask(dirty, edited <= at_L, step)
+            if step >= reach:
+                up = words.end >= promote_at
+                if up.any():
+                    # The new prefix letter's history folds into the max.
+                    up = np.flatnonzero(up)
+                    dirty[up] = np.maximum(dirty[up], words.touch_flat[at_L[up] + rows])
+                    L[up] += 1
+                    at_L[up] += rows
+                    stop_at[up] += rows
+                    promote_at[up] += rows
+            if step >= least:
+                done = (words.end >= stop_at) & (dirty <= step - patience)
+                if done.any():
+                    done = np.flatnonzero(done)
+                    for r, letters in zip(live[done].tolist(), words.prefixes(done, L[done])):
+                        out[r] = (letters, step)
+                    stop_at[done] = promote_at[done] = never
+                    stopped[done] = True
+        keep = np.flatnonzero(~stopped)
         if not len(keep):
             break
-        live, L, dirty_max, last_touch, u = live[keep], L[keep], dirty_max[keep], last_touch[keep], u[keep]
-        words.keep(keep)
     return out
 
 

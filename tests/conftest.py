@@ -33,5 +33,5 @@ def boundary_samples_f2(walk_f2):
     """10^5 stabilized prefixes shared by the statistical walk tests."""
     from hypwalk.measure import boundary_sample_set
 
-    prefixes, _ = boundary_sample_set(walk_f2, 100_000, 10, 20, 20_000, "test-shared")
+    prefixes, _, _ = boundary_sample_set(walk_f2, 100_000, 10, 20, 20_000, "test-shared")
     return prefixes

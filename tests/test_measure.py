@@ -89,7 +89,7 @@ class TestExactMembership:
         # first syllable t^2 or t^3 = T^2 also reaches the opposite
         # direction's: it leaves the 5-cycle next to that ray's exit.
         walk = uniform_walk(z25, seed=1)
-        prefixes, _ = boundary_sample_set(walk, 2000, 10, 20, 20_000, "unit-z25-cones")
+        prefixes, _, _ = boundary_sample_set(walk, 2000, 10, 20, 20_000, "unit-z25-cones")
         cones = {
             letter: cone(BoundaryPoint.periodic(z25.word(word)))
             for letter, word in ((1, "st"), (2, "ts"), (-2, "Ts"))
@@ -106,7 +106,7 @@ class TestExactMembership:
         # agrees with the product of the whole translated 40-letter prefix.
         model = GroupModel.free(2) if orders is None else GroupModel.free_product(*orders)
         walk = uniform_walk(model, seed=3)
-        prefixes, _ = boundary_sample_set(walk, 150, 40, 20, 20_000, "unit-translate")
+        prefixes, _, _ = boundary_sample_set(walk, 150, 40, 20, 20_000, "unit-translate")
         gens = model.generators()
         elems = [model.identity()] + [x * y for x in gens for y in gens] + list(gens)
         bases = [BoundaryPoint.periodic(model.word(w)) for w in _AXES[model.kind]]
@@ -148,7 +148,7 @@ class TestEstimateMeasure:
 
     def test_monotone_in_radius(self, walk_f2, f2):
         xi = BoundaryPoint.periodic(f2.word("a"))
-        prefixes, _ = boundary_sample_set(walk_f2, 20_000, 10, 20, 20_000, "unit-mono")
+        prefixes, _, _ = boundary_sample_set(walk_f2, 20_000, 10, 20, 20_000, "unit-mono")
         values = []
         for R in (0, 1, 2, 3):
             est = _measure_from_prefixes(
@@ -207,7 +207,7 @@ class TestGibbs:
         radii = [1, 2, 3, 5]
         rep = gibbs_ratio(walk, xi, radii, 3000, purpose="unit-gibbs-rows")
         margin = max(10, Cylinder.around(xi, max(radii)).depth + 2)
-        prefixes, retries = boundary_sample_set(walk, 3000, margin, 20, 20_000, "unit-gibbs-rows")
+        prefixes, retries, _ = boundary_sample_set(walk, 3000, margin, 20, 20_000, "unit-gibbs-rows")
         values = []
         for R, row in zip(radii, rep.rows):
             est = _measure_from_prefixes(
@@ -237,13 +237,14 @@ class TestRadonNikodym:
     def test_pull_into_smaller_cone(self, walk_f2, f2):
         # g = a, U = cone(b): nu(a^-1 U) = nu(cone(ab-prefix)) = 1/12 and
         # the kernel integral is (1/3) nu(U).
-        rep = radon_nikodym_check(
-            walk_f2, f2.word("a"), cone(BoundaryPoint.periodic(f2.word("b"))),
-            40_000, purpose="unit-shared",
-        )
+        cyl = cone(BoundaryPoint.periodic(f2.word("b")))
+        rep = radon_nikodym_check(walk_f2, f2.word("a"), cyl, 40_000, purpose="unit-shared")
         assert rep.agree
         assert abs(rep.pulled_mass - 1 / 12) <= rep.pulled_half
         assert abs(rep.kernel_integral - 1 / 12) <= rep.kernel_half
+        margin = max(10, cyl.depth + 1 + 4)
+        _, _, steps = boundary_sample_set(walk_f2, 40_000, margin, 20, 20_000, "unit-shared")
+        assert rep.n_steps == steps
 
     def test_too_few_samples(self, walk_f2, f2):
         with pytest.raises(ValidationError, match="at least 2 samples"):
@@ -302,12 +303,13 @@ class TestGroupedDecisions:
         rep = gibbs_ratio(walk, xi, radii, self.N, purpose="unit-grouped-gibbs")
         deepest = Cylinder.around(xi, 3)
         margin = max(10, deepest.depth + 2)
-        prefixes, retries = boundary_sample_set(
+        prefixes, retries, steps = boundary_sample_set(
             walk, self.N, margin, 20, 20_000, "unit-grouped-gibbs"
         )
         hits = per_sample_gibbs_hits(prefixes, xi, radii, model)
         assert [row.nu for row in rep.rows] == [h / self.N for h in hits]
         assert rep.n_retries == retries
+        assert rep.n_steps == steps
         assert rep.n_heads == len({letters[: deepest.depth] for letters in prefixes})
         for R in range(4):
             est = _measure_from_prefixes(
@@ -318,7 +320,7 @@ class TestGroupedDecisions:
     def test_rn_check_per_sample(self, case):
         walk, xi = case
         model = walk.model
-        prefixes, _ = boundary_sample_set(walk, self.N, 16, 20, 20_000, "unit-grouped-rn")
+        prefixes, _, _ = boundary_sample_set(walk, self.N, 16, 20, 20_000, "unit-grouped-rn")
         grouped = False
         for word in _GROUPED_G[model.kind]:
             g = model.word(word)

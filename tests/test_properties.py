@@ -14,9 +14,9 @@ from hypwalk import (
     GroupElement, GroupModel, classify, first_passage_set, make_walk, spectral_radius_estimate,
 )
 from hypwalk._exact import _SPECTRAL_GAP, factors, kernel, returns
-from hypwalk.walks import n_step_distributions
+from hypwalk.walks import _REFILL_STEPS, n_step_distributions, sample_boundary_prefixes
 
-from oracles import plain_spectral_upper
+from oracles import plain_spectral_upper, scalar_boundary_prefix
 
 MODELS = [GroupModel.free(n) for n in (2, 3, 4)] + [
     GroupModel.free_product(m, n) for m in range(2, 8) for n in range(m, 8) if (m, n) != (2, 2)
@@ -144,3 +144,20 @@ def test_quotient_intervals_hold_their_float_ratios(walk):
     assert len(rep.quotients) == len(rep.orbits) - 1
     for rv, (lo, hi) in zip(rep.orbits[1:], rep.quotients):
         assert lo <= math.log(rv.value) / base <= hi
+
+
+@PROPERTY_SETTINGS
+@given(walks(), st.integers(1, 12), st.integers(1, 20), st.data())
+def test_batched_sampler_matches_scalar_oracle(walk, margin, patience, data):
+    # The step budget ends inside a refill of draws: the first covers the
+    # 2 margin + patience steps before any promotion, in whole Philox
+    # blocks of four, and later ones _REFILL_STEPS each.
+    first = -(-(2 * margin + patience) // 4) * 4
+    budget = data.draw(
+        st.integers(max(margin + patience, 2 * margin), first + 4 * _REFILL_STEPS).filter(
+            lambda steps: steps < first or (steps - first) % _REFILL_STEPS
+        )
+    )
+    streams = range(40)
+    batch = sample_boundary_prefixes(walk, streams, margin, patience, budget)
+    assert batch == [scalar_boundary_prefix(walk, s, margin, patience, budget) for s in streams]

@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import numpy as np
@@ -21,7 +22,10 @@ from hypwalk.measure import boundary_sample_set
 from hypwalk.walks import (
     _FreeWords,
     _philox_uniforms,
+    _philox_words,
     _ProductWords,
+    _step_cdf,
+    _step_indices,
     n_step_distributions,
     sample_boundary_prefixes,
 )
@@ -192,6 +196,40 @@ def _sampler_walk(name, seed=20240613):
     return make_walk(model, support, seed)
 
 
+class TestStepDraw:
+    @pytest.mark.parametrize("name", sorted(_SAMPLER_WALKS))
+    def test_matches_searchsorted_of_uniforms(self, name):
+        walk = _sampler_walk(name)
+        cdf = _step_cdf(walk)
+        streams = TestPhilox.STREAMS + list(range(40))
+        words = _philox_words(walk.seed, streams, 3, 25)
+        drawn = _step_indices(cdf, words)
+        uniforms = _philox_uniforms(walk.seed, streams, 3, 25)
+        assert np.array_equal(drawn.T, np.searchsorted(cdf, uniforms, side="right"))
+
+    @pytest.mark.parametrize("probabilities", [
+        # dyadic entries 0.25 and 0.5; the cumsum passes 1 at its third entry
+        [0.25, 0.25, 0.5000000000000002, 1e-13],
+        [0.1, 0.2, 0.3, 0.4],
+        [1 / 3, 1 / 6, 1 / 7, 1 - 1 / 3 - 1 / 6 - 1 / 7],
+    ])
+    def test_thresholds_at_their_edges(self, probabilities):
+        # u = k 2^-53 for the 53 high bits k of a word; on both sides of
+        # each T_j = ceil(cdf[j] 2^53), with the low 11 bits clear or set.
+        cdf = np.cumsum(probabilities)
+        cdf[-1] = 1.0
+        edges = {0, 2**53 - 1}
+        for c in cdf:
+            top = math.ceil(c * 2.0**53)
+            edges |= {top - 1, top}
+        ks = sorted(k for k in edges if 0 <= k < 2**53)
+        words = np.array([(k << 11) | low for k in ks for low in (0, 2047)], dtype=np.uint64)
+        drawn = _step_indices(cdf, words)
+        uniforms = (words >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(drawn, np.searchsorted(cdf, uniforms, side="right"))
+        assert len(set(drawn.tolist())) == len(cdf) - (cdf[-2] > 1)
+
+
 class TestBatchedSampler:
     STREAMS = list(range(8)) + [(zlib.crc32(b"gibbs") << 32) + i for i in (0, 1, 20_017)]
 
@@ -231,25 +269,40 @@ class TestBatchedSampler:
 
     @pytest.mark.parametrize("orders", [None, (2, 3), (3, 7)])
     def test_word_stacks_from_width_one(self, orders):
-        # Random letters pushed into stacks one letter wide, which must
-        # grow; each row equals the group's normal form of its letters, and
-        # the reported depth is at most the first letter that changed.
+        # Random letters pushed into stacks one slot deep, refitted before
+        # each refill of 1 to 16 pushes, which must grow them; each row
+        # equals the group's normal form of its letters, every push records
+        # its step in the slot it returns, and that slot holds a letter at
+        # most the first that changed.  Kept rows survive a refit intact.
         model = GroupModel.free(2) if orders is None else GroupModel.free_product(*orders)
-        words = _FreeWords(3, 1) if orders is None else _ProductWords(3, 1, orders)
         alphabet = np.array([g.letters()[0] for g in model.generators()], dtype=np.int8)
-        pushes = np.random.default_rng(5).choice(alphabet, size=(3, 120))
+        words = _FreeWords(alphabet, 3) if orders is None else _ProductWords(alphabet, orders, 3)
+        assert words.touch.shape == (1, 3)
+        rng = np.random.default_rng(5)
+        pushes = rng.integers(len(alphabet), size=(120, 3)).astype(np.uint8)
         before = [()] * 3
-        for k in range(pushes.shape[1]):
-            depth = words.push(pushes[:, k])
-            for r in range(3):
-                after = model.from_letters(pushes[r, :k + 1].tolist()).letters()
-                assert words.length[r] == len(after)
-                assert words.prefix(r, len(after)) == after
-                same = 0
-                while same < min(len(before[r]), len(after)) and before[r][same] == after[same]:
-                    same += 1
-                assert depth[r] <= same
-                before[r] = after
+        step = 0
+        while step < len(pushes):
+            refill = pushes[step:step + int(rng.integers(1, 17))]
+            words.refit(np.arange(3), len(refill))
+            words.load(refill)
+            for t in range(len(refill)):
+                step += 1
+                edited = words.push(t, step)
+                for r in range(3):
+                    after = model.from_letters(alphabet[pushes[:step, r]].tolist()).letters()
+                    assert words.end[r] // 3 == len(after)
+                    assert words.prefixes(np.array([r]), np.array([len(after)])) == [after]
+                    assert edited[r] % 3 == r and words.touch_flat[edited[r]] == step
+                    same = 0
+                    while same < min(len(before[r]), len(after)) and before[r][same] == after[same]:
+                        same += 1
+                    assert edited[r] // 3 - 1 <= same
+                    before[r] = after
+        assert words.touch.shape[0] > 1
+        words.refit(np.array([2, 0]), 1)
+        assert words.rows == 2
+        assert words.prefixes(np.array([0, 1]), words.end // 2) == [before[2], before[0]]
 
     @pytest.mark.parametrize("name", ["f2", "f3", "z23", "z25", "z37"])
     def test_no_stream_stops_before_the_least_step(self, name):
@@ -305,22 +358,25 @@ class TestBatchedSampler:
 
     def test_retries_use_their_own_streams(self):
         # Sample i retries on stream base + n + 20 i + attempt until it
-        # stabilizes; the retry count is the sum of the attempts.
+        # stabilizes; the retry count is the sum of the attempts, and the
+        # step count sums the steps of every attempt, timed out or not.
         walk = _sampler_walk("f2", seed=3)
         n, max_steps = 30, 36
-        prefixes, retries = boundary_sample_set(walk, n, 10, 20, max_steps, "unit-retry")
+        prefixes, retries, steps = boundary_sample_set(walk, n, 10, 20, max_steps, "unit-retry")
         base = zlib.crc32(b"unit-retry") << 32
-        expected, total = [], 0
+        expected, total, work = [], 0, 0
         for i in range(n):
             for attempt in range(20):
                 stream = base + i if attempt == 0 else base + n + 20 * i + attempt
-                letters, _ = scalar_boundary_prefix(walk, stream, 10, 20, max_steps)
+                letters, used = scalar_boundary_prefix(walk, stream, 10, 20, max_steps)
+                work += used
                 if letters is not None:
                     break
             expected.append(letters)
             total += attempt
         assert prefixes == tuple(expected)
         assert retries == total > 0
+        assert steps == work
 
     def test_exhausted_retries_name_the_first_stream(self, walk_f2):
         with pytest.raises(BoundaryTimeout) as err:
