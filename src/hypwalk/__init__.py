@@ -7,15 +7,13 @@ from .groups import (
     GroupModel,
     GroupElement,
     GeodesicSegment,
-    Ball,
-    ball,
     conjugacy_representatives,
     distance,
-    estimate_delta,
     geodesic,
     gromov_product,
     multiply,
     word_length,
+    words_by_length,
 )
 from .walks import (
     WalkSpec,
@@ -34,7 +32,6 @@ from .walks import (
 from .green import (
     AnconaReport,
     GreenEstimate,
-    GreenTable,
     ancona_check,
     first_passage,
     first_passage_set,
@@ -43,7 +40,6 @@ from .green import (
     green_z,
     harnack_constant,
     last_exit,
-    restricted_green,
 )
 from .martin import (
     BoundaryPoint,
@@ -56,7 +52,6 @@ from .martin import (
     livschitz_coboundary,
     martin_kernel,
     martin_kernel_at,
-    radon_nikodym,
     ratio_invariant,
 )
 from .measure import (
@@ -72,3 +67,9 @@ from .measure import (
 from .classify import RatioSetReport, classify
 from .config import ExperimentConfig, load_config, parse_config
 from .report import ReportBundle, run_experiment
+
+# The ball solver serves the tests as an oracle and no package path calls
+# it.  It loads with the package because perfbench's layer tracer looks up
+# hypwalk._solver.RestrictedSolver in sys.modules and cannot install its
+# wrappers without it; so does hypwalk.groups.Ball.
+from . import _solver  # noqa: E402,F401

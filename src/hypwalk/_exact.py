@@ -389,8 +389,42 @@ def ratio(spec: WalkSpec, g: GroupElement) -> Bracket:
     return first_passage(spec, g.cyclic_reduction()[1])
 
 
-def returns(spec: WalkSpec, steps: int) -> list[float]:
-    """p^(n)(e, e) for n = 0..steps, as power-series coefficients.
+def ancona(spec: WalkSpec) -> list[tuple[tuple[GroupElement, ...], Bracket]]:
+    """rho = F(c1, c2) / (F(c1, v) F(v, c2)) on every in-cycle triple.
+
+    Take x, y and a vertex v on a geodesic from x to y.  If v is a cut
+    vertex on it, G(x, y) = F(x, v) G(v, y); else v lies inside one
+    cycle, which the geodesic enters at c1 and leaves at c2, both cut
+    vertices, and G(x, y) / (F(x, v) G(v, y)) is the ratio above.  By
+    left invariance c1 = e, so c2 runs over the one-syllable keys and v
+    over a geodesic arc from e to c2 in its cycle; an antipodal c2 on an
+    even cycle has two arcs, and both are taken.  On F_N the arc is one
+    edge, v is one of its ends and rho is 1.  Returns ((e, v, c2), rho)
+    per triple, each rho an enclosure.
+    """
+    model = spec.model
+    e = model.identity()
+    out = []
+    for key in _solution(spec, 1.0).table:
+        c2 = GroupElement(model, (key,))
+        arc = c2.letters()
+        arcs = [arc, tuple(-x for x in arc)] if 2 * len(arc) == model.letter_order(key[0]) else [arc]
+        vertices = dict.fromkeys(model.from_letters(a[:j]) for a in arcs for j in range(len(a) + 1))
+        a = first_passage(spec, c2)
+        for v in vertices:
+            b, c = first_passage(spec, v), first_passage(spec, v.inverse() * c2)
+            rho = (
+                a[0] / (b[0] * c[0]),
+                a[1] / (b[2] * c[2]) * (1.0 - 2 * _EPS),
+                a[2] / (b[1] * c[1]) * (1.0 + 2 * _EPS),
+            )
+            out.append(((e, v, c2), rho))
+    return out
+
+
+def _series(spec: WalkSpec, steps: int) -> tuple[dict, list[float]]:
+    """Coefficients 0..steps of F(e, sigma | z) per one-syllable key sigma,
+    and of G(e, e | z).
 
     F_sigma = z sum_s mu(s) F(e, s^-1 sigma) over the one-syllable keys
     sigma, with F(e, g) the product over ``factors(g)``; then
@@ -427,7 +461,28 @@ def returns(spec: WalkSpec, steps: int) -> list[float]:
     G = [1.0] + [0.0] * steps
     for n in range(1, steps + 1):
         G[n] = sum(first_return[i] * G[n - i] for i in range(1, n + 1))
-    return G
+    return F, G
+
+
+def returns(spec: WalkSpec, steps: int) -> list[float]:
+    """p^(n)(e, e) for n = 0..steps, as power-series coefficients."""
+    return _series(spec, steps)[1]
+
+
+def step_probabilities(spec: WalkSpec, targets, steps: int) -> list[list[float]]:
+    """p^(n)(e, g) for n = 0..steps, per g in ``targets``: the coefficients
+    of G(e, g | z) = G(e, e | z) F(e, g | z), F the product of the series
+    of ``factors(g)``."""
+    F, G = _series(spec, steps)
+    out = []
+    for g in targets:
+        series = G
+        for key in factors(g):
+            series = [
+                sum(series[i] * F[key][n - i] for i in range(n + 1)) for n in range(steps + 1)
+            ]
+        out.append(series)
+    return out
 
 
 def _certified(spec: WalkSpec, z: float) -> bool:

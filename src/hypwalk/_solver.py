@@ -3,8 +3,10 @@
 The restricted transition operator is row-substochastic with spectral
 radius strictly below 1/z for admissible weights z, so both the direct
 LU route and the Neumann-series iteration are safe.  Everything here is
-single-threaded and deterministic.  The restricted values serve ``ancona``
-and the tests; scipy.sparse is loaded by the first ball solve.
+single-threaded and deterministic.  No package path solves on a ball:
+the restricted values serve the tests as an independent oracle, below
+the exact engine and closing in on it as the ball grows.  scipy.sparse is
+loaded by the first ball solve.
 """
 
 from __future__ import annotations

@@ -30,20 +30,17 @@ EXPERIMENTS = (
 )
 
 _BUDGET_DEFAULTS = {
-    "max_radius": None,  # radius of the green word list: 4 when None
-    "max_states": 3_000_000,  # state cap of the ball that ancona solves on
-    "n_samples": 100_000,
-    "maxlen": 3,
-    "spectral_steps": 24,
-    "ancona_samples": 1000,
-    "ancona_max_dist": 12,
-    "boundary_patience": 20,
-    "boundary_max_steps": 20_000,
+    # green: word list radius min(4, R), decay fit radius min(5, R); R = 5 when None
+    "max_radius": None,
+    "n_samples": 100_000,  # boundary samples of gibbs and rn-check
+    "maxlen": 3,  # longest conjugacy representative that rg lists
+    "spectral_steps": 24,  # return probabilities that simulate lists
+    "boundary_patience": 20,  # sampler: steps a prefix must stay untouched
+    "boundary_max_steps": 20_000,  # sampler: steps per stream before a timeout
     "gibbs_radii": [1, 2, 3, 4, 5],
 }
 
 _TOLERANCE_DEFAULTS = {
-    "solver_rtol": 1e-12,
     "invariant_tol": 1e-8,
 }
 
@@ -123,9 +120,14 @@ def _parse_walk(section: Any, model: GroupModel) -> WalkSpec:
             f"walk.support probabilities must be numbers, not {prob!r}",
         )
         try:
-            items.append((model.word(str(word)), float(prob)))
+            g = model.word(str(word))
         except ValueError as exc:
             raise ConfigError(f"bad support entry {entry}: {exc}") from exc
+        _require(
+            g.word_length() == 1,
+            f"walk.support word {word!r} is not a letter: walks step by single generators",
+        )
+        items.append((g, float(prob)))
     return make_walk(model, items, seed)
 
 

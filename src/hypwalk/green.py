@@ -1,6 +1,6 @@
-"""Green functions on balls and on the full group, first-passage and
-last-exit kernels, weighted Green functions, and the multiplicativity
-check along geodesics.
+"""Green functions on the full group, first-passage and last-exit
+kernels, weighted Green functions, and the Ancona constant along
+geodesics.
 
 Full-group values (``green``, ``green_z``, ``first_passage``) are exact
 products over syllables from the cut-vertex engine in ``_exact``, each
@@ -8,24 +8,24 @@ with a certified enclosure of relative width near float rounding.  Taboo
 kernels (``first_passage_set``, ``last_exit``) solve the walk absorbed on
 the taboo set over a finite cut-closed domain, with the branches beyond
 it folded in as exact self-loops, so they carry enclosures of the same
-kind.  Restricted values on balls come from the sparse solver; they serve
-``ancona`` and the tests as an independent oracle.  scipy.sparse is
-loaded by the taboo and ball solves only, on their first call.
+kind; scipy.sparse is loaded by that solve only, on its first call.  The
+Ancona constant is a maximum over the in-cycle triples of one cycle per
+factor, and the Harnack constant reads n-step probabilities off the
+engine's power series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Sequence
+import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from . import _exact
-from ._solver import RestrictedSolver
 from .errors import SolverError, ValidationError
-from .groups import Ball, GroupElement, ball, distance, geodesic
-from .walks import WalkSpec, n_step_distributions, require_valid, reversed_walk
+from .groups import GroupElement, words_by_length
+from .walks import WalkSpec, require_valid, reversed_walk
 
 
 @dataclass(frozen=True)
@@ -49,69 +49,8 @@ class GreenEstimate:
             raise ValueError("inconsistent bracket")
 
 
-@lru_cache(maxsize=8)
-def _solver(spec: WalkSpec, radius: int, z: float, rtol: float, max_states: int) -> RestrictedSolver:
-    return RestrictedSolver(spec, radius, z=z, rtol=rtol, max_states=max_states)
-
-
 # ---------------------------------------------------------------------------
 # public operations
-
-
-@dataclass(frozen=True)
-class GreenTable:
-    """Restricted Green values G_D(x, .) on an indexed ball domain."""
-
-    domain: Ball
-    radius: int
-    walk: WalkSpec
-    z: float
-    rows: dict
-    residuals: dict
-    solver: RestrictedSolver = field(repr=False, compare=False)
-
-    def value(self, x: GroupElement, y: GroupElement) -> float:
-        i = self.domain.index_of(x)
-        if i not in self.rows:
-            raise KeyError(f"no computed row for source {x}")
-        return float(self.rows[i][self.domain.index_of(y)])
-
-    def row(self, x: GroupElement) -> np.ndarray:
-        return self.rows[self.domain.index_of(x)]
-
-    def column(self, y: GroupElement) -> np.ndarray:
-        return self.solver.col(self.domain.index_of(y))
-
-
-def restricted_green(
-    walk: WalkSpec,
-    radius: int,
-    sources: Iterable[GroupElement] = (),
-    *,
-    z: float = 1.0,
-    rtol: float = 1e-12,
-    max_states: int = 3_000_000,
-) -> GreenTable:
-    """Solve the walk restricted to B(e, radius) for the given source rows.
-
-    The base row at e is always included.  Sources must lie inside the
-    domain; anything outside is a hard error.
-    """
-    require_valid(walk, nondegenerate=False)
-    solver = _solver(walk, radius, z, rtol, max_states)
-    b = solver.ball
-    rows = {}
-    residuals = {}
-    wanted = [walk.model.identity()]
-    wanted.extend(sources)
-    for x in wanted:
-        i = b.index_of(x)
-        if i not in rows:
-            rows[i] = solver.row(i)
-            residuals[i] = solver.row_residual(i)
-    return GreenTable(
-        domain=b, radius=radius, walk=walk, z=z, rows=rows, residuals=residuals, solver=solver
-    )
 
 
 def green(walk: WalkSpec, x: GroupElement, y: GroupElement) -> GreenEstimate:
@@ -239,121 +178,50 @@ def last_exit(
 # multiplicativity along geodesics
 
 
-@dataclass(frozen=True)
-class AnconaSample:
-    x: GroupElement
-    v: GroupElement
-    y: GroupElement
-    dist: int
-    rho: float
+Triple = tuple[GroupElement, GroupElement, GroupElement]
 
 
 @dataclass(frozen=True)
 class AnconaReport:
-    """Per-sample ratios G(x,y) / (F(x,v) G(v,y)) with a distance trend."""
+    """The Ancona constant: the largest rho = G(x,y) / (F(x,v) G(v,y)) over
+    x, y and v on a geodesic from x to y, with its enclosure.
 
-    samples: tuple[AnconaSample, ...]
-    radius: int
-    rho_min: float
-    rho_max: float
-    trend_slope: float
-    trend_stderr: float
-    trend_t: float
-
-    def max_by_distance(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for s in self.samples:
-            out[s.dist] = max(out.get(s.dist, 0.0), s.rho)
-        return out
-
-    def no_growth(self, t_crit: float = 1.96) -> bool:
-        return not np.isfinite(self.trend_t) or self.trend_t <= t_crit
-
-
-def _random_element(model, rng, length: int) -> GroupElement:
-    gens = model.generators()
-    g = model.identity()
-    guard = 0
-    while g.word_length() < length:
-        s = gens[int(rng.integers(len(gens)))]
-        if (g * s).word_length() > g.word_length():
-            g = g * s
-        guard += 1
-        if guard > 100 * (length + 1):
-            raise RuntimeError("random element generation stalled")
-    return g
-
-
-def ancona_check(
-    walk: WalkSpec,
-    samples: Sequence[tuple[GroupElement, GroupElement, GroupElement]] | None = None,
-    *,
-    n_samples: int = 1000,
-    max_dist: int = 12,
-    radius: int | None = None,
-    rtol: float = 1e-12,
-    max_states: int = 3_000_000,
-    stream: int = 0x414E43,
-) -> AnconaReport:
-    """Check multiplicativity of the restricted Green function at geodesic
-    midpoints: rho = G(x,y) / (F(x,v) G(v,y)) with v on a geodesic x -> y.
-
-    On tree models rho is 1 up to solver tolerance; in general the report
-    records the ratio envelope and the trend of per-distance maxima.
+    ``triples`` holds every in-cycle triple (e, v, c2) with its rho
+    enclosure (value, lower, upper); ``argmax`` is the first of largest
+    value.  The maximum lies in [``lower``, ``upper``].
     """
-    from scipy import stats  # costly to import; only the probes fit lines
 
-    from .walks import _generator
+    value: float
+    lower: float
+    upper: float
+    argmax: Triple
+    triples: tuple[tuple[Triple, tuple[float, float, float]], ...]
 
+    def holds(self) -> bool:
+        """Ancona's inequality: rho >= 1 on every triple within its
+        enclosure, and a finite maximum."""
+        return all(hi >= 1.0 for _, (_, _, hi) in self.triples) and math.isfinite(self.upper)
+
+
+def ancona_check(walk: WalkSpec) -> AnconaReport:
+    """The exact Ancona constant of a nearest-neighbour walk.
+
+    Along a geodesic x -> v -> y, G(x, y) = F(x, v) G(v, y) when v is a
+    cut vertex; else v lies inside one cycle, entered at c1 and left at
+    c2, and rho = F(c1, c2) / (F(c1, v) F(v, c2)) (Ancona, Ann. of Math.
+    125, 1987).  So the supremum over all triples is a maximum over the
+    triples of one cycle per factor (``_exact.ancona``): 1 on F_N, at
+    most m^2 + n^2 syllable products on Z/m*Z/n.
+    """
     require_valid(walk)
-    model = walk.model
-    if samples is None:
-        rng = _generator(walk.seed, stream)
-        half = max_dist // 2
-        gen_samples = []
-        for _ in range(n_samples):
-            x = _random_element(model, rng, int(rng.integers(0, half + 1)))
-            y = _random_element(model, rng, int(rng.integers(0, half + 1)))
-            path = geodesic(x, y)
-            v = path.vertices[int(rng.integers(len(path.vertices)))]
-            gen_samples.append((x, v, y))
-        samples = gen_samples
-    if radius is None:
-        radius = max(
-            4, max(max(x.word_length(), v.word_length(), y.word_length()) for x, v, y in samples) + 2
-        )
-    solver = _solver(walk, radius, 1.0, rtol, max_states)
-    b = solver.ball
-    out = []
-    for x, v, y in samples:
-        iv = b.index_of(v)
-        row_x = solver.row(b.index_of(x))
-        row_v = solver.row(iv)
-        g_xy = float(row_x[b.index_of(y)])
-        f_xv = float(row_x[iv]) / float(row_v[iv])
-        g_vy = float(row_v[b.index_of(y)])
-        rho = g_xy / (f_xv * g_vy)
-        out.append(AnconaSample(x=x, v=v, y=y, dist=distance(x, y), rho=rho))
-    by_dist: dict[int, float] = {}
-    for s in out:
-        by_dist[s.dist] = max(by_dist.get(s.dist, 0.0), s.rho)
-    if len(by_dist) >= 3:
-        xs = np.array(sorted(by_dist))
-        ys = np.array([by_dist[d] for d in sorted(by_dist)])
-        fit = stats.linregress(xs, ys)
-        slope, stderr = float(fit.slope), float(fit.stderr)
-        t = slope / stderr if stderr > 0 else np.inf if slope > 0 else 0.0
-    else:
-        slope, stderr, t = 0.0, float("nan"), float("nan")
-    rhos = [s.rho for s in out]
+    triples = tuple(_exact.ancona(walk))
+    argmax, best = max(triples, key=lambda t: t[1][0])
     return AnconaReport(
-        samples=tuple(out),
-        radius=radius,
-        rho_min=min(rhos),
-        rho_max=max(rhos),
-        trend_slope=slope,
-        trend_stderr=stderr,
-        trend_t=float(t),
+        value=best[0],
+        lower=max(lo for _, (_, lo, _) in triples),
+        upper=max(hi for _, (_, _, hi) in triples),
+        argmax=argmax,
+        triples=triples,
     )
 
 
@@ -366,15 +234,16 @@ def harnack_constant(walk: WalkSpec, k_max: int = 10) -> float:
     functions: max over letters s of 1 / max_{k <= K} p^(k)(e, s), with K
     minimal so that every letter is reachable within K steps.
 
-    Only B(e, K) is built; K = 1 whenever the support is the alphabet.
+    p^(k)(e, s) is coefficient k of G(e, e | z) F(e, s | z), from the
+    exact engine's power series; K = 1 whenever the support is the
+    alphabet, and then the value is 1 / min mu(s).
     """
     require_valid(walk)
-    gens = walk.model.generators()
+    series = _exact.step_probabilities(walk, walk.model.generators(), k_max)
     for k in range(1, k_max + 1):
-        b, dists = n_step_distributions(walk, k)
-        best = {g: max(float(vec[b.index_of(g)]) for vec in dists[1:]) for g in gens}
-        if all(v > 0 for v in best.values()):
-            return max(1.0 / v for v in best.values())
+        best = [max(p[1:k + 1]) for p in series]
+        if all(v > 0 for v in best):
+            return max(1.0 / v for v in best)
     raise ValidationError(f"some generator unreachable within {k_max} steps")
 
 
@@ -386,14 +255,10 @@ def green_decay_slope(
     Transience with exponential decay makes the slope strictly negative.
     """
     require_valid(walk)
-    b = ball(walk.model, max_len)
     xs, ys = [], []
     e = walk.model.identity()
-    for k in range(0, max_len + 1):
-        idxs = list(b.sphere_indices(k))[:per_sphere]
-        for i in idxs:
-            g = b.element(i)
-            xs.append(k)
-            ys.append(np.log(green(walk, e, g).value))
+    for g in words_by_length(walk.model, max_len, per_sphere):
+        xs.append(g.word_length())
+        ys.append(np.log(green(walk, e, g).value))
     slope, intercept = np.polyfit(np.array(xs, dtype=float), np.array(ys), 1)
     return float(slope), float(intercept)

@@ -7,17 +7,18 @@ Two model families are supported:
   (Cayley graph a tree of ``m``- and ``n``-cycles).
 
 Elements are immutable normal-form words; the word metric, Gromov
-products, canonical geodesics, hyperbolicity estimates, ball enumeration
-and conjugacy representatives are all exact.
+products, canonical geodesics, word lists by length and conjugacy
+representatives are all exact.  The packed balls at the end serve the
+tests' restricted-ball oracles only.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from .errors import BudgetExceededError, ModelMismatchError
 FREE = "free"
 FREE_PRODUCT = "free_product"
 
-# Syllable exponents are packed into single bytes during ball enumeration.
+# The largest factor order accepted.  The exact engine keeps m + n - 2
+# syllable values and the exact Ancona constant scans about (m^2 + n^2)/4
+# in-cycle triples, so both stay small up to this bound.
 _MAX_ORDER = 120
 _MAX_RANK = 26
 
@@ -345,37 +348,52 @@ def geodesic(x: GroupElement, y: GroupElement) -> GeodesicSegment:
     return GeodesicSegment(tuple(verts))
 
 
-def estimate_delta(model: GroupModel, radius: int, max_states: int = 4000) -> Fraction:
-    """Least delta making the four-point condition hold on B(e, radius).
+# ---------------------------------------------------------------------------
+# word lists
 
-    Scans all triples in the ball, so it is meant for small radii; the
-    state budget guards the cubic cost.  Monotone nondecreasing in the
-    radius by construction.
+
+def words_by_length(
+    model: GroupModel, radius: int, per_sphere: int | None = None
+) -> list[GroupElement]:
+    """The elements of B(e, radius) in BFS order over ``model.generators()``.
+
+    Sphere k lists, for each kept word of sphere k - 1 in turn and each
+    generator in canonical order, the products of length k not listed
+    yet.  With ``per_sphere`` = P only the first P words of each sphere
+    are kept, and sphere k is built from the kept part of sphere k - 1.
+    Every element has a child of its own, so that kept part is the first
+    P words of the full sphere.
     """
-    b = ball(model, radius, max_states=max_states)
-    n = len(b)
-    elements = [b.element(i) for i in range(n)]
-    lengths = b.lengths.astype(np.int64)
-    # 2*(x|y) stays integral; work in doubled units to avoid fractions.
-    dist = np.zeros((n, n), dtype=np.int64)
-    for i, x in enumerate(elements):
-        xi = x.inverse()
-        for j in range(i + 1, n):
-            d = (xi * elements[j]).word_length()
-            dist[i, j] = dist[j, i] = d
-    prod2 = lengths[:, None] + lengths[None, :] - dist
-    worst = 0
-    for k in range(n):
-        col = prod2[:, k]
-        gap = np.minimum(col[:, None], col[None, :]) - prod2
-        m = int(gap.max())
-        if m > worst:
-            worst = m
-    return Fraction(max(worst, 0), 2)
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    gens = model.generators()
+    sphere = [model.identity()]
+    words = list(sphere)
+    for k in range(1, radius + 1):
+        seen = {}
+        for x in sphere:
+            for s in gens:
+                y = x * s
+                if y.word_length() == k:
+                    seen.setdefault(y, None)
+        sphere = list(seen)[:per_sphere]
+        words.extend(sphere)
+    return words
+
+
+def word_count(model: GroupModel, radius: int) -> int:
+    """|B(e, radius)|: 1 + 2N((2N - 1)^R - 1)/(2N - 2) on F_N, so that a
+    long list can be refused before it is built; by listing on Z/m*Z/n,
+    where B(e, 4) holds at most a few hundred words."""
+    if model.kind != FREE:
+        return len(words_by_length(model, radius))
+    q = 2 * model.rank - 1
+    return 1 + 2 * model.rank * (q**radius - 1) // (q - 1)
 
 
 # ---------------------------------------------------------------------------
-# packed words and ball enumeration
+# packed words and ball enumeration: the engine of the ball oracles of the
+# tests (with ``_solver``); no package path builds a ball
 
 class _FreeCodec:
     """Byte-per-letter packing for free groups: byte = (id << 1) | sign."""

@@ -177,16 +177,6 @@ def martin_kernel(
     return MartinEstimate(value=est.value, depth=depth, lower=est.lower, upper=est.upper)
 
 
-def radon_nikodym(
-    walk: WalkSpec,
-    g: GroupElement,
-    xi: BoundaryPoint,
-    depth: int | None = None,
-) -> float:
-    """dnu_g/dnu at xi: the Martin kernel packaged as a density value."""
-    return martin_kernel(walk, g, xi, depth).value
-
-
 # ---------------------------------------------------------------------------
 # the ratio invariant
 

@@ -23,9 +23,16 @@ import scipy
 from . import __version__ as _pkg_version
 from .classify import classify
 from .config import ExperimentConfig
-from .errors import HypwalkError
+from .errors import BudgetExceededError, HypwalkError
 from .green import ancona_check, green, green_decay_slope, harnack_constant
-from .groups import FREE, GroupElement, GroupModel, ball, conjugacy_representatives
+from .groups import (
+    FREE,
+    GroupElement,
+    GroupModel,
+    conjugacy_representatives,
+    word_count,
+    words_by_length,
+)
 from .martin import (
     BoundaryPoint,
     hoelder_probe,
@@ -133,16 +140,24 @@ def _hoelder_pairs(model: GroupModel, g_len: int, count: int = 8):
 # ---------------------------------------------------------------------------
 # individual experiments: each returns (result, passed, csv_or_None)
 
+# The longest word list the green experiment tabulates.  At radius 4 the
+# free groups up to F_21 fit; F_22 has 3,581,601 words.
+_MAX_WORDS = 3_000_000
+
 
 def _exp_green(cfg: ExperimentConfig):
     walk = cfg.walk
     cap = cfg.budgets["max_radius"] or 5
-    b = ball(cfg.model, min(4, cap))
+    radius = min(4, cap)
+    size = word_count(cfg.model, radius)
+    if size > _MAX_WORDS:
+        raise BudgetExceededError(
+            f"green: B(e,{radius}) on {cfg.model} holds {size} words, above {_MAX_WORDS}"
+        )
     e = cfg.model.identity()
     rows = []
     ok = True
-    for i in range(len(b)):
-        g = b.element(i)
+    for g in words_by_length(cfg.model, radius):
         est = green(walk, e, g)
         ok = ok and est.lower <= est.value <= est.upper
         rows.append({
@@ -236,27 +251,16 @@ def _exp_rg(cfg: ExperimentConfig):
 
 
 def _exp_ancona(cfg: ExperimentConfig):
-    walk = cfg.walk
-    rep = ancona_check(
-        walk,
-        n_samples=cfg.budgets["ancona_samples"],
-        max_dist=cfg.budgets["ancona_max_dist"],
-        rtol=cfg.tolerances["solver_rtol"],
-        max_states=cfg.budgets["max_states"],
-    )
-    inv_tol = cfg.tolerances["invariant_tol"]
-    ok = rep.rho_min >= 1.0 - 1e-6 and rep.no_growth()
+    rep = ancona_check(cfg.walk)
     result = {
-        "radius": rep.radius,
-        "rho_min": rep.rho_min,
-        "rho_max": rep.rho_max,
-        "trend_slope": rep.trend_slope,
-        "trend_t": rep.trend_t,
-        "n_samples": len(rep.samples),
-        "max_by_distance": {str(k): v for k, v in sorted(rep.max_by_distance().items())},
+        "rho_max": rep.value,
+        "rho_max_lower": rep.lower,
+        "rho_max_upper": rep.upper,
+        "argmax": [str(g) for g in rep.argmax],
+        "n_triples": len(rep.triples),
     }
-    csv_rows = [(s.dist, s.rho) for s in rep.samples]
-    return result, ok, (("distance", "rho"), csv_rows)
+    csv_rows = [(*map(str, triple), *rho) for triple, rho in rep.triples]
+    return result, rep.holds(), (("c1", "v", "c2", "rho", "lower", "upper"), csv_rows)
 
 
 def _exp_hoelder(cfg: ExperimentConfig):

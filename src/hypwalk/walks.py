@@ -1,5 +1,8 @@
-"""Walk specs, step distributions, path and boundary sampling, and the
+"""Walk specs and their validation, path and boundary sampling, and the
 spectral radius.
+
+Validation reads nondegeneracy off the support's letters in closed form,
+so it costs the same at every factor order.
 
 Randomness is counter-based: every sample is a pure function of
 ``(spec.seed, stream)`` through a keyed Philox generator, so results do
@@ -28,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BoundaryTimeout, ValidationError
-from .groups import FREE, GroupElement, GroupModel, ball
+from .groups import FREE, GroupElement, GroupModel
 
 _PROB_TOL = 1e-12
 
@@ -97,8 +100,11 @@ def validate_walk(spec: WalkSpec) -> WalkValidation:
 
     Hard errors (raised): empty support, nonpositive probabilities, total
     mass away from 1.  Everything else is reported as flags.
-    Nondegeneracy is decided by checking that semigroup products of the
-    support cover B(e, 2), which suffices for these models.
+    Nondegeneracy, that the support generates the group as a semigroup,
+    is read off the letters of a nearest-neighbour support: on F_N all 2N
+    letters need positive weight, on Z/m*Z/n each factor needs a letter.
+    A support that holds a longer word is flagged degenerate as well;
+    ``require_valid`` refuses such walks everywhere anyway.
     """
     if not spec.support:
         raise ValidationError("walk support is empty")
@@ -110,39 +116,20 @@ def validate_walk(spec: WalkSpec) -> WalkValidation:
     nearest = all(g.word_length() == 1 for g, _ in spec.support)
     mu = dict(spec.support)
     symmetric = all(abs(p - mu.get(g.inverse(), 0.0)) <= _PROB_TOL for g, p in spec.support)
-    nondegenerate = _semigroup_covers_b2(spec)
+    nondegenerate = nearest and _letters_generate(spec)
     return WalkValidation(True, nearest, symmetric, nondegenerate)
 
 
-def _semigroup_covers_b2(spec: WalkSpec) -> bool:
+def _letters_generate(spec: WalkSpec) -> bool:
+    """Whether a nearest-neighbour support generates the group as a
+    semigroup.  On F_N no product of other letters reaches a letter, so
+    all 2N letters are needed; on Z/m*Z/n the powers of a letter cover
+    its finite factor, so one letter per factor is enough."""
     model = spec.model
-    targets = {model.from_letters(ltrs).letters() for ltrs in _b2_words(model)}
+    letters = {g.letters()[0] for g, _ in spec.support}
     if model.kind == FREE:
-        detour = 1
-    else:
-        detour = max(model.orders) // 2
-    cap = 2 + max(detour, max(g.word_length() for g, _ in spec.support))
-    steps = spec.elements()
-    frontier = [g for g in steps if g.word_length() <= cap]
-    reach = {g.letters() for g in frontier}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in steps:
-                y = x * s
-                if y.word_length() > cap:
-                    continue
-                key = y.letters()
-                if key not in reach:
-                    reach.add(key)
-                    nxt.append(y)
-        frontier = nxt
-    return targets <= reach
-
-
-def _b2_words(model: GroupModel):
-    b2 = ball(model, 2, max_states=10_000)
-    return [b2.element(i).letters() for i in range(len(b2))]
+        return len(letters) == 2 * model.rank
+    return {abs(x) for x in letters} == {1, 2}
 
 
 def require_valid(spec: WalkSpec, nondegenerate: bool = True) -> WalkValidation:
@@ -636,33 +623,7 @@ def sample_boundary_point(
 
 
 # ---------------------------------------------------------------------------
-# exact n-step distributions (an oracle) and the spectral radius
-
-
-def n_step_distributions(spec: WalkSpec, n: int, max_states: int = 3_000_000):
-    """Exact distributions of x_0..x_n on B(e, n), by restricted convolution.
-
-    Exact because an n-step nearest-neighbour path cannot leave B(e, n).
-    Returns the ball and the list of distribution vectors.
-    """
-    require_valid(spec, nondegenerate=False)
-    b = ball(spec.model, n, max_states=max_states)
-    tables = b.step_tables()
-    cols = []
-    for g, p in spec.support:
-        letter = g.letters()[0]
-        cols.append((tables[letter], p))
-    u = np.zeros(len(b))
-    u[0] = 1.0
-    out = [u.copy()]
-    for _ in range(n):
-        nxt = np.zeros(len(b))
-        for col, p in cols:
-            valid = col >= 0
-            np.add.at(nxt, col[valid], p * u[valid])
-        u = nxt
-        out.append(u.copy())
-    return b, out
+# the spectral radius
 
 
 @dataclass(frozen=True)
@@ -681,7 +642,7 @@ def spectral_radius_estimate(spec: WalkSpec, max_steps: int = 20) -> SpectralRad
     The returns p^(n)(e, e), n <= ``max_steps``, are power-series
     coefficients of the cut-vertex first-step equations; ``upper`` comes
     from bisecting for the largest z at which the exact engine certifies
-    G(e, e | z) < infinity.  No ball is built.
+    G(e, e | z) < infinity.
     """
     from . import _exact  # _exact imports this module
 

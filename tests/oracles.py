@@ -5,15 +5,31 @@ only multiplication and equality, the distance-chain Green values come
 from a dense solve of a birth-death reduction, step distributions are
 enumerated path by path, and taboo values come from the walk killed on
 leaving a ball, built from the ball's step tables alone.
+
+The ball oracles live here too: restricted Green tables from the sparse
+solver of the walk killed on leaving a ball (``hypwalk._solver``, on the
+packed BFS balls of ``hypwalk.groups.Ball``), n-step distributions by
+restricted convolution, the four-point delta of a ball, and the
+semigroup check of nondegeneracy on B(e, 2).  Restricted values increase
+with the ball to the full-group values, so they bound the exact engine
+from below.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from hypwalk._solver import RestrictedSolver
+from hypwalk.groups import FREE, Ball, GroupElement, GroupModel, ball
+from hypwalk.walks import WalkSpec, require_valid
 
 
 def bfs_distances(model, radius: int) -> dict:
@@ -125,8 +141,6 @@ def ball_taboo(walk, radius: int, lam, x) -> list:
     lam, the answer is row x of (I - Q)^-1 R.  Values increase with the
     radius to the full-group taboo kernel.
     """
-    from hypwalk import ball
-
     b = ball(walk.model, radius)
     n = len(b)
     rows, cols, data = [], [], []
@@ -269,3 +283,158 @@ def plain_spectral_upper(spec) -> float:
         else:
             hi = mid
     return (1.0 / lo) * (1.0 + _exact._EPS)
+
+
+# ---------------------------------------------------------------------------
+# ball oracles: restricted-ball Green values, n-step distributions, the
+# four-point delta and the semigroup check of nondegeneracy
+
+
+def estimate_delta(model: GroupModel, radius: int, max_states: int = 4000) -> Fraction:
+    """Least delta making the four-point condition hold on B(e, radius).
+
+    Scans all triples in the ball, so it is meant for small radii; the
+    state budget guards the cubic cost.  Monotone nondecreasing in the
+    radius by construction.
+    """
+    b = ball(model, radius, max_states=max_states)
+    n = len(b)
+    elements = [b.element(i) for i in range(n)]
+    lengths = b.lengths.astype(np.int64)
+    # 2*(x|y) stays integral; work in doubled units to avoid fractions.
+    dist = np.zeros((n, n), dtype=np.int64)
+    for i, x in enumerate(elements):
+        xi = x.inverse()
+        for j in range(i + 1, n):
+            d = (xi * elements[j]).word_length()
+            dist[i, j] = dist[j, i] = d
+    prod2 = lengths[:, None] + lengths[None, :] - dist
+    worst = 0
+    for k in range(n):
+        col = prod2[:, k]
+        gap = np.minimum(col[:, None], col[None, :]) - prod2
+        m = int(gap.max())
+        if m > worst:
+            worst = m
+    return Fraction(max(worst, 0), 2)
+
+
+def semigroup_covers_b2(spec: WalkSpec) -> bool:
+    """Whether semigroup products of the support cover B(e, 2), which
+    decides nondegeneracy on these models: a BFS over products of the
+    support that stay within a detour of the longest syllable."""
+    model = spec.model
+    targets = {model.from_letters(ltrs).letters() for ltrs in _b2_words(model)}
+    if model.kind == FREE:
+        detour = 1
+    else:
+        detour = max(model.orders) // 2
+    cap = 2 + max(detour, max(g.word_length() for g, _ in spec.support))
+    steps = spec.elements()
+    frontier = [g for g in steps if g.word_length() <= cap]
+    reach = {g.letters() for g in frontier}
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in steps:
+                y = x * s
+                if y.word_length() > cap:
+                    continue
+                key = y.letters()
+                if key not in reach:
+                    reach.add(key)
+                    nxt.append(y)
+        frontier = nxt
+    return targets <= reach
+
+
+def _b2_words(model: GroupModel):
+    b2 = ball(model, 2, max_states=10_000)
+    return [b2.element(i).letters() for i in range(len(b2))]
+
+
+def n_step_distributions(spec: WalkSpec, n: int, max_states: int = 3_000_000):
+    """Exact distributions of x_0..x_n on B(e, n), by restricted convolution.
+
+    Exact because an n-step nearest-neighbour path cannot leave B(e, n).
+    Returns the ball and the list of distribution vectors.
+    """
+    require_valid(spec, nondegenerate=False)
+    b = ball(spec.model, n, max_states=max_states)
+    tables = b.step_tables()
+    cols = []
+    for g, p in spec.support:
+        letter = g.letters()[0]
+        cols.append((tables[letter], p))
+    u = np.zeros(len(b))
+    u[0] = 1.0
+    out = [u.copy()]
+    for _ in range(n):
+        nxt = np.zeros(len(b))
+        for col, p in cols:
+            valid = col >= 0
+            np.add.at(nxt, col[valid], p * u[valid])
+        u = nxt
+        out.append(u.copy())
+    return b, out
+
+
+@lru_cache(maxsize=8)
+def _solver(spec: WalkSpec, radius: int, z: float, rtol: float, max_states: int) -> RestrictedSolver:
+    return RestrictedSolver(spec, radius, z=z, rtol=rtol, max_states=max_states)
+
+
+@dataclass(frozen=True)
+class GreenTable:
+    """Restricted Green values G_D(x, .) on an indexed ball domain."""
+
+    domain: Ball
+    radius: int
+    walk: WalkSpec
+    z: float
+    rows: dict
+    residuals: dict
+    solver: RestrictedSolver = field(repr=False, compare=False)
+
+    def value(self, x: GroupElement, y: GroupElement) -> float:
+        i = self.domain.index_of(x)
+        if i not in self.rows:
+            raise KeyError(f"no computed row for source {x}")
+        return float(self.rows[i][self.domain.index_of(y)])
+
+    def row(self, x: GroupElement) -> np.ndarray:
+        return self.rows[self.domain.index_of(x)]
+
+    def column(self, y: GroupElement) -> np.ndarray:
+        return self.solver.col(self.domain.index_of(y))
+
+
+def restricted_green(
+    walk: WalkSpec,
+    radius: int,
+    sources: Iterable[GroupElement] = (),
+    *,
+    z: float = 1.0,
+    rtol: float = 1e-12,
+    max_states: int = 3_000_000,
+) -> GreenTable:
+    """Solve the walk restricted to B(e, radius) for the given source rows.
+
+    The base row at e is always included.  Sources must lie inside the
+    domain; anything outside is a hard error.
+    """
+    require_valid(walk, nondegenerate=False)
+    solver = _solver(walk, radius, z, rtol, max_states)
+    b = solver.ball
+    rows = {}
+    residuals = {}
+    wanted = [walk.model.identity()]
+    wanted.extend(sources)
+    for x in wanted:
+        i = b.index_of(x)
+        if i not in rows:
+            rows[i] = solver.row(i)
+            residuals[i] = solver.row_residual(i)
+    return GreenTable(
+        domain=b, radius=radius, walk=walk, z=z, rows=rows, residuals=residuals, solver=solver
+    )

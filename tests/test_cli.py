@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -92,6 +93,10 @@ def test_green_small_radius_budget(tmp_path):
         ("tolerances", "kernel_dev", 1e-3),
         ("model", "delta_hint", 1),
         ("tolerances", "gcd_eps", 1e-3),
+        ("budgets", "max_states", 1000),
+        ("budgets", "ancona_samples", 100),
+        ("budgets", "ancona_max_dist", 8),
+        ("tolerances", "solver_rtol", 1e-10),
     ],
 )
 def test_removed_key_is_a_config_error(tmp_path, capsys, section, key, value):
@@ -146,6 +151,15 @@ def test_coerced_model_or_walk_number_is_a_config_error(tmp_path, capsys, model,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("word", ["ab", "aA", "aa"])
+def test_non_letter_support_word_is_a_config_error(tmp_path, capsys, word):
+    support = [[word, 0.25], ["A", 0.25], ["b", 0.25], ["B", 0.25]]
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 2}, ["classify"], support)
+    assert code == EXIT_CONFIG and report is None
+    err = capsys.readouterr().err
+    assert "walk.support" in err and repr(word) in err
+
+
 def test_infeasible_boundary_budget_is_refused(tmp_path, capsys):
     # No stream can stabilize before step max(margin + patience, 2 margin)
     # = 30 here, so the sampler is not started.
@@ -158,12 +172,32 @@ def test_infeasible_boundary_budget_is_refused(tmp_path, capsys):
     assert "budgets.boundary_max_steps 29" in err and "below 30" in err
 
 
-def test_state_budget_exhaustion(tmp_path):
-    # ancona solves on B(e, 8) by default, 13121 states on F_2.
-    code, report, _ = _run(
-        tmp_path, {"kind": "free", "rank": 2}, ["ancona"], budgets={"max_states": 1000}
-    )
+def test_state_budget_exhaustion(tmp_path, capsys):
+    # B(e, 4) on F_22 holds 3,581,601 words: refused before any Green value.
+    start = time.monotonic()
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 22}, ["green"])
     assert code == EXIT_BUDGET and report is None
+    assert time.monotonic() - start < 5.0
+    assert "3581601 words" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model,support",
+    [
+        ({"kind": "free", "rank": 2}, ASYM_F2),
+        ({"kind": "free", "rank": 3}, "uniform"),
+        ({"kind": "free_product", "orders": [2, 5]}, "uniform"),
+        ({"kind": "free_product", "orders": [3, 3]}, "uniform"),
+    ],
+)
+def test_ancona_passes_fast(tmp_path, model, support):
+    start = time.monotonic()
+    code, report, _ = _run(tmp_path, model, ["ancona"], support)
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_OK and report["verdicts"] == {"ancona": "pass"}
+    result = report["results"]["ancona"]
+    assert result["rho_max_lower"] <= result["rho_max"] <= result["rho_max_upper"]
+    assert (tmp_path / "out" / "ancona.csv").read_text().count("\n") == result["n_triples"] + 1
 
 
 @pytest.mark.parametrize("steps", [5, 2, 0])

@@ -9,18 +9,16 @@ import pytest
 
 from hypwalk import (
     GroupModel,
-    ball,
     first_passage,
     green,
     make_walk,
     martin_kernel_at,
     ratio_invariant,
-    restricted_green,
     uniform_walk,
 )
 from hypwalk import _exact
 
-from oracles import plain_spectral_upper
+from oracles import ball, plain_spectral_upper, restricted_green
 
 F2, F3 = GroupModel.free(2), GroupModel.free(3)
 Z23, Z25, Z33 = (GroupModel.free_product(*o) for o in ((2, 3), (2, 5), (3, 3)))

@@ -4,7 +4,6 @@ import pytest
 from hypwalk import (
     GroupModel,
     ancona_check,
-    ball,
     first_passage,
     first_passage_set,
     geodesic,
@@ -14,14 +13,18 @@ from hypwalk import (
     harnack_constant,
     last_exit,
     make_walk,
-    restricted_green,
     uniform_walk,
 )
 from hypwalk.errors import DivergenceError
-from hypwalk.green import _solver
-from hypwalk.walks import n_step_distributions
 
-from oracles import ball_taboo, distance_chain_green
+from oracles import (
+    _solver,
+    ball,
+    ball_taboo,
+    distance_chain_green,
+    n_step_distributions,
+    restricted_green,
+)
 
 
 class TestRestrictedGreen:
@@ -245,33 +248,89 @@ class TestWeightedGreen:
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1.0)
 
 
-class TestAncona:
-    def test_tree_exactness(self, walk_f2):
-        rep = ancona_check(walk_f2, n_samples=150, max_dist=10)
-        assert max(abs(s.rho - 1.0) for s in rep.samples) <= 1e-6
+def _ball_rho(walk, radius, x, v, y):
+    """G(x,y) / (F(x,v) G(v,y)) for the walk killed on leaving B(e, radius)."""
+    table = restricted_green(walk, radius, sources=[x, v])
+    return table.value(x, y) / (table.value(x, v) / table.value(v, v) * table.value(v, y))
 
-    def test_lower_bound_generic(self, walk_z23):
-        rep = ancona_check(walk_z23, n_samples=150, max_dist=10)
-        assert rep.rho_min >= 1.0 - 1e-9
+
+class TestAncona:
+    def test_tree_exactness(self):
+        # On F_N and on 2- and 3-cycles every triple has v at an end of
+        # its arc, a cut vertex.
+        for model in (GroupModel.free(2), GroupModel.free(3), GroupModel.free_product(2, 3),
+                      GroupModel.free_product(3, 3)):
+            rep = ancona_check(uniform_walk(model, seed=1))
+            assert rep.value == 1.0 and rep.holds()
+            assert all(rho[0] == 1.0 for _, rho in rep.triples)
+
+    def test_lower_bound_generic(self, z25):
+        walk = make_walk(z25, [("s", 0.4), ("t", 0.35), ("T", 0.25)], seed=1)
+        rep = ancona_check(walk)
+        assert rep.holds()
+        assert all(lo <= val <= hi and hi >= 1.0 for _, (val, lo, hi) in rep.triples)
+        assert rep.lower <= rep.value <= rep.upper
+        # 2 triples on the 2-cycle, 2 + 3 + 3 + 2 on the 5-cycle
+        assert len(rep.triples) == 12
 
     def test_z25_nontrivial_but_bounded(self, z25):
-        walk = uniform_walk(z25, seed=77)
-        rep = ancona_check(walk, n_samples=300, max_dist=10)
-        assert rep.rho_min >= 1.0 - 1e-9
-        assert np.isfinite(rep.rho_max)
-        assert rep.no_growth()
+        rep = ancona_check(uniform_walk(z25, seed=77))
+        assert rep.value == pytest.approx(1.2172300, abs=1e-7)
+        assert rep.lower <= rep.value <= rep.upper < 1.2172301
+        assert [str(g) for g in rep.argmax] == ["e", "T", "TT"]
+        assert rep.holds()
 
     def test_explicit_samples(self, walk_f2, f2):
+        # On F_N every geodesic vertex is a cut vertex: the ball ratio is 1
+        # at any radius, as the exact constant says.
         x, y = f2.word("abA"), f2.word("Bab")
         v = geodesic(x, y).vertices[3]
-        rep = ancona_check(walk_f2, samples=[(x, v, y)])
-        assert rep.samples[0].rho == pytest.approx(1.0, abs=1e-9)
+        assert _ball_rho(walk_f2, 6, x, v, y) == pytest.approx(1.0, abs=1e-9)
+        assert ancona_check(walk_f2).value == 1.0
+
+    def test_against_the_ball_oracle(self, z25):
+        # The restricted-ball ratio at the arg-max triple overshoots and
+        # falls to the exact constant as the ball grows.
+        walk = uniform_walk(z25, seed=1)
+        rep = ancona_check(walk)
+        rhos = [_ball_rho(walk, r, *rep.argmax) for r in (8, 10, 12)]
+        assert rhos[0] > rhos[1] > rhos[2] > rep.value
+        assert rhos[2] - rep.value < 1e-4
+
+    def test_cycle_triples_cover_their_arcs(self):
+        # Z/4: s^2 is antipodal with two arcs; every arc vertex is listed once.
+        model = GroupModel.free_product(2, 4)
+        rep = ancona_check(uniform_walk(model, seed=1))
+        triples = {(str(v), str(c2)) for (_, v, c2), _ in rep.triples}
+        assert len(triples) == len(rep.triples)
+        assert {("t", "tt"), ("T", "tt")} <= triples
 
 
 class TestHarnack:
     def test_constant_value(self, walk_f2, walk_z23):
         assert harnack_constant(walk_f2) == pytest.approx(4.0)
         assert harnack_constant(walk_z23) == pytest.approx(3.0)
+
+    def test_one_step_is_the_weight(self, f2):
+        # K = 1: the constant is 1 / min mu(s), bit for bit.
+        walk = make_walk(f2, [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)], seed=1)
+        assert harnack_constant(walk) == 1.0 / 0.15
+
+    @pytest.mark.parametrize("orders,weights", [
+        ((2, 5), [("s", 0.5), ("t", 0.5)]),
+        ((3, 4), [("S", 0.3), ("t", 0.45), ("T", 0.25)]),
+    ])
+    def test_against_step_distributions(self, orders, weights):
+        # A letter off the support is reached in more than one step.
+        model = GroupModel.free_product(*orders)
+        walk = make_walk(model, weights, seed=1)
+        b, dists = n_step_distributions(walk, 6)
+        gens = model.generators()
+        for k in range(1, 7):
+            best = [max(float(vec[b.index_of(g)]) for vec in dists[1:k + 1]) for g in gens]
+            if all(v > 0 for v in best):
+                break
+        assert harnack_constant(walk) == pytest.approx(max(1 / v for v in best), rel=1e-12)
 
     def test_unit_step_inequality(self, walk_f2, f2):
         c1 = harnack_constant(walk_f2)

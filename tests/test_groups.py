@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 
 from hypwalk import (
     GroupModel,
-    ball,
     conjugacy_representatives,
     distance,
-    estimate_delta,
     geodesic,
     gromov_product,
+    words_by_length,
 )
 from hypwalk.errors import BudgetExceededError, ModelMismatchError
+from hypwalk.groups import word_count
 
-from oracles import bfs_distances, free_ball_size
+from oracles import ball, bfs_distances, estimate_delta, free_ball_size
 
 
 F2 = GroupModel.free(2)
@@ -199,6 +199,35 @@ class TestBall:
         b = ball(F2, 2)
         with pytest.raises(ValueError):
             b.index_of(F2.word("aaa"))
+
+
+class TestWordLists:
+    @pytest.mark.parametrize("model", [F2, F3, Z23, Z25, GroupModel.free_product(3, 4),
+                                       GroupModel.free_product(4, 4)], ids=str)
+    @pytest.mark.parametrize("radius", [2, 4, 5])
+    def test_bfs_order_of_the_ball(self, model, radius):
+        b = ball(model, radius)
+        assert words_by_length(model, radius) == list(b.elements())
+        assert word_count(model, radius) == len(b)
+
+    @pytest.mark.parametrize("model", [F2, Z23, Z25, GroupModel.free_product(4, 4)], ids=str)
+    @pytest.mark.parametrize("radius", [2, 4, 5])
+    @pytest.mark.parametrize("per_sphere", [1, 3, 8])
+    def test_truncated_spheres_are_prefixes(self, model, radius, per_sphere):
+        b = ball(model, radius)
+        expected = [
+            b.element(i) for k in range(radius + 1) for i in list(b.sphere_indices(k))[:per_sphere]
+        ]
+        assert words_by_length(model, radius, per_sphere) == expected
+
+    def test_free_count_formula(self):
+        for rank in (2, 3, 21, 22):
+            for r in range(6):
+                assert word_count(GroupModel.free(rank), r) == free_ball_size(rank, r)
+        assert word_count(GroupModel.free(22), 4) == 3_581_601
+
+    def test_product_counts_stay_small(self):
+        assert word_count(GroupModel.free_product(119, 120), 4) < 1000
 
 
 class TestConjugacy:

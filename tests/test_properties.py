@@ -12,11 +12,17 @@ from hypothesis import strategies as st
 
 from hypwalk import (
     GroupElement, GroupModel, classify, first_passage_set, make_walk, spectral_radius_estimate,
+    validate_walk,
 )
 from hypwalk._exact import _SPECTRAL_GAP, factors, kernel, returns
-from hypwalk.walks import _REFILL_STEPS, n_step_distributions, sample_boundary_prefixes
+from hypwalk.walks import _REFILL_STEPS, sample_boundary_prefixes
 
-from oracles import plain_spectral_upper, scalar_boundary_prefix
+from oracles import (
+    n_step_distributions,
+    plain_spectral_upper,
+    scalar_boundary_prefix,
+    semigroup_covers_b2,
+)
 
 MODELS = [GroupModel.free(n) for n in (2, 3, 4)] + [
     GroupModel.free_product(m, n) for m in range(2, 8) for n in range(m, 8) if (m, n) != (2, 2)
@@ -161,3 +167,21 @@ def test_batched_sampler_matches_scalar_oracle(walk, margin, patience, data):
     streams = range(40)
     batch = sample_boundary_prefixes(walk, streams, margin, patience, budget)
     assert batch == [scalar_boundary_prefix(walk, s, margin, patience, budget) for s in streams]
+
+
+SMALL_MODELS = [GroupModel.free(2), GroupModel.free(3)] + [
+    GroupModel.free_product(*orders)
+    for orders in ((2, 3), (3, 3), (2, 5), (3, 4), (4, 4), (3, 7))
+]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_MODELS))
+def test_nondegeneracy_closed_form_matches_semigroup_bfs(model):
+    # Every nonempty letter subset, as a uniform support.
+    gens = model.generators()
+    for mask in range(1, 2 ** len(gens)):
+        chosen = [g for i, g in enumerate(gens) if mask >> i & 1]
+        walk = make_walk(model, [(g, 1.0 / len(chosen)) for g in chosen], seed=1)
+        assert validate_walk(walk).nondegenerate == semigroup_covers_b2(walk)
+

@@ -26,11 +26,15 @@ from hypwalk.walks import (
     _ProductWords,
     _step_cdf,
     _step_indices,
-    n_step_distributions,
     sample_boundary_prefixes,
 )
 
-from oracles import binomial_band, brute_step_distribution, scalar_boundary_prefix
+from oracles import (
+    binomial_band,
+    brute_step_distribution,
+    n_step_distributions,
+    scalar_boundary_prefix,
+)
 
 
 class TestValidate:
@@ -68,6 +72,17 @@ class TestValidate:
         # s and t alone reach inverses through the torsion relations.
         spec = make_walk(z23, [("s", 0.5), ("t", 0.5)], seed=1)
         assert validate_walk(spec).nondegenerate
+
+    def test_longer_word_is_degenerate(self, f2):
+        spec = make_walk(f2, [("ab", 0.2), ("a", 0.2), ("A", 0.2), ("b", 0.2), ("B", 0.2)], seed=1)
+        rep = validate_walk(spec)
+        assert not rep.nearest_neighbour and not rep.nondegenerate
+
+    @pytest.mark.parametrize("orders", [(119, 120), (2, 28)])
+    def test_large_orders_are_cheap(self, orders):
+        # The closed form reads letters only: no enumeration grows with m, n.
+        model = GroupModel.free_product(*orders)
+        assert validate_walk(uniform_walk(model, seed=1)).nondegenerate
 
 
 class TestSamplePath:
