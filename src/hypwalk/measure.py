@@ -14,7 +14,6 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -84,7 +83,6 @@ def _stream_base(purpose: str) -> int:
 _RETRY_CAP = 20
 
 
-@lru_cache(maxsize=8)
 def boundary_sample_set(
     spec: WalkSpec,
     n_samples: int,
@@ -92,14 +90,16 @@ def boundary_sample_set(
     patience: int,
     max_steps: int,
     purpose: str,
-) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+) -> tuple[np.ndarray, int, int]:
     """n stabilized prefix words, deterministic in (spec.seed, purpose).
 
     Sample i uses stream base+i; its k-th retry uses stream
     base + n + i * _RETRY_CAP + k, so each sample is a pure function of its
     index.  All samples are drawn as one batch and the timed-out ones are
-    retried together.  Returns the prefixes, the total retry count and the
-    walk steps taken over every attempt, timed-out ones included.
+    retried together.  Returns the prefixes, row i sample i's letters in
+    an int8 matrix padded with zeros (no letter is 0); the total retry
+    count; and the walk steps taken over every attempt, timed-out ones
+    included.
 
     No stream stops before step max(margin + patience, 2 margin): the
     accepted prefix length L is at least ``margin``, the word must reach
@@ -116,25 +116,43 @@ def boundary_sample_set(
             f"a boundary sample can stabilize (margin {margin}, patience {patience})",
             steps=max_steps, stream=base,
         )
-    prefixes: list = [None] * n_samples
-    pending = list(range(n_samples))
-    retries = steps = 0
-    for attempt in range(_RETRY_CAP):
-        if not pending:
+    prefixes, lengths, used = sample_boundary_prefixes(
+        spec, range(base, base + n_samples), margin, patience, max_steps
+    )
+    steps = int(used.sum())
+    pending = np.flatnonzero(lengths < 0)
+    retries = 0
+    for attempt in range(1, _RETRY_CAP):
+        if not len(pending):
             break
-        streams = [base + i if attempt == 0 else base + n_samples + i * _RETRY_CAP + attempt
-                   for i in pending]
-        drawn = sample_boundary_prefixes(spec, streams, margin, patience, max_steps)
-        for i, (letters, used) in zip(pending, drawn):
-            steps += used
-            if letters is not None:
-                prefixes[i] = letters
-                retries += attempt
-        pending = [i for i in pending if prefixes[i] is None]
-    if pending:
-        stream = base + pending[0]
+        streams = [base + n_samples + i * _RETRY_CAP + attempt for i in pending.tolist()]
+        drawn, lengths, used = sample_boundary_prefixes(spec, streams, margin, patience, max_steps)
+        steps += int(used.sum())
+        ok = lengths >= 0
+        width = drawn.shape[1]
+        if width > prefixes.shape[1]:
+            prefixes = np.pad(prefixes, ((0, 0), (0, width - prefixes.shape[1])))
+        prefixes[pending[ok], :width] = drawn[ok]
+        retries += attempt * int(np.count_nonzero(ok))
+        pending = pending[~ok]
+    if len(pending):
+        stream = base + int(pending[0])
         raise BoundaryTimeout(f"sample stream {stream} failed {_RETRY_CAP} times", stream=stream)
-    return tuple(prefixes), retries, steps
+    return prefixes, retries, steps
+
+
+def _heads(prefixes: np.ndarray, depth: int):
+    """The distinct heads of ``depth`` letters among the prefix rows, as
+    letter tuples, with each row's head index and each head's count.
+
+    np.unique runs on one opaque bytes item per row, the row's head,
+    which sorts much faster than ``np.unique(..., axis=0)`` on the rows."""
+    block = np.ascontiguousarray(prefixes[:, :depth])
+    width = block.shape[1]
+    keys = block.view(np.dtype((np.void, width))).reshape(-1)
+    unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    rows = unique.view(np.int8).reshape(len(unique), width).tolist()
+    return [tuple(filter(None, row)) for row in rows], inverse, counts
 
 
 def _ray_product(
@@ -173,9 +191,8 @@ class MeasureEstimate:
 def _measure_from_prefixes(
     prefixes, cyl: Cylinder, model: GroupModel, purpose: str, seed: int, retries: int,
 ) -> MeasureEstimate:
-    depth = cyl.depth
-    heads = Counter(letters[:depth] for letters in prefixes)
-    hits = sum(k for head, k in heads.items() if _prefix_membership(head, cyl, model))
+    heads, _, counts = _heads(prefixes, cyl.depth)
+    hits = sum(k for head, k in zip(heads, counts.tolist()) if _prefix_membership(head, cyl, model))
     return _estimate(hits, len(prefixes), purpose, seed, retries)
 
 
@@ -257,10 +274,9 @@ def gibbs_ratio(
     )
     # An exact product does not change with depth, and an inexact one is
     # at least the number of shared letters, which is past R_max.
-    depth = deepest.depth
-    heads = Counter(letters[:depth] for letters in prefixes)
+    heads, _, counts = _heads(prefixes, deepest.depth)
     products = Counter()
-    for head, k in heads.items():
+    for head, k in zip(heads, counts.tolist()):
         products[_ray_product(head, deepest, walk.model)] += k
     e = walk.model.identity()
     rows = []
@@ -335,15 +351,16 @@ class RadonNikodymReport:
 def _rn_samples(walk: WalkSpec, g: GroupElement, cyl: Cylinder, prefixes, depth: int):
     """Pulled hits, per-sample kernel values (0 off U) and the head count."""
     model = walk.model
-    n = cyl.depth + g.word_length() + 2
-    heads = Counter(letters[:n] for letters in prefixes)
-    hits = sum(k for head, k in heads.items() if _translated_membership(g, head, cyl, model))
-    kernel = {
-        head: martin_kernel_at(walk, g, model.from_letters(head[:depth])).value
-        for head in heads if _prefix_membership(head, cyl, model)
-    }
-    vals = np.array([kernel.get(letters[:n], 0.0) for letters in prefixes])
-    return hits, vals, len(heads)
+    heads, inverse, counts = _heads(prefixes, cyl.depth + g.word_length() + 2)
+    hits = sum(
+        k for head, k in zip(heads, counts.tolist()) if _translated_membership(g, head, cyl, model)
+    )
+    kernel = np.array([
+        martin_kernel_at(walk, g, model.from_letters(head[:depth])).value
+        if _prefix_membership(head, cyl, model) else 0.0
+        for head in heads
+    ])
+    return hits, kernel[inverse], len(heads)
 
 
 def radon_nikodym_check(

@@ -183,17 +183,16 @@ def _exp_simulate(cfg: ExperimentConfig):
     path = sample_path(walk, cfg.model.identity(), 64, stream=0)
     sr = spectral_radius_estimate(walk, cfg.budgets["spectral_steps"])
     try:
-        drawn = sample_boundary_prefixes(
+        _, depths, steps = sample_boundary_prefixes(
             walk, range(1000, 1064),
             patience=cfg.budgets["boundary_patience"],
             max_steps=cfg.budgets["boundary_max_steps"],
         )
     except HypwalkError:  # an invalid walk fails every stream alike
-        drawn = []
-    accepted = [(letters, n) for letters, n in drawn if letters is not None]
-    depths = [len(letters) for letters, _ in accepted]
-    steps = [n for _, n in accepted]
-    failures = 64 - len(accepted)
+        depths = steps = np.empty(0, dtype=np.int64)
+    accepted = depths >= 0
+    depths, steps = depths[accepted], steps[accepted]
+    failures = 64 - len(depths)
     ok = (
         report.probabilities_ok and report.nearest_neighbour and report.nondegenerate
         and sr.lower <= sr.upper < 1.0 and failures == 0
@@ -203,8 +202,8 @@ def _exp_simulate(cfg: ExperimentConfig):
         "first_positions": [str(x) for x in path.positions[:8]],
         "spectral_lower": sr.lower,
         "spectral_upper": sr.upper,
-        "boundary_mean_steps": float(np.mean(steps)) if steps else None,
-        "boundary_mean_depth": float(np.mean(depths)) if depths else None,
+        "boundary_mean_steps": float(np.mean(steps)) if len(steps) else None,
+        "boundary_mean_depth": float(np.mean(depths)) if len(depths) else None,
         "boundary_failures": failures,
     }
     csv_rows = [(2 * k, p) for k, p in enumerate(sr.even_returns)]

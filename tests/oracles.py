@@ -225,6 +225,23 @@ def scalar_boundary_prefix(spec, stream: int, margin=10, patience=20, max_steps=
     return None, max_steps
 
 
+def prefix_pairs(drawn) -> list:
+    """The arrays of ``hypwalk.walks.sample_boundary_prefixes`` as one
+    (prefix letters or None, steps used) pair per stream, the form of
+    :func:`scalar_boundary_prefix`."""
+    letters, lengths, steps = drawn
+    return [
+        (tuple(row[:k]) if k >= 0 else None, used)
+        for row, k, used in zip(letters.tolist(), lengths.tolist(), steps.tolist())
+    ]
+
+
+def prefix_tuples(prefixes) -> list:
+    """The rows of a zero-padded prefix matrix as letter tuples (no letter
+    is 0)."""
+    return [tuple(filter(None, row)) for row in prefixes.tolist()]
+
+
 def per_sample_gibbs_hits(prefixes, xi, radii, model) -> list:
     """Hits per radius of the ``gibbs_ratio`` sample loop, one product per
     sample at the deepest radius, decided at every radius sample by sample."""

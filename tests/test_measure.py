@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from hypwalk import (
 )
 from hypwalk.errors import ValidationError
 from hypwalk.measure import (
+    _heads,
     _measure_from_prefixes,
     _prefix_membership,
     _rn_samples,
@@ -29,6 +32,7 @@ from oracles import (
     free_first_passage,
     per_sample_gibbs_hits,
     per_sample_rn_check,
+    prefix_tuples,
 )
 
 
@@ -94,7 +98,7 @@ class TestExactMembership:
             letter: cone(BoundaryPoint.periodic(z25.word(word)))
             for letter, word in ((1, "st"), (2, "ts"), (-2, "Ts"))
         }
-        for letters in prefixes:
+        for letters in prefix_tuples(prefixes):
             inside = {x for x, cyl in cones.items() if _prefix_membership(letters, cyl, z25)}
             assert letters[0] in inside
             half_way = z25.from_letters(letters).syllables[0] in ((2, 2), (2, 3))
@@ -110,7 +114,7 @@ class TestExactMembership:
         gens = model.generators()
         elems = [model.identity()] + [x * y for x in gens for y in gens] + list(gens)
         bases = [BoundaryPoint.periodic(model.word(w)) for w in _AXES[model.kind]]
-        for i, letters in enumerate(prefixes):
+        for i, letters in enumerate(prefix_tuples(prefixes)):
             g = elems[i % len(elems)]
             z = g * model.from_letters(letters)
             for base in bases:
@@ -282,7 +286,8 @@ _GROUPED_G = {"free": ("a", "bA", "abA"), "free_product": ("s", "tS", "stS")}
 
 class TestGroupedDecisions:
     """Each distinct deciding head is evaluated once; the per-sample loops
-    of ``tests/oracles.py`` must give bitwise the same answers."""
+    of ``tests/oracles.py``, fed the prefixes as tuples, must give bitwise
+    the same answers and the same head counts."""
 
     N = 300
 
@@ -306,21 +311,35 @@ class TestGroupedDecisions:
         prefixes, retries, steps = boundary_sample_set(
             walk, self.N, margin, 20, 20_000, "unit-grouped-gibbs"
         )
-        hits = per_sample_gibbs_hits(prefixes, xi, radii, model)
+        tuples = prefix_tuples(prefixes)
+        hits = per_sample_gibbs_hits(tuples, xi, radii, model)
         assert [row.nu for row in rep.rows] == [h / self.N for h in hits]
         assert rep.n_retries == retries
         assert rep.n_steps == steps
-        assert rep.n_heads == len({letters[: deepest.depth] for letters in prefixes})
+        assert rep.n_heads == len({letters[: deepest.depth] for letters in tuples})
         for R in range(4):
             est = _measure_from_prefixes(
                 prefixes, Cylinder.around(xi, R), model, "unit-grouped-gibbs", walk.seed, retries
             )
-            assert est.value == per_sample_gibbs_hits(prefixes, xi, [R], model)[0] / self.N
+            assert est.value == per_sample_gibbs_hits(tuples, xi, [R], model)[0] / self.N
+
+    def test_heads_match_tuple_counts(self, case):
+        # Every row's head index names its own head, and each head's count
+        # is the Counter of the tuple heads, also past the prefix length.
+        walk, _ = case
+        prefixes, _, _ = boundary_sample_set(walk, self.N, 12, 20, 20_000, "unit-grouped-heads")
+        tuples = prefix_tuples(prefixes)
+        for depth in (1, 3, 7, 12, prefixes.shape[1] + 2):
+            heads, inverse, counts = _heads(prefixes, depth)
+            assert [heads[i] for i in inverse] == [t[:depth] for t in tuples]
+            assert dict(zip(heads, counts.tolist())) == Counter(t[:depth] for t in tuples)
+            assert len(set(heads)) == len(heads)
 
     def test_rn_check_per_sample(self, case):
         walk, xi = case
         model = walk.model
         prefixes, _, _ = boundary_sample_set(walk, self.N, 16, 20, 20_000, "unit-grouped-rn")
+        tuples = prefix_tuples(prefixes)
         grouped = False
         for word in _GROUPED_G[model.kind]:
             g = model.word(word)
@@ -331,8 +350,10 @@ class TestGroupedDecisions:
                 default = max(10, cyl.depth + g.word_length() + 4)
                 for depth in (1, 2, reach, default, default + 6):
                     pulled, vals, n_heads = _rn_samples(walk, g, cyl, prefixes, depth)
-                    want_pulled, want_vals = per_sample_rn_check(walk, g, cyl, prefixes, depth)
+                    want_pulled, want_vals = per_sample_rn_check(walk, g, cyl, tuples, depth)
                     assert pulled == want_pulled
                     assert vals.tobytes() == want_vals.tobytes()
+                    n = cyl.depth + g.word_length() + 2
+                    assert n_heads == len({letters[:n] for letters in tuples})
                     grouped |= n_heads < len(prefixes) and 0 < np.count_nonzero(vals)
         assert grouped

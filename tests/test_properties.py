@@ -5,6 +5,7 @@ positive, non-symmetric weights on the nearest-neighbour alphabet.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,15 @@ from hypwalk import (
     GroupElement, GroupModel, classify, first_passage_set, make_walk, spectral_radius_estimate,
     validate_walk,
 )
+from hypwalk import _sampler
 from hypwalk._exact import _SPECTRAL_GAP, factors, kernel, returns
-from hypwalk.walks import _REFILL_STEPS, sample_boundary_prefixes
+from hypwalk._sampler import _REFILL_STEPS
+from hypwalk.walks import sample_boundary_prefixes
 
 from oracles import (
     n_step_distributions,
     plain_spectral_upper,
+    prefix_pairs,
     scalar_boundary_prefix,
     semigroup_covers_b2,
 )
@@ -155,18 +159,23 @@ def test_quotient_intervals_hold_their_float_ratios(walk):
 @PROPERTY_SETTINGS
 @given(walks(), st.integers(1, 12), st.integers(1, 20), st.data())
 def test_batched_sampler_matches_scalar_oracle(walk, margin, patience, data):
-    # The step budget ends inside a refill of draws: the first covers the
-    # 2 margin + patience steps before any promotion, in whole Philox
-    # blocks of four, and later ones _REFILL_STEPS each.
+    # The step budget ends inside a refill of draws, whatever the refills'
+    # lengths: each starts at a Philox block boundary, a multiple of 4
+    # steps, and the budget is not one.  The range spans the first refill,
+    # which covers the 2 margin + patience steps before any promotion, and
+    # four later ones.
     first = -(-(2 * margin + patience) // 4) * 4
     budget = data.draw(
         st.integers(max(margin + patience, 2 * margin), first + 4 * _REFILL_STEPS).filter(
-            lambda steps: steps < first or (steps - first) % _REFILL_STEPS
+            lambda steps: steps % 4
         )
     )
     streams = range(40)
-    batch = sample_boundary_prefixes(walk, streams, margin, patience, budget)
-    assert batch == [scalar_boundary_prefix(walk, s, margin, patience, budget) for s in streams]
+    want = [scalar_boundary_prefix(walk, s, margin, patience, budget) for s in streams]
+    assert prefix_pairs(sample_boundary_prefixes(walk, streams, margin, patience, budget)) == want
+    # Slabs of 7 rows and Philox tiles of 3: several slabs, then the tail.
+    with mock.patch.object(_sampler, "_SLAB", 7), mock.patch.object(_sampler, "_TILE", 3):
+        assert prefix_pairs(sample_boundary_prefixes(walk, streams, margin, patience, budget)) == want
 
 
 SMALL_MODELS = [GroupModel.free(2), GroupModel.free(3)] + [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,23 +17,26 @@ from hypwalk import (
     uniform_walk,
     validate_walk,
 )
-from hypwalk import walks
+from hypwalk import _sampler
 from hypwalk.errors import BoundaryTimeout, ValidationError
 from hypwalk.measure import boundary_sample_set
-from hypwalk.walks import (
+from hypwalk._sampler import (
     _FreeWords,
     _philox_uniforms,
     _philox_words,
     _ProductWords,
     _step_cdf,
     _step_indices,
-    sample_boundary_prefixes,
+    _step_thresholds,
 )
+from hypwalk.walks import sample_boundary_prefixes
 
 from oracles import (
     binomial_band,
     brute_step_distribution,
     n_step_distributions,
+    prefix_pairs,
+    prefix_tuples,
     scalar_boundary_prefix,
 )
 
@@ -129,8 +133,8 @@ class TestBoundarySampling:
         # of the model automorphism group acting on the letters.
         n = len(boundary_samples_f2)
         counts = {}
-        for letters in boundary_samples_f2:
-            counts[letters[0]] = counts.get(letters[0], 0) + 1
+        for x in boundary_samples_f2[:, 0].tolist():
+            counts[x] = counts.get(x, 0) + 1
         assert set(counts) == {1, -1, 2, -2}
         band = binomial_band(0.25, n)
         for c in counts.values():
@@ -139,7 +143,7 @@ class TestBoundarySampling:
     def test_stream_independence_chi2(self, boundary_samples_f2):
         # Pair consecutive samples (distinct streams); the first-letter
         # pair distribution must match the product law.
-        first = [letters[0] for letters in boundary_samples_f2]
+        first = boundary_samples_f2[:, 0].tolist()
         pairs = list(zip(first[0::2], first[1::2]))
         letters = [1, -1, 2, -2]
         table = np.zeros((4, 4))
@@ -218,7 +222,7 @@ class TestStepDraw:
         cdf = _step_cdf(walk)
         streams = TestPhilox.STREAMS + list(range(40))
         words = _philox_words(walk.seed, streams, 3, 25)
-        drawn = _step_indices(cdf, words)
+        drawn = _step_indices(_step_thresholds(cdf), words)
         uniforms = _philox_uniforms(walk.seed, streams, 3, 25)
         assert np.array_equal(drawn.T, np.searchsorted(cdf, uniforms, side="right"))
 
@@ -239,7 +243,7 @@ class TestStepDraw:
             edges |= {top - 1, top}
         ks = sorted(k for k in edges if 0 <= k < 2**53)
         words = np.array([(k << 11) | low for k in ks for low in (0, 2047)], dtype=np.uint64)
-        drawn = _step_indices(cdf, words)
+        drawn = _step_indices(_step_thresholds(cdf), words)
         uniforms = (words >> np.uint64(11)) * 2.0**-53
         assert np.array_equal(drawn, np.searchsorted(cdf, uniforms, side="right"))
         assert len(set(drawn.tolist())) == len(cdf) - (cdf[-2] > 1)
@@ -251,9 +255,10 @@ class TestBatchedSampler:
     @pytest.mark.parametrize("margin", [10, 16])
     @pytest.mark.parametrize("name", sorted(_SAMPLER_WALKS))
     def test_matches_scalar_oracle(self, name, margin):
+        # Budgets from 2^15 on keep step numbers in 32 bits, below in 16.
         walk = _sampler_walk(name)
-        for max_steps in (20_000, 3 * margin + 20):
-            batch = sample_boundary_prefixes(walk, self.STREAMS, margin, 20, max_steps)
+        for max_steps in (20_000, 3 * margin + 20, 40_000):
+            batch = prefix_pairs(sample_boundary_prefixes(walk, self.STREAMS, margin, 20, max_steps))
             scalar = [scalar_boundary_prefix(walk, s, margin, 20, max_steps) for s in self.STREAMS]
             assert batch == scalar
 
@@ -265,7 +270,7 @@ class TestBatchedSampler:
         walk = _sampler_walk(name)
         promoted = 0
         for margin, patience in ((1, 5), (1, 2), (2, 3)):
-            batch = sample_boundary_prefixes(walk, range(100), margin, patience, 20_000)
+            batch = prefix_pairs(sample_boundary_prefixes(walk, range(100), margin, patience, 20_000))
             assert batch == [
                 scalar_boundary_prefix(walk, s, margin, patience, 20_000) for s in range(100)
             ]
@@ -276,7 +281,7 @@ class TestBatchedSampler:
     def test_timeouts_match_scalar_oracle(self, name, max_steps):
         walk = _sampler_walk(name)
         streams = range(60)
-        batch = sample_boundary_prefixes(walk, streams, 10, 20, max_steps)
+        batch = prefix_pairs(sample_boundary_prefixes(walk, streams, 10, 20, max_steps))
         assert batch == [scalar_boundary_prefix(walk, s, 10, 20, max_steps) for s in streams]
         timeouts = sum(letters is None for letters, _ in batch)
         assert 0 < timeouts < len(batch)
@@ -288,36 +293,52 @@ class TestBatchedSampler:
         # each refill of 1 to 16 pushes, which must grow them; each row
         # equals the group's normal form of its letters, every push records
         # its step in the slot it returns, and that slot holds a letter at
-        # most the first that changed.  Kept rows survive a refit intact.
+        # most the first that changed.  Kept rows survive a refit intact,
+        # also when rows of other stacks join them.
         model = GroupModel.free(2) if orders is None else GroupModel.free_product(*orders)
         alphabet = np.array([g.letters()[0] for g in model.generators()], dtype=np.int8)
-        words = _FreeWords(alphabet, 3) if orders is None else _ProductWords(alphabet, orders, 3)
-        assert words.touch.shape == (1, 3)
+
+        def stacks(rows):
+            if orders is None:
+                return _FreeWords(alphabet, rows, 20_000)
+            return _ProductWords(alphabet, orders, rows, 20_000)
+
+        def push_all(words, pushes, check=False):
+            before = [()] * words.rows
+            step = 0
+            while step < len(pushes):
+                refill = pushes[step:step + int(rng.integers(1, 17))]
+                words.refit(np.arange(words.rows), len(refill))
+                words.load(refill)
+                for t in range(len(refill)):
+                    step += 1
+                    edited = words.push(t, step)
+                    for r in range(words.rows):
+                        after = model.from_letters(alphabet[pushes[:step, r]].tolist()).letters()
+                        if check:
+                            assert words.end[r] // words.rows == len(after)
+                            got = words.prefixes(np.array([r]), np.array([len(after)]))
+                            assert prefix_tuples(got) == [after]
+                            assert edited[r] % words.rows == r and words.touch_flat[edited[r]] == step
+                            same = 0
+                            while same < min(len(before[r]), len(after)) and before[r][same] == after[same]:
+                                same += 1
+                            assert edited[r] // words.rows - 1 <= same
+                        before[r] = after
+            return before
+
+        words = stacks(3)
+        assert words.touch.shape == (1, 3) and words.touch.dtype == np.int16
         rng = np.random.default_rng(5)
-        pushes = rng.integers(len(alphabet), size=(120, 3)).astype(np.uint8)
-        before = [()] * 3
-        step = 0
-        while step < len(pushes):
-            refill = pushes[step:step + int(rng.integers(1, 17))]
-            words.refit(np.arange(3), len(refill))
-            words.load(refill)
-            for t in range(len(refill)):
-                step += 1
-                edited = words.push(t, step)
-                for r in range(3):
-                    after = model.from_letters(alphabet[pushes[:step, r]].tolist()).letters()
-                    assert words.end[r] // 3 == len(after)
-                    assert words.prefixes(np.array([r]), np.array([len(after)])) == [after]
-                    assert edited[r] % 3 == r and words.touch_flat[edited[r]] == step
-                    same = 0
-                    while same < min(len(before[r]), len(after)) and before[r][same] == after[same]:
-                        same += 1
-                    assert edited[r] // 3 - 1 <= same
-                    before[r] = after
+        before = push_all(words, rng.integers(len(alphabet), size=(120, 3)).astype(np.uint8), check=True)
         assert words.touch.shape[0] > 1
-        words.refit(np.array([2, 0]), 1)
-        assert words.rows == 2
-        assert words.prefixes(np.array([0, 1]), words.end // 2) == [before[2], before[0]]
+        other = stacks(4)
+        joined = push_all(other, rng.integers(len(alphabet), size=(50, 4)).astype(np.uint8))
+        words.refit(np.array([2, 0]), 1, [(other, np.array([3, 1]))])
+        assert words.rows == 4
+        assert prefix_tuples(words.prefixes(np.arange(4), words.end // 4)) == [
+            before[2], before[0], joined[3], joined[1],
+        ]
 
     @pytest.mark.parametrize("name", ["f2", "f3", "z23", "z25", "z37"])
     def test_no_stream_stops_before_the_least_step(self, name):
@@ -328,8 +349,8 @@ class TestBatchedSampler:
         reached = 0
         for margin, patience in ((10, 20), (4, 3), (2, 3), (1, 5), (3, 1)):
             least = max(margin + patience, 2 * margin)
-            batch = sample_boundary_prefixes(walk, range(400), margin, patience, 20_000)
-            steps = [steps for letters, steps in batch if letters is not None]
+            _, lengths, steps = sample_boundary_prefixes(walk, range(400), margin, patience, 20_000)
+            steps = steps[lengths >= 0].tolist()
             assert steps and min(steps) >= least
             reached += steps.count(least)
         assert reached > 0
@@ -363,13 +384,65 @@ class TestBatchedSampler:
 
     @pytest.mark.parametrize("name", ["f2", "z25-asym"])
     def test_independent_of_batch_and_slab(self, name, monkeypatch):
+        # Slabs of 7 rows and Philox tiles of 3: 23 streams span four
+        # slabs, no tile width divides a slab, and the first slab hands its
+        # rows to the tail once 3 are live, where the survivors of the
+        # other slabs join them.
         walk = _sampler_walk(name)
         streams = [(zlib.crc32(b"unit") << 32) + i for i in range(23)]
-        whole = sample_boundary_prefixes(walk, streams)
-        assert whole == [sample_boundary_prefixes(walk, [s])[0] for s in streams]
-        assert whole == sample_boundary_prefixes(walk, streams[::-1])[::-1]
-        monkeypatch.setattr(walks, "_SLAB", 4)
-        assert whole == sample_boundary_prefixes(walk, streams)
+        whole = prefix_pairs(sample_boundary_prefixes(walk, streams))
+        assert whole == [prefix_pairs(sample_boundary_prefixes(walk, [s]))[0] for s in streams]
+        assert whole == prefix_pairs(sample_boundary_prefixes(walk, streams[::-1]))[::-1]
+        joins = []
+        refit = _sampler._Slab.refit
+
+        def spy(slab, steps, others=()):
+            joins.append(len(others))
+            refit(slab, steps, others)
+
+        monkeypatch.setattr(_sampler, "_SLAB", 7)
+        monkeypatch.setattr(_sampler, "_TILE", 3)
+        monkeypatch.setattr(_sampler._Slab, "refit", spy)
+        assert whole == prefix_pairs(sample_boundary_prefixes(walk, streams))
+        assert max(joins) > 0
+
+    @pytest.mark.parametrize("name", ["f2", "z37"])
+    def test_batch_edge_cases(self, name, monkeypatch):
+        walk = _sampler_walk(name)
+        # No stream: empty arrays, the matrix still margin wide.
+        letters, lengths, steps = sample_boundary_prefixes(walk, [], 10, 20, 20_000)
+        assert letters.shape == (0, 10) and letters.dtype == np.int8
+        assert prefix_pairs((letters, lengths, steps)) == []
+        # One stream.
+        assert prefix_pairs(sample_boundary_prefixes(walk, [7], 10, 20, 20_000)) == [
+            scalar_boundary_prefix(walk, 7, 10, 20, 20_000)
+        ]
+        # Every stream times out: 30 steps of F_2 at margin 10, patience 20
+        # stop only a walk that never backtracks; on Z/3*Z/7 a word of 10
+        # letters needs more steps than that.
+        budget = 30 if name == "f2" else 31
+        streams = range(40, 60)
+        letters, lengths, steps = sample_boundary_prefixes(walk, streams, 10, 20, budget)
+        want = [scalar_boundary_prefix(walk, s, 10, 20, budget) for s in streams]
+        assert prefix_pairs((letters, lengths, steps)) == want
+        assert (lengths == -1).all() and (steps == budget).all() and not letters.any()
+        # Several slabs, and one of those that run to the first slab's
+        # hand-off step stops whole before it: it leaves no row to the tail.
+        runs = []
+        run = _sampler._Sampler.run
+
+        def spy(sampler, slab, until, tail_rows):
+            run(sampler, slab, until, tail_rows)
+            runs.append((until, tail_rows, len(slab.keep)))
+
+        monkeypatch.setattr(_sampler, "_SLAB", 5)
+        monkeypatch.setattr(_sampler, "_TILE", 2)
+        monkeypatch.setattr(_sampler._Sampler, "run", spy)
+        streams = range(12)  # slabs of 5, 5 and 2 rows
+        want = [scalar_boundary_prefix(walk, s, 10, 20, 20_000) for s in streams]
+        assert prefix_pairs(sample_boundary_prefixes(walk, streams, 10, 20, 20_000)) == want
+        assert runs[0][1] == 2 and len(runs) > 3
+        assert any(until < 20_000 and live == 0 for until, _, live in runs[1:3])
 
     def test_retries_use_their_own_streams(self):
         # Sample i retries on stream base + n + 20 i + attempt until it
@@ -389,9 +462,23 @@ class TestBatchedSampler:
                     break
             expected.append(letters)
             total += attempt
-        assert prefixes == tuple(expected)
+        assert prefix_tuples(prefixes) == expected
         assert retries == total > 0
         assert steps == work
+
+    def test_sample_set_peak_memory(self, walk_f2):
+        # A 20k set's prefixes are one int8 matrix, and a slab's cipher
+        # words are gone before its stacks grow: the peak stays at 4 MB.
+        boundary_sample_set(walk_f2, 100, 10, 20, 20_000, "unit-memory")
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            boundary_sample_set(walk_f2, 20_000, 10, 20, 20_000, "unit-memory")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 4 * 2**20
 
     def test_exhausted_retries_name_the_first_stream(self, walk_f2):
         with pytest.raises(BoundaryTimeout) as err:
