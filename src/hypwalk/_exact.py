@@ -41,6 +41,25 @@ Luttenberger, SIAM J. Comput. 39, 2010); a falling step rejects z as
 past 1/rho.  The certificate's direction (I - J)^-1 1 comes from the same
 pivoted elimination, with J exact on F_N and from forward differences on
 Z/m*Z/n.
+
+Slot plan.  Phi is compiled once per model (``_Slots``) into tables
+indexed by letter slots, the positions in ``keys``: each letter's inverse
+slot; on F_N the slots in each letter's denominator; on Z/m*Z/n, per
+factor, the slots of its ``rest`` terms and of its forward and backward
+letters, and per letter the ``_cycle_hits`` entry that holds its value;
+and the numerators of the rounding bounds.  Only z mu depends on the walk
+and on z: ``_Letters`` binds it into (z mu(y), inverse slot) term pairs,
+and the sweeps, Jacobians, iterations, Newton steps and certificates run
+on float lists indexed by slot.  The table of every one-syllable value,
+keyed by syllable, is built only where ``_Solution``, ``_ceiling`` and
+``ancona`` read it.
+
+Bit identity.  Each floating-point operation keeps the operands and the
+order of the syllable-keyed reference engine (``tests/oracles.py``): the
+same left-to-right ``sum`` from int 0, the same (terms + 8) eps / den_min
+grouping, the same v (1 - rounding), and ``_cycle_hits`` shortened only
+where the dropped operations are exact (x + 0.0 and x / 1.0).  So every
+iterate, enclosure and spectral bound is the reference's, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,10 +67,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DivergenceError, SolverError
-from .groups import FREE, GroupElement
+from .groups import FREE, GroupElement, GroupModel
 from .walks import WalkSpec
 
 Bracket = tuple[float, float, float]  # (value, lower, upper)
+Vector = list[float]  # one value per letter slot
 
 _EPS = 2.0 ** -52  # twice the unit roundoff: one rounding plus slack
 _MAX_SWEEPS = 20_000
@@ -64,96 +84,121 @@ _MAX_NEWTON = 100
 _FALL = 2.0 ** -26
 _MAX_DIRECTION = 1e12  # |(I - J)^-1 1| beyond this: Jacobian at eigenvalue 1
 _SPECTRAL_GAP = 1e-4  # relative width of the last bisection step towards 1/rho
+_DIVERGES = "first-passage fixed point diverges: z is past 1/rho"
+
+
+class _Slots:
+    """The slot tables of one model's map Phi; no walk weight enters them.
+
+    Slot i is letter ``keys[i]``, its one-syllable normal form (letter id,
+    exponent), and ``inv[i]`` the slot of its inverse.  ``groups[c]``
+    lists the slots whose terms make denominator c: that of letter c on
+    F_N, the ``rest`` of factor c on Z/m*Z/n.  On Z/m*Z/n, ``cycles[c]``
+    is factor c's (letter id, order m, forward slot, backward slot), and
+    ``out[i]`` the (factor, ``_cycle_hits`` entry) that holds the value of
+    slot i.  ``num`` is the numerator of a sweep's rounding bound.
+    """
+
+    def __init__(self, model: GroupModel):
+        self.free = model.kind == FREE
+        keys = self.keys = [g.syllables[0] for g in model.generators()]
+        self.index = {k: i for i, k in enumerate(keys)}
+        order = {lid: model.letter_order(lid) for lid, _ in keys}  # 0 on F_N
+        self.inv = [self.index[(lid, order[lid] - exp)] for lid, exp in keys]
+        self.inverse_keys = [keys[j] for j in self.inv]
+        if self.free:
+            self.groups = [[j for j in range(len(keys)) if j != i] for i in range(len(keys))]
+            self.num = (len(keys) + 4) * _EPS
+            return
+        self.groups = [[j for j, k in enumerate(keys) if k[0] != lid] for lid in order]
+        self.cycles = [
+            (lid, m, self.index[(lid, 1)], self.index[(lid, m - 1)]) for lid, m in order.items()
+        ]
+        self.out = [(lid - 1, order[lid] - exp - 1) for lid, exp in keys]
+        self.num = (len(keys) + 4 * sum(order.values()) + 8) * _EPS
+
+
+_slots = lru_cache(maxsize=16)(_Slots)  # built once per model
 
 
 class _Letters:
-    """The monotone map Phi of one walk and weight z, on the alphabet.
+    """The monotone map Phi of one walk and weight z, on the letter slots.
 
-    Letters are keyed by their one-syllable normal form (letter id,
-    exponent).  ``sweep`` returns Phi on the letters, the table of every
-    one-syllable value, and a relative rounding bound of that evaluation.
+    ``sweep`` returns Phi on the slots and a relative rounding bound of
+    that evaluation; ``table`` returns every one-syllable value, keyed by
+    syllable, with the same bound.
     """
 
     def __init__(self, spec: WalkSpec, z: float):
-        model = spec.model
-        self.model = model
-        self.free = model.kind == FREE
-        self.keys = [g.syllables[0] for g in model.generators()]
-        zmu = {k: 0.0 for k in self.keys}
+        slots = self.slots = _slots(spec.model)
+        self.free, self.keys, self.inverse_keys = slots.free, slots.keys, slots.inverse_keys
+        zmu = self.zmu = [0.0] * len(slots.keys)
         for g, p in spec.support:
-            zmu[g.syllables[0]] += z * p
-        self.zmu = zmu
+            zmu[slots.index[g.syllables[0]]] += z * p
+        self.terms = [[(zmu[j], slots.inv[j]) for j in group] for group in slots.groups]
+        if not self.free:
+            cycles = zip(slots.cycles, self.terms)
+            self.cycles = [(m, terms, zmu[f], zmu[b]) for (_, m, f, b), terms in cycles]
 
-    def inverse(self, key: tuple[int, int]) -> tuple[int, int]:
-        lid, exp = key
-        return (lid, -exp) if self.free else (lid, self.model.letter_order(lid) - exp)
+    def sweep(self, F: Vector) -> tuple[Vector, float]:
+        if self.free:
+            return self._free(F)
+        hits, rounding = self._hits(F)
+        return [hits[c][h] for c, h in self.slots.out], rounding
 
-    def sweep(self, F: dict) -> tuple[list[float], dict, float]:
-        table, rounding = self._free(F) if self.free else self._product(F)
-        return [table[k] for k in self.keys], table, rounding
+    def table(self, F: Vector) -> tuple[dict, float]:
+        if self.free:
+            values, rounding = self._free(F)
+            return dict(zip(self.keys, values)), rounding
+        hits, rounding = self._hits(F)
+        cycles = zip(self.slots.cycles, hits)
+        return {(lid, k): h[m - k - 1] for (lid, m, *_), h in cycles for k in range(1, m)}, rounding
 
-    def _den(self, F: dict, x: tuple[int, int]) -> float:
-        """F_N: 1 - z sum_{y != x} mu(y) F_{y^-1}, the denominator of Phi_x."""
-        return 1.0 - sum(self.zmu[y] * F[self.inverse(y)] for y in self.keys if y != x)
-
-    def _free(self, F: dict) -> tuple[dict, float]:
-        keys, zmu = self.keys, self.zmu
-        table = {}
+    def _free(self, F: Vector) -> tuple[Vector, float]:
+        values = []
         den_min = 1.0
-        for x in keys:
-            den = self._den(F, x)
+        for x, terms in zip(self.zmu, self.terms):
+            den = 1.0 - sum([w * F[s] for w, s in terms])
             if not den > 0.0:
-                raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
-            table[x] = zmu[x] / den
+                raise DivergenceError(_DIVERGES)
+            values.append(x / den)
             den_min = min(den_min, den)
-        return table, (len(keys) + 4) * _EPS / den_min
+        return values, self.slots.num / den_min
 
-    def _product(self, F: dict) -> tuple[dict, float]:
-        table = {}
+    def _hits(self, F: Vector) -> tuple[list[list[float]], float]:
+        """``_cycle_hits`` of each factor at F, and the rounding bound."""
+        hits = []
         den_min = 1.0
-        terms = len(self.keys)
-        for lid in (1, 2):
-            m = self.model.letter_order(lid)
-            rest = 1.0 - sum(self.zmu[y] * F[self.inverse(y)] for y in self.keys if y[0] != lid)
+        for m, terms, forward, backward in self.cycles:
+            rest = 1.0 - sum([w * F[s] for w, s in terms])
             if not rest > 0.0:
-                raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
-            forward = self.zmu[(lid, 1)] / rest
-            backward = self.zmu[(lid, m - 1)] / rest if m > 2 else 0.0
-            hits, pivot_min = _cycle_hits(m, forward, backward)
-            for k in range(1, m):
-                table[(lid, k)] = hits[m - k - 1]
+                raise DivergenceError(_DIVERGES)
+            h, pivot_min = _cycle_hits(m, forward / rest, backward / rest if m > 2 else 0.0)
+            hits.append(h)
             den_min = min(den_min, rest, pivot_min)
-            terms += 4 * m
-        return table, (terms + 8) * _EPS / den_min
+        return hits, self.slots.num / den_min
 
-    def jacobian(self, F: dict) -> list[list[float]]:
-        """Rows of d Phi_x / d F_y, in the order of ``keys``."""
-        return self._free_jacobian(F) if self.free else self._product_jacobian(F)
-
-    def _free_jacobian(self, F: dict) -> list[list[float]]:
+    def jacobian(self, F: Vector) -> list[list[float]]:
+        """Rows of d Phi_i / d F_j over the slots: exact on F_N, forward
+        differences on Z/m*Z/n (at most four letters)."""
+        if not self.free:
+            base, _ = self.sweep(F)
+            cols = []
+            for j, f in enumerate(F):
+                step = 1e-7 * max(f, 1e-7)
+                moved, _ = self.sweep(F[:j] + [f + step] + F[j + 1:])
+                cols.append([(a - b) / step for a, b in zip(moved, base)])
+            return [list(row) for row in zip(*cols)]
         # d Phi_x / d F_{y^-1} = z mu(x) z mu(y) / den_x^2 for y != x
-        keys, zmu = self.keys, self.zmu
-        index = {k: j for j, k in enumerate(keys)}
         rows = []
-        for x in keys:
-            den = self._den(F, x)
-            scale = zmu[x] / (den * den)
-            row = [0.0] * len(keys)
-            for y in keys:
-                if y != x:
-                    row[index[self.inverse(y)]] = scale * zmu[y]
+        for x, terms in zip(self.zmu, self.terms):
+            den = 1.0 - sum([w * F[s] for w, s in terms])
+            scale = x / (den * den)
+            row = [0.0] * len(F)
+            for w, s in terms:
+                row[s] = scale * w
             rows.append(row)
         return rows
-
-    def _product_jacobian(self, F: dict) -> list[list[float]]:
-        # Forward differences: at most four letters.
-        base, _, _ = self.sweep(F)
-        cols = []
-        for k in self.keys:
-            step = 1e-7 * max(F[k], 1e-7)
-            moved, _, _ = self.sweep({**F, k: F[k] + step})
-            cols.append([(a - b) / step for a, b in zip(moved, base)])
-        return [list(row) for row in zip(*cols)]
 
 
 def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], float]:
@@ -164,7 +209,19 @@ def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], f
     absorbing from both sides, so this is a path of m - 1 states
     solved by one tridiagonal elimination.  Returns the values and the
     smallest pivot.
+
+    For m = 2 and m = 3 the elimination is written out with its exact
+    operations left away: x + 0.0 for the weights, which are never -0.0,
+    and x / 1.0 for the first pivot.
     """
+    if m == 2:
+        return [forward], 1.0
+    if m == 3:
+        pivot = 1.0 - forward * backward
+        if not pivot > 0.0:
+            raise DivergenceError(_DIVERGES)
+        far = (forward + backward * backward) / pivot
+        return [backward + forward * far, far], min(1.0, pivot)
     size = m - 1
     rhs = [0.0] * size
     rhs[0] += backward
@@ -174,7 +231,7 @@ def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], f
     for i in range(1, size):
         pivots[i] = 1.0 - forward * backward / pivots[i - 1]
         if not pivots[i] > 0.0:
-            raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
+            raise DivergenceError(_DIVERGES)
         acc[i] = rhs[i] + backward * acc[i - 1] / pivots[i - 1]
     hits = [0.0] * size
     hits[-1] = acc[-1] / pivots[-1]
@@ -183,22 +240,23 @@ def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], f
     return hits, min(pivots)
 
 
-def _iterate(phi: _Letters, bias: bool) -> dict:
+def _iterate(phi: _Letters, bias: bool) -> Vector:
     """Phi iterated up from 0 until no letter increases.
 
     With ``bias`` each step is rounded down by its rounding bound, so
     every iterate stays below the exact one and the limit is a lower
     bound of the minimal fixed point.
     """
-    F = {k: 0.0 for k in phi.keys}
+    F = [0.0] * len(phi.keys)
+    sweep = phi.sweep
     for _ in range(_MAX_SWEEPS):
-        values, _, rounding = phi.sweep(F)
+        values, rounding = sweep(F)
         if bias:
-            values = [v * (1.0 - rounding) for v in values]
-        new = dict(zip(phi.keys, values))
-        if all(new[k] <= F[k] for k in phi.keys):
+            down = 1.0 - rounding
+            values = [v * down for v in values]
+        if all([v <= f for v, f in zip(values, F)]):
             return F
-        F = new
+        F = values
     raise SolverError(f"first-passage fixed point not reached in {_MAX_SWEEPS} sweeps")
 
 
@@ -227,14 +285,14 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float]:
     return x
 
 
-def _resolvent(phi: _Letters, F: dict, b: list[float]) -> list[float]:
+def _resolvent(phi: _Letters, F: Vector, b: list[float]) -> list[float]:
     """(I - J)^-1 b for the Jacobian J of Phi at F."""
     jac = phi.jacobian(F)
     a = [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(jac)]
     return _solve(a, b)
 
 
-def _newton(phi: _Letters) -> dict:
+def _newton(phi: _Letters) -> Vector:
     """The minimal fixed point of Phi by Newton's method from 0.
 
     Each component of Phi is a power series in the letter values with
@@ -250,21 +308,20 @@ def _newton(phi: _Letters) -> dict:
     singular I - J; ``_MAX_NEWTON`` steps without convergence raise
     SolverError.
     """
-    keys = phi.keys
-    F = dict.fromkeys(keys, 0.0)
+    F = [0.0] * len(phi.keys)
     for _ in range(_MAX_NEWTON):
-        values, _, rounding = phi.sweep(F)
-        residual = [v - F[k] for k, v in zip(keys, values)]
+        values, rounding = phi.sweep(F)
+        residual = [v - f for v, f in zip(values, F)]
         if all(abs(r) <= rounding * v for r, v in zip(residual, values)):
             return F
         step = _resolvent(phi, F, residual)
         if not all(s >= -_FALL * v for s, v in zip(step, values)):
             raise DivergenceError("Newton step falls: z is past 1/rho")
-        F = {k: F[k] + s for k, s in zip(keys, step)}
+        F = [f + s for f, s in zip(F, step)]
     raise SolverError(f"Newton's method did not converge in {_MAX_NEWTON} steps")
 
 
-def _upper(phi: _Letters, F: dict) -> dict:
+def _upper(phi: _Letters, F: Vector) -> Vector:
     """A vector U >= F with Phi(U) <= U, certified with rounding.
 
     U = F + t d with d = (I - J)^-1 1 for the Jacobian J of Phi at F:
@@ -273,34 +330,33 @@ def _upper(phi: _Letters, F: dict) -> dict:
     positive solution d exists exactly when the spectral radius of J is
     below 1, that is when the fixed point is stable and z < 1/rho.
     """
-    keys = phi.keys
-    base, _, rounding = phi.sweep(F)
-    d = _resolvent(phi, F, [1.0] * len(keys))
+    base, rounding = phi.sweep(F)
+    d = _resolvent(phi, F, [1.0] * len(F))
     if not all(0.0 < dk <= _MAX_DIRECTION for dk in d):
         raise DivergenceError("first-passage fixed point is not stable: z is at or past 1/rho")
-    excess = max(b * (1.0 + rounding) - F[k] for k, b in zip(keys, base))
-    t = max(excess, rounding * max(F.values()), 1e-300)
+    excess = max(b * (1.0 + rounding) - f for f, b in zip(F, base))
+    t = max(excess, rounding * max(F), 1e-300)
     for _ in range(_MAX_DOUBLINGS):
-        U = {k: F[k] + t * dk for k, dk in zip(keys, d)}
+        U = [f + t * dk for f, dk in zip(F, d)]
         try:
-            image, _, bound = phi.sweep(U)
+            image, bound = phi.sweep(U)
         except DivergenceError:
             image = None
-        if image is not None and all(v * (1.0 + bound) <= U[k] for k, v in zip(keys, image)):
+        if image is not None and all(v * (1.0 + bound) <= u for v, u in zip(image, U)):
             return U
         t *= 2.0
     raise SolverError("no upper bound certified for the first-passage fixed point")
 
 
-def _ceiling(phi: _Letters, U: dict) -> tuple[dict, float]:
+def _ceiling(phi: _Letters, U: Vector) -> tuple[dict, float]:
     """Upper ends of every one-syllable value from a supersolution U, and
     of the return sum z sum_y mu(y) F(e, y^-1 | z).  Every one-syllable
     value is monotone in the letter values, so one sweep at U bounds them
     all.  Raises DivergenceError unless the sum is below 1, that is
     unless G(e, e | z) is certified finite."""
-    _, high, r_high = phi.sweep(U)
+    high, r_high = phi.table(U)
     high = {k: v * (1.0 + r_high) for k, v in high.items()}
-    loop = sum(phi.zmu[y] * high[phi.inverse(y)] for y in phi.keys)
+    loop = sum(w * high[k] for w, k in zip(phi.zmu, phi.inverse_keys))
     if not loop < 1.0:
         raise DivergenceError("Green function diverges: z is past 1/rho")
     return high, loop
@@ -316,13 +372,14 @@ class _Solution:
         high, loop = _ceiling(phi, _upper(phi, point))
         # Every one-syllable value is monotone in the letter values, so one
         # more sweep at the point and at the lower end fills the table.
-        _, mid, _ = phi.sweep(point)
-        _, low, r_low = phi.sweep(lower)
+        mid, _ = phi.table(point)
+        low, r_low = phi.table(lower)
         self.table = {}
         for k, v in mid.items():
             lo, hi = low[k] * (1.0 - r_low), high[k]
             self.table[k] = (min(max(v, lo), hi), lo, hi)
-        sums = [sum(phi.zmu[y] * self.table[phi.inverse(y)][i] for y in phi.keys) for i in (0, 1)]
+        inverse = [self.table[k] for k in phi.inverse_keys]
+        sums = [sum(w * t[i] for w, t in zip(phi.zmu, inverse)) for i in (0, 1)]
         slack = (len(phi.keys) + 4) * _EPS / (1.0 - loop)
         self.base = (
             1.0 / (1.0 - sums[0]),

@@ -207,7 +207,8 @@ class _Stacks:
     The arrays are refitted once per refill of draws, never per push:
     rows that stopped leave, rows of other stacks of the same walk may
     join, and the depth grows to fit the pushes to come.  ``idx`` holds
-    the (step, row) support indices of the refill's pushes.
+    the (step, row) support indices of the refill's pushes; ``_FreeWords``
+    holds their letters ``x`` instead.
     """
 
     _arrays = ("touch",)
@@ -267,11 +268,16 @@ class _FreeWords(_Stacks):
         super()._reindex()
         self.word_flat = self.word.reshape(-1)
 
+    def load(self, idx: np.ndarray) -> None:
+        """Take the signed letters of the next pushes: one gather per
+        refill, in place of one per push."""
+        self.x = self.letters[idx]
+
     def push(self, t: int, step: int) -> np.ndarray:
         """Right-multiply each row by its letter of loaded step t, record
         ``step`` in the slot the push edited and return that slot's flat
         position: the new letter's, or the cancelled letter's."""
-        x = self.letters[self.idx[t]]
+        x = self.x[t]
         top = self.end
         back = (self.word_flat[top] == -x) * self.rows
         nxt = top + self.rows
@@ -456,11 +462,12 @@ class _Sampler:
         step = slab.step
         while step < until and len(slab.keep) > tail_rows:
             n = min(_REFILL_STEPS if step else -(-reach // 4) * 4, until - step)
-            # Drawn before the refit, so that the cipher's words and the
-            # grown stacks are never held at once.
-            idx = _draw_steps(self.seed, slab.keys[slab.keep], self.thresholds, step // 4, -(-n // 4))
+            # Drawn and loaded before the refit, so that neither the
+            # cipher's words nor the last refill's draws are held alongside
+            # the grown stacks.
+            keys = slab.keys[slab.keep]
+            words.load(_draw_steps(self.seed, keys, self.thresholds, step // 4, -(-n // 4)))
             slab.refit(n)
-            words.load(idx)
             rows, L, dirty = words.rows, slab.L, slab.dirty
             at_L = L * rows + np.arange(rows)  # slot L: letters 0 .. L - 1 lie at or below it
             stop_at = at_L + margin * rows  # the word reaches L + margin letters

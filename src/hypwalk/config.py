@@ -8,6 +8,7 @@ anywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -69,6 +70,15 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _finite(value: int | float) -> bool:
+    """Finite as a float: JSON admits NaN and Infinity, and integers past
+    the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = set(section) - set(allowed)
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
@@ -116,8 +126,8 @@ def _parse_walk(section: Any, model: GroupModel) -> WalkSpec:
         )
         word, prob = entry
         _require(
-            isinstance(prob, (int, float)) and not isinstance(prob, bool),
-            f"walk.support probabilities must be numbers, not {prob!r}",
+            isinstance(prob, (int, float)) and not isinstance(prob, bool) and _finite(prob),
+            f"walk.support probabilities must be finite numbers, not {prob!r}",
         )
         try:
             g = model.word(str(word))
@@ -183,15 +193,21 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
     for name in experiments:
         _require(name in EXPERIMENTS, f"unknown experiment {name!r}; known: {list(EXPERIMENTS)}")
-    output = data.get("output") or {}
+    output = data.get("output")
+    output = {} if output is None else output
+    _require(isinstance(output, dict), f"output must be an object, not {output!r}")
     _check_keys(output, {"dir"}, "output")
+    out_dir = output.get("dir", "out")
+    _require(
+        isinstance(out_dir, str) and out_dir, f"output.dir must be a nonempty string, not {out_dir!r}"
+    )
     return ExperimentConfig(
         model=model,
         walk=walk,
         budgets=budgets,
         tolerances=tolerances,
         experiments=tuple(experiments),
-        output_dir=output.get("dir", "out"),
+        output_dir=out_dir,
         raw=data,
     )
 

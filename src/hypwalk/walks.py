@@ -95,8 +95,8 @@ class WalkValidation:
 def validate_walk(spec: WalkSpec) -> WalkValidation:
     """Validate a walk spec.
 
-    Hard errors (raised): empty support, nonpositive probabilities, total
-    mass away from 1.  Everything else is reported as flags.
+    Hard errors (raised): empty support, nonpositive or NaN probabilities,
+    total mass away from 1.  Everything else is reported as flags.
     Nondegeneracy, that the support generates the group as a semigroup,
     is read off the letters of a nearest-neighbour support: on F_N all 2N
     letters need positive weight, on Z/m*Z/n each factor needs a letter.
@@ -106,7 +106,7 @@ def validate_walk(spec: WalkSpec) -> WalkValidation:
     if not spec.support:
         raise ValidationError("walk support is empty")
     probs = spec.probabilities()
-    if np.any(probs <= 0):
+    if not np.all(probs > 0):  # NaN fails every comparison
         raise ValidationError("step probabilities must be positive")
     if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
         raise ValidationError(f"step probabilities sum to {probs.sum()!r}, not 1")

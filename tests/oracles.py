@@ -13,6 +13,9 @@ restricted convolution, the four-point delta of a ball, and the
 semigroup check of nondegeneracy on B(e, 2).  Restricted values increase
 with the ball to the full-group values, so they bound the exact engine
 from below.
+
+The syllable-keyed form of the exact engine's fixed-point loops is kept
+here as the reference that its slot-indexed form must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from hypwalk._exact import (
+    _EPS, _FALL, _MAX_DIRECTION, _MAX_DOUBLINGS, _MAX_NEWTON, _MAX_SWEEPS, _SPECTRAL_GAP, _solve,
+)
 from hypwalk._solver import RestrictedSolver
+from hypwalk.errors import DivergenceError, SolverError
 from hypwalk.groups import FREE, Ball, GroupElement, GroupModel, ball
 from hypwalk.walks import WalkSpec, require_valid
 
@@ -290,16 +297,308 @@ def plain_spectral_upper(spec) -> float:
             return False
         return True
 
+    return _bisect_spectral(certified)
+
+
+def _bisect_spectral(certified) -> float:
+    """1/z for the largest certified z of ``spectral_upper``'s doubling
+    from z = 1 and bisection down to a relative gap of ``_SPECTRAL_GAP``."""
     lo, hi = 1.0, 2.0
     while certified(hi):
         lo, hi = hi, 2.0 * hi
-    while hi - lo > _exact._SPECTRAL_GAP * lo:
+    while hi - lo > _SPECTRAL_GAP * lo:
         mid = 0.5 * (lo + hi)
         if certified(mid):
             lo = mid
         else:
             hi = mid
-    return (1.0 / lo) * (1.0 + _exact._EPS)
+    return (1.0 / lo) * (1.0 + _EPS)
+
+
+# ---------------------------------------------------------------------------
+# the syllable-keyed first-passage engine: the reference that the slot-indexed
+# engine of ``hypwalk._exact`` must match bit for bit.  The classes and
+# functions up to ``_certified`` are the engine's dict form verbatim
+# (``_Solution`` without ``product``); ``dict_solution``, ``dict_newton``
+# and ``dict_spectral_upper`` read it.
+
+
+class _Letters:
+    """The monotone map Phi of one walk and weight z, on the alphabet.
+
+    Letters are keyed by their one-syllable normal form (letter id,
+    exponent).  ``sweep`` returns Phi on the letters, the table of every
+    one-syllable value, and a relative rounding bound of that evaluation.
+    """
+
+    def __init__(self, spec: WalkSpec, z: float):
+        model = spec.model
+        self.model = model
+        self.free = model.kind == FREE
+        self.keys = [g.syllables[0] for g in model.generators()]
+        zmu = {k: 0.0 for k in self.keys}
+        for g, p in spec.support:
+            zmu[g.syllables[0]] += z * p
+        self.zmu = zmu
+
+    def inverse(self, key: tuple[int, int]) -> tuple[int, int]:
+        lid, exp = key
+        return (lid, -exp) if self.free else (lid, self.model.letter_order(lid) - exp)
+
+    def sweep(self, F: dict) -> tuple[list[float], dict, float]:
+        table, rounding = self._free(F) if self.free else self._product(F)
+        return [table[k] for k in self.keys], table, rounding
+
+    def _den(self, F: dict, x: tuple[int, int]) -> float:
+        """F_N: 1 - z sum_{y != x} mu(y) F_{y^-1}, the denominator of Phi_x."""
+        return 1.0 - sum(self.zmu[y] * F[self.inverse(y)] for y in self.keys if y != x)
+
+    def _free(self, F: dict) -> tuple[dict, float]:
+        keys, zmu = self.keys, self.zmu
+        table = {}
+        den_min = 1.0
+        for x in keys:
+            den = self._den(F, x)
+            if not den > 0.0:
+                raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
+            table[x] = zmu[x] / den
+            den_min = min(den_min, den)
+        return table, (len(keys) + 4) * _EPS / den_min
+
+    def _product(self, F: dict) -> tuple[dict, float]:
+        table = {}
+        den_min = 1.0
+        terms = len(self.keys)
+        for lid in (1, 2):
+            m = self.model.letter_order(lid)
+            rest = 1.0 - sum(self.zmu[y] * F[self.inverse(y)] for y in self.keys if y[0] != lid)
+            if not rest > 0.0:
+                raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
+            forward = self.zmu[(lid, 1)] / rest
+            backward = self.zmu[(lid, m - 1)] / rest if m > 2 else 0.0
+            hits, pivot_min = _cycle_hits(m, forward, backward)
+            for k in range(1, m):
+                table[(lid, k)] = hits[m - k - 1]
+            den_min = min(den_min, rest, pivot_min)
+            terms += 4 * m
+        return table, (terms + 8) * _EPS / den_min
+
+    def jacobian(self, F: dict) -> list[list[float]]:
+        """Rows of d Phi_x / d F_y, in the order of ``keys``."""
+        return self._free_jacobian(F) if self.free else self._product_jacobian(F)
+
+    def _free_jacobian(self, F: dict) -> list[list[float]]:
+        # d Phi_x / d F_{y^-1} = z mu(x) z mu(y) / den_x^2 for y != x
+        keys, zmu = self.keys, self.zmu
+        index = {k: j for j, k in enumerate(keys)}
+        rows = []
+        for x in keys:
+            den = self._den(F, x)
+            scale = zmu[x] / (den * den)
+            row = [0.0] * len(keys)
+            for y in keys:
+                if y != x:
+                    row[index[self.inverse(y)]] = scale * zmu[y]
+            rows.append(row)
+        return rows
+
+    def _product_jacobian(self, F: dict) -> list[list[float]]:
+        # Forward differences: at most four letters.
+        base, _, _ = self.sweep(F)
+        cols = []
+        for k in self.keys:
+            step = 1e-7 * max(F[k], 1e-7)
+            moved, _, _ = self.sweep({**F, k: F[k] + step})
+            cols.append([(a - b) / step for a, b in zip(moved, base)])
+        return [list(row) for row in zip(*cols)]
+
+
+def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], float]:
+    """Hitting probabilities of 0 on the killed walk on Z/m.
+
+    Entry d - 1 is the probability of reaching 0 from d (1 <= d < m)
+    with steps +1 and -1 of weights ``forward`` and ``backward``; 0 is
+    absorbing from both sides, so this is a path of m - 1 states
+    solved by one tridiagonal elimination.  Returns the values and the
+    smallest pivot.
+    """
+    size = m - 1
+    rhs = [0.0] * size
+    rhs[0] += backward
+    rhs[-1] += forward
+    pivots = [1.0] * size
+    acc = [rhs[0]] + [0.0] * (size - 1)
+    for i in range(1, size):
+        pivots[i] = 1.0 - forward * backward / pivots[i - 1]
+        if not pivots[i] > 0.0:
+            raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
+        acc[i] = rhs[i] + backward * acc[i - 1] / pivots[i - 1]
+    hits = [0.0] * size
+    hits[-1] = acc[-1] / pivots[-1]
+    for i in range(size - 2, -1, -1):
+        hits[i] = (acc[i] + forward * hits[i + 1]) / pivots[i]
+    return hits, min(pivots)
+
+
+def _iterate(phi: _Letters, bias: bool) -> dict:
+    """Phi iterated up from 0 until no letter increases.
+
+    With ``bias`` each step is rounded down by its rounding bound, so
+    every iterate stays below the exact one and the limit is a lower
+    bound of the minimal fixed point.
+    """
+    F = {k: 0.0 for k in phi.keys}
+    for _ in range(_MAX_SWEEPS):
+        values, _, rounding = phi.sweep(F)
+        if bias:
+            values = [v * (1.0 - rounding) for v in values]
+        new = dict(zip(phi.keys, values))
+        if all(new[k] <= F[k] for k in phi.keys):
+            return F
+        F = new
+    raise SolverError(f"first-passage fixed point not reached in {_MAX_SWEEPS} sweeps")
+
+
+def _resolvent(phi: _Letters, F: dict, b: list[float]) -> list[float]:
+    """(I - J)^-1 b for the Jacobian J of Phi at F."""
+    jac = phi.jacobian(F)
+    a = [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(jac)]
+    return _solve(a, b)
+
+
+def _newton(phi: _Letters) -> dict:
+    """The minimal fixed point of Phi by Newton's method from 0.
+
+    Each component of Phi is a power series in the letter values with
+    nonnegative coefficients, so Phi is monotone and convex, and the
+    Newton iterates F + (I - J(F))^-1 (Phi(F) - F) rise monotonically to
+    the minimal fixed point whenever one exists (Etessami and
+    Yannakakis, J. ACM 56, 2009; Esparza, Kiefer and Luttenberger, SIAM
+    J. Comput. 39, 2010).  Stops once the residual Phi(F) - F lies within
+    the sweep's rounding bound.  Below a fixed point every step is
+    nonnegative, so a step with a component falling by more than
+    ``_FALL`` relative to Phi(F) finds none above F, that is z is past
+    1/rho, and raises DivergenceError, as does a diverging sweep or a
+    singular I - J; ``_MAX_NEWTON`` steps without convergence raise
+    SolverError.
+    """
+    keys = phi.keys
+    F = dict.fromkeys(keys, 0.0)
+    for _ in range(_MAX_NEWTON):
+        values, _, rounding = phi.sweep(F)
+        residual = [v - F[k] for k, v in zip(keys, values)]
+        if all(abs(r) <= rounding * v for r, v in zip(residual, values)):
+            return F
+        step = _resolvent(phi, F, residual)
+        if not all(s >= -_FALL * v for s, v in zip(step, values)):
+            raise DivergenceError("Newton step falls: z is past 1/rho")
+        F = {k: F[k] + s for k, s in zip(keys, step)}
+    raise SolverError(f"Newton's method did not converge in {_MAX_NEWTON} steps")
+
+
+def _upper(phi: _Letters, F: dict) -> dict:
+    """A vector U >= F with Phi(U) <= U, certified with rounding.
+
+    U = F + t d with d = (I - J)^-1 1 for the Jacobian J of Phi at F:
+    along d, Phi(F + t d) - (F + t d) ~ Phi(F) - F - t, so t is doubled
+    from the current excess until the check passes.  For J >= 0 a
+    positive solution d exists exactly when the spectral radius of J is
+    below 1, that is when the fixed point is stable and z < 1/rho.
+    """
+    keys = phi.keys
+    base, _, rounding = phi.sweep(F)
+    d = _resolvent(phi, F, [1.0] * len(keys))
+    if not all(0.0 < dk <= _MAX_DIRECTION for dk in d):
+        raise DivergenceError("first-passage fixed point is not stable: z is at or past 1/rho")
+    excess = max(b * (1.0 + rounding) - F[k] for k, b in zip(keys, base))
+    t = max(excess, rounding * max(F.values()), 1e-300)
+    for _ in range(_MAX_DOUBLINGS):
+        U = {k: F[k] + t * dk for k, dk in zip(keys, d)}
+        try:
+            image, _, bound = phi.sweep(U)
+        except DivergenceError:
+            image = None
+        if image is not None and all(v * (1.0 + bound) <= U[k] for k, v in zip(keys, image)):
+            return U
+        t *= 2.0
+    raise SolverError("no upper bound certified for the first-passage fixed point")
+
+
+def _ceiling(phi: _Letters, U: dict) -> tuple[dict, float]:
+    """Upper ends of every one-syllable value from a supersolution U, and
+    of the return sum z sum_y mu(y) F(e, y^-1 | z).  Every one-syllable
+    value is monotone in the letter values, so one sweep at U bounds them
+    all.  Raises DivergenceError unless the sum is below 1, that is
+    unless G(e, e | z) is certified finite."""
+    _, high, r_high = phi.sweep(U)
+    high = {k: v * (1.0 + r_high) for k, v in high.items()}
+    loop = sum(phi.zmu[y] * high[phi.inverse(y)] for y in phi.keys)
+    if not loop < 1.0:
+        raise DivergenceError("Green function diverges: z is past 1/rho")
+    return high, loop
+
+
+class _Solution:
+    """One-syllable first-passage enclosures and G(e, e | z) of a walk."""
+
+    def __init__(self, spec: WalkSpec, z: float):
+        phi = _Letters(spec, z)
+        point = _iterate(phi, bias=False)
+        lower = _iterate(phi, bias=True)
+        high, loop = _ceiling(phi, _upper(phi, point))
+        # Every one-syllable value is monotone in the letter values, so one
+        # more sweep at the point and at the lower end fills the table.
+        _, mid, _ = phi.sweep(point)
+        _, low, r_low = phi.sweep(lower)
+        self.table = {}
+        for k, v in mid.items():
+            lo, hi = low[k] * (1.0 - r_low), high[k]
+            self.table[k] = (min(max(v, lo), hi), lo, hi)
+        sums = [sum(phi.zmu[y] * self.table[phi.inverse(y)][i] for y in phi.keys) for i in (0, 1)]
+        slack = (len(phi.keys) + 4) * _EPS / (1.0 - loop)
+        self.base = (
+            1.0 / (1.0 - sums[0]),
+            (1.0 - slack) / (1.0 - sums[1]),
+            (1.0 + slack) / (1.0 - loop),
+        )
+
+
+def _certified(spec: WalkSpec, z: float) -> bool:
+    """Whether G(e, e | z) is certified finite: a supersolution above the
+    Newton fixed point, and a return sum below 1 under it."""
+    phi = _Letters(spec, z)
+    try:
+        _ceiling(phi, _upper(phi, _newton(phi)))
+    except SolverError:  # DivergenceError included
+        return False
+    return True
+
+
+@dataclass
+class DictSolution:
+    """Both iterates, the enclosure table and G(e, e | z) of the reference."""
+
+    point: dict
+    lower: dict
+    table: dict
+    base: tuple
+
+
+def dict_solution(spec: WalkSpec, z: float) -> DictSolution:
+    """The reference ``_Solution`` at z, with its plain and biased iterates."""
+    phi = _Letters(spec, z)
+    sol = _Solution(spec, z)
+    return DictSolution(_iterate(phi, bias=False), _iterate(phi, bias=True), sol.table, sol.base)
+
+
+def dict_newton(spec: WalkSpec, z: float) -> dict:
+    """The reference Newton point at z."""
+    return _newton(_Letters(spec, z))
+
+
+def dict_spectral_upper(spec: WalkSpec) -> float:
+    """``spectral_upper`` with every probe run by the reference engine."""
+    return _bisect_spectral(lambda z: _certified(spec, z))
 
 
 # ---------------------------------------------------------------------------

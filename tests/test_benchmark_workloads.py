@@ -5,8 +5,16 @@ non-zero, when a traced worker cannot install its layer tracer, or when
 ``perfbench/checks.py`` cannot read a report field.  This runs each
 workload once in process, seed 1, holds its report to the same checks,
 and runs one traced worker.
+
+The seed-1 run of each workload is also held to SHA-256 digests of its
+results, its verdicts and the bytes of every CSV, so a change that claims
+byte-identical reports is checked.  ``generated_at``, ``versions`` and
+``config_echo`` (which holds the output directory) are left out.  A
+change that moves a digit on purpose updates the digest here and lists
+the change in CHANGES.md.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +30,41 @@ sys.path.insert(0, PERFBENCH)
 import checks  # noqa: E402
 import run  # noqa: E402
 
+GOLDEN = {
+    "f2-asym-kernels": {
+        "results": "d2cd66fc2c915a945155bb864be79d39a487c264118f2f50d3bdbeef68a1c7fd",
+        "verdicts": "09df1768c7824108aa9737c958eca36fee71456a1102421cb5b8fcedb3f975b1",
+        "green.csv": "70c200b76d94c2034cd8ba09684d9d24df0014cef457f5845821942c1c335791",
+        "martin.csv": "0ce4c7c8b353805d8a7ccfdeb91e68875ea27befe1bbe65bfb5f1557d154f3c7",
+        "rg.csv": "4e7042d4b136ab0f5cc38321a38a70f8457df17683a10eef473aca7957c36a8f",
+        "simulate.csv": "9cb0aa43392f02fb597ebb2cb3a5ebc8bac3cd1b073d895b3ec275077f58ac0a",
+    },
+    "f2-boundary": {
+        "results": "d58bfbb5ab0a7a73a9c1d1c8fd2bde27ec46641277f8bc55b0b216e1e12b573d",
+        "verdicts": "e625d389b8a99aefd1262e0eb3ebacd6f9f1c88f08ae21ac46df9f50dd11200a",
+        "gibbs.csv": "027ce5b9c718525473410719847f119cb713fa5d58bba0810d499ac0c309d224",
+        "rn_check.csv": "4cb4d6f1066c46ea7c2122ca6c42690379e64f07f54fb20fcbd25351eed1125f",
+    },
+    "z23-classify": {
+        "results": "3ae16da5c23c3146a317d0391e09867e39181db477ed024bcb3f27d7fe1a75ca",
+        "verdicts": "e9b0a1541ea8cfa2fa76b1a7b4ff447b63480e0e5d442e8a48dcaed7be36cc60",
+        "classify.csv": "f9f73f1b2ff686a0972d7315ed8d26746767d8fc638d91de2a1560e7e2177e3f",
+    },
+}
+
+
+def _digests(bundle) -> dict:
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    out = {key: sha(json.dumps(bundle.report[key], sort_keys=True).encode())
+           for key in ("results", "verdicts")}
+    for path in bundle.files:
+        if path.endswith(".csv"):
+            with open(path, "rb") as fh:
+                out[os.path.basename(path)] = sha(fh.read())
+    return out
+
 
 @pytest.mark.parametrize("workload", sorted(run.WORKLOADS))
 def test_workload_passes_its_checks(tmp_path, workload):
@@ -33,6 +76,7 @@ def test_workload_passes_its_checks(tmp_path, workload):
         name: [] for name in cfg["experiments"]
     }
     assert set(bundle.report["verdicts"].values()) == {"pass"}
+    assert _digests(bundle) == GOLDEN[workload]
 
 
 def test_traced_worker_runs(tmp_path):

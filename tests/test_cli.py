@@ -151,6 +151,23 @@ def test_coerced_model_or_walk_number_is_a_config_error(tmp_path, capsys, model,
     assert key in capsys.readouterr().err
 
 
+def test_nan_support_weight_is_a_config_error(tmp_path, capsys):
+    # Python's json reads NaN; every comparison with it is False.
+    support = [["a", float("nan")], ["A", 0.25], ["b", 0.25], ["B", 0.25]]
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 2}, ["classify"], support)
+    assert code == EXIT_CONFIG and report is None
+    assert "walk.support" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "output,key", [(5, "output"), ("out", "output"), ({"dir": 5}, "output.dir")]
+)
+def test_malformed_output_is_a_config_error(tmp_path, capsys, output, key):
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 2}, ["classify"], output=output)
+    assert code == EXIT_CONFIG and report is None
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("word", ["ab", "aA", "aa"])
 def test_non_letter_support_word_is_a_config_error(tmp_path, capsys, word):
     support = [[word, 0.25], ["A", 0.25], ["b", 0.25], ["B", 0.25]]

@@ -2,10 +2,13 @@
 
 Restricted-ball Green values are the independent oracle: they increase
 with the ball to the full-group value, so they never exceed an honest
-upper bound and close in on the value at the radii used here.
+upper bound and close in on the value at the radii used here.  The
+slot-indexed engine is held with ``==`` to the syllable-keyed reference
+engine of ``oracles``.
 """
 
 import pytest
+from hypothesis import given
 
 from hypwalk import (
     GroupModel,
@@ -18,7 +21,11 @@ from hypwalk import (
 )
 from hypwalk import _exact
 
-from oracles import ball, plain_spectral_upper, restricted_green
+from oracles import (
+    ball, dict_newton, dict_solution, dict_spectral_upper, plain_spectral_upper,
+    restricted_green,
+)
+from test_properties import PROPERTY_SETTINGS, walks
 
 F2, F3 = GroupModel.free(2), GroupModel.free(3)
 Z23, Z25, Z33 = (GroupModel.free_product(*o) for o in ((2, 3), (2, 5), (3, 3)))
@@ -149,10 +156,10 @@ def test_free_jacobian_matches_differences(z):
     phi = _exact._Letters(ASYM_F2, z)
     F = _exact._newton(phi)
     exact = phi.jacobian(F)
-    base, _, _ = phi.sweep(F)
-    for j, k in enumerate(phi.keys):
-        step = 1e-6 * max(F[k], 1e-6)
-        moved, _, _ = phi.sweep({**F, k: F[k] + step})
+    base, _ = phi.sweep(F)
+    for j, f in enumerate(F):
+        step = 1e-6 * max(f, 1e-6)
+        moved, _ = phi.sweep(F[:j] + [f + step] + F[j + 1:])
         for i, (a, b) in enumerate(zip(moved, base)):
             assert exact[i][j] == pytest.approx((a - b) / step, rel=1e-4, abs=1e-9)
 
@@ -161,8 +168,8 @@ def test_newton_reaches_the_iterated_fixed_point(case):
     walk, _ = case
     phi = _exact._Letters(walk, 1.0)
     newton, plain = _exact._newton(phi), _exact._iterate(phi, bias=False)
-    for k in phi.keys:
-        assert newton[k] == pytest.approx(plain[k], rel=1e-13)
+    for a, b in zip(newton, plain, strict=True):
+        assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_solve_with_pivoting():
@@ -172,3 +179,39 @@ def test_solve_with_pivoting():
     assert x == pytest.approx([1.0, 2.0, 1.0], rel=1e-15)
     with pytest.raises(_exact.DivergenceError):
         _exact._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+
+def assert_matches_dict_engine(walk):
+    """The slot engine against the syllable-keyed reference, with ``==``:
+    ``spectral_upper``, and at z = 0, 0.6, 1 and a weight above 1 that the
+    bisection certifies (halfway to the last certified one), both
+    iterates, the enclosure table (with its key order), the base and the
+    Newton point, or a DivergenceError from both Newton probes."""
+    upper = _exact.spectral_upper(walk)
+    assert upper == dict_spectral_upper(walk)
+    for z in (0.0, 0.6, 1.0, 0.5 * (1.0 + 1.0 / upper)):
+        phi = _exact._Letters(walk, z)
+        ref = dict_solution(walk, z)
+        assert _exact._iterate(phi, bias=False) == [ref.point[k] for k in phi.keys]
+        assert _exact._iterate(phi, bias=True) == [ref.lower[k] for k in phi.keys]
+        sol = _exact._Solution(walk, z)
+        assert list(sol.table.items()) == list(ref.table.items())
+        assert sol.base == ref.base
+        try:
+            newton = _exact._newton(phi)
+        except _exact.DivergenceError:
+            with pytest.raises(_exact.DivergenceError):
+                dict_newton(walk, z)
+        else:
+            assert newton == [dict_newton(walk, z)[k] for k in phi.keys]
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_WALKS))
+def test_slot_engine_matches_dict_engine(name):
+    assert_matches_dict_engine(SPECTRAL_WALKS[name])
+
+
+@PROPERTY_SETTINGS
+@given(walks())
+def test_slot_engine_matches_dict_engine_across_models(walk):
+    assert_matches_dict_engine(walk)

@@ -56,6 +56,13 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate_walk(spec)
 
+    def test_nan_probability(self, f2):
+        # NaN fails every comparison, so only a check that each weight is
+        # positive refuses it; the total is NaN and passes the sum check.
+        spec = make_walk(f2, [("a", float("nan")), ("A", 0.5), ("b", 0.25), ("B", 0.25)], seed=1)
+        with pytest.raises(ValidationError):
+            validate_walk(spec)
+
     def test_not_normalized(self, f2):
         spec = make_walk(f2, [("a", 0.3), ("A", 0.3)], seed=1)
         with pytest.raises(ValidationError):
