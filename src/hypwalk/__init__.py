@@ -36,7 +36,7 @@ from .green import (
     first_passage,
     first_passage_set,
     green,
-    green_decay_slope,
+    green_decay_rate,
     green_z,
     harnack_constant,
     last_exit,
@@ -44,12 +44,10 @@ from .green import (
 from .martin import (
     BoundaryPoint,
     HoelderReport,
-    LivschitzReport,
     MartinEstimate,
     RatioValue,
     hoelder_probe,
     limit_gromov,
-    livschitz_coboundary,
     martin_kernel,
     martin_kernel_at,
     ratio_invariant,

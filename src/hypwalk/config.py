@@ -31,8 +31,7 @@ EXPERIMENTS = (
 )
 
 _BUDGET_DEFAULTS = {
-    # green: word list radius min(4, R), decay fit radius min(5, R); R = 5 when None
-    "max_radius": None,
+    "max_radius": None,  # green: word list radius min(4, R), 4 when None
     "n_samples": 100_000,  # boundary samples of gibbs and rn-check
     "maxlen": 3,  # longest conjugacy representative that rg lists
     "spectral_steps": 24,  # return probabilities that simulate lists
@@ -41,17 +40,11 @@ _BUDGET_DEFAULTS = {
     "gibbs_radii": [1, 2, 3, 4, 5],
 }
 
-_TOLERANCE_DEFAULTS = {
-    "invariant_tol": 1e-8,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: GroupModel
     walk: WalkSpec
     budgets: dict
-    tolerances: dict
     experiments: tuple[str, ...]
     output_dir: str
     raw: dict = field(repr=False)
@@ -166,7 +159,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     model = _parse_model(data["model"])
     walk = _parse_walk(data["walk"], model)
     budgets = _merged(_BUDGET_DEFAULTS, data.get("budgets"), "budgets")
-    tolerances = _merged(_TOLERANCE_DEFAULTS, data.get("tolerances"), "tolerances")
+    # Every verdict is judged on enclosures: no tolerance is left, and a
+    # config that names a removed one is refused.
+    _merged({}, data.get("tolerances"), "tolerances")
     for key, value in budgets.items():
         if key in ("max_radius",) and value is None:
             continue
@@ -182,11 +177,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         budgets["spectral_steps"] >= 4 and budgets["spectral_steps"] % 2 == 0,
         "budgets.spectral_steps must be an even integer of at least 4",
     )
-    for key, value in tolerances.items():
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
-            f"tolerances.{key} must be a positive number",
-        )
     experiments = data.get("experiments", ["classify"])
     _require(
         isinstance(experiments, list) and experiments, "experiments must be a nonempty list"
@@ -205,7 +195,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         model=model,
         walk=walk,
         budgets=budgets,
-        tolerances=tolerances,
         experiments=tuple(experiments),
         output_dir=out_dir,
         raw=data,

@@ -10,21 +10,23 @@ the taboo set over a finite cut-closed domain, with the branches beyond
 it folded in as exact self-loops, so they carry enclosures of the same
 kind; scipy.sparse is loaded by that solve only, on its first call.  The
 Ancona constant is a maximum over the in-cycle triples of one cycle per
-factor, and the Harnack constant reads n-step probabilities off the
-engine's power series.
+factor, the Harnack constant reads n-step probabilities off the engine's
+power series, and the decay rate of G(e, .) is a maximum over the
+one-syllable values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
 from . import _exact
 from .errors import SolverError, ValidationError
-from .groups import GroupElement, words_by_length
+from .groups import GroupElement
 from .walks import WalkSpec, require_valid, reversed_walk
 
 
@@ -247,18 +249,30 @@ def harnack_constant(walk: WalkSpec, k_max: int = 10) -> float:
     raise ValidationError(f"some generator unreachable within {k_max} steps")
 
 
-def green_decay_slope(
-    walk: WalkSpec, max_len: int, per_sphere: int = 24
-) -> tuple[float, float]:
-    """Fit log G(e, g) against |g| for |g| <= max_len; returns (slope, intercept).
+def _root(x: float, n: int, toward: float) -> float:
+    """x^(1/n) rounded toward ``toward`` (-inf or inf), certified by
+    comparing its n-th power with x in exact rational arithmetic."""
+    r = x ** (1.0 / n)
+    while (Fraction(r) ** n > x) if toward < 0 else (Fraction(r) ** n < x):
+        r = math.nextafter(r, toward)
+    return r
 
-    Transience with exponential decay makes the slope strictly negative.
+
+def green_decay_rate(walk: WalkSpec) -> GreenEstimate:
+    """The rate q of G(e, g) <= G(e, e) q^|g| over all g, with its enclosure.
+
+    G(e, g) is G(e, e) times the product of F(e, sigma) over the factors
+    sigma of g (``_exact.factors``: letters on F_N, syllables on
+    Z/m*Z/n), and |g| is the sum of their lengths.  So q is the largest
+    F(e, sigma)^(1/|sigma|) over the one-factor keys, and the key that
+    gives it attains the bound.  Each root's ends are rounded outward.
+    q < 1 is exponential decay.
     """
     require_valid(walk)
-    xs, ys = [], []
-    e = walk.model.identity()
-    for g in words_by_length(walk.model, max_len, per_sphere):
-        xs.append(g.word_length())
-        ys.append(np.log(green(walk, e, g).value))
-    slope, intercept = np.polyfit(np.array(xs, dtype=float), np.array(ys), 1)
-    return float(slope), float(intercept)
+    model = walk.model
+    roots = []
+    for key, (v, lo, hi) in _exact._solution(walk, 1.0).table.items():
+        n = GroupElement(model, (key,)).word_length()
+        low, high = _root(lo, n, -math.inf), _root(hi, n, math.inf)
+        roots.append((min(max(v ** (1.0 / n), low), high), low, high))
+    return GreenEstimate(*(max(ends) for ends in zip(*roots)))

@@ -1,5 +1,5 @@
-"""Martin kernel along boundary rays, the ratio invariant r(g), kernel
-regularity probes, and the circle-valued coboundary limit.
+"""Martin kernel along boundary rays, the ratio invariant r(g), and the
+kernel as a finite table over the departure cones of g.
 
 Kernel and ratio values are exact products of one-syllable first-passage
 values from the cut-vertex engine, so the cocycle identity
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from . import _exact
 from .errors import ValidationError
@@ -207,155 +205,64 @@ def ratio_invariant(walk: WalkSpec, g: GroupElement) -> RatioValue:
 
 
 # ---------------------------------------------------------------------------
-# regularity probes
-
-
-@dataclass(frozen=True)
-class HoelderPair:
-    product: float
-    difference: float
-    exact_zero: bool
+# the kernel over departure cones
 
 
 @dataclass(frozen=True)
 class HoelderReport:
-    """Kernel differences against boundary separation.
+    """K(g, .) as a finite table over the departure cones of g.
 
-    ``slope`` fits log |K(g,xi) - K(g,eta)| on the Gromov product over
-    pairs with a nonzero difference; on tree models differences past the
-    locality threshold vanish outright and land in ``n_zero``.
+    With sigma_1 ... sigma_k the factors of g (``_exact.factors``: letters
+    on F_N, syllables on Z/m*Z/n), the cone of head sigma_1 ... sigma_j tau,
+    tau != sigma_(j+1), holds the rays that follow g for j factors and then
+    leave it by tau; the cone of head g holds the rays through g.  Past
+    the head the factors that g^-1 y and y share cancel in K(g, y) =
+    F(e, g^-1 y) / F(e, y), so ``cones`` holds one (head, enclosure) per
+    cone.  Two rays that share ``depth`` = |g| + s + 2 letters lie in one
+    cone, so every kernel difference past that depth is exactly 0, and a
+    Hoelder constant at any exponent is a maximum over pairs of cones.
+    ``local`` records that each cone's enclosure is bitwise unchanged when
+    its head is extended by any one factor.
     """
 
-    pairs: tuple[HoelderPair, ...]
-    slope: float
-    stderr: float
-    p_value_negative: float
-    n_zero: int
+    cones: tuple[tuple[GroupElement, tuple[float, float, float]], ...]
+    n_cones: int
+    value_min: float
+    value_max: float
     depth: int
+    local: bool
+
+    def holds(self) -> bool:
+        """Locality checked, and every enclosure inside (0, inf)."""
+        return self.local and all(0.0 < lo and hi < math.inf for _, (_, lo, hi) in self.cones)
 
 
-_ZERO_FLOOR = 1e-12
-
-
-def hoelder_probe(
-    walk: WalkSpec,
-    g: GroupElement,
-    pairs: Sequence[tuple[BoundaryPoint, BoundaryPoint]],
-    depth: int | None = None,
-) -> HoelderReport:
-    from scipy import stats  # costly to import; only the probes fit lines
-
-    rows = []
-    used_depth = 0
-    for xi, eta in pairs:
-        k1 = martin_kernel(walk, g, xi, depth)
-        k2 = martin_kernel(walk, g, eta, depth)
-        used_depth = max(used_depth, k1.depth, k2.depth)
-        prod, _ = limit_gromov(xi, eta)
-        diff = abs(k1.value - k2.value)
-        scale = max(abs(k1.value), abs(k2.value), 1.0)
-        rows.append(HoelderPair(
-            product=float(prod),
-            difference=diff,
-            exact_zero=diff <= _ZERO_FLOOR * scale,
-        ))
-    live = [(r.product, math.log(r.difference)) for r in rows if not r.exact_zero]
-    if len({p for p, _ in live}) >= 3:
-        xs = np.array([p for p, _ in live])
-        ys = np.array([d for _, d in live])
-        fit = stats.linregress(xs, ys)
-        slope, stderr = float(fit.slope), float(fit.stderr)
-        p_two = float(fit.pvalue)
-        p_neg = p_two / 2 if slope < 0 else 1.0 - p_two / 2
-    else:
-        slope, stderr, p_neg = 0.0, float("nan"), float("nan")
-    return HoelderReport(
-        pairs=tuple(rows),
-        slope=slope,
-        stderr=stderr,
-        p_value_negative=p_neg,
-        n_zero=sum(r.exact_zero for r in rows),
-        depth=used_depth,
-    )
-
-
-# ---------------------------------------------------------------------------
-# circle-valued coboundary limit
-
-
-@dataclass(frozen=True)
-class LivschitzReport:
-    """Convergence record of the angles of K(g^-n, xi)^(iT).
-
-    ``thetas`` are T log K(g^-n, xi) mod 2pi; stepwise circle distances
-    should shrink geometrically in |g^-n| when T matches a lattice.
-    """
-
-    thetas: tuple[float, ...]
-    power_lengths: tuple[int, ...]
-    step_distances: tuple[float, ...]
-    slope: float
-    converged: bool
-    limit_angle: float
-
-
-def _circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
-
-
-def livschitz_coboundary(
-    walk: WalkSpec,
-    g: GroupElement,
-    xi: BoundaryPoint,
-    T: float,
-    n_max: int | None = None,
-    *,
-    far_product: float | None = None,
-    converge_tol: float = 1e-2,
-) -> LivschitzReport:
-    """Numerically follow b_n(xi) = angle of K(g^-n, xi)^(iT).
-
-    Requires an infinite-order g and xi bounded away from the repelling
-    fixed point of g.
-    """
-    from scipy import stats
-
-    if g.has_finite_order():
-        raise ValidationError(f"{g} has finite order: no contracting dynamics")
+def hoelder_probe(walk: WalkSpec, g: GroupElement) -> HoelderReport:
+    """The table of K(g, .) over the departure cones of g, each value the
+    exact kernel at the cone's head."""
     require_valid(walk)
-    g_minus = BoundaryPoint.periodic(g.inverse())
-    prod, _ = limit_gromov(xi, g_minus)
-    if far_product is None:
-        far_product = g.word_length() + 2 * walk.model.split_span + 4
-    if prod > far_product:
-        raise ValidationError(
-            f"xi is too close to the repelling point: product {prod} > {far_product}"
-        )
-    thetas = []
-    lengths = []
-    ginv = g.inverse()
-    cur = walk.model.identity()
-    hard_cap = n_max if n_max is not None else 24
-    for _ in range(hard_cap):
-        cur = cur * ginv
-        est = martin_kernel(walk, cur, xi)
-        thetas.append((T * math.log(est.value)) % (2 * math.pi))
-        lengths.append(cur.word_length())
-    if len(thetas) < 2:
-        raise ValidationError("the coboundary limit needs at least two powers")
-    steps = tuple(_circle_dist(thetas[i + 1], thetas[i]) for i in range(len(thetas) - 1))
-    live = [(lengths[i], math.log(s)) for i, s in enumerate(steps) if s > 1e-13]
-    if len(live) >= 3:
-        slope = float(stats.linregress([x for x, _ in live], [y for _, y in live]).slope)
-    else:
-        slope = float("-inf") if len(live) < len(steps) else 0.0
-    converged = steps[-1] <= converge_tol
-    return LivschitzReport(
-        thetas=tuple(thetas),
-        power_lengths=tuple(lengths),
-        step_distances=steps,
-        slope=slope,
-        converged=converged,
-        limit_angle=thetas[-1],
+    model = walk.model
+    steps = [GroupElement(model, (key,)) for key in _exact._solution(walk, 1.0).table]
+
+    def extensions(h: GroupElement) -> list[GroupElement]:
+        """h tau over the one-factor keys tau whose factors extend h's by tau."""
+        base = _exact.factors(h)
+        return [x for s in steps if _exact.factors(x := h * s) == base + [s.syllables[0]]]
+
+    heads, prefix = [], model.identity()
+    for key in _exact.factors(g):
+        step = GroupElement(model, (key,))
+        heads += [h for h in extensions(prefix) if h != prefix * step]
+        prefix = prefix * step
+    heads.append(g)
+    cones = tuple((h, _exact.kernel(walk, g, h)) for h in heads)
+    local = all(_exact.kernel(walk, g, x) == value for h, value in cones for x in extensions(h))
+    values = [value for _, (value, _, _) in cones]
+    return HoelderReport(
+        cones=cones,
+        n_cones=len(cones),
+        value_min=min(values),
+        value_max=max(values),
+        depth=g.word_length() + model.split_span + 2,
+        local=local,
     )

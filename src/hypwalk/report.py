@@ -21,10 +21,11 @@ import numpy as np
 import scipy
 
 from . import __version__ as _pkg_version
+from ._exact import _EPS
 from .classify import classify
 from .config import ExperimentConfig
 from .errors import BudgetExceededError, HypwalkError
-from .green import ancona_check, green, green_decay_slope, harnack_constant
+from .green import ancona_check, green, green_decay_rate, harnack_constant
 from .groups import (
     FREE,
     GroupElement,
@@ -83,60 +84,6 @@ def _probe_points(model: GroupModel) -> tuple[list[GroupElement], list[BoundaryP
     return [s * t, t * s], [BoundaryPoint.periodic(s * t), BoundaryPoint.periodic(t * s)]
 
 
-def _diverging_point(model: GroupModel, axis: BoundaryPoint, shared: int) -> BoundaryPoint | None:
-    """A boundary point sharing exactly ``shared`` letters with the axis.
-
-    The continuation letter is switched to a non-cancelling alternative
-    (for a cyclic factor: the opposite direction around its cycle, which
-    splits inside the polygon), then extended along a safe cycle.  None
-    when the position admits no diverging continuation.
-    """
-    letters = axis.prefix_letters(shared + 1)
-    head = model.from_letters(letters[:shared])
-    nxt = letters[shared]
-    gens = model.generators()
-    alt = None
-    for cand in gens:
-        letter = cand.letters()[0]
-        if letter == nxt:
-            continue
-        if (head * cand).word_length() != head.word_length() + 1:
-            continue
-        if model.kind != FREE and abs(letter) == abs(nxt):
-            alt = cand  # same factor, other direction: splits in-cycle
-            break
-        if alt is None:
-            alt = cand
-    if alt is None:
-        return None
-    new_head = head * alt
-    for cyc in _cycle_candidates(model):
-        try:
-            return BoundaryPoint(head=new_head, cycle=cyc)
-        except HypwalkError:
-            continue
-    return None
-
-
-def _cycle_candidates(model: GroupModel):
-    if model.kind == FREE:
-        return [model.word(w) for w in ("a", "b", "ab", "ba", "Ab")]
-    s, t = model.word("s"), model.word("t")
-    return [s * t, t * s, s * t * t, t * t * s]
-
-
-def _hoelder_pairs(model: GroupModel, g_len: int, count: int = 8):
-    axis = _probe_points(model)[1][0]
-    pairs = []
-    j = 0
-    while len(pairs) < count and j <= 4 * count:
-        eta = _diverging_point(model, axis, j)
-        if eta is not None:
-            pairs.append((axis, eta))
-        j += 1
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # individual experiments: each returns (result, passed, csv_or_None)
 
@@ -147,8 +94,7 @@ _MAX_WORDS = 3_000_000
 
 def _exp_green(cfg: ExperimentConfig):
     walk = cfg.walk
-    cap = cfg.budgets["max_radius"] or 5
-    radius = min(4, cap)
+    radius = min(4, cfg.budgets["max_radius"] or 4)
     size = word_count(cfg.model, radius)
     if size > _MAX_WORDS:
         raise BudgetExceededError(
@@ -164,13 +110,13 @@ def _exp_green(cfg: ExperimentConfig):
             "word": str(g), "length": g.word_length(),
             "value": est.value, "lower": est.lower, "upper": est.upper,
         })
-    slope, intercept = green_decay_slope(walk, max_len=min(5, cap), per_sphere=8)
+    rate = green_decay_rate(walk)
     c1 = harnack_constant(walk)
-    ok = ok and slope < 0
+    ok = ok and rate.upper < 1.0
     result = {
         "entries": rows,
-        "decay_slope": slope,
-        "decay_intercept": intercept,
+        "decay_rate": rate.value,
+        "decay_rate_upper": rate.upper,
         "harnack_constant": c1,
     }
     csv_rows = [(r["word"], r["length"], r["value"], r["lower"], r["upper"]) for r in rows]
@@ -212,7 +158,6 @@ def _exp_simulate(cfg: ExperimentConfig):
 
 def _exp_martin(cfg: ExperimentConfig):
     walk = cfg.walk
-    inv_tol = cfg.tolerances["invariant_tol"]
     probes, points = _probe_points(cfg.model)
     rows = []
     ok = True
@@ -224,13 +169,16 @@ def _exp_martin(cfg: ExperimentConfig):
     g1, g2 = probes[0], probes[0].inverse()
     depth = g1.word_length() + g2.word_length() + 8
     y = points[1].prefix(depth)
-    lhs = martin_kernel_at(walk, g1 * g2, y).value
-    rhs = (
-        martin_kernel_at(walk, g1, y).value
-        * martin_kernel_at(walk, g2, g1.inverse() * y).value
-    )
-    cocycle_residual = abs(lhs / rhs - 1.0) if rhs else float("inf")
-    ok = ok and cocycle_residual <= inv_tol
+    # g1 g2 = e, so K(g1 g2, y) = 1: its enclosure must meet the outward
+    # rounded product of those of K(g1, y) and K(g2, g1^-1 y).
+    lhs = martin_kernel_at(walk, g1 * g2, y)
+    k1 = martin_kernel_at(walk, g1, y)
+    k2 = martin_kernel_at(walk, g2, g1.inverse() * y)
+    rhs = k1.value * k2.value
+    low = k1.lower * k2.lower * (1.0 - _EPS)
+    high = k1.upper * k2.upper * (1.0 + _EPS)
+    cocycle_residual = abs(lhs.value / rhs - 1.0) if rhs else float("inf")
+    ok = ok and lhs.lower <= high and low <= lhs.upper
     result = {"kernels": rows, "cocycle_residual": cocycle_residual, "cocycle_depth": depth}
     csv_rows = [(r["g"], r["xi"], r["value"], r["depth"]) for r in rows]
     return result, ok, (("g", "xi", "value", "depth"), csv_rows)
@@ -263,31 +211,21 @@ def _exp_ancona(cfg: ExperimentConfig):
 
 
 def _exp_hoelder(cfg: ExperimentConfig):
-    walk = cfg.walk
-    probes, _ = _probe_points(cfg.model)
-    # On quasi-tree models the kernel is locally constant past the scale
-    # of g, so decay is only visible for pairs splitting within it: use a
-    # longer probe element there.
-    g = probes[0] if cfg.model.kind == FREE else probes[0] ** 3
-    pairs = _hoelder_pairs(cfg.model, g.word_length())
-    rep = hoelder_probe(walk, g, pairs)
-    # Differences must vanish past the locality scale of g; below it the
-    # decay slope is checked whenever enough live points exist to fit.
-    threshold = g.word_length() + 2
-    beyond_zero = all(p.exact_zero for p in rep.pairs if p.product >= threshold)
-    live_products = {p.product for p in rep.pairs if not p.exact_zero}
-    ok = beyond_zero and (len(live_products) < 3 or rep.slope < 0)
+    g = _probe_points(cfg.model)[0][0]
+    rep = hoelder_probe(cfg.walk, g)
     result = {
         "g": str(g),
-        "pairs": [dataclasses.asdict(p) for p in rep.pairs],
-        "slope": rep.slope,
-        "stderr": rep.stderr,
-        "p_value_negative": rep.p_value_negative,
-        "n_zero": rep.n_zero,
+        "cones": [
+            {"head": str(h), "value": v, "lower": lo, "upper": hi} for h, (v, lo, hi) in rep.cones
+        ],
+        "n_cones": rep.n_cones,
+        "value_min": rep.value_min,
+        "value_max": rep.value_max,
         "depth": rep.depth,
+        "local": rep.local,
     }
-    csv_rows = [(p.product, p.difference, int(p.exact_zero)) for p in rep.pairs]
-    return result, ok, (("product", "difference", "exact_zero"), csv_rows)
+    csv_rows = [(str(h), *enclosure) for h, enclosure in rep.cones]
+    return result, rep.holds(), (("head", "value", "lower", "upper"), csv_rows)
 
 
 def _exp_gibbs(cfg: ExperimentConfig):

@@ -15,7 +15,9 @@ with the ball to the full-group values, so they bound the exact engine
 from below.
 
 The syllable-keyed form of the exact engine's fixed-point loops is kept
-here as the reference that its slot-indexed form must equal bit for bit.
+here as the reference that its slot-indexed form must equal bit for bit,
+and the Martin kernel over every word of one length is grouped by
+departure cone as the reference for the cone table of ``hoelder_probe``.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ import scipy.sparse.linalg as spla
 
 from hypwalk._exact import (
     _EPS, _FALL, _MAX_DIRECTION, _MAX_DOUBLINGS, _MAX_NEWTON, _MAX_SWEEPS, _SPECTRAL_GAP, _solve,
+    factors, kernel,
 )
 from hypwalk._solver import RestrictedSolver
 from hypwalk.errors import DivergenceError, SolverError
-from hypwalk.groups import FREE, Ball, GroupElement, GroupModel, ball
+from hypwalk.groups import FREE, Ball, GroupElement, GroupModel, ball, words_by_length
 from hypwalk.walks import WalkSpec, require_valid
 
 
@@ -599,6 +602,34 @@ def dict_newton(spec: WalkSpec, z: float) -> dict:
 def dict_spectral_upper(spec: WalkSpec) -> float:
     """``spectral_upper`` with every probe run by the reference engine."""
     return _bisect_spectral(lambda z: _certified(spec, z))
+
+
+# ---------------------------------------------------------------------------
+# departure cones by brute force
+
+
+def brute_cone_kernels(spec: WalkSpec, g: GroupElement, depth: int) -> dict:
+    """Kernel enclosures K(g, w) over every word w of length ``depth``,
+    grouped by the head of w's departure cone: w's factors up to and
+    including the first that differs from g's, or g itself when w's
+    factors begin with all of g's."""
+    model = g.model
+    gf = factors(g)
+    out: dict = {}
+    for w in words_by_length(model, depth):
+        if w.word_length() != depth:
+            continue
+        wf = factors(w)
+        j = 0
+        while j < len(gf) and j < len(wf) and gf[j] == wf[j]:
+            j += 1
+        head = g
+        if j < len(gf):
+            head = model.identity()
+            for key in wf[: j + 1]:
+                head = head * GroupElement(model, (key,))
+        out.setdefault(head, set()).add(kernel(spec, g, w))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,7 @@ def test_green_small_radius_budget(tmp_path):
         ("budgets", "ancona_samples", 100),
         ("budgets", "ancona_max_dist", 8),
         ("tolerances", "solver_rtol", 1e-10),
+        ("tolerances", "invariant_tol", 1e-8),
     ],
 )
 def test_removed_key_is_a_config_error(tmp_path, capsys, section, key, value):
@@ -281,6 +282,26 @@ def test_subcommands_select_experiments(tmp_path):
     assert set(report["verdicts"]) == set(report["results"]) == {"rg", "martin"}
 
 
+@pytest.mark.parametrize(
+    "model,support",
+    [
+        ({"kind": "free", "rank": 2}, ASYM_F2),
+        ({"kind": "free_product", "orders": [2, 3]}, "uniform"),
+    ],
+)
+def test_green_and_hoelder_do_not_depend_on_the_seed(tmp_path, model, support):
+    # Both verdicts are exact: the seed feeds only the samplers.
+    blocks = []
+    for seed in (1, 2, 3):
+        code, report, _ = _run(
+            tmp_path, model, ["green", "hoelder"], support, out=f"seed{seed}",
+            args=["--override", f"walk.seed={seed}"],
+        )
+        assert code == EXIT_OK
+        blocks.append(json.dumps(report["results"], sort_keys=True))
+    assert blocks[0] == blocks[1] == blocks[2]
+
+
 def test_reports_identical_across_runs(tmp_path):
     texts = []
     for out in ("first", "second"):
@@ -309,9 +330,10 @@ def _python(code, *args):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats and scipy.sparse take most of the import time; only the
-    # probes and the taboo and ball solves use them.  hypwalk._solver stays
-    # loaded: perfbench's tracer patches RestrictedSolver through it.
+    # scipy.stats and scipy.sparse take most of the import time; no package
+    # path uses the first, and only the taboo and ball solves the second.
+    # hypwalk._solver stays loaded: perfbench's tracer patches
+    # RestrictedSolver through it.
     code = (
         "import sys, hypwalk.cli\n"
         "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.sparse', 'hypwalk._solver')))"
@@ -324,7 +346,10 @@ def test_exact_experiments_leave_out_scipy_sparse(tmp_path):
         "schema_version": 1,
         "model": {"kind": "free", "rank": 2},
         "walk": {"support": "uniform", "seed": 1},
-        "experiments": ["classify", "green", "martin", "rg", "simulate", "gibbs", "rn-check"],
+        "experiments": [
+            "classify", "green", "martin", "rg", "simulate", "gibbs", "rn-check", "hoelder",
+            "ancona",
+        ],
         # At 2000 samples the radius-5 Gibbs cylinder (mass about 0.001) can
         # be empty, which fails the verdict; radius 4 is hit on this seed.
         "budgets": {"n_samples": 2000, "gibbs_radii": [1, 2, 3, 4]},
@@ -335,6 +360,17 @@ def test_exact_experiments_leave_out_scipy_sparse(tmp_path):
         "import sys\n"
         "from hypwalk.cli import main\n"
         "print(main(['--config', sys.argv[1], '--out', sys.argv[2]]))\n"
-        "print('scipy.sparse' in sys.modules)"
+        "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.sparse')))"
     )
-    assert _python(code, str(path), str(tmp_path / "out"))[-2:] == [str(EXIT_OK), "False"]
+    assert _python(code, str(path), str(tmp_path / "out"))[-3:] == [str(EXIT_OK), "False", "False"]
+
+
+def test_package_fits_no_lines():
+    # Every verdict is exact or judged on enclosures: no line fits remain.
+    src = os.path.dirname(hypwalk.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            for word in ("linregress", "polyfit", "scipy.stats"):
+                assert word not in text, f"{name} mentions {word}"

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from hypwalk import (
     first_passage_set,
     geodesic,
     green,
-    green_decay_slope,
+    green_decay_rate,
     green_z,
     harnack_constant,
     last_exit,
@@ -114,10 +117,18 @@ class TestGreenEstimates:
             assert est.lower < 3.0 ** -g.word_length() < est.upper
 
     def test_decay_slope(self, walk_f2, walk_z23):
-        slope, _ = green_decay_slope(walk_f2, max_len=5, per_sphere=6)
-        assert slope == pytest.approx(-np.log(3), abs=1e-3)
-        slope_z, _ = green_decay_slope(walk_z23, max_len=7, per_sphere=6)
-        assert slope_z < 0
+        # The decay slope of log G(e, g) in |g| is log q: exactly -log 3
+        # on uniform F_2, where q = F(e, a) = 1/3.
+        rate = green_decay_rate(walk_f2)
+        assert Fraction(rate.lower) <= Fraction(1, 3) <= Fraction(rate.upper)
+        assert math.log(rate.value) == pytest.approx(-math.log(3), rel=1e-14)
+        assert green_decay_rate(walk_z23).upper < 1.0
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_decay_rate_of_uniform_free_groups(self, rank):
+        rate = green_decay_rate(uniform_walk(GroupModel.free(rank), 1))
+        assert Fraction(rate.lower) <= Fraction(1, 2 * rank - 1) <= Fraction(rate.upper)
+        assert rate.upper - rate.lower <= 1e-14 * rate.value
 
     def test_submultiplicative_bound(self, walk_f2, f2):
         e = f2.identity()

@@ -12,7 +12,6 @@ from hypwalk import (
     hoelder_probe,
     harnack_constant,
     limit_gromov,
-    livschitz_coboundary,
     make_walk,
     martin_kernel,
     martin_kernel_at,
@@ -21,7 +20,7 @@ from hypwalk import (
 )
 from hypwalk.errors import ValidationError
 
-from oracles import restricted_green
+from oracles import brute_cone_kernels, restricted_green
 
 
 class TestBoundaryPoint:
@@ -256,75 +255,114 @@ class TestRatioInvariant:
         assert r1.value == pytest.approx(0.5, rel=1e-12)
 
 
+def _asymmetric(model, weights):
+    gens = model.generators()
+    return make_walk(model, [(x, w / sum(weights)) for x, w in zip(gens, weights)], 1)
+
+
+# Asymmetric F_2, uniform F_3 and uniform free products, with probe words.
+_CONE_CASES = [
+    (_asymmetric(GroupModel.free(2), [0.35, 0.15, 0.30, 0.20]), ["a", "ab", "aBa", "aa"]),
+    (uniform_walk(GroupModel.free(3), 1), ["a", "abC"]),
+] + [
+    (uniform_walk(GroupModel.free_product(*orders), 1), ["st", "ststst", "tts"])
+    for orders in ((2, 3), (2, 4), (2, 5), (3, 3), (4, 4))
+]
+
+
+_CONE_PARAMS = [
+    pytest.param(walk, word, id=f"{walk.model}-{word}") for walk, words in _CONE_CASES for word in words
+]
+
+
 class TestHoelder:
     def test_equal_points_zero(self, walk_f2, f2):
-        xi = BoundaryPoint.periodic(f2.word("ab"))
-        rep = hoelder_probe(walk_f2, f2.word("a"), [(xi, xi)])
-        assert rep.pairs[0].difference == 0.0
-        assert rep.pairs[0].exact_zero
+        # A ray through a cone's head has the cone's enclosure bitwise, so
+        # two rays in one cone differ by exactly 0.
+        g = f2.word("ab")
+        rep = hoelder_probe(walk_f2, g)
+        for head, enclosure in rep.cones:
+            for cycle in ("ab", "ba", "AB"):
+                try:
+                    xi = BoundaryPoint(head=head, cycle=f2.word(cycle))
+                except ValidationError:
+                    continue  # the cycle cancels against the head
+                est = martin_kernel(walk_f2, g, xi)
+                assert (est.value, est.lower, est.upper) == enclosure
 
     @pytest.mark.parametrize("gword", ["a", "ab"])
     def test_tree_local_constancy(self, walk_f2, f2, gword):
-        from hypwalk.report import _diverging_point
-
+        # Rays that leave the axis past |g| + 2 letters share its cone:
+        # their kernels equal the axis's bitwise.
         g = f2.word(gword)
+        rep = hoelder_probe(walk_f2, g)
+        assert rep.depth == g.word_length() + 2
         axis = BoundaryPoint.periodic(f2.word("ab"))
-        pairs = []
-        for j in range(g.word_length() + 2, g.word_length() + 6):
-            pairs.append((axis, _diverging_point(f2, axis, j)))
-        rep = hoelder_probe(walk_f2, g, pairs)
-        for pair in rep.pairs:
-            assert pair.product >= g.word_length() + 2
-            assert pair.difference <= 1e-6
+        want = martin_kernel(walk_f2, g, axis)
+        assert (want.value, want.lower, want.upper) in dict(rep.cones).values()
+        for j in range(rep.depth, rep.depth + 4):
+            letters = axis.prefix_letters(j)
+            turn = -2 if letters[-1] == 1 else 2  # B after a, b after b
+            eta = BoundaryPoint(head=f2.from_letters(letters + (turn,)), cycle=f2.word("a"))
+            assert limit_gromov(axis, eta) == (j, True)
+            est = martin_kernel(walk_f2, g, eta)
+            assert (est.value, est.lower, est.upper) == (want.value, want.lower, want.upper)
 
-    def test_product_model_negative_slope(self, walk_z23, z23):
-        from hypwalk.report import _hoelder_pairs
+    def test_cone_counts_and_spread(self, walk_f2, f2, walk_z23, z23):
+        # F_2, g = ab: 3 cones leave at e, 2 after a, plus the cone through
+        # g.  K(ab, .) runs from F(e, ab) = 1/9 to 1 / F(e, ab) = 9.
+        rep = hoelder_probe(walk_f2, f2.word("ab"))
+        assert [str(h) for h, _ in rep.cones] == ["A", "b", "B", "aa", "aB", "ab"]
+        assert rep.n_cones == 6 and rep.local and rep.holds()
+        assert rep.value_min == pytest.approx(1 / 9, rel=1e-12)
+        assert rep.value_max == pytest.approx(9.0, rel=1e-12)
+        # Z/2*Z/3, g = st: t and T leave at e, T after s, plus st.
+        rep = hoelder_probe(walk_z23, z23.word("st"))
+        assert [str(h) for h, _ in rep.cones] == ["t", "T", "sT", "st"]
+        assert rep.depth == 2 + 1 + 2 and rep.holds()
 
-        g = z23.word("st") ** 3
-        pairs = _hoelder_pairs(z23, g.word_length())
-        rep = hoelder_probe(walk_z23, g, pairs)
-        live = [p for p in rep.pairs if not p.exact_zero]
-        assert len(live) >= 3
-        assert rep.slope < 0
+    @pytest.mark.parametrize("walk,word", _CONE_PARAMS)
+    def test_cone_table_matches_brute_force(self, walk, word):
+        # Every word of length |g| + s + 2 lies in one departure cone, and
+        # its kernel is that cone's table entry, bitwise; every cone is hit.
+        g = walk.model.word(word)
+        rep = hoelder_probe(walk, g)
+        assert rep.holds()
+        seen = brute_cone_kernels(walk, g, rep.depth)
+        assert seen == {head: {enclosure} for head, enclosure in rep.cones}
 
 
 class TestLivschitz:
+    """The Livschitz cocycle along g^-n on uniform F_2: each step of
+    K(g^-n, xi) is the same factor, so the angles T log K(g^-n, xi) move
+    by a fixed step (``tests/test_properties.py`` checks this across the
+    model family)."""
+
     def test_angles_converge_on_lattice(self, walk_f2, f2):
+        # K(a^-n, b^inf) = 3^-n: at T = 2 pi / log 3 every angle is 0 mod 2 pi.
         xi = BoundaryPoint.periodic(f2.word("b"))
-        rep = livschitz_coboundary(
-            walk_f2, f2.word("a"), xi, T=2 * math.pi / math.log(3)
-        )
-        assert rep.converged
-        # every theta is a multiple of 2 pi up to kernel error
-        for theta in rep.thetas:
-            assert min(theta, 2 * math.pi - theta) <= 1e-2
-        assert all(d <= 1e-2 for d in rep.step_distances)
-
-    def test_finite_order_rejected(self, walk_z23, z23):
-        xi = BoundaryPoint.periodic(z23.word("st"))
-        with pytest.raises(ValidationError):
-            livschitz_coboundary(walk_z23, z23.word("s"), xi, T=1.0)
-
-    def test_too_close_to_repelling_point(self, walk_f2, f2):
-        a = f2.word("a")
-        near_minus = BoundaryPoint(head=a.inverse() ** 9, cycle=f2.word("B"))
-        with pytest.raises(ValidationError):
-            livschitz_coboundary(walk_f2, a, near_minus, T=1.0)
-
-    def test_lattice_match_bounds_steps(self, walk_f2, f2):
-        # On the matched lattice the step distances collapse to the
-        # numerical floor: the geometric bound holds with a tiny constant.
-        xi = BoundaryPoint.periodic(f2.word("b"))
-        rep = livschitz_coboundary(
-            walk_f2, f2.word("a"), xi, T=2 * math.pi / math.log(3)
-        )
-        assert max(rep.step_distances) <= 1e-6
+        T = 2 * math.pi / math.log(3)
+        for n in range(1, 25):
+            k = martin_kernel(walk_f2, f2.word("a") ** -n, xi).value
+            theta = (T * math.log(k)) % (2 * math.pi)
+            assert min(theta, 2 * math.pi - theta) <= 1e-9
 
     def test_mismatched_period_does_not_converge(self, walk_f2, f2):
-        # With an unmatched winding speed the angles rotate by a fixed
-        # amount each step and the diagnostics must say so.
+        # At T = 1 each step turns the angle by log 3: r(a) = 1/3.
         xi = BoundaryPoint.periodic(f2.word("b"))
-        rep = livschitz_coboundary(walk_f2, f2.word("a"), xi, T=1.0, converge_tol=1e-2)
-        assert not rep.converged
-        for d in rep.step_distances:
-            assert d == pytest.approx(math.log(3), abs=1e-3)
+        a = f2.word("a")
+        logs = [math.log(martin_kernel(walk_f2, a ** -n, xi).value) for n in range(1, 13)]
+        for step in np.diff(logs):
+            assert step == pytest.approx(math.log(ratio_invariant(walk_f2, a).value), rel=1e-12)
+            assert step == pytest.approx(-math.log(3), rel=1e-12)
+
+    def test_too_close_to_repelling_point(self, walk_f2, f2):
+        # At the repelling point a^-inf the steps expand by 1 / r(a^-1) = 3
+        # instead of contracting by r(a).
+        a = f2.word("a")
+        repelling = BoundaryPoint.periodic(a.inverse())
+        expand = 1 / ratio_invariant(walk_f2, a.inverse()).value
+        values = [martin_kernel(walk_f2, a ** -n, repelling).value for n in range(1, 8)]
+        for prev, cur in zip(values, values[1:]):
+            assert cur / prev == pytest.approx(expand, rel=1e-12)
+            assert cur / prev == pytest.approx(3.0, rel=1e-12)

@@ -5,15 +5,17 @@ positive, non-symmetric weights on the nearest-neighbour alphabet.
 """
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypwalk import (
-    GroupElement, GroupModel, classify, first_passage_set, make_walk, spectral_radius_estimate,
-    validate_walk,
+    BoundaryPoint, GroupElement, GroupModel, classify, first_passage_set, green,
+    green_decay_rate, make_walk, martin_kernel, ratio_invariant, spectral_radius_estimate,
+    validate_walk, words_by_length,
 )
 from hypwalk import _sampler
 from hypwalk._exact import _SPECTRAL_GAP, factors, kernel, returns
@@ -109,6 +111,53 @@ def test_kernel_is_constant_past_the_reach_of_g(data):
     ray = data.draw(geodesic_words(shared, reach + 8)).letters()
     values = {kernel(walk, g, model.from_letters(ray[:d])) for d in range(reach, reach + 9)}
     assert len(values) == 1
+
+
+@st.composite
+def hyperbolic_elements(draw, model):
+    """A cyclically reduced element of infinite order."""
+    g = draw(geodesic_words(model.identity(), draw(st.integers(2, 5)))).cyclic_reduction()[1]
+    assume(not g.has_finite_order())
+    return g
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_livschitz_steps_are_the_ratio(data):
+    # Along g^-n the kernel moves by one factor per step: r(g) at a ray
+    # that leaves the repelling point g- = lim g^-n at its first factor,
+    # and 1 / r(g^-1) at g- itself, from n = 1 on.
+    walk = data.draw(walks())
+    model = walk.model
+    g = data.draw(hyperbolic_elements(model))
+    h = data.draw(hyperbolic_elements(model))
+    assume(factors(h)[0] != factors(g.inverse())[0])
+    repelling = BoundaryPoint.periodic(g.inverse())
+    for xi, step in (
+        (BoundaryPoint.periodic(h), ratio_invariant(walk, g).value),
+        (repelling, 1.0 / ratio_invariant(walk, g.inverse()).value),
+    ):
+        values = [martin_kernel(walk, g ** -n, xi).value for n in range(1, 8)]
+        for prev, cur in zip(values, values[1:]):
+            assert cur / prev == pytest.approx(step, rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(walks())
+def test_green_decays_at_the_certified_rate(walk):
+    # G(e, g) <= G(e, e) q^|g| on every word of the green experiment's
+    # list, in exact arithmetic on the enclosure ends; the one-factor key
+    # of the largest root attains q.
+    rate = green_decay_rate(walk)
+    e = walk.model.identity()
+    base = green(walk, e, e)
+    attained = False
+    for g in words_by_length(walk.model, 4):
+        est = green(walk, e, g)
+        n = g.word_length()
+        assert Fraction(est.lower) <= Fraction(base.upper) * Fraction(rate.upper) ** n
+        attained = attained or est.value / base.value == pytest.approx(rate.value**n, rel=1e-12)
+    assert attained and rate.upper < 1.0
 
 
 @st.composite
