@@ -347,6 +347,19 @@ class TestLivschitz:
             theta = (T * math.log(k)) % (2 * math.pi)
             assert min(theta, 2 * math.pi - theta) <= 1e-9
 
+    def test_lattice_match_bounds_steps(self, walk_f2, f2):
+        # On the matched lattice the circle distance between consecutive
+        # angles collapses to the numerical floor.
+        xi = BoundaryPoint.periodic(f2.word("b"))
+        T = 2 * math.pi / math.log(3)
+        a = f2.word("a")
+        thetas = [
+            (T * math.log(martin_kernel(walk_f2, a ** -n, xi).value)) % (2 * math.pi)
+            for n in range(1, 25)
+        ]
+        steps = [abs(cur - prev) % (2 * math.pi) for prev, cur in zip(thetas, thetas[1:])]
+        assert max(min(d, 2 * math.pi - d) for d in steps) <= 1e-6
+
     def test_mismatched_period_does_not_converge(self, walk_f2, f2):
         # At T = 1 each step turns the angle by log 3: r(a) = 1/3.
         xi = BoundaryPoint.periodic(f2.word("b"))
