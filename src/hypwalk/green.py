@@ -4,7 +4,10 @@ geodesics.
 
 Full-group values (``green``, ``green_z``, ``first_passage``) are exact
 products over syllables from the cut-vertex engine in ``_exact``, each
-with a certified enclosure of relative width near float rounding.  Taboo
+with a certified enclosure of relative width near float rounding.
+``green_table`` gives the same enclosures for a whole ball in one pass,
+one multiplication per word from its parent at the last cut vertex, with
+each word's name and length, as plain rows.  Taboo
 kernels (``first_passage_set``, ``last_exit``) solve the walk absorbed on
 the taboo set over a finite cut-closed domain, with the branches beyond
 it folded in as exact self-loops, so they carry enclosures of the same
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import _exact
 from .errors import SolverError, ValidationError
-from .groups import GroupElement
+from .groups import FREE, GroupElement, words_by_length
 from .walks import WalkSpec, require_valid, reversed_walk
 
 
@@ -77,6 +80,54 @@ def first_passage(walk: WalkSpec, x: GroupElement, y: GroupElement) -> GreenEsti
     """First-passage probability F(x, y) = G(x, y) / G(y, y), in [0, 1]."""
     require_valid(walk, nondegenerate=False)
     return GreenEstimate(*_exact.first_passage(walk, x.inverse() * y))
+
+
+GreenRow = tuple[str, int, float, float, float]  # (word, length, value, lower, upper)
+
+
+def green_table(walk: WalkSpec, radius: int) -> list[GreenRow]:
+    """G(e, g) with its enclosure for every g of ``words_by_length(model,
+    radius)``, in that order, as plain rows (str(g), |g|, value, lower,
+    upper).
+
+    The walk is validated once.  A word's factors (``_exact.factors``) are
+    its parent's plus one: the parent drops the last letter on F_N, the
+    last syllable on Z/m*Z/n, and ends at a cut vertex.  So the running
+    product of ``_Solution.product`` extends the parent's by one
+    multiplication per end, and only the widening (len(keys) + 1) eps is
+    applied per word: every bracket is ``_exact.green``'s bit for bit.  The
+    name is the parent's plus the spelling of the last factor, which is
+    ``str(g)``.  Only words shorter than ``radius`` are kept as parents.
+    """
+    require_valid(walk, nondegenerate=False)
+    sol = _exact._solution(walk, 1.0)
+    model = walk.model
+    free = model.kind == FREE
+    table = {}
+    for key, bracket in sol.table.items():
+        factor = GroupElement(model, (key,))
+        table[key] = (*bracket, str(factor), factor.word_length())
+    eps = _exact._EPS
+    v, lo, hi = sol.base
+    parents = {(): (v, lo, hi, "", 0, 0)}  # unwidened product, name, length, factor count
+    rows = [(str(model.identity()), 0, v, lo * (1.0 - eps), hi * (1.0 + eps))]
+    for g in words_by_length(model, radius)[1:]:
+        syllables = g.syllables
+        lid, exp = last = syllables[-1]
+        if free:  # the last letter: one unit of the last syllable
+            unit = 1 if exp > 0 else -1
+            key = (lid, unit)
+            parent = syllables[:-1] if exp == unit else (*syllables[:-1], (lid, exp - unit))
+        else:
+            key, parent = last, syllables[:-1]
+        v, lo, hi, name, length, n = parents[parent]
+        a, b, c, spelling, size = table[key]
+        v, lo, hi, name, length, n = v * a, lo * b, hi * c, name + spelling, length + size, n + 1
+        if length < radius:
+            parents[syllables] = (v, lo, hi, name, length, n)
+        widen = (n + 1) * eps
+        rows.append((name, length, v, lo * (1.0 - widen), hi * (1.0 + widen)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,12 @@ class GroupModel:
         order = self.letter_order(lid)
         return (lid, 1 if letter > 0 else order - 1)
 
+    @property
+    def identity_name(self) -> str:
+        """The identity's name: ``"e"``, or ``"1"`` on F_5 and above,
+        where ``"e"`` spells the fifth generator."""
+        return "1" if self.kind == FREE and self.rank >= 5 else "e"
+
     def letter_name(self, letter: int) -> str:
         if self.kind == FREE:
             base = chr(ord("a") + abs(letter) - 1)
@@ -131,11 +137,11 @@ class GroupModel:
         """Parse a word: lowercase = generator, uppercase = inverse.
 
         ``"abA"`` is a * b * a^-1 in a free group; ``"stT"`` uses s and t
-        in a free product.  Spaces are ignored; ``"e"`` or ``""`` is the
-        identity.
+        in a free product.  Spaces are ignored; ``""``, ``"1"`` and the
+        :attr:`identity_name` are the identity.
         """
         text = text.replace(" ", "")
-        if text in ("", "e"):
+        if text in ("", "1", self.identity_name):
             return self.identity()
         letters = []
         for ch in text:
@@ -264,7 +270,7 @@ class GroupElement:
 
     def __str__(self):
         if self.is_identity():
-            return "e"
+            return self.model.identity_name
         return "".join(self.model.letter_name(l) for l in self.letters())
 
     def __repr__(self):

@@ -145,13 +145,19 @@ def _heads(prefixes: np.ndarray, depth: int):
     """The distinct heads of ``depth`` letters among the prefix rows, as
     letter tuples, with each row's head index and each head's count.
 
-    np.unique runs on one opaque bytes item per row, the row's head,
-    which sorts much faster than ``np.unique(..., axis=0)`` on the rows."""
-    block = np.ascontiguousarray(prefixes[:, :depth])
-    width = block.shape[1]
-    keys = block.view(np.dtype((np.void, width))).reshape(-1)
-    unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    rows = unique.view(np.int8).reshape(len(unique), width).tolist()
+    Heads come in the order of their bytes read unsigned, left to right:
+    a stable lexsort over the unsigned-byte columns brings equal heads
+    together, and each run of equal rows is one head."""
+    block = prefixes[:, :depth]
+    order = np.lexsort(block.view(np.uint8).T[::-1])
+    ranked = block[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    counts = np.diff(starts, append=len(order))
+    rows = ranked[starts].tolist()
     return [tuple(filter(None, row)) for row in rows], inverse, counts
 
 

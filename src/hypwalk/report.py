@@ -4,6 +4,13 @@ Each experiment computes a result object, a pass/fail verdict against
 its generic bands, and an optional CSV series.  Reports are
 deterministic: same config and seed give byte-identical output up to the
 ``generated_at`` timestamp field.
+
+Results are mostly plain rows of built-in types (the ``green`` table is
+one row per word), so ``_plain`` passes those through by exact type
+before any other check, and ``report.json`` is streamed to its file by
+``json.dump``: one string of a large table would double the peak memory.
+The ``green`` table is refused above ``_MAX_WORDS`` words before any value
+is computed.
 """
 
 from __future__ import annotations
@@ -18,21 +25,19 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
-import scipy
 
 from . import __version__ as _pkg_version
 from ._exact import _EPS
 from .classify import classify
 from .config import ExperimentConfig
 from .errors import BudgetExceededError, HypwalkError
-from .green import ancona_check, green, green_decay_rate, harnack_constant
+from .green import ancona_check, green_decay_rate, green_table, harnack_constant
 from .groups import (
     FREE,
     GroupElement,
     GroupModel,
     conjugacy_representatives,
     word_count,
-    words_by_length,
 )
 from .martin import (
     BoundaryPoint,
@@ -50,8 +55,24 @@ from .walks import (
 )
 
 
+_SCALARS = frozenset({str, int, bool, type(None)})
+
+
 def _plain(obj):
-    """Convert report objects to JSON-serializable plain data."""
+    """Convert report objects to JSON-serializable plain data.
+
+    Exact built-in types, which make up nearly all of a report, take the
+    first branches by ``type()``; subclasses such as numpy scalars fall
+    through to the checks below."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if kind in _SCALARS:
+        return obj
+    if kind is dict:
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [_plain(x) for x in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, GroupElement):
@@ -87,9 +108,14 @@ def _probe_points(model: GroupModel) -> tuple[list[GroupElement], list[BoundaryP
 # ---------------------------------------------------------------------------
 # individual experiments: each returns (result, passed, csv_or_None)
 
-# The longest word list the green experiment tabulates.  At radius 4 the
-# free groups up to F_21 fit; F_22 has 3,581,601 words.
-_MAX_WORDS = 3_000_000
+# The longest word list the green experiment tabulates.  Through cli.main
+# (2-core x86_64, Python 3.11), uniform F_8 at radius 4 (57,857 words)
+# takes 2.2 s and 67 MB peak RSS, uniform F_12 (305,281 words) 12.1 s and
+# 223 MB: on the line through both, 40 us and 0.63 kB per word.  That line
+# reaches 30 s at 750,600 words and 1 GB at 1.58 M, so time sets the cap.
+# B(e, 4) fits up to F_14 (572,725 words, about 23 s); F_15 has 757,801.
+_MAX_WORDS = 750_000
+_GREEN_FIELDS = ("word", "length", "value", "lower", "upper")
 
 
 def _exp_green(cfg: ExperimentConfig):
@@ -98,29 +124,21 @@ def _exp_green(cfg: ExperimentConfig):
     size = word_count(cfg.model, radius)
     if size > _MAX_WORDS:
         raise BudgetExceededError(
-            f"green: B(e,{radius}) on {cfg.model} holds {size} words, above {_MAX_WORDS}"
+            f"green: B(e,{radius}) on {cfg.model} holds {size} words, above {_MAX_WORDS}; "
+            "a smaller budgets.max_radius gives a smaller table"
         )
-    e = cfg.model.identity()
-    rows = []
-    ok = True
-    for g in words_by_length(cfg.model, radius):
-        est = green(walk, e, g)
-        ok = ok and est.lower <= est.value <= est.upper
-        rows.append({
-            "word": str(g), "length": g.word_length(),
-            "value": est.value, "lower": est.lower, "upper": est.upper,
-        })
+    rows = green_table(walk, radius)
+    ok = all(lo <= v <= hi for _, _, v, lo, hi in rows)
     rate = green_decay_rate(walk)
     c1 = harnack_constant(walk)
     ok = ok and rate.upper < 1.0
     result = {
-        "entries": rows,
+        "entries": [dict(zip(_GREEN_FIELDS, row)) for row in rows],
         "decay_rate": rate.value,
         "decay_rate_upper": rate.upper,
         "harnack_constant": c1,
     }
-    csv_rows = [(r["word"], r["length"], r["value"], r["lower"], r["upper"]) for r in rows]
-    return result, ok, (("word", "length", "value", "lower", "upper"), csv_rows)
+    return result, ok, (_GREEN_FIELDS, rows)
 
 
 def _exp_simulate(cfg: ExperimentConfig):
@@ -340,7 +358,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportB
         "versions": {
             "hypwalk": _pkg_version,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "config_echo": cfg.echo(),
         "model": {"kind": cfg.model.kind, "name": str(cfg.model)},

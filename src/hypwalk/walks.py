@@ -221,7 +221,11 @@ def sample_boundary_prefixes(
     if margin < 1 or patience < 1:
         raise ValueError("margin and patience must be positive")
     require_valid(spec, nondegenerate=True)
-    keys = np.fromiter((s & _MASK64 for s in streams), dtype=np.uint64)
+    if isinstance(streams, range):  # start + i step in uint64, which wraps like the mask
+        keys = np.arange(len(streams), dtype=np.uint64) * np.uint64(streams.step & _MASK64)
+        keys += np.uint64(streams.start & _MASK64)
+    else:
+        keys = np.fromiter((s & _MASK64 for s in streams), dtype=np.uint64)
     return draw_boundary_prefixes(spec, keys, margin, patience, max_steps)
 
 

@@ -10,7 +10,8 @@ import time
 import pytest
 
 import hypwalk
-from hypwalk import GroupElement, first_passage
+from hypwalk import GroupElement, first_passage, run_experiment
+from hypwalk import _exact
 from hypwalk.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION_FAILED, main
 from hypwalk.config import parse_config
 
@@ -169,6 +170,20 @@ def test_malformed_output_is_a_config_error(tmp_path, capsys, output, key):
     assert f"config error: {key} must be" in capsys.readouterr().err
 
 
+def test_fifth_letter_in_support_parses():
+    # On F_5 "e" is a generator, not the identity: a support that lists it
+    # parses, and its names are those of the uniform walk, all distinct.
+    letters = list("aAbBcCdDeE")
+    cfg = {
+        "schema_version": 1, "model": {"kind": "free", "rank": 5},
+        "walk": {"support": [[x, 0.1] for x in letters], "seed": 1}, "experiments": ["green"],
+    }
+    walk = parse_config(cfg).walk
+    uniform = parse_config({**cfg, "walk": {"support": "uniform", "seed": 1}}).walk
+    assert walk == uniform
+    assert sorted(str(g) for g, _ in uniform.support) == sorted(letters)
+
+
 @pytest.mark.parametrize("word", ["ab", "aA", "aa"])
 def test_non_letter_support_word_is_a_config_error(tmp_path, capsys, word):
     support = [[word, 0.25], ["A", 0.25], ["b", 0.25], ["B", 0.25]]
@@ -197,6 +212,53 @@ def test_state_budget_exhaustion(tmp_path, capsys):
     assert code == EXIT_BUDGET and report is None
     assert time.monotonic() - start < 5.0
     assert "3581601 words" in capsys.readouterr().err
+
+
+def test_green_table_refused_before_any_value(tmp_path, capsys, monkeypatch):
+    # B(e, 4) on F_15 holds 757,801 words, the smallest free table above the
+    # cap; the refusal comes before the engine is asked for a value, and
+    # names the budget that gives a smaller table.
+    def solve(*args):
+        raise AssertionError("a Green value was computed")
+
+    monkeypatch.setattr(_exact, "_solution", solve)
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 15}, ["green"])
+    assert code == EXIT_BUDGET and report is None
+    err = capsys.readouterr().err
+    assert "757801 words" in err and "budgets.max_radius" in err
+    monkeypatch.undo()
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 15}, ["green"],
+                           budgets={"max_radius": 3})
+    assert code == EXIT_OK and len(report["results"]["green"]["entries"]) == 26_131
+
+
+def test_green_experiment_makes_no_per_word_call(tmp_path, monkeypatch):
+    # The table extends each word from its parent: no per-word green() or
+    # engine product, and the walk is validated a fixed number of times.
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    green_module = sys.modules["hypwalk.green"]  # hypwalk.green is the function
+    counting(green_module, "green")
+    counting(green_module, "require_valid")
+    counting(_exact, "green")
+    counting(_exact, "first_passage")
+    counting(_exact._Solution, "product")
+    cfg = parse_config({
+        "schema_version": 1, "model": {"kind": "free", "rank": 3},
+        "walk": {"support": "uniform", "seed": 1}, "experiments": ["green"],
+    })
+    bundle = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    assert len(bundle.report["results"]["green"]["entries"]) == 1 + 6 * (5**4 - 1) // 4
+    assert calls == {"require_valid": 3}
 
 
 @pytest.mark.parametrize(
@@ -330,15 +392,16 @@ def _python(code, *args):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats and scipy.sparse take most of the import time; no package
-    # path uses the first, and only the taboo and ball solves the second.
-    # hypwalk._solver stays loaded: perfbench's tracer patches
-    # RestrictedSolver through it.
+    # scipy costs import time and no package path needs it at import: the
+    # taboo and ball solves load scipy.sparse on first use, and the report
+    # records no scipy version.  hypwalk._solver stays loaded: perfbench's
+    # tracer patches RestrictedSolver through it.
     code = (
         "import sys, hypwalk.cli\n"
-        "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.sparse', 'hypwalk._solver')))"
+        "print(*(m in sys.modules for m in ('scipy', 'scipy.stats', 'scipy.sparse',"
+        " 'hypwalk._solver')))"
     )
-    assert _python(code) == ["False", "False", "True"]
+    assert _python(code) == ["False", "False", "False", "True"]
 
 
 def test_exact_experiments_leave_out_scipy_sparse(tmp_path):

@@ -230,6 +230,30 @@ class TestWordLists:
         assert word_count(GroupModel.free_product(119, 120), 4) < 1000
 
 
+class TestNames:
+    F5 = GroupModel.free(5)
+
+    def test_fifth_generator_is_not_the_identity(self):
+        # "e" spells generator 5 on F_5 and above, so the identity is "1".
+        e = self.F5.word("e")
+        assert e == self.F5.letter_element(5) and e.word_length() == 1
+        assert self.F5.word("eE").is_identity()
+        assert str(self.F5.identity()) == "1"
+        assert [str(g) for g in self.F5.generators()] == list("aAbBcCdDeE")
+
+    @pytest.mark.parametrize("model", [F2, GroupModel.free(4), Z23, Z25], ids=str)
+    def test_identity_keeps_its_name_below_f5(self, model):
+        assert str(model.identity()) == "e"
+        assert model.word("e") == model.word("1") == model.word("") == model.identity()
+
+    @pytest.mark.parametrize("model", [F2, GroupModel.free(5), GroupModel.free(6), Z25], ids=str)
+    def test_table_words_round_trip(self, model):
+        words = words_by_length(model, 3)
+        names = [str(g) for g in words]
+        assert len(set(names)) == len(names)
+        assert [model.word(name) for name in names] == words
+
+
 class TestConjugacy:
     def test_f2_length_one(self):
         reps = conjugacy_representatives(F2, 1)

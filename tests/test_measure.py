@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypwalk import (
     BoundaryPoint,
@@ -33,6 +35,7 @@ from oracles import (
     per_sample_gibbs_hits,
     per_sample_rn_check,
     prefix_tuples,
+    void_heads,
 )
 
 
@@ -357,3 +360,27 @@ class TestGroupedDecisions:
                     assert n_heads == len({letters[:n] for letters in tuples})
                     grouped |= n_heads < len(prefixes) and 0 < np.count_nonzero(vals)
         assert grouped
+
+
+@st.composite
+def padded_prefixes(draw):
+    """An int8 prefix matrix: rows of nonzero letters, negative ones
+    included, each padded with zeros past its own length."""
+    n = draw(st.integers(0, 40))
+    width = draw(st.integers(1, 8))
+    letters = st.sampled_from([-128, -3, -2, -1, 1, 2, 3, 127])
+    rows = draw(st.lists(st.lists(letters, max_size=width), min_size=n, max_size=n))
+    block = np.zeros((n, width), dtype=np.int8)
+    for i, row in enumerate(rows):
+        block[i, :len(row)] = row
+    return block
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(padded_prefixes(), st.integers(1, 10))
+def test_heads_match_the_void_oracle(prefixes, depth):
+    heads, inverse, counts = _heads(prefixes, depth)
+    want_heads, want_inverse, want_counts = void_heads(prefixes, depth)
+    assert heads == want_heads
+    assert inverse.dtype == want_inverse.dtype and inverse.tolist() == want_inverse.tolist()
+    assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()

@@ -1,7 +1,8 @@
 """Properties of the exact engine across the model family.
 
-Models are F_2 to F_4 and Z/m*Z/n with m, n <= 7; walks put random
-positive, non-symmetric weights on the nearest-neighbour alphabet.
+Models are F_2 to F_4 and Z/m*Z/n with m, n <= 7, and F_5 and F_6 for
+the Green table; walks put random positive, non-symmetric weights on the
+nearest-neighbour alphabet.
 """
 
 import math
@@ -17,8 +18,9 @@ from hypwalk import (
     green_decay_rate, make_walk, martin_kernel, ratio_invariant, spectral_radius_estimate,
     validate_walk, words_by_length,
 )
-from hypwalk import _sampler
+from hypwalk import _exact, _sampler
 from hypwalk._exact import _SPECTRAL_GAP, factors, kernel, returns
+from hypwalk.green import green_table
 from hypwalk._sampler import _REFILL_STEPS
 from hypwalk.walks import sample_boundary_prefixes
 
@@ -36,8 +38,8 @@ MODELS = [GroupModel.free(n) for n in (2, 3, 4)] + [
 
 
 @st.composite
-def walks(draw, weight=st.floats(0.05, 1.0)):
-    model = draw(st.sampled_from(MODELS))
+def walks(draw, weight=st.floats(0.05, 1.0), models=st.sampled_from(MODELS)):
+    model = draw(models)
     gens = model.generators()
     weights = draw(st.lists(weight, min_size=len(gens), max_size=len(gens)))
     total = sum(weights)
@@ -158,6 +160,25 @@ def test_green_decays_at_the_certified_rate(walk):
         assert Fraction(est.lower) <= Fraction(base.upper) * Fraction(rate.upper) ** n
         attained = attained or est.value / base.value == pytest.approx(rate.value**n, rel=1e-12)
     assert attained and rate.upper < 1.0
+
+
+@pytest.mark.parametrize(
+    "model", [GroupModel.free(n) for n in range(2, 7)] + [m for m in MODELS if m.kind != "free"],
+    ids=str,
+)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_green_table_is_the_per_word_engine(model, data):
+    # One multiplication per word from its parent gives every bracket of
+    # the per-word engine bit for bit, and the parent's name plus the last
+    # factor's spelling gives str(g).
+    walk = data.draw(walks(models=st.just(model)))
+    radius = data.draw(st.integers(0, 4))
+    words = words_by_length(model, radius)
+    rows = green_table(walk, radius)
+    assert [row[:2] for row in rows] == [(str(g), g.word_length()) for g in words]
+    for row, g in zip(rows, words):
+        assert [x.hex() for x in row[2:]] == [x.hex() for x in _exact.green(walk, g)]
 
 
 @st.composite

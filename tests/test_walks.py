@@ -389,6 +389,29 @@ class TestBatchedSampler:
         )
         assert err.value.stream == base + first
 
+    @pytest.mark.parametrize(
+        "streams",
+        [range(zlib.crc32(b"test-shared") << 32, (zlib.crc32(b"test-shared") << 32) + 40),
+         range(2**64 - 5, 2**64 + 5), range(12, -12, -5), range(0)],
+        ids=["base-past-2^63", "wrapping", "negative-step", "empty"],
+    )
+    def test_range_keys_equal_list_keys(self, walk_f2, streams, monkeypatch):
+        # A range's keys come from np.arange in uint64, a list's from the
+        # 64-bit mask of each stream: the same keys and the same prefixes.
+        keys = []
+        draw = _sampler.draw_boundary_prefixes
+
+        def spy(spec, k, *args):
+            keys.append(k)
+            return draw(spec, k, *args)
+
+        monkeypatch.setattr("hypwalk.walks.draw_boundary_prefixes", spy)
+        by_range = sample_boundary_prefixes(walk_f2, streams)
+        by_list = sample_boundary_prefixes(walk_f2, list(streams))
+        assert keys[0].dtype == keys[1].dtype == np.uint64
+        assert keys[0].tolist() == keys[1].tolist() == [s % 2**64 for s in streams]
+        assert [a.tobytes() for a in by_range] == [b.tobytes() for b in by_list]
+
     @pytest.mark.parametrize("name", ["f2", "z25-asym"])
     def test_independent_of_batch_and_slab(self, name, monkeypatch):
         # Slabs of 7 rows and Philox tiles of 3: 23 streams span four
