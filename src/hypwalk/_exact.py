@@ -1,21 +1,24 @@
 """Exact Green, first-passage and Martin-kernel values on the full group.
 
-For a nearest-neighbour walk on F_N or Z/m*Z/n the syllable boundaries of
-a reduced word are cut vertices of the Cayley graph, so
+For a nearest-neighbour walk on a free product of cyclic groups (F_N
+is Z*...*Z) the cut vertices of the Cayley graph split a reduced word
+into ``factors``: the units of a syllable of Z, a whole syllable of Z/m.
+So
 
-    F(e, g | z) = prod of F(e, sigma | z) over the syllables sigma of g,
+    F(e, g | z) = prod of F(e, sigma | z) over the factors sigma of g,
     G(e, g | z) = G(e, e | z) F(e, g | z),
     G(e, e | z) = 1 / (1 - z sum_y mu(y) F(e, y^-1 | z)),
 
 (Woess, *Random Walks on Infinite Graphs and Groups*, 2000, Ch. 9 and
-section 26; Lalley, Ann. Probab. 1993).  The one-letter values are the
-minimal fixed point of a monotone map Phi, reached by iterating up from 0:
+section 26; Lalley, Ann. Probab. 1993).  The one-factor values are the
+minimal fixed point of a monotone map Phi, reached by iterating up from
+0.  An excursion off a path returns with weight z sum_y mu(y) F(e, y^-1)
+over the letters y that leave it, folded in as a self-loop; ``rest`` is
+1 minus that sum:
 
-* F_N:     F_x = z mu(x) / (1 - z sum_{y != x} mu(y) F_{y^-1});
-* Z/m*Z/n: F(e, s^k) is the probability that the walk on the cycle of
-  the factor of s reaches s^k; every excursion into the other factor
-  returns with weight loop = z sum_y mu(y) F(e, y^-1) and is folded in as
-  a self-loop.  One tridiagonal solve per factor gives all k at once.
+* a letter x of Z is a path of one state: F_x = z mu(x) / rest, y != x;
+* Z/m is a path of m - 1 states, its m-cycle killed at e: one
+  tridiagonal solve gives all its syllables, y off the factor.
 
 Every value is an enclosure (value, lower, upper):
 
@@ -39,20 +42,18 @@ monotonically to it whenever it exists, since Phi is monotone and convex
 (Etessami and Yannakakis, J. ACM 56, 2009; Esparza, Kiefer and
 Luttenberger, SIAM J. Comput. 39, 2010); a falling step rejects z as
 past 1/rho.  The certificate's direction (I - J)^-1 1 comes from the same
-pivoted elimination, with J exact on F_N and from forward differences on
-Z/m*Z/n.
+pivoted elimination, with J exact when every path has one state (F_N)
+and from forward differences otherwise.
 
-Slot plan.  Phi is compiled once per model (``_Slots``) into tables
-indexed by letter slots, the positions in ``keys``: each letter's inverse
-slot; on F_N the slots in each letter's denominator; on Z/m*Z/n, per
-factor, the slots of its ``rest`` terms and of its forward and backward
-letters, and per letter the ``_cycle_hits`` entry that holds its value;
-and the numerators of the rounding bounds.  Only z mu depends on the walk
-and on z: ``_Letters`` binds it into (z mu(y), inverse slot) term pairs,
-and the sweeps, Jacobians, iterations, Newton steps and certificates run
-on float lists indexed by slot.  The table of every one-syllable value,
-keyed by syllable, is built only where ``_Solution``, ``_ceiling`` and
-``ancona`` read it.
+Path layout.  Phi is compiled once per model (``_Slots``) into these
+paths, each with its forward and backward letter slots (positions in
+``keys``) and the slots of its ``rest`` terms in key order; every letter
+slot and every one-factor key reads one state of one path.  Only z mu
+depends on the walk and on z: ``_Letters`` binds it into (z mu(y),
+inverse slot) term pairs, and the sweeps, Jacobians, iterations, Newton
+steps and certificates run on float lists indexed by slot.  The table of
+every one-factor value, keyed by syllable, is built only where
+``_Solution``, ``_ceiling`` and ``ancona`` read it.
 
 Bit identity.  Each floating-point operation keeps the operands and the
 order of the syllable-keyed reference engine (``tests/oracles.py``): the
@@ -67,7 +68,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DivergenceError, SolverError
-from .groups import FREE, GroupElement, GroupModel
+from .groups import GroupElement, GroupModel
 from .walks import WalkSpec
 
 Bracket = tuple[float, float, float]  # (value, lower, upper)
@@ -88,34 +89,40 @@ _DIVERGES = "first-passage fixed point diverges: z is past 1/rho"
 
 
 class _Slots:
-    """The slot tables of one model's map Phi; no walk weight enters them.
+    """The path layout of one model's map Phi; no walk weight enters it.
 
     Slot i is letter ``keys[i]``, its one-syllable normal form (letter id,
-    exponent), and ``inv[i]`` the slot of its inverse.  ``groups[c]``
-    lists the slots whose terms make denominator c: that of letter c on
-    F_N, the ``rest`` of factor c on Z/m*Z/n.  On Z/m*Z/n, ``cycles[c]``
-    is factor c's (letter id, order m, forward slot, backward slot), and
-    ``out[i]`` the (factor, ``_cycle_hits`` entry) that holds the value of
-    slot i.  ``num`` is the numerator of a sweep's rounding bound.
+    exponent), and ``inv[i]`` the slot of its inverse.  ``paths`` holds
+    (m, forward slot, backward slot, rest slots) per path of m - 1 states,
+    m = 2 on a letter of Z.  A sweep lays all states end to end: ``out[i]``
+    is the state of slot i, ``entries`` the table's (key, state) pairs.
+    ``num`` is the numerator of a sweep's rounding bound, and ``exact``
+    whether every path has one state.
     """
 
     def __init__(self, model: GroupModel):
-        self.free = model.kind == FREE
         keys = self.keys = [g.syllables[0] for g in model.generators()]
-        self.index = {k: i for i, k in enumerate(keys)}
-        order = {lid: model.letter_order(lid) for lid, _ in keys}  # 0 on F_N
-        self.inv = [self.index[(lid, order[lid] - exp)] for lid, exp in keys]
+        index = self.index = {k: i for i, k in enumerate(keys)}
+        self.inv = [index[(lid, model.letter_order(lid) - exp)] for lid, exp in keys]
         self.inverse_keys = [keys[j] for j in self.inv]
-        if self.free:
-            self.groups = [[j for j in range(len(keys)) if j != i] for i in range(len(keys))]
-            self.num = (len(keys) + 4) * _EPS
-            return
-        self.groups = [[j for j, k in enumerate(keys) if k[0] != lid] for lid in order]
-        self.cycles = [
-            (lid, m, self.index[(lid, 1)], self.index[(lid, m - 1)]) for lid, m in order.items()
-        ]
-        self.out = [(lid - 1, order[lid] - exp - 1) for lid, exp in keys]
-        self.num = (len(keys) + 4 * sum(order.values()) + 8) * _EPS
+        self.paths, self.entries = [], []
+        num = len(keys) + 4
+        for lid, m in enumerate(model.orders, 1):
+            if m:  # state d - 1 of the m-cycle is s^(m - d), d = 1 .. m - 1
+                rest = [j for j, k in enumerate(keys) if k[0] != lid]
+                self.paths.append((m, index[(lid, 1)], index[(lid, m - 1)], rest))
+                first = len(self.entries)
+                self.entries += [((lid, k), first + m - k - 1) for k in range(1, m)]
+                num += 4 * m + 2
+            else:
+                for key in ((lid, 1), (lid, -1)):
+                    i = index[key]
+                    self.paths.append((2, i, i, [j for j in range(len(keys)) if j != i]))
+                    self.entries.append((key, len(self.entries)))
+        state = dict(self.entries)
+        self.out = [state[k] for k in keys]
+        self.num = num * _EPS
+        self.exact = all(m == 2 for m, *_ in self.paths)
 
 
 _slots = lru_cache(maxsize=16)(_Slots)  # built once per model
@@ -125,63 +132,51 @@ class _Letters:
     """The monotone map Phi of one walk and weight z, on the letter slots.
 
     ``sweep`` returns Phi on the slots and a relative rounding bound of
-    that evaluation; ``table`` returns every one-syllable value, keyed by
+    that evaluation; ``table`` returns every one-factor value, keyed by
     syllable, with the same bound.
     """
 
     def __init__(self, spec: WalkSpec, z: float):
         slots = self.slots = _slots(spec.model)
-        self.free, self.keys, self.inverse_keys = slots.free, slots.keys, slots.inverse_keys
+        self.keys, self.inverse_keys = slots.keys, slots.inverse_keys
         zmu = self.zmu = [0.0] * len(slots.keys)
         for g, p in spec.support:
             zmu[slots.index[g.syllables[0]]] += z * p
-        self.terms = [[(zmu[j], slots.inv[j]) for j in group] for group in slots.groups]
-        if not self.free:
-            cycles = zip(slots.cycles, self.terms)
-            self.cycles = [(m, terms, zmu[f], zmu[b]) for (_, m, f, b), terms in cycles]
+        self.paths = [
+            (m, zmu[f], zmu[b], [(zmu[j], slots.inv[j]) for j in rest])
+            for m, f, b, rest in slots.paths
+        ]
 
     def sweep(self, F: Vector) -> tuple[Vector, float]:
-        if self.free:
-            return self._free(F)
-        hits, rounding = self._hits(F)
-        return [hits[c][h] for c, h in self.slots.out], rounding
+        states, rounding = self._states(F)
+        return [states[i] for i in self.slots.out], rounding
 
     def table(self, F: Vector) -> tuple[dict, float]:
-        if self.free:
-            values, rounding = self._free(F)
-            return dict(zip(self.keys, values)), rounding
-        hits, rounding = self._hits(F)
-        cycles = zip(self.slots.cycles, hits)
-        return {(lid, k): h[m - k - 1] for (lid, m, *_), h in cycles for k in range(1, m)}, rounding
+        states, rounding = self._states(F)
+        return {k: states[i] for k, i in self.slots.entries}, rounding
 
-    def _free(self, F: Vector) -> tuple[Vector, float]:
-        values = []
+    def _states(self, F: Vector) -> tuple[Vector, float]:
+        """The hitting probabilities of every path's states at F, and
+        the rounding bound."""
+        states = []
         den_min = 1.0
-        for x, terms in zip(self.zmu, self.terms):
-            den = 1.0 - sum([w * F[s] for w, s in terms])
-            if not den > 0.0:
-                raise DivergenceError(_DIVERGES)
-            values.append(x / den)
-            den_min = min(den_min, den)
-        return values, self.slots.num / den_min
-
-    def _hits(self, F: Vector) -> tuple[list[list[float]], float]:
-        """``_cycle_hits`` of each factor at F, and the rounding bound."""
-        hits = []
-        den_min = 1.0
-        for m, terms, forward, backward in self.cycles:
+        for m, forward, backward, terms in self.paths:
             rest = 1.0 - sum([w * F[s] for w, s in terms])
             if not rest > 0.0:
                 raise DivergenceError(_DIVERGES)
-            h, pivot_min = _cycle_hits(m, forward / rest, backward / rest if m > 2 else 0.0)
-            hits.append(h)
-            den_min = min(den_min, rest, pivot_min)
-        return hits, self.slots.num / den_min
+            if m == 2:
+                states.append(forward / rest)
+                den_min = min(den_min, rest)
+            else:
+                h, pivot_min = _cycle_hits(m, forward / rest, backward / rest)
+                states += h
+                den_min = min(den_min, rest, pivot_min)
+        return states, self.slots.num / den_min
 
     def jacobian(self, F: Vector) -> list[list[float]]:
-        """Rows of d Phi_i / d F_j over the slots: exact on F_N, forward
-        differences on Z/m*Z/n (at most four letters)."""
-        if not self.free:
+        """Rows of d Phi_i / d F_j over the slots: exact when every path
+        has one state, else forward differences (at most four letters)."""
+        if not self.slots.exact:
             base, _ = self.sweep(F)
             cols = []
             for j, f in enumerate(F):
@@ -189,9 +184,10 @@ class _Letters:
                 moved, _ = self.sweep(F[:j] + [f + step] + F[j + 1:])
                 cols.append([(a - b) / step for a, b in zip(moved, base)])
             return [list(row) for row in zip(*cols)]
-        # d Phi_x / d F_{y^-1} = z mu(x) z mu(y) / den_x^2 for y != x
+        # d Phi_x / d F_{y^-1} = z mu(x) z mu(y) / rest_x^2 for y != x;
+        # with one state per path, path i is slot i
         rows = []
-        for x, terms in zip(self.zmu, self.terms):
+        for _, x, _, terms in self.paths:
             den = 1.0 - sum([w * F[s] for w, s in terms])
             scale = x / (den * den)
             row = [0.0] * len(F)
@@ -202,20 +198,18 @@ class _Letters:
 
 
 def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], float]:
-    """Hitting probabilities of 0 on the killed walk on Z/m.
+    """Hitting probabilities of 0 on the killed walk on Z/m, m >= 3.
 
     Entry d - 1 is the probability of reaching 0 from d (1 <= d < m)
     with steps +1 and -1 of weights ``forward`` and ``backward``; 0 is
     absorbing from both sides, so this is a path of m - 1 states
     solved by one tridiagonal elimination.  Returns the values and the
-    smallest pivot.
+    smallest pivot.  (On Z/2 the one state's value is ``forward``.)
 
-    For m = 2 and m = 3 the elimination is written out with its exact
-    operations left away: x + 0.0 for the weights, which are never -0.0,
-    and x / 1.0 for the first pivot.
+    For m = 3 the elimination is written out with its exact operations
+    left away: x + 0.0 for the weights, which are never -0.0, and x / 1.0
+    for the first pivot.
     """
-    if m == 2:
-        return [forward], 1.0
     if m == 3:
         pivot = 1.0 - forward * backward
         if not pivot > 0.0:
@@ -397,12 +391,18 @@ class _Solution:
 
 
 def factors(g: GroupElement) -> list[tuple[int, int]]:
-    """Table keys whose values multiply to F(e, g | z): letters on F_N,
-    syllables on Z/m*Z/n.  Each boundary between two of them is a cut
-    vertex of the Cayley graph."""
-    if g.model.kind != FREE:
-        return list(g.syllables)
-    return [(lid, 1 if exp > 0 else -1) for lid, exp in g.syllables for _ in range(abs(exp))]
+    """Table keys whose values multiply to F(e, g | z): each unit of a
+    syllable of an infinite factor, each whole syllable of a finite one.
+    Each boundary between two of them is a cut vertex of the Cayley
+    graph."""
+    orders = g.model.orders
+    out = []
+    for lid, exp in g.syllables:
+        if orders[lid - 1]:
+            out.append((lid, exp))
+        else:
+            out += [(lid, 1 if exp > 0 else -1)] * abs(exp)
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -480,19 +480,16 @@ def ancona(spec: WalkSpec) -> list[tuple[tuple[GroupElement, ...], Bracket]]:
 
 
 def _series(spec: WalkSpec, steps: int) -> tuple[dict, list[float]]:
-    """Coefficients 0..steps of F(e, sigma | z) per one-syllable key sigma,
+    """Coefficients 0..steps of F(e, sigma | z) per one-factor key sigma,
     and of G(e, e | z).
 
-    F_sigma = z sum_s mu(s) F(e, s^-1 sigma) over the one-syllable keys
+    F_sigma = z sum_s mu(s) F(e, s^-1 sigma) over the one-factor keys
     sigma, with F(e, g) the product over ``factors(g)``; then
     G = 1 + z G sum_s mu(s) F_{s^-1}.  Coefficient n of the right-hand
     sides needs only coefficients below n.
     """
     model = spec.model
-    if model.kind == FREE:
-        keys = [g.syllables[0] for g in model.generators()]
-    else:
-        keys = [(lid, k) for lid in (1, 2) for k in range(1, model.letter_order(lid))]
+    keys = [k for k, _ in _slots(model).entries]
     steps_of = {}  # sigma -> [(mu(s), factors of s^-1 sigma)]
     for key in keys:
         sigma = GroupElement(model, (key,))

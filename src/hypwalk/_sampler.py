@@ -32,11 +32,6 @@ if TYPE_CHECKING:
     from .walks import WalkSpec
 
 
-def _generator(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & _MASK64), np.uint64(stream & _MASK64)])
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 # Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers:
 # as easy as 1, 2, 3", SC'11), numpy's ``Philox`` bit generator.
 _MASK64 = (1 << 64) - 1
@@ -127,8 +122,9 @@ def _philox_uniforms(seed: int, streams, first_block: int, n_blocks: int) -> np.
     stream (streams are integers in [0, 2^64)).
 
     Returns shape (len(streams), 4 * n_blocks); row i equals the
-    corresponding slice of ``_generator(seed, streams[i]).random(k)`` bit
-    for bit: each Philox word w gives the double (w >> 11) * 2^-53.
+    corresponding slice of ``numpy.random.Generator(numpy.random.Philox(
+    key=[seed, streams[i]])).random(k)`` bit for bit: each Philox word w
+    gives the double (w >> 11) * 2^-53.
     """
     words = _philox_words(seed, streams, first_block, n_blocks)
     return ((words >> np.uint64(11)) * 2.0**-53).T

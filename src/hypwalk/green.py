@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _exact
 from .errors import SolverError, ValidationError
-from .groups import FREE, GroupElement, words_by_length
+from .groups import GroupElement, words_by_length
 from .walks import WalkSpec, require_valid, reversed_walk
 
 
@@ -91,9 +91,9 @@ def green_table(walk: WalkSpec, radius: int) -> list[GreenRow]:
     upper).
 
     The walk is validated once.  A word's factors (``_exact.factors``) are
-    its parent's plus one: the parent drops the last letter on F_N, the
-    last syllable on Z/m*Z/n, and ends at a cut vertex.  So the running
-    product of ``_Solution.product`` extends the parent's by one
+    its parent's plus one: the parent drops one unit of a last syllable of
+    Z, a whole last syllable of Z/m, and ends at a cut vertex.  So the
+    running product of ``_Solution.product`` extends the parent's by one
     multiplication per end, and only the widening (len(keys) + 1) eps is
     applied per word: every bracket is ``_exact.green``'s bit for bit.  The
     name is the parent's plus the spelling of the last factor, which is
@@ -102,7 +102,7 @@ def green_table(walk: WalkSpec, radius: int) -> list[GreenRow]:
     require_valid(walk, nondegenerate=False)
     sol = _exact._solution(walk, 1.0)
     model = walk.model
-    free = model.kind == FREE
+    orders = model.orders
     table = {}
     for key, bracket in sol.table.items():
         factor = GroupElement(model, (key,))
@@ -114,12 +114,12 @@ def green_table(walk: WalkSpec, radius: int) -> list[GreenRow]:
     for g in words_by_length(model, radius)[1:]:
         syllables = g.syllables
         lid, exp = last = syllables[-1]
-        if free:  # the last letter: one unit of the last syllable
+        if orders[lid - 1]:
+            key, parent = last, syllables[:-1]
+        else:  # one unit of a syllable of Z
             unit = 1 if exp > 0 else -1
             key = (lid, unit)
             parent = syllables[:-1] if exp == unit else (*syllables[:-1], (lid, exp - unit))
-        else:
-            key, parent = last, syllables[:-1]
         v, lo, hi, name, length, n = parents[parent]
         a, b, c, spelling, size = table[key]
         v, lo, hi, name, length, n = v * a, lo * b, hi * c, name + spelling, length + size, n + 1

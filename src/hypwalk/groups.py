@@ -1,10 +1,9 @@
-"""Concrete hyperbolic group models with exact word-metric geometry.
+"""Free products of cyclic groups with exact word-metric geometry.
 
-Two model families are supported:
-
-* free groups of rank ``N >= 2`` (Cayley graph a ``2N``-regular tree), and
-* free products ``Z/m * Z/n`` with ``m, n >= 2`` and ``(m, n) != (2, 2)``
-  (Cayley graph a tree of ``m``- and ``n``-cycles).
+A model is Z/m_1 * ... * Z/m_k, one generator per factor and order 0 for
+Z, whose Cayley graph is a tree of cycles and lines.  Accepted are free
+groups F_N = Z * ... * Z of rank ``2 <= N <= 26`` and free products
+``Z/m * Z/n`` with ``m, n >= 2`` and ``(m, n) != (2, 2)``.
 
 Elements are immutable normal-form words; the word metric, Gromov
 products, canonical geodesics, word lists by length and conjugacy
@@ -17,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,64 +35,68 @@ _MAX_RANK = 26
 
 @dataclass(frozen=True)
 class GroupModel:
-    """A concrete group model with a fixed symmetric generating alphabet.
+    """A free product of cyclic groups with a fixed symmetric alphabet.
 
-    ``kind`` is ``"free"`` (then ``rank`` is set) or ``"free_product"``
-    (then ``orders = (m, n)``).  Both Cayley graphs are trees of cycles,
-    so the Gromov product of two canonical rays is fixed by their first
-    k + :attr:`split_span` + 1 letters, k the first differing letter.
+    ``orders[i]`` is the order of factor i + 1, generated by letter id
+    i + 1, with 0 for Z: F_N is (0,) * N.  ``kind``, ``rank`` and the
+    letter ``alphabet`` derive from it, each computed once.  The Cayley
+    graph is a tree of cycles, so the Gromov product of two canonical rays
+    is fixed by their first k + :attr:`split_span` + 1 letters, k the
+    first differing letter.
     """
 
-    kind: str
-    rank: int = 0
-    orders: tuple[int, int] = ()
+    orders: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind == FREE:
-            if not 2 <= self.rank <= _MAX_RANK:
-                raise ValueError(f"free rank must be in [2, {_MAX_RANK}], got {self.rank}")
-            if self.orders:
-                raise ValueError("free model takes no orders")
-        elif self.kind == FREE_PRODUCT:
-            if len(self.orders) != 2:
-                raise ValueError("free product needs exactly two orders")
-            m, n = self.orders
-            if min(m, n) < 2 or (m, n) == (2, 2):
-                raise ValueError("free product orders must be >= 2 and not (2, 2)")
-            if max(m, n) > _MAX_ORDER:
-                raise ValueError(f"orders above {_MAX_ORDER} are not supported")
-        else:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+        orders = self.orders
+        if not any(orders):
+            if not 2 <= len(orders) <= _MAX_RANK:
+                raise ValueError(f"free rank must be in [2, {_MAX_RANK}], got {len(orders)}")
+        elif len(orders) != 2 or min(orders) < 2 or orders == (2, 2) or max(orders) > _MAX_ORDER:
+            raise ValueError(f"free product orders must be two in [2, {_MAX_ORDER}], not (2, 2): "
+                             f"got {orders}")
 
     @staticmethod
     def free(rank: int) -> "GroupModel":
-        return GroupModel(FREE, rank=rank)
+        if not 2 <= rank <= _MAX_RANK:  # before (0,) * rank is built
+            raise ValueError(f"free rank must be in [2, {_MAX_RANK}], got {rank}")
+        return GroupModel((0,) * rank)
 
     @staticmethod
     def free_product(m: int, n: int) -> "GroupModel":
-        return GroupModel(FREE_PRODUCT, orders=(m, n))
+        return GroupModel((m, n))
 
-    @property
+    @cached_property
+    def kind(self) -> str:
+        return FREE_PRODUCT if any(self.orders) else FREE
+
+    @cached_property
+    def rank(self) -> int:
+        """The number of cyclic factors, and of letter ids: N on F_N, 2 on
+        Z/m*Z/n."""
+        return len(self.orders)
+
+    @cached_property
+    def alphabet(self) -> str:
+        """The lowercase name of each letter id's generator, in id order."""
+        return "st" if self.kind == FREE_PRODUCT else "abcdefghijklmnopqrstuvwxyz"[: self.rank]
+
+    @cached_property
     def split_span(self) -> int:
         """Letters past their first difference within which two canonical
-        rays can still share a cycle: 0 on free groups (every vertex is a
-        cut vertex), the longest canonical syllable floor(max(m, n)/2) on
-        Z/m*Z/n.
+        rays can still share a cycle: the longest canonical syllable of a
+        finite factor, floor(max(m, n)/2), and 0 on free groups (every
+        vertex is a cut vertex).
         """
-        return 0 if self.kind == FREE else max(self.orders) // 2
+        return max(self.orders) // 2
 
     # -- alphabet ----------------------------------------------------------
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, ())
 
-    def n_letter_ids(self) -> int:
-        return self.rank if self.kind == FREE else 2
-
     def letter_order(self, letter_id: int) -> int:
         """Order of the cyclic factor behind a letter id (0 = infinite)."""
-        if self.kind == FREE:
-            return 0
         return self.orders[letter_id - 1]
 
     def generators(self) -> tuple["GroupElement", ...]:
@@ -102,7 +105,7 @@ class GroupModel:
         Order-2 factors contribute a single self-inverse letter.
         """
         out = []
-        for lid in range(1, self.n_letter_ids() + 1):
+        for lid in range(1, self.rank + 1):
             out.append(self.letter_element(lid))
             if self.letter_order(lid) != 2:
                 out.append(self.letter_element(-lid))
@@ -113,24 +116,18 @@ class GroupModel:
 
     def _letter_syllable(self, letter: int) -> tuple[int, int]:
         lid = abs(letter)
-        if not 1 <= lid <= self.n_letter_ids():
+        if not 1 <= lid <= self.rank:
             raise ValueError(f"letter id {lid} outside alphabet")
-        if self.kind == FREE:
-            return (lid, 1 if letter > 0 else -1)
-        order = self.letter_order(lid)
-        return (lid, 1 if letter > 0 else order - 1)
+        return (lid, 1 if letter > 0 else self.letter_order(lid) - 1)
 
-    @property
+    @cached_property
     def identity_name(self) -> str:
-        """The identity's name: ``"e"``, or ``"1"`` on F_5 and above,
-        where ``"e"`` spells the fifth generator."""
-        return "1" if self.kind == FREE and self.rank >= 5 else "e"
+        """The identity's name: ``"e"``, or ``"1"`` where ``"e"`` spells a
+        generator (F_5 and above)."""
+        return "1" if "e" in self.alphabet else "e"
 
     def letter_name(self, letter: int) -> str:
-        if self.kind == FREE:
-            base = chr(ord("a") + abs(letter) - 1)
-        else:
-            base = "s" if abs(letter) == 1 else "t"
+        base = self.alphabet[abs(letter) - 1]
         return base.upper() if letter < 0 else base
 
     def word(self, text: str) -> "GroupElement":
@@ -145,12 +142,8 @@ class GroupModel:
             return self.identity()
         letters = []
         for ch in text:
-            low = ch.lower()
-            if self.kind == FREE:
-                lid = ord(low) - ord("a") + 1
-            else:
-                lid = {"s": 1, "t": 2}.get(low, 0)
-            if not 1 <= lid <= self.n_letter_ids():
+            lid = self.alphabet.find(ch.lower()) + 1
+            if not lid:
                 raise ValueError(f"unknown letter {ch!r} for model {self}")
             letters.append(lid if ch.islower() else -lid)
         return self.from_letters(letters)
@@ -162,7 +155,7 @@ class GroupModel:
     def __str__(self):
         if self.kind == FREE:
             return f"F_{self.rank}"
-        return f"Z/{self.orders[0]}*Z/{self.orders[1]}"
+        return "*".join(f"Z/{m}" for m in self.orders)
 
 
 def _same_model(a: "GroupElement", b: "GroupElement") -> None:
@@ -244,16 +237,14 @@ class GroupElement:
     def has_finite_order(self) -> bool:
         """True for the identity and for torsion elements.
 
-        In a free group only the identity has finite order; in a free
-        product exactly the conjugates of proper factor elements do, and
-        in normal form those are recognized after cyclic reduction.
+        Exactly the conjugates of the elements of finite factors have
+        finite order: those whose cyclic reduction is one syllable of a
+        finite factor.  On F_N that leaves the identity alone.
         """
         if self.is_identity():
             return True
-        if self.model.kind == FREE:
-            return False
-        _, core = self.cyclic_reduction()
-        return len(core.syllables) <= 1
+        (lid, _), *rest = self.cyclic_reduction()[1].syllables
+        return not rest and self.model.letter_order(lid) > 0
 
     def cyclic_reduction(self) -> tuple["GroupElement", "GroupElement"]:
         """Return ``(u, c)`` with ``self == u * c * u^-1`` and c cyclically reduced."""
@@ -388,13 +379,21 @@ def words_by_length(
 
 
 def word_count(model: GroupModel, radius: int) -> int:
-    """|B(e, radius)|: 1 + 2N((2N - 1)^R - 1)/(2N - 2) on F_N, so that a
-    long list can be refused before it is built; by listing on Z/m*Z/n,
-    where B(e, 4) holds at most a few hundred words."""
-    if model.kind != FREE:
-        return len(words_by_length(model, radius))
-    q = 2 * model.rank - 1
-    return 1 + 2 * model.rank * (q**radius - 1) // (q - 1)
+    """|B(e, radius)|, so that a long list can be refused before it is
+    built.  A factor has syl[l] syllables of length l: 2 on Z, one per
+    exponent k with min(k, m - k) = l on Z/m.  Adjacent syllables of a
+    normal form lie in different factors, so the words of length k ending
+    in factor i number ends_i[k] = sum_l syl_i[l] (total[k - l] -
+    ends_i[k - l]), where total[0] = 1 counts the identity."""
+    syl = [[0] + [(2 * l < m) + (2 * l <= m) if m else 2 for l in range(1, radius + 1)]
+           for m in model.orders]
+    ends = [[0] * (radius + 1) for _ in model.orders]
+    total = [1] + [0] * radius
+    for k in range(1, radius + 1):
+        for counts, end in zip(syl, ends):
+            end[k] = sum(counts[l] * (total[k - l] - end[k - l]) for l in range(1, k + 1))
+        total[k] = sum(end[k] for end in ends)
+    return sum(total)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._sampler import _MASK64, _philox_uniforms, _step_cdf, draw_boundary_prefixes
 from .errors import BoundaryTimeout, ValidationError
-from .groups import FREE, GroupElement, GroupModel
+from .groups import GroupElement, GroupModel
 
 _PROB_TOL = 1e-12
 
@@ -98,8 +98,8 @@ def validate_walk(spec: WalkSpec) -> WalkValidation:
     Hard errors (raised): empty support, nonpositive or NaN probabilities,
     total mass away from 1.  Everything else is reported as flags.
     Nondegeneracy, that the support generates the group as a semigroup,
-    is read off the letters of a nearest-neighbour support: on F_N all 2N
-    letters need positive weight, on Z/m*Z/n each factor needs a letter.
+    is read off the letters of a nearest-neighbour support: an infinite
+    factor needs both of its letters, a finite one either.
     A support that holds a longer word is flagged degenerate as well;
     ``require_valid`` refuses such walks everywhere anyway.
     """
@@ -119,14 +119,14 @@ def validate_walk(spec: WalkSpec) -> WalkValidation:
 
 def _letters_generate(spec: WalkSpec) -> bool:
     """Whether a nearest-neighbour support generates the group as a
-    semigroup.  On F_N no product of other letters reaches a letter, so
-    all 2N letters are needed; on Z/m*Z/n the powers of a letter cover
-    its finite factor, so one letter per factor is enough."""
-    model = spec.model
+    semigroup.  No product of other letters reaches a letter of an
+    infinite factor, so it needs both of its letters; the powers of a
+    letter cover its finite factor, so that needs either."""
     letters = {g.letters()[0] for g, _ in spec.support}
-    if model.kind == FREE:
-        return len(letters) == 2 * model.rank
-    return {abs(x) for x in letters} == {1, 2}
+    return all(
+        (lid in letters or -lid in letters) if m else (lid in letters and -lid in letters)
+        for lid, m in enumerate(spec.model.orders, 1)
+    )
 
 
 def require_valid(spec: WalkSpec, nondegenerate: bool = True) -> WalkValidation:

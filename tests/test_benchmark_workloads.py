@@ -4,7 +4,7 @@ The benchmark driver (``perfbench/run.py``) fails when a worker exits
 non-zero, when a traced worker cannot install its layer tracer, or when
 ``perfbench/checks.py`` cannot read a report field.  This runs each
 workload once in process, seed 1, holds its report to the same checks,
-and runs one traced worker.
+and runs it once more in a traced worker.
 
 The seed-1 run of each workload is also held to SHA-256 digests of its
 results, its verdicts and the bytes of every CSV, so a change that claims
@@ -79,10 +79,11 @@ def test_workload_passes_its_checks(tmp_path, workload):
     assert _digests(bundle) == GOLDEN[workload]
 
 
-def test_traced_worker_runs(tmp_path):
+@pytest.mark.parametrize("workload", sorted(run.WORKLOADS))
+def test_traced_worker_runs(tmp_path, workload):
     # The tracer resolves hypwalk names through sys.modules; a missing
     # class on a dotted target stops the worker before the run.
-    cfg = run.make_config("z23-classify", 1, str(tmp_path / "out"))
+    cfg = run.make_config(workload, 1, str(tmp_path / "out"))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     result = tmp_path / "result.json"

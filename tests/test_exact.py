@@ -151,9 +151,26 @@ def test_certified_brackets_inverse_spectral_radius():
     assert not _exact._certified(ASYM_F2, 1.001 / rho)
 
 
-@pytest.mark.parametrize("z", [0.0, 0.6, 1.0, 1.2])
-def test_free_jacobian_matches_differences(z):
-    phi = _exact._Letters(ASYM_F2, z)
+JACOBIAN_WALKS = {
+    "": ASYM_F2,
+    "F_3-": uniform_walk(F3, 1),
+    "F_4-": make_walk(
+        GroupModel.free(4),
+        zip("aAbBcCdD", (0.21, 0.04, 0.17, 0.09, 0.13, 0.11, 0.19, 0.06)),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "walk,z",
+    [pytest.param(walk, z, id=f"{name}{z}")
+     for name, walk in JACOBIAN_WALKS.items() for z in (0.0, 0.6, 1.0, 1.2)],
+)
+def test_free_jacobian_matches_differences(walk, z):
+    # One state per path: the exact Jacobian, held to differences.
+    phi = _exact._Letters(walk, z)
+    assert phi.slots.exact
     F = _exact._newton(phi)
     exact = phi.jacobian(F)
     base, _ = phi.sweep(F)

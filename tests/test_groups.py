@@ -16,6 +16,7 @@ from hypwalk.errors import BudgetExceededError, ModelMismatchError
 from hypwalk.groups import word_count
 
 from oracles import ball, bfs_distances, estimate_delta, free_ball_size
+from test_properties import MODELS
 
 
 F2 = GroupModel.free(2)
@@ -29,7 +30,7 @@ def random_word(model, draw_letters):
 
 
 def letters_strategy(model, max_len=8):
-    ids = list(range(1, model.n_letter_ids() + 1))
+    ids = list(range(1, model.rank + 1))
     signed = ids + [-i for i in ids]
     return st.lists(st.sampled_from(signed), max_size=max_len)
 
@@ -202,9 +203,8 @@ class TestBall:
 
 
 class TestWordLists:
-    @pytest.mark.parametrize("model", [F2, F3, Z23, Z25, GroupModel.free_product(3, 4),
-                                       GroupModel.free_product(4, 4)], ids=str)
-    @pytest.mark.parametrize("radius", [2, 4, 5])
+    @pytest.mark.parametrize("model", MODELS, ids=str)
+    @pytest.mark.parametrize("radius", range(6))
     def test_bfs_order_of_the_ball(self, model, radius):
         b = ball(model, radius)
         assert words_by_length(model, radius) == list(b.elements())
@@ -227,7 +227,8 @@ class TestWordLists:
         assert word_count(GroupModel.free(22), 4) == 3_581_601
 
     def test_product_counts_stay_small(self):
-        assert word_count(GroupModel.free_product(119, 120), 4) < 1000
+        model = GroupModel.free_product(119, 120)
+        assert word_count(model, 4) == len(words_by_length(model, 4)) < 1000
 
 
 class TestNames:

@@ -67,7 +67,7 @@ def _model(spec):
 def _random_syllables(model, rng, n_letters, start=()):
     """Normal-form syllables continuing ``start`` to at least n_letters letters."""
     syls = list(start)
-    n_ids = model.n_letter_ids()
+    n_ids = model.rank
     while len(GroupElement(model, tuple(syls)).letters()) < n_letters:
         lid = int(rng.integers(1, n_ids + 1))
         if syls and syls[-1][0] == lid:

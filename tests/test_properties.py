@@ -162,6 +162,15 @@ def test_green_decays_at_the_certified_rate(walk):
     assert attained and rate.upper < 1.0
 
 
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_finite_order_is_torsion(model):
+    # Every word of B(e, 4): finite order exactly when some power up to
+    # the largest factor order is e, so on F_N only at the identity.
+    top = max(max(model.orders), 1)
+    for g in words_by_length(model, 4):
+        assert g.has_finite_order() == any((g**k).is_identity() for k in range(1, top + 1))
+
+
 @pytest.mark.parametrize(
     "model", [GroupModel.free(n) for n in range(2, 7)] + [m for m in MODELS if m.kind != "free"],
     ids=str,
