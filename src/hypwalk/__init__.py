@@ -69,5 +69,6 @@ from .report import ReportBundle, run_experiment
 # The ball solver serves the tests as an oracle and no package path calls
 # it.  It loads with the package because perfbench's layer tracer looks up
 # hypwalk._solver.RestrictedSolver in sys.modules and cannot install its
-# wrappers without it; so does hypwalk.groups.Ball.
+# wrappers without it; so does hypwalk.groups.Ball.  Loading it costs no
+# numpy import: its solves import numpy and scipy.sparse when called.
 from . import _solver  # noqa: E402,F401

@@ -5,19 +5,21 @@ radius strictly below 1/z for admissible weights z, so both the direct
 LU route and the Neumann-series iteration are safe.  Everything here is
 single-threaded and deterministic.  No package path solves on a ball:
 the restricted values serve the tests as an independent oracle, below
-the exact engine and closing in on it as the ball grows.  scipy.sparse is
-loaded by the first ball solve.
+the exact engine and closing in on it as the ball grows.  numpy and
+scipy.sparse are loaded by the first ball solve.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DivergenceError, SolverError
 from .groups import Ball, ball
 from .walks import WalkSpec, require_valid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SPLU_MAX_STATES = 400_000
 _SERIES_MAX_ITER = 200_000
@@ -25,7 +27,8 @@ _SERIES_MAX_ITER = 200_000
 
 def transition_matrix(b: Ball, spec: WalkSpec):
     """Transition matrix (scipy CSR) of the walk killed on leaving the ball."""
-    import scipy.sparse as sp  # costly to import: loaded on first use
+    import numpy as np  # costly to import: loaded on first use
+    import scipy.sparse as sp
 
     tables = b.step_tables()
     n = len(b)
@@ -92,6 +95,8 @@ class RestrictedSolver:
         self.residuals: dict[tuple[str, int], float] = {}
 
     def _series(self, b: np.ndarray, op) -> np.ndarray:
+        import numpy as np
+
         v = b.copy()
         prev_norm = np.inf
         grow = 0
@@ -113,6 +118,8 @@ class RestrictedSolver:
         raise SolverError(f"series solve did not reach {self.rtol} in {_SERIES_MAX_ITER} iters")
 
     def _solve(self, i: int, transposed: bool) -> np.ndarray:
+        import numpy as np
+
         b = np.zeros(len(self.ball))
         b[i] = 1.0
         if self._lu is not None:

@@ -3,6 +3,12 @@
 Configs are JSON with a ``schema_version`` field.  All randomness flows
 from the single required ``walk.seed``; there is no wall-clock default
 anywhere.
+
+numpy is the sampler's dependency: ``_sampler`` is the one module that
+imports it at load time, and ``parse_config`` loads ``_sampler`` when the
+config names an experiment that samples (``SAMPLING``).  Such a config
+pays numpy's import during set-up, before any experiment runs; every
+other config computes exact values only and never loads numpy.
 """
 
 from __future__ import annotations
@@ -12,9 +18,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .groups import FREE, FREE_PRODUCT, GroupModel
-from .walks import WalkSpec, make_walk, uniform_walk
+from .walks import WalkSpec, make_walk, uniform_walk, validate_walk
 
 SCHEMA_VERSION = 1
 
@@ -29,6 +35,9 @@ EXPERIMENTS = (
     "classify",
     "simulate",
 )
+
+# The experiments that draw boundary or path samples.
+SAMPLING = frozenset({"simulate", "gibbs", "rn-check"})
 
 _BUDGET_DEFAULTS = {
     "max_radius": None,  # green: word list radius min(4, R), 4 when None
@@ -51,6 +60,11 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         return self.raw
+
+    @property
+    def samples(self) -> bool:
+        """Whether an experiment draws samples, and so needs numpy."""
+        return not SAMPLING.isdisjoint(self.experiments)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -131,7 +145,12 @@ def _parse_walk(section: Any, model: GroupModel) -> WalkSpec:
             f"walk.support word {word!r} is not a letter: walks step by single generators",
         )
         items.append((g, float(prob)))
-    return make_walk(model, items, seed)
+    walk = make_walk(model, items, seed)
+    try:
+        validate_walk(walk)
+    except ValidationError as exc:
+        raise ConfigError(f"walk.support: {exc}") from exc
+    return walk
 
 
 def _merged(defaults: dict, user: Any, where: str) -> dict:
@@ -191,7 +210,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     _require(
         isinstance(out_dir, str) and out_dir, f"output.dir must be a nonempty string, not {out_dir!r}"
     )
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         model=model,
         walk=walk,
         budgets=budgets,
@@ -199,6 +218,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         output_dir=out_dir,
         raw=data,
     )
+    if cfg.samples:
+        from . import _sampler  # noqa: F401  numpy's import, paid during set-up
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -11,7 +11,7 @@ each word's name and length, as plain rows.  Taboo
 kernels (``first_passage_set``, ``last_exit``) solve the walk absorbed on
 the taboo set over a finite cut-closed domain, with the branches beyond
 it folded in as exact self-loops, so they carry enclosures of the same
-kind; scipy.sparse is loaded by that solve only, on its first call.  The
+kind; numpy and scipy.sparse load with that solve, on its first call.  The
 Ancona constant is a maximum over the in-cycle triples of one cycle per
 factor, the Harnack constant reads n-step probabilities off the engine's
 power series, and the decay rate of G(e, .) is a maximum over the
@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-import numpy as np
 
 from . import _exact
 from .errors import SolverError, ValidationError
@@ -152,7 +150,8 @@ def first_passage_set(
     by the residual of its solve: the error of the solution is the
     residual weighted by hitting probabilities, which are at most 1.
     """
-    import scipy.sparse as sp  # costly to import: loaded on first use
+    import numpy as np  # costly to import: loaded on first use
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     require_valid(walk, nondegenerate=False)

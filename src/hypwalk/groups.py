@@ -17,11 +17,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import BudgetExceededError, ModelMismatchError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FREE = "free"
 FREE_PRODUCT = "free_product"
@@ -485,6 +486,8 @@ class Ball:
     """
 
     def __init__(self, model: GroupModel, radius: int, max_states: int):
+        import numpy as np  # costly to import: loaded on first use
+
         self.model = model
         self.radius = radius
         self._codec = _codec_for(model)
@@ -544,6 +547,8 @@ class Ball:
     def step_tables(self) -> dict[int, np.ndarray]:
         """letter -> int32 array mapping element index to neighbour index (-1 outside)."""
         if self._steps is None:
+            import numpy as np
+
             tables = {}
             push = self._codec.push
             getidx = self._index.get

@@ -6,23 +6,29 @@ prefixes (see :func:`hypwalk.martin.limit_gromov`), and every sampled
 prefix is long enough for that product to be decided.  Monte Carlo
 estimates are sharded over counter-based streams keyed by a purpose tag,
 aggregated in a fixed order, and always carry a 3-sigma binomial band.
+
+Sample sets are numpy arrays from the sampler; the functions that read
+them import numpy when they are called, so loading this module costs no
+numpy import.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import BoundaryTimeout, IndeterminateMembership, ValidationError
 from .green import first_passage
 from .groups import GroupElement, GroupModel
 from .martin import BoundaryPoint, _prefix_product, limit_gromov, martin_kernel_at
 from .walks import WalkSpec, require_valid, sample_boundary_prefixes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,8 @@ def boundary_sample_set(
     A smaller ``max_steps`` raises :class:`BoundaryTimeout` before any
     drawing.
     """
+    import numpy as np
+
     base = _stream_base(purpose)
     least = max(margin + patience, 2 * margin)
     if max_steps < least:
@@ -148,6 +156,8 @@ def _heads(prefixes: np.ndarray, depth: int):
     Heads come in the order of their bytes read unsigned, left to right:
     a stable lexsort over the unsigned-byte columns brings equal heads
     together, and each run of equal rows is one head."""
+    import numpy as np
+
     block = prefixes[:, :depth]
     order = np.lexsort(block.view(np.uint8).T[::-1])
     ranked = block[order]
@@ -204,7 +214,7 @@ def _measure_from_prefixes(
 
 def _estimate(hits: int, n: int, purpose: str, seed: int, retries: int) -> MeasureEstimate:
     nu = hits / n if n else 0.0
-    half = 3.0 * np.sqrt(nu * (1.0 - nu) / n) if n else 1.0
+    half = 3.0 * math.sqrt(nu * (1.0 - nu) / n) if n else 1.0
     return MeasureEstimate(
         value=nu, n_samples=n, half_width=float(half),
         n_retries=retries, purpose=purpose, seed=seed,
@@ -356,6 +366,8 @@ class RadonNikodymReport:
 
 def _rn_samples(walk: WalkSpec, g: GroupElement, cyl: Cylinder, prefixes, depth: int):
     """Pulled hits, per-sample kernel values (0 off U) and the head count."""
+    import numpy as np
+
     model = walk.model
     heads, inverse, counts = _heads(prefixes, cyl.depth + g.word_length() + 2)
     hits = sum(
@@ -403,9 +415,9 @@ def radon_nikodym_check(
     pulled_hits, vals, n_heads = _rn_samples(walk, g, cyl, prefixes, depth)
     n = len(prefixes)
     pulled = pulled_hits / n
-    pulled_half = 3.0 * float(np.sqrt(pulled * (1 - pulled) / n))
+    pulled_half = 3.0 * math.sqrt(pulled * (1 - pulled) / n)
     integral = float(vals.mean())
-    kernel_half = 3.0 * float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    kernel_half = 3.0 * float(vals.std(ddof=1) / math.sqrt(len(vals)))
     return RadonNikodymReport(
         pulled_mass=pulled,
         pulled_half=pulled_half,

@@ -11,6 +11,10 @@ before any other check, and ``report.json`` is streamed to its file by
 ``json.dump``: one string of a large table would double the peak memory.
 The ``green`` table is refused above ``_MAX_WORDS`` words before any value
 is computed.
+
+``versions`` records the numpy version if and only if the config samples
+(``ExperimentConfig.samples``): only such a config loads numpy, and the
+rule reads the config alone, so reports stay deterministic in it.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__ as _pkg_version
 from ._exact import _EPS
@@ -63,7 +66,8 @@ def _plain(obj):
 
     Exact built-in types, which make up nearly all of a report, take the
     first branches by ``type()``; subclasses such as numpy scalars fall
-    through to the checks below."""
+    through to the checks below.  A numpy object exists only once numpy
+    is loaded, so its types are checked only then."""
     kind = type(obj)
     if kind is float:
         return obj if math.isfinite(obj) else repr(obj)
@@ -83,10 +87,12 @@ def _plain(obj):
         return str(obj)
     if isinstance(obj, Fraction):
         return float(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_plain(x) for x in obj.tolist()]
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, (np.floating, np.integer)):
+            return obj.item()
+        if isinstance(obj, np.ndarray):
+            return [_plain(x) for x in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -142,6 +148,8 @@ def _exp_green(cfg: ExperimentConfig):
 
 
 def _exp_simulate(cfg: ExperimentConfig):
+    import numpy as np  # loaded by parse_config, as simulate samples
+
     walk = cfg.walk
     report = validate_walk(walk)
     path = sample_path(walk, cfg.model.identity(), 64, stream=0)
@@ -352,13 +360,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportB
                     writer.writerow([_csv_cell(x) for x in row])
             files.append(path)
     passed = all(v == "pass" for v in verdicts.values())
+    versions = {"hypwalk": _pkg_version}
+    if cfg.samples:
+        import numpy as np
+
+        versions["numpy"] = np.__version__
     report = {
         "schema_version": 1,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "versions": {
-            "hypwalk": _pkg_version,
-            "numpy": np.__version__,
-        },
+        "versions": versions,
         "config_echo": cfg.echo(),
         "model": {"kind": cfg.model.kind, "name": str(cfg.model)},
         "seed": cfg.walk.seed,

@@ -13,6 +13,11 @@ zero-padded int8 matrix of prefix letters, the prefix lengths and the
 step counts.  Each stream's prefix and step count are the same whatever
 batch, slab or tile it runs in, and equal to a one-walk-at-a-time run.
 
+This module imports no numpy: specs and their validation are plain
+Python, and the sampling functions import ``_sampler``, which holds the
+numpy code, when they are called.  ``config.parse_config`` loads it
+beforehand for a config that samples (see :mod:`hypwalk.config`).
+
 The spectral radius is bracketed by the exact engine in ``_exact``: the
 lower end from exact return probabilities, the upper end from a
 certified weighted Green function.
@@ -20,15 +25,16 @@ certified weighted Green function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from ._sampler import _MASK64, _philox_uniforms, _step_cdf, draw_boundary_prefixes
 from .errors import BoundaryTimeout, ValidationError
 from .groups import GroupElement, GroupModel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PROB_TOL = 1e-12
 
@@ -41,8 +47,8 @@ class WalkSpec:
     support: tuple[tuple[GroupElement, float], ...]
     seed: int
 
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.support], dtype=np.float64)
+    def probabilities(self) -> tuple[float, ...]:
+        return tuple(p for _, p in self.support)
 
     def elements(self) -> tuple[GroupElement, ...]:
         return tuple(g for g, _ in self.support)
@@ -106,10 +112,11 @@ def validate_walk(spec: WalkSpec) -> WalkValidation:
     if not spec.support:
         raise ValidationError("walk support is empty")
     probs = spec.probabilities()
-    if not np.all(probs > 0):  # NaN fails every comparison
+    if not all(p > 0 for p in probs):  # NaN fails every comparison
         raise ValidationError("step probabilities must be positive")
-    if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
-        raise ValidationError(f"step probabilities sum to {probs.sum()!r}, not 1")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > _PROB_TOL:
+        raise ValidationError(f"step probabilities sum to {total!r}, not 1")
     nearest = all(g.word_length() == 1 for g, _ in spec.support)
     mu = dict(spec.support)
     symmetric = all(abs(p - mu.get(g.inverse(), 0.0)) <= _PROB_TOL for g, p in spec.support)
@@ -171,8 +178,12 @@ def sample_path(
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     require_valid(spec, nondegenerate=False)
-    u = _philox_uniforms(spec.seed, [stream & _MASK64], 0, -(-n_steps // 4))[0, :n_steps]
-    idx = np.searchsorted(_step_cdf(spec), u, side="right")
+    import numpy as np
+
+    from . import _sampler  # loaded by parse_config when the config samples
+
+    u = _sampler._philox_uniforms(spec.seed, [stream & _sampler._MASK64], 0, -(-n_steps // 4))
+    idx = np.searchsorted(_sampler._step_cdf(spec), u[0, :n_steps], side="right")
     positions = None
     if keep_positions:
         steps = spec.elements()
@@ -221,12 +232,17 @@ def sample_boundary_prefixes(
     if margin < 1 or patience < 1:
         raise ValueError("margin and patience must be positive")
     require_valid(spec, nondegenerate=True)
+    import numpy as np
+
+    from . import _sampler  # loaded by parse_config when the config samples
+
+    mask = _sampler._MASK64
     if isinstance(streams, range):  # start + i step in uint64, which wraps like the mask
-        keys = np.arange(len(streams), dtype=np.uint64) * np.uint64(streams.step & _MASK64)
-        keys += np.uint64(streams.start & _MASK64)
+        keys = np.arange(len(streams), dtype=np.uint64) * np.uint64(streams.step & mask)
+        keys += np.uint64(streams.start & mask)
     else:
-        keys = np.fromiter((s & _MASK64 for s in streams), dtype=np.uint64)
-    return draw_boundary_prefixes(spec, keys, margin, patience, max_steps)
+        keys = np.fromiter((s & mask for s in streams), dtype=np.uint64)
+    return _sampler.draw_boundary_prefixes(spec, keys, margin, patience, max_steps)
 
 
 def sample_boundary_point(

@@ -79,10 +79,26 @@ def test_workload_passes_its_checks(tmp_path, workload):
     assert _digests(bundle) == GOLDEN[workload]
 
 
+# The tracer targets that no longer exist, with the run going on without
+# them.  A target renamed or moved by a refactor joins this list, and the
+# traced test below fails until the tracer's list is mended.
+ABSENT = sorted([
+    "hypwalk.classify.lattice_test",
+    "hypwalk.green._green_word",
+    "hypwalk.green.green_decay_slope",
+    "hypwalk.green.restricted_green",
+    "hypwalk.groups.estimate_delta",
+    "hypwalk.martin._green_value",
+    "hypwalk.martin._green_value.cache_info",
+    "hypwalk.walks.n_step_distributions",
+])
+
+
 @pytest.mark.parametrize("workload", sorted(run.WORKLOADS))
 def test_traced_worker_runs(tmp_path, workload):
     # The tracer resolves hypwalk names through sys.modules; a missing
-    # class on a dotted target stops the worker before the run.
+    # class on a dotted target stops the worker before the run, and a
+    # missing function or method is listed as absent.
     cfg = run.make_config(workload, 1, str(tmp_path / "out"))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -94,4 +110,5 @@ def test_traced_worker_runs(tmp_path, workload):
     )
     res = json.loads(result.read_text())
     assert res["error"] is None and res["passed"]
+    assert sorted(res["trace"]["absent"]) == ABSENT
 

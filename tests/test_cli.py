@@ -162,6 +162,25 @@ def test_nan_support_weight_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "support,message",
+    [
+        ([["a", 0.3], ["A", 0.2], ["b", 0.2], ["B", 0.2]], "sum to 0.9, not 1"),
+        ([["a", -0.1], ["A", 0.6], ["b", 0.25], ["B", 0.25]], "must be positive"),
+        ([["a", 0.0], ["A", 0.5], ["b", 0.25], ["B", 0.25]], "must be positive"),
+    ],
+    ids=["sum-0.9", "negative", "zero"],
+)
+def test_invalid_walk_is_a_config_error(tmp_path, capsys, support, message):
+    # Refused at parse, before run_experiment creates the output directory.
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 2}, ["classify"], support)
+    assert code == EXIT_CONFIG and report is None
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert f"config error: walk.support: step probabilities {message}" in err
+    assert "np." not in err
+
+
+@pytest.mark.parametrize(
     "output,key", [(5, "output"), ("out", "output"), ({"dir": 5}, "output.dir")]
 )
 def test_malformed_output_is_a_config_error(tmp_path, capsys, output, key):
@@ -392,16 +411,77 @@ def _python(code, *args):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy costs import time and no package path needs it at import: the
-    # taboo and ball solves load scipy.sparse on first use, and the report
-    # records no scipy version.  hypwalk._solver stays loaded: perfbench's
-    # tracer patches RestrictedSolver through it.
+    # scipy and numpy cost import time and no package path needs them at
+    # import: the taboo and ball solves load them on first use, the sampler
+    # loads with a config that samples, and the report records no scipy
+    # version.  hypwalk._solver stays loaded: perfbench's tracer patches
+    # RestrictedSolver through it.
     code = (
         "import sys, hypwalk.cli\n"
         "print(*(m in sys.modules for m in ('scipy', 'scipy.stats', 'scipy.sparse',"
-        " 'hypwalk._solver')))"
+        " 'hypwalk._solver', 'numpy')))"
     )
-    assert _python(code) == ["False", "False", "False", "True"]
+    assert _python(code) == ["False", "False", "False", "True", "False"]
+
+
+EXACT_EXPERIMENTS = ["classify", "green", "martin", "rg", "hoelder", "ancona"]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{"kind": "free", "rank": 2}, {"kind": "free_product", "orders": [2, 3]}],
+    ids=["F_2", "Z2*Z3"],
+)
+def test_exact_experiments_leave_out_numpy(tmp_path, model):
+    # No exact experiment draws a sample, so none loads the sampler or
+    # numpy, and the report records no numpy version.
+    cfg = {
+        "schema_version": 1,
+        "model": model,
+        "walk": {"support": "uniform", "seed": 1},
+        "experiments": EXACT_EXPERIMENTS,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code = (
+        "import sys\n"
+        "from hypwalk.cli import main\n"
+        "print(main(['--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        "print(*(m in sys.modules for m in ('numpy', 'hypwalk._sampler')))"
+    )
+    assert _python(code, str(path), str(tmp_path / "out"))[-3:] == [str(EXIT_OK), "False", "False"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["verdicts"] == {name: "pass" for name in EXACT_EXPERIMENTS}
+    assert report["versions"] == {"hypwalk": hypwalk.__version__}
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "gibbs", "rn-check"])
+def test_sampling_config_loads_the_sampler_at_parse(experiment):
+    # numpy's import belongs to set-up: a config that samples loads the
+    # sampler as it is parsed, not on the first draw of the run.
+    cfg = {
+        "schema_version": 1,
+        "model": {"kind": "free", "rank": 2},
+        "walk": {"support": "uniform", "seed": 1},
+        "experiments": ["classify", experiment],
+    }
+    code = (
+        "import json, sys\n"
+        "from hypwalk.config import parse_config\n"
+        "names = ('numpy', 'hypwalk._sampler')\n"
+        "print(*(m in sys.modules for m in names))\n"
+        "parse_config(json.loads(sys.argv[1]))\n"
+        "print(*(m in sys.modules for m in names))"
+    )
+    assert _python(code, json.dumps(cfg)) == ["False", "False", "True", "True"]
+
+
+def test_versions_name_numpy_for_a_config_that_samples(tmp_path):
+    import numpy
+
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 2}, ["rg", "simulate"])
+    assert code == EXIT_OK
+    assert report["versions"] == {"hypwalk": hypwalk.__version__, "numpy": numpy.__version__}
 
 
 def test_exact_experiments_leave_out_scipy_sparse(tmp_path):

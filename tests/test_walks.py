@@ -405,7 +405,7 @@ class TestBatchedSampler:
             keys.append(k)
             return draw(spec, k, *args)
 
-        monkeypatch.setattr("hypwalk.walks.draw_boundary_prefixes", spy)
+        monkeypatch.setattr("hypwalk._sampler.draw_boundary_prefixes", spy)
         by_range = sample_boundary_prefixes(walk_f2, streams)
         by_list = sample_boundary_prefixes(walk_f2, list(streams))
         assert keys[0].dtype == keys[1].dtype == np.uint64
