@@ -1,11 +1,13 @@
-"""Counter-based draws and the batched boundary sampler.
+"""The batched boundary sampler of sample sets, on numpy arrays.
 
 Every draw is a pure function of ``(seed, stream)``: block b of a stream
 is the Philox4x64-10 cipher of counter b + 1 under key (seed, stream),
 bit for bit numpy's ``Philox``, evaluated in place on arrays of many
-streams at once.
+streams at once.  The Philox constants and the step thresholds come from
+``_streams``, which draws single walks and small batches in plain Python
+by the same rules.
 
-Boundary samples (:func:`hypwalk.walks.sample_boundary_prefixes`) are
+Boundary sample sets (:func:`hypwalk.walks.sample_boundary_prefixes`) are
 drawn in batches, whose walks advance in lockstep in slabs of bounded
 size; the rows still live once the first slab has thinned out finish
 together as the batch's tail.  Once per refill the cipher runs in tiles
@@ -16,15 +18,18 @@ leaves at the next refill.  A batch comes back as arrays: a zero-padded
 int8 matrix of prefix letters, the prefix lengths and the step counts.
 Each stream's prefix and step count are the same whatever batch, slab
 or tile it runs in, and equal to a one-walk-at-a-time run.
+
+numpy is the dependency of sample sets: this is the one module that
+imports it at load time.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._streams import MASK64, PHILOX_M, PHILOX_W, step_thresholds
 from .errors import ValidationError
 from .groups import FREE
 
@@ -32,11 +37,6 @@ if TYPE_CHECKING:
     from .walks import WalkSpec
 
 
-# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers:
-# as easy as 1, 2, 3", SC'11), numpy's ``Philox`` bit generator.
-_MASK64 = (1 << 64) - 1
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 
@@ -76,30 +76,30 @@ def _philox_blocks(seed: int, keys, first_block: int, n_blocks: int):
     stream; the other eight rounds run in place on (block, row) arrays.
     """
     k1 = np.array(keys, dtype=np.uint64)
-    k0 = seed & _MASK64
+    k0 = seed & MASK64
     shape = (n_blocks, len(k1))
     c0, c1, c2, c3, h0, h1, x_lo, x_hi, t, mid = (np.empty(shape, dtype=np.uint64) for _ in range(10))
     counter = range(first_block + 1, first_block + n_blocks + 1)
-    hi = np.array([_PHILOX_M[0] * c >> 64 for c in counter], dtype=np.uint64)[:, None]
-    lo = np.array([_PHILOX_M[0] * c & _MASK64 for c in counter], dtype=np.uint64)[:, None]
+    hi = np.array([PHILOX_M[0] * c >> 64 for c in counter], dtype=np.uint64)[:, None]
+    lo = np.array([PHILOX_M[0] * c & MASK64 for c in counter], dtype=np.uint64)[:, None]
     # Round 1 leaves (k0, 0, hi ^ k1, lo), the halves of M0 * counter.
     np.bitwise_xor(hi, k1, out=c2)
     # Round 2: of its two products only M1 * (hi ^ k1) depends on the stream.
-    hi0, lo0 = divmod(_PHILOX_M[0] * k0, 1 << 64)
-    k0 = (k0 + _PHILOX_W[0]) & _MASK64
-    k1 += np.uint64(_PHILOX_W[1])
-    _mulhi(_PHILOX_M[1], c2, c0, x_lo, x_hi, t, mid)
+    hi0, lo0 = divmod(PHILOX_M[0] * k0, 1 << 64)
+    k0 = (k0 + PHILOX_W[0]) & MASK64
+    k1 += np.uint64(PHILOX_W[1])
+    _mulhi(PHILOX_M[1], c2, c0, x_lo, x_hi, t, mid)
     c0 ^= np.uint64(k0)
-    np.multiply(c2, np.uint64(_PHILOX_M[1]), out=c1)
+    np.multiply(c2, np.uint64(PHILOX_M[1]), out=c1)
     np.bitwise_xor(lo ^ np.uint64(hi0), k1, out=c2)
     c3.fill(lo0)
     for _ in range(8):
-        k0 = (k0 + _PHILOX_W[0]) & _MASK64
-        k1 += np.uint64(_PHILOX_W[1])
-        _mulhi(_PHILOX_M[0], c0, h0, x_lo, x_hi, t, mid)
-        c0 *= np.uint64(_PHILOX_M[0])
-        _mulhi(_PHILOX_M[1], c2, h1, x_lo, x_hi, t, mid)
-        c2 *= np.uint64(_PHILOX_M[1])
+        k0 = (k0 + PHILOX_W[0]) & MASK64
+        k1 += np.uint64(PHILOX_W[1])
+        _mulhi(PHILOX_M[0], c0, h0, x_lo, x_hi, t, mid)
+        c0 *= np.uint64(PHILOX_M[0])
+        _mulhi(PHILOX_M[1], c2, h1, x_lo, x_hi, t, mid)
+        c2 *= np.uint64(PHILOX_M[1])
         h1 ^= c1
         h1 ^= np.uint64(k0)
         h0 ^= c3
@@ -107,35 +107,6 @@ def _philox_blocks(seed: int, keys, first_block: int, n_blocks: int):
         # The registers rotate; the two freed buffers take the next high words.
         c0, c1, c2, c3, h0, h1 = h1, c2, h0, c0, c1, c3
     return c0, c1, c2, c3
-
-
-def _philox_words(seed: int, keys, first_block: int, n_blocks: int) -> np.ndarray:
-    """Words 4*first_block .. 4*(first_block + n_blocks) - 1 of the
-    streams keyed (seed, keys[i]), as uint64 of shape (4 * n_blocks,
-    len(keys)), time-major: column i is stream i."""
-    blocks = _philox_blocks(seed, keys, first_block, n_blocks)
-    return np.stack(blocks, axis=1).reshape(4 * n_blocks, len(keys))
-
-
-def _philox_uniforms(seed: int, streams, first_block: int, n_blocks: int) -> np.ndarray:
-    """Uniforms 4*first_block .. 4*(first_block + n_blocks) - 1 of each
-    stream (streams are integers in [0, 2^64)).
-
-    Returns shape (len(streams), 4 * n_blocks); row i equals the
-    corresponding slice of ``numpy.random.Generator(numpy.random.Philox(
-    key=[seed, streams[i]])).random(k)`` bit for bit: each Philox word w
-    gives the double (w >> 11) * 2^-53.
-    """
-    words = _philox_words(seed, streams, first_block, n_blocks)
-    return ((words >> np.uint64(11)) * 2.0**-53).T
-
-
-def _step_cdf(spec: WalkSpec) -> np.ndarray:
-    """Cumulative step probabilities; a uniform u draws support index
-    ``searchsorted(cdf, u, side="right")``."""
-    cdf = np.cumsum(spec.probabilities())
-    cdf[-1] = 1.0
-    return cdf
 
 
 # Rows advanced in lockstep in one slab: wide, so that the fixed cost of
@@ -151,27 +122,10 @@ _TILE = 1024
 _REFILL_STEPS = 16
 
 
-def _step_thresholds(cdf: np.ndarray) -> list:
-    """Word thresholds of the steps: a raw Philox word w draws support
-    index ``searchsorted(cdf, (w >> 11) * 2^-53, side="right")``, the
-    number of thresholds it reaches.
-
-    That count is #{j : w >= ceil(cdf[j] * 2^53) * 2^11}: k * 2^-53 >=
-    cdf[j] exactly when k >= ceil(cdf[j] * 2^53), and w >> 11 >= T
-    exactly when w >= T * 2^11.  No uniform reaches 1, so an entry at or
-    past 1 (the last one, or one a cumsum rounds past 1) counts for none.
-    """
-    thresholds = []
-    for c in cdf.tolist():
-        k = math.ceil(c * 2.0**53)
-        if k < 1 << 53:
-            thresholds.append(np.uint64(k << 11))
-    return thresholds
-
-
 def _step_indices(thresholds: list, words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The support index each raw Philox word draws, as uint8 (into
-    ``out`` when given); see :func:`_step_thresholds`."""
+    ``out`` when given), from thresholds in uint64; see
+    :func:`hypwalk._streams.step_thresholds`."""
     if out is None:
         out = np.empty(words.shape, dtype=np.uint8)
     out.fill(0)
@@ -422,7 +376,7 @@ class _Sampler:
         self.letters = np.array(letters, dtype=np.int8)
         self.model = spec.model
         self.seed = spec.seed
-        self.thresholds = _step_thresholds(_step_cdf(spec))
+        self.thresholds = [np.uint64(t) for t in step_thresholds(spec.probabilities())]
         self.margin, self.patience, self.max_steps = margin, patience, max_steps
         # Row i of the batch: its prefix letters, their count (-1 on a
         # timeout) and the steps it used.

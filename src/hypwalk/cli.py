@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .config import apply_overrides, load_config, parse_config
+from .config import apply_overrides, parse_config, read_config
 from .errors import BudgetExceededError, ConfigError
 from .report import run_experiment
 
@@ -48,15 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        raw = cfg.echo()
+        # Overrides apply to the file's raw config, which is parsed once,
+        # so that only the experiments selected load their modules.
+        raw = read_config(args.config)
         overrides = list(args.override)
         if args.subcommands:
             names = [s.strip() for s in args.subcommands.split(",") if s.strip()]
             overrides.append("experiments=" + json.dumps(names))
         if overrides:
             raw = apply_overrides(raw, overrides)
-            cfg = parse_config(raw)
+        cfg = parse_config(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,11 +4,15 @@ Configs are JSON with a ``schema_version`` field.  All randomness flows
 from the single required ``walk.seed``; there is no wall-clock default
 anywhere.
 
-numpy is the sampler's dependency: ``_sampler`` is the one module that
-imports it at load time, and ``parse_config`` loads ``_sampler`` when the
-config names an experiment that samples (``SAMPLING``).  Such a config
-pays numpy's import during set-up, before any experiment runs; every
-other config computes exact values only and never loads numpy.
+numpy is the dependency of boundary sample sets, not of sampling:
+``_sampler``, which draws sample sets, is the one module that imports it
+at load time.  ``parse_config`` loads the plain-Python draws of
+``_streams`` when the config names an experiment that samples
+(``SAMPLING``), and ``_sampler`` when it names one that draws sample sets
+(``SAMPLE_SETS``), so each config pays its imports during set-up, before
+any experiment runs.  A config whose only sampling experiment is
+``simulate`` never loads numpy, nor does one that computes exact values
+only.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ EXPERIMENTS = (
     "simulate",
 )
 
-# The experiments that draw boundary or path samples.
+# The experiments that draw boundary or path samples, and those of them
+# that draw boundary sample sets.
 SAMPLING = frozenset({"simulate", "gibbs", "rn-check"})
+SAMPLE_SETS = frozenset({"gibbs", "rn-check"})
 
 _BUDGET_DEFAULTS = {
     "max_radius": None,  # green: word list radius min(4, R), 4 when None
@@ -62,9 +68,10 @@ class ExperimentConfig:
         return self.raw
 
     @property
-    def samples(self) -> bool:
-        """Whether an experiment draws samples, and so needs numpy."""
-        return not SAMPLING.isdisjoint(self.experiments)
+    def sample_sets(self) -> bool:
+        """Whether an experiment draws boundary sample sets, and so needs
+        numpy."""
+        return not SAMPLE_SETS.isdisjoint(self.experiments)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -218,24 +225,31 @@ def parse_config(data: dict) -> ExperimentConfig:
         output_dir=out_dir,
         raw=data,
     )
-    if cfg.samples:
+    if not SAMPLING.isdisjoint(cfg.experiments):
+        from . import _streams  # noqa: F401  the draws' import, paid during set-up
+    if cfg.sample_sets:
         from . import _sampler  # noqa: F401  numpy's import, paid during set-up
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_config(path: str) -> Any:
+    """The raw config of a JSON file, before any validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(data)
 
 
-def apply_overrides(data: dict, overrides: list[str]) -> dict:
+def load_config(path: str) -> ExperimentConfig:
+    return parse_config(read_config(path))
+
+
+def apply_overrides(data: Any, overrides: list[str]) -> dict:
     """Apply ``key.path=value`` overrides to a raw config dict."""
+    _require(isinstance(data, dict), "config must be a JSON object")
     out = json.loads(json.dumps(data))
     for item in overrides:
         if "=" not in item:

@@ -12,9 +12,10 @@ before any other check, and ``report.json`` is streamed to its file by
 The ``green`` table is refused above ``_MAX_WORDS`` words before any value
 is computed.
 
-``versions`` records the numpy version if and only if the config samples
-(``ExperimentConfig.samples``): only such a config loads numpy, and the
-rule reads the config alone, so reports stay deterministic in it.
+``versions`` records the numpy version if and only if the config draws
+boundary sample sets (``ExperimentConfig.sample_sets``): only such a
+config loads numpy, and the rule reads the config alone, so reports stay
+deterministic in it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .martin import (
 )
 from .measure import Cylinder, gibbs_ratio, radon_nikodym_check
 from .walks import (
-    sample_boundary_prefixes,
+    require_valid,
     sample_path,
     spectral_radius_estimate,
     validate_walk,
@@ -148,23 +149,23 @@ def _exp_green(cfg: ExperimentConfig):
 
 
 def _exp_simulate(cfg: ExperimentConfig):
-    import numpy as np  # loaded by parse_config, as simulate samples
+    from . import _streams  # loaded by parse_config, as simulate samples
 
     walk = cfg.walk
     report = validate_walk(walk)
     path = sample_path(walk, cfg.model.identity(), 64, stream=0)
     sr = spectral_radius_estimate(walk, cfg.budgets["spectral_steps"])
     try:
-        _, depths, steps = sample_boundary_prefixes(
-            walk, range(1000, 1064),
-            patience=cfg.budgets["boundary_patience"],
-            max_steps=cfg.budgets["boundary_max_steps"],
+        require_valid(walk)
+        drawn = _streams.boundary_prefixes(
+            walk, range(1000, 1064), 10, cfg.budgets["boundary_patience"],
+            cfg.budgets["boundary_max_steps"],
         )
     except HypwalkError:  # an invalid walk fails every stream alike
-        depths = steps = np.empty(0, dtype=np.int64)
-    accepted = depths >= 0
-    depths, steps = depths[accepted], steps[accepted]
-    failures = 64 - len(depths)
+        drawn = []
+    depths = [len(letters) for letters, _ in drawn if letters is not None]
+    steps = [used for letters, used in drawn if letters is not None]
+    failures = 64 - len(steps)
     ok = (
         report.probabilities_ok and report.nearest_neighbour and report.nondegenerate
         and sr.lower <= sr.upper < 1.0 and failures == 0
@@ -174,8 +175,9 @@ def _exp_simulate(cfg: ExperimentConfig):
         "first_positions": [str(x) for x in path.positions[:8]],
         "spectral_lower": sr.lower,
         "spectral_upper": sr.upper,
-        "boundary_mean_steps": float(np.mean(steps)) if len(steps) else None,
-        "boundary_mean_depth": float(np.mean(depths)) if len(depths) else None,
+        # The integer sums stay below 2^53, so each mean is one rounding.
+        "boundary_mean_steps": sum(steps) / len(steps) if steps else None,
+        "boundary_mean_depth": sum(depths) / len(depths) if depths else None,
         "boundary_failures": failures,
     }
     csv_rows = [(2 * k, p) for k, p in enumerate(sr.even_returns)]
@@ -361,7 +363,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportB
             files.append(path)
     passed = all(v == "pass" for v in verdicts.values())
     versions = {"hypwalk": _pkg_version}
-    if cfg.samples:
+    if cfg.sample_sets:
         import numpy as np
 
         versions["numpy"] = np.__version__

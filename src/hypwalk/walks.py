@@ -6,17 +6,21 @@ so it costs the same at every factor order.
 
 Randomness is counter-based: every sample is a pure function of
 ``(spec.seed, stream)`` through a keyed Philox generator, so results do
-not depend on the order in which samples are drawn.  Boundary samples are
-drawn in batches, whose walks advance in lockstep in slabs of bounded
-size, by the array sampler of ``_sampler``; a batch comes back as a
-zero-padded int8 matrix of prefix letters, the prefix lengths and the
-step counts.  Each stream's prefix and step count are the same whatever
-batch, slab or tile it runs in, and equal to a one-walk-at-a-time run.
+not depend on the order in which samples are drawn.  Paths and single
+boundary samples are drawn in plain Python by ``_streams``.  Boundary
+sample sets are drawn in batches, whose walks advance in lockstep in
+slabs of bounded size, by the array sampler of ``_sampler``; a batch
+comes back as a zero-padded int8 matrix of prefix letters, the prefix
+lengths and the step counts.  Each stream's prefix and step count are the
+same whatever batch, slab or tile it runs in, and equal to a
+one-walk-at-a-time run.
 
 This module imports no numpy: specs and their validation are plain
-Python, and the sampling functions import ``_sampler``, which holds the
-numpy code, when they are called.  ``config.parse_config`` loads it
-beforehand for a config that samples (see :mod:`hypwalk.config`).
+Python, and the sampling functions import ``_streams`` or, for sample
+sets, ``_sampler``, which holds the numpy code, when they are called.
+numpy is the dependency of sample sets, not of sampling.
+``config.parse_config`` loads both beforehand for a config that needs
+them (see :mod:`hypwalk.config`).
 
 The spectral radius is bracketed by the exact engine in ``_exact``: the
 lower end from exact return probabilities, the upper end from a
@@ -160,7 +164,7 @@ class PathSample:
 
     start: GroupElement
     positions: tuple[GroupElement, ...] | None
-    step_indices: np.ndarray
+    step_indices: tuple[int, ...]
     stream: int
 
 
@@ -178,12 +182,9 @@ def sample_path(
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     require_valid(spec, nondegenerate=False)
-    import numpy as np
+    from . import _streams  # loaded by parse_config when the config samples
 
-    from . import _sampler  # loaded by parse_config when the config samples
-
-    u = _sampler._philox_uniforms(spec.seed, [stream & _sampler._MASK64], 0, -(-n_steps // 4))
-    idx = np.searchsorted(_sampler._step_cdf(spec), u[0, :n_steps], side="right")
+    idx = _streams.path_steps(spec, stream & _streams.MASK64, n_steps)
     positions = None
     if keep_positions:
         steps = spec.elements()
@@ -223,20 +224,21 @@ def sample_boundary_prefixes(
     is a pure function of (spec.seed, stream), whatever batch it runs
     in; see :func:`sample_boundary_point` for the stopping rule.
 
-    Streams advance in lockstep in slabs of bounded size (see
-    :mod:`hypwalk._sampler`).  A refill turns the Philox words of the next
-    steps of every row into support indices by integer thresholds, and
-    the rows' words advance together in depth-major stacks; rows that
-    stop are masked and leave at the next refill.
+    This draws the sample sets of ``measure``: streams advance in
+    lockstep in slabs of bounded size (see :mod:`hypwalk._sampler`).  A
+    refill turns the Philox words of the next steps of every row into
+    support indices by integer thresholds, and the rows' words advance
+    together in depth-major stacks; rows that stop are masked and leave
+    at the next refill.
     """
     if margin < 1 or patience < 1:
         raise ValueError("margin and patience must be positive")
     require_valid(spec, nondegenerate=True)
     import numpy as np
 
-    from . import _sampler  # loaded by parse_config when the config samples
+    from . import _sampler, _streams  # loaded by parse_config for sample sets
 
-    mask = _sampler._MASK64
+    mask = _streams.MASK64
     if isinstance(streams, range):  # start + i step in uint64, which wraps like the mask
         keys = np.arange(len(streams), dtype=np.uint64) * np.uint64(streams.step & mask)
         keys += np.uint64(streams.start & mask)
@@ -259,20 +261,29 @@ def sample_boundary_point(
     is accepted once the L-prefix has been untouched for ``patience``
     consecutive steps while the position stays at least ``margin`` past
     it.  Raises :class:`BoundaryTimeout` when the step budget runs out.
+    The walk runs in plain Python (see :mod:`hypwalk._streams`), with the
+    prefix and step count :func:`sample_boundary_prefixes` gives the
+    stream.
     """
-    letters, [length], [steps] = sample_boundary_prefixes(spec, [stream], margin, patience, max_steps)
-    if length < 0:
+    if margin < 1 or patience < 1:
+        raise ValueError("margin and patience must be positive")
+    require_valid(spec, nondegenerate=True)
+    from . import _streams  # loaded by parse_config when the config samples
+
+    [(prefix_letters, steps)] = _streams.boundary_prefixes(
+        spec, [stream & _streams.MASK64], margin, patience, max_steps
+    )
+    if prefix_letters is None:
         raise BoundaryTimeout(
             f"no stabilization within {max_steps} steps (stream {stream})",
             steps=max_steps,
             stream=stream,
         )
-    prefix_letters = tuple(letters[0, :length].tolist())
     return BoundarySample(
         prefix=spec.model.from_letters(prefix_letters),
         prefix_letters=prefix_letters,
-        depth=int(length),
-        steps_used=int(steps),
+        depth=len(prefix_letters),
+        steps_used=steps,
         stream=stream,
     )
 

@@ -427,13 +427,30 @@ def test_cli_import_leaves_out_scipy_stats():
 EXACT_EXPERIMENTS = ["classify", "green", "martin", "rg", "hoelder", "ancona"]
 
 
-@pytest.mark.parametrize(
+MODELS_WITHOUT_NUMPY = pytest.mark.parametrize(
     "model",
     [{"kind": "free", "rank": 2}, {"kind": "free_product", "orders": [2, 3]}],
     ids=["F_2", "Z2*Z3"],
 )
+
+
+def _main_loads(tmp_path, cfg, *args):
+    """Run ``cli.main`` on ``cfg`` in a fresh interpreter: its exit code
+    and whether numpy, ``_sampler`` and ``_streams`` were loaded."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code = (
+        "import sys\n"
+        "from hypwalk.cli import main\n"
+        "print(main(['--config', sys.argv[1], '--out', sys.argv[2], *sys.argv[3:]]))\n"
+        "print(*(m in sys.modules for m in ('numpy', 'hypwalk._sampler', 'hypwalk._streams')))"
+    )
+    return _python(code, str(path), str(tmp_path / "out"), *args)[-4:]
+
+
+@MODELS_WITHOUT_NUMPY
 def test_exact_experiments_leave_out_numpy(tmp_path, model):
-    # No exact experiment draws a sample, so none loads the sampler or
+    # No exact experiment draws a sample, so none loads either sampler or
     # numpy, and the report records no numpy version.
     cfg = {
         "schema_version": 1,
@@ -441,24 +458,67 @@ def test_exact_experiments_leave_out_numpy(tmp_path, model):
         "walk": {"support": "uniform", "seed": 1},
         "experiments": EXACT_EXPERIMENTS,
     }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    code = (
-        "import sys\n"
-        "from hypwalk.cli import main\n"
-        "print(main(['--config', sys.argv[1], '--out', sys.argv[2]]))\n"
-        "print(*(m in sys.modules for m in ('numpy', 'hypwalk._sampler')))"
-    )
-    assert _python(code, str(path), str(tmp_path / "out"))[-3:] == [str(EXIT_OK), "False", "False"]
+    assert _main_loads(tmp_path, cfg) == [str(EXIT_OK), "False", "False", "False"]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["verdicts"] == {name: "pass" for name in EXACT_EXPERIMENTS}
     assert report["versions"] == {"hypwalk": hypwalk.__version__}
 
 
+@MODELS_WITHOUT_NUMPY
+def test_simulate_leaves_out_numpy(tmp_path, model):
+    # simulate draws one path and 64 boundary walks in plain Python: no
+    # sample set, so neither numpy nor the array sampler loads, and the
+    # report records no numpy version.
+    cfg = {
+        "schema_version": 1,
+        "model": model,
+        "walk": {"support": "uniform", "seed": 1},
+        "experiments": ["simulate"],
+    }
+    assert _main_loads(tmp_path, cfg) == [str(EXIT_OK), "False", "False", "True"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["verdicts"] == {"simulate": "pass"}
+    assert report["results"]["simulate"]["boundary_failures"] == 0
+    assert report["versions"] == {"hypwalk": hypwalk.__version__}
+
+
+def test_subcommands_select_the_modules_loaded(tmp_path):
+    # The file names gibbs, but --subcommands selects classify alone: the
+    # config is parsed once, after the selection, so no sampler loads.
+    cfg = {
+        "schema_version": 1,
+        "model": {"kind": "free", "rank": 2},
+        "walk": {"support": "uniform", "seed": 1},
+        "experiments": ["gibbs", "classify"],
+    }
+    assert _main_loads(tmp_path, cfg, "--subcommands", "classify") == [
+        str(EXIT_OK), "False", "False", "False",
+    ]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["verdicts"] == {"classify": "pass"}
+    assert report["config_echo"]["experiments"] == ["classify"]
+
+
+def test_unreadable_or_malformed_file_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["--config", str(missing), "--subcommands", "classify"]) == EXIT_CONFIG
+    assert f"cannot read config {missing}" in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert main(["--config", str(bad), "--override", "budgets.maxlen=2"]) == EXIT_CONFIG
+    assert f"config {bad} is not valid JSON" in capsys.readouterr().err
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    assert main(["--config", str(listed), "--subcommands", "classify"]) == EXIT_CONFIG
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment", ["simulate", "gibbs", "rn-check"])
 def test_sampling_config_loads_the_sampler_at_parse(experiment):
-    # numpy's import belongs to set-up: a config that samples loads the
-    # sampler as it is parsed, not on the first draw of the run.
+    # Import costs belong to set-up: a config that samples loads the
+    # plain-Python draws as it is parsed, not on the first draw of the
+    # run, and one that draws sample sets loads the array sampler and
+    # numpy as well.  simulate draws no sample set.
     cfg = {
         "schema_version": 1,
         "model": {"kind": "free", "rank": 2},
@@ -468,18 +528,22 @@ def test_sampling_config_loads_the_sampler_at_parse(experiment):
     code = (
         "import json, sys\n"
         "from hypwalk.config import parse_config\n"
-        "names = ('numpy', 'hypwalk._sampler')\n"
+        "names = ('hypwalk._streams', 'numpy', 'hypwalk._sampler')\n"
         "print(*(m in sys.modules for m in names))\n"
         "parse_config(json.loads(sys.argv[1]))\n"
         "print(*(m in sys.modules for m in names))"
     )
-    assert _python(code, json.dumps(cfg)) == ["False", "False", "True", "True"]
+    sets = str(experiment != "simulate")
+    assert _python(code, json.dumps(cfg)) == ["False"] * 3 + ["True", sets, sets]
 
 
 def test_versions_name_numpy_for_a_config_that_samples(tmp_path):
     import numpy
 
-    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 2}, ["rg", "simulate"])
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["rg", "gibbs"],
+        budgets={"n_samples": 2000, "gibbs_radii": [1, 2, 3, 4]},
+    )
     assert code == EXIT_OK
     assert report["versions"] == {"hypwalk": hypwalk.__version__, "numpy": numpy.__version__}
 

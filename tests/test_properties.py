@@ -1,16 +1,17 @@
-"""Properties of the exact engine across the model family.
+"""Properties of the exact engine and the samplers across the model family.
 
 Models are F_2 to F_4 and Z/m*Z/n with m, n <= 7, and F_5 and F_6 for
-the Green table; walks put random positive, non-symmetric weights on the
-nearest-neighbour alphabet.
+the Green table and the boundary samplers; walks put random positive,
+non-symmetric weights on the nearest-neighbour alphabet.
 """
 
 import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypwalk import (
@@ -18,10 +19,9 @@ from hypwalk import (
     green_decay_rate, make_walk, martin_kernel, ratio_invariant, spectral_radius_estimate,
     validate_walk, words_by_length,
 )
-from hypwalk import _exact, _sampler
+from hypwalk import _exact, _sampler, _streams
 from hypwalk._exact import _SPECTRAL_GAP, factors, kernel, returns
 from hypwalk.green import green_table
-from hypwalk._sampler import _REFILL_STEPS
 from hypwalk.walks import sample_boundary_prefixes
 
 from oracles import (
@@ -35,6 +35,7 @@ from oracles import (
 MODELS = [GroupModel.free(n) for n in (2, 3, 4)] + [
     GroupModel.free_product(m, n) for m in range(2, 8) for n in range(m, 8) if (m, n) != (2, 2)
 ]
+WIDE_MODELS = [GroupModel.free(n) for n in range(2, 7)] + [m for m in MODELS if m.kind != "free"]
 
 
 @st.composite
@@ -171,10 +172,7 @@ def test_finite_order_is_torsion(model):
         assert g.has_finite_order() == any((g**k).is_identity() for k in range(1, top + 1))
 
 
-@pytest.mark.parametrize(
-    "model", [GroupModel.free(n) for n in range(2, 7)] + [m for m in MODELS if m.kind != "free"],
-    ids=str,
-)
+@pytest.mark.parametrize("model", WIDE_MODELS, ids=str)
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_green_table_is_the_per_word_engine(model, data):
@@ -236,25 +234,48 @@ def test_quotient_intervals_hold_their_float_ratios(walk):
 
 
 @PROPERTY_SETTINGS
-@given(walks(), st.integers(1, 12), st.integers(1, 20), st.data())
+@given(walks(models=st.sampled_from(WIDE_MODELS)), st.integers(1, 12), st.integers(1, 20), st.data())
 def test_batched_sampler_matches_scalar_oracle(walk, margin, patience, data):
-    # The step budget ends inside a refill of draws, whatever the refills'
-    # lengths: each starts at a Philox block boundary, a multiple of 4
-    # steps, and the budget is not one.  The range spans the first refill,
-    # which covers the 2 margin + patience steps before any promotion, and
-    # four later ones.
+    # The array sampler of sample sets and the plain-Python walker of
+    # single walks and small batches both give the oracle's prefix, or
+    # timeout, and step count on every stream.  The step budget ends
+    # inside a refill of draws, whatever the refills' lengths: each starts
+    # at a Philox block boundary, a multiple of 4 steps, and the budget is
+    # not one.  The range spans the first refill, which covers the
+    # 2 margin + patience steps before any promotion, and later ones of
+    # both samplers (four of the array sampler's ``_REFILL_STEPS``).
     first = -(-(2 * margin + patience) // 4) * 4
     budget = data.draw(
-        st.integers(max(margin + patience, 2 * margin), first + 4 * _REFILL_STEPS).filter(
+        st.integers(max(margin + patience, 2 * margin), first + 4 * _sampler._REFILL_STEPS).filter(
             lambda steps: steps % 4
         )
     )
     streams = range(40)
     want = [scalar_boundary_prefix(walk, s, margin, patience, budget) for s in streams]
+    assert _streams.boundary_prefixes(walk, streams, margin, patience, budget) == want
     assert prefix_pairs(sample_boundary_prefixes(walk, streams, margin, patience, budget)) == want
     # Slabs of 7 rows and Philox tiles of 3: several slabs, then the tail.
     with mock.patch.object(_sampler, "_SLAB", 7), mock.patch.object(_sampler, "_TILE", 3):
         assert prefix_pairs(sample_boundary_prefixes(walk, streams, margin, patience, budget)) == want
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 2**63 - 1) | st.integers(2**63, 2**64 - 1), min_size=1, max_size=6),
+    st.integers(0, 40),
+    st.integers(1, 6),
+)
+@example(seed=2**64 - 1, keys=[2**64 - 1], first_block=9, n_blocks=1)
+@example(seed=0, keys=[2**63], first_block=0, n_blocks=1)
+def test_lane_cipher_matches_numpy_philox(seed, keys, first_block, n_blocks):
+    # One lane per (key, block), keys past 2^63 included, counted from
+    # any block: numpy's own generator gives every word.
+    drawn = _streams.philox_words(seed, keys, first_block, n_blocks)
+    assert len(drawn) == len(keys)
+    for key, words in zip(keys, drawn):
+        generator = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
+        assert words == generator.random_raw(4 * (first_block + n_blocks))[4 * first_block:].tolist()
 
 
 SMALL_MODELS = [GroupModel.free(2), GroupModel.free(3)] + [

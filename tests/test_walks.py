@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 import zlib
+from bisect import bisect_right
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -22,13 +24,11 @@ from hypwalk.errors import BoundaryTimeout, ValidationError
 from hypwalk.measure import boundary_sample_set
 from hypwalk._sampler import (
     _FreeWords,
-    _philox_uniforms,
-    _philox_words,
+    _philox_blocks,
     _ProductWords,
-    _step_cdf,
     _step_indices,
-    _step_thresholds,
 )
+from hypwalk._streams import boundary_prefixes, philox_words, step_thresholds
 from hypwalk.walks import sample_boundary_prefixes
 
 from oracles import (
@@ -169,6 +169,11 @@ def _numpy_philox(seed, stream):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _time_major(blocks):
+    """The four word arrays of ``_philox_blocks`` as (word, stream)."""
+    return np.stack(blocks, axis=1).reshape(4 * len(blocks[0]), -1)
+
+
 class TestPhilox:
     STREAMS = [
         0,
@@ -180,13 +185,20 @@ class TestPhilox:
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     def test_matches_numpy_bit_for_bit(self, seed):
-        head = _philox_uniforms(seed, self.STREAMS, 0, 9)
-        tail = _philox_uniforms(seed, self.STREAMS, 5, 3)
-        assert head.shape == (len(self.STREAMS), 36) and tail.shape == (len(self.STREAMS), 12)
-        for stream, row, tail_row in zip(self.STREAMS, head, tail):
-            ref = _numpy_philox(seed, stream).random(36)
-            assert np.array_equal(row, ref)
-            assert np.array_equal(tail_row, ref[20:32])
+        # Both ciphers, the array one and the one on lanes of an integer,
+        # give numpy's words; each word w is the uniform (w >> 11) 2^-53.
+        keys = np.array(self.STREAMS, dtype=np.uint64)
+        head = _time_major(_philox_blocks(seed, keys, 0, 9))
+        tail = _time_major(_philox_blocks(seed, keys, 5, 3))
+        assert head.shape == (36, len(self.STREAMS)) and tail.shape == (12, len(self.STREAMS))
+        lanes = philox_words(seed, self.STREAMS, 0, 9)
+        lanes_tail = philox_words(seed, self.STREAMS, 5, 3)
+        for i, stream in enumerate(self.STREAMS):
+            ref = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(36)
+            assert np.array_equal(head[:, i], ref) and np.array_equal(tail[:, i], ref[20:32])
+            assert lanes[i] == ref.tolist() and lanes_tail[i] == ref[20:32].tolist()
+            uniforms = (ref >> np.uint64(11)) * 2.0**-53
+            assert np.array_equal(uniforms, _numpy_philox(seed, stream).random(36))
 
     def test_sample_path_draws(self, walk_f2, f2):
         # 1001 steps end inside a Philox block.
@@ -225,13 +237,18 @@ def _sampler_walk(name, seed=20240613):
 class TestStepDraw:
     @pytest.mark.parametrize("name", sorted(_SAMPLER_WALKS))
     def test_matches_searchsorted_of_uniforms(self, name):
+        # Words 12 .. 111 of each stream, as arrays and as plain lists.
         walk = _sampler_walk(name)
-        cdf = _step_cdf(walk)
+        cdf = np.cumsum(walk.probabilities())
+        cdf[-1] = 1.0
         streams = TestPhilox.STREAMS + list(range(40))
-        words = _philox_words(walk.seed, streams, 3, 25)
-        drawn = _step_indices(_step_thresholds(cdf), words)
-        uniforms = _philox_uniforms(walk.seed, streams, 3, 25)
+        thresholds = step_thresholds(walk.probabilities())
+        words = _time_major(_philox_blocks(walk.seed, np.array(streams, dtype=np.uint64), 3, 25))
+        drawn = _step_indices([np.uint64(t) for t in thresholds], words)
+        uniforms = np.array([_numpy_philox(walk.seed, s).random(112)[12:] for s in streams])
         assert np.array_equal(drawn.T, np.searchsorted(cdf, uniforms, side="right"))
+        lanes = philox_words(walk.seed, streams, 3, 25)
+        assert [list(map(bisect_right, repeat(thresholds), w)) for w in lanes] == drawn.T.tolist()
 
     @pytest.mark.parametrize("probabilities", [
         # dyadic entries 0.25 and 0.5; the cumsum passes 1 at its third entry
@@ -250,9 +267,11 @@ class TestStepDraw:
             edges |= {top - 1, top}
         ks = sorted(k for k in edges if 0 <= k < 2**53)
         words = np.array([(k << 11) | low for k in ks for low in (0, 2047)], dtype=np.uint64)
-        drawn = _step_indices(_step_thresholds(cdf), words)
+        thresholds = step_thresholds(probabilities)
+        drawn = _step_indices([np.uint64(t) for t in thresholds], words)
         uniforms = (words >> np.uint64(11)) * 2.0**-53
         assert np.array_equal(drawn, np.searchsorted(cdf, uniforms, side="right"))
+        assert [bisect_right(thresholds, w) for w in words.tolist()] == drawn.tolist()
         assert len(set(drawn.tolist())) == len(cdf) - (cdf[-2] > 1)
 
 
@@ -273,7 +292,8 @@ class TestBatchedSampler:
     def test_promotion_matches_scalar_oracle(self, name):
         # With a short margin a syllable can reach past L + margin while
         # its start edits the prefix, so L gets promoted and the word
-        # arrays grow past their first width.
+        # arrays grow past their first width.  The plain-Python walker
+        # gives the same prefixes and step counts.
         walk = _sampler_walk(name)
         promoted = 0
         for margin, patience in ((1, 5), (1, 2), (2, 3)):
@@ -281,6 +301,7 @@ class TestBatchedSampler:
             assert batch == [
                 scalar_boundary_prefix(walk, s, margin, patience, 20_000) for s in range(100)
             ]
+            assert boundary_prefixes(walk, range(100), margin, patience, 20_000) == batch
             promoted += sum(len(letters) > margin for letters, _ in batch)
         assert promoted > 0
 
