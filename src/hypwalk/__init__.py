@@ -57,6 +57,7 @@ from .measure import (
     MeasureEstimate,
     GibbsReport,
     RadonNikodymReport,
+    SampleSet,
     cylinder_membership,
     estimate_measure,
     gibbs_ratio,

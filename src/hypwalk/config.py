@@ -47,7 +47,7 @@ SAMPLE_SETS = frozenset({"gibbs", "rn-check"})
 
 _BUDGET_DEFAULTS = {
     "max_radius": None,  # green: word list radius min(4, R), 4 when None
-    "n_samples": 100_000,  # boundary samples of gibbs and rn-check
+    "n_samples": 100_000,  # the one boundary sample set that gibbs and rn-check share
     "maxlen": 3,  # longest conjugacy representative that rg lists
     "spectral_steps": 24,  # return probabilities that simulate lists
     "boundary_patience": 20,  # sampler: steps a prefix must stay untouched
@@ -207,8 +207,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     _require(
         isinstance(experiments, list) and experiments, "experiments must be a nonempty list"
     )
-    for name in experiments:
+    for i, name in enumerate(experiments):
         _require(name in EXPERIMENTS, f"unknown experiment {name!r}; known: {list(EXPERIMENTS)}")
+        _require(name not in experiments[:i], f"experiment {name!r} is listed twice")
     output = data.get("output")
     output = {} if output is None else output
     _require(isinstance(output, dict), f"output must be an object, not {output!r}")

@@ -4,8 +4,16 @@ first-passage ratio series, and the change-of-variables check.
 Cylinder membership is exact: it reads one Gromov product of two letter
 prefixes (see :func:`hypwalk.martin.limit_gromov`), and every sampled
 prefix is long enough for that product to be decided.  Monte Carlo
-estimates are sharded over counter-based streams keyed by a purpose tag,
-aggregated in a fixed order, and always carry a 3-sigma binomial band.
+estimates read a :class:`SampleSet`: stabilized prefixes drawn over
+counter-based streams keyed by a purpose tag, aggregated in a fixed
+order, and always reported with a 3-sigma binomial band.
+
+The readers (:func:`estimate_measure`, :func:`gibbs_ratio` and
+:func:`radon_nikodym_check`) draw nothing.  Each takes a set drawn by its
+caller, states the margin it needs (:func:`measure_margin`,
+:func:`gibbs_margin`, :func:`rn_check_margin`) and refuses a shallower
+set, so one set drawn at the largest need serves them all: a run draws at
+most one set, under one tag, and hands it to every reader.
 
 Sample sets are numpy arrays from the sampler; the functions that read
 them import numpy when they are called, so loading this module costs no
@@ -99,6 +107,14 @@ def boundary_sample_set(
 ) -> tuple[np.ndarray, int, int]:
     """n stabilized prefix words, deterministic in (spec.seed, purpose).
 
+    :meth:`SampleSet.draw` calls this, and ``report.run_experiment`` draws
+    at most one set per run, under one tag, for ``gibbs`` and ``rn-check``
+    together.  Its margin is the larger of the two readers' needs,
+    :func:`gibbs_margin` and :func:`rn_check_margin`, each taken from the
+    model's probe points and ``budgets.gibbs_radii`` whether or not that
+    experiment is selected, so a reader's block is the same run alone or
+    with the other.
+
     Sample i uses stream base+i; its k-th retry uses stream
     base + n + i * _RETRY_CAP + k, so each sample is a pure function of its
     index.  All samples are drawn as one batch and the timed-out ones are
@@ -149,6 +165,41 @@ def boundary_sample_set(
     return prefixes, retries, steps
 
 
+@dataclass(frozen=True)
+class SampleSet:
+    """A drawn boundary sample set, as its readers take it.
+
+    Row i of ``prefixes`` holds sample i's letters, at least ``margin`` of
+    them, padded with zeros; ``n_retries`` and ``n_steps`` are the draw's
+    retry count and walk steps (see :func:`boundary_sample_set`).
+    """
+
+    prefixes: np.ndarray
+    margin: int
+    n_retries: int
+    n_steps: int
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.prefixes)
+
+    @staticmethod
+    def draw(
+        spec: WalkSpec, n_samples: int, margin: int, patience: int, max_steps: int, purpose: str
+    ) -> SampleSet:
+        prefixes, retries, steps = boundary_sample_set(
+            spec, n_samples, margin, patience, max_steps, purpose
+        )
+        return SampleSet(prefixes=prefixes, margin=margin, n_retries=retries, n_steps=steps)
+
+
+def _require_margin(samples: SampleSet, need: int, reader: str) -> None:
+    if samples.margin < need:
+        raise ValidationError(
+            f"{reader} needs a sample set of margin {need}, got margin {samples.margin}"
+        )
+
+
 def _heads(prefixes: np.ndarray, depth: int):
     """The distinct heads of ``depth`` letters among the prefix rows, as
     letter tuples, with each row's head index and each head's count.
@@ -197,45 +248,33 @@ class MeasureEstimate:
     n_samples: int
     half_width: float
     n_retries: int
-    purpose: str
-    seed: int
 
     def band(self) -> tuple[float, float]:
         return (self.value - self.half_width, self.value + self.half_width)
 
 
-def _measure_from_prefixes(
-    prefixes, cyl: Cylinder, model: GroupModel, purpose: str, seed: int, retries: int,
-) -> MeasureEstimate:
-    heads, _, counts = _heads(prefixes, cyl.depth)
-    hits = sum(k for head, k in zip(heads, counts.tolist()) if _prefix_membership(head, cyl, model))
-    return _estimate(hits, len(prefixes), purpose, seed, retries)
-
-
-def _estimate(hits: int, n: int, purpose: str, seed: int, retries: int) -> MeasureEstimate:
+def _estimate(hits: int, n: int, retries: int) -> MeasureEstimate:
     nu = hits / n if n else 0.0
     half = 3.0 * math.sqrt(nu * (1.0 - nu) / n) if n else 1.0
-    return MeasureEstimate(
-        value=nu, n_samples=n, half_width=float(half),
-        n_retries=retries, purpose=purpose, seed=seed,
-    )
+    return MeasureEstimate(value=nu, n_samples=n, half_width=float(half), n_retries=retries)
 
 
-def estimate_measure(
-    walk: WalkSpec,
-    cyl: Cylinder,
-    n_samples: int = 100_000,
-    *,
-    patience: int = 20,
-    max_steps: int = 20_000,
-    purpose: str = "measure",
-) -> MeasureEstimate:
-    """Harmonic measure of a cylinder from stabilized boundary samples;
-    membership is decided once per distinct head of ``cyl.depth`` letters."""
+def measure_margin(cyl: Cylinder) -> int:
+    """The sample-set margin :func:`estimate_measure` needs for ``cyl``."""
+    return max(10, cyl.depth + 2)
+
+
+def estimate_measure(walk: WalkSpec, cyl: Cylinder, samples: SampleSet) -> MeasureEstimate:
+    """Harmonic measure of a cylinder from a set of stabilized boundary
+    samples; membership is decided once per distinct head of ``cyl.depth``
+    letters."""
     require_valid(walk)
-    margin = max(10, cyl.depth + 2)
-    prefixes, retries, _ = boundary_sample_set(walk, n_samples, margin, patience, max_steps, purpose)
-    return _measure_from_prefixes(prefixes, cyl, walk.model, purpose, walk.seed, retries)
+    _require_margin(samples, measure_margin(cyl), "estimate_measure")
+    heads, _, counts = _heads(samples.prefixes, cyl.depth)
+    hits = sum(
+        k for head, k in zip(heads, counts.tolist()) if _prefix_membership(head, cyl, walk.model)
+    )
+    return _estimate(hits, samples.n_samples, samples.n_retries)
 
 
 # ---------------------------------------------------------------------------
@@ -257,40 +296,40 @@ class GibbsRow:
 
 @dataclass(frozen=True)
 class GibbsReport:
-    """nu(U(xi, R)) / F(e, x(R)) over a radius list, with error bands."""
+    """nu(U(xi, R)) / F(e, x(R)) over a radius list, with error bands.
+
+    ``n_samples``, ``margin``, ``n_retries`` and ``n_steps`` describe the
+    sample set read, which a run shares with ``rn-check``."""
 
     rows: tuple[GibbsRow, ...]
     ratio_min: float
     ratio_max: float
     n_samples: int
+    margin: int
     n_retries: int
     n_heads: int
     n_steps: int
 
 
+def gibbs_margin(xi: BoundaryPoint, radii: Sequence[int]) -> int:
+    """The sample-set margin :func:`gibbs_ratio` needs: R_max + s + 3,
+    at least 10."""
+    return measure_margin(Cylinder.around(xi, max(radii)))
+
+
 def gibbs_ratio(
-    walk: WalkSpec,
-    xi: BoundaryPoint,
-    radii: Sequence[int],
-    n_samples: int = 100_000,
-    *,
-    patience: int = 20,
-    max_steps: int = 20_000,
-    purpose: str = "gibbs",
+    walk: WalkSpec, xi: BoundaryPoint, radii: Sequence[int], samples: SampleSet
 ) -> GibbsReport:
-    """Ratio series over R; one shared sample set serves every radius: one
-    product per distinct head of R_max + s + 1 letters decides them all."""
+    """Ratio series over R from one sample set: one product per distinct
+    head of R_max + s + 1 letters decides every radius."""
     require_valid(walk)
     if not radii or min(radii) < 1:
         raise ValidationError("gibbs radii must be positive")
+    _require_margin(samples, gibbs_margin(xi, radii), "gibbs_ratio")
     deepest = Cylinder.around(xi, max(radii))
-    margin = max(10, deepest.depth + 2)
-    prefixes, retries, steps = boundary_sample_set(
-        walk, n_samples, margin, patience, max_steps, purpose
-    )
     # An exact product does not change with depth, and an inexact one is
     # at least the number of shared letters, which is past R_max.
-    heads, _, counts = _heads(prefixes, deepest.depth)
+    heads, _, counts = _heads(samples.prefixes, deepest.depth)
     products = Counter()
     for head, k in zip(heads, counts.tolist()):
         products[_ray_product(head, deepest, walk.model)] += k
@@ -299,7 +338,7 @@ def gibbs_ratio(
     for R in radii:
         cyl = Cylinder.around(xi, R)
         hits = sum(k for (value, exact), k in products.items() if _decide(value, exact, cyl))
-        est = _estimate(hits, len(prefixes), purpose, walk.seed, retries)
+        est = _estimate(hits, samples.n_samples, samples.n_retries)
         f = first_passage(walk, e, xi.prefix(R))
         lo = max(est.value - est.half_width, 0.0) / f.upper
         hi = (est.value + est.half_width) / max(f.lower, 1e-300)
@@ -313,10 +352,11 @@ def gibbs_ratio(
         rows=tuple(rows),
         ratio_min=min(ratios),
         ratio_max=max(ratios),
-        n_samples=n_samples,
-        n_retries=retries,
+        n_samples=samples.n_samples,
+        margin=samples.margin,
+        n_retries=samples.n_retries,
         n_heads=len(heads),
-        n_steps=steps,
+        n_steps=samples.n_steps,
     )
 
 
@@ -349,7 +389,9 @@ class RadonNikodymReport:
 
     ``pulled_mass`` is the sampled measure of g^-1 U; ``kernel_integral``
     is the Monte Carlo integral of the kernel over U.  Agreement is
-    judged against the combined bands.
+    judged against the combined bands.  ``n_samples``, ``margin``,
+    ``n_retries`` and ``n_steps`` describe the sample set read, which a
+    run shares with ``gibbs``.
     """
 
     pulled_mass: float
@@ -358,6 +400,7 @@ class RadonNikodymReport:
     kernel_half: float
     agree: bool
     n_samples: int
+    margin: int
     kernel_depth: int
     n_retries: int
     n_heads: int
@@ -381,39 +424,38 @@ def _rn_samples(walk: WalkSpec, g: GroupElement, cyl: Cylinder, prefixes, depth:
     return hits, kernel[inverse], len(heads)
 
 
+def rn_check_margin(g: GroupElement, cyl: Cylinder) -> int:
+    """The sample-set margin :func:`radon_nikodym_check` needs:
+    depth(U) + |g| + 4, at least 10."""
+    return max(10, cyl.depth + g.word_length() + 4)
+
+
 def radon_nikodym_check(
     walk: WalkSpec,
     g: GroupElement,
     cyl: Cylinder,
-    n_samples: int = 100_000,
+    samples: SampleSet,
     depth: int | None = None,
-    *,
-    patience: int = 20,
-    max_steps: int = 20_000,
-    purpose: str = "rn-check",
 ) -> RadonNikodymReport:
     """Compare nu(g^-1 U) with the integral of K(g, .) over U.
 
     The kernel is evaluated at the sample prefix of length ``depth``
-    (default: the sampling margin, past every branch point of g).  A
+    (default: the set's margin, past every branch point of g).  A
     sample's first cyl.depth + |g| + 2 letters decide both memberships and
     pass |g| + s + 2, beyond which the kernel along a ray is bitwise
     constant; so each distinct head of that length is evaluated once, the
     kernel at its first ``depth`` letters.
     """
     require_valid(walk)
-    if n_samples < 2:
-        raise ValidationError(f"rn-check needs at least 2 samples, got {n_samples}")
-    margin = max(10, cyl.depth + g.word_length() + 4)
-    prefixes, retries, steps = boundary_sample_set(
-        walk, n_samples, margin, patience, max_steps, purpose
-    )
+    n = samples.n_samples
+    if n < 2:
+        raise ValidationError(f"rn-check needs at least 2 samples, got {n}")
+    _require_margin(samples, rn_check_margin(g, cyl), "radon_nikodym_check")
     if depth is None:
-        depth = margin
+        depth = samples.margin
     if depth < 1:
         raise ValidationError(f"kernel depth must be positive, got {depth}")
-    pulled_hits, vals, n_heads = _rn_samples(walk, g, cyl, prefixes, depth)
-    n = len(prefixes)
+    pulled_hits, vals, n_heads = _rn_samples(walk, g, cyl, samples.prefixes, depth)
     pulled = pulled_hits / n
     pulled_half = 3.0 * math.sqrt(pulled * (1 - pulled) / n)
     integral = float(vals.mean())
@@ -425,8 +467,9 @@ def radon_nikodym_check(
         kernel_half=kernel_half,
         agree=abs(pulled - integral) <= pulled_half + kernel_half,
         n_samples=n,
+        margin=samples.margin,
         kernel_depth=depth,
-        n_retries=retries,
+        n_retries=samples.n_retries,
         n_heads=n_heads,
-        n_steps=steps,
+        n_steps=samples.n_steps,
     )

@@ -12,6 +12,14 @@ before any other check, and ``report.json`` is streamed to its file by
 The ``green`` table is refused above ``_MAX_WORDS`` words before any value
 is computed.
 
+A run draws at most one boundary sample set, under one purpose tag,
+before its first experiment, when it selects ``gibbs`` or ``rn-check``,
+and passes it to both.  Its margin is the larger of the two experiments'
+needs, read from the model's probe points and ``budgets.gibbs_radii``
+alone, so each block is the same whether its experiment runs alone or
+with the other; both blocks name the set's size, margin, retries and
+steps.
+
 ``versions`` records the numpy version if and only if the config draws
 boundary sample sets (``ExperimentConfig.sample_sets``): only such a
 config loads numpy, and the rule reads the config alone, so reports stay
@@ -33,7 +41,7 @@ from fractions import Fraction
 from . import __version__ as _pkg_version
 from ._exact import _EPS
 from .classify import classify
-from .config import ExperimentConfig
+from .config import SAMPLE_SETS, ExperimentConfig
 from .errors import BudgetExceededError, HypwalkError
 from .green import ancona_check, green_decay_rate, green_table, harnack_constant
 from .groups import (
@@ -50,7 +58,14 @@ from .martin import (
     martin_kernel_at,
     ratio_invariant,
 )
-from .measure import Cylinder, gibbs_ratio, radon_nikodym_check
+from .measure import (
+    Cylinder,
+    SampleSet,
+    gibbs_margin,
+    gibbs_ratio,
+    radon_nikodym_check,
+    rn_check_margin,
+)
 from .walks import (
     require_valid,
     sample_path,
@@ -256,15 +271,33 @@ def _exp_hoelder(cfg: ExperimentConfig):
     return result, rep.holds(), (("head", "value", "lower", "upper"), csv_rows)
 
 
-def _exp_gibbs(cfg: ExperimentConfig):
-    walk = cfg.walk
+# The purpose tag of the run's one boundary sample set.
+_SAMPLE_PURPOSE = "boundary"
+
+
+def _rn_probe(model: GroupModel) -> tuple[GroupElement, Cylinder]:
+    """rn-check's element g and cylinder U."""
+    probes, points = _probe_points(model)
+    g = probes[0] if model.kind == FREE else model.word("s")
+    return g, Cylinder.around(points[1], 0)
+
+
+def _sample_set(cfg: ExperimentConfig) -> SampleSet:
+    """The run's boundary sample set, at the larger of the margins that
+    gibbs and rn-check need on this model, whichever of them is selected."""
     _, points = _probe_points(cfg.model)
-    rep = gibbs_ratio(
-        walk, points[0], cfg.budgets["gibbs_radii"],
-        n_samples=cfg.budgets["n_samples"],
-        patience=cfg.budgets["boundary_patience"],
-        max_steps=cfg.budgets["boundary_max_steps"],
+    margin = max(
+        gibbs_margin(points[0], cfg.budgets["gibbs_radii"]), rn_check_margin(*_rn_probe(cfg.model))
     )
+    return SampleSet.draw(
+        cfg.walk, cfg.budgets["n_samples"], margin, cfg.budgets["boundary_patience"],
+        cfg.budgets["boundary_max_steps"], _SAMPLE_PURPOSE,
+    )
+
+
+def _exp_gibbs(cfg: ExperimentConfig, samples: SampleSet):
+    _, points = _probe_points(cfg.model)
+    rep = gibbs_ratio(cfg.walk, points[0], cfg.budgets["gibbs_radii"], samples)
     ok = rep.ratio_min > 0 and all(math.isfinite(r.ratio) for r in rep.rows)
     result = {
         "base_point": str(points[0]),
@@ -279,21 +312,13 @@ def _exp_gibbs(cfg: ExperimentConfig):
     return result, ok, (header, csv_rows)
 
 
-def _exp_rn_check(cfg: ExperimentConfig):
-    walk = cfg.walk
-    probes, points = _probe_points(cfg.model)
-    g = probes[0] if cfg.model.kind == FREE else cfg.model.word("s")
-    cyl = Cylinder.around(points[1], 0)
-    rep = radon_nikodym_check(
-        walk, g, cyl,
-        n_samples=cfg.budgets["n_samples"],
-        patience=cfg.budgets["boundary_patience"],
-        max_steps=cfg.budgets["boundary_max_steps"],
-    )
+def _exp_rn_check(cfg: ExperimentConfig, samples: SampleSet):
+    g, cyl = _rn_probe(cfg.model)
+    rep = radon_nikodym_check(cfg.walk, g, cyl, samples)
     result = {
         "g": str(g),
-        "cylinder_base": str(points[1]),
-        "cylinder_radius": 0,
+        "cylinder_base": str(cyl.base),
+        "cylinder_radius": cyl.radius,
         **dataclasses.asdict(rep),
     }
     csv_rows = [(rep.pulled_mass, rep.pulled_half, rep.kernel_integral, rep.kernel_half)]
@@ -345,11 +370,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportB
     out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     validation = validate_walk(cfg.walk)
+    samples = _sample_set(cfg) if cfg.sample_sets else None
     results = {}
     verdicts = {}
     files = []
     for name in cfg.experiments:
-        result, passed, series = _EXPERIMENTS[name](cfg)
+        run = _EXPERIMENTS[name]
+        result, passed, series = run(cfg, samples) if name in SAMPLE_SETS else run(cfg)
         results[name] = _plain(result)
         verdicts[name] = "pass" if passed else "fail"
         if series is not None:

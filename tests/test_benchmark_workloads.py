@@ -40,10 +40,10 @@ GOLDEN = {
         "simulate.csv": "9cb0aa43392f02fb597ebb2cb3a5ebc8bac3cd1b073d895b3ec275077f58ac0a",
     },
     "f2-boundary": {
-        "results": "d58bfbb5ab0a7a73a9c1d1c8fd2bde27ec46641277f8bc55b0b216e1e12b573d",
+        "results": "c74283d933252a1cb565831b86183890a8483762333ee342e02a3d4b9ef9dd6e",
         "verdicts": "e625d389b8a99aefd1262e0eb3ebacd6f9f1c88f08ae21ac46df9f50dd11200a",
-        "gibbs.csv": "027ce5b9c718525473410719847f119cb713fa5d58bba0810d499ac0c309d224",
-        "rn_check.csv": "4cb4d6f1066c46ea7c2122ca6c42690379e64f07f54fb20fcbd25351eed1125f",
+        "gibbs.csv": "acd9bd29126e5b3935acab0f43a7a8c939d5e394b413e804cb51b306861ba7a6",
+        "rn_check.csv": "66f0c670b8ea69a66510827e101bd9d873c7288ebba592ed8529acc33e7d70de",
     },
     "z23-classify": {
         "results": "3ae16da5c23c3146a317d0391e09867e39181db477ed024bcb3f27d7fe1a75ca",
@@ -111,4 +111,7 @@ def test_traced_worker_runs(tmp_path, workload):
     res = json.loads(result.read_text())
     assert res["error"] is None and res["passed"]
     assert sorted(res["trace"]["absent"]) == ABSENT
+    if workload == "f2-boundary":
+        # gibbs and rn-check read one sample set, drawn once per run.
+        assert res["trace"]["spans"]["measure.sample_set"]["calls"] == 1
 

@@ -77,6 +77,64 @@ def test_product_boundary_experiments(tmp_path, orders):
     assert report["results"]["rn-check"]["n_samples"] == 2000
 
 
+@pytest.mark.parametrize(
+    "model, margin",
+    [
+        ({"kind": "free", "rank": 2}, 10),
+        ({"kind": "free_product", "orders": [2, 3]}, 10),
+        # gibbs needs margin 11 here and rn-check 10: the run draws at 11.
+        ({"kind": "free_product", "orders": [3, 7]}, 11),
+    ],
+    ids=["F_2", "Z2*Z3", "Z3*Z7"],
+)
+def test_sample_set_blocks_do_not_depend_on_the_other_experiment(tmp_path, model, margin):
+    # gibbs and rn-check read one set, whose margin comes from the model,
+    # not from the experiment list: each block and CSV is the same run
+    # alone or with the other, and both blocks describe the same set.
+    blocks = {}
+    for experiments in (["gibbs", "rn-check"], ["gibbs"], ["rn-check"]):
+        out = "+".join(experiments)
+        code, report, _ = _run(tmp_path, model, experiments, out=out,
+                               budgets={"n_samples": 3000})
+        assert code in (EXIT_OK, EXIT_VERIFICATION_FAILED)
+        for name in experiments:
+            csv = (tmp_path / out / f"{name.replace('-', '_')}.csv").read_bytes()
+            blocks[out, name] = (json.dumps(report["results"][name], sort_keys=True), csv)
+    for name in ("gibbs", "rn-check"):
+        assert blocks[name, name] == blocks["gibbs+rn-check", name]
+    gibbs = json.loads(blocks["gibbs+rn-check", "gibbs"][0])
+    rn = json.loads(blocks["gibbs+rn-check", "rn-check"][0])
+    for key in ("n_samples", "margin", "n_retries", "n_steps"):
+        assert gibbs[key] == rn[key]
+    assert gibbs["n_samples"] == 3000 and gibbs["margin"] == rn["kernel_depth"] == margin
+
+
+@pytest.mark.parametrize(
+    "experiments, draws",
+    [(["gibbs", "rn-check"], 1), (["rn-check", "rg", "gibbs"], 1), (["gibbs"], 1),
+     (["rn-check"], 1), (["rg", "martin", "simulate"], 0)],
+)
+def test_one_sample_set_per_run(tmp_path, monkeypatch, experiments, draws):
+    from hypwalk import measure
+
+    calls = []
+    draw = measure.boundary_sample_set
+
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(measure, "boundary_sample_set", counting)
+    cfg = parse_config({
+        "schema_version": 1, "model": {"kind": "free", "rank": 2},
+        "walk": {"support": "uniform", "seed": 1}, "experiments": experiments,
+        "budgets": {"n_samples": 2000, "gibbs_radii": [1, 2, 3, 4]},
+    })
+    bundle = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    assert set(bundle.report["verdicts"].values()) == {"pass"}
+    assert len(calls) == draws
+
+
 def test_green_small_radius_budget(tmp_path):
     code, report, _ = _run(
         tmp_path, {"kind": "free", "rank": 2}, ["green"], budgets={"max_radius": 3}
@@ -315,6 +373,22 @@ def test_too_few_samples_is_a_config_error(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG and report is None
     assert "budgets.n_samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiments, repeated", [(["rg", "rg", "martin"], "rg"), (["gibbs", "classify", "gibbs"], "gibbs")]
+)
+def test_repeated_experiment_is_a_config_error(tmp_path, capsys, experiments, repeated):
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 2}, experiments)
+    assert code == EXIT_CONFIG and report is None
+    assert not (tmp_path / "out").exists()
+    assert f"experiment {repeated!r} is listed twice" in capsys.readouterr().err
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["classify"],
+        args=("--subcommands", ",".join(experiments)),
+    )
+    assert code == EXIT_CONFIG and report is None
+    assert f"experiment {repeated!r} is listed twice" in capsys.readouterr().err
 
 
 def test_failed_verification_exit_code(tmp_path):

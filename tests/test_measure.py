@@ -9,6 +9,7 @@ from hypwalk import (
     BoundaryPoint,
     Cylinder,
     GroupModel,
+    SampleSet,
     gromov_product,
     cylinder_membership,
     estimate_measure,
@@ -20,11 +21,13 @@ from hypwalk import (
 from hypwalk.errors import ValidationError
 from hypwalk.measure import (
     _heads,
-    _measure_from_prefixes,
     _prefix_membership,
     _rn_samples,
     _translated_membership,
     boundary_sample_set,
+    gibbs_margin,
+    measure_margin,
+    rn_check_margin,
 )
 
 from oracles import (
@@ -41,6 +44,16 @@ from oracles import (
 
 def cone(point, radius=0):
     return Cylinder.around(point, radius)
+
+
+def draw(walk, n, margin, purpose):
+    return SampleSet.draw(walk, n, margin, 20, 20_000, purpose)
+
+
+@pytest.fixture(scope="module")
+def shared_f2(walk_f2):
+    """40,000 samples of margin 10, as deep as every F_2 reader below needs."""
+    return draw(walk_f2, 40_000, 10, "unit-shared")
 
 
 class TestMembership:
@@ -128,46 +141,42 @@ class TestExactMembership:
 
 
 class TestEstimateMeasure:
-    N = 40_000
-
-    def test_first_letter_cones(self, walk_f2, f2):
+    def test_first_letter_cones(self, walk_f2, f2, shared_f2):
         xi = BoundaryPoint.periodic(f2.word("a"))
-        est = estimate_measure(walk_f2, cone(xi), self.N, purpose="unit-shared")
+        est = estimate_measure(walk_f2, cone(xi), shared_f2)
         assert abs(est.value - 0.25) <= est.half_width
         assert est.half_width == pytest.approx(
             3 * np.sqrt(est.value * (1 - est.value) / est.n_samples)
         )
 
-    def test_cones_partition(self, walk_f2, f2):
+    def test_cones_partition(self, walk_f2, f2, shared_f2):
         total = 0.0
         for w in ("a", "A", "b", "B"):
             xi = BoundaryPoint.periodic(f2.word(w))
-            est = estimate_measure(walk_f2, cone(xi), self.N, purpose="unit-shared")
+            est = estimate_measure(walk_f2, cone(xi), shared_f2)
             total += est.value
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_depth_two_cylinder(self, walk_f2, f2):
+    def test_depth_two_cylinder(self, walk_f2, f2, shared_f2):
         # nu(U(aaa..., 2)) = cone measure at depth 3 for the tree.
         xi = BoundaryPoint.periodic(f2.word("a"))
-        est = estimate_measure(walk_f2, Cylinder.around(xi, 2), self.N, purpose="unit-shared")
+        est = estimate_measure(walk_f2, Cylinder.around(xi, 2), shared_f2)
         target = cone_measure(2, 3)
         assert abs(est.value - target) <= est.half_width
 
     def test_monotone_in_radius(self, walk_f2, f2):
         xi = BoundaryPoint.periodic(f2.word("a"))
-        prefixes, _, _ = boundary_sample_set(walk_f2, 20_000, 10, 20, 20_000, "unit-mono")
+        samples = draw(walk_f2, 20_000, 10, "unit-mono")
         values = []
         for R in (0, 1, 2, 3):
-            est = _measure_from_prefixes(
-                prefixes, Cylinder.around(xi, R), f2, "unit-mono", walk_f2.seed, 0
-            )
+            est = estimate_measure(walk_f2, Cylinder.around(xi, R), samples)
             values.append(est.value)
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_deterministic(self, walk_f2, f2):
         xi = BoundaryPoint.periodic(f2.word("b"))
-        e1 = estimate_measure(walk_f2, cone(xi), 2000, purpose="unit-det")
-        e2 = estimate_measure(walk_f2, cone(xi), 2000, purpose="unit-det")
+        e1 = estimate_measure(walk_f2, cone(xi), draw(walk_f2, 2000, 10, "unit-det"))
+        e2 = estimate_measure(walk_f2, cone(xi), draw(walk_f2, 2000, 10, "unit-det"))
         assert e1.value == e2.value
 
 
@@ -181,19 +190,20 @@ class TestExactConeMass:
     def test_asymmetric_f2(self, f2):
         walk = make_walk(f2, [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)], seed=11)
         F = free_first_passage(walk)
+        samples = draw(walk, 20_000, 10, "unit-cone-exact")
         for w in ("a", "A", "b", "B", "ab", "Ba", "bb", "AB", "abA", "BAb", "aaa", "bAB"):
             word = f2.word(w)
             xi = BoundaryPoint(head=word, cycle=f2.word(w[-1]))
             cyl = Cylinder.around(xi, len(w) - 1)
-            est = estimate_measure(walk, cyl, 20_000, purpose="unit-cone-exact")
+            est = estimate_measure(walk, cyl, samples)
             target = free_cone_mass(F, word.letters())
             assert abs(est.value - target) <= binomial_band(target, est.n_samples)
 
 
 class TestGibbs:
-    def test_f2_flat_quarter(self, walk_f2, f2):
+    def test_f2_flat_quarter(self, walk_f2, f2, shared_f2):
         xi = BoundaryPoint.periodic(f2.word("a"))
-        rep = gibbs_ratio(walk_f2, xi, [1, 2, 3, 4], 40_000, purpose="unit-shared")
+        rep = gibbs_ratio(walk_f2, xi, [1, 2, 3, 4], shared_f2)
         for row in rep.rows:
             assert row.ratio_lower <= 0.25 <= row.ratio_upper
             assert row.ratio > 0
@@ -201,7 +211,8 @@ class TestGibbs:
 
     def test_z23_envelope_finite(self, walk_z23, z23):
         xi = BoundaryPoint.periodic(z23.word("st"))
-        rep = gibbs_ratio(walk_z23, xi, [1, 2, 3], 20_000, purpose="unit-gibbs-z")
+        samples = draw(walk_z23, 20_000, gibbs_margin(xi, [1, 2, 3]), "unit-gibbs-z")
+        rep = gibbs_ratio(walk_z23, xi, [1, 2, 3], samples)
         assert np.isfinite(rep.ratio_max) and rep.ratio_min > 0
 
     @pytest.mark.parametrize("orders, axis", [((2, 5), "tts"), ((3, 7), "tttS")])
@@ -212,40 +223,35 @@ class TestGibbs:
         walk = uniform_walk(model, seed=4)
         xi = BoundaryPoint.periodic(model.word(axis))
         radii = [1, 2, 3, 5]
-        rep = gibbs_ratio(walk, xi, radii, 3000, purpose="unit-gibbs-rows")
-        margin = max(10, Cylinder.around(xi, max(radii)).depth + 2)
-        prefixes, retries, _ = boundary_sample_set(walk, 3000, margin, 20, 20_000, "unit-gibbs-rows")
+        samples = draw(walk, 3000, gibbs_margin(xi, radii), "unit-gibbs-rows")
+        rep = gibbs_ratio(walk, xi, radii, samples)
         values = []
         for R, row in zip(radii, rep.rows):
-            est = _measure_from_prefixes(
-                prefixes, Cylinder.around(xi, R), model, "unit-gibbs-rows", walk.seed, retries
-            )
+            est = estimate_measure(walk, Cylinder.around(xi, R), samples)
             assert (row.nu, row.nu_half) == (est.value, est.half_width)
             values.append(est.value)
         assert values[0] > values[-1] > 0
 
-    def test_radius_validation(self, walk_f2, f2):
+    def test_radius_validation(self, walk_f2, f2, shared_f2):
         xi = BoundaryPoint.periodic(f2.word("a"))
         with pytest.raises(ValidationError):
-            gibbs_ratio(walk_f2, xi, [0, 1], 1000)
+            gibbs_ratio(walk_f2, xi, [0, 1], shared_f2)
 
 
 class TestRadonNikodym:
-    def test_identity_element(self, walk_f2, f2):
+    def test_identity_element(self, walk_f2, f2, shared_f2):
         xi = BoundaryPoint.periodic(f2.word("b"))
-        rep = radon_nikodym_check(
-            walk_f2, f2.identity(), cone(xi), 40_000, purpose="unit-shared"
-        )
+        rep = radon_nikodym_check(walk_f2, f2.identity(), cone(xi), shared_f2)
         assert rep.pulled_mass == rep.kernel_integral == pytest.approx(
             rep.pulled_mass
         )
         assert rep.agree
 
-    def test_pull_into_smaller_cone(self, walk_f2, f2):
+    def test_pull_into_smaller_cone(self, walk_f2, f2, shared_f2):
         # g = a, U = cone(b): nu(a^-1 U) = nu(cone(ab-prefix)) = 1/12 and
         # the kernel integral is (1/3) nu(U).
         cyl = cone(BoundaryPoint.periodic(f2.word("b")))
-        rep = radon_nikodym_check(walk_f2, f2.word("a"), cyl, 40_000, purpose="unit-shared")
+        rep = radon_nikodym_check(walk_f2, f2.word("a"), cyl, shared_f2)
         assert rep.agree
         assert abs(rep.pulled_mass - 1 / 12) <= rep.pulled_half
         assert abs(rep.kernel_integral - 1 / 12) <= rep.kernel_half
@@ -256,21 +262,46 @@ class TestRadonNikodym:
     def test_too_few_samples(self, walk_f2, f2):
         with pytest.raises(ValidationError, match="at least 2 samples"):
             radon_nikodym_check(
-                walk_f2, f2.word("a"), cone(BoundaryPoint.periodic(f2.word("b"))), 1
+                walk_f2, f2.word("a"), cone(BoundaryPoint.periodic(f2.word("b"))),
+                draw(walk_f2, 1, 10, "unit-one"),
             )
 
-    def test_pull_into_larger_set(self, walk_f2, f2):
+    def test_pull_into_larger_set(self, walk_f2, f2, shared_f2):
         # g = a, U = cone(a): a^-1 U covers everything except cone(A...)
         # below depth 2; the kernel integral must match the pulled mass.
         rep = radon_nikodym_check(
-            walk_f2, f2.word("a"), cone(BoundaryPoint.periodic(f2.word("a"))),
-            40_000, purpose="unit-shared",
+            walk_f2, f2.word("a"), cone(BoundaryPoint.periodic(f2.word("a"))), shared_f2
         )
         assert rep.agree
         # brute cone decomposition: a^-1 cone(a) misses cone(AB), cone(Ab)
         # and cone(AA) at depth 2, keeping everything else.
         target = 1.0 - 3 * cone_measure(2, 2)
         assert abs(rep.pulled_mass - target) <= rep.pulled_half + 1e-3
+
+
+def test_a_set_one_letter_short_is_refused():
+    # Each reader names the margin it needs and refuses a shallower set.
+    # On uniform Z/3*Z/7 the run's gibbs needs 11 and rn-check 10.
+    model = GroupModel.free_product(3, 7)
+    walk = uniform_walk(model, seed=2)
+    xi = BoundaryPoint.periodic(model.word("st"))
+    g = model.word("s")
+    cyl = cone(BoundaryPoint.periodic(model.word("ts")))
+    radii = [1, 2, 3, 4, 5]
+    deep = Cylinder.around(xi, 5)
+    readers = {
+        "gibbs_ratio": (gibbs_margin(xi, radii), lambda s: gibbs_ratio(walk, xi, radii, s)),
+        "radon_nikodym_check": (rn_check_margin(g, cyl),
+                                lambda s: radon_nikodym_check(walk, g, cyl, s)),
+        "estimate_measure": (measure_margin(deep), lambda s: estimate_measure(walk, deep, s)),
+    }
+    assert {name: need for name, (need, _) in readers.items()} == {
+        "gibbs_ratio": 11, "radon_nikodym_check": 10, "estimate_measure": 11,
+    }
+    for name, (need, read) in readers.items():
+        assert read(draw(walk, 200, need, "unit-short")).n_samples == 200
+        with pytest.raises(ValidationError, match=f"{name} needs a sample set of margin {need}"):
+            read(draw(walk, 200, need - 1, "unit-short"))
 
 
 # Walks of the grouped-decision oracle test: model and weights (None: uniform).
@@ -308,11 +339,11 @@ class TestGroupedDecisions:
         walk, xi = case
         model = walk.model
         radii = [1, 2, 3]
-        rep = gibbs_ratio(walk, xi, radii, self.N, purpose="unit-grouped-gibbs")
         deepest = Cylinder.around(xi, 3)
-        margin = max(10, deepest.depth + 2)
+        samples = draw(walk, self.N, gibbs_margin(xi, radii), "unit-grouped-gibbs")
+        rep = gibbs_ratio(walk, xi, radii, samples)
         prefixes, retries, steps = boundary_sample_set(
-            walk, self.N, margin, 20, 20_000, "unit-grouped-gibbs"
+            walk, self.N, gibbs_margin(xi, radii), 20, 20_000, "unit-grouped-gibbs"
         )
         tuples = prefix_tuples(prefixes)
         hits = per_sample_gibbs_hits(tuples, xi, radii, model)
@@ -321,9 +352,7 @@ class TestGroupedDecisions:
         assert rep.n_steps == steps
         assert rep.n_heads == len({letters[: deepest.depth] for letters in tuples})
         for R in range(4):
-            est = _measure_from_prefixes(
-                prefixes, Cylinder.around(xi, R), model, "unit-grouped-gibbs", walk.seed, retries
-            )
+            est = estimate_measure(walk, Cylinder.around(xi, R), samples)
             assert est.value == per_sample_gibbs_hits(tuples, xi, [R], model)[0] / self.N
 
     def test_heads_match_tuple_counts(self, case):
