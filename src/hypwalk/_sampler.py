@@ -13,11 +13,14 @@ size; the rows still live once the first slab has thinned out finish
 together as the batch's tail.  Once per refill the cipher runs in tiles
 of rows, and integer thresholds turn its words straight into steps,
 exactly as ``searchsorted`` on their uniforms would.  The walks advance
-as rows of depth-major word stacks; a row that stops is masked and
-leaves at the next refill.  A batch comes back as arrays: a zero-padded
-int8 matrix of prefix letters, the prefix lengths and the step counts.
-Each stream's prefix and step count are the same whatever batch, slab
-or tile it runs in, and equal to a one-walk-at-a-time run.
+as the rows of one depth-major word stack, pushed through the walker's
+push table (``_streams._push_tables``), which spells F_N and Z/m*Z/n
+alike; a row that stops is masked and leaves at the next refill, its
+prefix kept as entry codes until the batch is done.  A batch comes back
+as arrays: a zero-padded int8 matrix of prefix letters, the prefix
+lengths and the step counts.  Each stream's prefix
+and step count are the same whatever batch, slab or tile it runs in,
+and equal to a one-walk-at-a-time run.
 
 numpy is the dependency of sample sets: this is the one module that
 imports it at load time.
@@ -29,9 +32,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._streams import MASK64, PHILOX_M, PHILOX_W, step_thresholds
+from ._streams import _APPEND, _REMOVE, MASK64, PHILOX_M, PHILOX_W, _push_tables, step_thresholds
 from .errors import ValidationError
-from .groups import FREE
 
 if TYPE_CHECKING:
     from .walks import WalkSpec
@@ -147,197 +149,119 @@ def _draw_steps(seed: int, keys: np.ndarray, thresholds: list, first_block: int,
     return idx.reshape(4 * n_blocks, len(keys))
 
 
-class _Stacks:
-    """Word stacks of many rows, depth-major: entry (i, r) of a stack array
-    is row r at depth i, so flat position i * rows + r addresses it.
+class _Tables:
+    """The push table of :func:`hypwalk._streams._push_tables` as arrays
+    for :class:`_Words`.  By key: the new code, the move of the last
+    entry (-1, 0 or 1), the first edited letter's position less the old
+    length, and the length change.  By code: the letter an entry spells,
+    and how many times."""
 
-    Letter i - 1 of a word sits in slot i; depth 0 is a sentinel.  ``end``
-    is the flat position of each row's last slot, and ``touch`` holds the
-    last step that edited each slot, in 16 bits when ``max_steps`` fits.
-    The arrays are refitted once per refill of draws, never per push:
-    rows that stopped leave, rows of other stacks of the same walk may
-    join, and the depth grows to fit the pushes to come.  ``idx`` holds
-    the (step, row) support indices of the refill's pushes; ``_FreeWords``
-    holds their letters ``x`` instead.
+    def __init__(self, letters: list[int], orders: tuple[int, ...]):
+        table, spell = _push_tables(letters, orders)
+        kind, new, self.grow, self.first = np.array(table, dtype=np.int64).T
+        self.new = new.astype(np.int16)
+        self.rise = (kind == _APPEND).astype(np.int64) - (kind == _REMOVE)
+        self.spell_letter = np.zeros(len(table), dtype=np.int8)
+        self.spell_count = np.zeros(len(table), dtype=np.int64)
+        for c, spelled in spell.items():
+            self.spell_letter[c], self.spell_count[c] = spelled[0], len(spelled)
+
+    def spell(self, codes: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+        """The first lengths[i] letters that row i of ``codes`` spells, as
+        the rows of an int8 matrix ``width`` wide padded with zeros.  Each
+        entry spells a letter at least, so the first lengths[i] entries of
+        a word, or all if there are fewer, spell them; code 0 spells
+        none."""
+        counts = self.spell_count.take(codes)
+        spelled = np.repeat(self.spell_letter.take(codes).reshape(-1), counts.reshape(-1))
+        totals = counts.sum(axis=1)
+        at = (np.cumsum(totals) - totals)[:, None] + np.arange(width)
+        # The zeros appended keep the last rows' windows inside the array.
+        block = np.append(spelled, np.zeros(width, dtype=np.int8)).take(at)
+        block[np.arange(width) >= lengths[:, None]] = 0
+        return block
+
+
+class _Words:
+    """Normal forms of many rows in one depth-major stack, pushed through
+    the table of :func:`hypwalk._streams._push_tables`, whose codes stand
+    for letters of the factors Z and syllables of the factors Z/m alike.
+
+    Entry (i, r) of ``code`` is the code of row r's entry i - 1, so flat
+    position i * rows + r addresses it; depth 0 holds the sentinel code 0.
+    ``top`` is the flat position of each row's last entry and ``end`` the
+    row's length in letters.  ``code`` is refitted once per refill of
+    draws, never per push: rows that stopped leave, rows of other stacks
+    of the same walk may join, and the depth grows to fit the pushes to
+    come.  ``idx`` holds the (step, row) support indices of the refill's
+    pushes.
     """
 
-    _arrays = ("touch",)
-    _positions = ("end",)
-
-    def __init__(self, rows: int, max_steps: int):
+    def __init__(self, tables: _Tables, rows: int):
+        self.tables = tables
         self.rows = rows
-        self.end = np.arange(rows)
-        self.touch = np.zeros((1, rows), dtype=np.int16 if max_steps < 1 << 15 else np.int32)
+        self.code = np.zeros((1, rows), dtype=np.int16)
+        self.top = np.arange(rows)
+        self.end = np.zeros(rows, dtype=np.int64)
         self._reindex()
 
     def _reindex(self) -> None:
-        """Refresh what depends on the layout: flat views, and in
-        subclasses tables in units of ``rows``."""
-        self.touch_flat = self.touch.reshape(-1)
+        """Refresh the flat view and the entry moves in units of ``rows``."""
+        self.code_flat = self.code.reshape(-1)
+        self.rise = self.tables.rise * self.rows
 
     def load(self, idx: np.ndarray) -> None:
         """Take the (step, row) support indices of the next pushes."""
         self.idx = idx
 
+    def push(self, t: int) -> np.ndarray:
+        """Right-multiply each row by its letter of loaded step t and return
+        the position of the first letter the push edited: the first of
+        the entry it appended, changed or removed."""
+        tables = self.tables
+        key = np.add(self.code_flat.take(self.top), self.idx[t], dtype=np.intp)
+        top = self.top + self.rise.take(key)
+        # The higher top is the new or changed entry's slot, or after a
+        # removal the slot it frees, which takes code 0.
+        self.code_flat[np.maximum(top, self.top)] = tables.new.take(key)
+        self.top = top
+        edited = self.end + tables.first.take(key)
+        self.end += tables.grow.take(key)
+        return edited
+
     def refit(self, keep: np.ndarray, steps: int, more=()) -> None:
-        """Keep the rows ``keep``, in that order, then for each (stacks,
+        """Keep the rows ``keep``, in that order, then for each (words,
         keep) pair of ``more`` those rows of those stacks, and make room
-        for ``steps`` more pushes: a push adds at most one letter."""
+        for ``steps`` more pushes: a push adds at most one entry."""
         parts = [(self, keep), *more]
-        depth = max(max(len(s.touch), int(s.end.max()) // s.rows + steps + 1) for s, _ in parts)
+        depth = max(max(len(w.code), int(w.top.max()) // w.rows + steps + 1) for w, _ in parts)
         rows = sum(len(k) for _, k in parts)
-        for name in self._arrays:
-            b = np.empty((depth, rows), dtype=getattr(self, name).dtype)
-            col = 0
-            for s, k in parts:
-                a = getattr(s, name)
-                # "clip" writes straight into ``out``; "raise" would buffer.
-                np.take(a, k, axis=1, out=b[:len(a), col:col + len(k)], mode="clip")
-                b[len(a):, col:col + len(k)] = 0
-                col += len(k)
-            setattr(self, name, b)
-        for name in self._positions:
-            depths = np.concatenate([getattr(s, name)[k] // s.rows for s, k in parts])
-            setattr(self, name, depths * rows + np.arange(rows))
-        self.rows = rows
+        code = np.empty((depth, rows), dtype=np.int16)
+        col = 0
+        for w, k in parts:
+            # "clip" writes straight into ``out``; "raise" would buffer.
+            np.take(w.code, k, axis=1, out=code[:len(w.code), col:col + len(k)], mode="clip")
+            code[len(w.code):, col:col + len(k)] = 0
+            col += len(k)
+        self.top = np.concatenate([w.top[k] // w.rows for w, k in parts]) * rows + np.arange(rows)
+        self.end = np.concatenate([w.end[k] for w, k in parts])
+        self.code, self.rows = code, rows
         self._reindex()
 
-
-class _FreeWords(_Stacks):
-    """Reduced words of F_N: ``word[i, r]`` is letter i - 1 of row r, a
-    signed letter id; the zero sentinel cancels no letter."""
-
-    _arrays = ("touch", "word")
-
-    def __init__(self, letters: np.ndarray, rows: int, max_steps: int):
-        self.letters = letters  # by support index
-        self.word = np.zeros((1, rows), dtype=np.int8)
-        super().__init__(rows, max_steps)
-
-    def _reindex(self) -> None:
-        super()._reindex()
-        self.word_flat = self.word.reshape(-1)
-
-    def load(self, idx: np.ndarray) -> None:
-        """Take the signed letters of the next pushes: one gather per
-        refill, in place of one per push."""
-        self.x = self.letters[idx]
-
-    def push(self, t: int, step: int) -> np.ndarray:
-        """Right-multiply each row by its letter of loaded step t, record
-        ``step`` in the slot the push edited and return that slot's flat
-        position: the new letter's, or the cancelled letter's."""
-        x = self.x[t]
-        top = self.end
-        back = (self.word_flat[top] == -x) * self.rows
-        nxt = top + self.rows
-        self.word_flat[nxt] = x  # past the end when the letter cancels
-        edited = nxt - back
-        self.end = edited - back
-        self.touch_flat[edited] = step
-        return edited
-
-    def prefixes(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The first lengths[i] letters of row rows[i], as the rows of an
-        int8 matrix padded with zeros."""
-        width = int(lengths.max())
-        block = self.word[1:width + 1, rows].T
-        if lengths.min() < width:
-            block[np.arange(width) >= lengths[:, None]] = 0
-        return block
-
-
-def _syllable_tables(letters: list[int], orders: tuple[int, int]):
-    """Push tables of Z/m*Z/n normal forms over support letters.
-
-    Syllable codes: 0 is the sentinel, of neither factor; then s^1 ..
-    s^(m-1), t^1 .. t^(n-1), each stored times len(letters) so that code
-    + support index is the table key.  Returns the rows (slot, code,
-    rise, first, grow), each per key: the new syllable's slot past the
-    last one (0 or 1), its stored code, the move of the last syllable
-    (-1, 0 or 1), the first edited letter's slot past the word's end
-    (1 - the old syllable's length) and the move of the end; and, by
-    stored code, the letter a syllable spells and how many times.
-    """
-    syllables = [(0, 0)] + [(lid, k) for lid in (1, 2) for k in range(1, orders[lid - 1])]
-    stored = {s: c * len(letters) for c, s in enumerate(syllables)}
-    spell_letter = np.zeros(max(stored.values()) + 1, dtype=np.int8)
-    spell_count = np.zeros(len(spell_letter), dtype=np.int64)
-    for lid, k in syllables[1:]:
-        order = orders[lid - 1]
-        spell_letter[stored[lid, k]] = (1 if k <= order - k else -1) * lid
-        spell_count[stored[lid, k]] = min(k, order - k)
-    rows = []
-    for lid, k in syllables:
-        for x in letters:
-            f, delta = abs(x), (1 if x > 0 else -1)
-            order = orders[f - 1]
-            same = lid == f
-            exp = (k + delta) % order if same else delta % order
-            old = min(k, order - k) if same else 0
-            rows.append((
-                not same, stored.get((f, exp), 0), (exp != 0) - same, 1 - old,
-                min(exp, order - exp) - old,
-            ))
-    return np.array(rows, dtype=np.int64).T, spell_letter, spell_count
-
-
-class _ProductWords(_Stacks):
-    """Normal forms of Z/m*Z/n: ``code[i, r]`` is syllable i - 1 of row r as
-    a code of its factor and exponent (see :func:`_syllable_tables`);
-    ``top`` is the flat position of each row's last syllable.  A push
-    reads the last syllable's code, adds the support index, and looks up
-    every move in the tables."""
-
-    _arrays = ("touch", "code")
-    _positions = ("end", "top")
-
-    def __init__(self, letters: np.ndarray, orders: tuple[int, int], rows: int, max_steps: int):
-        self.units, self.spell_letter, self.spell_count = _syllable_tables(letters.tolist(), orders)
-        self.code = np.zeros((1, rows), dtype=np.int16)
-        self.top = np.arange(rows)
-        super().__init__(rows, max_steps)
-
-    def _reindex(self) -> None:
-        super()._reindex()
-        self.code_flat = self.code.reshape(-1)
-        slot, self.new, rise, first, grow = self.units
-        self.slot, self.rise, self.first, self.grow = (a * self.rows for a in (slot, rise, first, grow))
-
-    def push(self, t: int, step: int) -> np.ndarray:
-        """Right-multiply each row by its letter of loaded step t, record
-        ``step`` in the first letter slot the push edited and return that
-        slot's flat position."""
-        key = self.code_flat[self.top] + self.idx[t]
-        self.code_flat[self.top + self.slot[key]] = self.new[key]
-        self.top = self.top + self.rise[key]
-        edited = self.end + self.first[key]
-        self.end = self.end + self.grow[key]
-        self.touch_flat[edited] = step
-        return edited
-
-    def prefixes(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The first lengths[i] letters of row rows[i], as the rows of an
-        int8 matrix padded with zeros.  Each syllable spells a letter at
-        least, so the first lengths[i] syllables spell them."""
-        width = int(lengths.max())
-        codes = self.code[1:width + 1, rows].T
-        counts = self.spell_count[codes]
-        spelled = np.repeat(self.spell_letter[codes].reshape(-1), counts.reshape(-1))
-        totals = counts.sum(axis=1)
-        at = (np.cumsum(totals) - totals)[:, None] + np.arange(width)
-        block = spelled[np.minimum(at, len(spelled) - 1)]
-        block[np.arange(width) >= lengths[:, None]] = 0
-        return block
+    def entries(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """The codes of the first ``width`` entries of each row of
+        ``rows``, as the rows of a matrix, fewer when the stack is less
+        deep; past a row's last entry they are stale."""
+        return self.code[1:width + 1, rows].T
 
 
 class _Slab:
-    """Rows in lockstep at step ``step``: their word stacks, and per row its
+    """Rows in lockstep at step ``step``: their word stack, and per row its
     stream key, its row in the batch, the tracked prefix length L and
     the last step that edited a letter below L.  ``keep`` lists the rows
     still live; they leave the others at the next refit."""
 
-    def __init__(self, words: _Stacks, keys: np.ndarray, batch_rows: np.ndarray, margin: int):
+    def __init__(self, words: _Words, keys: np.ndarray, batch_rows: np.ndarray, margin: int):
         self.words, self.keys, self.batch_rows = words, keys, batch_rows
         self.L = np.full(len(keys), margin)
         self.dirty = np.zeros(len(keys), dtype=np.int32)
@@ -373,23 +297,19 @@ class _Sampler:
             if len(ls) != 1:
                 raise ValidationError("boundary sampling needs a nearest-neighbour walk")
             letters.append(ls[0])
-        self.letters = np.array(letters, dtype=np.int8)
-        self.model = spec.model
+        self.tables = _Tables(letters, spec.model.orders)
         self.seed = spec.seed
         self.thresholds = [np.uint64(t) for t in step_thresholds(spec.probabilities())]
-        self.margin, self.patience, self.max_steps = margin, patience, max_steps
-        # Row i of the batch: its prefix letters, their count (-1 on a
-        # timeout) and the steps it used.
-        self.out = np.zeros((n_rows, margin), dtype=np.int8)
+        self.margin, self.patience = margin, patience
+        # Row i of the batch: the codes of its prefix's entries, spelled
+        # once the batch is done, the prefix length (-1 on a timeout) and
+        # the steps it used.
+        self.codes = np.zeros((n_rows, margin), dtype=np.int16)
         self.lengths = np.full(n_rows, -1)
         self.steps = np.full(n_rows, max_steps)
 
     def slab(self, keys: np.ndarray, batch_rows: np.ndarray) -> _Slab:
-        if self.model.kind == FREE:
-            words = _FreeWords(self.letters, len(keys), self.max_steps)
-        else:
-            words = _ProductWords(self.letters, self.model.orders, len(keys), self.max_steps)
-        return _Slab(words, keys, batch_rows, self.margin)
+        return _Slab(_Words(self.tables, len(keys)), keys, batch_rows, self.margin)
 
     def run(self, slab: _Slab, until: int, tail_rows: int) -> None:
         """Advance the slab's rows in lockstep up to step ``until``, or
@@ -398,12 +318,11 @@ class _Sampler:
         The first refill covers the 2 margin + patience steps before any
         promotion (rounded up to whole Philox blocks), later ones
         ``_REFILL_STEPS``: all slabs of a batch refill at the same steps,
-        so each can stop at the step where another did.  Prefix bounds
-        are flat positions in the stacks, moved by ``rows`` on a
-        promotion.  No row promotes before its word is 2 margin +
-        patience long, nor stops before step max(margin + patience, 2
-        margin) (see :func:`hypwalk.measure.boundary_sample_set`), so
-        neither check runs earlier.
+        so each can stop at the step where another did.  No row promotes
+        before its word is 2 margin + patience long, nor stops before step
+        max(margin + patience, 2 margin) (see
+        :func:`hypwalk.measure.boundary_sample_set`), so neither check
+        runs earlier.
         """
         margin, patience = self.margin, self.patience
         least, reach = max(margin + patience, 2 * margin), 2 * margin + patience
@@ -418,44 +337,51 @@ class _Sampler:
             keys = slab.keys[slab.keep]
             words.load(_draw_steps(self.seed, keys, self.thresholds, step // 4, -(-n // 4)))
             slab.refit(n)
-            rows, L, dirty = words.rows, slab.L, slab.dirty
-            at_L = L * rows + np.arange(rows)  # slot L: letters 0 .. L - 1 lie at or below it
-            stop_at = at_L + margin * rows  # the word reaches L + margin letters
-            promote_at = stop_at + patience * rows
-            stopped = np.zeros(rows, dtype=bool)
+            L, dirty = slab.L, slab.dirty
+            stop_at = L + margin  # the word reaches L + margin letters
+            promote_at = stop_at + patience
+            stopped = np.zeros(words.rows, dtype=bool)
             for t in range(n):
                 step += 1
-                edited = words.push(t, step)
-                np.putmask(dirty, edited <= at_L, step)
+                np.putmask(dirty, words.push(t) < L, step)
                 if step >= reach:
                     up = words.end >= promote_at
                     if up.any():
-                        # The new prefix letter's history folds into the max.
                         up = np.flatnonzero(up)
-                        dirty[up] = np.maximum(dirty[up], words.touch_flat[at_L[up] + rows])
                         L[up] += 1
-                        at_L[up] += rows
-                        stop_at[up] += rows
-                        promote_at[up] += rows
+                        stop_at[up] += 1
+                        promote_at[up] += 1
                 if step >= least:
                     done = (words.end >= stop_at) & (dirty <= step - patience)
                     if done.any():
                         done = np.flatnonzero(done)
-                        letters = words.prefixes(done, L[done])
-                        self.accept(slab.batch_rows[done], letters, L[done], step)
+                        lengths = L[done]
+                        codes = words.entries(done, int(lengths.max()))
+                        self.accept(slab.batch_rows[done], codes, lengths, step)
                         stop_at[done] = promote_at[done] = never
                         stopped[done] = True
             slab.step = step
             slab.keep = np.flatnonzero(~stopped)
 
-    def accept(self, batch_rows: np.ndarray, letters: np.ndarray, lengths: np.ndarray, step: int):
+    def accept(self, batch_rows: np.ndarray, codes: np.ndarray, lengths: np.ndarray, step: int):
         """Record the prefixes of batch rows that stopped at ``step``."""
-        width = letters.shape[1]
-        if width > self.out.shape[1]:
-            self.out = np.pad(self.out, ((0, 0), (0, width - self.out.shape[1])))
-        self.out[batch_rows, :width] = letters
+        width = codes.shape[1]
+        if width > self.codes.shape[1]:
+            self.codes = np.pad(self.codes, ((0, 0), (0, width - self.codes.shape[1])))
+        self.codes[batch_rows, :width] = codes
         self.lengths[batch_rows] = lengths
         self.steps[batch_rows] = step
+
+    def prefixes(self) -> np.ndarray:
+        """The batch's prefix letters, as the rows of an int8 matrix at
+        least ``margin`` wide padded with zeros, spelled in tiles of rows
+        so that the temporaries stay small."""
+        width = int(self.lengths.max(initial=self.margin))
+        out = np.empty((len(self.codes), width), dtype=np.int8)
+        for lo in range(0, len(out), _TILE):
+            rows = slice(lo, lo + _TILE)
+            out[rows] = self.tables.spell(self.codes[rows], self.lengths[rows], width)
+        return out
 
 
 def draw_boundary_prefixes(
@@ -484,4 +410,4 @@ def draw_boundary_prefixes(
             joined.append(tails.pop(0))
         head.refit(0, joined)
         sampler.run(head, max_steps, 0)
-    return sampler.out, sampler.lengths, sampler.steps
+    return sampler.prefixes(), sampler.lengths, sampler.steps

@@ -14,10 +14,11 @@ its lane, and each big-integer operation advances all pairs at once.
 
 The walker follows one stream at a time under the stopping rule of
 :func:`hypwalk.walks.sample_boundary_point`; the streams of a batch
-refill their draws together.  Each stream's prefix and step count equal
-those of the array sampler in ``_sampler``, which draws the large
-batches of boundary sample sets; this module serves single walks and
-small batches, and imports no numpy.
+refill their draws together.  The array sampler in ``_sampler``, which
+draws the large batches of boundary sample sets, pushes its words
+through the same table (:func:`_push_tables`) under the same rule, so
+each stream's prefix and step count are the same in both; this module
+serves single walks and small batches, and imports no numpy.
 """
 
 from __future__ import annotations
@@ -170,30 +171,27 @@ def _push_tables(letters: list[int], orders: tuple[int, ...]):
 
 
 class _Walk:
-    """One stream's walk: its normal form, the last step that edited each
-    letter position, the tracked prefix length L and the last step that
-    edited a letter below L."""
+    """One stream's walk: its normal form, the tracked prefix length L and
+    the last step that edited a letter below L."""
 
-    __slots__ = ("word", "length", "touch", "L", "dirty")
+    __slots__ = ("word", "length", "L", "dirty")
 
     def __init__(self, margin: int):
         self.word = [0]
         self.length = 0
-        self.touch = []
         self.L = margin
         self.dirty = 0
 
     def advance(self, table, indices, step: int, margin: int, patience: int) -> int:
         """Push the support indices drawn for steps step + 1, ...; return
         the step at which the prefix stabilizes, or 0 if none does."""
-        word, length, touch, L, dirty = self.word, self.length, self.touch, self.L, self.dirty
-        if len(touch) <= length + len(indices):  # a push edits at most the letter past the end
-            touch.extend([0] * (length + len(indices) + 1 - len(touch)))
+        word, length, L, dirty = self.word, self.length, self.L, self.dirty
         top = word[-1]
         for j in indices:
             step += 1
             kind, new, grow, first = table[top + j]
-            d = length + first
+            if length + first < L:
+                dirty = step
             if kind == _APPEND:
                 word.append(new)
             elif kind == _REPLACE:
@@ -202,13 +200,7 @@ class _Walk:
                 word.pop()
             top = word[-1]
             length += grow
-            touch[d] = step
-            if d < L:
-                dirty = step
             if length >= L + margin + patience:
-                # The new prefix letter's history folds into the max.
-                if touch[L] > dirty:
-                    dirty = touch[L]
                 L += 1
             if length >= L + margin and step - dirty >= patience:
                 self.L = L

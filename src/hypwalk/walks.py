@@ -228,8 +228,9 @@ def sample_boundary_prefixes(
     lockstep in slabs of bounded size (see :mod:`hypwalk._sampler`).  A
     refill turns the Philox words of the next steps of every row into
     support indices by integer thresholds, and the rows' words advance
-    together in depth-major stacks; rows that stop are masked and leave
-    at the next refill.
+    together in one depth-major stack, through the push table of the
+    walker of :func:`sample_boundary_point` on every model; rows that
+    stop are masked and leave at the next refill.
     """
     if margin < 1 or patience < 1:
         raise ValueError("margin and patience must be positive")
@@ -264,6 +265,25 @@ def sample_boundary_point(
     The walk runs in plain Python (see :mod:`hypwalk._streams`), with the
     prefix and step count :func:`sample_boundary_prefixes` gives the
     stream.
+
+    A promotion needs no record of the letter that joins the prefix:
+    raising the last prefix edit u, on promoting L = p at step P, to the
+    last step that edited letter p would never raise it.  A push changes
+    the word's last entry (a letter of a factor Z, a syllable of a
+    factor Z/m), appends one or removes it, and edits that entry's first
+    letter; it edits the prefix when that letter lies below L.  Say the
+    push of a step s in (u, P] edited letter p, removing its entry or
+    not.  After step u every entry of the word starts at or below the
+    letter that step edited, which lies below L; as L only grows, a
+    later push that changed one of them would edit the prefix.  So every
+    later push edits a letter at or past the length n_u after step u
+    (0 if u = 0), and p >= n_u.  At P the length is at least p + margin
+    + patience and it moves by at most one letter per step, so P - u >=
+    margin + patience.  At step P - 1 the word was then at least
+    p + margin long with L = p, and the prefix had been untouched for
+    P - 1 - u >= patience steps (margin >= 1): the walk stopped there
+    and never reached P.  By induction over the promotions, a rule with
+    that raise keeps the same u and stops at the same step.
     """
     if margin < 1 or patience < 1:
         raise ValueError("margin and patience must be positive")

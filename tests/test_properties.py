@@ -36,6 +36,11 @@ MODELS = [GroupModel.free(n) for n in (2, 3, 4)] + [
     GroupModel.free_product(m, n) for m in range(2, 8) for n in range(m, 8) if (m, n) != (2, 2)
 ]
 WIDE_MODELS = [GroupModel.free(n) for n in range(2, 7)] + [m for m in MODELS if m.kind != "free"]
+# Syllables far longer than a margin of 1 to 3 letters: one syllable can
+# then hold the letter that joins the prefix and the whole margin past
+# it, the case that ``hypwalk.walks.sample_boundary_point``'s proof that
+# the oracle's promotion fold never acts must not miss.
+LONG_SYLLABLE_MODELS = [GroupModel.free_product(*orders) for orders in ((2, 41), (3, 60), (7, 120))]
 
 
 @st.composite
@@ -233,17 +238,24 @@ def test_quotient_intervals_hold_their_float_ratios(walk):
         assert lo <= math.log(rv.value) / base <= hi
 
 
-@PROPERTY_SETTINGS
-@given(walks(models=st.sampled_from(WIDE_MODELS)), st.integers(1, 12), st.integers(1, 20), st.data())
-def test_batched_sampler_matches_scalar_oracle(walk, margin, patience, data):
+@settings(PROPERTY_SETTINGS, max_examples=80)
+@given(
+    st.tuples(walks(models=st.sampled_from(WIDE_MODELS)), st.integers(1, 12))
+    | st.tuples(walks(models=st.sampled_from(LONG_SYLLABLE_MODELS)), st.integers(1, 3)),
+    st.integers(1, 20),
+    st.data(),
+)
+def test_batched_sampler_matches_scalar_oracle(walk_margin, patience, data):
     # The array sampler of sample sets and the plain-Python walker of
     # single walks and small batches both give the oracle's prefix, or
-    # timeout, and step count on every stream.  The step budget ends
+    # timeout, and step count on every stream; the oracle keeps the
+    # promotion fold that both samplers leave out.  The step budget ends
     # inside a refill of draws, whatever the refills' lengths: each starts
     # at a Philox block boundary, a multiple of 4 steps, and the budget is
     # not one.  The range spans the first refill, which covers the
     # 2 margin + patience steps before any promotion, and later ones of
     # both samplers (four of the array sampler's ``_REFILL_STEPS``).
+    walk, margin = walk_margin
     first = -(-(2 * margin + patience) // 4) * 4
     budget = data.draw(
         st.integers(max(margin + patience, 2 * margin), first + 4 * _sampler._REFILL_STEPS).filter(

@@ -22,12 +22,7 @@ from hypwalk import (
 from hypwalk import _sampler
 from hypwalk.errors import BoundaryTimeout, ValidationError
 from hypwalk.measure import boundary_sample_set
-from hypwalk._sampler import (
-    _FreeWords,
-    _philox_blocks,
-    _ProductWords,
-    _step_indices,
-)
+from hypwalk._sampler import _philox_blocks, _step_indices, _Tables, _Words
 from hypwalk._streams import boundary_prefixes, philox_words, step_thresholds
 from hypwalk.walks import sample_boundary_prefixes
 
@@ -315,21 +310,26 @@ class TestBatchedSampler:
         assert 0 < timeouts < len(batch)
         assert all(steps == max_steps for letters, steps in batch if letters is None)
 
-    @pytest.mark.parametrize("orders", [None, (2, 3), (3, 7)])
-    def test_word_stacks_from_width_one(self, orders):
-        # Random letters pushed into stacks one slot deep, refitted before
+    @pytest.mark.parametrize(
+        "model",
+        [GroupModel.free(2), GroupModel.free(3), GroupModel.free_product(2, 3),
+         GroupModel.free_product(3, 7)],
+        ids=str,
+    )
+    def test_word_stacks_from_width_one(self, model):
+        # Random letters pushed into stacks one entry deep, refitted before
         # each refill of 1 to 16 pushes, which must grow them; each row
-        # equals the group's normal form of its letters, every push records
-        # its step in the slot it returns, and that slot holds a letter at
-        # most the first that changed.  Kept rows survive a refit intact,
-        # also when rows of other stacks join them.
-        model = GroupModel.free(2) if orders is None else GroupModel.free_product(*orders)
+        # equals the group's normal form of its letters, and every push
+        # returns a letter position at most the first that changed.  Kept
+        # rows survive a refit intact, also when rows of other stacks join
+        # them.
         alphabet = np.array([g.letters()[0] for g in model.generators()], dtype=np.int8)
+        tables = _Tables(alphabet.tolist(), model.orders)
 
-        def stacks(rows):
-            if orders is None:
-                return _FreeWords(alphabet, rows, 20_000)
-            return _ProductWords(alphabet, orders, rows, 20_000)
+        def spelled(words, rows):
+            lengths = words.end[rows]
+            width = int(lengths.max())
+            return prefix_tuples(tables.spell(words.entries(rows, width), lengths, width))
 
         def push_all(words, pushes, check=False):
             before = [()] * words.rows
@@ -340,33 +340,29 @@ class TestBatchedSampler:
                 words.load(refill)
                 for t in range(len(refill)):
                     step += 1
-                    edited = words.push(t, step)
+                    edited = words.push(t)
                     for r in range(words.rows):
                         after = model.from_letters(alphabet[pushes[:step, r]].tolist()).letters()
                         if check:
-                            assert words.end[r] // words.rows == len(after)
-                            got = words.prefixes(np.array([r]), np.array([len(after)]))
-                            assert prefix_tuples(got) == [after]
-                            assert edited[r] % words.rows == r and words.touch_flat[edited[r]] == step
+                            assert words.end[r] == len(after)
+                            assert spelled(words, np.array([r])) == [after]
                             same = 0
                             while same < min(len(before[r]), len(after)) and before[r][same] == after[same]:
                                 same += 1
-                            assert edited[r] // words.rows - 1 <= same
+                            assert edited[r] <= same
                         before[r] = after
             return before
 
-        words = stacks(3)
-        assert words.touch.shape == (1, 3) and words.touch.dtype == np.int16
+        words = _Words(tables, 3)
+        assert words.code.shape == (1, 3)
         rng = np.random.default_rng(5)
         before = push_all(words, rng.integers(len(alphabet), size=(120, 3)).astype(np.uint8), check=True)
-        assert words.touch.shape[0] > 1
-        other = stacks(4)
+        assert words.code.shape[0] > 1
+        other = _Words(tables, 4)
         joined = push_all(other, rng.integers(len(alphabet), size=(50, 4)).astype(np.uint8))
         words.refit(np.array([2, 0]), 1, [(other, np.array([3, 1]))])
         assert words.rows == 4
-        assert prefix_tuples(words.prefixes(np.arange(4), words.end // 4)) == [
-            before[2], before[0], joined[3], joined[1],
-        ]
+        assert spelled(words, np.arange(4)) == [before[2], before[0], joined[3], joined[1]]
 
     @pytest.mark.parametrize("name", ["f2", "f3", "z23", "z25", "z37"])
     def test_no_stream_stops_before_the_least_step(self, name):
