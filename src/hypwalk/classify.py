@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import record, replace
 from .errors import ValidationError
 from .groups import FREE, GroupElement, GroupModel
 from .martin import RatioValue, ratio_invariant
@@ -122,7 +122,7 @@ def _log_enclosure(rv: RatioValue) -> tuple[Fraction, Fraction]:
     return Fraction(lo), Fraction(hi)
 
 
-@dataclass(frozen=True)
+@record
 class RatioSetReport:
     """The generator values of the ratio set and its certified type.
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
+from ._record import record
 from .errors import ConfigError, ValidationError
 from .groups import FREE, FREE_PRODUCT, GroupModel
 from .walks import WalkSpec, make_walk, uniform_walk, validate_walk
@@ -55,14 +55,14 @@ _BUDGET_DEFAULTS = {
     "gibbs_radii": [1, 2, 3, 4, 5],
 }
 
-@dataclass(frozen=True)
+@record(hide=("raw",))
 class ExperimentConfig:
     model: GroupModel
     walk: WalkSpec
     budgets: dict
     experiments: tuple[str, ...]
     output_dir: str
-    raw: dict = field(repr=False)
+    raw: dict
 
     def echo(self) -> dict:
         return self.raw

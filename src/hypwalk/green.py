@@ -21,17 +21,17 @@ one-syllable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from . import _exact
+from ._record import record
 from .errors import SolverError, ValidationError
 from .groups import GroupElement, words_by_length
 from .walks import WalkSpec, require_valid, reversed_walk
 
 
-@dataclass(frozen=True)
+@record
 class GreenEstimate:
     """A Green-type value with a certified enclosure.
 
@@ -233,7 +233,7 @@ def last_exit(
 Triple = tuple[GroupElement, GroupElement, GroupElement]
 
 
-@dataclass(frozen=True)
+@record
 class AnconaReport:
     """The Ancona constant: the largest rho = G(x,y) / (F(x,v) G(v,y)) over
     x, y and v on a geodesic from x to y, with its enclosure.

@@ -14,11 +14,11 @@ tests' restricted-ball oracles only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from ._record import record, setfield
 from .errors import BudgetExceededError, ModelMismatchError
 
 if TYPE_CHECKING:
@@ -34,7 +34,7 @@ _MAX_ORDER = 120
 _MAX_RANK = 26
 
 
-@dataclass(frozen=True)
+@record
 class GroupModel:
     """A free product of cyclic groups with a fixed symmetric alphabet.
 
@@ -48,14 +48,24 @@ class GroupModel:
 
     orders: tuple[int, ...]
 
-    def __post_init__(self):
-        orders = self.orders
+    # Hashed and compared on every cache lookup: written out, see _record.
+
+    def __init__(self, orders: tuple[int, ...]):
+        setfield(self, "orders", orders)
         if not any(orders):
             if not 2 <= len(orders) <= _MAX_RANK:
                 raise ValueError(f"free rank must be in [2, {_MAX_RANK}], got {len(orders)}")
         elif len(orders) != 2 or min(orders) < 2 or orders == (2, 2) or max(orders) > _MAX_ORDER:
             raise ValueError(f"free product orders must be two in [2, {_MAX_ORDER}], not (2, 2): "
                              f"got {orders}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.orders,) == (other.orders,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.orders,))
 
     @staticmethod
     def free(rank: int) -> "GroupModel":
@@ -164,7 +174,7 @@ def _same_model(a: "GroupElement", b: "GroupElement") -> None:
         raise ModelMismatchError(f"mixed models: {a.model} vs {b.model}")
 
 
-@dataclass(frozen=True)
+@record
 class GroupElement:
     """A group element held in normal form.
 
@@ -175,6 +185,20 @@ class GroupElement:
 
     model: GroupModel
     syllables: tuple[tuple[int, int], ...]
+
+    # The most built, hashed and compared object: written out, see _record.
+
+    def __init__(self, model: GroupModel, syllables: tuple[tuple[int, int], ...]):
+        setfield(self, "model", model)
+        setfield(self, "syllables", syllables)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.model, self.syllables) == (other.model, other.syllables)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.model, self.syllables))
 
     # -- algebra -----------------------------------------------------------
 
@@ -313,7 +337,7 @@ def gromov_product(x: GroupElement, y: GroupElement, base: GroupElement | None =
     return Fraction(dxz + dyz - dxy, 2)
 
 
-@dataclass(frozen=True)
+@record
 class GeodesicSegment:
     """An explicit geodesic: vertices at unit steps with d(x_i, x_j) = |i-j|."""
 

@@ -12,18 +12,18 @@ exact as well: one product evaluation just past the first differing letter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import _exact
+from ._record import record
 from .errors import ValidationError
 from .green import GreenEstimate
 from .groups import GroupElement, GroupModel, gromov_product
 from .walks import WalkSpec, require_valid
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryPoint:
     """A boundary point given by an eventually periodic geodesic ray.
 
@@ -145,7 +145,7 @@ def martin_kernel_at(walk: WalkSpec, g: GroupElement, y: GroupElement) -> GreenE
     return GreenEstimate(*_exact.kernel(walk, g, y))
 
 
-@dataclass(frozen=True)
+@record
 class MartinEstimate:
     """Kernel value along a ray, with its enclosure and evaluation depth.
 
@@ -179,7 +179,7 @@ def martin_kernel(
 # the ratio invariant
 
 
-@dataclass(frozen=True)
+@record
 class RatioValue:
     """r(g) = lim F(e, g^(n+1)) / F(e, g^n) with its enclosure.
 
@@ -208,7 +208,7 @@ def ratio_invariant(walk: WalkSpec, g: GroupElement) -> RatioValue:
 # the kernel over departure cones
 
 
-@dataclass(frozen=True)
+@record
 class HoelderReport:
     """K(g, .) as a finite table over the departure cones of g.
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 import zlib
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
+from ._record import record
 from .errors import BoundaryTimeout, IndeterminateMembership, ValidationError
 from .green import first_passage
 from .groups import GroupElement, GroupModel
@@ -39,7 +39,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@record
 class Cylinder:
     """The boundary cylinder U(xi, R): points whose rays have limiting
     Gromov product with xi's ray above R.
@@ -165,7 +165,7 @@ def boundary_sample_set(
     return prefixes, retries, steps
 
 
-@dataclass(frozen=True)
+@record
 class SampleSet:
     """A drawn boundary sample set, as its readers take it.
 
@@ -240,7 +240,7 @@ def _prefix_membership(
     return _decide(*_ray_product(letters, cyl, model), cyl)
 
 
-@dataclass(frozen=True)
+@record
 class MeasureEstimate:
     """Monte Carlo cylinder mass with its 3-sigma binomial half-width."""
 
@@ -281,7 +281,7 @@ def estimate_measure(walk: WalkSpec, cyl: Cylinder, samples: SampleSet) -> Measu
 # measure-to-first-passage ratio series
 
 
-@dataclass(frozen=True)
+@record
 class GibbsRow:
     radius: int
     nu: float
@@ -294,7 +294,7 @@ class GibbsRow:
     ratio_upper: float
 
 
-@dataclass(frozen=True)
+@record
 class GibbsReport:
     """nu(U(xi, R)) / F(e, x(R)) over a radius list, with error bands.
 
@@ -383,7 +383,7 @@ def _translated_membership(
     return _prefix_membership(z.letters(), cyl, model)
 
 
-@dataclass(frozen=True)
+@record
 class RadonNikodymReport:
     """Two-sided change-of-variables comparison.
 

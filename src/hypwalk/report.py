@@ -29,17 +29,16 @@ deterministic in it.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 
 from . import __version__ as _pkg_version
 from ._exact import _EPS
+from ._record import fields, record
 from .classify import classify
 from .config import SAMPLE_SETS, ExperimentConfig
 from .errors import BudgetExceededError, HypwalkError
@@ -93,14 +92,9 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if kind is list or kind is tuple:
         return [_plain(x) for x in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, GroupElement):
-        return str(obj)
-    if isinstance(obj, GroupModel):
-        return str(obj)
-    if isinstance(obj, BoundaryPoint):
-        return str(obj)
+    names = fields(kind)
+    if names is not None:
+        return {name: _plain(getattr(obj, name)) for name in names}
     if isinstance(obj, Fraction):
         return float(obj)
     np = sys.modules.get("numpy")
@@ -301,7 +295,7 @@ def _exp_gibbs(cfg: ExperimentConfig, samples: SampleSet):
     ok = rep.ratio_min > 0 and all(math.isfinite(r.ratio) for r in rep.rows)
     result = {
         "base_point": str(points[0]),
-        **dataclasses.asdict(rep),
+        **_plain(rep),
         "envelope": rep.ratio_max / rep.ratio_min if rep.ratio_min > 0 else float("inf"),
     }
     csv_rows = [
@@ -319,7 +313,7 @@ def _exp_rn_check(cfg: ExperimentConfig, samples: SampleSet):
         "g": str(g),
         "cylinder_base": str(cyl.base),
         "cylinder_radius": cyl.radius,
-        **dataclasses.asdict(rep),
+        **_plain(rep),
     }
     csv_rows = [(rep.pulled_mass, rep.pulled_half, rep.kernel_integral, rep.kernel_half)]
     header = ("pulled_mass", "pulled_half", "kernel_integral", "kernel_half")
@@ -358,11 +352,21 @@ _EXPERIMENTS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class ReportBundle:
     report: dict
     passed: bool
     files: tuple[str, ...]
+
+
+def _utc_isoformat(ns: int) -> str:
+    """The instant ``ns`` nanoseconds after the epoch as
+    ``datetime.isoformat`` writes it in UTC, microseconds truncated:
+    ``YYYY-MM-DDTHH:MM:SS.ffffff+00:00``, without the fraction when it is
+    0.  ``time`` is loaded at start anyway; ``datetime`` is not."""
+    seconds, micros = divmod(ns // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportBundle:
@@ -396,7 +400,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportB
         versions["numpy"] = np.__version__
     report = {
         "schema_version": 1,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "generated_at": _utc_isoformat(time.time_ns()),
         "versions": versions,
         "config_echo": cfg.echo(),
         "model": {"kind": cfg.model.kind, "name": str(cfg.model)},

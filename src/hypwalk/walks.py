@@ -30,10 +30,10 @@ certified weighted Green function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
+from ._record import record
 from .errors import BoundaryTimeout, ValidationError
 from .groups import GroupElement, GroupModel
 
@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 _PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class WalkSpec:
     """A finitely supported step distribution on a group model."""
 
@@ -85,7 +85,7 @@ def reversed_walk(spec: WalkSpec) -> WalkSpec:
     return make_walk(spec.model, [(g.inverse(), p) for g, p in spec.support], spec.seed)
 
 
-@dataclass(frozen=True)
+@record
 class WalkValidation:
     probabilities_ok: bool
     nearest_neighbour: bool
@@ -153,7 +153,7 @@ def require_valid(spec: WalkSpec, nondegenerate: bool = True) -> WalkValidation:
 # sampling
 
 
-@dataclass(frozen=True)
+@record
 class PathSample:
     """A sampled trajectory x_0, ..., x_n.
 
@@ -197,7 +197,7 @@ def sample_path(
     return PathSample(start=start, positions=positions, step_indices=idx, stream=stream)
 
 
-@dataclass(frozen=True)
+@record
 class BoundarySample:
     """A stabilized geodesic-word prefix approximating the walk's limit point."""
 
@@ -312,7 +312,7 @@ def sample_boundary_point(
 # the spectral radius
 
 
-@dataclass(frozen=True)
+@record
 class SpectralRadiusEstimate:
     """Exact even-step return probabilities and a certified bracket of rho."""
 

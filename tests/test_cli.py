@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -14,6 +15,7 @@ from hypwalk import GroupElement, first_passage, run_experiment
 from hypwalk import _exact
 from hypwalk.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION_FAILED, main
 from hypwalk.config import parse_config
+from hypwalk.report import _utc_isoformat
 
 ASYM_F2 = [["a", 0.35], ["A", 0.15], ["b", 0.30], ["B", 0.20]]
 
@@ -489,13 +491,33 @@ def test_cli_import_leaves_out_scipy_stats():
     # import: the taboo and ball solves load them on first use, the sampler
     # loads with a config that samples, and the report records no scipy
     # version.  hypwalk._solver stays loaded: perfbench's tracer patches
-    # RestrictedSolver through it.
+    # RestrictedSolver through it.  The records compile no code, so
+    # dataclasses and the inspect it imports stay out, and the report's
+    # timestamp needs no datetime.
     code = (
         "import sys, hypwalk.cli\n"
         "print(*(m in sys.modules for m in ('scipy', 'scipy.stats', 'scipy.sparse',"
-        " 'hypwalk._solver', 'numpy')))"
+        " 'hypwalk._solver', 'numpy', 'dataclasses', 'inspect', 'datetime')))"
     )
-    assert _python(code) == ["False", "False", "False", "True", "False"]
+    assert _python(code) == ["False", "False", "False", "True", "False", "False", "False", "False"]
+
+
+@pytest.mark.parametrize(
+    "ns", [0, 999, 1_700_000_000_123_456_789, 1_700_000_000_000_000_999, 4_102_444_800_000_001_000]
+)
+def test_timestamp_reads_as_datetime_isoformat(ns):
+    seconds, micros = divmod(ns // 1000, 1_000_000)
+    stamp = datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=micros)
+    assert _utc_isoformat(ns) == stamp.isoformat()
+
+
+def test_report_is_stamped_now_in_utc(tmp_path):
+    before = datetime.now(timezone.utc)
+    code, report, _ = _run(tmp_path, {"kind": "free_product", "orders": [2, 3]}, ["classify"])
+    stamp = datetime.fromisoformat(report["generated_at"])
+    assert code == EXIT_OK
+    assert stamp.utcoffset().total_seconds() == 0
+    assert before - timedelta(seconds=1) <= stamp <= datetime.now(timezone.utc)
 
 
 EXACT_EXPERIMENTS = ["classify", "green", "martin", "rg", "hoelder", "ancona"]
@@ -508,18 +530,23 @@ MODELS_WITHOUT_NUMPY = pytest.mark.parametrize(
 )
 
 
+LEFT_OUT = ["False", "False", "False"]  # dataclasses, inspect, datetime
+
+
 def _main_loads(tmp_path, cfg, *args):
-    """Run ``cli.main`` on ``cfg`` in a fresh interpreter: its exit code
-    and whether numpy, ``_sampler`` and ``_streams`` were loaded."""
+    """Run ``cli.main`` on ``cfg`` in a fresh interpreter: its exit code,
+    whether numpy, ``_sampler`` and ``_streams`` were loaded, and whether
+    ``dataclasses``, ``inspect`` and ``datetime`` were."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     code = (
         "import sys\n"
         "from hypwalk.cli import main\n"
         "print(main(['--config', sys.argv[1], '--out', sys.argv[2], *sys.argv[3:]]))\n"
-        "print(*(m in sys.modules for m in ('numpy', 'hypwalk._sampler', 'hypwalk._streams')))"
+        "print(*(m in sys.modules for m in ('numpy', 'hypwalk._sampler', 'hypwalk._streams',"
+        " 'dataclasses', 'inspect', 'datetime')))"
     )
-    return _python(code, str(path), str(tmp_path / "out"), *args)[-4:]
+    return _python(code, str(path), str(tmp_path / "out"), *args)[-7:]
 
 
 @MODELS_WITHOUT_NUMPY
@@ -532,7 +559,7 @@ def test_exact_experiments_leave_out_numpy(tmp_path, model):
         "walk": {"support": "uniform", "seed": 1},
         "experiments": EXACT_EXPERIMENTS,
     }
-    assert _main_loads(tmp_path, cfg) == [str(EXIT_OK), "False", "False", "False"]
+    assert _main_loads(tmp_path, cfg) == [str(EXIT_OK), "False", "False", "False", *LEFT_OUT]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["verdicts"] == {name: "pass" for name in EXACT_EXPERIMENTS}
     assert report["versions"] == {"hypwalk": hypwalk.__version__}
@@ -549,11 +576,27 @@ def test_simulate_leaves_out_numpy(tmp_path, model):
         "walk": {"support": "uniform", "seed": 1},
         "experiments": ["simulate"],
     }
-    assert _main_loads(tmp_path, cfg) == [str(EXIT_OK), "False", "False", "True"]
+    assert _main_loads(tmp_path, cfg) == [str(EXIT_OK), "False", "False", "True", *LEFT_OUT]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["verdicts"] == {"simulate": "pass"}
     assert report["results"]["simulate"]["boundary_failures"] == 0
     assert report["versions"] == {"hypwalk": hypwalk.__version__}
+
+
+def test_sample_set_run_leaves_out_dataclasses(tmp_path):
+    # A run that draws a sample set loads numpy, and numpy itself imports
+    # inspect and datetime; hypwalk still loads no dataclasses.
+    cfg = {
+        "schema_version": 1,
+        "model": {"kind": "free", "rank": 2},
+        "walk": {"support": "uniform", "seed": 1},
+        "experiments": ["rn-check"],
+        "budgets": {"n_samples": 2000},
+    }
+    code, numpy, sampler, streams, dataclasses, *_ = _main_loads(tmp_path, cfg)
+    assert [code, numpy, sampler, streams, dataclasses] == [
+        str(EXIT_OK), "True", "True", "True", "False",
+    ]
 
 
 def test_subcommands_select_the_modules_loaded(tmp_path):
@@ -566,7 +609,7 @@ def test_subcommands_select_the_modules_loaded(tmp_path):
         "experiments": ["gibbs", "classify"],
     }
     assert _main_loads(tmp_path, cfg, "--subcommands", "classify") == [
-        str(EXIT_OK), "False", "False", "False",
+        str(EXIT_OK), "False", "False", "False", *LEFT_OUT,
     ]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["verdicts"] == {"classify": "pass"}
