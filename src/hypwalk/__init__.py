@@ -11,8 +11,6 @@ from .groups import (
     distance,
     geodesic,
     gromov_product,
-    multiply,
-    word_length,
     words_by_length,
 )
 from .walks import (
@@ -34,12 +32,10 @@ from .green import (
     GreenEstimate,
     ancona_check,
     first_passage,
-    first_passage_set,
     green,
     green_decay_rate,
     green_z,
     harnack_constant,
-    last_exit,
 )
 from .martin import (
     BoundaryPoint,

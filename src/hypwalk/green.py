@@ -1,34 +1,28 @@
-"""Green functions on the full group, first-passage and last-exit
-kernels, weighted Green functions, and the Ancona constant along
-geodesics.
+"""Green functions on the full group, first-passage kernels, weighted
+Green functions, and the Ancona constant along geodesics.
 
 Full-group values (``green``, ``green_z``, ``first_passage``) are exact
 products over syllables from the cut-vertex engine in ``_exact``, each
 with a certified enclosure of relative width near float rounding.
 ``green_table`` gives the same enclosures for a whole ball in one pass,
 one multiplication per word from its parent at the last cut vertex, with
-each word's name and length, as plain rows.  Taboo
-kernels (``first_passage_set``, ``last_exit``) solve the walk absorbed on
-the taboo set over a finite cut-closed domain, with the branches beyond
-it folded in as exact self-loops, so they carry enclosures of the same
-kind; numpy and scipy.sparse load with that solve, on its first call.  The
-Ancona constant is a maximum over the in-cycle triples of one cycle per
-factor, the Harnack constant reads n-step probabilities off the engine's
-power series, and the decay rate of G(e, .) is a maximum over the
-one-syllable values.
+each word's name and length, as plain rows.  The Ancona constant is a
+maximum over the in-cycle triples of one cycle per factor, the Harnack
+constant reads n-step probabilities off the engine's power series, and
+the decay rate of G(e, .) is a maximum over the one-syllable values.
+No function here imports numpy or scipy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 from . import _exact
 from ._record import record
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .groups import GroupElement, words_by_length
-from .walks import WalkSpec, require_valid, reversed_walk
+from .walks import WalkSpec, require_valid
 
 
 @record
@@ -36,8 +30,7 @@ class GreenEstimate:
     """A Green-type value with a certified enclosure.
 
     ``lower <= value <= upper``; the relative width is near float
-    rounding, or zero where the value is exact (a taboo point the walk
-    cannot reach first, or the start point itself).
+    rounding, or zero where the value is exact.
     """
 
     value: float
@@ -129,104 +122,6 @@ def green_table(walk: WalkSpec, radius: int) -> list[GreenRow]:
 
 
 # ---------------------------------------------------------------------------
-# taboo kernels on the cut-closed domain
-
-
-def first_passage_set(
-    walk: WalkSpec, lam: Iterable[GroupElement], x: GroupElement
-) -> dict[GroupElement, GreenEstimate]:
-    """First-passage distribution on a taboo set: y -> F(x, y; first hit of lam).
-
-    The walk is absorbed on lam over D_k, the elements with at most k
-    cut-vertex factors (``_exact.factors``: letters on F_N, syllables on
-    Z/m*Z/n), k the largest count over lam and x.  A step v -> vs that
-    leaves D_k enters a branch attached only at v, which the walk leaves
-    through v with probability F(e, s^-1): the step becomes a self-loop
-    at v of weight mu(s) F(e, s^-1).  Only states reachable from x
-    without hitting lam enter the sparse LU solve.
-
-    The absorbed chain is monotone in its loop weights, so the lower and
-    upper ends of the F enclosure give the bracket ends.  Each is widened
-    by the residual of its solve: the error of the solution is the
-    residual weighted by hitting probabilities, which are at most 1.
-    """
-    import numpy as np  # costly to import: loaded on first use
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    require_valid(walk, nondegenerate=False)
-    lam = list(dict.fromkeys(lam))
-    if not lam:
-        raise ValidationError("taboo set is empty")
-    if x in lam:
-        return {y: GreenEstimate(*[float(y == x)] * 3) for y in lam}
-    k = max(len(_exact.factors(g)) for g in [x, *lam])
-    taboo = {y: j for j, y in enumerate(lam)}
-    # per step s: mu(s) times the (value, lower, upper) ends of F(e, s^-1)
-    steps = [
-        (s, p, p * np.array(_exact.first_passage(walk, s.inverse()))) for s, p in walk.support
-    ]
-    states, index, loops = [x], {x: 0}, []
-    q_rows, q_cols, q_data, r_rows, r_cols, r_data = [], [], [], [], [], []
-    for i, v in enumerate(states):  # grows while it is walked: a BFS
-        loop = np.zeros(3)
-        for s, p, folded in steps:
-            w = v * s
-            if w in taboo:
-                r_rows.append(i)
-                r_cols.append(taboo[w])
-                r_data.append(p)
-            elif len(_exact.factors(w)) > k:
-                loop += folded
-            else:
-                if w not in index:
-                    index[w] = len(states)
-                    states.append(w)
-                q_rows.append(i)
-                q_cols.append(index[w])
-                q_data.append(-p)
-        loops.append(loop)
-    n = len(states)
-    R = sp.csr_matrix((r_data, (r_rows, r_cols)), shape=(n, len(lam)))
-    hit = np.diff(R.tocsc().indptr) > 0  # targets some reachable state steps into
-    source = np.zeros(n)
-    source[0] = 1.0
-    rounding = (len(steps) + 3) * np.finfo(float).eps  # first-order, per matrix row
-    brackets = []
-    for end, sign in ((0, 0.0), (1, -1.0), (2, 1.0)):
-        diag = [1.0 - loop[end] * (1.0 + sign * rounding) for loop in loops]
-        A = sp.csc_matrix(
-            (diag + q_data, (list(range(n)) + q_rows, list(range(n)) + q_cols)), shape=(n, n)
-        )
-        try:
-            u = spla.splu(A).solve(source, trans="T")  # expected visits from x
-        except RuntimeError as exc:
-            raise SolverError(f"taboo solve failed: {exc}") from exc
-        err = np.abs(source - A.T @ u).sum() + rounding * (abs(A).T @ np.abs(u)).sum()
-        brackets.append((R.T @ u) * (1.0 + sign * rounding) + sign * err)
-    value, lower, upper = brackets
-    out = {}
-    for j, y in enumerate(lam):
-        lo, hi = (max(float(lower[j]), 0.0), float(upper[j])) if hit[j] else (0.0, 0.0)
-        out[y] = GreenEstimate(min(max(float(value[j]), lo), hi), lo, hi)
-    return out
-
-
-def last_exit(
-    walk: WalkSpec, lam: Iterable[GroupElement] | None, x: GroupElement, y: GroupElement
-) -> GreenEstimate:
-    """Last-exit kernel L(x, y) relative to a taboo set containing x.
-
-    Computed through the reversed walk: L(x, y) equals the reversed-walk
-    first-passage probability from y to the set, at x.
-    """
-    lam = [x] if lam is None else list(lam)
-    if x not in lam:
-        raise ValidationError("last_exit needs x inside the taboo set")
-    return first_passage_set(reversed_walk(walk), lam, y)[x]
-
-
-# ---------------------------------------------------------------------------
 # multiplicativity along geodesics
 
 
@@ -281,22 +176,26 @@ def ancona_check(walk: WalkSpec) -> AnconaReport:
 # diagnostics used by invariants
 
 
-def harnack_constant(walk: WalkSpec, k_max: int = 10) -> float:
+# The most steps within which ``harnack_constant`` looks for every letter.
+_HARNACK_STEPS = 10
+
+
+def harnack_constant(walk: WalkSpec) -> float:
     """Harnack constant for unit-distance comparisons of superharmonic
     functions: max over letters s of 1 / max_{k <= K} p^(k)(e, s), with K
-    minimal so that every letter is reachable within K steps.
+    minimal so that every letter is reachable within K <= 10 steps.
 
     p^(k)(e, s) is coefficient k of G(e, e | z) F(e, s | z), from the
     exact engine's power series; K = 1 whenever the support is the
     alphabet, and then the value is 1 / min mu(s).
     """
     require_valid(walk)
-    series = _exact.step_probabilities(walk, walk.model.generators(), k_max)
-    for k in range(1, k_max + 1):
+    series = _exact.step_probabilities(walk, walk.model.generators(), _HARNACK_STEPS)
+    for k in range(1, _HARNACK_STEPS + 1):
         best = [max(p[1:k + 1]) for p in series]
         if all(v > 0 for v in best):
             return max(1.0 / v for v in best)
-    raise ValidationError(f"some generator unreachable within {k_max} steps")
+    raise ValidationError(f"some generator unreachable within {_HARNACK_STEPS} steps")
 
 
 def _root(x: float, n: int, toward: float) -> float:

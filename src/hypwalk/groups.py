@@ -7,13 +7,16 @@ groups F_N = Z * ... * Z of rank ``2 <= N <= 26`` and free products
 
 Elements are immutable normal-form words; the word metric, Gromov
 products, canonical geodesics, word lists by length and conjugacy
-representatives are all exact.  The packed balls at the end serve the
-tests' restricted-ball oracles only.
+representatives are all exact.  The indexed balls at the end serve the
+tests' restricted-ball oracles only; their words are pushed and spelled
+through the normal-form table that the boundary samplers share
+(``_streams._push_tables``).
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -314,14 +317,6 @@ def _merge_syllables(model, left, right):
 # spec-level operations
 
 
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def word_length(g: GroupElement) -> int:
-    return g.word_length()
-
-
 def distance(x: GroupElement, y: GroupElement) -> int:
     _same_model(x, y)
     return (x.inverse() * y).word_length()
@@ -374,17 +369,12 @@ def geodesic(x: GroupElement, y: GroupElement) -> GeodesicSegment:
 # word lists
 
 
-def words_by_length(
-    model: GroupModel, radius: int, per_sphere: int | None = None
-) -> list[GroupElement]:
+def words_by_length(model: GroupModel, radius: int) -> list[GroupElement]:
     """The elements of B(e, radius) in BFS order over ``model.generators()``.
 
-    Sphere k lists, for each kept word of sphere k - 1 in turn and each
+    Sphere k lists, for each word of sphere k - 1 in turn and each
     generator in canonical order, the products of length k not listed
-    yet.  With ``per_sphere`` = P only the first P words of each sphere
-    are kept, and sphere k is built from the kept part of sphere k - 1.
-    Every element has a child of its own, so that kept part is the first
-    P words of the full sphere.
+    yet.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -398,7 +388,7 @@ def words_by_length(
                 y = x * s
                 if y.word_length() == k:
                     seen.setdefault(y, None)
-        sphere = list(seen)[:per_sphere]
+        sphere = list(seen)
         words.extend(sphere)
     return words
 
@@ -422,111 +412,48 @@ def word_count(model: GroupModel, radius: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed words and ball enumeration: the engine of the ball oracles of the
-# tests (with ``_solver``); no package path builds a ball
-
-class _FreeCodec:
-    """Byte-per-letter packing for free groups: byte = (id << 1) | sign."""
-
-    def __init__(self, model: GroupModel):
-        self.letters = []
-        for lid in range(1, model.rank + 1):
-            self.letters.append((lid << 1))
-            self.letters.append((lid << 1) | 1)
-
-    @staticmethod
-    def push(word: bytes, byte: int) -> bytes:
-        if word and word[-1] == byte ^ 1:
-            return word[:-1]
-        return word + bytes((byte,))
-
-    @staticmethod
-    def byte_for_letter(letter: int) -> int:
-        return (abs(letter) << 1) | (1 if letter < 0 else 0)
-
-    @staticmethod
-    def letter_for_byte(byte: int) -> int:
-        lid = byte >> 1
-        return -lid if byte & 1 else lid
-
-    def pack(self, g: GroupElement) -> bytes:
-        return bytes(self.byte_for_letter(l) for l in g.letters())
-
-    def unpack(self, model: GroupModel, word: bytes) -> GroupElement:
-        return model.from_letters(self.letter_for_byte(b) for b in word)
-
-
-class _ProductCodec:
-    """Byte-per-syllable packing for free products: byte = (fid << 7) | exp."""
-
-    def __init__(self, model: GroupModel):
-        self.orders = model.orders
-        self.letters = []
-        for lid in (1, 2):
-            order = self.orders[lid - 1]
-            self.letters.append(self.byte_step(lid, +1))
-            if order != 2:
-                self.letters.append(self.byte_step(lid, -1))
-
-    @staticmethod
-    def byte_step(lid: int, direction: int) -> int:
-        # Encoded as a (factor, +-1 step) pair squeezed into one int.
-        return ((lid - 1) << 1) | (0 if direction > 0 else 1)
-
-    def push(self, word: bytes, step: int) -> bytes:
-        fid = step >> 1
-        delta = -1 if step & 1 else 1
-        order = self.orders[fid]
-        if word and (word[-1] >> 7) == fid:
-            exp = (word[-1] & 0x7F) + delta
-            exp %= order
-            if exp == 0:
-                return word[:-1]
-            return word[:-1] + bytes(((fid << 7) | exp,))
-        return word + bytes(((fid << 7) | (delta % order),))
-
-    def byte_for_letter(self, letter: int) -> int:
-        return self.byte_step(abs(letter), 1 if letter > 0 else -1)
-
-    def pack(self, g: GroupElement) -> bytes:
-        return bytes(((lid - 1) << 7) | exp for lid, exp in g.syllables)
-
-    def unpack(self, model: GroupModel, word: bytes) -> GroupElement:
-        syllables = tuple(((b >> 7) + 1, b & 0x7F) for b in word)
-        return GroupElement(model, syllables)
-
-
-def _codec_for(model: GroupModel):
-    return _FreeCodec(model) if model.kind == FREE else _ProductCodec(model)
+# ball enumeration: the engine of the ball oracles of the tests (with
+# ``_solver``); no package path builds a ball
 
 
 class Ball:
     """The ball B(e, radius) with a stable BFS index.
 
-    Words are stored packed (one byte per letter or syllable); elements
-    are materialized on demand.  ``step_tables`` gives, per alphabet
-    letter, the index of each element's neighbour or -1 when the
-    neighbour leaves the ball.
+    A word is stored as the bytes of its entry indices in the normal-form
+    push table of ``_streams`` (code // number of letters, at most 238 on
+    Z/120*Z/120), spelled into an element on demand.  ``step_tables``
+    gives, per alphabet letter, the index of each element's neighbour or
+    -1 when the neighbour leaves the ball.
     """
 
     def __init__(self, model: GroupModel, radius: int, max_states: int):
         import numpy as np  # costly to import: loaded on first use
 
+        from ._streams import _APPEND, _REMOVE, _push_tables
+
         self.model = model
         self.radius = radius
-        self._codec = _codec_for(model)
+        self._letters = [g.letters()[0] for g in model.generators()]
+        width = len(self._letters)
+        table, spell = _push_tables(self._letters, model.orders)
+        # Per last entry (0 for the empty word), per letter: whether the push
+        # drops the last entry, and the bytes it then appends.
+        moves = [(kind != _APPEND, b"" if kind == _REMOVE else bytes((new // width,)))
+                 for kind, new, _, _ in table]
+        self._moves = [moves[i:i + width] for i in range(0, len(moves), width)]
+        self._spell = {code // width: letters for code, letters in spell.items()}
         words = [b""]
         index = {b"": 0}
         lengths = [0]
         sphere_start = [0, 1]
         frontier = [b""]
-        push = self._codec.push
-        steps = self._codec.letters
+        rows = self._moves
         for layer in range(1, radius + 1):
             nxt = []
             for w in frontier:
-                for s in steps:
-                    nb = push(w, s)
+                head = w[:-1]
+                for drop, add in rows[w[-1] if w else 0]:
+                    nb = (head if drop else w) + add
                     if nb not in index:
                         index[nb] = len(words)
                         words.append(nb)
@@ -548,7 +475,8 @@ class Ball:
         return len(self.words)
 
     def element(self, i: int) -> GroupElement:
-        return self._codec.unpack(self.model, self.words[i])
+        spell = self._spell
+        return self.model.from_letters(l for b in self.words[i] for l in spell[b])
 
     def elements(self) -> Iterator[GroupElement]:
         return (self.element(i) for i in range(len(self)))
@@ -556,14 +484,14 @@ class Ball:
     def index_of(self, g: GroupElement) -> int:
         if g.model != self.model:
             raise ModelMismatchError("element from a different model")
-        key = self._codec.pack(g)
+        w = b""
+        for letter in g.letters():
+            drop, add = self._moves[w[-1] if w else 0][self._letters.index(letter)]
+            w = (w[:-1] if drop else w) + add
         try:
-            return self._index[key]
+            return self._index[w]
         except KeyError:
             raise ValueError(f"{g} lies outside B(e,{self.radius})") from None
-
-    def contains(self, g: GroupElement) -> bool:
-        return self._codec.pack(g) in self._index
 
     def sphere_indices(self, k: int) -> range:
         return range(int(self.sphere_start[k]), int(self.sphere_start[k + 1]))
@@ -573,21 +501,17 @@ class Ball:
         if self._steps is None:
             import numpy as np
 
-            tables = {}
-            push = self._codec.push
+            cols = [array("i") for _ in self._letters]
+            rows = self._moves
             getidx = self._index.get
-            for g in self.model.generators():
-                letter = g.letters()[0]
-                step = self._codec.byte_for_letter(letter)
-                col = np.empty(len(self.words), dtype=np.int32)
-                for i, w in enumerate(self.words):
-                    col[i] = getidx(push(w, step), -1)
-                tables[letter] = col
-            self._steps = tables
+            for w in self.words:
+                head = w[:-1]
+                for col, (drop, add) in zip(cols, rows[w[-1] if w else 0]):
+                    col.append(getidx((head if drop else w) + add, -1))
+            self._steps = {
+                letter: np.frombuffer(col, dtype=np.int32) for letter, col in zip(self._letters, cols)
+            }
         return self._steps
-
-    def pack_element(self, g: GroupElement) -> bytes:
-        return self._codec.pack(g)
 
 
 @lru_cache(maxsize=24)

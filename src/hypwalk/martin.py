@@ -55,14 +55,6 @@ class BoundaryPoint:
         u, c = g.cyclic_reduction()
         return BoundaryPoint(head=u, cycle=c)
 
-    @staticmethod
-    def from_word(model: GroupModel, head: str | GroupElement, cycle: str | GroupElement) -> "BoundaryPoint":
-        if isinstance(head, str):
-            head = model.word(head)
-        if isinstance(cycle, str):
-            cycle = model.word(cycle)
-        return BoundaryPoint(head=head, cycle=cycle)
-
     @property
     def model(self) -> GroupModel:
         return self.head.model
@@ -160,17 +152,11 @@ class MartinEstimate:
     upper: float
 
 
-def martin_kernel(
-    walk: WalkSpec,
-    g: GroupElement,
-    xi: BoundaryPoint,
-    depth: int | None = None,
-) -> MartinEstimate:
+def martin_kernel(walk: WalkSpec, g: GroupElement, xi: BoundaryPoint) -> MartinEstimate:
     """Martin kernel K(g, xi): one exact evaluation at the ray's vertex of
-    the given depth, by default |g| + s + 2."""
+    depth |g| + s + 2."""
     require_valid(walk)
-    if depth is None:
-        depth = g.word_length() + walk.model.split_span + 2
+    depth = g.word_length() + walk.model.split_span + 2
     est = martin_kernel_at(walk, g, xi.prefix(depth))
     return MartinEstimate(value=est.value, depth=depth, lower=est.lower, upper=est.upper)
 

@@ -435,27 +435,21 @@ def radon_nikodym_check(
     g: GroupElement,
     cyl: Cylinder,
     samples: SampleSet,
-    depth: int | None = None,
 ) -> RadonNikodymReport:
     """Compare nu(g^-1 U) with the integral of K(g, .) over U.
 
-    The kernel is evaluated at the sample prefix of length ``depth``
-    (default: the set's margin, past every branch point of g).  A
-    sample's first cyl.depth + |g| + 2 letters decide both memberships and
-    pass |g| + s + 2, beyond which the kernel along a ray is bitwise
-    constant; so each distinct head of that length is evaluated once, the
-    kernel at its first ``depth`` letters.
+    The kernel is evaluated at the sample prefix of the set's margin, past
+    every branch point of g.  A sample's first cyl.depth + |g| + 2 letters
+    decide both memberships and pass |g| + s + 2, beyond which the kernel
+    along a ray is bitwise constant; so each distinct head of that length
+    is evaluated once, the kernel at its first margin letters.
     """
     require_valid(walk)
     n = samples.n_samples
     if n < 2:
         raise ValidationError(f"rn-check needs at least 2 samples, got {n}")
     _require_margin(samples, rn_check_margin(g, cyl), "radon_nikodym_check")
-    if depth is None:
-        depth = samples.margin
-    if depth < 1:
-        raise ValidationError(f"kernel depth must be positive, got {depth}")
-    pulled_hits, vals, n_heads = _rn_samples(walk, g, cyl, samples.prefixes, depth)
+    pulled_hits, vals, n_heads = _rn_samples(walk, g, cyl, samples.prefixes, samples.margin)
     pulled = pulled_hits / n
     pulled_half = 3.0 * math.sqrt(pulled * (1 - pulled) / n)
     integral = float(vals.mean())
@@ -468,7 +462,7 @@ def radon_nikodym_check(
         agree=abs(pulled - integral) <= pulled_half + kernel_half,
         n_samples=n,
         margin=samples.margin,
-        kernel_depth=depth,
+        kernel_depth=samples.margin,
         n_retries=samples.n_retries,
         n_heads=n_heads,
         n_steps=samples.n_steps,

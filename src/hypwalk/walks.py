@@ -57,11 +57,6 @@ class WalkSpec:
     def elements(self) -> tuple[GroupElement, ...]:
         return tuple(g for g, _ in self.support)
 
-    def content_key(self) -> str:
-        """Stable key identifying the measure (seed not included)."""
-        items = ",".join(f"{g}:{p!r}" for g, p in self.support)
-        return f"{self.model}|{items}"
-
 
 def make_walk(model: GroupModel, items: Iterable[tuple[GroupElement | str, float]], seed: int) -> WalkSpec:
     """Build a WalkSpec with canonically ordered, merged support."""
@@ -157,13 +152,12 @@ def require_valid(spec: WalkSpec, nondegenerate: bool = True) -> WalkValidation:
 class PathSample:
     """A sampled trajectory x_0, ..., x_n.
 
-    ``positions`` is None when the caller asked not to materialize them
-    (bulk statistics over long paths); ``step_indices`` always records the
-    drawn support indices, so x_{k+1} = x_k * support[step_indices[k]].
+    ``step_indices`` records the drawn support indices, so x_{k+1} = x_k *
+    support[step_indices[k]].
     """
 
     start: GroupElement
-    positions: tuple[GroupElement, ...] | None
+    positions: tuple[GroupElement, ...]
     step_indices: tuple[int, ...]
     stream: int
 
@@ -173,7 +167,6 @@ def sample_path(
     start: GroupElement,
     n_steps: int,
     stream: int = 0,
-    keep_positions: bool = True,
 ) -> PathSample:
     """Sample a path of ``n_steps`` steps starting at ``start``.
 
@@ -185,16 +178,13 @@ def sample_path(
     from . import _streams  # loaded by parse_config when the config samples
 
     idx = _streams.path_steps(spec, stream & _streams.MASK64, n_steps)
-    positions = None
-    if keep_positions:
-        steps = spec.elements()
-        pos = [start]
-        cur = start
-        for i in idx:
-            cur = cur * steps[i]
-            pos.append(cur)
-        positions = tuple(pos)
-    return PathSample(start=start, positions=positions, step_indices=idx, stream=stream)
+    steps = spec.elements()
+    pos = [start]
+    cur = start
+    for i in idx:
+        cur = cur * steps[i]
+        pos.append(cur)
+    return PathSample(start=start, positions=tuple(pos), step_indices=idx, stream=stream)
 
 
 @record

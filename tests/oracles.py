@@ -6,9 +6,15 @@ from a dense solve of a birth-death reduction, step distributions are
 enumerated path by path, and taboo values come from the walk killed on
 leaving a ball, built from the ball's step tables alone.
 
+The taboo kernels (``first_passage_set``, ``last_exit``) solve the walk
+absorbed on a taboo set over a finite cut-closed domain, with the
+branches beyond it folded in as exact self-loops from the exact engine,
+so they carry certified enclosures; the ball values bound them from
+below.
+
 The ball oracles live here too: restricted Green tables from the sparse
 solver of the walk killed on leaving a ball (``hypwalk._solver``, on the
-packed BFS balls of ``hypwalk.groups.Ball``), n-step distributions by
+BFS balls of ``hypwalk.groups.Ball``), n-step distributions by
 restricted convolution, the four-point delta of a ball, and the
 semigroup check of nondegeneracy on B(e, 2).  Restricted values increase
 with the ball to the full-group values, so they bound the exact engine
@@ -32,14 +38,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from hypwalk import _exact
 from hypwalk._exact import (
     _EPS, _FALL, _MAX_DIRECTION, _MAX_DOUBLINGS, _MAX_NEWTON, _MAX_SWEEPS, _SPECTRAL_GAP, _solve,
     factors, kernel,
 )
 from hypwalk._solver import RestrictedSolver
-from hypwalk.errors import DivergenceError, SolverError
+from hypwalk.errors import DivergenceError, SolverError, ValidationError
+from hypwalk.green import GreenEstimate
 from hypwalk.groups import FREE, Ball, GroupElement, GroupModel, ball, words_by_length
-from hypwalk.walks import WalkSpec, require_valid
+from hypwalk.walks import WalkSpec, require_valid, reversed_walk
 
 
 def bfs_distances(model, radius: int) -> dict:
@@ -173,6 +181,96 @@ def ball_taboo(walk, radius: int, lam, x) -> list:
     return list(R.T @ visits)
 
 
+def first_passage_set(
+    walk: WalkSpec, lam: Iterable[GroupElement], x: GroupElement
+) -> dict[GroupElement, GreenEstimate]:
+    """First-passage distribution on a taboo set: y -> F(x, y; first hit of lam).
+
+    The walk is absorbed on lam over D_k, the elements with at most k
+    cut-vertex factors (``_exact.factors``: letters on F_N, syllables on
+    Z/m*Z/n), k the largest count over lam and x.  A step v -> vs that
+    leaves D_k enters a branch attached only at v, which the walk leaves
+    through v with probability F(e, s^-1): the step becomes a self-loop
+    at v of weight mu(s) F(e, s^-1).  Only states reachable from x
+    without hitting lam enter the sparse LU solve.
+
+    The absorbed chain is monotone in its loop weights, so the lower and
+    upper ends of the F enclosure give the bracket ends.  Each is widened
+    by the residual of its solve: the error of the solution is the
+    residual weighted by hitting probabilities, which are at most 1.
+    """
+    require_valid(walk, nondegenerate=False)
+    lam = list(dict.fromkeys(lam))
+    if not lam:
+        raise ValidationError("taboo set is empty")
+    if x in lam:
+        return {y: GreenEstimate(*[float(y == x)] * 3) for y in lam}
+    k = max(len(factors(g)) for g in [x, *lam])
+    taboo = {y: j for j, y in enumerate(lam)}
+    # per step s: mu(s) times the (value, lower, upper) ends of F(e, s^-1)
+    steps = [
+        (s, p, p * np.array(_exact.first_passage(walk, s.inverse()))) for s, p in walk.support
+    ]
+    states, index, loops = [x], {x: 0}, []
+    q_rows, q_cols, q_data, r_rows, r_cols, r_data = [], [], [], [], [], []
+    for i, v in enumerate(states):  # grows while it is walked: a BFS
+        loop = np.zeros(3)
+        for s, p, folded in steps:
+            w = v * s
+            if w in taboo:
+                r_rows.append(i)
+                r_cols.append(taboo[w])
+                r_data.append(p)
+            elif len(factors(w)) > k:
+                loop += folded
+            else:
+                if w not in index:
+                    index[w] = len(states)
+                    states.append(w)
+                q_rows.append(i)
+                q_cols.append(index[w])
+                q_data.append(-p)
+        loops.append(loop)
+    n = len(states)
+    R = sp.csr_matrix((r_data, (r_rows, r_cols)), shape=(n, len(lam)))
+    hit = np.diff(R.tocsc().indptr) > 0  # targets some reachable state steps into
+    source = np.zeros(n)
+    source[0] = 1.0
+    rounding = (len(steps) + 3) * np.finfo(float).eps  # first-order, per matrix row
+    brackets = []
+    for end, sign in ((0, 0.0), (1, -1.0), (2, 1.0)):
+        diag = [1.0 - loop[end] * (1.0 + sign * rounding) for loop in loops]
+        A = sp.csc_matrix(
+            (diag + q_data, (list(range(n)) + q_rows, list(range(n)) + q_cols)), shape=(n, n)
+        )
+        try:
+            u = spla.splu(A).solve(source, trans="T")  # expected visits from x
+        except RuntimeError as exc:
+            raise SolverError(f"taboo solve failed: {exc}") from exc
+        err = np.abs(source - A.T @ u).sum() + rounding * (abs(A).T @ np.abs(u)).sum()
+        brackets.append((R.T @ u) * (1.0 + sign * rounding) + sign * err)
+    value, lower, upper = brackets
+    out = {}
+    for j, y in enumerate(lam):
+        lo, hi = (max(float(lower[j]), 0.0), float(upper[j])) if hit[j] else (0.0, 0.0)
+        out[y] = GreenEstimate(min(max(float(value[j]), lo), hi), lo, hi)
+    return out
+
+
+def last_exit(
+    walk: WalkSpec, lam: Iterable[GroupElement] | None, x: GroupElement, y: GroupElement
+) -> GreenEstimate:
+    """Last-exit kernel L(x, y) relative to a taboo set containing x.
+
+    Computed through the reversed walk: L(x, y) equals the reversed-walk
+    first-passage probability from y to the set, at x.
+    """
+    lam = [x] if lam is None else list(lam)
+    if x not in lam:
+        raise ValidationError("last_exit needs x inside the taboo set")
+    return first_passage_set(reversed_walk(walk), lam, y)[x]
+
+
 def scalar_boundary_prefix(spec, stream: int, margin=10, patience=20, max_steps=20_000):
     """Boundary sampling one walk at a time, with plain-list word stacks.
 
@@ -303,7 +401,6 @@ def plain_spectral_upper(spec) -> float:
     full ``_Solution``: the plain and the biased iteration of the first-
     passage map from 0, an upper certificate and the G(e, e | z) check,
     at each point of the same doubling and bisection in z."""
-    from hypwalk import _exact
 
     def certified(z):
         try:

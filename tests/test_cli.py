@@ -1,8 +1,10 @@
 """End-to-end runs of the command-line entry point and its exit codes."""
 
+import ast
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -488,7 +490,7 @@ def _python(code, *args):
 
 def test_cli_import_leaves_out_scipy_stats():
     # scipy and numpy cost import time and no package path needs them at
-    # import: the taboo and ball solves load them on first use, the sampler
+    # import: the ball solve loads them on first use, the sampler
     # loads with a config that samples, and the report records no scipy
     # version.  hypwalk._solver stays loaded: perfbench's tracer patches
     # RestrictedSolver through it.  The records compile no code, so
@@ -500,6 +502,28 @@ def test_cli_import_leaves_out_scipy_stats():
         " 'hypwalk._solver', 'numpy', 'dataclasses', 'inspect', 'datetime')))"
     )
     assert _python(code) == ["False", "False", "False", "True", "False", "False", "False", "False"]
+
+
+def _imported_modules(path):
+    """The top-level names of the modules a source file imports, at any
+    depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_the_ball_solver_imports_scipy():
+    # Read from the sources, so an import inside a function counts too:
+    # scipy serves the ball solve alone, and the Green layer needs no numpy.
+    src = pathlib.Path(hypwalk.__file__).parent
+    imports = {path.name: _imported_modules(path) for path in sorted(src.glob("*.py"))}
+    assert "green.py" in imports and "_solver.py" in imports
+    assert [name for name, mods in imports.items() if "scipy" in mods] == ["_solver.py"]
+    assert "numpy" not in imports["green.py"]
 
 
 @pytest.mark.parametrize(

@@ -8,13 +8,11 @@ from hypwalk import (
     GroupModel,
     ancona_check,
     first_passage,
-    first_passage_set,
     geodesic,
     green,
     green_decay_rate,
     green_z,
     harnack_constant,
-    last_exit,
     make_walk,
     uniform_walk,
 )
@@ -25,6 +23,8 @@ from oracles import (
     ball,
     ball_taboo,
     distance_chain_green,
+    first_passage_set,
+    last_exit,
     n_step_distributions,
     restricted_green,
 )

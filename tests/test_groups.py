@@ -202,23 +202,28 @@ class TestBall:
             b.index_of(F2.word("aaa"))
 
 
+# Every model of MODELS to radius 5, and the widest alphabet and the
+# largest factors at small radii.
+BALL_CASES = [(model, radius) for radius in range(6) for model in MODELS] + [
+    (GroupModel.free(26), radius) for radius in range(3)
+] + [(GroupModel.free_product(120, 119), radius) for radius in range(4)]
+
+
 class TestWordLists:
-    @pytest.mark.parametrize("model", MODELS, ids=str)
-    @pytest.mark.parametrize("radius", range(6))
+    @pytest.mark.parametrize(
+        "model,radius", BALL_CASES, ids=[f"{radius}-{model}" for model, radius in BALL_CASES]
+    )
     def test_bfs_order_of_the_ball(self, model, radius):
         b = ball(model, radius)
-        assert words_by_length(model, radius) == list(b.elements())
+        words = words_by_length(model, radius)
+        assert words == list(b.elements())
         assert word_count(model, radius) == len(b)
-
-    @pytest.mark.parametrize("model", [F2, Z23, Z25, GroupModel.free_product(4, 4)], ids=str)
-    @pytest.mark.parametrize("radius", [2, 4, 5])
-    @pytest.mark.parametrize("per_sphere", [1, 3, 8])
-    def test_truncated_spheres_are_prefixes(self, model, radius, per_sphere):
-        b = ball(model, radius)
-        expected = [
-            b.element(i) for k in range(radius + 1) for i in list(b.sphere_indices(k))[:per_sphere]
-        ]
-        assert words_by_length(model, radius, per_sphere) == expected
+        index = {g: i for i, g in enumerate(words)}
+        tables = b.step_tables()
+        for i, g in enumerate(words):
+            assert b.index_of(b.element(i)) == i
+            for s in model.generators():
+                assert tables[s.letters()[0]][i] == index.get(g * s, -1)
 
     def test_free_count_formula(self):
         for rank in (2, 3, 21, 22):

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypwalk import (
-    BoundaryPoint, GroupElement, GroupModel, classify, first_passage_set, green,
+    BoundaryPoint, GroupElement, GroupModel, classify, green,
     green_decay_rate, make_walk, martin_kernel, ratio_invariant, spectral_radius_estimate,
     validate_walk, words_by_length,
 )
@@ -25,6 +25,7 @@ from hypwalk.green import green_table
 from hypwalk.walks import sample_boundary_prefixes
 
 from oracles import (
+    first_passage_set,
     n_step_distributions,
     plain_spectral_upper,
     prefix_pairs,

@@ -32,7 +32,7 @@ RECORDS = _records()
 
 F2 = GroupModel((0, 0))
 Z23 = GroupModel((2, 3))
-_A, _B = BoundaryPoint.periodic(F2.word("a")), BoundaryPoint.from_word(F2, "b", "b")
+_A, _B = BoundaryPoint.periodic(F2.word("a")), BoundaryPoint(F2.word("b"), F2.word("b"))
 
 # Two instances that differ in every field, for the classes that check
 # their fields (each field of the second fits the first); every other

@@ -23,7 +23,7 @@ from hypwalk import _sampler
 from hypwalk.errors import BoundaryTimeout, ValidationError
 from hypwalk.measure import boundary_sample_set
 from hypwalk._sampler import _philox_blocks, _step_indices, _Tables, _Words
-from hypwalk._streams import boundary_prefixes, philox_words, step_thresholds
+from hypwalk._streams import boundary_prefixes, path_steps, philox_words, step_thresholds
 from hypwalk.walks import sample_boundary_prefixes
 
 from oracles import (
@@ -113,8 +113,7 @@ class TestSamplePath:
     def test_one_step_frequencies_binomial(self, walk_f2, f2):
         # 10^6 iid step draws along one path against the exact binomial band.
         n = 1_000_000
-        p = sample_path(walk_f2, f2.identity(), n, stream=17, keep_positions=False)
-        counts = np.bincount(p.step_indices, minlength=4)
+        counts = np.bincount(path_steps(walk_f2, 17, n), minlength=4)
         band = binomial_band(0.25, n)
         for c in counts:
             assert abs(c / n - 0.25) <= band
@@ -197,11 +196,12 @@ class TestPhilox:
 
     def test_sample_path_draws(self, walk_f2, f2):
         # 1001 steps end inside a Philox block.
-        p = sample_path(walk_f2, f2.identity(), 1001, stream=11, keep_positions=False)
+        steps = path_steps(walk_f2, 11, 1001)
         cdf = np.cumsum(walk_f2.probabilities())
         cdf[-1] = 1.0
         u = _numpy_philox(walk_f2.seed, 11).random(1001)
-        assert np.array_equal(p.step_indices, np.searchsorted(cdf, u, side="right"))
+        assert np.array_equal(steps, np.searchsorted(cdf, u, side="right"))
+        assert sample_path(walk_f2, f2.identity(), 1001, stream=11).step_indices == steps
 
 
 _SAMPLER_WALKS = {
