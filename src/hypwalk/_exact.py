@@ -42,8 +42,8 @@ monotonically to it whenever it exists, since Phi is monotone and convex
 (Etessami and Yannakakis, J. ACM 56, 2009; Esparza, Kiefer and
 Luttenberger, SIAM J. Comput. 39, 2010); a falling step rejects z as
 past 1/rho.  The certificate's direction (I - J)^-1 1 comes from the same
-pivoted elimination, with J exact when every path has one state (F_N)
-and from forward differences otherwise.
+pivoted elimination, with J in closed form on every path: one more
+tridiagonal solve per path of more than one state.
 
 Path layout.  Phi is compiled once per model (``_Slots``) into these
 paths, each with its forward and backward letter slots (positions in
@@ -79,9 +79,9 @@ _MAX_SWEEPS = 20_000
 _MAX_DOUBLINGS = 200
 _MAX_NEWTON = 100
 # A Newton step falling by more than this, relative, finds no fixed point
-# above the iterate.  Below 1/rho the final steps only undo the forward-
-# difference Jacobian's error and fall by at most about 1e-12; past 1/rho
-# the first falling step drops by 1e-4 or more already at 1e-7 beyond it.
+# above the iterate.  Below 1/rho the exact Jacobian's steps fall only by
+# rounding; past 1/rho the first falling step drops by 1e-4 or more
+# already at 1e-7 beyond it.
 _FALL = 2.0 ** -26
 _MAX_DIRECTION = 1e12  # |(I - J)^-1 1| beyond this: Jacobian at eigenvalue 1
 _SPECTRAL_GAP = 1e-4  # relative width of the last bisection step towards 1/rho
@@ -96,8 +96,7 @@ class _Slots:
     (m, forward slot, backward slot, rest slots) per path of m - 1 states,
     m = 2 on a letter of Z.  A sweep lays all states end to end: ``out[i]``
     is the state of slot i, ``entries`` the table's (key, state) pairs.
-    ``num`` is the numerator of a sweep's rounding bound, and ``exact``
-    whether every path has one state.
+    ``num`` is the numerator of a sweep's rounding bound.
     """
 
     def __init__(self, model: GroupModel):
@@ -122,7 +121,6 @@ class _Slots:
         state = dict(self.entries)
         self.out = [state[k] for k in keys]
         self.num = num * _EPS
-        self.exact = all(m == 2 for m, *_ in self.paths)
 
 
 _slots = lru_cache(maxsize=16)(_Slots)  # built once per model
@@ -174,27 +172,24 @@ class _Letters:
         return states, self.slots.num / den_min
 
     def jacobian(self, F: Vector) -> list[list[float]]:
-        """Rows of d Phi_i / d F_j over the slots: exact when every path
-        has one state, else forward differences (at most four letters)."""
-        if not self.slots.exact:
-            base, _ = self.sweep(F)
-            cols = []
-            for j, f in enumerate(F):
-                step = 1e-7 * max(f, 1e-7)
-                moved, _ = self.sweep(F[:j] + [f + step] + F[j + 1:])
-                cols.append([(a - b) / step for a, b in zip(moved, base)])
-            return [list(row) for row in zip(*cols)]
-        # d Phi_x / d F_{y^-1} = z mu(x) z mu(y) / rest_x^2 for y != x;
-        # with one state per path, path i is slot i
+        """Rows of d Phi_i / d F_j over the slots.  A path's hits solve A h = r, A - I and r
+        linear in (phi, beta) = (forward, backward) / rest: by Euler's identity and d phi / d F_s
+        = phi w / rest, d h / d F_s = (w / rest) A^-1 h, or w forward / rest^2 on one state."""
         rows = []
-        for _, x, _, terms in self.paths:
-            den = 1.0 - sum([w * F[s] for w, s in terms])
-            scale = x / (den * den)
-            row = [0.0] * len(F)
-            for w, s in terms:
-                row[s] = scale * w
-            rows.append(row)
-        return rows
+        for m, forward, backward, terms in self.paths:
+            rest = 1.0 - sum([w * F[s] for w, s in terms])
+            if m == 2:
+                scales = [forward / (rest * rest)]
+            else:
+                phi, beta = forward / rest, backward / rest
+                slopes, _ = _path_solve(phi, beta, _cycle_hits(m, phi, beta)[0])
+                scales = [v / rest for v in slopes]
+            for scale in scales:
+                row = [0.0] * len(F)
+                for w, s in terms:
+                    row[s] = scale * w
+                rows.append(row)
+        return [rows[i] for i in self.slots.out]
 
 
 def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], float]:
@@ -202,9 +197,10 @@ def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], f
 
     Entry d - 1 is the probability of reaching 0 from d (1 <= d < m)
     with steps +1 and -1 of weights ``forward`` and ``backward``; 0 is
-    absorbing from both sides, so this is a path of m - 1 states
-    solved by one tridiagonal elimination.  Returns the values and the
-    smallest pivot.  (On Z/2 the one state's value is ``forward``.)
+    absorbing from both sides, so this is a path of m - 1 states with
+    right-hand side (backward, 0, ..., 0, forward).  Returns the values
+    and the smallest pivot.  (On Z/2 the one state's value is
+    ``forward``.)
 
     For m = 3 the elimination is written out with its exact operations
     left away: x + 0.0 for the weights, which are never -0.0, and x / 1.0
@@ -216,10 +212,14 @@ def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], f
             raise DivergenceError(_DIVERGES)
         far = (forward + backward * backward) / pivot
         return [backward + forward * far, far], min(1.0, pivot)
-    size = m - 1
-    rhs = [0.0] * size
-    rhs[0] += backward
-    rhs[-1] += forward
+    return _path_solve(forward, backward, [backward] + [0.0] * (m - 3) + [forward])
+
+
+def _path_solve(forward: float, backward: float, rhs: list[float]) -> tuple[list[float], float]:
+    """x with x_d - forward x_(d+1) - backward x_(d-1) = rhs_d on a path of
+    len(rhs) states, by one tridiagonal elimination, and its smallest
+    pivot.  A nonpositive pivot raises DivergenceError."""
+    size = len(rhs)
     pivots = [1.0] * size
     acc = [rhs[0]] + [0.0] * (size - 1)
     for i in range(1, size):
@@ -227,11 +227,11 @@ def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], f
         if not pivots[i] > 0.0:
             raise DivergenceError(_DIVERGES)
         acc[i] = rhs[i] + backward * acc[i - 1] / pivots[i - 1]
-    hits = [0.0] * size
-    hits[-1] = acc[-1] / pivots[-1]
+    x = [0.0] * size
+    x[-1] = acc[-1] / pivots[-1]
     for i in range(size - 2, -1, -1):
-        hits[i] = (acc[i] + forward * hits[i + 1]) / pivots[i]
-    return hits, min(pivots)
+        x[i] = (acc[i] + forward * x[i + 1]) / pivots[i]
+    return x, min(pivots)
 
 
 def _iterate(phi: _Letters, bias: bool) -> Vector:

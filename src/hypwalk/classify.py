@@ -33,7 +33,6 @@ typically holds one of denominator about w^(-1/2); closer ones,
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -58,30 +57,25 @@ def _orbit_keys(walk: WalkSpec, gens: Sequence[GroupElement]) -> list[tuple]:
     mu-preserving alphabet maps.  Weights are compared with ``==``: only
     equal weights prove equal values.
 
-    F_N: a signed letter permutation sending x to y preserves mu iff
-    (mu(x), mu(x^-1)) = (mu(y), mu(y^-1)), so none is enumerated.
-    Z/m*Z/n: the group of at most 8 maps that invert either factor and,
-    when m = n, swap them; r is a class function, so the image of s^i t^j
-    is read off its pair of syllables.
+    Such a map permutes factors of equal order and inverts within a
+    factor, and only where that keeps mu: x -> x^-1 on Z, s^k -> s^(m-k)
+    on Z/m.  So a syllable (lid, k) of order m, with p = mu(x) and
+    q = mu(x^-1) for its letter x, keys as (0, p, q) or (0, q, p) on Z by
+    the sign of k, and as (m, min((k, p, q), (m - k, q, p))) on Z/m; r
+    is a class function, so a generator keys as its sorted syllable keys.
     """
     mu = dict(walk.support)
     model = walk.model
-    if model.kind == FREE:
-        return [(mu.get(g, 0.0), mu.get(g.inverse(), 0.0)) for g in gens]
 
-    def act(f, syllables):  # f: (invert factor 1, invert factor 2, swap)
-        orders = model.orders
-        return tuple(
-            (3 - lid if f[2] else lid, orders[lid - 1] - exp if f[lid - 1] else exp)
-            for lid, exp in syllables
-        )
+    def key(lid: int, k: int) -> tuple:
+        x = GroupElement(model, ((lid, 1),))
+        p, q = mu.get(x, 0.0), mu.get(x.inverse(), 0.0)
+        m = model.letter_order(lid)
+        if not m:
+            return (0, p, q) if k > 0 else (0, q, p)
+        return (m, min((k, p, q), (m - k, q, p)))
 
-    swaps = (False, True) if model.orders[0] == model.orders[1] else (False,)
-    maps = [
-        f for f in itertools.product((False, True), (False, True), swaps)
-        if {GroupElement(model, act(f, g.syllables)): p for g, p in mu.items()} == mu
-    ]
-    return [min(tuple(sorted(act(f, g.syllables))) for f in maps) for g in gens]
+    return [tuple(sorted(key(*syllable) for syllable in g.syllables)) for g in gens]
 
 
 def _simplest(lo: Fraction, hi: Fraction) -> Fraction:

@@ -5,12 +5,11 @@ its generic bands, and an optional CSV series.  Reports are
 deterministic: same config and seed give byte-identical output up to the
 ``generated_at`` timestamp field.
 
-Results are mostly plain rows of built-in types (the ``green`` table is
-one row per word), so ``_plain`` passes those through by exact type
-before any other check, and ``report.json`` is streamed to its file by
-``json.dump``: one string of a large table would double the peak memory.
-The ``green`` table is refused above ``_MAX_WORDS`` words before any value
-is computed.
+Results are plain rows of built-in types and records (the ``green``
+table is one row per word), which ``_plain`` matches by exact type, and
+``report.json`` is streamed to its file by ``json.dump``: one string of
+a large table would double the peak memory.  The ``green`` table is
+refused above ``_MAX_WORDS`` words before any value is computed.
 
 A run draws at most one boundary sample set, under one purpose tag,
 before its first experiment, when it selects ``gibbs`` or ``rn-check``,
@@ -32,9 +31,7 @@ import csv
 import json
 import math
 import os
-import sys
 import time
-from fractions import Fraction
 
 from . import __version__ as _pkg_version
 from ._exact import _EPS
@@ -79,10 +76,9 @@ _SCALARS = frozenset({str, int, bool, type(None)})
 def _plain(obj):
     """Convert report objects to JSON-serializable plain data.
 
-    Exact built-in types, which make up nearly all of a report, take the
-    first branches by ``type()``; subclasses such as numpy scalars fall
-    through to the checks below.  A numpy object exists only once numpy
-    is loaded, so its types are checked only then."""
+    Reports hold built-in scalars, dicts, lists, tuples and records, each
+    matched by exact ``type()``; a non-finite float becomes its repr.
+    Any other type raises TypeError."""
     kind = type(obj)
     if kind is float:
         return obj if math.isfinite(obj) else repr(obj)
@@ -93,23 +89,9 @@ def _plain(obj):
     if kind is list or kind is tuple:
         return [_plain(x) for x in obj]
     names = fields(kind)
-    if names is not None:
-        return {name: _plain(getattr(obj, name)) for name in names}
-    if isinstance(obj, Fraction):
-        return float(obj)
-    np = sys.modules.get("numpy")
-    if np is not None:
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        if isinstance(obj, np.ndarray):
-            return [_plain(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+    if names is None:
+        raise TypeError(f"report value of type {kind.__name__} has no plain form")
+    return {name: _plain(getattr(obj, name)) for name in names}
 
 
 def _probe_points(model: GroupModel) -> tuple[list[GroupElement], list[BoundaryPoint]]:

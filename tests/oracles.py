@@ -22,8 +22,10 @@ from below.
 
 The syllable-keyed form of the exact engine's fixed-point loops is kept
 here as the reference that its slot-indexed form must equal bit for bit,
-and the Martin kernel over every word of one length is grouped by
-departure cone as the reference for the cone table of ``hoelder_probe``.
+the Martin kernel over every word of one length is grouped by departure
+cone as the reference for the cone table of ``hoelder_probe``, and the
+symmetry orbits found by enumerating the alphabet maps are the reference
+for the orbit keys of ``classify``.
 """
 
 from __future__ import annotations
@@ -515,14 +517,28 @@ class _Letters:
         return rows
 
     def _product_jacobian(self, F: dict) -> list[list[float]]:
-        # Forward differences: at most four letters.
-        base, _, _ = self.sweep(F)
-        cols = []
-        for k in self.keys:
-            step = 1e-7 * max(F[k], 1e-7)
-            moved, _, _ = self.sweep({**F, k: F[k] + step})
-            cols.append([(a - b) / step for a, b in zip(moved, base)])
-        return [list(row) for row in zip(*cols)]
+        # The hits of factor lid solve A h = r with A - I and r linear in
+        # (phi, beta) = (forward, backward) / rest, so d h / d F_{y^-1} =
+        # (z mu(y) / rest) A^-1 h for y off the factor; one state: h = phi.
+        keys, zmu = self.keys, self.zmu
+        index = {k: j for j, k in enumerate(keys)}
+        rows = {}
+        for lid in (1, 2):
+            m = self.model.letter_order(lid)
+            rest = 1.0 - sum(zmu[y] * F[self.inverse(y)] for y in keys if y[0] != lid)
+            if m == 2:
+                scales = [zmu[(lid, 1)] / (rest * rest)]
+            else:
+                forward, backward = zmu[(lid, 1)] / rest, zmu[(lid, m - 1)] / rest
+                hits, _ = _cycle_hits(m, forward, backward)
+                scales = [v / rest for v in _path_solve(forward, backward, hits)[0]]
+            for k in range(1, m):
+                row = [0.0] * len(keys)
+                for y in keys:
+                    if y[0] != lid:
+                        row[index[self.inverse(y)]] = scales[m - k - 1] * zmu[y]
+                rows[(lid, k)] = row
+        return [rows[k] for k in keys]
 
 
 def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], float]:
@@ -538,6 +554,13 @@ def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], f
     rhs = [0.0] * size
     rhs[0] += backward
     rhs[-1] += forward
+    return _path_solve(forward, backward, rhs)
+
+
+def _path_solve(forward: float, backward: float, rhs: list[float]) -> tuple[list[float], float]:
+    """x with x_d - forward x_(d+1) - backward x_(d-1) = rhs_d on a path
+    of len(rhs) states, and the smallest pivot of the elimination."""
+    size = len(rhs)
     pivots = [1.0] * size
     acc = [rhs[0]] + [0.0] * (size - 1)
     for i in range(1, size):
@@ -545,11 +568,11 @@ def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], f
         if not pivots[i] > 0.0:
             raise DivergenceError("first-passage fixed point diverges: z is past 1/rho")
         acc[i] = rhs[i] + backward * acc[i - 1] / pivots[i - 1]
-    hits = [0.0] * size
-    hits[-1] = acc[-1] / pivots[-1]
+    x = [0.0] * size
+    x[-1] = acc[-1] / pivots[-1]
     for i in range(size - 2, -1, -1):
-        hits[i] = (acc[i] + forward * hits[i + 1]) / pivots[i]
-    return hits, min(pivots)
+        x[i] = (acc[i] + forward * x[i + 1]) / pivots[i]
+    return x, min(pivots)
 
 
 def _iterate(phi: _Letters, bias: bool) -> dict:
@@ -711,6 +734,40 @@ def dict_newton(spec: WalkSpec, z: float) -> dict:
 def dict_spectral_upper(spec: WalkSpec) -> float:
     """``spectral_upper`` with every probe run by the reference engine."""
     return _bisect_spectral(lambda z: _certified(spec, z))
+
+
+# ---------------------------------------------------------------------------
+# symmetry orbits of the ratio-set generators by enumerating the maps
+
+
+def orbit_keys_by_maps(walk: WalkSpec, gens) -> list[tuple]:
+    """A key per generator of ``hypwalk.classify.generators``, equal for
+    generators in one orbit of the mu-preserving alphabet maps.
+
+    F_N: a signed letter permutation sending x to y preserves mu iff
+    (mu(x), mu(x^-1)) = (mu(y), mu(y^-1)).  Z/m*Z/n: the group of at most
+    8 maps that invert either factor and, when m = n, swap them, each
+    kept when it fixes mu; the image of s^i t^j is read off its pair of
+    syllables, r being a class function.
+    """
+    mu = dict(walk.support)
+    model = walk.model
+    if model.kind == FREE:
+        return [(mu.get(g, 0.0), mu.get(g.inverse(), 0.0)) for g in gens]
+
+    def act(f, syllables):  # f: (invert factor 1, invert factor 2, swap)
+        orders = model.orders
+        return tuple(
+            (3 - lid if f[2] else lid, orders[lid - 1] - exp if f[lid - 1] else exp)
+            for lid, exp in syllables
+        )
+
+    swaps = (False, True) if model.orders[0] == model.orders[1] else (False,)
+    maps = [
+        f for f in itertools.product((False, True), (False, True), swaps)
+        if {GroupElement(model, act(f, g.syllables)): p for g, p in mu.items()} == mu
+    ]
+    return [min(tuple(sorted(act(f, g.syllables))) for f in maps) for g in gens]
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypwalk import (
     GroupElement, GroupModel, RatioValue, classify, make_walk, ratio_invariant, uniform_walk,
+    validate_walk,
 )
-from hypwalk.classify import _simplest, _verdict, generators
+from hypwalk.classify import _orbit_keys, _simplest, _verdict, generators
+
+from oracles import orbit_keys_by_maps
+from test_properties import MODELS
 
 ASYM_F2 = [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)]
 ASYM_Z23 = [("s", 0.5), ("t", 0.35), ("T", 0.15)]
@@ -129,3 +133,31 @@ def test_ratio_is_a_product_of_generator_values(model, support):
         assert ratio_invariant(walk, g).value == pytest.approx(product, rel=1e-12)
         checked += 1
     assert checked >= 36
+
+
+@st.composite
+def tied_walks(draw):
+    """Walks with weights on three levels, so that ties occur; on
+    Z/m*Z/n a letter may be left out where the rest still generates."""
+    model = draw(st.sampled_from(MODELS))
+    gens = model.generators()
+    levels = (1.0, 2.0, 3.0) if model.kind == "free" else (0.0, 1.0, 2.0, 3.0)
+    weights = draw(st.lists(st.sampled_from(levels), min_size=len(gens), max_size=len(gens)))
+    total = sum(weights)
+    assume(total > 0)
+    walk = make_walk(model, [(g, w / total) for g, w in zip(gens, weights) if w], 1)
+    assume(validate_walk(walk).nondegenerate)
+    return walk
+
+
+def _partition(keys):
+    """The index of the first generator with the same key, per generator."""
+    first = {}
+    return [first.setdefault(k, i) for i, k in enumerate(keys)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tied_walks())
+def test_orbit_keys_match_map_enumeration(walk):
+    gens = generators(walk.model)
+    assert _partition(_orbit_keys(walk, gens)) == _partition(orbit_keys_by_maps(walk, gens))

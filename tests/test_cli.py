@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from hypwalk import GroupElement, first_passage, run_experiment
 from hypwalk import _exact
 from hypwalk.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION_FAILED, main
 from hypwalk.config import parse_config
-from hypwalk.report import _utc_isoformat
+from hypwalk.report import _plain, _utc_isoformat
 
 ASYM_F2 = [["a", 0.35], ["A", 0.15], ["b", 0.30], ["B", 0.20]]
 
@@ -722,3 +723,11 @@ def test_package_fits_no_lines():
                 text = fh.read()
             for word in ("linregress", "polyfit", "scipy.stats"):
                 assert word not in text, f"{name} mentions {word}"
+
+
+def test_plain_refuses_types_that_reports_do_not_hold():
+    import numpy as np
+
+    for value in (Fraction(1, 2), np.float64(1.0)):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            _plain({"rows": [value]})

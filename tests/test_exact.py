@@ -160,17 +160,26 @@ JACOBIAN_WALKS = {
         1,
     ),
 }
+PRODUCT_JACOBIAN_WALKS = {
+    "z23": uniform_walk(Z23, 1),
+    "z23-asym": WALKS["z23-asym"][0],
+    "z37": uniform_walk(GroupModel.free_product(3, 7), 1),
+    "z37-asym": make_walk(
+        GroupModel.free_product(3, 7), [("s", 0.3), ("S", 0.2), ("t", 0.3), ("T", 0.2)], 1
+    ),
+    "z77": SPECTRAL_WALKS["z77"],
+    "z77-asym": make_walk(
+        GroupModel.free_product(7, 7), [("s", 0.4), ("S", 0.1), ("t", 0.15), ("T", 0.35)], 1
+    ),
+    "z2-41": uniform_walk(GroupModel.free_product(2, 41), 1),
+    "z2-41-asym": make_walk(
+        GroupModel.free_product(2, 41), [("s", 0.5), ("t", 0.3), ("T", 0.2)], 1
+    ),
+}
 
 
-@pytest.mark.parametrize(
-    "walk,z",
-    [pytest.param(walk, z, id=f"{name}{z}")
-     for name, walk in JACOBIAN_WALKS.items() for z in (0.0, 0.6, 1.0, 1.2)],
-)
-def test_free_jacobian_matches_differences(walk, z):
-    # One state per path: the exact Jacobian, held to differences.
+def assert_jacobian_matches_differences(walk, z):
     phi = _exact._Letters(walk, z)
-    assert phi.slots.exact
     F = _exact._newton(phi)
     exact = phi.jacobian(F)
     base, _ = phi.sweep(F)
@@ -179,6 +188,40 @@ def test_free_jacobian_matches_differences(walk, z):
         moved, _ = phi.sweep(F[:j] + [f + step] + F[j + 1:])
         for i, (a, b) in enumerate(zip(moved, base)):
             assert exact[i][j] == pytest.approx((a - b) / step, rel=1e-4, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "walk,z",
+    [pytest.param(walk, z, id=f"{name}{z}")
+     for name, walk in JACOBIAN_WALKS.items() for z in (0.0, 0.6, 1.0, 1.2)],
+)
+def test_free_jacobian_matches_differences(walk, z):
+    # One state per path: d Phi_x / d F_s = w forward / rest^2.
+    assert_jacobian_matches_differences(walk, z)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_JACOBIAN_WALKS))
+def test_jacobian_matches_differences(name):
+    # Paths of several states: (w / rest) A^-1 h, at weights the engine
+    # certifies, the last halfway from 1 to the bisection's last one.
+    walk = PRODUCT_JACOBIAN_WALKS[name]
+    for z in (0.05, 0.6, 1.0, 0.5 * (1.0 + 1.0 / _exact.spectral_upper(walk))):
+        assert_jacobian_matches_differences(walk, z)
+
+
+# Walks that must certify every weight z = 0.05, 0.10, ..., 1.0: all lie
+# below 1/rho.
+CERTIFIED_WALKS = {
+    **{f"z{m}{n}": uniform_walk(GroupModel.free_product(m, n), 1)
+       for m, n in ((2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (3, 7), (5, 7), (7, 7))},
+    "z23-asym": WALKS["z23-asym"][0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_WALKS))
+def test_certified_accepts_every_weight_below_one(name):
+    walk = CERTIFIED_WALKS[name]
+    assert [k for k in range(1, 21) if not _exact._certified(walk, k / 20)] == []
 
 
 def test_newton_reaches_the_iterated_fixed_point(case):
