@@ -43,7 +43,29 @@ monotonically to it whenever it exists, since Phi is monotone and convex
 Luttenberger, SIAM J. Comput. 39, 2010); a falling step rejects z as
 past 1/rho.  The certificate's direction (I - J)^-1 1 comes from the same
 pivoted elimination, with J in closed form on every path: one more
-tridiagonal solve per path of more than one state.
+tridiagonal solve per path of more than one state, on the hits of the
+sweep at the same point.
+
+Where to probe.  1/rho is the fold R of the first-passage system, and on
+these trees of cycles it is a minimum in one variable (Woess 2000, Ch. 9;
+Akemann and Ostrand, Amer. J. Math. 98, 1976, on F_N).  Let sigma =
+1 - z sum_y mu(y) F(e, y^-1 | z), the loop sum that ``_ceiling`` checks,
+and t = sigma / z.  A path's ``rest`` is sigma plus its own factor's
+share S_i of the loop sum, so the paths of factor i see only t, and
+G_i = S_i / z is a function of t alone:
+
+* Z, mu(x) = p, mu(x^-1) = q: F_x and F_x^-1 = (q/p) F_x solve a
+  quadratic, and G = sqrt(t^2 + 4pq) - t;
+* Z/2, weight p: G = (sqrt(t^2 + 4p^2) - t) / 2;
+* Z/m, m >= 3: with tau = rest / z and g(tau) = mu(s) F_{s^-1} +
+  mu(s^-1) F_s from ``_cycle_hits`` at (mu(s), mu(s^-1)) / tau, G(t) =
+  g(tau) at the root of tau - g(tau) = t, which is unique as g falls.
+
+Summing the shares, 1/z = Psi(t) = t + sum_i G_i(t), and rho = min over
+t > 0 of Psi(t); as Psi(t) >= t, the minimiser lies in (0, 1].  On F_N
+this is Akemann and Ostrand's formula.  The minimum only chooses the
+weight of the one probe, just below 1 / min Psi: the bound is rigorous
+because the certificate passes there, whatever the minimisation's error.
 
 Path layout.  Phi is compiled once per model (``_Slots``) into these
 paths, each with its forward and backward letter slots (positions in
@@ -60,11 +82,12 @@ order of the syllable-keyed reference engine (``tests/oracles.py``): the
 same left-to-right ``sum`` from int 0, the same (terms + 8) eps / den_min
 grouping, the same v (1 - rounding), and ``_cycle_hits`` shortened only
 where the dropped operations are exact (x + 0.0 and x / 1.0).  So every
-iterate, enclosure and spectral bound is the reference's, bit for bit.
+iterate, enclosure and certificate is the reference's, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import DivergenceError, SolverError
@@ -84,7 +107,10 @@ _MAX_NEWTON = 100
 # already at 1e-7 beyond it.
 _FALL = 2.0 ** -26
 _MAX_DIRECTION = 1e12  # |(I - J)^-1 1| beyond this: Jacobian at eigenvalue 1
-_SPECTRAL_GAP = 1e-4  # relative width of the last bisection step towards 1/rho
+_DELTA = 1e-9  # relative distance of the first spectral probe below 1 / min Psi
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_GOLDEN_STEPS = 45  # shrink the search interval of min Psi to 0.618^45 ~ 4e-10
+_ROOT_TOL = 1e-12  # relative Newton step at which a cycle's tau is taken as the root
 _DIVERGES = "first-passage fixed point diverges: z is past 1/rho"
 
 
@@ -130,8 +156,9 @@ class _Letters:
     """The monotone map Phi of one walk and weight z, on the letter slots.
 
     ``sweep`` returns Phi on the slots and a relative rounding bound of
-    that evaluation; ``table`` returns every one-factor value, keyed by
-    syllable, with the same bound.
+    that evaluation; ``linear`` adds the Jacobian at the same point;
+    ``table`` returns every one-factor value, keyed by syllable, with the
+    same bound.
     """
 
     def __init__(self, spec: WalkSpec, z: float):
@@ -146,22 +173,23 @@ class _Letters:
         ]
 
     def sweep(self, F: Vector) -> tuple[Vector, float]:
-        states, rounding = self._states(F)
+        states, rounding, _ = self._states(F)
         return [states[i] for i in self.slots.out], rounding
 
     def table(self, F: Vector) -> tuple[dict, float]:
-        states, rounding = self._states(F)
+        states, rounding, _ = self._states(F)
         return {k: states[i] for k, i in self.slots.entries}, rounding
 
-    def _states(self, F: Vector) -> tuple[Vector, float]:
-        """The hitting probabilities of every path's states at F, and
-        the rounding bound."""
-        states = []
+    def _states(self, F: Vector) -> tuple[Vector, float, Vector]:
+        """The hitting probabilities of every path's states at F, the
+        rounding bound and every path's ``rest``."""
+        states, rests = [], []
         den_min = 1.0
         for m, forward, backward, terms in self.paths:
             rest = 1.0 - sum([w * F[s] for w, s in terms])
             if not rest > 0.0:
                 raise DivergenceError(_DIVERGES)
+            rests.append(rest)
             if m == 2:
                 states.append(forward / rest)
                 den_min = min(den_min, rest)
@@ -169,27 +197,32 @@ class _Letters:
                 h, pivot_min = _cycle_hits(m, forward / rest, backward / rest)
                 states += h
                 den_min = min(den_min, rest, pivot_min)
-        return states, self.slots.num / den_min
+        return states, self.slots.num / den_min, rests
 
-    def jacobian(self, F: Vector) -> list[list[float]]:
-        """Rows of d Phi_i / d F_j over the slots.  A path's hits solve A h = r, A - I and r
-        linear in (phi, beta) = (forward, backward) / rest: by Euler's identity and d phi / d F_s
-        = phi w / rest, d h / d F_s = (w / rest) A^-1 h, or w forward / rest^2 on one state."""
+    def linear(self, F: Vector) -> tuple[Vector, float, list[list[float]]]:
+        """``sweep`` at F and the rows of d Phi_i / d F_j over the slots there.  A path's hits
+        solve A h = r, A - I and r linear in (phi, beta) = (forward, backward) / rest: by Euler's
+        identity and d phi / d F_s = phi w / rest, d h / d F_s = (w / rest) A^-1 h, or
+        w forward / rest^2 on one state.  The Jacobian reads the sweep's hits and ``rest``, so
+        no path is solved twice at F."""
+        states, rounding, rests = self._states(F)
         rows = []
-        for m, forward, backward, terms in self.paths:
-            rest = 1.0 - sum([w * F[s] for w, s in terms])
+        first = 0
+        for (m, forward, backward, terms), rest in zip(self.paths, rests):
             if m == 2:
                 scales = [forward / (rest * rest)]
             else:
-                phi, beta = forward / rest, backward / rest
-                slopes, _ = _path_solve(phi, beta, _cycle_hits(m, phi, beta)[0])
+                h = states[first:first + m - 1]
+                slopes, _ = _path_solve(forward / rest, backward / rest, h)
                 scales = [v / rest for v in slopes]
+            first += m - 1
             for scale in scales:
                 row = [0.0] * len(F)
                 for w, s in terms:
                     row[s] = scale * w
                 rows.append(row)
-        return [rows[i] for i in self.slots.out]
+        out = self.slots.out
+        return [states[i] for i in out], rounding, [rows[i] for i in out]
 
 
 def _cycle_hits(m: int, forward: float, backward: float) -> tuple[list[float], float]:
@@ -279,9 +312,8 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float]:
     return x
 
 
-def _resolvent(phi: _Letters, F: Vector, b: list[float]) -> list[float]:
-    """(I - J)^-1 b for the Jacobian J of Phi at F."""
-    jac = phi.jacobian(F)
+def _resolvent(jac: list[list[float]], b: list[float]) -> list[float]:
+    """(I - J)^-1 b for the Jacobian rows J."""
     a = [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(jac)]
     return _solve(a, b)
 
@@ -304,11 +336,11 @@ def _newton(phi: _Letters) -> Vector:
     """
     F = [0.0] * len(phi.keys)
     for _ in range(_MAX_NEWTON):
-        values, rounding = phi.sweep(F)
+        values, rounding, jac = phi.linear(F)
         residual = [v - f for v, f in zip(values, F)]
         if all(abs(r) <= rounding * v for r, v in zip(residual, values)):
             return F
-        step = _resolvent(phi, F, residual)
+        step = _resolvent(jac, residual)
         if not all(s >= -_FALL * v for s, v in zip(step, values)):
             raise DivergenceError("Newton step falls: z is past 1/rho")
         F = [f + s for f, s in zip(F, step)]
@@ -324,8 +356,8 @@ def _upper(phi: _Letters, F: Vector) -> Vector:
     positive solution d exists exactly when the spectral radius of J is
     below 1, that is when the fixed point is stable and z < 1/rho.
     """
-    base, rounding = phi.sweep(F)
-    d = _resolvent(phi, F, [1.0] * len(F))
+    base, rounding, jac = phi.linear(F)
+    d = _resolvent(jac, [1.0] * len(F))
     if not all(0.0 < dk <= _MAX_DIRECTION for dk in d):
         raise DivergenceError("first-passage fixed point is not stable: z is at or past 1/rho")
     excess = max(b * (1.0 + rounding) - f for f, b in zip(F, base))
@@ -550,28 +582,115 @@ def _certified(spec: WalkSpec, z: float) -> bool:
     return True
 
 
+def _factor_weights(spec: WalkSpec) -> list[tuple[int, float, float]]:
+    """(m, a, b) per factor: on Z (m = 0) a = mu(x), b = mu(x^-1); on
+    Z/m a = mu(s), b = mu(s^-1), so b = a on Z/2."""
+    slots, mu = _slots(spec.model), _Letters(spec, 1.0).zmu
+    return [
+        (m, mu[slots.index[(lid, 1)]], mu[slots.index[(lid, m - 1 if m else -1)]])
+        for lid, m in enumerate(spec.model.orders, 1)
+    ]
+
+
+def _cycle_share(m: int, a: float, b: float, t: float, tau: float) -> tuple[float, float, float]:
+    """G(t) of a factor Z/m, m >= 3, its root tau and d tau / d t: g(tau)
+    at the root of tau - g(tau) = t, where g(tau) = a F_{s^-1} + b F_s
+    with the hits of ``_cycle_hits`` at (a, b) / tau.  g falls from
+    infinity to 0 as tau rises, so the root is unique and lies in
+    (t, t + a + b].  Newton's method from the given tau if it lies in that
+    bracket, else from its right end, bisecting where a step leaves the
+    bracket or the hits diverge; by Euler's identity
+    d h / d tau = -(1/tau) A^-1 h.
+    """
+    lo, hi = t, t + a + b
+    if not lo < tau <= hi:
+        tau = hi
+    for _ in range(_MAX_NEWTON):
+        try:
+            phi, beta = a / tau, b / tau
+            h, _ = _cycle_hits(m, phi, beta)
+            slope, _ = _path_solve(phi, beta, h)
+        except DivergenceError:
+            lo = tau
+            tau = 0.5 * (lo + hi)
+            continue
+        f = tau - (a * h[0] + b * h[-1]) - t
+        if f > 0.0:
+            hi = tau
+        else:
+            lo = tau
+        rise = 1.0 + (a * slope[0] + b * slope[-1]) / tau
+        step = f / rise
+        if abs(step) <= _ROOT_TOL * tau:
+            return tau - step - t, tau - step, 1.0 / rise
+        tau = tau - step if lo < tau - step < hi else 0.5 * (lo + hi)
+    raise SolverError(f"cycle share not found in {_MAX_NEWTON} steps")
+
+
+def _psi(factors: list[tuple[int, float, float]], t: float, roots: dict) -> float:
+    """Psi(t) = t + sum_i G_i(t): 1/z at the weight z whose return sum
+    leaves sigma = z t.  ``roots`` maps a cycle factor to (t, tau,
+    d tau / d t) at its last solve, and is updated: the next solve starts
+    from the tangent there.  A cycle factor that repeats is solved once."""
+    shares = {}
+    for f in factors:
+        if f[0] > 2 and f not in shares:
+            last, tau, rate = roots.get(f, (t, math.inf, 0.0))
+            share, tau, rate = _cycle_share(*f, t, tau + (t - last) * rate)
+            shares[f], roots[f] = share, (t, tau, rate)
+    total = t
+    for m, a, b in factors:
+        if m == 0:
+            total += math.sqrt(t * t + 4.0 * a * b) - t
+        elif m == 2:
+            total += 0.5 * (math.sqrt(t * t + 4.0 * a * a) - t)
+        else:
+            total += shares[(m, a, b)]
+    return total
+
+
+def _psi_min(spec: WalkSpec) -> float:
+    """min of Psi over t in (0, 1], which holds its minimiser since
+    Psi(t) >= t and min Psi = rho <= 1: golden-section search, each cycle
+    factor's root started from the previous probe's."""
+    factors, roots = _factor_weights(spec), {}
+    lo, hi = 0.0, 1.0
+    x, y = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fx, fy = _psi(factors, x, roots), _psi(factors, y, roots)
+    for _ in range(_GOLDEN_STEPS):
+        if fx <= fy:
+            hi, y, fy = y, x, fx
+            x = hi - _GOLDEN * (hi - lo)
+            fx = _psi(factors, x, roots)
+        else:
+            lo, x, fx = x, y, fy
+            y = lo + _GOLDEN * (hi - lo)
+            fy = _psi(factors, y, roots)
+    return min(fx, fy)
+
+
 def spectral_upper(spec: WalkSpec) -> float:
     """A certified upper bound 1/z on the spectral radius rho.
 
-    z is the largest weight found at which G(e, e | z) is certified
-    finite, so z <= 1/rho.  It is found by doubling from z = 1 and then
-    bisecting down to a relative gap of ``_SPECTRAL_GAP``.  Each probe runs
-    Newton's method from 0 to the minimal fixed point (monotone for a
-    monotone convex Phi: Etessami and Yannakakis 2009; Esparza, Kiefer
-    and Luttenberger 2010) and certifies a supersolution above it; a
-    probe counts as not certified when a Newton step falls by more than
-    ``_FALL`` (no fixed point above the iterate), when a sweep diverges,
-    when I - J is singular or has no positive (I - J)^-1 1, or after
-    ``_MAX_NEWTON`` steps.  Only z = 1 builds the full ``_Solution``.
+    z is a weight at which G(e, e | z) is certified finite, so
+    z <= 1/rho.  The first probe is z = (1 - _DELTA) / min Psi, just
+    below 1/rho = 1 / min Psi; while a probe fails, its distance below
+    1 / min Psi grows a hundredfold, down to z = 1, which ``_solution``
+    certifies.  min Psi only chooses where to probe: the bound holds by
+    the certificate alone.  A probe runs Newton's method from 0 to the
+    minimal fixed point (monotone for a monotone convex Phi: Etessami
+    and Yannakakis 2009; Esparza, Kiefer and Luttenberger 2010) and
+    certifies a supersolution above it; it counts as not certified when
+    a Newton step falls by more than ``_FALL`` (no fixed point above the
+    iterate), when a sweep diverges, when I - J is singular or has no
+    positive (I - J)^-1 1, or after ``_MAX_NEWTON`` steps.
     """
     _solution(spec, 1.0)  # z = 1 must certify: its errors propagate
-    lo, hi = 1.0, 2.0
-    while _certified(spec, hi):
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > _SPECTRAL_GAP * lo:
-        mid = 0.5 * (lo + hi)
-        if _certified(spec, mid):
-            lo = mid
-        else:
-            hi = mid
-    return (1.0 / lo) * (1.0 + _EPS)
+    psi = _psi_min(spec)
+    delta = _DELTA
+    while delta < 1.0:
+        z = (1.0 / psi) * (1.0 - delta)
+        if z > 1.0 and _certified(spec, z):
+            return (1.0 / z) * (1.0 + _EPS)
+        delta *= 100.0
+    return 1.0 + _EPS

@@ -309,16 +309,16 @@ class SpectralRadiusEstimate:
     even_returns: tuple[float, ...]  # p^(0), p^(2), ..., p^(2n)
     roots: tuple[float, ...]  # p^(2k)(e,e)^(1/2k)
     lower: float  # max root: p^(n)(e,e) <= rho^n for every n
-    upper: float  # 1/z at the largest z where G(e,e|z) is certified finite
+    upper: float  # 1/z at a certified z within delta of 1/rho
 
 
 def spectral_radius_estimate(spec: WalkSpec, max_steps: int = 20) -> SpectralRadiusEstimate:
     """Bracket the spectral radius rho of a nearest-neighbour walk.
 
     The returns p^(n)(e, e), n <= ``max_steps``, are power-series
-    coefficients of the cut-vertex first-step equations; ``upper`` comes
-    from bisecting for the largest z at which the exact engine certifies
-    G(e, e | z) < infinity.
+    coefficients of the cut-vertex first-step equations; ``upper`` is 1/z
+    for a z just below 1/rho = 1 / min Psi, the free-product minimum, at
+    which the exact engine certifies G(e, e | z) < infinity.
     """
     from . import _exact  # _exact imports this module
 

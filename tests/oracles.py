@@ -42,8 +42,7 @@ import scipy.sparse.linalg as spla
 
 from hypwalk import _exact
 from hypwalk._exact import (
-    _EPS, _FALL, _MAX_DIRECTION, _MAX_DOUBLINGS, _MAX_NEWTON, _MAX_SWEEPS, _SPECTRAL_GAP, _solve,
-    factors, kernel,
+    _EPS, _FALL, _MAX_DIRECTION, _MAX_DOUBLINGS, _MAX_NEWTON, _MAX_SWEEPS, _solve, factors, kernel,
 )
 from hypwalk._solver import RestrictedSolver
 from hypwalk.errors import DivergenceError, SolverError, ValidationError
@@ -398,11 +397,16 @@ def per_sample_rn_check(walk, g, cyl, prefixes, depth: int):
     return pulled_hits, np.asarray(kernel_vals)
 
 
+_SPECTRAL_GAP = 1e-4  # relative width of the last bisection step towards 1/rho
+
+
 def plain_spectral_upper(spec) -> float:
-    """The bound of ``hypwalk._exact.spectral_upper`` with every probe a
-    full ``_Solution``: the plain and the biased iteration of the first-
-    passage map from 0, an upper certificate and the G(e, e | z) check,
-    at each point of the same doubling and bisection in z."""
+    """A certified upper bound on rho found without the free-product
+    minimum, with every probe a full ``_Solution``: the plain and the
+    biased iteration of the first-passage map from 0, an upper
+    certificate and the G(e, e | z) check, at each point of a doubling
+    and bisection in z.  Certified, so at least rho, and within
+    ``_SPECTRAL_GAP`` of it."""
 
     def certified(z):
         try:
@@ -415,8 +419,8 @@ def plain_spectral_upper(spec) -> float:
 
 
 def _bisect_spectral(certified) -> float:
-    """1/z for the largest certified z of ``spectral_upper``'s doubling
-    from z = 1 and bisection down to a relative gap of ``_SPECTRAL_GAP``."""
+    """1/z for the largest certified z of a doubling from z = 1 and a
+    bisection down to a relative gap of ``_SPECTRAL_GAP``."""
     lo, hi = 1.0, 2.0
     while certified(hi):
         lo, hi = hi, 2.0 * hi
@@ -432,9 +436,10 @@ def _bisect_spectral(certified) -> float:
 # ---------------------------------------------------------------------------
 # the syllable-keyed first-passage engine: the reference that the slot-indexed
 # engine of ``hypwalk._exact`` must match bit for bit.  The classes and
-# functions up to ``_certified`` are the engine's dict form verbatim
-# (``_Solution`` without ``product``); ``dict_solution``, ``dict_newton``
-# and ``dict_spectral_upper`` read it.
+# functions up to ``_certified`` are the engine's dict form, operation for
+# operation (``_Solution`` without ``product``; each Jacobian solves its
+# paths afresh); ``dict_solution`` and ``dict_newton`` read it, and the
+# tests call its ``_certified`` directly.
 
 
 class _Letters:
@@ -729,11 +734,6 @@ def dict_solution(spec: WalkSpec, z: float) -> DictSolution:
 def dict_newton(spec: WalkSpec, z: float) -> dict:
     """The reference Newton point at z."""
     return _newton(_Letters(spec, z))
-
-
-def dict_spectral_upper(spec: WalkSpec) -> float:
-    """``spectral_upper`` with every probe run by the reference engine."""
-    return _bisect_spectral(lambda z: _certified(spec, z))
 
 
 # ---------------------------------------------------------------------------

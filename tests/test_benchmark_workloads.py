@@ -32,7 +32,7 @@ import run  # noqa: E402
 
 GOLDEN = {
     "f2-asym-kernels": {
-        "results": "181176723a1a8d47b8b9875ac3a285e4211851d42d0208db18b6b2b9ab660aec",
+        "results": "b55098d214215f7345c604aaf175ff97b9492c8858f71ebd7eb007fe43a72fc8",
         "verdicts": "09df1768c7824108aa9737c958eca36fee71456a1102421cb5b8fcedb3f975b1",
         "green.csv": "70c200b76d94c2034cd8ba09684d9d24df0014cef457f5845821942c1c335791",
         "martin.csv": "0ce4c7c8b353805d8a7ccfdeb91e68875ea27befe1bbe65bfb5f1557d154f3c7",

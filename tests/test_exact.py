@@ -7,6 +7,11 @@ slot-indexed engine is held with ``==`` to the syllable-keyed reference
 engine of ``oracles``.
 """
 
+import ast
+import math
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given
 
@@ -17,14 +22,15 @@ from hypwalk import (
     make_walk,
     martin_kernel_at,
     ratio_invariant,
+    spectral_radius_estimate,
     uniform_walk,
 )
 from hypwalk import _exact
 
 from oracles import (
-    ball, dict_newton, dict_solution, dict_spectral_upper, plain_spectral_upper,
-    restricted_green,
+    _bisect_spectral, ball, dict_newton, dict_solution, plain_spectral_upper, restricted_green,
 )
+from oracles import _certified as dict_certified
 from test_properties import PROPERTY_SETTINGS, walks
 
 F2, F3 = GroupModel.free(2), GroupModel.free(3)
@@ -136,12 +142,125 @@ SPECTRAL_WALKS = {
 }
 
 
+def spectral_probes(walk):
+    """``spectral_upper``'s bound and its (z, certified) probes, in order."""
+    probes = []
+    certified = _exact._certified
+
+    def probe(spec, z):
+        probes.append((z, certified(spec, z)))
+        return probes[-1][1]
+
+    with mock.patch.object(_exact, "_certified", probe):
+        upper = _exact.spectral_upper(walk)
+    return upper, probes
+
+
+def certified_weight(probes):
+    """The weight z of ``spectral_upper``'s bound 1/z: its last certified
+    probe, or z = 1 where none passed."""
+    return ([z for z, ok in probes if ok] or [1.0])[-1]
+
+
 @pytest.mark.parametrize("name", sorted(SPECTRAL_WALKS))
 def test_spectral_upper_equals_plain_bisection(name):
-    # The Newton probe certifies exactly where the full first-passage
-    # solution does, so the bisection visits the same weights.
+    # The bisection that ``spectral_upper`` ran before it probed at the
+    # free-product minimum: with the Newton probe of ``_certified`` at
+    # every weight it ends where the bisection over full first-passage
+    # solutions does, so the probe certifies exactly where they do.
     walk = SPECTRAL_WALKS[name]
-    assert _exact.spectral_upper(walk) == plain_spectral_upper(walk)
+    newton = _bisect_spectral(lambda z: _exact._certified(walk, z))
+    assert newton == plain_spectral_upper(walk)
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_WALKS))
+def test_spectral_upper_within_plain_bisection(name):
+    # Certified, so at least rho, and far closer to it than the bisection:
+    # a weight 1e-6 past the certified one is rejected.
+    walk = SPECTRAL_WALKS[name]
+    upper, plain = _exact.spectral_upper(walk), plain_spectral_upper(walk)
+    assert plain * (1.0 - 2e-4) <= upper <= plain
+    assert not _exact._certified(walk, (1.0 / upper) * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_WALKS))
+def test_spectral_upper_probes_at_most_three_weights(name):
+    # One certificate next to 1 / min Psi, where the bisection took 14 or 15.
+    upper, probes = spectral_probes(SPECTRAL_WALKS[name])
+    assert 1 <= len(probes) <= 3
+    assert upper == (1.0 / certified_weight(probes)) * (1.0 + _exact._EPS)
+
+
+def rejecting_probes(rejected):
+    """A ``_certified`` that fails its first ``rejected`` probes and runs
+    the real certificate after them, and the list of its probed z."""
+    probes = []
+    certified = _exact._certified
+
+    def probe(spec, z):
+        probes.append(z)
+        return len(probes) > rejected and certified(spec, z)
+
+    return probe, probes
+
+
+@pytest.mark.parametrize("rejected", [1, 2])
+def test_spectral_upper_backs_off_after_failed_probes(rejected):
+    # Each failed probe moves the next a hundredfold further below
+    # 1 / min Psi; the bound is 1/z at the first probe that passes.
+    walk = SPECTRAL_WALKS["f2-asym"]
+    probe, probes = rejecting_probes(rejected)
+    with mock.patch.object(_exact, "_certified", probe):
+        upper = _exact.spectral_upper(walk)
+    deltas = [_exact._DELTA]
+    for _ in range(rejected):
+        deltas.append(deltas[-1] * 100.0)
+    psi = _exact._psi_min(walk)
+    assert probes == [(1.0 / psi) * (1.0 - delta) for delta in deltas]
+    assert upper == (1.0 / probes[-1]) * (1.0 + _exact._EPS)
+
+
+@pytest.mark.parametrize("name, count", [("f2-asym", 5), ("z23", 4)])
+def test_spectral_upper_is_one_when_every_probe_fails(name, count):
+    # delta = 1e-9, 1e-7, ..., 1e-1; a probe at z <= 1 is not run (on
+    # Z/2*Z/3, 1/rho ~ 1.0117, so the last one), and the bound falls back
+    # to z = 1, which ``_solution`` certifies.
+    probe, probes = rejecting_probes(math.inf)
+    with mock.patch.object(_exact, "_certified", probe):
+        upper = _exact.spectral_upper(SPECTRAL_WALKS[name])
+    assert upper == 1.0 + _exact._EPS
+    assert len(probes) == count and all(z > 1.0 for z in probes)
+
+
+def test_spectral_gap_is_gone_from_src():
+    names = set()
+    for path in Path(_exact.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    assert "_SPECTRAL_GAP" not in names
+    assert "_psi_min" in names
+
+
+@PROPERTY_SETTINGS
+@given(walks())
+def test_psi_is_unimodal_and_its_minimum_is_bracketed(walk):
+    # Psi on a grid of (0, 1] falls and then rises, up to rounding; the
+    # golden-section minimum lies at or below every grid value; and the
+    # bound lies between the largest return root and the bisection's.
+    factors = _exact._factor_weights(walk)
+    roots = {}
+    grid = [_exact._psi(factors, k / 200, roots) for k in range(1, 201)]
+    low = grid.index(min(grid))
+    tol = 1e-12 * grid[low]
+    # a cycle factor's root, started from the tangent at the last t, is
+    # the root that a solve from the bracket's end finds
+    for k in (0, low, len(grid) - 1):
+        assert grid[k] == pytest.approx(_exact._psi(factors, (k + 1) / 200, {}), rel=1e-13)
+    assert all(b <= a + tol for a, b in zip(grid[:low], grid[1:low + 1]))
+    assert all(b >= a - tol for a, b in zip(grid[low:], grid[low + 1:]))
+    assert _exact._psi_min(walk) <= min(grid)
+    upper = _exact.spectral_upper(walk)
+    assert spectral_radius_estimate(walk, max_steps=8).lower <= upper <= plain_spectral_upper(walk)
 
 
 def test_certified_brackets_inverse_spectral_radius():
@@ -181,8 +300,7 @@ PRODUCT_JACOBIAN_WALKS = {
 def assert_jacobian_matches_differences(walk, z):
     phi = _exact._Letters(walk, z)
     F = _exact._newton(phi)
-    exact = phi.jacobian(F)
-    base, _ = phi.sweep(F)
+    base, _, exact = phi.linear(F)
     for j, f in enumerate(F):
         step = 1e-6 * max(f, 1e-6)
         moved, _ = phi.sweep(F[:j] + [f + step] + F[j + 1:])
@@ -203,7 +321,7 @@ def test_free_jacobian_matches_differences(walk, z):
 @pytest.mark.parametrize("name", sorted(PRODUCT_JACOBIAN_WALKS))
 def test_jacobian_matches_differences(name):
     # Paths of several states: (w / rest) A^-1 h, at weights the engine
-    # certifies, the last halfway from 1 to the bisection's last one.
+    # certifies, the last halfway from 1 to 1/``spectral_upper``.
     walk = PRODUCT_JACOBIAN_WALKS[name]
     for z in (0.05, 0.6, 1.0, 0.5 * (1.0 + 1.0 / _exact.spectral_upper(walk))):
         assert_jacobian_matches_differences(walk, z)
@@ -243,12 +361,15 @@ def test_solve_with_pivoting():
 
 def assert_matches_dict_engine(walk):
     """The slot engine against the syllable-keyed reference, with ``==``:
-    ``spectral_upper``, and at z = 0, 0.6, 1 and a weight above 1 that the
-    bisection certifies (halfway to the last certified one), both
-    iterates, the enclosure table (with its key order), the base and the
-    Newton point, or a DivergenceError from both Newton probes."""
-    upper = _exact.spectral_upper(walk)
-    assert upper == dict_spectral_upper(walk)
+    the certificate's verdict at the weight z that ``spectral_upper``
+    certified and at z (1 + 1e-6), and at z = 0, 0.6, 1 and a weight above
+    1 that it certifies (halfway to 1/``spectral_upper``), both iterates,
+    the enclosure table (with its key order), the base and the Newton
+    point, or a DivergenceError from both Newton probes."""
+    upper, probes = spectral_probes(walk)
+    certified = certified_weight(probes)
+    for z in (certified, certified * (1.0 + 1e-6)):
+        assert _exact._certified(walk, z) == dict_certified(walk, z)
     for z in (0.0, 0.6, 1.0, 0.5 * (1.0 + 1.0 / upper)):
         phi = _exact._Letters(walk, z)
         ref = dict_solution(walk, z)

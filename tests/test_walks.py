@@ -557,18 +557,18 @@ class TestExactDistributions:
 class TestSpectralRadius:
     def test_free_group_kesten_value(self):
         # Simple walk on F_N: rho = sqrt(2N - 1) / N (Kesten).
-        for rank in (2, 3, 4):
+        for rank in (2, 3, 4, 5, 6, 12):
             est = spectral_radius_estimate(uniform_walk(GroupModel.free(rank), seed=1))
             target = np.sqrt(2 * rank - 1) / rank
             assert est.lower <= target <= est.upper
-            assert est.upper <= target * (1 + 1e-4)
+            assert est.upper <= target * (1 + 1e-8)
 
     def test_asymmetric_closed_form(self, f2):
         # rho = min_t [sum_i sqrt(t^2 + 4 mu(a_i) mu(a_i^-1)) - (N - 1) t].
         spec = make_walk(f2, [("a", 0.35), ("A", 0.15), ("b", 0.30), ("B", 0.20)], seed=5)
         rho = 0.8212410808
         est = spectral_radius_estimate(spec)
-        assert est.lower <= rho <= est.upper <= rho * (1 + 1e-4)
+        assert est.lower <= rho <= est.upper <= rho * (1 + 1e-8)
 
     def test_subcritical_postcheck(self, walk_f2, walk_z23):
         for walk in (walk_f2, walk_z23):
