@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .groups import (
     GroupModel,
     GroupElement,
-    GeodesicSegment,
     conjugacy_representatives,
     distance,
-    geodesic,
     gromov_product,
     words_by_length,
 )
@@ -17,11 +15,9 @@ from .walks import (
     WalkSpec,
     WalkValidation,
     PathSample,
-    BoundarySample,
     SpectralRadiusEstimate,
     make_walk,
     reversed_walk,
-    sample_boundary_point,
     sample_path,
     spectral_radius_estimate,
     uniform_walk,
@@ -32,9 +28,7 @@ from .green import (
     GreenEstimate,
     ancona_check,
     first_passage,
-    green,
     green_decay_rate,
-    green_z,
     harnack_constant,
 )
 from .martin import (
@@ -43,7 +37,6 @@ from .martin import (
     MartinEstimate,
     RatioValue,
     hoelder_probe,
-    limit_gromov,
     martin_kernel,
     martin_kernel_at,
     ratio_invariant,
@@ -54,7 +47,6 @@ from .measure import (
     GibbsReport,
     RadonNikodymReport,
     SampleSet,
-    cylinder_membership,
     estimate_measure,
     gibbs_ratio,
     radon_nikodym_check,

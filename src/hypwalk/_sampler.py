@@ -280,7 +280,7 @@ class _Slab:
 
 class _Sampler:
     """Boundary sampling of one batch of streams under the stopping rule
-    of :func:`hypwalk.walks.sample_boundary_point`.
+    of :func:`hypwalk.walks.sample_boundary_prefixes`.
 
     Streams run in slabs of ``_SLAB`` rows.  In a batch of several
     slabs, the first runs until its live rows fit in one Philox tile,

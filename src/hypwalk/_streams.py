@@ -13,7 +13,7 @@ the 128-bit product of every lane with a 64-bit constant stays inside
 its lane, and each big-integer operation advances all pairs at once.
 
 The walker follows one stream at a time under the stopping rule of
-:func:`hypwalk.walks.sample_boundary_point`; the streams of a batch
+:func:`hypwalk.walks.sample_boundary_prefixes`; the streams of a batch
 refill their draws together.  The array sampler in ``_sampler``, which
 draws the large batches of boundary sample sets, pushes its words
 through the same table (:func:`_push_tables`) under the same rule, so
@@ -222,7 +222,7 @@ def boundary_prefixes(
 ) -> list[tuple[tuple[int, ...] | None, int]]:
     """(prefix letters, steps used) of the streams keyed ``keys``, in key
     order, with None for the letters of a stream that ran out of steps;
-    see :func:`hypwalk.walks.sample_boundary_point`.
+    see :func:`hypwalk.walks.sample_boundary_prefixes`.
 
     The first refill covers the 2 margin + patience steps before any
     promotion, rounded up to whole Philox blocks, later ones

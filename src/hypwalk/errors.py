@@ -39,7 +39,7 @@ class BoundaryTimeout(BudgetExceededError):
 
 
 class IndeterminateMembership(HypwalkError, RuntimeError):
-    """A frozen boundary prefix is too short to decide cylinder membership."""
+    """A boundary prefix is too short to decide cylinder membership."""
 
 
 class ConfigError(HypwalkError, ValueError):

@@ -1,9 +1,9 @@
 """Green functions on the full group, first-passage kernels, weighted
 Green functions, and the Ancona constant along geodesics.
 
-Full-group values (``green``, ``green_z``, ``first_passage``) are exact
-products over syllables from the cut-vertex engine in ``_exact``, each
-with a certified enclosure of relative width near float rounding.
+Full-group values (``first_passage``) are exact products over syllables
+from the cut-vertex engine in ``_exact``, each with a certified
+enclosure of relative width near float rounding.
 ``green_table`` gives the same enclosures for a whole ball in one pass,
 one multiplication per word from its parent at the last cut vertex, with
 each word's name and length, as plain rows.  The Ancona constant is a
@@ -37,9 +37,6 @@ class GreenEstimate:
     lower: float
     upper: float
 
-    def width(self) -> float:
-        return self.upper - self.lower
-
     def __post_init__(self):
         if not (self.lower <= self.value <= self.upper + 1e-300):
             raise ValueError("inconsistent bracket")
@@ -47,24 +44,6 @@ class GreenEstimate:
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def green(walk: WalkSpec, x: GroupElement, y: GroupElement) -> GreenEstimate:
-    """G(x, y) = G(e, x^-1 y), exact with a float-rounding enclosure."""
-    require_valid(walk, nondegenerate=False)
-    return GreenEstimate(*_exact.green(walk, x.inverse() * y))
-
-
-def green_z(walk: WalkSpec, x: GroupElement, y: GroupElement, z: float) -> GreenEstimate:
-    """The weighted Green function G(x, y | z) for z in [0, 1/rho).
-
-    z = 1 recovers ``green`` and z = 0 the indicator of x = y; z past
-    1/rho raises :class:`DivergenceError`.
-    """
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    require_valid(walk, nondegenerate=False)
-    return GreenEstimate(*_exact.green(walk, x.inverse() * y, float(z)))
 
 
 def first_passage(walk: WalkSpec, x: GroupElement, y: GroupElement) -> GreenEstimate:

@@ -5,12 +5,12 @@ Z, whose Cayley graph is a tree of cycles and lines.  Accepted are free
 groups F_N = Z * ... * Z of rank ``2 <= N <= 26`` and free products
 ``Z/m * Z/n`` with ``m, n >= 2`` and ``(m, n) != (2, 2)``.
 
-Elements are immutable normal-form words; the word metric, Gromov
-products, canonical geodesics, word lists by length and conjugacy
-representatives are all exact.  The indexed balls at the end serve the
-tests' restricted-ball oracles only; their words are pushed and spelled
-through the normal-form table that the boundary samplers share
-(``_streams._push_tables``).
+Elements are immutable normal-form words, spelled by canonical geodesic
+words; the word metric, Gromov products, word lists by length and
+conjugacy representatives are all exact.  The indexed balls at the end
+serve the tests' restricted-ball oracles only; their words are pushed
+and spelled through the normal-form table that the boundary samplers
+share (``_streams._push_tables``).
 """
 
 from __future__ import annotations
@@ -218,18 +218,6 @@ class GroupElement:
             out.append((lid, -exp if order == 0 else order - exp))
         return GroupElement(model, tuple(out))
 
-    def __pow__(self, n: int) -> "GroupElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.model.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- geometry ----------------------------------------------------------
 
     def word_length(self) -> int:
@@ -330,39 +318,6 @@ def gromov_product(x: GroupElement, y: GroupElement, base: GroupElement | None =
     dyz = distance(y, base)
     dxy = distance(x, y)
     return Fraction(dxz + dyz - dxy, 2)
-
-
-@record
-class GeodesicSegment:
-    """An explicit geodesic: vertices at unit steps with d(x_i, x_j) = |i-j|."""
-
-    vertices: tuple[GroupElement, ...]
-
-    def __len__(self):
-        return len(self.vertices) - 1
-
-    @property
-    def start(self) -> GroupElement:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> GroupElement:
-        return self.vertices[-1]
-
-    def reversed(self) -> "GeodesicSegment":
-        return GeodesicSegment(tuple(reversed(self.vertices)))
-
-
-def geodesic(x: GroupElement, y: GroupElement) -> GeodesicSegment:
-    """The canonical geodesic from x to y (deterministic)."""
-    _same_model(x, y)
-    word = x.inverse() * y
-    verts = [x]
-    cur = x
-    for letter in word.letters():
-        cur = cur * x.model.letter_element(letter)
-        verts.append(cur)
-    return GeodesicSegment(tuple(verts))
 
 
 # ---------------------------------------------------------------------------
@@ -563,28 +518,27 @@ def _free_classes(model: GroupModel, maxlen: int) -> list[GroupElement]:
 
 
 def _product_classes(model: GroupModel, maxlen: int) -> list[tuple[GroupElement, bool]]:
-    m, n = model.orders
-    reps: list[tuple[GroupElement, bool]] = []
-    for lid, order in ((1, m), (2, n)):
-        for exp in range(1, order):
-            g = GroupElement(model, ((lid, exp),))
-            if g.word_length() <= maxlen:
-                reps.append((g, True))
+    """The single syllables, which are the finite-order classes, and the
+    least rotation of each word of an even number of syllables from
+    alternating factors.  The words start in the first factor (an odd
+    rotation starts in the second) and grow depth-first, a syllable at a
+    time, while they fit in ``maxlen`` letters."""
+    syllables = [[((lid, exp), min(exp, order - exp)) for exp in range(1, order)]
+                 for lid, order in enumerate(model.orders, 1)]
+    reps = [(GroupElement(model, (syl,)), True)
+            for factor in syllables for syl, size in factor if size <= maxlen]
     seen = set()
-    for count in range(2, maxlen + 1, 2):
-        for first in (1, 2):
-            pattern = [first if i % 2 == 0 else 3 - first for i in range(count)]
-            ranges = [range(1, model.orders[lid - 1]) for lid in pattern]
-            for exps in itertools.product(*ranges):
-                syl = tuple(zip(pattern, exps))
-                g = GroupElement(model, syl)
-                if g.word_length() > maxlen:
-                    continue
-                rotations = [syl[i:] + syl[:i] for i in range(count)]
-                canon = min(GroupElement(model, r).letters() for r in rotations)
-                if canon in seen:
-                    continue
+    stack = [((), 0)]
+    while stack:
+        syls, length = stack.pop()
+        count = len(syls)
+        if count and not count % 2:
+            canon = min(GroupElement(model, syls[i:] + syls[:i]).letters() for i in range(count))
+            if canon not in seen:
                 seen.add(canon)
                 reps.append((model.from_letters(canon), False))
+        for syl, size in syllables[count % 2]:
+            if length + size <= maxlen:
+                stack.append(((*syls, syl), length + size))
     reps.sort(key=lambda pair: (pair[0].word_length(), pair[0].letters()))
     return reps

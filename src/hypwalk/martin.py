@@ -28,24 +28,21 @@ class BoundaryPoint:
     """A boundary point given by an eventually periodic geodesic ray.
 
     ``prefix(n)`` returns the ray's n-th vertex; ``head`` is the aperiodic
-    initial part and ``cycle`` the repeating part.  A trivial cycle means
-    a frozen finite approximant (e.g. a stabilized boundary sample),
-    usable only up to its recorded depth.
+    initial part and ``cycle`` the repeating part, of infinite order.
     """
 
     head: GroupElement
     cycle: GroupElement
 
     def __post_init__(self):
-        if not self.cycle.is_identity():
-            if self.cycle.has_finite_order():
-                raise ValidationError("cycle must have infinite order")
-            cc = self.cycle * self.cycle
-            if cc.letters() != self.cycle.letters() * 2:
-                raise ValidationError("cycle is not cyclically reduced")
-            hc = self.head * self.cycle
-            if hc.letters() != self.head.letters() + self.cycle.letters():
-                raise ValidationError("head does not extend to the cycle without cancellation")
+        if self.cycle.has_finite_order():  # the identity too
+            raise ValidationError("cycle must have infinite order")
+        cc = self.cycle * self.cycle
+        if cc.letters() != self.cycle.letters() * 2:
+            raise ValidationError("cycle is not cyclically reduced")
+        hc = self.head * self.cycle
+        if hc.letters() != self.head.letters() + self.cycle.letters():
+            raise ValidationError("head does not extend to the cycle without cancellation")
 
     @staticmethod
     def periodic(g: GroupElement) -> "BoundaryPoint":
@@ -59,28 +56,15 @@ class BoundaryPoint:
     def model(self) -> GroupModel:
         return self.head.model
 
-    def max_depth(self) -> int | None:
-        if self.cycle.is_identity():
-            return len(self.head.letters())
-        return None
-
     def prefix_letters(self, n: int) -> tuple[int, ...]:
-        head = self.head.letters()
-        if n <= len(head):
-            return head[:n]
-        cyc = self.cycle.letters()
-        if not cyc:
-            raise ValidationError(f"frozen boundary prefix has only {len(head)} letters, asked {n}")
-        need = n - len(head)
-        reps = -(-need // len(cyc))
+        head, cyc = self.head.letters(), self.cycle.letters()
+        reps = -(-(n - len(head)) // len(cyc))  # ceil; none if the head is long enough
         return (head + cyc * reps)[:n]
 
     def prefix(self, n: int) -> GroupElement:
         return self.model.from_letters(self.prefix_letters(n))
 
     def __str__(self):
-        if self.cycle.is_identity():
-            return f"{self.head}(frozen)"
         return f"{self.head}({self.cycle})^inf"
 
 
@@ -110,21 +94,6 @@ def _prefix_product(
     depth = min(k + span + 1, n)
     value = gromov_product(model.from_letters(la[:depth]), model.from_letters(lb[:depth]))
     return value, depth == k + span + 1
-
-
-def limit_gromov(a: BoundaryPoint, b: BoundaryPoint, cap: int = 256) -> tuple[Fraction, bool]:
-    """Limiting Gromov product of two canonical rays, with an exactness flag.
-
-    One product evaluation on at most ``cap`` letters of each ray (see
-    :func:`_prefix_product`).  When the letters run out first, for a
-    frozen point or a short cap, the value is a lower bound and the flag
-    is False.
-    """
-    model = a.model
-    if model != b.model:
-        raise ValidationError("boundary points from different models")
-    avail = min(x for x in (a.max_depth(), b.max_depth(), cap) if x is not None)
-    return _prefix_product(model, a.prefix_letters(avail), b.prefix_letters(avail))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 first-passage ratio series, and the change-of-variables check.
 
 Cylinder membership is exact: it reads one Gromov product of two letter
-prefixes (see :func:`hypwalk.martin.limit_gromov`), and every sampled
+prefixes (see :func:`hypwalk.martin._prefix_product`), and every sampled
 prefix is long enough for that product to be decided.  Monte Carlo
 estimates read a :class:`SampleSet`: stabilized prefixes drawn over
 counter-based streams keyed by a purpose tag, aggregated in a fixed
@@ -32,7 +32,7 @@ from ._record import record
 from .errors import BoundaryTimeout, IndeterminateMembership, ValidationError
 from .green import first_passage
 from .groups import GroupElement, GroupModel
-from .martin import BoundaryPoint, _prefix_product, limit_gromov, martin_kernel_at
+from .martin import BoundaryPoint, _prefix_product, martin_kernel_at
 from .walks import WalkSpec, require_valid, sample_boundary_prefixes
 
 if TYPE_CHECKING:
@@ -74,16 +74,6 @@ def _decide(value: Fraction, exact: bool, cyl: Cylinder) -> bool:
     if exact:
         return False
     raise IndeterminateMembership(f"prefixes too short to decide product {value} > {cyl.radius}")
-
-
-def cylinder_membership(eta: BoundaryPoint, cyl: Cylinder) -> bool:
-    """Decide eta in U(xi, R) from the first R + s + 1 letters of both rays.
-
-    If those agree beyond R letters the product exceeds R; otherwise it is
-    exact at that depth.  Only a frozen point shorter than that can leave
-    the product undecided, which raises :class:`IndeterminateMembership`.
-    """
-    return _decide(*limit_gromov(eta, cyl.base, cap=cyl.depth), cyl)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +218,16 @@ def _ray_product(
     """Product of a ray beginning ``letters`` with the cylinder's base ray,
     from their first ``cyl.depth`` letters, and whether it is exact."""
     n = cyl.depth
-    cap = cyl.base.max_depth()
-    base = cyl.base.prefix_letters(n if cap is None else min(n, cap))
-    return _prefix_product(model, letters[:n], base)
+    return _prefix_product(model, letters[:n], cyl.base.prefix_letters(n))
 
 
 def _prefix_membership(
     letters: tuple[int, ...], cyl: Cylinder, model: GroupModel
 ) -> bool:
-    """Decide membership of the ray whose canonical letters begin ``letters``."""
+    """Decide membership of the ray whose canonical letters begin
+    ``letters``, from its first R + s + 1: past R shared letters the
+    product exceeds R, else it is exact there.  Fewer letters can leave it
+    undecided, which raises :class:`IndeterminateMembership`."""
     return _decide(*_ray_product(letters, cyl, model), cyl)
 
 
@@ -248,9 +239,6 @@ class MeasureEstimate:
     n_samples: int
     half_width: float
     n_retries: int
-
-    def band(self) -> tuple[float, float]:
-        return (self.value - self.half_width, self.value + self.half_width)
 
 
 def _estimate(hits: int, n: int, retries: int) -> MeasureEstimate:

@@ -9,7 +9,8 @@ Results are plain rows of built-in types and records (the ``green``
 table is one row per word), which ``_plain`` matches by exact type, and
 ``report.json`` is streamed to its file by ``json.dump``: one string of
 a large table would double the peak memory.  The ``green`` table is
-refused above ``_MAX_WORDS`` words before any value is computed.
+refused above ``_MAX_WORDS`` words before any value is computed, and
+``rg`` on a ball above it before any class is listed.
 
 A run draws at most one boundary sample set, under one purpose tag,
 before its first experiment, when it selects ``gibbs`` or ``rn-check``,
@@ -112,6 +113,7 @@ def _probe_points(model: GroupModel) -> tuple[list[GroupElement], list[BoundaryP
 # 223 MB: on the line through both, 40 us and 0.63 kB per word.  That line
 # reaches 30 s at 750,600 words and 1 GB at 1.58 M, so time sets the cap.
 # B(e, 4) fits up to F_14 (572,725 words, about 23 s); F_15 has 757,801.
+# rg lists the classes that meet a ball no larger.
 _MAX_WORDS = 750_000
 _GREEN_FIELDS = ("word", "length", "value", "lower", "upper")
 
@@ -162,7 +164,7 @@ def _exp_simulate(cfg: ExperimentConfig):
         and sr.lower <= sr.upper < 1.0 and failures == 0
     )
     result = {
-        "validation": report.as_dict(),
+        "validation": _plain(report),
         "first_positions": [str(x) for x in path.positions[:8]],
         "spectral_lower": sr.lower,
         "spectral_upper": sr.upper,
@@ -209,7 +211,14 @@ def _ratio_row(rv) -> dict:
 
 
 def _exp_rg(cfg: ExperimentConfig):
-    reps = conjugacy_representatives(cfg.model, cfg.budgets["maxlen"])
+    maxlen = cfg.budgets["maxlen"]
+    size = word_count(cfg.model, maxlen)
+    if size > _MAX_WORDS:
+        raise BudgetExceededError(
+            f"rg: B(e,{maxlen}) on {cfg.model} holds {size} words, above {_MAX_WORDS}; "
+            "a smaller budgets.maxlen lists fewer classes"
+        )
+    reps = conjugacy_representatives(cfg.model, maxlen)
     rows = [_ratio_row(ratio_invariant(cfg.walk, g)) for g, _ in reps]
     ok = all(r["finite_order"] or 0 < r["r"] < 1 for r in rows)
     csv_rows = [(r["rep"], r["length"], r["r"], r["lower"], r["upper"]) for r in rows]
@@ -387,7 +396,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportB
         "config_echo": cfg.echo(),
         "model": {"kind": cfg.model.kind, "name": str(cfg.model)},
         "seed": cfg.walk.seed,
-        "walk_validation": validation.as_dict(),
+        "walk_validation": _plain(validation),
         "results": results,
         "verdicts": verdicts,
         "passed": passed,

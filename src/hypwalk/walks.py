@@ -6,14 +6,13 @@ so it costs the same at every factor order.
 
 Randomness is counter-based: every sample is a pure function of
 ``(spec.seed, stream)`` through a keyed Philox generator, so results do
-not depend on the order in which samples are drawn.  Paths and single
-boundary samples are drawn in plain Python by ``_streams``.  Boundary
-sample sets are drawn in batches, whose walks advance in lockstep in
-slabs of bounded size, by the array sampler of ``_sampler``; a batch
-comes back as a zero-padded int8 matrix of prefix letters, the prefix
-lengths and the step counts.  Each stream's prefix and step count are the
-same whatever batch, slab or tile it runs in, and equal to a
-one-walk-at-a-time run.
+not depend on the order in which samples are drawn.  Paths are drawn in
+plain Python by ``_streams``.  Boundary sample sets are drawn in
+batches, whose walks advance in lockstep in slabs of bounded size, by
+the array sampler of ``_sampler``; a batch comes back as a zero-padded
+int8 matrix of prefix letters, the prefix lengths and the step counts.
+Each stream's prefix and step count are the same whatever batch, slab or
+tile it runs in, and equal to a one-walk-at-a-time run.
 
 This module imports no numpy: specs and their validation are plain
 Python, and the sampling functions import ``_streams`` or, for sample
@@ -34,7 +33,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 from ._record import record
-from .errors import BoundaryTimeout, ValidationError
+from .errors import ValidationError
 from .groups import GroupElement, GroupModel
 
 if TYPE_CHECKING:
@@ -86,14 +85,6 @@ class WalkValidation:
     nearest_neighbour: bool
     symmetric: bool
     nondegenerate: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "probabilities_ok": self.probabilities_ok,
-            "nearest_neighbour": self.nearest_neighbour,
-            "symmetric": self.symmetric,
-            "nondegenerate": self.nondegenerate,
-        }
 
 
 @lru_cache(maxsize=64)
@@ -187,17 +178,6 @@ def sample_path(
     return PathSample(start=start, positions=tuple(pos), step_indices=idx, stream=stream)
 
 
-@record
-class BoundarySample:
-    """A stabilized geodesic-word prefix approximating the walk's limit point."""
-
-    prefix: GroupElement
-    prefix_letters: tuple[int, ...]
-    depth: int
-    steps_used: int
-    stream: int
-
-
 def sample_boundary_prefixes(
     spec: WalkSpec,
     streams,
@@ -212,49 +192,15 @@ def sample_boundary_prefixes(
     least ``margin`` wide; each prefix's length, -1 when the stream ran
     out of steps; and the steps each stream used.  Each stream's result
     is a pure function of (spec.seed, stream), whatever batch it runs
-    in; see :func:`sample_boundary_point` for the stopping rule.
-
-    This draws the sample sets of ``measure``: streams advance in
-    lockstep in slabs of bounded size (see :mod:`hypwalk._sampler`).  A
-    refill turns the Philox words of the next steps of every row into
-    support indices by integer thresholds, and the rows' words advance
-    together in one depth-major stack, through the push table of the
-    walker of :func:`sample_boundary_point` on every model; rows that
-    stop are masked and leave at the next refill.
-    """
-    if margin < 1 or patience < 1:
-        raise ValueError("margin and patience must be positive")
-    require_valid(spec, nondegenerate=True)
-    import numpy as np
-
-    from . import _sampler, _streams  # loaded by parse_config for sample sets
-
-    mask = _streams.MASK64
-    if isinstance(streams, range):  # start + i step in uint64, which wraps like the mask
-        keys = np.arange(len(streams), dtype=np.uint64) * np.uint64(streams.step & mask)
-        keys += np.uint64(streams.start & mask)
-    else:
-        keys = np.fromiter((s & mask for s in streams), dtype=np.uint64)
-    return _sampler.draw_boundary_prefixes(spec, keys, margin, patience, max_steps)
-
-
-def sample_boundary_point(
-    spec: WalkSpec,
-    margin: int = 10,
-    patience: int = 20,
-    max_steps: int = 20_000,
-    stream: int = 0,
-) -> BoundarySample:
-    """Run the walk until a geodesic-word prefix stabilizes.
+    in, and equal to that of the plain-Python walker of
+    :func:`hypwalk._streams.boundary_prefixes`.
 
     The tracked prefix length L starts at ``margin`` and is promoted
     whenever the position is ``margin + patience`` beyond it; the sample
     is accepted once the L-prefix has been untouched for ``patience``
     consecutive steps while the position stays at least ``margin`` past
-    it.  Raises :class:`BoundaryTimeout` when the step budget runs out.
-    The walk runs in plain Python (see :mod:`hypwalk._streams`), with the
-    prefix and step count :func:`sample_boundary_prefixes` gives the
-    stream.
+    it.  A stream that has not stopped after ``max_steps`` steps has
+    timed out.
 
     A promotion needs no record of the letter that joins the prefix:
     raising the last prefix edit u, on promoting L = p at step P, to the
@@ -274,28 +220,29 @@ def sample_boundary_point(
     P - 1 - u >= patience steps (margin >= 1): the walk stopped there
     and never reached P.  By induction over the promotions, a rule with
     that raise keeps the same u and stops at the same step.
+
+    This draws the sample sets of ``measure``: streams advance in
+    lockstep in slabs of bounded size (see :mod:`hypwalk._sampler`).  A
+    refill turns the Philox words of the next steps of every row into
+    support indices by integer thresholds, and the rows' words advance
+    together in one depth-major stack, through the push table of the
+    plain-Python walker on every model; rows that stop are masked and
+    leave at the next refill.
     """
     if margin < 1 or patience < 1:
         raise ValueError("margin and patience must be positive")
     require_valid(spec, nondegenerate=True)
-    from . import _streams  # loaded by parse_config when the config samples
+    import numpy as np
 
-    [(prefix_letters, steps)] = _streams.boundary_prefixes(
-        spec, [stream & _streams.MASK64], margin, patience, max_steps
-    )
-    if prefix_letters is None:
-        raise BoundaryTimeout(
-            f"no stabilization within {max_steps} steps (stream {stream})",
-            steps=max_steps,
-            stream=stream,
-        )
-    return BoundarySample(
-        prefix=spec.model.from_letters(prefix_letters),
-        prefix_letters=prefix_letters,
-        depth=len(prefix_letters),
-        steps_used=steps,
-        stream=stream,
-    )
+    from . import _sampler, _streams  # loaded by parse_config for sample sets
+
+    mask = _streams.MASK64
+    if isinstance(streams, range):  # start + i step in uint64, which wraps like the mask
+        keys = np.arange(len(streams), dtype=np.uint64) * np.uint64(streams.step & mask)
+        keys += np.uint64(streams.start & mask)
+    else:
+        keys = np.fromiter((s & mask for s in streams), dtype=np.uint64)
+    return _sampler.draw_boundary_prefixes(spec, keys, margin, patience, max_steps)
 
 
 # ---------------------------------------------------------------------------

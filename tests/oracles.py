@@ -68,6 +68,20 @@ def bfs_distances(model, radius: int) -> dict:
     return dist
 
 
+def brute_conjugacy_classes(model, maxlen: int) -> list:
+    """(representative, finite order) per nontrivial conjugacy class that
+    meets B(e, maxlen): the cyclic reduction of every word of the ball,
+    spelled by its least letter rotation, sorted by length and letters."""
+    classes = {}
+    for g in words_by_length(model, maxlen)[1:]:
+        core = g.cyclic_reduction()[1]
+        letters = core.letters()
+        least = min(letters[i:] + letters[:i] for i in range(len(letters)))
+        classes[least] = core.has_finite_order()
+    return [(model.from_letters(w), finite)
+            for w, finite in sorted(classes.items(), key=lambda kv: (len(kv[0]), kv[0]))]
+
+
 def free_ball_size(n_rank: int, radius: int) -> int:
     """1 + 2N((2N-1)^r - 1)/(2N-2) closed form for the free group."""
     if radius == 0:
@@ -275,7 +289,7 @@ def last_exit(
 def scalar_boundary_prefix(spec, stream: int, margin=10, patience=20, max_steps=20_000):
     """Boundary sampling one walk at a time, with plain-list word stacks.
 
-    The stopping rule of ``hypwalk.walks.sample_boundary_point``, driven by
+    The stopping rule of ``hypwalk.walks.sample_boundary_prefixes``, driven by
     numpy's own ``Philox`` generator keyed (seed, stream).  Returns the
     stabilized prefix letters (None on a timeout) and the steps used.
     """

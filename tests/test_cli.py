@@ -314,9 +314,23 @@ def test_green_table_refused_before_any_value(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK and len(report["results"]["green"]["entries"]) == 26_131
 
 
+def test_rg_refused_before_any_class(tmp_path, capsys, monkeypatch):
+    # B(e, 12) on Z/7*Z/7 holds 836,389 words: the refusal comes before a
+    # class is listed, and names the budget that gives a smaller ball.
+    def listing(*args):
+        raise AssertionError("a conjugacy class was listed")
+
+    monkeypatch.setattr(hypwalk.report, "conjugacy_representatives", listing)
+    code, report, _ = _run(tmp_path, {"kind": "free_product", "orders": [7, 7]}, ["rg"],
+                           budgets={"maxlen": 12})
+    assert code == EXIT_BUDGET and report is None
+    err = capsys.readouterr().err
+    assert "836389 words" in err and "budgets.maxlen" in err
+
+
 def test_green_experiment_makes_no_per_word_call(tmp_path, monkeypatch):
-    # The table extends each word from its parent: no per-word green() or
-    # engine product, and the walk is validated a fixed number of times.
+    # The table extends each word from its parent: no per-word engine value
+    # or product, and the walk is validated a fixed number of times.
     calls = {}
 
     def counting(owner, name):
@@ -328,9 +342,7 @@ def test_green_experiment_makes_no_per_word_call(tmp_path, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    green_module = sys.modules["hypwalk.green"]  # hypwalk.green is the function
-    counting(green_module, "green")
-    counting(green_module, "require_valid")
+    counting(hypwalk.green, "require_valid")
     counting(_exact, "green")
     counting(_exact, "first_passage")
     counting(_exact._Solution, "product")

@@ -8,14 +8,12 @@ from hypwalk import (
     GroupModel,
     ancona_check,
     first_passage,
-    geodesic,
-    green,
     green_decay_rate,
-    green_z,
     harnack_constant,
     make_walk,
     uniform_walk,
 )
+from hypwalk import _exact
 from hypwalk.errors import DivergenceError
 
 from oracles import (
@@ -66,7 +64,7 @@ class TestRestrictedGreen:
         # upper end of the exact G(e,e) enclosure.
         walk = make_walk(model, weights, seed=1) if weights else uniform_walk(model, seed=1)
         e = model.identity()
-        upper = green(walk, e, e).upper
+        _, _, upper = _exact.green(walk, e)
         values = [restricted_green(walk, r).value(e, e) for r in (4, 5, 6)]
         assert values[0] < values[1] < values[2] < upper
 
@@ -97,14 +95,14 @@ class TestRestrictedGreen:
 
 class TestGreenEstimates:
     def test_base_value(self, walk_f2, f2):
-        est = green(walk_f2, f2.identity(), f2.identity())
-        assert est.lower < 1.5 < est.upper
-        assert est.value == pytest.approx(1.5, rel=1e-12)
+        value, lower, upper = _exact.green(walk_f2, f2.identity())
+        assert lower < 1.5 < upper
+        assert value == pytest.approx(1.5, rel=1e-12)
 
     def test_left_invariance(self, walk_f2, f2):
-        e = f2.identity()
-        g = f2.word("aB")
-        assert green(walk_f2, g, g).value == green(walk_f2, e, e).value
+        # G(g, gh) = G(e, g^-1 gh) = G(e, h).
+        g, h = f2.word("aB"), f2.word("ab")
+        assert _exact.green(walk_f2, g.inverse() * (g * h)) == _exact.green(walk_f2, h)
 
     def test_first_passage_law(self, walk_f2, f2):
         # F(e, g) = 3^{-|g|} for the simple walk.
@@ -135,8 +133,8 @@ class TestGreenEstimates:
         for x_w, z_w, y_w in (("a", "ab", "abb"), ("A", "b", "ba")):
             x, z, y = f2.word(x_w), f2.word(z_w), f2.word(y_w)
             f_xz = first_passage(walk_f2, x, z).value
-            g_zy = green(walk_f2, z, y).value
-            g_xy = green(walk_f2, x, y).value
+            g_zy = _exact.green(walk_f2, z.inverse() * y)[0]
+            g_xy = _exact.green(walk_f2, x.inverse() * y)[0]
             assert f_xz * g_zy <= g_xy * (1 + 1e-9)
 
     def test_supermultiplicative_f(self, walk_f2, f2):
@@ -189,7 +187,7 @@ class TestTabooKernels:
         spec = make_walk(f2, [("a", 0.4), ("A", 0.1), ("b", 0.25), ("B", 0.25)], seed=3)
         e, a = f2.identity(), f2.word("a")
         via_reversal = last_exit(spec, None, e, a)
-        ratio = green(spec, e, a).value / green(spec, e, e).value
+        ratio = _exact.green(spec, a)[0] / _exact.green(spec, e)[0]
         assert via_reversal.lower <= ratio <= via_reversal.upper
         assert _rel_width(via_reversal) <= 1e-12
 
@@ -222,15 +220,14 @@ class TestTabooKernels:
 
 class TestWeightedGreen:
     def test_z_one_matches_green(self, walk_f2, f2):
-        e = f2.identity()
-        plain = green(walk_f2, e, f2.word("ab"))
-        weighted = green_z(walk_f2, e, f2.word("ab"), 1.0)
-        assert weighted.value == plain.value
+        # G(e, ab) = G(e, e) F(e, a)^2 = 3/2 * 1/9.
+        value, lower, upper = _exact.green(walk_f2, f2.word("ab"), 1.0)
+        assert lower < 1 / 6 < upper
+        assert value == pytest.approx(1 / 6, rel=1e-12)
 
     def test_z_zero_indicator(self, walk_f2, f2):
-        e = f2.identity()
-        assert green_z(walk_f2, e, e, 0.0).value == 1.0
-        assert green_z(walk_f2, e, f2.word("a"), 0.0).value == 0.0
+        assert _exact.green(walk_f2, f2.identity(), 0.0)[0] == 1.0
+        assert _exact.green(walk_f2, f2.word("a"), 0.0)[0] == 0.0
 
     @pytest.mark.parametrize("z", [0.5, 1.05, 1.15])
     def test_closed_form(self, walk_f2, f2, z):
@@ -238,13 +235,13 @@ class TestWeightedGreen:
         # G(e, e | z) = 1 / (1 - z F(z)), up to 1/rho = 2/sqrt(3).
         f = (1 - np.sqrt(1 - 0.75 * z * z)) / (1.5 * z)
         exact = f / (1 - z * f)
-        est = green_z(walk_f2, f2.identity(), f2.word("a"), z)
-        assert est.value == pytest.approx(exact, rel=1e-12)
-        assert est.lower < exact < est.upper
+        value, lower, upper = _exact.green(walk_f2, f2.word("a"), z)
+        assert value == pytest.approx(exact, rel=1e-12)
+        assert lower < exact < upper
 
     def test_past_inverse_spectral_radius(self, walk_f2, f2):
         with pytest.raises(DivergenceError):
-            green_z(walk_f2, f2.identity(), f2.word("a"), 1.16)
+            _exact.green(walk_f2, f2.word("a"), 1.16)
 
     def test_resolvent_identity(self, walk_f2, f2):
         # s G(v,w|s) - G(v,w) = (s-1) sum_a G(v,a|s) G(a,w) on B(e,4).
@@ -295,7 +292,7 @@ class TestAncona:
         # On F_N every geodesic vertex is a cut vertex: the ball ratio is 1
         # at any radius, as the exact constant says.
         x, y = f2.word("abA"), f2.word("Bab")
-        v = geodesic(x, y).vertices[3]
+        v = x * f2.from_letters((x.inverse() * y).letters()[:3])  # 3 steps along x -> y
         assert _ball_rho(walk_f2, 6, x, v, y) == pytest.approx(1.0, abs=1e-9)
         assert ancona_check(walk_f2).value == 1.0
 

@@ -8,14 +8,13 @@ from hypwalk import (
     GroupModel,
     conjugacy_representatives,
     distance,
-    geodesic,
     gromov_product,
     words_by_length,
 )
 from hypwalk.errors import BudgetExceededError, ModelMismatchError
 from hypwalk.groups import word_count
 
-from oracles import ball, bfs_distances, estimate_delta, free_ball_size
+from oracles import ball, bfs_distances, brute_conjugacy_classes, estimate_delta, free_ball_size
 from test_properties import MODELS
 
 
@@ -80,6 +79,8 @@ class TestWordLength:
             dist = bfs_distances(model, 4)
             for g, d in dist.items():
                 assert g.word_length() == d
+                # The canonical word is a geodesic: d letters that spell g.
+                assert len(g.letters()) == d and model.from_letters(g.letters()) == g
 
     @given(letters_strategy(Z25))
     @settings(max_examples=60, deadline=None)
@@ -114,33 +115,6 @@ class TestGromovProduct:
     def test_half_integer(self):
         t = Z23.word("t")
         assert gromov_product(t, t * t) == Fraction(1, 2)
-
-
-class TestGeodesic:
-    def test_examples(self):
-        seg = geodesic(F2.identity(), F2.word("ab"))
-        assert [str(v) for v in seg.vertices] == ["e", "a", "ab"]
-        assert geodesic(F2.word("a"), F2.word("a")).vertices == (F2.word("a"),)
-
-    def test_product_model_against_bfs(self):
-        dist = bfs_distances(Z23, 4)
-        target = Z23.word("t") * Z23.word("s") * Z23.word("T")
-        seg = geodesic(Z23.identity(), target)
-        assert len(seg.vertices) == dist[target] + 1
-        for u, v in zip(seg.vertices, seg.vertices[1:]):
-            assert distance(u, v) == 1
-
-    @given(letters_strategy(Z25, 6), letters_strategy(Z25, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_valid_and_reversible(self, la, lb):
-        x, y = Z25.from_letters(la), Z25.from_letters(lb)
-        seg = geodesic(x, y)
-        assert seg.start == x and seg.end == y
-        assert len(seg) == distance(x, y)
-        rev = seg.reversed()
-        for u, v in zip(rev.vertices, rev.vertices[1:]):
-            assert distance(u, v) == 1
-        assert rev.start == y and rev.end == x
 
 
 class TestDelta:
@@ -276,6 +250,12 @@ class TestConjugacy:
         reps = conjugacy_representatives(Z23, 1)
         assert {str(g) for g, _ in reps} == {"s", "t", "T"}
         assert all(finite for _, finite in reps)
+
+    @pytest.mark.parametrize("orders,maxlen", [((2, 3), 10), ((3, 7), 7), ((7, 7), 6)],
+                             ids=["z23", "z37", "z77"])
+    def test_product_classes_against_brute_force(self, orders, maxlen):
+        model = GroupModel(orders)
+        assert conjugacy_representatives(model, maxlen) == brute_conjugacy_classes(model, maxlen)
 
     def test_minimal_length_and_distinct(self):
         reps = conjugacy_representatives(F2, 4)

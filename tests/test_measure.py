@@ -11,7 +11,6 @@ from hypwalk import (
     GroupModel,
     SampleSet,
     gromov_product,
-    cylinder_membership,
     estimate_measure,
     gibbs_ratio,
     make_walk,
@@ -19,6 +18,7 @@ from hypwalk import (
     uniform_walk,
 )
 from hypwalk.errors import ValidationError
+from hypwalk.martin import _prefix_product
 from hypwalk.measure import (
     _heads,
     _prefix_membership,
@@ -60,26 +60,27 @@ class TestMembership:
     def test_base_point_in_own_cylinder(self, f2):
         xi = BoundaryPoint.periodic(f2.word("ab"))
         for R in range(0, 4):
-            assert cylinder_membership(xi, Cylinder.around(xi, R))
+            cyl = Cylinder.around(xi, R)
+            assert _prefix_membership(xi.prefix_letters(cyl.depth), cyl, f2)
 
     def test_tree_prefix_rules(self, f2):
         ab = BoundaryPoint.periodic(f2.word("ab"))
         abab_then_b = BoundaryPoint(head=f2.word("abab"), cycle=f2.word("b"))
         b_ray = BoundaryPoint.periodic(f2.word("b"))
-        assert cylinder_membership(abab_then_b, Cylinder.around(ab, 1))
-        assert not cylinder_membership(b_ray, Cylinder.around(ab, 1))
+        cyl = Cylinder.around(ab, 1)
+        assert _prefix_membership(abab_then_b.prefix_letters(cyl.depth), cyl, f2)
+        assert not _prefix_membership(b_ray.prefix_letters(cyl.depth), cyl, f2)
 
     def test_sandwich_sharp_on_trees(self, f2):
         # On trees both directions of the product sandwich are exact.
         xi = BoundaryPoint.periodic(f2.word("a"))
-        from hypwalk import limit_gromov
-
         for head, cyc in (("aa", "b"), ("aaa", "ab"), ("b", "a")):
             eta = BoundaryPoint(head=f2.word(head), cycle=f2.word(cyc))
-            prod, stab = limit_gromov(xi, eta)
+            prod, stab = _prefix_product(f2, xi.prefix_letters(64), eta.prefix_letters(64))
             assert stab
             for R in range(0, 4):
-                inside = cylinder_membership(eta, Cylinder.around(xi, R))
+                cyl = Cylinder.around(xi, R)
+                inside = _prefix_membership(eta.prefix_letters(cyl.depth), cyl, f2)
                 assert inside == (prod > R)
 
     def test_nesting(self, f2):
@@ -88,15 +89,17 @@ class TestMembership:
         xi = BoundaryPoint.periodic(f2.word("ab"))
         eta = BoundaryPoint(head=f2.word("ababab"), cycle=f2.word("a"))
         R = 2
-        assert cylinder_membership(eta, Cylinder.around(xi, R))
+        around_xi, around_eta = Cylinder.around(xi, R), Cylinder.around(eta, R)
+        depth = around_xi.depth
+        assert _prefix_membership(eta.prefix_letters(depth), around_xi, f2)
         probes = [
             BoundaryPoint(head=f2.word("abab"), cycle=f2.word("ba")),
             BoundaryPoint(head=f2.word("ababa"), cycle=f2.word("b")),
             BoundaryPoint.periodic(f2.word("b")),
         ]
         for zeta in probes:
-            if cylinder_membership(zeta, Cylinder.around(xi, R)):
-                assert cylinder_membership(zeta, Cylinder.around(eta, R))
+            if _prefix_membership(zeta.prefix_letters(depth), around_xi, f2):
+                assert _prefix_membership(zeta.prefix_letters(depth), around_eta, f2)
 
 
 _AXES = {"free": ("ab", "Ba"), "free_product": ("st", "Ts")}

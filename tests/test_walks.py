@@ -13,7 +13,6 @@ from hypwalk import (
     distance,
     make_walk,
     reversed_walk,
-    sample_boundary_point,
     sample_path,
     spectral_radius_estimate,
     uniform_walk,
@@ -121,13 +120,11 @@ class TestSamplePath:
 
 class TestBoundarySampling:
     def test_prefix_is_reduced(self, walk_f2, f2):
-        s = sample_boundary_point(walk_f2, stream=5)
-        assert s.prefix.word_length() == s.depth == len(s.prefix_letters)
-        assert f2.from_letters(s.prefix_letters) == s.prefix
+        [(letters, _)] = boundary_prefixes(walk_f2, [5], 10, 20, 20_000)
+        assert f2.from_letters(letters).letters() == letters
 
     def test_timeout(self, walk_f2):
-        with pytest.raises(BoundaryTimeout):
-            sample_boundary_point(walk_f2, max_steps=5, stream=0)
+        assert boundary_prefixes(walk_f2, [0], 10, 20, 5) == [(None, 5)]
 
     def test_first_letter_uniform(self, boundary_samples_f2):
         # 4-sigma binomial bands; uniformity is the permutation invariance
@@ -154,8 +151,8 @@ class TestBoundarySampling:
         assert p_value > 1e-4
 
     def test_product_model(self, walk_z23, z23):
-        s = sample_boundary_point(walk_z23, stream=12)
-        assert z23.from_letters(s.prefix_letters).word_length() == s.depth
+        [(letters, _)] = boundary_prefixes(walk_z23, [12], 10, 20, 20_000)
+        assert z23.from_letters(letters).word_length() == len(letters)
 
 
 def _numpy_philox(seed, stream):
