@@ -2,8 +2,9 @@
 
 For a nearest-neighbour walk on a free product of cyclic groups (F_N
 is Z*...*Z) the cut vertices of the Cayley graph split a reduced word
-into ``factors``: the units of a syllable of Z, a whole syllable of Z/m.
-So
+into its one-factor keys (``groups.factors``, imported here): the units
+of a syllable of Z, a whole syllable of Z/m, each one of
+``GroupModel.factors``.  So
 
     F(e, g | z) = prod of F(e, sigma | z) over the factors sigma of g,
     G(e, g | z) = G(e, e | z) F(e, g | z),
@@ -91,7 +92,7 @@ import math
 from functools import lru_cache
 
 from .errors import DivergenceError, SolverError
-from .groups import GroupElement, GroupModel
+from .groups import GroupElement, GroupModel, factors
 from .walks import WalkSpec
 
 Bracket = tuple[float, float, float]  # (value, lower, upper)
@@ -422,21 +423,6 @@ class _Solution:
         return v, lo * (1.0 - widen), hi * (1.0 + widen)
 
 
-def factors(g: GroupElement) -> list[tuple[int, int]]:
-    """Table keys whose values multiply to F(e, g | z): each unit of a
-    syllable of an infinite factor, each whole syllable of a finite one.
-    Each boundary between two of them is a cut vertex of the Cayley
-    graph."""
-    orders = g.model.orders
-    out = []
-    for lid, exp in g.syllables:
-        if orders[lid - 1]:
-            out.append((lid, exp))
-        else:
-            out += [(lid, 1 if exp > 0 else -1)] * abs(exp)
-    return out
-
-
 @lru_cache(maxsize=16)
 def _solution(spec: WalkSpec, z: float) -> _Solution:
     return _Solution(spec, z)
@@ -521,7 +507,7 @@ def _series(spec: WalkSpec, steps: int) -> tuple[dict, list[float]]:
     sides needs only coefficients below n.
     """
     model = spec.model
-    keys = [k for k, _ in _slots(model).entries]
+    keys = model.factors
     steps_of = {}  # sigma -> [(mu(s), factors of s^-1 sigma)]
     for key in keys:
         sigma = GroupElement(model, (key,))

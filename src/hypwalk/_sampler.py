@@ -36,6 +36,7 @@ from ._streams import _APPEND, _REMOVE, MASK64, PHILOX_M, PHILOX_W, _push_tables
 from .errors import ValidationError
 
 if TYPE_CHECKING:
+    from .groups import GroupModel
     from .walks import WalkSpec
 
 
@@ -156,8 +157,8 @@ class _Tables:
     length, and the length change.  By code: the letter an entry spells,
     and how many times."""
 
-    def __init__(self, letters: list[int], orders: tuple[int, ...]):
-        table, spell = _push_tables(letters, orders)
+    def __init__(self, letters: list[int], model: GroupModel):
+        table, spell = _push_tables(letters, model)
         kind, new, self.grow, self.first = np.array(table, dtype=np.int64).T
         self.new = new.astype(np.int16)
         self.rise = (kind == _APPEND).astype(np.int64) - (kind == _REMOVE)
@@ -297,7 +298,7 @@ class _Sampler:
             if len(ls) != 1:
                 raise ValidationError("boundary sampling needs a nearest-neighbour walk")
             letters.append(ls[0])
-        self.tables = _Tables(letters, spec.model.orders)
+        self.tables = _Tables(letters, spec.model)
         self.seed = spec.seed
         self.thresholds = [np.uint64(t) for t in step_thresholds(spec.probabilities())]
         self.margin, self.patience = margin, patience

@@ -30,6 +30,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from .groups import GroupModel
     from .walks import WalkSpec
 
 
@@ -127,23 +128,19 @@ def path_steps(spec: WalkSpec, key: int, n_steps: int) -> tuple[int, ...]:
 _APPEND, _REPLACE, _REMOVE = range(3)
 
 
-def _push_tables(letters: list[int], orders: tuple[int, ...]):
-    """Push tables of normal forms over support letters, per factor of
-    ``orders`` (0 = Z).
+def _push_tables(letters: list[int], model: GroupModel):
+    """Push tables of normal forms over support letters.
 
-    A word is a list of entry codes after the sentinel code 0: a letter of
-    a factor Z, or a syllable s^k (0 < k < m) of a factor Z/m.  Codes are
+    A word is a list of entry codes after the sentinel code 0, one per
+    one-factor key of ``model.factors`` in that order: a letter of a
+    factor Z, or a syllable s^k (0 < k < m) of a factor Z/m.  Codes are
     stored times len(letters), so that code + support index keys the
     table.  Each key gives (kind, new code, length change, first edited
     letter's position less the old length): a Z letter edits the letter
     it adds or cancels, a Z/m syllable the first letter of the syllable.
     Also returns the letters each code spells.
     """
-    entries = [
-        (lid, k)
-        for lid, m in enumerate(orders, 1)
-        for k in ((1, -1) if m == 0 else range(1, m))
-    ]
+    entries, orders = model.factors, model.orders
     width = len(letters)
     code = {e: (c + 1) * width for c, e in enumerate(entries)}
 
@@ -230,7 +227,7 @@ def boundary_prefixes(
     still walking, in one run of the cipher.
     """
     letters = [g.letters()[0] for g, _ in spec.support]
-    table, spell = _push_tables(letters, spec.model.orders)
+    table, spell = _push_tables(letters, spec.model)
     thresholds = step_thresholds(spec.probabilities())
     walks = [_Walk(margin) for _ in keys]
     out = [(None, max_steps)] * len(walks)

@@ -154,9 +154,10 @@ def _parse_walk(section: Any, model: GroupModel) -> WalkSpec:
         items.append((g, float(prob)))
     walk = make_walk(model, items, seed)
     try:
-        validate_walk(walk)
+        report = validate_walk(walk)
     except ValidationError as exc:
         raise ConfigError(f"walk.support: {exc}") from exc
+    _require(report.nondegenerate, "walk.support is degenerate: it does not generate the group")
     return walk
 
 

@@ -60,7 +60,7 @@ def green_table(walk: WalkSpec, radius: int) -> list[GreenRow]:
     radius)``, in that order, as plain rows (str(g), |g|, value, lower,
     upper).
 
-    The walk is validated once.  A word's factors (``_exact.factors``) are
+    The walk is validated once.  A word's factors (``groups.factors``) are
     its parent's plus one: the parent drops one unit of a last syllable of
     Z, a whole last syllable of Z/m, and ends at a cut vertex.  So the
     running product of ``_Solution.product`` extends the parent's by one
@@ -190,7 +190,7 @@ def green_decay_rate(walk: WalkSpec) -> GreenEstimate:
     """The rate q of G(e, g) <= G(e, e) q^|g| over all g, with its enclosure.
 
     G(e, g) is G(e, e) times the product of F(e, sigma) over the factors
-    sigma of g (``_exact.factors``: letters on F_N, syllables on
+    sigma of g (``groups.factors``: letters on F_N, syllables on
     Z/m*Z/n), and |g| is the sum of their lengths.  So q is the largest
     F(e, sigma)^(1/|sigma|) over the one-factor keys, and the key that
     gives it attains the bound.  Each root's ends are rounded outward.

@@ -7,7 +7,10 @@ groups F_N = Z * ... * Z of rank ``2 <= N <= 26`` and free products
 
 Elements are immutable normal-form words, spelled by canonical geodesic
 words; the word metric, Gromov products, word lists by length and
-conjugacy representatives are all exact.  The indexed balls at the end
+conjugacy representatives are all exact.  Cut vertices split a normal
+form into one-factor keys (``factors``, from ``GroupModel.factors``)
+under one follow rule (``GroupModel.follows``); a class of infinite
+order is a cyclic sequence of keys under it.  The indexed balls at the end
 serve the tests' restricted-ball oracles only; their words are pushed
 and spelled through the normal-form table that the boundary samplers
 share (``_streams._push_tables``).
@@ -15,7 +18,6 @@ share (``_streams._push_tables``).
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -103,6 +105,20 @@ class GroupModel:
         vertex is a cut vertex).
         """
         return max(self.orders) // 2
+
+    @cached_property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        """The one-factor keys, factor by factor: the units (lid, 1) and
+        (lid, -1) of a factor Z, the syllables (lid, 1) ... (lid, m - 1) of
+        a factor Z/m.  Each is the element between two adjacent cut
+        vertices of a geodesic."""
+        return tuple((lid, k) for lid, m in enumerate(self.orders, 1)
+                     for k in ((1, -1) if m == 0 else range(1, m)))
+
+    def follows(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
+        """Whether key b may come next after key a in a normal form: they
+        lie in different factors, or are the same unit of a factor Z."""
+        return a[0] != b[0] or (a == b and self.orders[a[0] - 1] == 0)
 
     # -- alphabet ----------------------------------------------------------
 
@@ -301,6 +317,21 @@ def _merge_syllables(model, left, right):
     return tuple(out)
 
 
+def factors(g: GroupElement) -> list[tuple[int, int]]:
+    """Table keys whose values multiply to F(e, g | z): each unit of a
+    syllable of an infinite factor, each whole syllable of a finite one.
+    Each boundary between two of them is a cut vertex of the Cayley
+    graph."""
+    orders = g.model.orders
+    out = []
+    for lid, exp in g.syllables:
+        if orders[lid - 1]:
+            out.append((lid, exp))
+        else:
+            out += [(lid, 1 if exp > 0 else -1)] * abs(exp)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # spec-level operations
 
@@ -390,7 +421,7 @@ class Ball:
         self.radius = radius
         self._letters = [g.letters()[0] for g in model.generators()]
         width = len(self._letters)
-        table, spell = _push_tables(self._letters, model.orders)
+        table, spell = _push_tables(self._letters, model)
         # Per last entry (0 for the empty word), per letter: whether the push
         # drops the last entry, and the bytes it then appends.
         moves = [(kind != _APPEND, b"" if kind == _REMOVE else bytes((new // width,)))
@@ -489,56 +520,40 @@ def conjugacy_representatives(model: GroupModel, maxlen: int) -> list[tuple[Grou
     """One minimal-length representative per nontrivial conjugacy class
     meeting B(e, maxlen), paired with a finite-order flag.
 
-    Representatives are cyclically reduced and chosen as the
-    lexicographically least rotation, so the output is deterministic.
-    The identity class is omitted.
+    A class is a syllable of a finite factor (finite order) or a cyclic
+    sequence of ``model.factors`` keys, each following the one before and
+    the first the last.  Sequences grow depth-first while they fit in
+    ``maxlen`` letters, by keys whose first letter is not below the first
+    key's.  A least letter rotation starts at a key with the least first
+    letter, so each class is kept once, as its least rotation.
+
+    Classes come in the order in which they first meet
+    ``words_by_length``: by length, then by least rotation in generator
+    order, as that list is shortlex in generator order and no least-length
+    word of a class is below that rotation (both checked on F_2, F_3,
+    Z/2*Z/3, Z/2*Z/4, Z/4*Z/5, Z/6*Z/6 and Z/3*Z/7).
     """
     if maxlen < 1:
         raise ValueError("maxlen must be positive")
-    if model.kind == FREE:
-        return [(g, False) for g in _free_classes(model, maxlen)]
-    return _product_classes(model, maxlen)
-
-
-def _free_classes(model: GroupModel, maxlen: int) -> list[GroupElement]:
-    letters = [l for lid in range(1, model.rank + 1) for l in (lid, -lid)]
-    seen = set()
-    reps = []
-    for length in range(1, maxlen + 1):
-        for word in itertools.product(letters, repeat=length):
-            ok = all(word[i + 1] != -word[i] for i in range(length - 1))
-            if not ok or word[0] == -word[-1] and length > 1:
-                continue
-            canon = min(word[i:] + word[:i] for i in range(length))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            reps.append(model.from_letters(canon))
-    return reps
-
-
-def _product_classes(model: GroupModel, maxlen: int) -> list[tuple[GroupElement, bool]]:
-    """The single syllables, which are the finite-order classes, and the
-    least rotation of each word of an even number of syllables from
-    alternating factors.  The words start in the first factor (an odd
-    rotation starts in the second) and grow depth-first, a syllable at a
-    time, while they fit in ``maxlen`` letters."""
-    syllables = [[((lid, exp), min(exp, order - exp)) for exp in range(1, order)]
-                 for lid, order in enumerate(model.orders, 1)]
-    reps = [(GroupElement(model, (syl,)), True)
-            for factor in syllables for syl, size in factor if size <= maxlen]
-    seen = set()
-    stack = [((), 0)]
+    keys = model.factors
+    spell = {key: GroupElement(model, (key,)).letters() for key in keys}
+    after = {a: [b for b in keys if model.follows(a, b)] for a in keys}
+    rank = {g.letters()[0]: i for i, g in enumerate(model.generators())}
+    classes = []
+    stack = [((key,), spell[key], (0,)) for key in keys if len(spell[key]) <= maxlen]
     while stack:
-        syls, length = stack.pop()
-        count = len(syls)
-        if count and not count % 2:
-            canon = min(GroupElement(model, syls[i:] + syls[:i]).letters() for i in range(count))
-            if canon not in seen:
-                seen.add(canon)
-                reps.append((model.from_letters(canon), False))
-        for syl, size in syllables[count % 2]:
-            if length + size <= maxlen:
-                stack.append(((*syls, syl), length + size))
-    reps.sort(key=lambda pair: (pair[0].word_length(), pair[0].letters()))
-    return reps
+        seq, letters, cuts = stack.pop()
+        first, last = seq[0], seq[-1]
+        finite = len(seq) == 1 and model.orders[first[0] - 1] > 0
+        if (finite or model.follows(last, first)) and all(
+            letters[i:] + letters[:i] >= letters for i in cuts
+        ):
+            ranked = tuple(rank[x] for x in letters)
+            order = (len(letters), min(ranked[i:] + ranked[:i] for i in cuts))
+            classes.append((order, seq, finite))
+        for key in after[last]:
+            if spell[key][0] >= letters[0] and len(letters) + len(spell[key]) <= maxlen:
+                stack.append(((*seq, key), letters + spell[key], (*cuts, len(letters))))
+    classes.sort()
+    return [(GroupElement(model, _merge_syllables(model, (), seq)), finite)
+            for _, seq, finite in classes]

@@ -19,7 +19,7 @@ from . import _exact
 from ._record import record
 from .errors import ValidationError
 from .green import GreenEstimate
-from .groups import GroupElement, GroupModel, gromov_product
+from .groups import GroupElement, GroupModel, factors, gromov_product
 from .walks import WalkSpec, require_valid
 
 
@@ -167,7 +167,7 @@ def ratio_invariant(walk: WalkSpec, g: GroupElement) -> RatioValue:
 class HoelderReport:
     """K(g, .) as a finite table over the departure cones of g.
 
-    With sigma_1 ... sigma_k the factors of g (``_exact.factors``: letters
+    With sigma_1 ... sigma_k the factors of g (``groups.factors``: letters
     on F_N, syllables on Z/m*Z/n), the cone of head sigma_1 ... sigma_j tau,
     tau != sigma_(j+1), holds the rays that follow g for j factors and then
     leave it by tau; the cone of head g holds the rays through g.  Past
@@ -197,16 +197,16 @@ def hoelder_probe(walk: WalkSpec, g: GroupElement) -> HoelderReport:
     exact kernel at the cone's head."""
     require_valid(walk)
     model = walk.model
-    steps = [GroupElement(model, (key,)) for key in _exact._solution(walk, 1.0).table]
+    steps = {key: GroupElement(model, (key,)) for key in model.factors}
 
     def extensions(h: GroupElement) -> list[GroupElement]:
-        """h tau over the one-factor keys tau whose factors extend h's by tau."""
-        base = _exact.factors(h)
-        return [x for s in steps if _exact.factors(x := h * s) == base + [s.syllables[0]]]
+        """h tau over the one-factor keys tau that may follow h's last factor."""
+        last = factors(h)[-1:]
+        return [h * s for key, s in steps.items() if not last or model.follows(last[0], key)]
 
     heads, prefix = [], model.identity()
-    for key in _exact.factors(g):
-        step = GroupElement(model, (key,))
+    for key in factors(g):
+        step = steps[key]
         heads += [h for h in extensions(prefix) if h != prefix * step]
         prefix = prefix * step
     heads.append(g)

@@ -39,7 +39,7 @@ from ._exact import _EPS
 from ._record import fields, record
 from .classify import classify
 from .config import SAMPLE_SETS, ExperimentConfig
-from .errors import BudgetExceededError, HypwalkError
+from .errors import BudgetExceededError
 from .green import ancona_check, green_decay_rate, green_table, harnack_constant
 from .groups import (
     FREE,
@@ -145,24 +145,17 @@ def _exp_simulate(cfg: ExperimentConfig):
     from . import _streams  # loaded by parse_config, as simulate samples
 
     walk = cfg.walk
-    report = validate_walk(walk)
+    report = require_valid(walk)  # parse_config refuses degenerate walks
     path = sample_path(walk, cfg.model.identity(), 64, stream=0)
     sr = spectral_radius_estimate(walk, cfg.budgets["spectral_steps"])
-    try:
-        require_valid(walk)
-        drawn = _streams.boundary_prefixes(
-            walk, range(1000, 1064), 10, cfg.budgets["boundary_patience"],
-            cfg.budgets["boundary_max_steps"],
-        )
-    except HypwalkError:  # an invalid walk fails every stream alike
-        drawn = []
+    drawn = _streams.boundary_prefixes(
+        walk, range(1000, 1064), 10, cfg.budgets["boundary_patience"],
+        cfg.budgets["boundary_max_steps"],
+    )
     depths = [len(letters) for letters, _ in drawn if letters is not None]
     steps = [used for letters, used in drawn if letters is not None]
     failures = 64 - len(steps)
-    ok = (
-        report.probabilities_ok and report.nearest_neighbour and report.nondegenerate
-        and sr.lower <= sr.upper < 1.0 and failures == 0
-    )
+    ok = sr.lower <= sr.upper < 1.0 and failures == 0
     result = {
         "validation": _plain(report),
         "first_positions": [str(x) for x in path.positions[:8]],

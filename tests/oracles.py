@@ -71,15 +71,15 @@ def bfs_distances(model, radius: int) -> dict:
 def brute_conjugacy_classes(model, maxlen: int) -> list:
     """(representative, finite order) per nontrivial conjugacy class that
     meets B(e, maxlen): the cyclic reduction of every word of the ball,
-    spelled by its least letter rotation, sorted by length and letters."""
+    spelled by its least letter rotation, in the order in which the
+    classes first meet ``words_by_length``."""
     classes = {}
     for g in words_by_length(model, maxlen)[1:]:
         core = g.cyclic_reduction()[1]
         letters = core.letters()
         least = min(letters[i:] + letters[:i] for i in range(len(letters)))
-        classes[least] = core.has_finite_order()
-    return [(model.from_letters(w), finite)
-            for w, finite in sorted(classes.items(), key=lambda kv: (len(kv[0]), kv[0]))]
+        classes.setdefault(least, core.has_finite_order())
+    return [(model.from_letters(w), finite) for w, finite in classes.items()]
 
 
 def free_ball_size(n_rank: int, radius: int) -> int:
@@ -202,7 +202,7 @@ def first_passage_set(
     """First-passage distribution on a taboo set: y -> F(x, y; first hit of lam).
 
     The walk is absorbed on lam over D_k, the elements with at most k
-    cut-vertex factors (``_exact.factors``: letters on F_N, syllables on
+    cut-vertex factors (``groups.factors``: letters on F_N, syllables on
     Z/m*Z/n), k the largest count over lam and x.  A step v -> vs that
     leaves D_k enters a branch attached only at v, which the walk leaves
     through v with probability F(e, s^-1): the step becomes a self-loop

@@ -224,6 +224,17 @@ def test_nan_support_weight_is_a_config_error(tmp_path, capsys):
     assert "walk.support" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["green", "classify", "simulate"])
+def test_degenerate_walk_is_a_config_error(tmp_path, capsys, experiment):
+    # a, A and b generate a semigroup without b^-1; refused at parse, not by
+    # a traceback from the first experiment that needs a nondegenerate walk.
+    support = [["a", 0.4], ["A", 0.3], ["b", 0.3]]
+    code, report, _ = _run(tmp_path, {"kind": "free", "rank": 2}, [experiment], support)
+    assert code == EXIT_CONFIG and report is None
+    assert not (tmp_path / "out").exists()
+    assert "walk.support" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "support,message",
     [

@@ -5,14 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypwalk import (
+    GroupElement,
     GroupModel,
     conjugacy_representatives,
     distance,
     gromov_product,
     words_by_length,
 )
+from hypwalk import _exact, _streams
 from hypwalk.errors import BudgetExceededError, ModelMismatchError
-from hypwalk.groups import word_count
+from hypwalk.groups import factors, word_count
 
 from oracles import ball, bfs_distances, brute_conjugacy_classes, estimate_delta, free_ball_size
 from test_properties import MODELS
@@ -210,6 +212,53 @@ class TestWordLists:
         assert word_count(model, 4) == len(words_by_length(model, 4)) < 1000
 
 
+# Every model of MODELS, the widest alphabet and the largest factors.
+FOLLOW_CASES = [(model, 4) for model in MODELS] + [
+    (GroupModel.free(26), 2), (GroupModel.free_product(120, 119), 3),
+]
+
+
+class TestFollowRule:
+    @pytest.mark.parametrize("model,radius", FOLLOW_CASES, ids=str)
+    def test_normal_forms_are_follow_sequences(self, model, radius):
+        step = {key: GroupElement(model, (key,)) for key in model.factors}
+        for g in words_by_length(model, radius):
+            keys = factors(g)
+            assert all(key in step for key in keys)
+            assert all(model.follows(a, b) for a, b in zip(keys, keys[1:]))
+            product = model.identity()
+            for key in keys:
+                product = product * step[key]
+            assert product == g
+
+    @pytest.mark.parametrize("model", [model for model, _ in FOLLOW_CASES], ids=str)
+    def test_one_list_of_keys(self, model):
+        # The engine's slots and the push table's entries list the keys in
+        # model.factors' order.
+        keys = model.factors
+        assert list(keys) == [key for key, _ in _exact._slots(model).entries]
+        letters = [g.letters()[0] for g in model.generators()]
+        _, spell = _streams._push_tables(letters, model)
+        width = len(letters)
+        assert [spell[(c + 1) * width] for c in range(len(keys))] == [
+            GroupElement(model, (key,)).letters() for key in keys
+        ]
+
+    @pytest.mark.parametrize("model", [model for model, _ in FOLLOW_CASES], ids=str)
+    def test_follow_sequences_count_the_ball(self, model):
+        # ends[r][b]: sequences of r letters under the rule that end in key b.
+        keys = model.factors
+        size = {key: GroupElement(model, (key,)).word_length() for key in keys}
+        before = {b: [a for a in keys if model.follows(a, b)] for b in keys}
+        ends = [dict.fromkeys(keys, 0)]
+        total = 1
+        for r in range(1, 6):
+            ends.append({b: (size[b] == r) + sum(ends[r - size[b]][a] for a in before[b])
+                         if size[b] <= r else 0 for b in keys})
+            total += sum(ends[r].values())
+            assert total == word_count(model, r)
+
+
 class TestNames:
     F5 = GroupModel.free(5)
 
@@ -251,9 +300,14 @@ class TestConjugacy:
         assert {str(g) for g, _ in reps} == {"s", "t", "T"}
         assert all(finite for _, finite in reps)
 
-    @pytest.mark.parametrize("orders,maxlen", [((2, 3), 10), ((3, 7), 7), ((7, 7), 6)],
-                             ids=["z23", "z37", "z77"])
-    def test_product_classes_against_brute_force(self, orders, maxlen):
+    @pytest.mark.parametrize(
+        "orders,maxlen",
+        [((2, 3), 10), ((3, 7), 7), ((7, 7), 6), ((0, 0), 6), ((0, 0, 0), 4)],
+        ids=["z23", "z37", "z77", "f2", "f3"],
+    )
+    def test_classes_against_brute_force(self, orders, maxlen):
+        # The same classes and representatives, in the order in which they
+        # first meet words_by_length.
         model = GroupModel(orders)
         assert conjugacy_representatives(model, maxlen) == brute_conjugacy_classes(model, maxlen)
 

@@ -321,7 +321,7 @@ class TestBatchedSampler:
         # rows survive a refit intact, also when rows of other stacks join
         # them.
         alphabet = np.array([g.letters()[0] for g in model.generators()], dtype=np.int8)
-        tables = _Tables(alphabet.tolist(), model.orders)
+        tables = _Tables(alphabet.tolist(), model)
 
         def spelled(words, rows):
             lengths = words.end[rows]
