@@ -90,6 +90,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from .errors import DivergenceError, SolverError
 from .groups import GroupElement, GroupModel, factors
@@ -504,36 +505,44 @@ def _series(spec: WalkSpec, steps: int) -> tuple[dict, list[float]]:
     F_sigma = z sum_s mu(s) F(e, s^-1 sigma) over the one-factor keys
     sigma, with F(e, g) the product over ``factors(g)``; then
     G = 1 + z G sum_s mu(s) F_{s^-1}.  Coefficient n of the right-hand
-    sides needs only coefficients below n.
+    sides needs only coefficients below n.  Every sum adds its terms in
+    the order of the convolution index, from 0, as ``sum`` does.
     """
     model = spec.model
     keys = model.factors
-    steps_of = {}  # sigma -> [(mu(s), factors of s^-1 sigma)]
+    F = {k: [0.0] * (steps + 1) for k in keys}
+    terms = {}  # sigma -> [(mu(s), the series of the factors of s^-1 sigma)]
     for key in keys:
         sigma = GroupElement(model, (key,))
-        steps_of[key] = [(p, factors(s.inverse() * sigma)) for s, p in spec.support]
-    F = {k: [0.0] * (steps + 1) for k in keys}
-
-    def coeff(keys: list, n: int) -> float:
-        """Coefficient n of the product of the series of ``keys``."""
-        if not keys:
-            return 1.0 if n == 0 else 0.0
-        if len(keys) == 1:
-            return F[keys[0]][n]
-        a, b = F[keys[0]], F[keys[1]]  # nearest-neighbour: at most two factors
-        return sum(a[i] * b[n - i] for i in range(1, n))
-
+        terms[key] = [(p, [F[k] for k in factors(s.inverse() * sigma)]) for s, p in spec.support]
+    back = [(p, F[factors(s.inverse())[0]]) for s, p in spec.support]
     for n in range(1, steps + 1):
         for key in keys:
-            F[key][n] = sum(p * coeff(keys, n - 1) for p, keys in steps_of[key])
-    first_return = [0.0] + [
-        sum(p * F[factors(s.inverse())[0]][n - 1] for s, p in spec.support)
-        for n in range(1, steps + 1)
-    ]
+            total = 0
+            for p, series in terms[key]:
+                total += p * _product_coeff(series, n - 1)
+            F[key][n] = total
+    first_return = [0.0] * (steps + 1)
+    for n in range(1, steps + 1):
+        total = 0
+        for p, f in back:
+            total += p * f[n - 1]
+        first_return[n] = total
     G = [1.0] + [0.0] * steps
     for n in range(1, steps + 1):
-        G[n] = sum(first_return[i] * G[n - i] for i in range(1, n + 1))
+        G[n] = sum(map(mul, first_return[1:n + 1], G[n - 1::-1]))
     return F, G
+
+
+def _product_coeff(series: list, n: int) -> float:
+    """Coefficient n of the product of ``series``, at most two of them
+    (nearest-neighbour), whose coefficient 0 is 0."""
+    if not series:
+        return 1.0 if n == 0 else 0.0
+    if len(series) == 1:
+        return series[0][n]
+    a, b = series
+    return sum(map(mul, a[1:n], b[n - 1:0:-1]))
 
 
 def returns(spec: WalkSpec, steps: int) -> list[float]:
@@ -550,9 +559,8 @@ def step_probabilities(spec: WalkSpec, targets, steps: int) -> list[list[float]]
     for g in targets:
         series = G
         for key in factors(g):
-            series = [
-                sum(series[i] * F[key][n - i] for i in range(n + 1)) for n in range(steps + 1)
-            ]
+            f = F[key]
+            series = [sum(map(mul, series[:n + 1], f[n::-1])) for n in range(steps + 1)]
         out.append(series)
     return out
 

@@ -22,6 +22,23 @@ lengths and the step counts.  Each stream's prefix
 and step count are the same whatever batch, slab or tile it runs in,
 and equal to a one-walk-at-a-time run.
 
+Row state is as narrow as its values allow:
+
+- counts bounded by the step budget (word and prefix lengths, stop and
+  promotion steps, steps used) are int32, which
+  :data:`hypwalk.walks.BOUNDARY_MAX_STEPS` keeps from overflowing;
+- word stacks and accepted codes are int8 when the push table's largest
+  code is below 128 (16 on uniform F_2), else int16 (156 on uniform
+  Z/20*Z/21, 2704 on uniform F_26, the largest model);
+- flat positions and row indices stay intp, so ``take`` never converts
+  them.
+
+A range of streams builds its keys slab by slab.  So a batch holds
+about 18 bytes per stream on uniform F_2 at margin 10 besides its slab
+arrays: int8 codes, which become its prefix matrix in place, and int32
+lengths and step counts.  Under tracemalloc a set of 200k streams peaks
+at 33 bytes per stream, and one of 1M at 25.
+
 numpy is the dependency of sample sets: this is the one module that
 imports it at load time.
 """
@@ -159,9 +176,12 @@ class _Tables:
 
     def __init__(self, letters: list[int], model: GroupModel):
         table, spell = _push_tables(letters, model)
-        kind, new, self.grow, self.first = np.array(table, dtype=np.int64).T
-        self.new = new.astype(np.int16)
-        self.rise = (kind == _APPEND).astype(np.int64) - (kind == _REMOVE)
+        kind, new, grow, first = np.array(table, dtype=np.int64).T
+        # Codes reach 2704 at most (uniform F_26), so int16 holds them all.
+        self.code_type = np.dtype(np.int8 if new.max() < 128 else np.int16)
+        self.new = new.astype(self.code_type)
+        self.grow, self.first = grow.astype(np.int32), first.astype(np.int32)
+        self.rise = (kind == _APPEND).astype(np.int32) - (kind == _REMOVE)
         self.spell_letter = np.zeros(len(table), dtype=np.int8)
         self.spell_count = np.zeros(len(table), dtype=np.int64)
         for c, spelled in spell.items():
@@ -201,9 +221,9 @@ class _Words:
     def __init__(self, tables: _Tables, rows: int):
         self.tables = tables
         self.rows = rows
-        self.code = np.zeros((1, rows), dtype=np.int16)
+        self.code = np.zeros((1, rows), dtype=tables.code_type)
         self.top = np.arange(rows)
-        self.end = np.zeros(rows, dtype=np.int64)
+        self.end = np.zeros(rows, dtype=np.int32)
         self._reindex()
 
     def _reindex(self) -> None:
@@ -212,7 +232,8 @@ class _Words:
         self.rise = self.tables.rise * self.rows
 
     def load(self, idx: np.ndarray) -> None:
-        """Take the (step, row) support indices of the next pushes."""
+        """Take the (step, row) support indices of the next pushes, or None
+        once they are spent."""
         self.idx = idx
 
     def push(self, t: int) -> np.ndarray:
@@ -233,18 +254,22 @@ class _Words:
     def refit(self, keep: np.ndarray, steps: int, more=()) -> None:
         """Keep the rows ``keep``, in that order, then for each (words,
         keep) pair of ``more`` those rows of those stacks, and make room
-        for ``steps`` more pushes: a push adds at most one entry."""
+        for ``steps`` more pushes: a push adds at most one entry.  The
+        stack is as deep as the kept rows need, and no deeper: entries past
+        a row's last are stale."""
         parts = [(self, keep), *more]
-        depth = max(max(len(w.code), int(w.top.max()) // w.rows + steps + 1) for w, _ in parts)
+        tops = [w.top[k] // w.rows for w, k in parts]  # depths of the kept rows' last entries
+        depth = max(int(t.max(initial=0)) for t in tops) + steps + 1
         rows = sum(len(k) for _, k in parts)
-        code = np.empty((depth, rows), dtype=np.int16)
+        code = np.empty((depth, rows), dtype=self.code.dtype)
         col = 0
         for w, k in parts:
+            d = min(len(w.code), depth)
             # "clip" writes straight into ``out``; "raise" would buffer.
-            np.take(w.code, k, axis=1, out=code[:len(w.code), col:col + len(k)], mode="clip")
-            code[len(w.code):, col:col + len(k)] = 0
+            np.take(w.code[:d], k, axis=1, out=code[:d, col:col + len(k)], mode="clip")
+            code[d:, col:col + len(k)] = 0
             col += len(k)
-        self.top = np.concatenate([w.top[k] // w.rows for w, k in parts]) * rows + np.arange(rows)
+        self.top = np.concatenate(tops) * rows + np.arange(rows)
         self.end = np.concatenate([w.end[k] for w, k in parts])
         self.code, self.rows = code, rows
         self._reindex()
@@ -264,7 +289,7 @@ class _Slab:
 
     def __init__(self, words: _Words, keys: np.ndarray, batch_rows: np.ndarray, margin: int):
         self.words, self.keys, self.batch_rows = words, keys, batch_rows
-        self.L = np.full(len(keys), margin)
+        self.L = np.full(len(keys), margin, dtype=np.int32)
         self.dirty = np.zeros(len(keys), dtype=np.int32)
         self.keep = np.arange(len(keys))
         self.step = 0
@@ -305,9 +330,9 @@ class _Sampler:
         # Row i of the batch: the codes of its prefix's entries, spelled
         # once the batch is done, the prefix length (-1 on a timeout) and
         # the steps it used.
-        self.codes = np.zeros((n_rows, margin), dtype=np.int16)
-        self.lengths = np.full(n_rows, -1)
-        self.steps = np.full(n_rows, max_steps)
+        self.codes = np.zeros((n_rows, margin), dtype=self.tables.code_type)
+        self.lengths = np.full(n_rows, -1, dtype=np.int32)
+        self.steps = np.full(n_rows, max_steps, dtype=np.int32)
 
     def slab(self, keys: np.ndarray, batch_rows: np.ndarray) -> _Slab:
         return _Slab(_Words(self.tables, len(keys)), keys, batch_rows, self.margin)
@@ -327,7 +352,7 @@ class _Sampler:
         """
         margin, patience = self.margin, self.patience
         least, reach = max(margin + patience, 2 * margin), 2 * margin + patience
-        never = np.iinfo(np.int64).max
+        never = np.iinfo(np.int32).max
         words = slab.words
         step = slab.step
         while step < until and len(slab.keep) > tail_rows:
@@ -363,6 +388,7 @@ class _Sampler:
                         stopped[done] = True
             slab.step = step
             slab.keep = np.flatnonzero(~stopped)
+        words.load(None)  # spent: a slab parked for the tail holds no draws
 
     def accept(self, batch_rows: np.ndarray, codes: np.ndarray, lengths: np.ndarray, step: int):
         """Record the prefixes of batch rows that stopped at ``step``."""
@@ -376,29 +402,51 @@ class _Sampler:
     def prefixes(self) -> np.ndarray:
         """The batch's prefix letters, as the rows of an int8 matrix at
         least ``margin`` wide padded with zeros, spelled in tiles of rows
-        so that the temporaries stay small."""
+        so that the temporaries stay small.  A code matrix of int8 as
+        wide as that is spelled in place: each tile's letters depend on
+        its own codes alone.  (It is narrower only when a stack held fewer
+        entries than its longest prefix has letters, which syllables of
+        Z/m can spell.)"""
         width = int(self.lengths.max(initial=self.margin))
-        out = np.empty((len(self.codes), width), dtype=np.int8)
+        if self.codes.dtype == np.int8 and self.codes.shape[1] == width:
+            out = self.codes
+        else:
+            out = np.empty((len(self.codes), width), dtype=np.int8)
         for lo in range(0, len(out), _TILE):
             rows = slice(lo, lo + _TILE)
             out[rows] = self.tables.spell(self.codes[rows], self.lengths[rows], width)
         return out
 
 
+def slab_keys(streams, lo: int, hi: int) -> np.ndarray:
+    """The uint64 keys of entries lo .. hi - 1 of ``streams``: a slice of
+    a uint64 array, or of a range built in uint64 as start + i step,
+    which wraps like the 64-bit mask."""
+    if not isinstance(streams, range):
+        return streams[lo:hi]
+    keys = np.arange(lo, hi, dtype=np.uint64) * np.uint64(streams.step & MASK64)
+    keys += np.uint64(streams.start & MASK64)
+    return keys
+
+
 def draw_boundary_prefixes(
-    spec: WalkSpec, keys: np.ndarray, margin: int, patience: int, max_steps: int,
+    spec: WalkSpec, streams, margin: int, patience: int, max_steps: int,
 ):
     """The prefix matrix, prefix lengths (-1 on a timeout) and step counts
-    of the streams keyed ``keys`` (uint64), in key order; see
-    :func:`hypwalk.walks.sample_boundary_prefixes`."""
-    sampler = _Sampler(spec, len(keys), margin, patience, max_steps)
+    of ``streams``, in their order; see
+    :func:`hypwalk.walks.sample_boundary_prefixes`.  ``streams`` is a
+    uint64 array of keys, or a range whose slabs build their own keys
+    (:func:`slab_keys`)."""
+    n = len(streams)
+    sampler = _Sampler(spec, n, margin, patience, max_steps)
     tails = []
-    for lo in range(0, len(keys), _SLAB):
-        slab = sampler.slab(keys[lo:lo + _SLAB], np.arange(lo, min(lo + _SLAB, len(keys))))
+    for lo in range(0, n, _SLAB):
+        hi = min(lo + _SLAB, n)
+        slab = sampler.slab(slab_keys(streams, lo, hi), np.arange(lo, hi))
         if lo:
             sampler.run(slab, until, 0)
         else:  # a batch of one slab has no tail to hand its rows to
-            sampler.run(slab, max_steps, _TILE if len(keys) > _SLAB else 0)
+            sampler.run(slab, max_steps, _TILE if n > _SLAB else 0)
             until = slab.step
         if len(slab.keep) and slab.step < max_steps:
             slab.refit(0)  # frees the rows that stopped while the next slabs run

@@ -24,7 +24,7 @@ from typing import Any
 from ._record import record
 from .errors import ConfigError, ValidationError
 from .groups import FREE, FREE_PRODUCT, GroupModel
-from .walks import WalkSpec, make_walk, uniform_walk, validate_walk
+from .walks import BOUNDARY_MAX_STEPS, WalkSpec, make_walk, uniform_walk, validate_walk
 
 SCHEMA_VERSION = 1
 
@@ -200,6 +200,11 @@ def parse_config(data: dict) -> ExperimentConfig:
             continue
         _require(_is_int(value) and value > 0, f"budgets.{key} must be a positive integer")
     _require(budgets["n_samples"] >= 2, "budgets.n_samples must be at least 2")
+    _require(
+        budgets["boundary_max_steps"] <= BOUNDARY_MAX_STEPS,
+        f"budgets.boundary_max_steps must be at most {BOUNDARY_MAX_STEPS}: the sampler "
+        "counts steps in 32 bits",
+    )
     _require(
         budgets["spectral_steps"] >= 4 and budgets["spectral_steps"] % 2 == 0,
         "budgets.spectral_steps must be an even integer of at least 4",

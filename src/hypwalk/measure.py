@@ -26,6 +26,7 @@ import math
 import zlib
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from ._record import record
@@ -66,6 +67,13 @@ class Cylinder:
     @property
     def depth(self) -> int:
         return self.radius + self.base.model.split_span + 1
+
+    @cached_property
+    def ray(self) -> tuple[int, ...]:
+        """The first ``depth`` letters of the base ray, which every
+        membership of the cylinder reads: built once per cylinder, not
+        once per head."""
+        return self.base.prefix_letters(self.depth)
 
 
 def _decide(value: Fraction, exact: bool, cyl: Cylinder) -> bool:
@@ -192,24 +200,45 @@ def _require_margin(samples: SampleSet, need: int, reader: str) -> None:
 
 def _heads(prefixes: np.ndarray, depth: int):
     """The distinct heads of ``depth`` letters among the prefix rows, as
-    letter tuples, with each row's head index and each head's count.
+    letter tuples, with each row's head index (int32) and each head's
+    count.
 
     Heads come in the order of their bytes read unsigned, left to right:
     a stable lexsort over the unsigned-byte columns brings equal heads
-    together, and each run of equal rows is one head."""
+    together, and each run of equal rows is one head.  A run starts at
+    every sorted row that differs from the one before it in some column;
+    the columns are compared one at a time, each gathered in sorted order
+    and or-ed into one bool array, so no sorted copy of the rows is made.
+    """
     import numpy as np
 
     block = prefixes[:, :depth]
     order = np.lexsort(block.view(np.uint8).T[::-1])
-    ranked = block[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    new = _run_starts(block, order)
     starts = np.flatnonzero(new)
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
+    ids = np.cumsum(new, dtype=np.int32)
+    ids -= 1
+    inverse = np.empty(len(order), dtype=np.int32)
+    inverse[order] = ids
     counts = np.diff(starts, append=len(order))
-    rows = ranked[starts].tolist()
+    rows = block[order[starts]].tolist()
     return [tuple(filter(None, row)) for row in rows], inverse, counts
+
+
+def _run_starts(block: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Whether each row of block[order] differs from the row before it
+    (the first row does), read one column at a time."""
+    import numpy as np
+
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    column = np.empty(len(order), dtype=block.dtype)
+    differ = np.empty(max(len(order) - 1, 0), dtype=bool)
+    for j in range(block.shape[1]):
+        np.take(block[:, j], order, out=column, mode="clip")  # "raise" would buffer
+        np.not_equal(column[1:], column[:-1], out=differ)
+        new[1:] |= differ
+    return new
 
 
 def _ray_product(
@@ -217,8 +246,7 @@ def _ray_product(
 ) -> tuple[Fraction, bool]:
     """Product of a ray beginning ``letters`` with the cylinder's base ray,
     from their first ``cyl.depth`` letters, and whether it is exact."""
-    n = cyl.depth
-    return _prefix_product(model, letters[:n], cyl.base.prefix_letters(n))
+    return _prefix_product(model, letters[:cyl.depth], cyl.ray)
 
 
 def _prefix_membership(

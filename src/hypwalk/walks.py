@@ -40,6 +40,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 _PROB_TOL = 1e-12
+# The boundary sampler counts steps and letters in int32.
+BOUNDARY_MAX_STEPS = 2**31 - 1
 
 
 @record
@@ -200,7 +202,9 @@ def sample_boundary_prefixes(
     is accepted once the L-prefix has been untouched for ``patience``
     consecutive steps while the position stays at least ``margin`` past
     it.  A stream that has not stopped after ``max_steps`` steps has
-    timed out.
+    timed out.  The sampler counts steps and letters in int32, so
+    ``max_steps`` and 2 ``margin`` + ``patience`` are at most
+    ``BOUNDARY_MAX_STEPS``.
 
     A promotion needs no record of the letter that joins the prefix:
     raising the last prefix edit u, on promoting L = p at step P, to the
@@ -231,18 +235,19 @@ def sample_boundary_prefixes(
     """
     if margin < 1 or patience < 1:
         raise ValueError("margin and patience must be positive")
+    if max(max_steps, 2 * margin + patience) > BOUNDARY_MAX_STEPS:
+        raise ValueError(
+            f"max_steps and 2 margin + patience must be at most {BOUNDARY_MAX_STEPS}"
+        )
     require_valid(spec, nondegenerate=True)
     import numpy as np
 
     from . import _sampler, _streams  # loaded by parse_config for sample sets
 
-    mask = _streams.MASK64
-    if isinstance(streams, range):  # start + i step in uint64, which wraps like the mask
-        keys = np.arange(len(streams), dtype=np.uint64) * np.uint64(streams.step & mask)
-        keys += np.uint64(streams.start & mask)
-    else:
-        keys = np.fromiter((s & mask for s in streams), dtype=np.uint64)
-    return _sampler.draw_boundary_prefixes(spec, keys, margin, patience, max_steps)
+    if not isinstance(streams, range):  # a range's slabs build their own keys
+        mask = _streams.MASK64
+        streams = np.fromiter((s & mask for s in streams), dtype=np.uint64)
+    return _sampler.draw_boundary_prefixes(spec, streams, margin, patience, max_steps)
 
 
 # ---------------------------------------------------------------------------

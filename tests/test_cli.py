@@ -224,6 +224,23 @@ def test_nan_support_weight_is_a_config_error(tmp_path, capsys):
     assert "walk.support" in capsys.readouterr().err
 
 
+def test_step_budget_past_32_bits_is_a_config_error(tmp_path, capsys):
+    # Walks of F_2 stop after about 40 steps, so such a budget would never
+    # bind; the sampler counts steps in int32, and the config is refused.
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["gibbs"],
+        budgets={"n_samples": 100, "boundary_max_steps": 3_000_000_000},
+    )
+    assert code == EXIT_CONFIG and report is None
+    assert not (tmp_path / "out").exists()
+    assert "budgets.boundary_max_steps" in capsys.readouterr().err
+    code, report, _ = _run(
+        tmp_path, {"kind": "free", "rank": 2}, ["gibbs"],
+        budgets={"n_samples": 100, "boundary_max_steps": 2**31 - 1},
+    )
+    assert code != EXIT_CONFIG and "gibbs" in report["verdicts"]
+
+
 @pytest.mark.parametrize("experiment", ["green", "classify", "simulate"])
 def test_degenerate_walk_is_a_config_error(tmp_path, capsys, experiment):
     # a, A and b generate a semigroup without b^-1; refused at parse, not by

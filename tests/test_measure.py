@@ -414,5 +414,5 @@ def test_heads_match_the_void_oracle(prefixes, depth):
     heads, inverse, counts = _heads(prefixes, depth)
     want_heads, want_inverse, want_counts = void_heads(prefixes, depth)
     assert heads == want_heads
-    assert inverse.dtype == want_inverse.dtype and inverse.tolist() == want_inverse.tolist()
+    assert inverse.dtype == np.int32 and inverse.tolist() == want_inverse.tolist()
     assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()

@@ -20,7 +20,8 @@ from hypwalk import (
 )
 from hypwalk import _sampler
 from hypwalk.errors import BoundaryTimeout, ValidationError
-from hypwalk.measure import boundary_sample_set
+from hypwalk.martin import BoundaryPoint
+from hypwalk.measure import SampleSet, boundary_sample_set, gibbs_ratio
 from hypwalk._sampler import _philox_blocks, _step_indices, _Tables, _Words
 from hypwalk._streams import boundary_prefixes, path_steps, philox_words, step_thresholds
 from hypwalk.walks import sample_boundary_prefixes
@@ -410,8 +411,9 @@ class TestBatchedSampler:
         ids=["base-past-2^63", "wrapping", "negative-step", "empty"],
     )
     def test_range_keys_equal_list_keys(self, walk_f2, streams, monkeypatch):
-        # A range's keys come from np.arange in uint64, a list's from the
-        # 64-bit mask of each stream: the same keys and the same prefixes.
+        # A range reaches the sampler as it is, and each slab builds its
+        # keys from np.arange in uint64; a list's keys come from the 64-bit
+        # mask of each stream: the same keys and the same prefixes.
         keys = []
         draw = _sampler.draw_boundary_prefixes
 
@@ -422,8 +424,11 @@ class TestBatchedSampler:
         monkeypatch.setattr("hypwalk._sampler.draw_boundary_prefixes", spy)
         by_range = sample_boundary_prefixes(walk_f2, streams)
         by_list = sample_boundary_prefixes(walk_f2, list(streams))
-        assert keys[0].dtype == keys[1].dtype == np.uint64
-        assert keys[0].tolist() == keys[1].tolist() == [s % 2**64 for s in streams]
+        want = [s % 2**64 for s in streams]
+        assert keys[0] is streams and keys[1].dtype == np.uint64
+        assert _sampler.slab_keys(streams, 0, len(streams)).tolist() == keys[1].tolist() == want
+        mid = len(want) // 2
+        assert _sampler.slab_keys(streams, mid, len(want)).tolist() == want[mid:]
         assert [a.tobytes() for a in by_range] == [b.tobytes() for b in by_list]
 
     @pytest.mark.parametrize("name", ["f2", "z25-asym"])
@@ -488,6 +493,40 @@ class TestBatchedSampler:
         assert runs[0][1] == 2 and len(runs) > 3
         assert any(until < 20_000 and live == 0 for until, _, live in runs[1:3])
 
+    def test_wide_codes_across_slabs_and_tail(self, monkeypatch):
+        # Uniform Z/20*Z/21 has codes up to 156, past int8, so its stacks
+        # and accepted codes are int16; F_2's reach 16 and are int8.  A
+        # batch of two slabs, whose survivors finish as the tail, equals the
+        # plain-Python walker stream for stream.
+        walk = uniform_walk(GroupModel.free_product(20, 21), 20240613)
+        f2 = _sampler_walk("f2")
+        assert _sampler._Sampler(walk, 1, 10, 20, 20_000).codes.dtype == np.int16
+        assert _sampler._Sampler(f2, 1, 10, 20, 20_000).codes.dtype == np.int8
+        runs = []
+        run = _sampler._Sampler.run
+
+        def spy(sampler, slab, until, tail_rows):
+            run(sampler, slab, until, tail_rows)
+            runs.append((tail_rows, slab.words.code.dtype))
+
+        monkeypatch.setattr(_sampler, "_SLAB", 40)
+        monkeypatch.setattr(_sampler, "_TILE", 8)
+        monkeypatch.setattr(_sampler._Sampler, "run", spy)
+        streams = range(70)  # slabs of 40 and 30 rows, then the tail
+        batch = prefix_pairs(sample_boundary_prefixes(walk, streams, 10, 20, 20_000))
+        assert batch == boundary_prefixes(walk, streams, 10, 20, 20_000)
+        assert [tail for tail, _ in runs] == [8, 0, 0]
+        assert {dtype for _, dtype in runs} == {np.dtype(np.int16)}
+
+    def test_counts_past_int32_are_refused(self, walk_f2):
+        # Steps and letters are counted in int32: the largest budget runs,
+        # and a larger one, or a margin and patience past it, is refused.
+        _, lengths, steps = sample_boundary_prefixes(walk_f2, range(3), 10, 20, 2**31 - 1)
+        assert (lengths >= 10).all() and steps.dtype == np.int32
+        for margin, patience, max_steps in ((10, 20, 2**31), (10, 2**31 - 20, 20_000)):
+            with pytest.raises(ValueError, match="at most 2147483647"):
+                sample_boundary_prefixes(walk_f2, range(3), margin, patience, max_steps)
+
     def test_retries_use_their_own_streams(self):
         # Sample i retries on stream base + n + 20 i + attempt until it
         # stabilizes; the retry count is the sum of the attempts, and the
@@ -523,6 +562,31 @@ class TestBatchedSampler:
         finally:
             tracemalloc.stop()
         assert peak - before <= 4 * 2**20
+
+    def test_sample_set_and_gibbs_bytes_per_sample(self, walk_f2):
+        # Per sample, a set of margin 10 on F_2 holds its 10 letters; the
+        # draw adds int8 codes spelled in place and int32 lengths and step
+        # counts, and the heads of gibbs_ratio an intp sort order, a bool
+        # run mask and int32 head ids.  Measured at 200k samples: 33 bytes
+        # per sample for the draw, 28 for gibbs.
+        n = 200_000
+        xi = BoundaryPoint.periodic(walk_f2.model.word("a"))
+        small = SampleSet.draw(walk_f2, 100, 10, 20, 20_000, "unit-memory")
+        gibbs_ratio(walk_f2, xi, [1, 2, 3, 4, 5], small)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            samples = SampleSet.draw(walk_f2, n, 10, 20, 20_000, "unit-memory")
+            _, draw_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            gibbs_ratio(walk_f2, xi, [1, 2, 3, 4, 5], samples)
+            _, gibbs_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert samples.prefixes.nbytes == 10 * n
+        assert (draw_peak - before) / n <= 36
+        assert (gibbs_peak - before) / n <= 31
 
     def test_exhausted_retries_name_the_first_stream(self, walk_f2):
         with pytest.raises(BoundaryTimeout) as err:
