@@ -10,13 +10,18 @@ by the same rules.
 Boundary sample sets (:func:`hypwalk.walks.sample_boundary_prefixes`) are
 drawn in batches, whose walks advance in lockstep in slabs of bounded
 size; the rows still live once the first slab has thinned out finish
-together as the batch's tail.  Once per refill the cipher runs in tiles
-of rows, and integer thresholds turn its words straight into steps,
-exactly as ``searchsorted`` on their uniforms would.  The walks advance
-as the rows of one depth-major word stack, pushed through the walker's
-push table (``_streams._push_tables``), which spells F_N and Z/m*Z/n
-alike; a row that stops is masked and leaves at the next refill, its
-prefix kept as entry codes until the batch is done.  A batch comes back
+together as the batch's tail.  A draw computes the cipher's words only
+for the rows still live: a slab's first draw covers the steps before
+any row can stop, and each later one a Philox block of 4 steps, or 16
+steps once the slab is down to ``_TAIL`` live rows.  So a stopped row
+leaves at most 3 words unused, or 15 in a small slab.  The cipher runs
+in tiles of at most ``_TILE`` blocks, one tile alive at a time, and
+integer thresholds turn its words straight into steps, exactly as
+``searchsorted`` on their uniforms would.  The walks advance as the
+rows of one depth-major word stack, pushed through the walker's push
+table (``_streams._push_tables``), which spells F_N and Z/m*Z/n alike;
+a row that stops is masked and leaves before the next draw, its prefix
+kept as entry codes until the batch is done.  A batch comes back
 as arrays: a zero-padded int8 matrix of prefix letters, the prefix
 lengths and the step counts.  Each stream's prefix
 and step count are the same whatever batch, slab or tile it runs in,
@@ -33,11 +38,12 @@ Row state is as narrow as its values allow:
 - flat positions and row indices stay intp, so ``take`` never converts
   them.
 
-A range of streams builds its keys slab by slab.  So a batch holds
-about 18 bytes per stream on uniform F_2 at margin 10 besides its slab
-arrays: int8 codes, which become its prefix matrix in place, and int32
-lengths and step counts.  Under tracemalloc a set of 200k streams peaks
-at 33 bytes per stream, and one of 1M at 25.
+A range of streams builds its keys slab by slab, and the tail's parked
+rows never fill more than one slab.  So a batch holds about 18 bytes per
+stream on uniform F_2 at margin 10 besides its slab arrays: int8 codes,
+which become its prefix matrix in place, and int32 lengths and step
+counts.  Under tracemalloc a set of 20k streams peaks at 1.78 MB, one of
+200k at 28 bytes per stream and one of 1M at 20.
 
 numpy is the dependency of sample sets: this is the one module that
 imports it at load time.
@@ -59,28 +65,34 @@ if TYPE_CHECKING:
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
+# The Philox multipliers, their 32-bit halves and the key increment of
+# the stream word, as numpy scalars.
+_M0, _M1 = (np.uint64(m) for m in PHILOX_M)
+_HALVES0, _HALVES1 = ((np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)) for m in PHILOX_M)
+_W1 = np.uint64(PHILOX_W[1])
 
 
-def _mulhi(m: int, x: np.ndarray, hi: np.ndarray, x_lo, x_hi, t, mid) -> None:
-    """Write the high words of the 128-bit products m * x into ``hi``,
-    from 32-bit halves, with the four temporaries given.  The middle sum
-    (x_lo m_lo >> 32) + (x_hi m_lo & 0xFFFFFFFF) + x_lo m_hi is below
-    2^64, so a single carry word holds it."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+def _mulhi(halves, x: np.ndarray, hi: np.ndarray, x_lo, x_hi, mid) -> None:
+    """Write the high words of the 128-bit products m * x into ``hi``, m
+    given by its 32-bit ``halves``, with the three temporaries given.
+    Both t = x_hi m_lo + (x_lo m_lo >> 32) and (t & 0xFFFFFFFF) +
+    x_lo m_hi are below 2^64, and the high word is x_hi m_hi + (t >> 32)
+    plus the second one's high half."""
+    m_lo, m_hi = halves
     np.bitwise_and(x, _LO32, out=x_lo)
     np.right_shift(x, _U32, out=x_hi)
     np.multiply(x_lo, m_lo, out=mid)
-    np.right_shift(mid, _U32, out=mid)
-    np.multiply(x_hi, m_lo, out=t)
-    np.right_shift(t, _U32, out=hi)
-    np.bitwise_and(t, _LO32, out=t)
-    mid += t
-    np.multiply(x_lo, m_hi, out=t)
-    mid += t
-    np.right_shift(mid, _U32, out=mid)
+    mid >>= _U32
+    np.multiply(x_hi, m_lo, out=hi)
     hi += mid
-    np.multiply(x_hi, m_hi, out=t)
-    hi += t
+    np.bitwise_and(hi, _LO32, out=mid)
+    x_lo *= m_hi
+    mid += x_lo
+    mid >>= _U32
+    hi >>= _U32
+    hi += mid
+    x_hi *= m_hi
+    hi += x_hi
 
 
 def _philox_blocks(seed: int, keys, first_block: int, n_blocks: int):
@@ -96,32 +108,31 @@ def _philox_blocks(seed: int, keys, first_block: int, n_blocks: int):
     stream; the other eight rounds run in place on (block, row) arrays.
     """
     k1 = np.array(keys, dtype=np.uint64)
-    k0 = seed & MASK64
     shape = (n_blocks, len(k1))
-    c0, c1, c2, c3, h0, h1, x_lo, x_hi, t, mid = (np.empty(shape, dtype=np.uint64) for _ in range(10))
+    c0, c1, c2, c3, h0, h1, x_lo, x_hi, mid = (np.empty(shape, dtype=np.uint64) for _ in range(9))
     counter = range(first_block + 1, first_block + n_blocks + 1)
     hi = np.array([PHILOX_M[0] * c >> 64 for c in counter], dtype=np.uint64)[:, None]
     lo = np.array([PHILOX_M[0] * c & MASK64 for c in counter], dtype=np.uint64)[:, None]
     # Round 1 leaves (k0, 0, hi ^ k1, lo), the halves of M0 * counter.
     np.bitwise_xor(hi, k1, out=c2)
     # Round 2: of its two products only M1 * (hi ^ k1) depends on the stream.
+    k0 = seed & MASK64
     hi0, lo0 = divmod(PHILOX_M[0] * k0, 1 << 64)
-    k0 = (k0 + PHILOX_W[0]) & MASK64
-    k1 += np.uint64(PHILOX_W[1])
-    _mulhi(PHILOX_M[1], c2, c0, x_lo, x_hi, t, mid)
-    c0 ^= np.uint64(k0)
-    np.multiply(c2, np.uint64(PHILOX_M[1]), out=c1)
+    round_k0 = [np.uint64((k0 + r * PHILOX_W[0]) & MASK64) for r in range(1, 10)]  # rounds 2-10
+    k1 += _W1
+    _mulhi(_HALVES1, c2, c0, x_lo, x_hi, mid)
+    c0 ^= round_k0[0]
+    np.multiply(c2, _M1, out=c1)
     np.bitwise_xor(lo ^ np.uint64(hi0), k1, out=c2)
     c3.fill(lo0)
-    for _ in range(8):
-        k0 = (k0 + PHILOX_W[0]) & MASK64
-        k1 += np.uint64(PHILOX_W[1])
-        _mulhi(PHILOX_M[0], c0, h0, x_lo, x_hi, t, mid)
-        c0 *= np.uint64(PHILOX_M[0])
-        _mulhi(PHILOX_M[1], c2, h1, x_lo, x_hi, t, mid)
-        c2 *= np.uint64(PHILOX_M[1])
+    for k0 in round_k0[1:]:
+        k1 += _W1
+        _mulhi(_HALVES0, c0, h0, x_lo, x_hi, mid)
+        c0 *= _M0
+        _mulhi(_HALVES1, c2, h1, x_lo, x_hi, mid)
+        c2 *= _M1
         h1 ^= c1
-        h1 ^= np.uint64(k0)
+        h1 ^= k0
         h0 ^= c3
         h0 ^= k1
         # The registers rotate; the two freed buffers take the next high words.
@@ -133,12 +144,18 @@ def _philox_blocks(seed: int, keys, first_block: int, n_blocks: int):
 # each step's array operations spreads over many rows, and bounded, so
 # that a batch's word stacks stay small.
 _SLAB = 8192
-# Rows per evaluation of the Philox cipher, whose ten word arrays then
-# stay in cache.  A slab whose live rows fit in one tile hands them to
-# the batch's tail.
-_TILE = 1024
-# Steps drawn per refill after the first, which covers the steps before
-# the first possible promotion.
+# Philox blocks per evaluation of the cipher: its nine word arrays are
+# this long, so that the fixed cost of its 300 or so array operations
+# spreads over many words and the arrays still stay in cache.  A
+# one-block draw over a whole slab is one evaluation.
+_TILE = 8192
+# Live rows of a small slab: a batch's first slab hands its rows to the
+# tail once this many are live, and a slab with this many live rows or
+# fewer draws ``_REFILL_STEPS`` at a time.
+_TAIL = 1024
+# Steps per draw of a small slab, whose draws cost more in fixed array
+# operations than in the few words its stopped rows leave unused.  A
+# larger slab draws one Philox block of 4 steps at a time.
 _REFILL_STEPS = 16
 
 
@@ -158,12 +175,15 @@ def _draw_steps(seed: int, keys: np.ndarray, thresholds: list, first_block: int,
     """Support indices of steps 4*first_block .. 4*(first_block +
     n_blocks) - 1 of the streams keyed (seed, keys[i]): uint8 of shape
     (4 * n_blocks, len(keys)), time-major.  The cipher runs in tiles of
-    ``_TILE`` rows, and each word goes straight to its step index."""
+    at most ``_TILE`` blocks (one row at least), and each tile's words
+    become step indices and are freed before the next tile's cipher
+    runs."""
     idx = np.empty((n_blocks, 4, len(keys)), dtype=np.uint8)
-    for lo in range(0, len(keys), _TILE):
-        blocks = _philox_blocks(seed, keys[lo:lo + _TILE], first_block, n_blocks)
-        for j, words in enumerate(blocks):
-            _step_indices(thresholds, words, out=idx[:, j, lo:lo + _TILE])
+    rows = max(1, _TILE // n_blocks)
+    for lo in range(0, len(keys), rows):
+        for j, words in enumerate(_philox_blocks(seed, keys[lo:lo + rows], first_block, n_blocks)):
+            _step_indices(thresholds, words, out=idx[:, j, lo:lo + rows])
+        del words
     return idx.reshape(4 * n_blocks, len(keys))
 
 
@@ -211,11 +231,10 @@ class _Words:
     Entry (i, r) of ``code`` is the code of row r's entry i - 1, so flat
     position i * rows + r addresses it; depth 0 holds the sentinel code 0.
     ``top`` is the flat position of each row's last entry and ``end`` the
-    row's length in letters.  ``code`` is refitted once per refill of
-    draws, never per push: rows that stopped leave, rows of other stacks
-    of the same walk may join, and the depth grows to fit the pushes to
-    come.  ``idx`` holds the (step, row) support indices of the refill's
-    pushes.
+    row's length in letters.  ``code`` is refitted once per draw, never
+    per push: rows that stopped leave, rows of other stacks of the same
+    walk may join, and the depth grows to fit the pushes to come.
+    ``idx`` holds the (step, row) support indices of the draw's pushes.
     """
 
     def __init__(self, tables: _Tables, rows: int):
@@ -309,10 +328,11 @@ class _Sampler:
     of :func:`hypwalk.walks.sample_boundary_prefixes`.
 
     Streams run in slabs of ``_SLAB`` rows.  In a batch of several
-    slabs, the first runs until its live rows fit in one Philox tile,
-    every other slab runs to that step, and the survivors of all slabs
-    finish together as the batch's tail, in slabs of at most ``_SLAB``
-    rows.  No stream's draws depend on the rows it runs with, so none of
+    slabs, the first runs until at most ``_TAIL`` of its rows are live,
+    every other slab runs to that step, and the survivors finish as the
+    batch's tail: those of consecutive slabs are parked together while
+    they fit in one slab, and run to the end once the next slab's would
+    not.  No stream's draws depend on the rows it runs with, so none of
     this changes a prefix or a step count.
     """
 
@@ -341,14 +361,14 @@ class _Sampler:
         """Advance the slab's rows in lockstep up to step ``until``, or
         until at most ``tail_rows`` of them are live.
 
-        The first refill covers the 2 margin + patience steps before any
-        promotion (rounded up to whole Philox blocks), later ones
-        ``_REFILL_STEPS``: all slabs of a batch refill at the same steps,
-        so each can stop at the step where another did.  No row promotes
-        before its word is 2 margin + patience long, nor stops before step
-        max(margin + patience, 2 margin) (see
+        No row promotes before its word is 2 margin + patience long, nor
+        stops before step max(margin + patience, 2 margin) (see
         :func:`hypwalk.measure.boundary_sample_set`), so neither check
-        runs earlier.
+        runs earlier.  The first draw covers the steps before that stop,
+        rounded up to whole Philox blocks, and each later one a block of
+        the rows still live, or ``_REFILL_STEPS`` once at most ``_TAIL``
+        are.  Every draw starts at a block boundary, so each slab can stop
+        at the step where another did.
         """
         margin, patience = self.margin, self.patience
         least, reach = max(margin + patience, 2 * margin), 2 * margin + patience
@@ -356,10 +376,10 @@ class _Sampler:
         words = slab.words
         step = slab.step
         while step < until and len(slab.keep) > tail_rows:
-            n = min(_REFILL_STEPS if step else -(-reach // 4) * 4, until - step)
-            # Drawn and loaded before the refit, so that neither the
-            # cipher's words nor the last refill's draws are held alongside
-            # the grown stacks.
+            n = _REFILL_STEPS if len(slab.keep) <= _TAIL else 4
+            n = min(n if step else -(-least // 4) * 4, until - step)
+            # Drawn before the refit, so that the cipher's words are not
+            # held alongside the grown stacks.
             keys = slab.keys[slab.keep]
             words.load(_draw_steps(self.seed, keys, self.thresholds, step // 4, -(-n // 4)))
             slab.refit(n)
@@ -388,7 +408,7 @@ class _Sampler:
                         stopped[done] = True
             slab.step = step
             slab.keep = np.flatnonzero(~stopped)
-        words.load(None)  # spent: a slab parked for the tail holds no draws
+            words.load(None)  # spent: freed before the next draw's cipher runs
 
     def accept(self, batch_rows: np.ndarray, codes: np.ndarray, lengths: np.ndarray, step: int):
         """Record the prefixes of batch rows that stopped at ``step``."""
@@ -401,19 +421,20 @@ class _Sampler:
 
     def prefixes(self) -> np.ndarray:
         """The batch's prefix letters, as the rows of an int8 matrix at
-        least ``margin`` wide padded with zeros, spelled in tiles of rows
-        so that the temporaries stay small.  A code matrix of int8 as
-        wide as that is spelled in place: each tile's letters depend on
-        its own codes alone.  (It is narrower only when a stack held fewer
-        entries than its longest prefix has letters, which syllables of
-        Z/m can spell.)"""
+        least ``margin`` wide padded with zeros, spelled in tiles of at
+        most ``_TILE`` letters (one row at least) so that the temporaries
+        stay small.  A code matrix of int8 as wide as that is spelled in
+        place: each tile's letters depend on its own codes alone.  (It is
+        narrower only when a stack held fewer entries than its longest
+        prefix has letters, which syllables of Z/m can spell.)"""
         width = int(self.lengths.max(initial=self.margin))
         if self.codes.dtype == np.int8 and self.codes.shape[1] == width:
             out = self.codes
         else:
             out = np.empty((len(self.codes), width), dtype=np.int8)
-        for lo in range(0, len(out), _TILE):
-            rows = slice(lo, lo + _TILE)
+        tile = max(1, _TILE // width)
+        for lo in range(0, len(out), tile):
+            rows = slice(lo, lo + tile)
             out[rows] = self.tables.spell(self.codes[rows], self.lengths[rows], width)
         return out
 
@@ -439,24 +460,27 @@ def draw_boundary_prefixes(
     (:func:`slab_keys`)."""
     n = len(streams)
     sampler = _Sampler(spec, n, margin, patience, max_steps)
-    tails = []
+    tails = []  # parked slabs whose live rows fit in one slab together
+
+    def finish_tails():
+        if tails:
+            head = tails.pop(0)
+            head.refit(0, tails)
+            sampler.run(head, max_steps, 0)
+            tails.clear()
+
     for lo in range(0, n, _SLAB):
         hi = min(lo + _SLAB, n)
         slab = sampler.slab(slab_keys(streams, lo, hi), np.arange(lo, hi))
         if lo:
             sampler.run(slab, until, 0)
         else:  # a batch of one slab has no tail to hand its rows to
-            sampler.run(slab, max_steps, _TILE if n > _SLAB else 0)
+            sampler.run(slab, max_steps, _TAIL if n > _SLAB else 0)
             until = slab.step
         if len(slab.keep) and slab.step < max_steps:
+            if sum(len(s.keep) for s in tails) + len(slab.keep) > _SLAB:
+                finish_tails()
             slab.refit(0)  # frees the rows that stopped while the next slabs run
             tails.append(slab)
-    while tails:
-        head, joined = tails.pop(0), []
-        rows = len(head.keep)
-        while tails and rows + len(tails[0].keep) <= _SLAB:
-            rows += len(tails[0].keep)
-            joined.append(tails.pop(0))
-        head.refit(0, joined)
-        sampler.run(head, max_steps, 0)
+    finish_tails()
     return sampler.prefixes(), sampler.lengths, sampler.steps

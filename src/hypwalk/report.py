@@ -373,8 +373,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportB
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_csv_cell(x) for x in row])
+                writer.writerows(rows)
             files.append(path)
     passed = all(v == "pass" for v in verdicts.values())
     versions = {"hypwalk": _pkg_version}
@@ -400,9 +399,3 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ReportB
         fh.write("\n")
     files.append(path)
     return ReportBundle(report=report, passed=passed, files=tuple(files))
-
-
-def _csv_cell(x):
-    if isinstance(x, float):
-        return repr(x)
-    return x

@@ -227,11 +227,13 @@ def sample_boundary_prefixes(
 
     This draws the sample sets of ``measure``: streams advance in
     lockstep in slabs of bounded size (see :mod:`hypwalk._sampler`).  A
-    refill turns the Philox words of the next steps of every row into
-    support indices by integer thresholds, and the rows' words advance
-    together in one depth-major stack, through the push table of the
-    plain-Python walker on every model; rows that stop are masked and
-    leave at the next refill.
+    draw turns the Philox words of the next steps of the rows still live,
+    one block of 4 steps at a time once a row may stop, into support
+    indices by integer thresholds, and the rows' words advance together
+    in one depth-major stack, through the push table of the plain-Python
+    walker on every model.  Rows that stop are masked and leave before
+    the next draw, so a stopped row leaves at most 3 words of the cipher
+    unused, or 15 in a slab down to its last few live rows.
     """
     if margin < 1 or patience < 1:
         raise ValueError("margin and patience must be positive")

@@ -258,11 +258,14 @@ def test_batched_sampler_matches_scalar_oracle(walk_margin, patience, data):
     # single walks and small batches both give the oracle's prefix, or
     # timeout, and step count on every stream; the oracle keeps the
     # promotion fold that both samplers leave out.  The step budget ends
-    # inside a refill of draws, whatever the refills' lengths: each starts
-    # at a Philox block boundary, a multiple of 4 steps, and the budget is
-    # not one.  The range spans the first refill, which covers the
-    # 2 margin + patience steps before any promotion, and later ones of
-    # both samplers (four of the array sampler's ``_REFILL_STEPS``).
+    # inside a draw, whatever the draws' lengths: each starts at a Philox
+    # block boundary, a multiple of 4 steps, and the budget is not one.
+    # The range spans the walker's first refill, which covers the
+    # 2 margin + patience steps before any promotion, the array sampler's
+    # first draw, which covers those before any stop, and later draws of
+    # both: 40 rows draw ``_REFILL_STEPS`` at a time, four times in the
+    # range, and the slabs of 7 rows below one block at a time while more
+    # than 3 rows are live.
     walk, margin = walk_margin
     first = -(-(2 * margin + patience) // 4) * 4
     budget = data.draw(
@@ -274,8 +277,9 @@ def test_batched_sampler_matches_scalar_oracle(walk_margin, patience, data):
     want = [scalar_boundary_prefix(walk, s, margin, patience, budget) for s in streams]
     assert _streams.boundary_prefixes(walk, streams, margin, patience, budget) == want
     assert prefix_pairs(sample_boundary_prefixes(walk, streams, margin, patience, budget)) == want
-    # Slabs of 7 rows and Philox tiles of 3: several slabs, then the tail.
-    with mock.patch.object(_sampler, "_SLAB", 7), mock.patch.object(_sampler, "_TILE", 3):
+    # Slabs of 7 rows, Philox tiles of 5 blocks and a tail of 3 rows:
+    # several slabs, then the tail.
+    with mock.patch.multiple(_sampler, _SLAB=7, _TILE=5, _TAIL=3):
         assert prefix_pairs(sample_boundary_prefixes(walk, streams, margin, patience, budget)) == want
 
 

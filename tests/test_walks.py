@@ -433,10 +433,10 @@ class TestBatchedSampler:
 
     @pytest.mark.parametrize("name", ["f2", "z25-asym"])
     def test_independent_of_batch_and_slab(self, name, monkeypatch):
-        # Slabs of 7 rows and Philox tiles of 3: 23 streams span four
-        # slabs, no tile width divides a slab, and the first slab hands its
-        # rows to the tail once 3 are live, where the survivors of the
-        # other slabs join them.
+        # Slabs of 7 rows and Philox tiles of 5 blocks: 23 streams span
+        # four slabs, no tile width divides a slab, and the first slab
+        # hands its rows to the tail once 3 are live, where the survivors
+        # of the other slabs join them.
         walk = _sampler_walk(name)
         streams = [(zlib.crc32(b"unit") << 32) + i for i in range(23)]
         whole = prefix_pairs(sample_boundary_prefixes(walk, streams))
@@ -450,7 +450,8 @@ class TestBatchedSampler:
             refit(slab, steps, others)
 
         monkeypatch.setattr(_sampler, "_SLAB", 7)
-        monkeypatch.setattr(_sampler, "_TILE", 3)
+        monkeypatch.setattr(_sampler, "_TILE", 5)
+        monkeypatch.setattr(_sampler, "_TAIL", 3)
         monkeypatch.setattr(_sampler._Slab, "refit", spy)
         assert whole == prefix_pairs(sample_boundary_prefixes(walk, streams))
         assert max(joins) > 0
@@ -486,8 +487,9 @@ class TestBatchedSampler:
 
         monkeypatch.setattr(_sampler, "_SLAB", 5)
         monkeypatch.setattr(_sampler, "_TILE", 2)
+        monkeypatch.setattr(_sampler, "_TAIL", 2)
         monkeypatch.setattr(_sampler._Sampler, "run", spy)
-        streams = range(12)  # slabs of 5, 5 and 2 rows
+        streams = range(60, 72)  # slabs of 5, 5 and 2 rows
         want = [scalar_boundary_prefix(walk, s, 10, 20, 20_000) for s in streams]
         assert prefix_pairs(sample_boundary_prefixes(walk, streams, 10, 20, 20_000)) == want
         assert runs[0][1] == 2 and len(runs) > 3
@@ -511,6 +513,7 @@ class TestBatchedSampler:
 
         monkeypatch.setattr(_sampler, "_SLAB", 40)
         monkeypatch.setattr(_sampler, "_TILE", 8)
+        monkeypatch.setattr(_sampler, "_TAIL", 8)
         monkeypatch.setattr(_sampler._Sampler, "run", spy)
         streams = range(70)  # slabs of 40 and 30 rows, then the tail
         batch = prefix_pairs(sample_boundary_prefixes(walk, streams, 10, 20, 20_000))
@@ -549,9 +552,31 @@ class TestBatchedSampler:
         assert retries == total > 0
         assert steps == work
 
+    @pytest.mark.parametrize("name", ["f2", "z23"])
+    def test_philox_words_only_for_live_rows(self, name, walk_f2, walk_z23, monkeypatch):
+        # The first draw of a slab covers the steps before any row can
+        # stop, and each later one a block of 4 steps of the rows still
+        # live, or 16 steps once a slab is down to 1024 live rows: over 20k
+        # streams a stream leaves at most 3 words of the cipher unused.
+        walk = {"f2": walk_f2, "z23": walk_z23}[name]
+        words = []
+        cipher = _sampler._philox_blocks
+
+        def spy(seed, keys, first_block, n_blocks):
+            words.append(4 * n_blocks * len(keys))
+            return cipher(seed, keys, first_block, n_blocks)
+
+        monkeypatch.setattr(_sampler, "_philox_blocks", spy)
+        n = 20_000
+        _, lengths, steps = sample_boundary_prefixes(walk, range(n), 10, 20, 20_000)
+        assert (lengths >= 10).all()
+        assert sum(words) <= int(steps.sum()) + 3 * n
+
     def test_sample_set_peak_memory(self, walk_f2):
-        # A 20k set's prefixes are one int8 matrix, and a slab's cipher
-        # words are gone before its stacks grow: the peak stays at 4 MB.
+        # The fixed working set of a draw: a 20k set's prefixes are one
+        # int8 matrix, one cipher tile's words are alive at a time, and a
+        # draw's steps are gone before the next draw's cipher runs.  The
+        # peak, 1.78 MB, stays below 2 MB.
         boundary_sample_set(walk_f2, 100, 10, 20, 20_000, "unit-memory")
         tracemalloc.start()
         try:
@@ -561,14 +586,15 @@ class TestBatchedSampler:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before <= 4 * 2**20
+        assert peak - before <= 2 * 2**20
 
     def test_sample_set_and_gibbs_bytes_per_sample(self, walk_f2):
         # Per sample, a set of margin 10 on F_2 holds its 10 letters; the
         # draw adds int8 codes spelled in place and int32 lengths and step
         # counts, and the heads of gibbs_ratio an intp sort order, a bool
-        # run mask and int32 head ids.  Measured at 200k samples: 33 bytes
-        # per sample for the draw, 28 for gibbs.
+        # run mask and int32 head ids.  Measured at 200k samples: 28 bytes
+        # per sample for the draw, whose parked tails are finished once
+        # they fill a slab, and 28 for gibbs.
         n = 200_000
         xi = BoundaryPoint.periodic(walk_f2.model.word("a"))
         small = SampleSet.draw(walk_f2, 100, 10, 20, 20_000, "unit-memory")
@@ -585,7 +611,7 @@ class TestBatchedSampler:
         finally:
             tracemalloc.stop()
         assert samples.prefixes.nbytes == 10 * n
-        assert (draw_peak - before) / n <= 36
+        assert (draw_peak - before) / n <= 31
         assert (gibbs_peak - before) / n <= 31
 
     def test_exhausted_retries_name_the_first_stream(self, walk_f2):
