@@ -8,24 +8,29 @@ streams at once.  The Philox constants and the step thresholds come from
 by the same rules.
 
 Boundary sample sets (:func:`hypwalk.walks.sample_boundary_prefixes`) are
-drawn in batches, whose walks advance in lockstep in slabs of bounded
-size; the rows still live once the first slab has thinned out finish
-together as the batch's tail.  A draw computes the cipher's words only
-for the rows still live: a slab's first draw covers the steps before
-any row can stop, and each later one a Philox block of 4 steps, or 16
-steps once the slab is down to ``_TAIL`` live rows.  So a stopped row
-leaves at most 3 words unused, or 15 in a small slab.  The cipher runs
-in tiles of at most ``_TILE`` blocks, one tile alive at a time, and
-integer thresholds turn its words straight into steps, exactly as
-``searchsorted`` on their uniforms would.  The walks advance as the
-rows of one depth-major word stack, pushed through the walker's push
-table (``_streams._push_tables``), which spells F_N and Z/m*Z/n alike;
-a row that stops is masked and leaves before the next draw, its prefix
-kept as entry codes until the batch is done.  A batch comes back
-as arrays: a zero-padded int8 matrix of prefix letters, the prefix
-lengths and the step counts.  Each stream's prefix
-and step count are the same whatever batch, slab or tile it runs in,
-and equal to a one-walk-at-a-time run.
+drawn in batches, whose walks advance in lockstep in slabs (:class:`_Slab`)
+of at most ``_SLAB`` rows.  In a batch of several slabs, the first runs
+until at most ``_TAIL`` of its rows are live, every other slab runs to
+that step, and the survivors finish as the batch's tail: those of
+consecutive slabs are parked together while they fit in one slab, and
+run to the end once the next slab's would not.
+
+A draw computes the cipher's words only for the rows still live: a
+slab's first draw covers the steps before any row can stop, and each
+later one a Philox block of 4 steps, or 16 steps once the slab is down
+to ``_TAIL`` live rows.  So a stopped row leaves at most 3 words unused,
+or 15 in a small slab.  The cipher runs in tiles of at most ``_TILE``
+blocks, one tile alive at a time, and integer thresholds turn its words
+straight into steps, exactly as ``searchsorted`` on their uniforms
+would.  A slab's walks advance as the rows of one depth-major word
+stack, pushed through the walker's push table
+(``_streams._push_tables``), which spells F_N and Z/m*Z/n alike; a row
+that stops is masked and leaves at the slab's next refit, its prefix
+kept as entry codes until the batch is done.  A batch comes back as
+arrays: a zero-padded int8 matrix of prefix letters, the prefix lengths
+and the step counts.  No stream's draws depend on the rows it runs
+with, so each stream's prefix and step count are the same whatever
+batch, slab or tile it runs in, and equal to a one-walk-at-a-time run.
 
 Row state is as narrow as its values allow:
 
@@ -56,7 +61,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._streams import _APPEND, _REMOVE, MASK64, PHILOX_M, PHILOX_W, _push_tables, step_thresholds
-from .errors import ValidationError
 
 if TYPE_CHECKING:
     from .groups import GroupModel
@@ -189,7 +193,7 @@ def _draw_steps(seed: int, keys: np.ndarray, thresholds: list, first_block: int,
 
 class _Tables:
     """The push table of :func:`hypwalk._streams._push_tables` as arrays
-    for :class:`_Words`.  By key: the new code, the move of the last
+    for :class:`_Slab`.  By key: the new code, the move of the last
     entry (-1, 0 or 1), the first edited letter's position less the old
     length, and the length change.  By code: the letter an entry spells,
     and how many times."""
@@ -223,44 +227,41 @@ class _Tables:
         return block
 
 
-class _Words:
-    """Normal forms of many rows in one depth-major stack, pushed through
-    the table of :func:`hypwalk._streams._push_tables`, whose codes stand
-    for letters of the factors Z and syllables of the factors Z/m alike.
+class _Slab:
+    """Rows of one batch in lockstep at step ``step``, their normal forms
+    in one depth-major stack pushed through the table of
+    :func:`hypwalk._streams._push_tables`, whose codes stand for letters
+    of the factors Z and syllables of the factors Z/m alike.
 
     Entry (i, r) of ``code`` is the code of row r's entry i - 1, so flat
     position i * rows + r addresses it; depth 0 holds the sentinel code 0.
-    ``top`` is the flat position of each row's last entry and ``end`` the
-    row's length in letters.  ``code`` is refitted once per draw, never
-    per push: rows that stopped leave, rows of other stacks of the same
-    walk may join, and the depth grows to fit the pushes to come.
-    ``idx`` holds the (step, row) support indices of the draw's pushes.
+    Per row: ``top``, the flat position of its last entry; ``end``, its
+    length in letters; its stream key, its row in the batch, the tracked
+    prefix length L and the last step that edited a letter below L.
+    ``keep`` lists the rows still live.  All of it is refitted before
+    each draw's pushes, never per push: rows that stopped leave, the live
+    rows of other slabs may join, and the stack grows to fit the pushes
+    to come.
     """
 
-    def __init__(self, tables: _Tables, rows: int):
-        self.tables = tables
-        self.rows = rows
+    def __init__(self, tables: _Tables, keys: np.ndarray, batch_rows: np.ndarray, margin: int):
+        rows = len(keys)
+        self.tables, self.keys, self.batch_rows = tables, keys, batch_rows
+        self.L = np.full(rows, margin, dtype=np.int32)
+        self.dirty = np.zeros(rows, dtype=np.int32)
         self.code = np.zeros((1, rows), dtype=tables.code_type)
         self.top = np.arange(rows)
         self.end = np.zeros(rows, dtype=np.int32)
-        self._reindex()
+        self.keep = np.arange(rows)
+        self.step = 0
 
-    def _reindex(self) -> None:
-        """Refresh the flat view and the entry moves in units of ``rows``."""
-        self.code_flat = self.code.reshape(-1)
-        self.rise = self.tables.rise * self.rows
-
-    def load(self, idx: np.ndarray) -> None:
-        """Take the (step, row) support indices of the next pushes, or None
-        once they are spent."""
-        self.idx = idx
-
-    def push(self, t: int) -> np.ndarray:
-        """Right-multiply each row by its letter of loaded step t and return
-        the position of the first letter the push edited: the first of
-        the entry it appended, changed or removed."""
+    def push(self, indices: np.ndarray) -> np.ndarray:
+        """Right-multiply each row by its letter of support index
+        ``indices[row]`` and return the position of the first letter the
+        push edited: the first of the entry it appended, changed or
+        removed."""
         tables = self.tables
-        key = np.add(self.code_flat.take(self.top), self.idx[t], dtype=np.intp)
+        key = np.add(self.code_flat.take(self.top), indices, dtype=np.intp)
         top = self.top + self.rise.take(key)
         # The higher top is the new or changed entry's slot, or after a
         # removal the slot it frees, which takes code 0.
@@ -270,80 +271,39 @@ class _Words:
         self.end += tables.grow.take(key)
         return edited
 
-    def refit(self, keep: np.ndarray, steps: int, more=()) -> None:
-        """Keep the rows ``keep``, in that order, then for each (words,
-        keep) pair of ``more`` those rows of those stacks, and make room
-        for ``steps`` more pushes: a push adds at most one entry.  The
-        stack is as deep as the kept rows need, and no deeper: entries past
-        a row's last are stale."""
-        parts = [(self, keep), *more]
-        tops = [w.top[k] // w.rows for w, k in parts]  # depths of the kept rows' last entries
+    def refit(self, steps: int, others=()) -> None:
+        """Keep the live rows, in order, then those of ``others`` (slabs of
+        the same batch at the same step), and make room for ``steps``
+        pushes: a push adds at most one entry.  The stack is as deep as
+        the kept rows need, and no deeper: entries past a row's last are
+        stale."""
+        parts = [self, *others]
+        tops = [s.top[s.keep] // s.code.shape[1] for s in parts]  # depths of the last entries
         depth = max(int(t.max(initial=0)) for t in tops) + steps + 1
-        rows = sum(len(k) for _, k in parts)
+        rows = sum(len(s.keep) for s in parts)
         code = np.empty((depth, rows), dtype=self.code.dtype)
         col = 0
-        for w, k in parts:
-            d = min(len(w.code), depth)
+        for s in parts:
+            d, k = min(len(s.code), depth), s.keep
             # "clip" writes straight into ``out``; "raise" would buffer.
-            np.take(w.code[:d], k, axis=1, out=code[:d, col:col + len(k)], mode="clip")
+            np.take(s.code[:d], k, axis=1, out=code[:d, col:col + len(k)], mode="clip")
             code[d:, col:col + len(k)] = 0
             col += len(k)
         self.top = np.concatenate(tops) * rows + np.arange(rows)
-        self.end = np.concatenate([w.end[k] for w, k in parts])
-        self.code, self.rows = code, rows
-        self._reindex()
-
-    def entries(self, rows: np.ndarray, width: int) -> np.ndarray:
-        """The codes of the first ``width`` entries of each row of
-        ``rows``, as the rows of a matrix, fewer when the stack is less
-        deep; past a row's last entry they are stale."""
-        return self.code[1:width + 1, rows].T
-
-
-class _Slab:
-    """Rows in lockstep at step ``step``: their word stack, and per row its
-    stream key, its row in the batch, the tracked prefix length L and
-    the last step that edited a letter below L.  ``keep`` lists the rows
-    still live; they leave the others at the next refit."""
-
-    def __init__(self, words: _Words, keys: np.ndarray, batch_rows: np.ndarray, margin: int):
-        self.words, self.keys, self.batch_rows = words, keys, batch_rows
-        self.L = np.full(len(keys), margin, dtype=np.int32)
-        self.dirty = np.zeros(len(keys), dtype=np.int32)
-        self.keep = np.arange(len(keys))
-        self.step = 0
-
-    def refit(self, steps: int, others=()) -> None:
-        """Keep the live rows, then those of ``others`` (slabs of the same
-        batch at the same step), and make room for ``steps`` pushes."""
-        parts = [self, *others]
-        self.words.refit(self.keep, steps, [(s.words, s.keep) for s in others])
-        for name in ("keys", "batch_rows", "L", "dirty"):
+        for name in ("keys", "batch_rows", "L", "dirty", "end"):
             setattr(self, name, np.concatenate([getattr(s, name)[s.keep] for s in parts]))
-        self.keep = np.arange(len(self.keys))
+        self.code, self.code_flat = code, code.reshape(-1)
+        self.rise = self.tables.rise * rows  # entry moves in flat positions
+        self.keep = np.arange(rows)
 
 
 class _Sampler:
     """Boundary sampling of one batch of streams under the stopping rule
-    of :func:`hypwalk.walks.sample_boundary_prefixes`.
-
-    Streams run in slabs of ``_SLAB`` rows.  In a batch of several
-    slabs, the first runs until at most ``_TAIL`` of its rows are live,
-    every other slab runs to that step, and the survivors finish as the
-    batch's tail: those of consecutive slabs are parked together while
-    they fit in one slab, and run to the end once the next slab's would
-    not.  No stream's draws depend on the rows it runs with, so none of
-    this changes a prefix or a step count.
-    """
+    of :func:`hypwalk.walks.sample_boundary_prefixes`, and the prefixes
+    of the rows that stopped."""
 
     def __init__(self, spec: WalkSpec, n_rows: int, margin: int, patience: int, max_steps: int):
-        letters = []
-        for g, _ in spec.support:
-            ls = g.letters()
-            if len(ls) != 1:
-                raise ValidationError("boundary sampling needs a nearest-neighbour walk")
-            letters.append(ls[0])
-        self.tables = _Tables(letters, spec.model)
+        self.tables = _Tables([g.letters()[0] for g, _ in spec.support], spec.model)
         self.seed = spec.seed
         self.thresholds = [np.uint64(t) for t in step_thresholds(spec.probabilities())]
         self.margin, self.patience = margin, patience
@@ -353,9 +313,6 @@ class _Sampler:
         self.codes = np.zeros((n_rows, margin), dtype=self.tables.code_type)
         self.lengths = np.full(n_rows, -1, dtype=np.int32)
         self.steps = np.full(n_rows, max_steps, dtype=np.int32)
-
-    def slab(self, keys: np.ndarray, batch_rows: np.ndarray) -> _Slab:
-        return _Slab(_Words(self.tables, len(keys)), keys, batch_rows, self.margin)
 
     def run(self, slab: _Slab, until: int, tail_rows: int) -> None:
         """Advance the slab's rows in lockstep up to step ``until``, or
@@ -373,42 +330,42 @@ class _Sampler:
         margin, patience = self.margin, self.patience
         least, reach = max(margin + patience, 2 * margin), 2 * margin + patience
         never = np.iinfo(np.int32).max
-        words = slab.words
         step = slab.step
         while step < until and len(slab.keep) > tail_rows:
             n = _REFILL_STEPS if len(slab.keep) <= _TAIL else 4
             n = min(n if step else -(-least // 4) * 4, until - step)
             # Drawn before the refit, so that the cipher's words are not
             # held alongside the grown stacks.
-            keys = slab.keys[slab.keep]
-            words.load(_draw_steps(self.seed, keys, self.thresholds, step // 4, -(-n // 4)))
+            idx = _draw_steps(self.seed, slab.keys[slab.keep], self.thresholds, step // 4, -(-n // 4))
             slab.refit(n)
             L, dirty = slab.L, slab.dirty
             stop_at = L + margin  # the word reaches L + margin letters
             promote_at = stop_at + patience
-            stopped = np.zeros(words.rows, dtype=bool)
+            stopped = np.zeros(len(slab.keys), dtype=bool)
             for t in range(n):
                 step += 1
-                np.putmask(dirty, words.push(t) < L, step)
+                np.putmask(dirty, slab.push(idx[t]) < L, step)
                 if step >= reach:
-                    up = words.end >= promote_at
+                    up = slab.end >= promote_at
                     if up.any():
                         up = np.flatnonzero(up)
                         L[up] += 1
                         stop_at[up] += 1
                         promote_at[up] += 1
                 if step >= least:
-                    done = (words.end >= stop_at) & (dirty <= step - patience)
+                    done = (slab.end >= stop_at) & (dirty <= step - patience)
                     if done.any():
                         done = np.flatnonzero(done)
                         lengths = L[done]
-                        codes = words.entries(done, int(lengths.max()))
+                        # Spelling stops at each row's length, before the
+                        # stale entries past its last.
+                        codes = slab.code[1:int(lengths.max()) + 1, done].T
                         self.accept(slab.batch_rows[done], codes, lengths, step)
                         stop_at[done] = promote_at[done] = never
                         stopped[done] = True
             slab.step = step
             slab.keep = np.flatnonzero(~stopped)
-            words.load(None)  # spent: freed before the next draw's cipher runs
+            del idx  # spent: freed before the next draw's cipher runs
 
     def accept(self, batch_rows: np.ndarray, codes: np.ndarray, lengths: np.ndarray, step: int):
         """Record the prefixes of batch rows that stopped at ``step``."""
@@ -471,7 +428,7 @@ def draw_boundary_prefixes(
 
     for lo in range(0, n, _SLAB):
         hi = min(lo + _SLAB, n)
-        slab = sampler.slab(slab_keys(streams, lo, hi), np.arange(lo, hi))
+        slab = _Slab(sampler.tables, slab_keys(streams, lo, hi), np.arange(lo, hi), margin)
         if lo:
             sampler.run(slab, until, 0)
         else:  # a batch of one slab has no tail to hand its rows to

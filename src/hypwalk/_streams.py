@@ -71,8 +71,8 @@ def step_thresholds(probabilities) -> list[int]:
 
 def philox_words(seed: int, keys, first_block: int, n_blocks: int) -> list[list[int]]:
     """Words 4*first_block .. 4*(first_block + n_blocks) - 1 of the
-    streams keyed (seed, keys[i]), keys integers in [0, 2^64): one list of
-    4 * n_blocks words per key.
+    streams keyed (seed, keys[i] mod 2^64), as the array sampler keys
+    them: one list of 4 * n_blocks words per key.
 
     Lane s * n_blocks + b holds block first_block + b of stream s.
     Round 1 sees only the counter word, so it leaves (k0, 0, hi ^ k1, lo)
@@ -89,7 +89,8 @@ def philox_words(seed: int, keys, first_block: int, n_blocks: int) -> list[list[
         c.to_bytes(_LANE, "little") for c in range(first_block + 1, first_block + n_blocks + 1)
     )
     k0 = seed & MASK64
-    k1 = int.from_bytes(b"".join(k.to_bytes(_LANE, "little") * n_blocks for k in keys), "little")
+    key_bytes = b"".join((k & MASK64).to_bytes(_LANE, "little") * n_blocks for k in keys)
+    k1 = int.from_bytes(key_bytes, "little")
     p = PHILOX_M[0] * int.from_bytes(counters * len(keys), "little")
     x0, x1, x2, x3 = k0 * ones, 0, ((p >> 64) & low) ^ k1, p & low
     w1 = PHILOX_W[1] * ones
@@ -113,7 +114,7 @@ def philox_words(seed: int, keys, first_block: int, n_blocks: int) -> list[list[
 
 def path_steps(spec: WalkSpec, key: int, n_steps: int) -> tuple[int, ...]:
     """Support indices of the first ``n_steps`` steps of the stream keyed
-    (spec.seed, key), key in [0, 2^64)."""
+    (spec.seed, key mod 2^64)."""
     thresholds = step_thresholds(spec.probabilities())
     n_blocks = -(-n_steps // 4)
     steps = []

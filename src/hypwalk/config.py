@@ -109,6 +109,7 @@ def _parse_model(section: Any) -> GroupModel:
         _require(_is_int(rank), f"model.rank must be an integer, not {rank!r}")
         args = (rank,)
     else:
+        _require("rank" not in section, "free_product model takes no rank")
         orders = section.get("orders")
         _require(
             isinstance(orders, (list, tuple)) and len(orders) == 2

@@ -200,8 +200,7 @@ def _require_margin(samples: SampleSet, need: int, reader: str) -> None:
 
 def _heads(prefixes: np.ndarray, depth: int):
     """The distinct heads of ``depth`` letters among the prefix rows, as
-    letter tuples, with each row's head index (int32) and each head's
-    count.
+    letter tuples, and each head's count.
 
     Heads come in the order of their bytes read unsigned, left to right:
     a stable lexsort over the unsigned-byte columns brings equal heads
@@ -214,15 +213,10 @@ def _heads(prefixes: np.ndarray, depth: int):
 
     block = prefixes[:, :depth]
     order = np.lexsort(block.view(np.uint8).T[::-1])
-    new = _run_starts(block, order)
-    starts = np.flatnonzero(new)
-    ids = np.cumsum(new, dtype=np.int32)
-    ids -= 1
-    inverse = np.empty(len(order), dtype=np.int32)
-    inverse[order] = ids
+    starts = np.flatnonzero(_run_starts(block, order))
     counts = np.diff(starts, append=len(order))
     rows = block[order[starts]].tolist()
-    return [tuple(filter(None, row)) for row in rows], inverse, counts
+    return [tuple(filter(None, row)) for row in rows], counts
 
 
 def _run_starts(block: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -286,7 +280,7 @@ def estimate_measure(walk: WalkSpec, cyl: Cylinder, samples: SampleSet) -> Measu
     letters."""
     require_valid(walk)
     _require_margin(samples, measure_margin(cyl), "estimate_measure")
-    heads, _, counts = _heads(samples.prefixes, cyl.depth)
+    heads, counts = _heads(samples.prefixes, cyl.depth)
     hits = sum(
         k for head, k in zip(heads, counts.tolist()) if _prefix_membership(head, cyl, walk.model)
     )
@@ -345,7 +339,7 @@ def gibbs_ratio(
     deepest = Cylinder.around(xi, max(radii))
     # An exact product does not change with depth, and an inexact one is
     # at least the number of shared letters, which is past R_max.
-    heads, _, counts = _heads(samples.prefixes, deepest.depth)
+    heads, counts = _heads(samples.prefixes, deepest.depth)
     products = Counter()
     for head, k in zip(heads, counts.tolist()):
         products[_ray_product(head, deepest, walk.model)] += k
@@ -417,27 +411,25 @@ class RadonNikodymReport:
     agree: bool
     n_samples: int
     margin: int
-    kernel_depth: int
     n_retries: int
     n_heads: int
     n_steps: int
 
 
 def _rn_samples(walk: WalkSpec, g: GroupElement, cyl: Cylinder, prefixes, depth: int):
-    """Pulled hits, per-sample kernel values (0 off U) and the head count."""
-    import numpy as np
-
+    """The pulled hits, and per distinct head of cyl.depth + |g| + 2
+    letters its kernel value at its first ``depth`` letters (0 off U) and
+    its count, as two lists in head order."""
     model = walk.model
-    heads, inverse, counts = _heads(prefixes, cyl.depth + g.word_length() + 2)
-    hits = sum(
-        k for head, k in zip(heads, counts.tolist()) if _translated_membership(g, head, cyl, model)
-    )
-    kernel = np.array([
+    heads, counts = _heads(prefixes, cyl.depth + g.word_length() + 2)
+    counts = counts.tolist()
+    hits = sum(k for head, k in zip(heads, counts) if _translated_membership(g, head, cyl, model))
+    kernel = [
         martin_kernel_at(walk, g, model.from_letters(head[:depth])).value
         if _prefix_membership(head, cyl, model) else 0.0
         for head in heads
-    ])
-    return hits, kernel[inverse], len(heads)
+    ]
+    return hits, kernel, counts
 
 
 def rn_check_margin(g: GroupElement, cyl: Cylinder) -> int:
@@ -458,18 +450,22 @@ def radon_nikodym_check(
     every branch point of g.  A sample's first cyl.depth + |g| + 2 letters
     decide both memberships and pass |g| + s + 2, beyond which the kernel
     along a ray is bitwise constant; so each distinct head of that length
-    is evaluated once, the kernel at its first margin letters.
+    is evaluated once, the kernel at its first margin letters.  The
+    integral and the sample variance weight each head's value by its
+    count, summed with ``math.fsum``: one rounding per head, not one per
+    sample.
     """
     require_valid(walk)
     n = samples.n_samples
     if n < 2:
         raise ValidationError(f"rn-check needs at least 2 samples, got {n}")
     _require_margin(samples, rn_check_margin(g, cyl), "radon_nikodym_check")
-    pulled_hits, vals, n_heads = _rn_samples(walk, g, cyl, samples.prefixes, samples.margin)
+    pulled_hits, kernel, counts = _rn_samples(walk, g, cyl, samples.prefixes, samples.margin)
     pulled = pulled_hits / n
     pulled_half = 3.0 * math.sqrt(pulled * (1 - pulled) / n)
-    integral = float(vals.mean())
-    kernel_half = 3.0 * float(vals.std(ddof=1) / math.sqrt(len(vals)))
+    integral = math.fsum(k * c for k, c in zip(kernel, counts)) / n
+    variance = math.fsum(c * (k - integral) ** 2 for k, c in zip(kernel, counts)) / (n - 1)
+    kernel_half = 3.0 * math.sqrt(variance) / math.sqrt(n)
     return RadonNikodymReport(
         pulled_mass=pulled,
         pulled_half=pulled_half,
@@ -478,8 +474,7 @@ def radon_nikodym_check(
         agree=abs(pulled - integral) <= pulled_half + kernel_half,
         n_samples=n,
         margin=samples.margin,
-        kernel_depth=samples.margin,
         n_retries=samples.n_retries,
-        n_heads=n_heads,
+        n_heads=len(kernel),
         n_steps=samples.n_steps,
     )

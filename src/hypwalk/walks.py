@@ -170,7 +170,7 @@ def sample_path(
     require_valid(spec, nondegenerate=False)
     from . import _streams  # loaded by parse_config when the config samples
 
-    idx = _streams.path_steps(spec, stream & _streams.MASK64, n_steps)
+    idx = _streams.path_steps(spec, stream, n_steps)
     steps = spec.elements()
     pos = [start]
     cur = start
@@ -225,15 +225,9 @@ def sample_boundary_prefixes(
     and never reached P.  By induction over the promotions, a rule with
     that raise keeps the same u and stops at the same step.
 
-    This draws the sample sets of ``measure``: streams advance in
-    lockstep in slabs of bounded size (see :mod:`hypwalk._sampler`).  A
-    draw turns the Philox words of the next steps of the rows still live,
-    one block of 4 steps at a time once a row may stop, into support
-    indices by integer thresholds, and the rows' words advance together
-    in one depth-major stack, through the push table of the plain-Python
-    walker on every model.  Rows that stop are masked and leave before
-    the next draw, so a stopped row leaves at most 3 words of the cipher
-    unused, or 15 in a slab down to its last few live rows.
+    This draws the sample sets of ``measure``, on the array sampler of
+    :mod:`hypwalk._sampler`; its module docstring describes the slabs,
+    draws and word stacks.
     """
     if margin < 1 or patience < 1:
         raise ValueError("margin and patience must be positive")

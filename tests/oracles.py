@@ -367,14 +367,14 @@ def prefix_tuples(prefixes) -> list:
 
 def void_heads(prefixes, depth: int):
     """``measure._heads`` by np.unique on one opaque bytes item per row,
-    the row's head of ``depth`` letters: distinct heads as letter tuples,
-    each row's head index and each head's count."""
+    the row's head of ``depth`` letters: distinct heads as letter tuples
+    and each head's count."""
     block = np.ascontiguousarray(prefixes[:, :depth])
     width = block.shape[1]
     keys = block.view(np.dtype((np.void, width))).reshape(-1)
-    unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    unique, counts = np.unique(keys, return_counts=True)
     rows = unique.view(np.int8).reshape(len(unique), width).tolist()
-    return [tuple(filter(None, row)) for row in rows], inverse, counts
+    return [tuple(filter(None, row)) for row in rows], counts
 
 
 def per_sample_gibbs_hits(prefixes, xi, radii, model) -> list:

@@ -40,10 +40,10 @@ GOLDEN = {
         "simulate.csv": "9cb0aa43392f02fb597ebb2cb3a5ebc8bac3cd1b073d895b3ec275077f58ac0a",
     },
     "f2-boundary": {
-        "results": "c74283d933252a1cb565831b86183890a8483762333ee342e02a3d4b9ef9dd6e",
+        "results": "efeba8d0c8e2d185fb982dbf65031c97a5a5669cbe00d9e49671dfd15eb2ae79",
         "verdicts": "e625d389b8a99aefd1262e0eb3ebacd6f9f1c88f08ae21ac46df9f50dd11200a",
         "gibbs.csv": "acd9bd29126e5b3935acab0f43a7a8c939d5e394b413e804cb51b306861ba7a6",
-        "rn_check.csv": "66f0c670b8ea69a66510827e101bd9d873c7288ebba592ed8529acc33e7d70de",
+        "rn_check.csv": "a394429a97521557a6cac1895d20f9f71b9d2b9bf888c5d9f0c60a8f2a63a6e3",
     },
     "z23-classify": {
         "results": "3ae16da5c23c3146a317d0391e09867e39181db477ed024bcb3f27d7fe1a75ca",

@@ -111,7 +111,7 @@ def test_sample_set_blocks_do_not_depend_on_the_other_experiment(tmp_path, model
     rn = json.loads(blocks["gibbs+rn-check", "rn-check"][0])
     for key in ("n_samples", "margin", "n_retries", "n_steps"):
         assert gibbs[key] == rn[key]
-    assert gibbs["n_samples"] == 3000 and gibbs["margin"] == rn["kernel_depth"] == margin
+    assert gibbs["n_samples"] == 3000 and gibbs["margin"] == rn["margin"] == margin
 
 
 @pytest.mark.parametrize(
@@ -214,6 +214,20 @@ def test_coerced_model_or_walk_number_is_a_config_error(tmp_path, capsys, model,
     code, report, _ = _run(tmp_path, model, ["classify"], support)
     assert code == EXIT_CONFIG and report is None
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model,message",
+    [({"kind": "free", "rank": 2, "orders": [2, 3]}, "free model takes no orders"),
+     ({"kind": "free_product", "orders": [2, 3], "rank": 7}, "free_product model takes no rank")],
+    ids=["free-orders", "free_product-rank"],
+)
+def test_model_key_of_the_other_kind_is_a_config_error(tmp_path, capsys, model, message):
+    # A key that the model's kind ignores is refused, not echoed into the
+    # report as though it had been read.
+    code, report, _ = _run(tmp_path, model, ["classify"])
+    assert code == EXIT_CONFIG and report is None
+    assert message in capsys.readouterr().err
 
 
 def test_nan_support_weight_is_a_config_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -359,21 +360,24 @@ class TestGroupedDecisions:
             assert est.value == per_sample_gibbs_hits(tuples, xi, [R], model)[0] / self.N
 
     def test_heads_match_tuple_counts(self, case):
-        # Every row's head index names its own head, and each head's count
-        # is the Counter of the tuple heads, also past the prefix length.
+        # Each head's count is the Counter of the tuple heads, also past
+        # the prefix length.
         walk, _ = case
         prefixes, _, _ = boundary_sample_set(walk, self.N, 12, 20, 20_000, "unit-grouped-heads")
         tuples = prefix_tuples(prefixes)
         for depth in (1, 3, 7, 12, prefixes.shape[1] + 2):
-            heads, inverse, counts = _heads(prefixes, depth)
-            assert [heads[i] for i in inverse] == [t[:depth] for t in tuples]
+            heads, counts = _heads(prefixes, depth)
             assert dict(zip(heads, counts.tolist())) == Counter(t[:depth] for t in tuples)
             assert len(set(heads)) == len(heads)
 
     def test_rn_check_per_sample(self, case):
+        # Each sample's head value is bitwise the per-sample oracle's, and
+        # the count-weighted integral lies within 3 roundings (the products,
+        # their fsum and the division) of the exact mean of those values.
         walk, xi = case
         model = walk.model
         prefixes, _, _ = boundary_sample_set(walk, self.N, 16, 20, 20_000, "unit-grouped-rn")
+        samples = SampleSet(prefixes=prefixes, margin=16, n_retries=0, n_steps=0)
         tuples = prefix_tuples(prefixes)
         grouped = False
         for word in _GROUPED_G[model.kind]:
@@ -382,15 +386,24 @@ class TestGroupedDecisions:
             reach = g.word_length() + model.split_span + 2
             for R in range(4):
                 cyl = Cylinder.around(xi, R)
+                n = cyl.depth + g.word_length() + 2
+                heads, _ = _heads(prefixes, n)
                 default = max(10, cyl.depth + g.word_length() + 4)
                 for depth in (1, 2, reach, default, default + 6):
-                    pulled, vals, n_heads = _rn_samples(walk, g, cyl, prefixes, depth)
+                    pulled, kernel, counts = _rn_samples(walk, g, cyl, prefixes, depth)
                     want_pulled, want_vals = per_sample_rn_check(walk, g, cyl, tuples, depth)
                     assert pulled == want_pulled
+                    assert len(kernel) == len(counts) == len(heads)
+                    value = dict(zip(heads, kernel))
+                    vals = np.array([value[letters[:n]] for letters in tuples])
                     assert vals.tobytes() == want_vals.tobytes()
-                    n = cyl.depth + g.word_length() + 2
-                    assert n_heads == len({letters[:n] for letters in tuples})
-                    grouped |= n_heads < len(prefixes) and 0 < np.count_nonzero(vals)
+                    assert dict(zip(heads, counts)) == Counter(letters[:n] for letters in tuples)
+                    grouped |= len(kernel) < len(prefixes) and 0 < np.count_nonzero(vals)
+                rep = radon_nikodym_check(walk, g, cyl, samples)
+                _, want_vals = per_sample_rn_check(walk, g, cyl, tuples, samples.margin)
+                exact = sum(map(Fraction, want_vals.tolist())) / len(tuples)
+                assert abs(Fraction(rep.kernel_integral) - exact) <= 3 * Fraction(2) ** -53 * exact
+                assert rep.n_heads == len(heads)
         assert grouped
 
 
@@ -411,8 +424,7 @@ def padded_prefixes(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(padded_prefixes(), st.integers(1, 10))
 def test_heads_match_the_void_oracle(prefixes, depth):
-    heads, inverse, counts = _heads(prefixes, depth)
-    want_heads, want_inverse, want_counts = void_heads(prefixes, depth)
+    heads, counts = _heads(prefixes, depth)
+    want_heads, want_counts = void_heads(prefixes, depth)
     assert heads == want_heads
-    assert inverse.dtype == np.int32 and inverse.tolist() == want_inverse.tolist()
     assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()

@@ -22,7 +22,7 @@ from hypwalk import _sampler
 from hypwalk.errors import BoundaryTimeout, ValidationError
 from hypwalk.martin import BoundaryPoint
 from hypwalk.measure import SampleSet, boundary_sample_set, gibbs_ratio
-from hypwalk._sampler import _philox_blocks, _step_indices, _Tables, _Words
+from hypwalk._sampler import _philox_blocks, _Slab, _step_indices, _Tables
 from hypwalk._streams import boundary_prefixes, path_steps, philox_words, step_thresholds
 from hypwalk.walks import sample_boundary_prefixes
 
@@ -315,35 +315,38 @@ class TestBatchedSampler:
         ids=str,
     )
     def test_word_stacks_from_width_one(self, model):
-        # Random letters pushed into stacks one entry deep, refitted before
-        # each refill of 1 to 16 pushes, which must grow them; each row
-        # equals the group's normal form of its letters, and every push
+        # Random letters pushed into slab stacks one entry deep, refitted
+        # before each refill of 1 to 16 pushes, which must grow them; each
+        # row equals the group's normal form of its letters, and every push
         # returns a letter position at most the first that changed.  Kept
-        # rows survive a refit intact, also when rows of other stacks join
-        # them.
+        # rows survive a refit intact, with their keys and batch rows, also
+        # when the rows of another slab join them.
         alphabet = np.array([g.letters()[0] for g in model.generators()], dtype=np.int8)
         tables = _Tables(alphabet.tolist(), model)
 
-        def spelled(words, rows):
-            lengths = words.end[rows]
-            width = int(lengths.max())
-            return prefix_tuples(tables.spell(words.entries(rows, width), lengths, width))
+        def slab(first, rows):
+            batch_rows = np.arange(first, first + rows)
+            return _Slab(tables, batch_rows.astype(np.uint64), batch_rows, 10)
 
-        def push_all(words, pushes, check=False):
-            before = [()] * words.rows
+        def spelled(slab, rows):
+            lengths = slab.end[rows]
+            width = int(lengths.max())
+            return prefix_tuples(tables.spell(slab.code[1:width + 1, rows].T, lengths, width))
+
+        def push_all(slab, pushes, check=False):
+            before = [()] * len(slab.keys)
             step = 0
             while step < len(pushes):
                 refill = pushes[step:step + int(rng.integers(1, 17))]
-                words.refit(np.arange(words.rows), len(refill))
-                words.load(refill)
+                slab.refit(len(refill))
                 for t in range(len(refill)):
                     step += 1
-                    edited = words.push(t)
-                    for r in range(words.rows):
+                    edited = slab.push(refill[t])
+                    for r in range(len(slab.keys)):
                         after = model.from_letters(alphabet[pushes[:step, r]].tolist()).letters()
                         if check:
-                            assert words.end[r] == len(after)
-                            assert spelled(words, np.array([r])) == [after]
+                            assert slab.end[r] == len(after)
+                            assert spelled(slab, np.array([r])) == [after]
                             same = 0
                             while same < min(len(before[r]), len(after)) and before[r][same] == after[same]:
                                 same += 1
@@ -351,15 +354,16 @@ class TestBatchedSampler:
                         before[r] = after
             return before
 
-        words = _Words(tables, 3)
+        words = slab(0, 3)
         assert words.code.shape == (1, 3)
         rng = np.random.default_rng(5)
         before = push_all(words, rng.integers(len(alphabet), size=(120, 3)).astype(np.uint8), check=True)
         assert words.code.shape[0] > 1
-        other = _Words(tables, 4)
+        other = slab(10, 4)
         joined = push_all(other, rng.integers(len(alphabet), size=(50, 4)).astype(np.uint8))
-        words.refit(np.array([2, 0]), 1, [(other, np.array([3, 1]))])
-        assert words.rows == 4
+        words.keep, other.keep = np.array([2, 0]), np.array([3, 1])
+        words.refit(1, [other])
+        assert words.keys.tolist() == words.batch_rows.tolist() == [2, 0, 13, 11]
         assert spelled(words, np.arange(4)) == [before[2], before[0], joined[3], joined[1]]
 
     @pytest.mark.parametrize("name", ["f2", "f3", "z23", "z25", "z37"])
@@ -430,6 +434,20 @@ class TestBatchedSampler:
         mid = len(want) // 2
         assert _sampler.slab_keys(streams, mid, len(want)).tolist() == want[mid:]
         assert [a.tobytes() for a in by_range] == [b.tobytes() for b in by_list]
+
+    def test_walker_keys_streams_mod_2_64(self, f2):
+        # The plain-Python walker, like the array sampler and sample_path,
+        # keys a stream by its number mod 2^64: -1 is 2^64 - 1, and 2^64 + 5
+        # walks as 5 (42 steps on this walk, not 38).
+        walk = uniform_walk(f2, seed=1)
+        keys = [-1, 5, 2**64 + 5, 2**65 + 7]
+        want = prefix_pairs(sample_boundary_prefixes(walk, keys, 10, 20, 20_000))
+        assert boundary_prefixes(walk, keys, 10, 20, 20_000) == want
+        assert want[1] == want[2] and want[1][1] == 42
+        assert want[0] == boundary_prefixes(walk, [2**64 - 1], 10, 20, 20_000)[0]
+        paths = [sample_path(walk, f2.identity(), 50, stream=k).step_indices for k in keys]
+        assert paths[1] == paths[2] == path_steps(walk, 5, 50)
+        assert paths[0] == path_steps(walk, 2**64 - 1, 50)
 
     @pytest.mark.parametrize("name", ["f2", "z25-asym"])
     def test_independent_of_batch_and_slab(self, name, monkeypatch):
@@ -509,7 +527,7 @@ class TestBatchedSampler:
 
         def spy(sampler, slab, until, tail_rows):
             run(sampler, slab, until, tail_rows)
-            runs.append((tail_rows, slab.words.code.dtype))
+            runs.append((tail_rows, slab.code.dtype))
 
         monkeypatch.setattr(_sampler, "_SLAB", 40)
         monkeypatch.setattr(_sampler, "_TILE", 8)
