@@ -22,8 +22,8 @@ numpy is the dependency of sample sets, not of sampling.
 them (see :mod:`hypwalk.config`).
 
 The spectral radius is bracketed by the exact engine in ``_exact``: the
-lower end from exact return probabilities, the upper end from a
-certified weighted Green function.
+lower end from exact return probabilities, the upper end from the
+free-product function Psi, which bounds rho from above at every point.
 """
 
 from __future__ import annotations
@@ -257,16 +257,16 @@ class SpectralRadiusEstimate:
     even_returns: tuple[float, ...]  # p^(0), p^(2), ..., p^(2n)
     roots: tuple[float, ...]  # p^(2k)(e,e)^(1/2k)
     lower: float  # max root: p^(n)(e,e) <= rho^n for every n
-    upper: float  # 1/z at a certified z within delta of 1/rho
+    upper: float  # Psi at its minimiser, rounded up: rho <= Psi(t) for every t > 0
 
 
 def spectral_radius_estimate(spec: WalkSpec, max_steps: int = 20) -> SpectralRadiusEstimate:
     """Bracket the spectral radius rho of a nearest-neighbour walk.
 
     The returns p^(n)(e, e), n <= ``max_steps``, are power-series
-    coefficients of the cut-vertex first-step equations; ``upper`` is 1/z
-    for a z just below 1/rho = 1 / min Psi, the free-product minimum, at
-    which the exact engine certifies G(e, e | z) < infinity.
+    coefficients of the cut-vertex first-step equations; ``upper`` is the
+    free-product function Psi at its minimiser, rounded up.  rho <= Psi(t)
+    for every t > 0, as G(e, e | 1/Psi(t)) is finite, and rho = min Psi.
     """
     from . import _exact  # _exact imports this module
 

@@ -20,12 +20,14 @@ semigroup check of nondegeneracy on B(e, 2).  Restricted values increase
 with the ball to the full-group values, so they bound the exact engine
 from below.
 
-The syllable-keyed form of the exact engine's fixed-point loops is kept
-here as the reference that its slot-indexed form must equal bit for bit,
-the Martin kernel over every word of one length is grouped by departure
-cone as the reference for the cone table of ``hoelder_probe``, and the
-symmetry orbits found by enumerating the alphabet maps are the reference
-for the orbit keys of ``classify``.
+The first-passage fixed point on the walk's letter values, iterated from
+0 and certified by Newton's method and a supersolution, is kept here as
+the reference that the exact engine's solution in one unknown must
+enclose, and that checks its spectral bound; the Martin kernel over
+every word of one length is grouped by departure cone as the reference
+for the cone table of ``hoelder_probe``, and the symmetry orbits found
+by enumerating the alphabet maps are the reference for the orbit keys of
+``classify``.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hypwalk import _exact
-from hypwalk._exact import (
-    _EPS, _FALL, _MAX_DIRECTION, _MAX_DOUBLINGS, _MAX_NEWTON, _MAX_SWEEPS, _solve, factors, kernel,
-)
+from hypwalk._exact import _EPS, factors, kernel
 from hypwalk._solver import RestrictedSolver
 from hypwalk.errors import DivergenceError, SolverError, ValidationError
 from hypwalk.green import GreenEstimate
@@ -416,16 +416,17 @@ _SPECTRAL_GAP = 1e-4  # relative width of the last bisection step towards 1/rho
 
 def plain_spectral_upper(spec) -> float:
     """A certified upper bound on rho found without the free-product
-    minimum, with every probe a full ``_Solution``: the plain and the
-    biased iteration of the first-passage map from 0, an upper
-    certificate and the G(e, e | z) check, at each point of a doubling
-    and bisection in z.  Certified, so at least rho, and within
-    ``_SPECTRAL_GAP`` of it."""
+    minimum, with every probe a full ``_Solution`` of the syllable-keyed
+    reference below: the plain and the biased iteration of the
+    first-passage map from 0, an upper certificate and the G(e, e | z)
+    check, at each point of a doubling and bisection in z.  Certified, so
+    at least rho, and within ``_SPECTRAL_GAP`` of it; it shares no code
+    with ``_exact``'s solution in t."""
 
     def certified(z):
         try:
-            _exact._Solution(spec, z)
-        except _exact.SolverError:
+            _Solution(spec, z)
+        except SolverError:
             return False
         return True
 
@@ -448,12 +449,47 @@ def _bisect_spectral(certified) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the syllable-keyed first-passage engine: the reference that the slot-indexed
-# engine of ``hypwalk._exact`` must match bit for bit.  The classes and
-# functions up to ``_certified`` are the engine's dict form, operation for
-# operation (``_Solution`` without ``product``; each Jacobian solves its
-# paths afresh); ``dict_solution`` and ``dict_newton`` read it, and the
-# tests call its ``_certified`` directly.
+# the syllable-keyed first-passage engine: the reference that the solution
+# in one unknown of ``hypwalk._exact`` must enclose.  Phi is iterated on the
+# letter values from 0, plainly for the value and rounded down for the lower
+# end; a supersolution above the fixed point gives the upper end, and
+# ``_certified`` reaches the fixed point by Newton's method.  The tests read
+# its ``_Solution`` and call its ``_certified``.
+
+_MAX_SWEEPS = 20_000
+_MAX_DOUBLINGS = 200
+_MAX_NEWTON = 100
+# A Newton step falling by more than this, relative, finds no fixed point
+# above the iterate.  Below 1/rho the exact Jacobian's steps fall only by
+# rounding; past 1/rho the first falling step drops by 1e-4 or more
+# already at 1e-7 beyond it.
+_FALL = 2.0 ** -26
+_MAX_DIRECTION = 1e12  # |(I - J)^-1 1| beyond this: Jacobian at eigenvalue 1
+
+
+def _solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """x with a x = b, by Gaussian elimination with partial pivoting.
+
+    Plain Python floats, so the result is bitwise the same in every
+    process.  A zero pivot raises DivergenceError: a is singular.
+    """
+    rows = [row[:] + [v] for row, v in zip(a, b)]
+    n = len(rows)
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        if not rows[p][c] != 0.0:
+            raise DivergenceError("singular Jacobian: z is at or past 1/rho")
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / pivot[c]
+            if f:
+                rows[r][c:] = [x - f * y for x, y in zip(rows[r][c:], pivot[c:])]
+    x = [0.0] * n
+    for c in range(n - 1, -1, -1):
+        row = rows[c]
+        x[c] = (row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) / row[c]
+    return x
 
 
 class _Letters:
@@ -726,28 +762,6 @@ def _certified(spec: WalkSpec, z: float) -> bool:
     except SolverError:  # DivergenceError included
         return False
     return True
-
-
-@dataclass
-class DictSolution:
-    """Both iterates, the enclosure table and G(e, e | z) of the reference."""
-
-    point: dict
-    lower: dict
-    table: dict
-    base: tuple
-
-
-def dict_solution(spec: WalkSpec, z: float) -> DictSolution:
-    """The reference ``_Solution`` at z, with its plain and biased iterates."""
-    phi = _Letters(spec, z)
-    sol = _Solution(spec, z)
-    return DictSolution(_iterate(phi, bias=False), _iterate(phi, bias=True), sol.table, sol.base)
-
-
-def dict_newton(spec: WalkSpec, z: float) -> dict:
-    """The reference Newton point at z."""
-    return _newton(_Letters(spec, z))
 
 
 # ---------------------------------------------------------------------------

@@ -32,23 +32,23 @@ import run  # noqa: E402
 
 GOLDEN = {
     "f2-asym-kernels": {
-        "results": "b55098d214215f7345c604aaf175ff97b9492c8858f71ebd7eb007fe43a72fc8",
+        "results": "97c71861bc0096ef2c18fd7ecae403e7d0038b5107512684670bcd6f675c7d65",
         "verdicts": "09df1768c7824108aa9737c958eca36fee71456a1102421cb5b8fcedb3f975b1",
-        "green.csv": "70c200b76d94c2034cd8ba09684d9d24df0014cef457f5845821942c1c335791",
+        "green.csv": "8ede061785d7a488f8d3a25eae3acee394270656e074aa952d24e1499eeb4b83",
         "martin.csv": "0ce4c7c8b353805d8a7ccfdeb91e68875ea27befe1bbe65bfb5f1557d154f3c7",
-        "rg.csv": "4e7042d4b136ab0f5cc38321a38a70f8457df17683a10eef473aca7957c36a8f",
+        "rg.csv": "6c62c7c405c8c2109bc5f4a536ec7958031141488fa203011e32ce5b01e21e55",
         "simulate.csv": "9cb0aa43392f02fb597ebb2cb3a5ebc8bac3cd1b073d895b3ec275077f58ac0a",
     },
     "f2-boundary": {
-        "results": "efeba8d0c8e2d185fb982dbf65031c97a5a5669cbe00d9e49671dfd15eb2ae79",
+        "results": "8c7f1e4f515fa3d6fe7c7d2809c616e55145bf2251b9810c5a2d9b9b009684ed",
         "verdicts": "e625d389b8a99aefd1262e0eb3ebacd6f9f1c88f08ae21ac46df9f50dd11200a",
-        "gibbs.csv": "acd9bd29126e5b3935acab0f43a7a8c939d5e394b413e804cb51b306861ba7a6",
+        "gibbs.csv": "2948d77cee533327846803d0d7c15fa75928a4befbd53c72191685d093261f71",
         "rn_check.csv": "a394429a97521557a6cac1895d20f9f71b9d2b9bf888c5d9f0c60a8f2a63a6e3",
     },
     "z23-classify": {
-        "results": "3ae16da5c23c3146a317d0391e09867e39181db477ed024bcb3f27d7fe1a75ca",
+        "results": "63f448f28c70b4049e20a03e166a031fb45ae1181c2dfff27f176f92d1f3c679",
         "verdicts": "e9b0a1541ea8cfa2fa76b1a7b4ff447b63480e0e5d442e8a48dcaed7be36cc60",
-        "classify.csv": "f9f73f1b2ff686a0972d7315ed8d26746767d8fc638d91de2a1560e7e2177e3f",
+        "classify.csv": "a46014250e6c9448179e5c0fd29511d27b9367b42d5891f054bb61d878b68647",
     },
 }
 

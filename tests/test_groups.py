@@ -10,6 +10,7 @@ from hypwalk import (
     conjugacy_representatives,
     distance,
     gromov_product,
+    uniform_walk,
     words_by_length,
 )
 from hypwalk import _exact, _streams
@@ -233,10 +234,10 @@ class TestFollowRule:
 
     @pytest.mark.parametrize("model", [model for model, _ in FOLLOW_CASES], ids=str)
     def test_one_list_of_keys(self, model):
-        # The engine's slots and the push table's entries list the keys in
+        # The engine's table and the push table's entries list the keys in
         # model.factors' order.
         keys = model.factors
-        assert list(keys) == [key for key, _ in _exact._slots(model).entries]
+        assert list(keys) == list(_exact._solution(uniform_walk(model, 1), 1.0).table)
         letters = [g.letters()[0] for g in model.generators()]
         _, spell = _streams._push_tables(letters, model)
         width = len(letters)
