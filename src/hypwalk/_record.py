@@ -14,12 +14,11 @@ give, with the same meaning:
   named in ``hide``;
 - assigning or deleting an attribute raises AttributeError.
 
-:func:`fields` and :func:`replace` stand in for the standard library's
-functions of those names.  The methods are closures over the field
-names.  The standard library's decorator instead ``exec``s six generated
-methods per class in Python 3.11, about 1.3 ms a class, and its module
-loads ``inspect``, ``ast``, ``dis`` and ``tokenize``: together some 40 ms
-of every start.
+:func:`fields` stands in for the standard library's function of that
+name.  The methods are closures over the field names.  The standard
+library's decorator instead ``exec``s six generated methods per class in
+Python 3.11, about 1.3 ms a class, and its module loads ``inspect``,
+``ast``, ``dis`` and ``tokenize``: together some 40 ms of every start.
 
 A closure binds its arguments more slowly than compiled code does, so a
 class on a hot path (``GroupModel``, ``GroupElement``) writes its own
@@ -70,12 +69,6 @@ def fields(obj) -> tuple[str, ...] | None:
     """The field names of a record or record class, in order; None for
     any other object."""
     return getattr(obj, "__record_fields__", None)
-
-
-def replace(obj, /, **changes):
-    """A copy of the record ``obj`` with ``changes`` applied, made through
-    its ``__init__``."""
-    return type(obj)(**{name: getattr(obj, name) for name in obj.__record_fields__} | changes)
 
 
 def _values(names):

@@ -1,34 +1,39 @@
 """Ratio-set classification of the boundary equivalence relation.
 
-The ratio set is generated by the ratio invariants r(g) of the elements
-of infinite order, and r(g) = F(e, c) is a product over the cut vertices
-of the cyclically reduced core c of g.  So the group the r(g) generate
-has a finite generator set: on F_N the 2N letters x, r(x) = F_x; on
-Z/m*Z/n, where a core of infinite order alternates syllables, the
-s^i t^j for 1 <= i < m, 1 <= j < n, r(s^i t^j) = F(e, s^i) F(e, t^j).
-An alphabet map that preserves mu fixes every first-passage value, so
-the generators of one orbit have equal r exactly; one is evaluated.
+The ratio set is generated by the r(g) of the elements g of infinite
+order, r(g) the product of the one-factor values F(e, x) over the
+cyclically reduced core of g.  The verdict reads one generator per
+syllable class: F_x = r(x) per key x of a factor Z, the product of the
+finite factors' base values, and F(e, x) / F(e, base) per other syllable
+x of a finite factor, whose base is its syllable of least symmetry key.
+On Z/m*Z/n, with a_i = F(e, s^i), b_j = F(e, t^j) and say bases s and t,
+cores alternate syllables, so the r(s^i t^j) = a_i b_j generate, and so
+do these m + n - 3 values: a_i b_j = (a_i / a_1)(b_j / b_1)(a_1 b_1)
+and a_i / a_1 = (a_i b_1) / (a_1 b_1).  A mu-preserving alphabet map
+fixes every value: one generator is kept per key of a Z factor and per
+pair of keys of a quotient; a quotient of equal keys, 1, is dropped.
 
 The verdict is exact arithmetic in ``fractions.Fraction``.  With
-l = -log r rounded outward and l_1 that of the least r, each other orbit
-has q_i = l_i / l_1 in an interval of width w_i, whose simplest rational
-s_i (continued fractions, a Stern-Brocot descent) has the least
-denominator in it.
+l = -log r rounded outward and l_1 that of the least generator, positive
+as every F_x and the bases' product lie in (0, 1), each other one has
+the signed q_i = l_i / l_1 (a quotient can exceed 1) in an interval of
+width w_i, whose simplest rational s_i (continued fractions, a
+Stern-Brocot descent) has the least denominator in it.
 
 * III_lambda when every den(s_i) <= floor(w_i^(-1/3)): lambda =
-  exp(-l_1 c), c = gcd(1, s_2, ...), with an outward-rounded enclosure.
-  The relation is proven by symmetry with one orbit; otherwise it is one
-  of small height that the enclosures cannot tell from the truth.
+  exp(-l_1 c), c = gcd(1, s_2, ...) = 1 / lcm(den(s_i)), with an
+  outward-rounded enclosure.  The relation is proven by symmetry with
+  one generator; otherwise it is one of small height that the
+  enclosures cannot tell from the truth.
 * III_1 otherwise.  Certified: were the ratio set a lattice lambda^Z,
-  k = l_1 / -log lambda would be an integer that every den(q_i) >=
-  den(s_i) divides, so lambda >= exp(-l_1 / D), D = max den(s_i).
+  each q_i would be an integer over k = l_1 / -log lambda, so den(s_i)
+  <= den(q_i) would divide k, and lambda >= exp(-l_1 / D), D = max den(s_i).
 
 Not w^(-1/2): by Dirichlet's theorem every real q has rationals p/d with
 |q - p/d| < 1/d^2, so an interval of width w around an irrational q
 typically holds one of denominator about w^(-1/2); closer ones,
 |q - p/d| < 1/d^3, occur only finitely often for almost every q
-(Khinchin).  III_0 cannot occur, as the paper proves: every r(g) lies in
-(0, 1).
+(Khinchin).  III_0 cannot occur: every r(g) lies in (0, 1) (the paper).
 """
 
 from __future__ import annotations
@@ -37,52 +42,46 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from ._record import record, replace
+from ._exact import _EPS, _factor_weights, _solution
+from ._record import record
 from .errors import ValidationError
-from .groups import FREE, GroupElement, GroupModel
-from .martin import RatioValue, ratio_invariant
+from .green import GreenEstimate
+from .groups import FREE, GroupElement, GroupModel, factors
+from .martin import RatioValue
 from .walks import WalkSpec, require_valid
 
 
 def generators(model: GroupModel) -> list[GroupElement]:
-    """The finite generator set: the letters of F_N, s^i t^j on Z/m*Z/n."""
+    """The elements whose r the report lists: letters on F_N, s^i t^j on Z/m*Z/n."""
     if model.kind == FREE:
         return list(model.generators())
     m, n = model.orders
     return [GroupElement(model, ((1, i), (2, j))) for i in range(1, m) for j in range(1, n)]
 
 
-def _orbit_keys(walk: WalkSpec, gens: Sequence[GroupElement]) -> list[tuple]:
-    """A key per generator, equal for generators in one orbit of the
-    mu-preserving alphabet maps.  Weights are compared with ``==``: only
-    equal weights prove equal values.
-
-    Such a map permutes factors of equal order and inverts within a
-    factor, and only where that keeps mu: x -> x^-1 on Z, s^k -> s^(m-k)
-    on Z/m.  So a syllable (lid, k) of order m, with p = mu(x) and
-    q = mu(x^-1) for its letter x, keys as (0, p, q) or (0, q, p) on Z by
-    the sign of k, and as (m, min((k, p, q), (m - k, q, p))) on Z/m; r
-    is a class function, so a generator keys as its sorted syllable keys.
+def _orbit_keys(walk: WalkSpec) -> dict[tuple[int, int], tuple]:
+    """A key per one-factor key, equal for syllables in one orbit of the
+    mu-preserving alphabet maps; weights are compared with ``==``, as only
+    equal weights prove equal values.  Such a map permutes factors of
+    equal order and inverts within a factor where that keeps mu: x^k ->
+    x^(m-k) on Z/m, x -> x^-1 on Z (m = 0).  So a syllable (lid, k), with
+    p = mu(x) and q = mu(x^-1) for its letter x, keys as
+    (m, min((k, p, q), (m - k, q, p))).
     """
-    mu = dict(walk.support)
-    model = walk.model
-
-    def key(lid: int, k: int) -> tuple:
-        x = GroupElement(model, ((lid, 1),))
-        p, q = mu.get(x, 0.0), mu.get(x.inverse(), 0.0)
-        m = model.letter_order(lid)
-        if not m:
-            return (0, p, q) if k > 0 else (0, q, p)
-        return (m, min((k, p, q), (m - k, q, p)))
-
-    return [tuple(sorted(key(*syllable) for syllable in g.syllables)) for g in gens]
+    weights = _factor_weights(walk)
+    keys = {}
+    for lid, k in walk.model.factors:
+        m, p, q = weights[lid - 1]
+        keys[lid, k] = (m, min((k, p, q), (m - k, q, p)))
+    return keys
 
 
 def _simplest(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational of least denominator in [lo, hi], 0 < lo <= hi.
+    """The rational of least denominator in [lo, hi], lo <= hi of any sign.
 
     Continued-fraction descent: the common partial quotients of the two
-    ends, then the least integer the last step admits.
+    ends, then the least integer the last step admits.  Partial quotients
+    are floors, so a negative first one needs no case of its own.
     """
     p0, q0, p1, q1 = 0, 1, 1, 0
     while True:
@@ -107,12 +106,10 @@ def _exp_bounds(lo: Fraction, hi: Fraction) -> tuple[float, float]:
     )
 
 
-def _log_enclosure(rv: RatioValue) -> tuple[Fraction, Fraction]:
+def _log_enclosure(gen: GreenEstimate) -> tuple[Fraction, Fraction]:
     """[lo, hi] holding -log r, from the enclosure of r rounded outward."""
-    if not 0.0 < rv.lower <= rv.upper < 1.0:
-        raise ValidationError(f"r({rv.element}) enclosure [{rv.lower}, {rv.upper}] outside (0, 1)")
-    lo = math.nextafter(-math.log(rv.upper), 0.0)
-    hi = math.nextafter(-math.log(rv.lower), math.inf)
+    lo = math.nextafter(-math.log(gen.upper), -math.inf)
+    hi = math.nextafter(-math.log(gen.lower), math.inf)
     return Fraction(lo), Fraction(hi)
 
 
@@ -120,20 +117,18 @@ def _log_enclosure(rv: RatioValue) -> tuple[Fraction, Fraction]:
 class RatioSetReport:
     """The generator values of the ratio set and its certified type.
 
-    ``values``: r at every generator (the letters of F_N, s^i t^j on
-    Z/m*Z/n).  ``orbits``: the one value evaluated per symmetry orbit,
-    least r first.  ``quotients``: exact enclosures of log r_i / log r_1
-    for ``orbits[1:]``, and ``height`` the largest denominator of their
+    ``values``: r at every element of ``generators(model)``.  ``generators``:
+    the values the verdict reads (module docstring), least first.
+    ``quotients``: exact enclosures of the signed log r_i / log r_1 for
+    ``generators[1:]``, and ``height`` the largest denominator of their
     simplest rationals.  III_lambda (``lam`` set; ``relation`` "symmetry"
-    with one orbit, else "height") needs each at most width^(-1/3), not
-    width^(-1/2), which Dirichlet's theorem lets irrational ratios pass.
-    III_1 sets the certified ``lam_floor``: a lattice lambda^Z would need
-    lambda >= lam_floor.  III_0 cannot occur.
+    with one generator, else "height") needs each at most width^(-1/3).
+    III_1 sets ``lam_floor``: a lattice lambda^Z would need lambda >= it.
     """
 
     model: GroupModel
     values: tuple[RatioValue, ...]
-    orbits: tuple[RatioValue, ...]
+    generators: tuple[GreenEstimate, ...]
     quotients: tuple[tuple[Fraction, Fraction], ...]
     classification: str
     label: str
@@ -150,43 +145,54 @@ class RatioSetReport:
 
 
 def _verdict(
-    model: GroupModel, values: Sequence[RatioValue], orbits: Sequence[RatioValue]
+    model: GroupModel, values: Sequence[RatioValue], gens: Sequence[GreenEstimate]
 ) -> RatioSetReport:
-    """The certified type from one enclosure of r per orbit."""
-    orbits = sorted(orbits, key=lambda rv: rv.value)
-    (l_lo, l_hi), *rest = [_log_enclosure(rv) for rv in orbits]
-    quotients = [(lo / l_hi, hi / l_lo) for lo, hi in rest]
+    """The certified type from one enclosure per generator."""
+    gens = sorted(gens, key=lambda gen: gen.value)
+    (l_lo, l_hi), *rest = [_log_enclosure(gen) for gen in gens]
+    if not l_lo > 0:
+        raise ValidationError(f"least generator {gens[0]} not below 1")
+    quotients = [(min(lo / l_lo, lo / l_hi), max(hi / l_lo, hi / l_hi)) for lo, hi in rest]
     simplest = [Fraction(1)] + [_simplest(lo, hi) for lo, hi in quotients]
     height = max(s.denominator for s in simplest)
     common = dict(
-        model=model, values=tuple(values), orbits=tuple(orbits),
+        model=model, values=tuple(values), generators=tuple(gens),
         quotients=tuple(quotients), height=height,
     )
     if any(s.denominator > _height_bound(hi - lo) for s, (lo, hi) in zip(simplest[1:], quotients)):
         floor = _exp_bounds(l_lo / height, l_hi / height)[0]
         return RatioSetReport(classification="III_1", label="1", lam_floor=floor, **common)
-    c = Fraction(
-        math.gcd(*(s.numerator for s in simplest)), math.lcm(*(s.denominator for s in simplest))
-    )
-    lam = orbits[0].value ** float(c)
+    c = Fraction(1, math.lcm(*(s.denominator for s in simplest)))
+    lam = gens[0].value ** float(c)
     lower, upper = _exp_bounds(l_lo * c, l_hi * c)
     nearest = _simplest(Fraction(lower), Fraction(upper))
     label = str(nearest) if nearest.denominator <= _height_bound(upper - lower) else f"{lam:.6g}"
     return RatioSetReport(
         classification=f"III_{label}", label=label,
-        relation="symmetry" if len(orbits) == 1 else "height",
+        relation="symmetry" if len(gens) == 1 else "height",
         lam=lam, lam_lower=lower, lam_upper=upper, **common,
     )
 
 
 def classify(walk: WalkSpec) -> RatioSetReport:
-    """Classify the boundary type from the generator values of the ratio set."""
+    """Classify the boundary type from one generator per syllable class."""
     require_valid(walk)
-    gens = generators(walk.model)
-    evaluated: dict[tuple, RatioValue] = {}
-    values = []
-    for g, key in zip(gens, _orbit_keys(walk, gens)):
-        if key not in evaluated:
-            evaluated[key] = ratio_invariant(walk, g)
-        values.append(replace(evaluated[key], element=g))
-    return _verdict(walk.model, values, list(evaluated.values()))
+    sol = _solution(walk, 1.0)
+    values = [RatioValue(g, *sol.product(factors(g)), False) for g in generators(walk.model)]
+    keys = _orbit_keys(walk)
+    gens, bases = {}, []  # an enclosure per key of a Z factor, per pair of keys of a quotient
+    for lid, m in enumerate(walk.model.orders, 1):
+        syllables = [x for x in keys if x[0] == lid]
+        base = min(syllables, key=keys.__getitem__)
+        bases += [base] if m else []
+        v, lo, hi = sol.table[base]
+        for x in syllables:
+            if not m:
+                gens.setdefault(keys[x], sol.product([x]))
+            elif keys[x] != keys[base]:  # F(e, x) / F(e, base), its enclosure rounded outward
+                a, b, c = sol.table[x]
+                gens.setdefault((keys[base], keys[x]),
+                                (a / v, b / hi * (1 - _EPS), c / lo * (1 + _EPS)))
+    if bases:
+        gens["product"] = sol.product(bases)
+    return _verdict(walk.model, values, [GreenEstimate(*gen) for gen in gens.values()])

@@ -27,7 +27,9 @@ enclose, and that checks its spectral bound; the Martin kernel over
 every word of one length is grouped by departure cone as the reference
 for the cone table of ``hoelder_probe``, and the symmetry orbits found
 by enumerating the alphabet maps are the reference for the orbit keys of
-``classify``.
+``classify``.  The verdict from one ratio invariant per orbit of the
+products s^i t^j is the reference for ``classify``'s verdict from one
+generator per syllable class.
 """
 
 from __future__ import annotations
@@ -45,9 +47,11 @@ import scipy.sparse.linalg as spla
 from hypwalk import _exact
 from hypwalk._exact import _EPS, factors, kernel
 from hypwalk._solver import RestrictedSolver
+from hypwalk.classify import _verdict, generators
 from hypwalk.errors import DivergenceError, SolverError, ValidationError
 from hypwalk.green import GreenEstimate
 from hypwalk.groups import FREE, Ball, GroupElement, GroupModel, ball, words_by_length
+from hypwalk.martin import ratio_invariant
 from hypwalk.walks import WalkSpec, require_valid, reversed_walk
 
 
@@ -769,8 +773,9 @@ def _certified(spec: WalkSpec, z: float) -> bool:
 
 
 def orbit_keys_by_maps(walk: WalkSpec, gens) -> list[tuple]:
-    """A key per generator of ``hypwalk.classify.generators``, equal for
-    generators in one orbit of the mu-preserving alphabet maps.
+    """A key per element of ``gens``, each a single syllable or one of
+    ``hypwalk.classify.generators``, equal for elements in one orbit of
+    the mu-preserving alphabet maps.
 
     F_N: a signed letter permutation sending x to y preserves mu iff
     (mu(x), mu(x^-1)) = (mu(y), mu(y^-1)).  Z/m*Z/n: the group of at most
@@ -796,6 +801,19 @@ def orbit_keys_by_maps(walk: WalkSpec, gens) -> list[tuple]:
         if {GroupElement(model, act(f, g.syllables)): p for g, p in mu.items()} == mu
     ]
     return [min(tuple(sorted(act(f, g.syllables))) for f in maps) for g in gens]
+
+
+def classify_by_products(walk: WalkSpec):
+    """The ratio-set verdict from the (m - 1)(n - 1) products s^i t^j of
+    ``hypwalk.classify.generators`` (the letters on F_N): one
+    ``ratio_invariant`` per orbit of ``orbit_keys_by_maps``, all fed to
+    the verdict, as ``classify`` did before it read one generator per
+    syllable class.  Its ``values`` are left empty."""
+    gens = generators(walk.model)
+    orbits = {}
+    for g, key in zip(gens, orbit_keys_by_maps(walk, gens)):
+        orbits.setdefault(key, g)
+    return _verdict(walk.model, (), [ratio_invariant(walk, g) for g in orbits.values()])
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ GOLDEN = {
         "rn_check.csv": "a394429a97521557a6cac1895d20f9f71b9d2b9bf888c5d9f0c60a8f2a63a6e3",
     },
     "z23-classify": {
-        "results": "63f448f28c70b4049e20a03e166a031fb45ae1181c2dfff27f176f92d1f3c679",
+        "results": "62ddbe0d740f8237b469c93c82bfd478c077c8b687a84d1e2621a66148e89da1",
         "verdicts": "e9b0a1541ea8cfa2fa76b1a7b4ff447b63480e0e5d442e8a48dcaed7be36cc60",
         "classify.csv": "a46014250e6c9448179e5c0fd29511d27b9367b42d5891f054bb61d878b68647",
     },

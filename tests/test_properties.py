@@ -233,17 +233,18 @@ def test_classification_is_invariant_under_relabelling(data):
     )
     before, after = classify(walk), classify(moved)
     assert after.classification == before.classification
-    assert after.relation == before.relation and len(after.orbits) == len(before.orbits)
+    assert after.relation == before.relation and len(after.generators) == len(before.generators)
 
 
 @PROPERTY_SETTINGS
 @given(walks())
 def test_quotient_intervals_hold_their_float_ratios(walk):
+    # A generator may exceed 1, so its log ratio may be negative.
     rep = classify(walk)
-    base = math.log(rep.orbits[0].value)
-    assert len(rep.quotients) == len(rep.orbits) - 1
-    for rv, (lo, hi) in zip(rep.orbits[1:], rep.quotients):
-        assert lo <= math.log(rv.value) / base <= hi
+    base = math.log(rep.generators[0].value)
+    assert base < 0 and len(rep.quotients) == len(rep.generators) - 1
+    for gen, (lo, hi) in zip(rep.generators[1:], rep.quotients):
+        assert lo <= math.log(gen.value) / base <= hi
 
 
 @settings(PROPERTY_SETTINGS, max_examples=80)
