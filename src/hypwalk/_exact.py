@@ -277,6 +277,8 @@ def _values(
         else:
             h, pivot = _cycle_hits(m, a / tau, b / tau)
             v, r = h[::-1], (4 * m + 10) * _EPS / pivot
+            if a == b:  # s -> s^-1 maps s^k to s^(m-k): k > m/2 takes m - k's value
+                v = v[:m // 2] + v[:(m - 1) // 2][::-1]
         values += [x * (1.0 + sign * r) for x in v]
     return values
 
@@ -331,6 +333,8 @@ class _Solution:
     """One-factor first-passage enclosures and G(e, e | z) of a walk."""
 
     def __init__(self, spec: WalkSpec, z: float):
+        if not 0.0 <= z < math.inf:
+            raise ValueError(f"the weight z must be finite and nonnegative, got {z}")
         keys = spec.model.factors
         if z == 0.0:
             self.table = dict.fromkeys(keys, (0.0, 0.0, 0.0))

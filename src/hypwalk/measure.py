@@ -15,6 +15,32 @@ caller, states the margin it needs (:func:`measure_margin`,
 set, so one set drawn at the largest need serves them all: a run draws at
 most one set, under one tag, and hands it to every reader.
 
+Classes.  A reader reads a window of each sample's first L letters and
+compares it with its references: xi's ray for membership of U(xi, R),
+and for rn-check also the letters of g and of g^-1 and the ray of
+g^-1 xi, each ray to L letters.  A sample eta's class is the first
+reference it follows longest, the number K of letters shared with it,
+its letter x at K (none if K = L) and, for x of a finite factor, the
+length of x's run from K in the window.  A decision made on one head per
+class holds for every sample of the class:
+
+Let u be eta's vertex at the end of the one-factor key (a letter of Z, a
+syllable of Z/m) that holds letter K.  The class fixes eta's letters up
+to u, so the whole window when |u| >= L.  Else no reference meets u:
+prefixes of canonical words are canonical, so a reference through u
+would share u's |u| > K letters with eta.  u is a cut vertex, so eta
+past u lies in a branch B at u that holds no point of a reference, nor
+of a geodesic between two (it would pass u twice), such as g^-1 times
+xi's ray.  So for eta_d in B, with the geodesics from it to e, g, g^-1
+and the rays all through u:
+
+* (eta_d | xi_d) = (u | xi_d), and the products deciding eta in U are fixed;
+* g eta_d = (g u)(u^-1 eta_d) with lengths adding, and g B meets neither
+  e nor xi's ray, so (g eta_d | xi_d) = (g u | xi_d) decides g eta in U;
+* F(e, g^-1 eta_d) and F(e, eta_d) share their factors past u, which
+  cancel before any arithmetic (``_exact.kernel``): K(g, eta_d) is
+  K(g, u) bit for bit.
+
 Sample sets are numpy arrays from the sampler; the functions that read
 them import numpy when they are called, so loading this module costs no
 numpy import.
@@ -24,9 +50,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from ._record import record
@@ -68,50 +92,27 @@ class Cylinder:
     def depth(self) -> int:
         return self.radius + self.base.model.split_span + 1
 
-    @cached_property
-    def ray(self) -> tuple[int, ...]:
-        """The first ``depth`` letters of the base ray, which every
-        membership of the cylinder reads: built once per cylinder, not
-        once per head."""
-        return self.base.prefix_letters(self.depth)
 
-
-def _decide(value: Fraction, exact: bool, cyl: Cylinder) -> bool:
-    if value > cyl.radius:
+def _decide(value: Fraction, exact: bool, radius: int) -> bool:
+    if value > radius:
         return True  # the product only grows with depth
     if exact:
         return False
-    raise IndeterminateMembership(f"prefixes too short to decide product {value} > {cyl.radius}")
+    raise IndeterminateMembership(f"prefixes too short to decide product {value} > {radius}")
 
 
 # ---------------------------------------------------------------------------
 # shared boundary sampling
 
 
-def _stream_base(purpose: str) -> int:
-    return zlib.crc32(purpose.encode()) << 32
-
-
 _RETRY_CAP = 20
 
 
 def boundary_sample_set(
-    spec: WalkSpec,
-    n_samples: int,
-    margin: int,
-    patience: int,
-    max_steps: int,
-    purpose: str,
+    spec: WalkSpec, n_samples: int, margin: int, patience: int, max_steps: int, purpose: str
 ) -> tuple[np.ndarray, int, int]:
-    """n stabilized prefix words, deterministic in (spec.seed, purpose).
-
-    :meth:`SampleSet.draw` calls this, and ``report.run_experiment`` draws
-    at most one set per run, under one tag, for ``gibbs`` and ``rn-check``
-    together.  Its margin is the larger of the two readers' needs,
-    :func:`gibbs_margin` and :func:`rn_check_margin`, each taken from the
-    model's probe points and ``budgets.gibbs_radii`` whether or not that
-    experiment is selected, so a reader's block is the same run alone or
-    with the other.
+    """n stabilized prefix words, deterministic in (spec.seed, purpose),
+    for :meth:`SampleSet.draw`.
 
     Sample i uses stream base+i; its k-th retry uses stream
     base + n + i * _RETRY_CAP + k, so each sample is a pure function of its
@@ -130,7 +131,7 @@ def boundary_sample_set(
     """
     import numpy as np
 
-    base = _stream_base(purpose)
+    base = zlib.crc32(purpose.encode()) << 32
     least = max(margin + patience, 2 * margin)
     if max_steps < least:
         raise BoundaryTimeout(
@@ -198,59 +199,67 @@ def _require_margin(samples: SampleSet, need: int, reader: str) -> None:
         )
 
 
-def _heads(prefixes: np.ndarray, depth: int):
-    """The distinct heads of ``depth`` letters among the prefix rows, as
-    letter tuples, and each head's count.
-
-    Heads come in the order of their bytes read unsigned, left to right:
-    a stable lexsort over the unsigned-byte columns brings equal heads
-    together, and each run of equal rows is one head.  A run starts at
-    every sorted row that differs from the one before it in some column;
-    the columns are compared one at a time, each gathered in sorted order
-    and or-ed into one bool array, so no sorted copy of the rows is made.
-    """
+def _classes(prefixes: np.ndarray, width: int, refs: Sequence[Sequence[int]], model: GroupModel):
+    """The classes of the rows of ``prefixes`` against ``refs``, each at
+    most ``width`` letters long (module docstring): each class's head, the
+    first ``width`` letters of its first row, and its row count.  K is
+    found column by column on the rows that still follow some reference,
+    each with a bit per reference; a row that stops at a letter of a
+    finite factor then adds one to its key per further copy of it."""
     import numpy as np
 
-    block = prefixes[:, :depth]
-    order = np.lexsort(block.view(np.uint8).T[::-1])
-    starts = np.flatnonzero(_run_starts(block, order))
-    counts = np.diff(starts, append=len(order))
-    rows = block[order[starts]].tolist()
-    return [tuple(filter(None, row)) for row in rows], counts
+    rank = model.rank
+    n_letters, n_runs = 2 * rank + 1, model.split_span + 1  # x is coded x + rank, 0 included
+    block = (width + 1) * n_letters * n_runs  # the codes of one reference
+    dtype = np.min_scalar_type(len(refs) * block - 1)
+    # From a row's bits, the first reference it follows, times the block.
+    lowest = [max(m & -m, 1).bit_length() - 1 for m in range(1 << len(refs))]
+    first = np.array([block * j for j in lowest], dtype)
+    finite = np.array([x != 0 and model.letter_order(abs(x)) > 0 for x in range(-rank, rank + 1)])
+    keys = np.zeros(len(prefixes), dtype=dtype)
+    rows = np.arange(len(prefixes), dtype=np.int32)
+    follows = np.full(len(prefixes), (1 << len(refs)) - 1, dtype=np.uint8)
+    running, marks = rows[:0], prefixes[:0, 0]
+    for c in range(width):
+        on = prefixes[running, c] == marks
+        running, marks = running[on], marks[on]
+        keys[running] += 1
+        column = prefixes[rows, c]
+        still = np.zeros(len(rows), dtype=np.uint8)
+        for j, ref in enumerate(refs):
+            if c < len(ref):
+                still |= (column == ref[c]).view(np.uint8) << j
+        still &= follows
+        stop = still == 0
+        out, x = rows[stop], column[stop]
+        keys[out] = first[follows[stop]] + ((x + rank).astype(dtype) + c * n_letters) * n_runs
+        run = finite[x + rank]
+        running, marks = np.concatenate((running, out[run])), np.concatenate((marks, x[run]))
+        keys[out[run]] += 1
+        rows, follows = rows[~stop], still[~stop]
+    keys[rows] = first[follows] + (width * n_letters + rank) * n_runs
+    _, rows, counts = np.unique(keys, return_index=True, return_counts=True)
+    return [tuple(filter(None, row)) for row in prefixes[rows, :width].tolist()], counts.tolist()
 
 
-def _run_starts(block: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Whether each row of block[order] differs from the row before it
-    (the first row does), read one column at a time."""
-    import numpy as np
-
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    column = np.empty(len(order), dtype=block.dtype)
-    differ = np.empty(max(len(order) - 1, 0), dtype=bool)
-    for j in range(block.shape[1]):
-        np.take(block[:, j], order, out=column, mode="clip")  # "raise" would buffer
-        np.not_equal(column[1:], column[:-1], out=differ)
-        new[1:] |= differ
-    return new
-
-
-def _ray_product(
-    letters: tuple[int, ...], cyl: Cylinder, model: GroupModel
-) -> tuple[Fraction, bool]:
-    """Product of a ray beginning ``letters`` with the cylinder's base ray,
-    from their first ``cyl.depth`` letters, and whether it is exact."""
-    return _prefix_product(model, letters[:cyl.depth], cyl.ray)
-
-
-def _prefix_membership(
-    letters: tuple[int, ...], cyl: Cylinder, model: GroupModel
-) -> bool:
+def _prefix_membership(letters: tuple[int, ...], cyl: Cylinder, model: GroupModel) -> bool:
     """Decide membership of the ray whose canonical letters begin
     ``letters``, from its first R + s + 1: past R shared letters the
     product exceeds R, else it is exact there.  Fewer letters can leave it
     undecided, which raises :class:`IndeterminateMembership`."""
-    return _decide(*_ray_product(letters, cyl, model), cyl)
+    ray = cyl.base.prefix_letters(cyl.depth)
+    return _decide(*_prefix_product(model, letters[:cyl.depth], ray), cyl.radius)
+
+
+def _hits(model: GroupModel, xi: BoundaryPoint, radii: Sequence[int], prefixes) -> tuple[list, int]:
+    """The rows in U(xi, R) per radius R, and the number of classes: one
+    product per class of the first R_max + s + 1 letters decides every R,
+    as an exact product does not change with depth, and an inexact one is
+    at least the number of shared letters, past R_max."""
+    ray = xi.prefix_letters(max(radii) + model.split_span + 1)
+    heads, counts = _classes(prefixes, len(ray), [ray], model)
+    products = [_prefix_product(model, head, ray) for head in heads]
+    return [sum(k for p, k in zip(products, counts) if _decide(*p, R)) for R in radii], len(heads)
 
 
 @record
@@ -276,14 +285,10 @@ def measure_margin(cyl: Cylinder) -> int:
 
 def estimate_measure(walk: WalkSpec, cyl: Cylinder, samples: SampleSet) -> MeasureEstimate:
     """Harmonic measure of a cylinder from a set of stabilized boundary
-    samples; membership is decided once per distinct head of ``cyl.depth``
-    letters."""
+    samples, decided once per class (:func:`_hits`)."""
     require_valid(walk)
     _require_margin(samples, measure_margin(cyl), "estimate_measure")
-    heads, counts = _heads(samples.prefixes, cyl.depth)
-    hits = sum(
-        k for head, k in zip(heads, counts.tolist()) if _prefix_membership(head, cyl, walk.model)
-    )
+    (hits,), _ = _hits(walk.model, cyl.base, [cyl.radius], samples.prefixes)
     return _estimate(hits, samples.n_samples, samples.n_retries)
 
 
@@ -317,7 +322,7 @@ class GibbsReport:
     n_samples: int
     margin: int
     n_retries: int
-    n_heads: int
+    n_classes: int
     n_steps: int
 
 
@@ -330,25 +335,17 @@ def gibbs_margin(xi: BoundaryPoint, radii: Sequence[int]) -> int:
 def gibbs_ratio(
     walk: WalkSpec, xi: BoundaryPoint, radii: Sequence[int], samples: SampleSet
 ) -> GibbsReport:
-    """Ratio series over R from one sample set: one product per distinct
-    head of R_max + s + 1 letters decides every radius."""
+    """Ratio series over R from one sample set, each radius's mass decided
+    once per class (:func:`_hits`); ``n_classes`` counts the products."""
     require_valid(walk)
     if not radii or min(radii) < 1:
         raise ValidationError("gibbs radii must be positive")
     _require_margin(samples, gibbs_margin(xi, radii), "gibbs_ratio")
-    deepest = Cylinder.around(xi, max(radii))
-    # An exact product does not change with depth, and an inexact one is
-    # at least the number of shared letters, which is past R_max.
-    heads, counts = _heads(samples.prefixes, deepest.depth)
-    products = Counter()
-    for head, k in zip(heads, counts.tolist()):
-        products[_ray_product(head, deepest, walk.model)] += k
+    hits, n_classes = _hits(walk.model, xi, radii, samples.prefixes)
     e = walk.model.identity()
     rows = []
-    for R in radii:
-        cyl = Cylinder.around(xi, R)
-        hits = sum(k for (value, exact), k in products.items() if _decide(value, exact, cyl))
-        est = _estimate(hits, samples.n_samples, samples.n_retries)
+    for R, k in zip(radii, hits):
+        est = _estimate(k, samples.n_samples, samples.n_retries)
         f = first_passage(walk, e, xi.prefix(R))
         lo = max(est.value - est.half_width, 0.0) / f.upper
         hi = (est.value + est.half_width) / max(f.lower, 1e-300)
@@ -365,7 +362,7 @@ def gibbs_ratio(
         n_samples=samples.n_samples,
         margin=samples.margin,
         n_retries=samples.n_retries,
-        n_heads=len(heads),
+        n_classes=n_classes,
         n_steps=samples.n_steps,
     )
 
@@ -375,10 +372,7 @@ def gibbs_ratio(
 
 
 def _translated_membership(
-    g: GroupElement,
-    letters: tuple[int, ...],
-    cyl: Cylinder,
-    model: GroupModel,
+    g: GroupElement, letters: tuple[int, ...], cyl: Cylinder, model: GroupModel
 ) -> bool:
     """Decide g . eta in cyl for a sampled prefix of eta.
 
@@ -398,10 +392,9 @@ class RadonNikodymReport:
     """Two-sided change-of-variables comparison.
 
     ``pulled_mass`` is the sampled measure of g^-1 U; ``kernel_integral``
-    is the Monte Carlo integral of the kernel over U.  Agreement is
-    judged against the combined bands.  ``n_samples``, ``margin``,
-    ``n_retries`` and ``n_steps`` describe the sample set read, which a
-    run shares with ``gibbs``.
+    is the Monte Carlo integral of the kernel over U, judged against the
+    combined bands.  ``n_samples``, ``margin``, ``n_retries`` and ``n_steps``
+    describe the sample set read, which a run shares with ``gibbs``.
     """
 
     pulled_mass: float
@@ -412,20 +405,29 @@ class RadonNikodymReport:
     n_samples: int
     margin: int
     n_retries: int
-    n_heads: int
+    n_classes: int
     n_steps: int
 
 
-def _rn_samples(walk: WalkSpec, g: GroupElement, cyl: Cylinder, prefixes, depth: int):
-    """The pulled hits, and per distinct head of cyl.depth + |g| + 2
-    letters its kernel value at its first ``depth`` letters (0 off U) and
-    its count, as two lists in head order."""
+def _rn_references(g: GroupElement, cyl: Cylinder) -> tuple[int, list[tuple[int, ...]]]:
+    """rn-check's window, L = cyl.depth + |g| + 2 letters, and its
+    references: xi's ray, the letters of g and g^-1, and g^-1 xi's ray,
+    whose first L letters are those of g^-1 times xi's first 2L, as g^-1
+    reaches at most |g| + s < L letters into them."""
+    width = cyl.depth + g.word_length() + 2
+    pulled = (g.inverse() * cyl.base.prefix(2 * width)).letters()[:width]
+    return width, [cyl.base.prefix_letters(width), g.letters(), g.inverse().letters(), pulled]
+
+
+def _rn_samples(walk: WalkSpec, g: GroupElement, cyl: Cylinder, prefixes):
+    """The pulled hits, and per class against :func:`_rn_references` its
+    kernel value at its head (0 off U) and its count, in class order."""
     model = walk.model
-    heads, counts = _heads(prefixes, cyl.depth + g.word_length() + 2)
-    counts = counts.tolist()
+    width, refs = _rn_references(g, cyl)
+    heads, counts = _classes(prefixes, width, refs, model)
     hits = sum(k for head, k in zip(heads, counts) if _translated_membership(g, head, cyl, model))
     kernel = [
-        martin_kernel_at(walk, g, model.from_letters(head[:depth])).value
+        martin_kernel_at(walk, g, model.from_letters(head)).value
         if _prefix_membership(head, cyl, model) else 0.0
         for head in heads
     ]
@@ -439,31 +441,25 @@ def rn_check_margin(g: GroupElement, cyl: Cylinder) -> int:
 
 
 def radon_nikodym_check(
-    walk: WalkSpec,
-    g: GroupElement,
-    cyl: Cylinder,
-    samples: SampleSet,
+    walk: WalkSpec, g: GroupElement, cyl: Cylinder, samples: SampleSet
 ) -> RadonNikodymReport:
     """Compare nu(g^-1 U) with the integral of K(g, .) over U.
 
-    The kernel is evaluated at the sample prefix of the set's margin, past
-    every branch point of g.  A sample's first cyl.depth + |g| + 2 letters
-    decide both memberships and pass |g| + s + 2, beyond which the kernel
-    along a ray is bitwise constant; so each distinct head of that length
-    is evaluated once, the kernel at its first margin letters.  The
-    integral and the sample variance weight each head's value by its
-    count, summed with ``math.fsum``: one rounding per head, not one per
-    sample.
+    Both memberships and the kernel are decided once per class against
+    :func:`_rn_references`.  The integral is the correctly rounded mean of
+    the samples' kernel values: the sum over classes, weighted by their
+    counts, is exact as a Fraction and rounded once.  The sample variance
+    sums count times squared deviation over classes with ``math.fsum``.
     """
     require_valid(walk)
     n = samples.n_samples
     if n < 2:
         raise ValidationError(f"rn-check needs at least 2 samples, got {n}")
     _require_margin(samples, rn_check_margin(g, cyl), "radon_nikodym_check")
-    pulled_hits, kernel, counts = _rn_samples(walk, g, cyl, samples.prefixes, samples.margin)
+    pulled_hits, kernel, counts = _rn_samples(walk, g, cyl, samples.prefixes)
     pulled = pulled_hits / n
     pulled_half = 3.0 * math.sqrt(pulled * (1 - pulled) / n)
-    integral = math.fsum(k * c for k, c in zip(kernel, counts)) / n
+    integral = float(sum(Fraction(k) * c for k, c in zip(kernel, counts)) / n)
     variance = math.fsum(c * (k - integral) ** 2 for k, c in zip(kernel, counts)) / (n - 1)
     kernel_half = 3.0 * math.sqrt(variance) / math.sqrt(n)
     return RadonNikodymReport(
@@ -475,6 +471,6 @@ def radon_nikodym_check(
         n_samples=n,
         margin=samples.margin,
         n_retries=samples.n_retries,
-        n_heads=len(kernel),
+        n_classes=len(kernel),
         n_steps=samples.n_steps,
     )

@@ -369,30 +369,39 @@ def prefix_tuples(prefixes) -> list:
     return [tuple(filter(None, row)) for row in prefixes.tolist()]
 
 
-def void_heads(prefixes, depth: int):
-    """``measure._heads`` by np.unique on one opaque bytes item per row,
-    the row's head of ``depth`` letters: distinct heads as letter tuples
-    and each head's count."""
-    block = np.ascontiguousarray(prefixes[:, :depth])
-    width = block.shape[1]
-    keys = block.view(np.dtype((np.void, width))).reshape(-1)
-    unique, counts = np.unique(keys, return_counts=True)
-    rows = unique.view(np.int8).reshape(len(unique), width).tolist()
-    return [tuple(filter(None, row)) for row in rows], counts
+def class_key(letters, width: int, refs, model) -> tuple:
+    """``measure._class_keys`` for one row, read letter by letter: the
+    first of ``refs`` that the row's first ``width`` letters follow
+    longest, the number of letters shared with it, the letter after them
+    (0 past the window) and, for a letter of a finite factor, the length
+    of its run from there within the window."""
+    head = tuple(letters[:width])
+    shared = []
+    for ref in refs:
+        k = 0
+        while k < min(len(head), len(ref)) and head[k] == ref[k]:
+            k += 1
+        shared.append(k)
+    best = shared.index(max(shared))
+    k = shared[best]
+    x = head[k] if k < len(head) else 0
+    run = 0
+    if x and model.letter_order(abs(x)):
+        while k + run < len(head) and head[k + run] == x:
+            run += 1
+    return best, k, x, run
 
 
 def per_sample_gibbs_hits(prefixes, xi, radii, model) -> list:
     """Hits per radius of the ``gibbs_ratio`` sample loop, one product per
     sample at the deepest radius, decided at every radius sample by sample."""
-    from hypwalk.measure import Cylinder, _decide, _ray_product
+    from hypwalk.martin import _prefix_product
+    from hypwalk.measure import Cylinder, _decide
 
-    deepest = Cylinder.around(xi, max(radii))
-    products = [_ray_product(letters, deepest, model) for letters in prefixes]
-    hits = []
-    for R in radii:
-        cyl = Cylinder.around(xi, R)
-        hits.append(sum(_decide(value, exact, cyl) for value, exact in products))
-    return hits
+    depth = Cylinder.around(xi, max(radii)).depth
+    ray = xi.prefix_letters(depth)
+    products = [_prefix_product(model, letters[:depth], ray) for letters in prefixes]
+    return [sum(_decide(value, exact, R) for value, exact in products) for R in radii]
 
 
 def per_sample_rn_check(walk, g, cyl, prefixes, depth: int):

@@ -40,13 +40,13 @@ GOLDEN = {
         "simulate.csv": "9cb0aa43392f02fb597ebb2cb3a5ebc8bac3cd1b073d895b3ec275077f58ac0a",
     },
     "f2-boundary": {
-        "results": "8c7f1e4f515fa3d6fe7c7d2809c616e55145bf2251b9810c5a2d9b9b009684ed",
+        "results": "9f3fade86580514682e2c6e8255642a87fdc4555b5f71be57b30883fe9fa9160",
         "verdicts": "e625d389b8a99aefd1262e0eb3ebacd6f9f1c88f08ae21ac46df9f50dd11200a",
         "gibbs.csv": "2948d77cee533327846803d0d7c15fa75928a4befbd53c72191685d093261f71",
         "rn_check.csv": "a394429a97521557a6cac1895d20f9f71b9d2b9bf888c5d9f0c60a8f2a63a6e3",
     },
     "z23-classify": {
-        "results": "62ddbe0d740f8237b469c93c82bfd478c077c8b687a84d1e2621a66148e89da1",
+        "results": "63f448f28c70b4049e20a03e166a031fb45ae1181c2dfff27f176f92d1f3c679",
         "verdicts": "e9b0a1541ea8cfa2fa76b1a7b4ff447b63480e0e5d442e8a48dcaed7be36cc60",
         "classify.csv": "a46014250e6c9448179e5c0fd29511d27b9367b42d5891f054bb61d878b68647",
     },

@@ -268,6 +268,28 @@ def test_past_inverse_spectral_radius_diverges():
         _exact._Solution(uniform_walk(F2, 1), (2.0 / math.sqrt(3.0)) * (1.0 + 1e-9))
 
 
+@pytest.mark.parametrize("z", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
+def test_negative_or_non_finite_weight_is_refused(z):
+    # A negative or non-finite z names itself, not a divergence past 1/rho.
+    for model in (F2, Z23):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            _exact._Solution(uniform_walk(model, 1), z)
+
+
+@pytest.mark.parametrize("z", [0.6, 1.0])
+def test_mirror_syllables_are_equal_to_the_bit(z):
+    # With mu(x) = mu(x^-1), x -> x^-1 maps s^k to s^(m-k): every mirror
+    # pair of syllables has one value and one enclosure, so r(st) = r(sT)
+    # on uniform Z/2*Z/3.
+    walk = uniform_walk(Z23, 1)
+    st, sT = (ratio_invariant(walk, Z23.word(w)) for w in ("st", "sT"))
+    assert (st.value, st.lower, st.upper) == (sT.value, sT.lower, sT.upper)
+    for model in (Z23, GroupModel.free_product(20, 21)):
+        table = _exact._Solution(uniform_walk(model, 1), z).table
+        for (lid, k), value in table.items():
+            assert value == table[(lid, model.orders[lid - 1] - k)]
+
+
 # Walks whose first-passage values must be enclosed at every weight z =
 # 0.05, 0.10, ..., 1.0: all lie below 1/rho.
 CERTIFIED_WALKS = {

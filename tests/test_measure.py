@@ -18,11 +18,12 @@ from hypwalk import (
     radon_nikodym_check,
     uniform_walk,
 )
-from hypwalk.errors import ValidationError
-from hypwalk.martin import _prefix_product
+from hypwalk.errors import IndeterminateMembership, ValidationError
+from hypwalk.martin import _prefix_product, martin_kernel_at
 from hypwalk.measure import (
-    _heads,
+    _classes,
     _prefix_membership,
+    _rn_references,
     _rn_samples,
     _translated_membership,
     boundary_sample_set,
@@ -33,14 +34,15 @@ from hypwalk.measure import (
 
 from oracles import (
     binomial_band,
+    class_key,
     cone_measure,
     free_cone_mass,
     free_first_passage,
     per_sample_gibbs_hits,
     per_sample_rn_check,
     prefix_tuples,
-    void_heads,
 )
+from test_properties import MODELS
 
 
 def cone(point, radius=0):
@@ -322,10 +324,36 @@ _GROUPED_WALKS = {
 _GROUPED_G = {"free": ("a", "bA", "abA"), "free_product": ("s", "tS", "stS")}
 
 
+def _oracle_classes(tuples, width, refs, model):
+    """The rows' classes by ``oracles.class_key``: each class's head (its
+    first row's) and count."""
+    heads, counts = {}, Counter()
+    for letters in tuples:
+        key = class_key(letters, width, refs, model)
+        heads.setdefault(key, letters[:width])
+        counts[key] += 1
+    return {heads[key]: counts[key] for key in heads}
+
+
+def _row_values(tuples, g, cyl, model, values):
+    """Each row's value in the class order of ``_classes`` against
+    rn-check's references: its class's, the class found by
+    ``oracles.class_key`` and named by the head of its first row."""
+    width, refs = _rn_references(g, cyl)
+    heads, counts = _classes(np.array([letters[:width] for letters in tuples], dtype=np.int8),
+                             width, refs, model)
+    assert dict(zip(heads, counts)) == _oracle_classes(tuples, width, refs, model)
+    first = {}
+    for letters in tuples:
+        first.setdefault(class_key(letters, width, refs, model), letters[:width])
+    value = dict(zip(heads, values))
+    return np.array([value[first[class_key(letters, width, refs, model)]] for letters in tuples])
+
+
 class TestGroupedDecisions:
-    """Each distinct deciding head is evaluated once; the per-sample loops
-    of ``tests/oracles.py``, fed the prefixes as tuples, must give bitwise
-    the same answers and the same head counts."""
+    """Each class of rows is decided once; the per-sample loops of
+    ``tests/oracles.py``, fed the prefixes as tuples, must give bitwise
+    the same answers, and ``oracles.class_key`` the same classes."""
 
     N = 300
 
@@ -354,26 +382,32 @@ class TestGroupedDecisions:
         assert [row.nu for row in rep.rows] == [h / self.N for h in hits]
         assert rep.n_retries == retries
         assert rep.n_steps == steps
-        assert rep.n_heads == len({letters[: deepest.depth] for letters in tuples})
+        ray = xi.prefix_letters(deepest.depth)
+        assert rep.n_classes == len(_oracle_classes(tuples, deepest.depth, [ray], model))
+        assert rep.n_classes < len({letters[: deepest.depth] for letters in tuples})
         for R in range(4):
             est = estimate_measure(walk, Cylinder.around(xi, R), samples)
             assert est.value == per_sample_gibbs_hits(tuples, xi, [R], model)[0] / self.N
 
     def test_heads_match_tuple_counts(self, case):
-        # Each head's count is the Counter of the tuple heads, also past
-        # the prefix length.
-        walk, _ = case
+        # Each class's head is its first row's and its count the oracle's,
+        # against one reference and against four, windows of 1 to 12.
+        walk, xi = case
+        model = walk.model
         prefixes, _, _ = boundary_sample_set(walk, self.N, 12, 20, 20_000, "unit-grouped-heads")
         tuples = prefix_tuples(prefixes)
-        for depth in (1, 3, 7, 12, prefixes.shape[1] + 2):
-            heads, counts = _heads(prefixes, depth)
-            assert dict(zip(heads, counts.tolist())) == Counter(t[:depth] for t in tuples)
-            assert len(set(heads)) == len(heads)
+        g = model.word(_GROUPED_G[model.kind][1])
+        for width in (1, 3, 7, 12):
+            ray = xi.prefix_letters(width)
+            pulled = (g.inverse() * xi.prefix(width + 8)).letters()[:width]
+            for refs in ([ray], [ray, g.letters(), g.inverse().letters(), pulled]):
+                heads, counts = _classes(prefixes, width, refs, model)
+                assert sum(counts) == self.N
+                assert dict(zip(heads, counts)) == _oracle_classes(tuples, width, refs, model)
 
     def test_rn_check_per_sample(self, case):
-        # Each sample's head value is bitwise the per-sample oracle's, and
-        # the count-weighted integral lies within 3 roundings (the products,
-        # their fsum and the division) of the exact mean of those values.
+        # Each sample's class value is bitwise the per-sample oracle's, and
+        # the integral is the correctly rounded mean of those values.
         walk, xi = case
         model = walk.model
         prefixes, _, _ = boundary_sample_set(walk, self.N, 16, 20, 20_000, "unit-grouped-rn")
@@ -383,48 +417,133 @@ class TestGroupedDecisions:
         for word in _GROUPED_G[model.kind]:
             g = model.word(word)
             assert g.word_length() == len(word)
-            reach = g.word_length() + model.split_span + 2
             for R in range(4):
                 cyl = Cylinder.around(xi, R)
-                n = cyl.depth + g.word_length() + 2
-                heads, _ = _heads(prefixes, n)
-                default = max(10, cyl.depth + g.word_length() + 4)
-                for depth in (1, 2, reach, default, default + 6):
-                    pulled, kernel, counts = _rn_samples(walk, g, cyl, prefixes, depth)
-                    want_pulled, want_vals = per_sample_rn_check(walk, g, cyl, tuples, depth)
-                    assert pulled == want_pulled
-                    assert len(kernel) == len(counts) == len(heads)
-                    value = dict(zip(heads, kernel))
-                    vals = np.array([value[letters[:n]] for letters in tuples])
-                    assert vals.tobytes() == want_vals.tobytes()
-                    assert dict(zip(heads, counts)) == Counter(letters[:n] for letters in tuples)
-                    grouped |= len(kernel) < len(prefixes) and 0 < np.count_nonzero(vals)
+                pulled, kernel, _ = _rn_samples(walk, g, cyl, prefixes)
+                want_pulled, want_vals = per_sample_rn_check(walk, g, cyl, tuples, samples.margin)
+                assert pulled == want_pulled
+                vals = _row_values(tuples, g, cyl, model, kernel)
+                assert vals.tobytes() == want_vals.tobytes()
+                grouped |= len(kernel) < len(prefixes) and 0 < np.count_nonzero(vals)
                 rep = radon_nikodym_check(walk, g, cyl, samples)
-                _, want_vals = per_sample_rn_check(walk, g, cyl, tuples, samples.margin)
-                exact = sum(map(Fraction, want_vals.tolist())) / len(tuples)
-                assert abs(Fraction(rep.kernel_integral) - exact) <= 3 * Fraction(2) ** -53 * exact
-                assert rep.n_heads == len(heads)
+                assert rep.kernel_integral == float(sum(map(Fraction, want_vals.tolist())) / self.N)
+                assert rep.n_classes == len(kernel)
         assert grouped
 
 
+_BIG_MODELS = [GroupModel.free_product(20, 21), GroupModel.free_product(120, 119)]
+# Elements whose letters merge with the base rays' first syllables, or
+# run along them, on every model of MODELS.
+_CLASS_G = {"free": ("a", "bA", "abA", "BBa"), "free_product": ("s", "tS", "stS", "TTs")}
+
+
+@pytest.mark.parametrize("model", MODELS + _BIG_MODELS, ids=str)
+def test_class_decisions_match_the_per_sample_oracles(model):
+    # Per class: gibbs and measure hits, pulled hits and each row's kernel
+    # value, against the per-sample loops, bitwise.
+    walk = uniform_walk(model, seed=6)
+    n, radii = 120, [1, 2, 3]
+    xi, base = (BoundaryPoint.periodic(model.word(w)) for w in _AXES[model.kind])
+    elements = [model.word(w) for w in _CLASS_G[model.kind]]
+    cylinders = [Cylinder.around(p, R) for p in (xi, base) for R in (0, 2)]
+    needs = [rn_check_margin(g, c) for g in elements for c in cylinders]
+    margin = max(needs + [gibbs_margin(xi, radii)])
+    samples = draw(walk, n, margin, "unit-class-oracle")
+    tuples = prefix_tuples(samples.prefixes)
+    rep = gibbs_ratio(walk, xi, radii, samples)
+    assert [row.nu * n for row in rep.rows] == per_sample_gibbs_hits(tuples, xi, radii, model)
+    for g in elements:
+        for cyl in cylinders:
+            pulled, kernel, _ = _rn_samples(walk, g, cyl, samples.prefixes)
+            want_pulled, want_vals = per_sample_rn_check(walk, g, cyl, tuples, margin)
+            assert pulled == want_pulled
+            assert _row_values(tuples, g, cyl, model, kernel).tobytes() == want_vals.tobytes()
+
+
+def test_classes_on_long_cycles_are_few():
+    # Every 66-letter head of 2,000 uniform Z/120*Z/119 samples is distinct;
+    # their classes against the run's references are a few hundred.
+    model = GroupModel.free_product(120, 119)
+    walk = uniform_walk(model, seed=1)
+    xi = BoundaryPoint.periodic(model.word("st"))
+    g, cyl = model.word("s"), Cylinder.around(BoundaryPoint.periodic(model.word("Ts")), 0)
+    radii = [1, 2, 3, 4, 5]
+    samples = draw(walk, 2000, max(gibbs_margin(xi, radii), rn_check_margin(g, cyl)), "unit-few")
+    deepest = Cylinder.around(xi, 5)
+    assert len({row[: deepest.depth] for row in prefix_tuples(samples.prefixes)}) == 2000
+    assert gibbs_ratio(walk, xi, radii, samples).n_classes <= 300
+    assert radon_nikodym_check(walk, g, cyl, samples).n_classes <= 300
+
+
+def _decisions(walk, g, cyl, letters):
+    """Every decision the readers make on one row, an undecided
+    membership as the exception's type."""
+    model = walk.model
+
+    def outcome(decide, *args):
+        try:
+            return decide(*args)
+        except IndeterminateMembership as err:
+            return type(err)
+
+    inside = outcome(_prefix_membership, letters, cyl, model)
+    return (
+        _prefix_product(model, letters[:cyl.depth], cyl.base.prefix_letters(cyl.depth)),
+        inside,
+        outcome(_translated_membership, g, letters, cyl, model),
+        martin_kernel_at(walk, g, model.from_letters(letters)).value if inside is True else 0.0,
+    )
+
+
 @st.composite
-def padded_prefixes(draw):
-    """An int8 prefix matrix: rows of nonzero letters, negative ones
-    included, each padded with zeros past its own length."""
-    n = draw(st.integers(0, 40))
-    width = draw(st.integers(1, 8))
-    letters = st.sampled_from([-128, -3, -2, -1, 1, 2, 3, 127])
-    rows = draw(st.lists(st.lists(letters, max_size=width), min_size=n, max_size=n))
-    block = np.zeros((n, width), dtype=np.int8)
-    for i, row in enumerate(rows):
-        block[i, :len(row)] = row
-    return block
+def class_cases(draw):
+    """A uniform walk, an element g, a cylinder U(xi, R) and rows that
+    follow the rays of xi and g^-1 xi, or the letters of g or g^-1, for a
+    while: each row is one's first K letters extended by a few letters at
+    random, as a canonical word, then to past rn-check's window.  g often
+    begins along xi's ray, so that rows in U leave g at every depth."""
+    model = draw(st.sampled_from(MODELS + _BIG_MODELS[:1]))
+    letters = [x.letters()[0] for x in model.generators()]
+    xi = BoundaryPoint.periodic(model.word(draw(st.sampled_from(_AXES[model.kind]))))
+    along = xi.prefix_letters(draw(st.integers(0, 4)))
+    off = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=4))
+    g = model.from_letters(along + tuple(off))
+    cyl = Cylinder.around(xi, draw(st.integers(0, 2)))
+    width = cyl.depth + g.word_length() + 2
+    pulled = (g.inverse() * xi.prefix(2 * width + 8)).letters()[: width + 4]
+    sources = [xi.prefix_letters(width + 4), g.letters(), g.inverse().letters(), pulled]
+    rows = []
+    for _ in range(draw(st.integers(2, 24))):
+        ref = draw(st.sampled_from(sources))
+        h = model.from_letters(ref[: draw(st.integers(0, len(ref)))])
+        tail = draw(st.lists(st.sampled_from(letters), max_size=6)) + letters * (width + 2)
+        for x in tail:
+            if h.word_length() > width + 1:
+                break
+            step = h * model.letter_element(x)
+            if step.word_length() > h.word_length():
+                h = step
+        rows.append(h.letters())
+    return uniform_walk(model, seed=1), g, cyl, rows
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(padded_prefixes(), st.integers(1, 10))
-def test_heads_match_the_void_oracle(prefixes, depth):
-    heads, counts = _heads(prefixes, depth)
-    want_heads, want_counts = void_heads(prefixes, depth)
-    assert heads == want_heads
-    assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()
+@given(class_cases())
+def test_rows_of_one_class_get_equal_decisions(case):
+    # The classes are the oracle's, and each decision is one per class,
+    # on every row's whole letters: the product and membership of
+    # gibbs and estimate_measure per class against xi's ray, and all
+    # four of rn-check per class against its references.
+    walk, g, cyl, rows = case
+    model = walk.model
+    block = np.zeros((len(rows), max(map(len, rows))), dtype=np.int8)
+    for i, row in enumerate(rows):
+        block[i, :len(row)] = row
+    decisions = [_decisions(walk, g, cyl, row) for row in rows]
+    width, refs = _rn_references(g, cyl)
+    for w, r, read in ((width, refs, 4), (cyl.depth, [cyl.base.prefix_letters(cyl.depth)], 2)):
+        heads, counts = _classes(block, w, r, model)
+        assert dict(zip(heads, counts)) == _oracle_classes(rows, w, r, model)
+        decided = {}
+        for row, made in zip(rows, decisions):
+            assert decided.setdefault(class_key(row, w, r, model), made[:read]) == made[:read]

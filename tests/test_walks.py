@@ -21,7 +21,9 @@ from hypwalk import (
 from hypwalk import _sampler
 from hypwalk.errors import BoundaryTimeout, ValidationError
 from hypwalk.martin import BoundaryPoint
-from hypwalk.measure import SampleSet, boundary_sample_set, gibbs_ratio
+from hypwalk.measure import (
+    Cylinder, SampleSet, boundary_sample_set, gibbs_ratio, radon_nikodym_check,
+)
 from hypwalk._sampler import _philox_blocks, _Slab, _step_indices, _Tables
 from hypwalk._streams import boundary_prefixes, path_steps, philox_words, step_thresholds
 from hypwalk.walks import sample_boundary_prefixes
@@ -609,28 +611,40 @@ class TestBatchedSampler:
     def test_sample_set_and_gibbs_bytes_per_sample(self, walk_f2):
         # Per sample, a set of margin 10 on F_2 holds its 10 letters; the
         # draw adds int8 codes spelled in place and int32 lengths and step
-        # counts, and the heads of gibbs_ratio an intp sort order, a bool
-        # run mask and int32 head ids.  Measured at 200k samples: 28 bytes
+        # counts.  A reader's classes take per row an int32 row id, a uint8
+        # reference mask and a one-byte key, with a few one-byte columns
+        # and masks for the rows still read, then np.unique's copies of the
+        # keys and its intp sort order.  Measured at 200k samples: 28 bytes
         # per sample for the draw, whose parked tails are finished once
-        # they fill a slab, and 28 for gibbs.
+        # they fill a slab, 27 for gibbs and 26 for rn-check.
         n = 200_000
-        xi = BoundaryPoint.periodic(walk_f2.model.word("a"))
+        model = walk_f2.model
+        xi = BoundaryPoint.periodic(model.word("a"))
+        g, cyl = model.word("a"), Cylinder.around(BoundaryPoint.periodic(model.word("b")), 0)
+        readers = {
+            "gibbs": lambda samples: gibbs_ratio(walk_f2, xi, [1, 2, 3, 4, 5], samples),
+            "rn-check": lambda samples: radon_nikodym_check(walk_f2, g, cyl, samples),
+        }
         small = SampleSet.draw(walk_f2, 100, 10, 20, 20_000, "unit-memory")
-        gibbs_ratio(walk_f2, xi, [1, 2, 3, 4, 5], small)
+        for read in readers.values():
+            read(small)
+        peaks = {}
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             samples = SampleSet.draw(walk_f2, n, 10, 20, 20_000, "unit-memory")
-            _, draw_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            gibbs_ratio(walk_f2, xi, [1, 2, 3, 4, 5], samples)
-            _, gibbs_peak = tracemalloc.get_traced_memory()
+            _, peaks["draw"] = tracemalloc.get_traced_memory()
+            for name, read in readers.items():
+                tracemalloc.reset_peak()
+                read(samples)
+                _, peaks[name] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert samples.prefixes.nbytes == 10 * n
-        assert (draw_peak - before) / n <= 31
-        assert (gibbs_peak - before) / n <= 31
+        assert {name: (peak - before) / n <= 31 for name, peak in peaks.items()} == dict.fromkeys(
+            ("draw", "gibbs", "rn-check"), True
+        )
 
     def test_exhausted_retries_name_the_first_stream(self, walk_f2):
         with pytest.raises(BoundaryTimeout) as err:
